@@ -15,6 +15,11 @@
 #                      flamegraph stacks, overhead gated at 10%
 #   make bench-report - trend table + regression gates over the
 #                      BENCH_*.json artifacts present in the repo root
+#   make perf        - perfbench: host-time ladder of eight workloads
+#                      (~4 min), writes perfbench/out/record.json
+#   make perf-selfcheck - perfbench twice on the same code against its
+#                      own bounds (~8 min); `make test-perf` runs the
+#                      benchmark's tests (outside pytest's testpaths)
 #   make test-diff   - differential suite: coalesced datapath vs
 #                      uncoalesced reference + golden fingerprints
 #   make lint        - unrlint determinism rules (+ ruff when installed)
@@ -28,7 +33,7 @@ PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 REPRO   = PYTHONPATH=src $(PYTHON) -m repro
 
-.PHONY: test test-fast test-all test-slow test-chaos test-diff demo-faults trace bench-engine bench-scaling profile bench-report lint verify typecheck check
+.PHONY: test test-fast test-all test-slow test-chaos test-diff test-perf demo-faults trace bench-engine bench-scaling profile bench-report perf perf-selfcheck lint verify typecheck check
 
 test: test-fast
 
@@ -43,6 +48,9 @@ test-slow:
 
 # The chaos soak: node-kill schedules on all four Table III platforms,
 # then the CLI run that writes the BENCH_resilience.json record.
+# The overhead gate is 1.5x, not the 1.15x CHANGES.md (PR 11) quotes:
+# the gated ratio is the max over the four platforms, and single-NIC
+# hpc-roce measures 1.321x (th-xy 1.002x); see docs/resilience.md.
 test-chaos:
 	$(PYTEST) -q -m chaos
 	$(REPRO) chaos --out BENCH_resilience.json
@@ -90,6 +98,17 @@ bench-report:
 	else \
 		echo "no BENCH_*.json artifacts; run make trace/bench-engine/profile first"; \
 	fi
+
+# Host-time benchmark (BENCHMARK.json; protocol in perfbench/README.md).
+# It sets its own sys.path, so no PYTHONPATH here.
+perf:
+	$(PYTHON) perfbench/run.py
+
+perf-selfcheck:
+	$(PYTHON) perfbench/run.py --selfcheck
+
+test-perf:
+	$(PYTHON) -m pytest perfbench/tests -q
 
 # Differential mode: coalesced/zero-copy datapath vs the uncoalesced
 # reference — identical wire fingerprints, token streams, clean

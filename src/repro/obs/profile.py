@@ -18,7 +18,8 @@ from the Recorder:
   never draws RNG, never mutates simulation state.  A profiled run is
   therefore bit-identical on the wire to an unprofiled one (tested
   against the 16-entry golden fingerprint corpus).
-* **Chained timestamps, zero gap.**  ``Environment.step`` calls
+* **Chained timestamps, zero gap.**  The kernel's dispatch loop
+  (``Environment.run``; ``step`` is one turn of it) calls
   :meth:`HostProfiler.on_event` once per dispatched event.  The hook
   takes a single clock reading and attributes the interval since the
   *previous* reading to the previous event — so every nanosecond of the
@@ -351,7 +352,7 @@ class HostProfiler:
     # -- the hot path ------------------------------------------------------
     def on_event(self, event: Any, _clock: Any = _clock_ns,
                  _deferred: Any = _Deferred) -> None:
-        """Called by ``Environment.step`` once per dispatched event.
+        """Called by the ``Environment.run`` loop once per dispatched event.
 
         One clock read and one buffer append: the timestamp closes the
         previous event's interval and opens this one *at replay time*
@@ -537,7 +538,7 @@ class HostProfiler:
         ``key`` is what :meth:`on_event` captured: a Deferred
         callback's ``__code__`` (or the raw callable), or the event's
         callbacks list — captured at dispatch time because
-        ``Environment.step`` nulls ``event.callbacks`` right after the
+        the dispatch loop nulls ``event.callbacks`` right after the
         hook fires.
         """
         if cls is _Deferred:

@@ -305,7 +305,7 @@ class Recorder:
 
     # -- sim-kernel hook (hot path: two plain statements) ------------------
     def on_sim_step(self, heap_depth: int) -> None:
-        """Called by ``Environment.step`` for every dispatched event."""
+        """Called by the ``Environment.run`` loop for every dispatched event."""
         self._sim_events += 1
         if heap_depth > self._sim_heap_max:
             self._sim_heap_max = heap_depth

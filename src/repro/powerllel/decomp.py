@@ -33,8 +33,14 @@ def split_starts(n: int, p: int) -> List[int]:
 
 
 def block_of(n: int, p: int, i: int) -> Tuple[int, int]:
-    """(start, size) of block ``i``."""
-    return split_starts(n, p)[i], split_sizes(n, p)[i]
+    """(start, size) of block ``i``: element ``i`` of :func:`split_starts`
+    and :func:`split_sizes`, in closed form (no O(p) list)."""
+    if p < 1 or n < 0:
+        raise ValueError(f"bad split n={n} p={p}")
+    if not 0 <= i < p:
+        raise IndexError(f"block {i} outside 0..{p - 1}")
+    base, extra = divmod(n, p)
+    return i * base + min(i, extra), base + (i < extra)
 
 
 @dataclass(frozen=True)
@@ -78,19 +84,19 @@ class PencilDecomp:
     # -- local extents -------------------------------------------------------
     @property
     def y_start(self) -> int:
-        return split_starts(self.ny, self.py)[self.iy]
+        return block_of(self.ny, self.py, self.iy)[0]
 
     @property
     def ny_local(self) -> int:
-        return split_sizes(self.ny, self.py)[self.iy]
+        return block_of(self.ny, self.py, self.iy)[1]
 
     @property
     def z_start(self) -> int:
-        return split_starts(self.nz, self.pz)[self.iz]
+        return block_of(self.nz, self.pz, self.iz)[0]
 
     @property
     def nz_local(self) -> int:
-        return split_sizes(self.nz, self.pz)[self.iz]
+        return block_of(self.nz, self.pz, self.iz)[1]
 
     @property
     def x_pencil_shape(self) -> Tuple[int, int, int]:
@@ -104,11 +110,11 @@ class PencilDecomp:
 
     @property
     def xh_start(self) -> int:
-        return split_starts(self.nxh, self.py)[self.iy]
+        return block_of(self.nxh, self.py, self.iy)[0]
 
     @property
     def nxh_local(self) -> int:
-        return split_sizes(self.nxh, self.py)[self.iy]
+        return block_of(self.nxh, self.py, self.iy)[1]
 
     @property
     def y_pencil_shape(self) -> Tuple[int, int, int]:

@@ -32,6 +32,8 @@ Example
 
 from __future__ import annotations
 
+import gc
+from math import inf
 from typing import Any, Callable, Generator, Iterable, List, Optional, cast
 
 from .scheduler import CalendarScheduler, Scheduler
@@ -190,13 +192,19 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        super().__init__(env)
-        self.delay = delay
-        self._ok = True
+        if not 0 <= delay < inf:
+            raise SimulationError(f"delay must be finite and >= 0, got {delay}")
+        # Born triggered and scheduled: fill the slots and push the
+        # entry here rather than via Event.__init__ -> _schedule -> push.
+        self.env = env
+        self.callbacks = []
         self._value = value
-        env._schedule(self, delay=delay)
+        self._ok = True
+        self._scheduled = True
+        self._defused = False
+        self.delay = delay
+        env._seq = seq = env._seq + 1
+        env._sched.push((env._now + delay, 1, seq, self))
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay}>"
@@ -226,15 +234,18 @@ class Deferred(Event):
         fn: Callable[[Any], None],
         value: Any = None,
     ) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        super().__init__(env)
-        self._fn = fn
-        self._ok = True
+        if not 0 <= delay < inf:
+            raise SimulationError(f"delay must be finite and >= 0, got {delay}")
+        # Same direct construction as Timeout.
+        self.env = env
+        self.callbacks = [_run_deferred]
         self._value = value
-        assert self.callbacks is not None
-        self.callbacks.append(_run_deferred)
-        env._schedule(self, delay=delay)
+        self._ok = True
+        self._scheduled = True
+        self._defused = False
+        self._fn = fn
+        env._seq = seq = env._seq + 1
+        env._sched.push((env._now + delay, 1, seq, self))
 
     def __repr__(self) -> str:
         return f"<Deferred fn={getattr(self._fn, '__name__', self._fn)!r}>"
@@ -511,8 +522,12 @@ class Environment:
 
     # -- scheduling ---------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0, priority: bool = False) -> None:
+        # Timeout and Deferred inline this (phase 1) in their constructors;
+        # a change to the key or to how seq is minted must be made there too.
         if event._scheduled:
             return
+        if not 0 <= delay < inf:
+            raise SimulationError(f"delay must be finite and >= 0, got {delay}")
         event._scheduled = True
         self._seq += 1
         # Priority events (interrupts) sort before normal events at the
@@ -526,40 +541,65 @@ class Environment:
 
     def step(self) -> None:
         """Process one event: advance the clock and run its callbacks."""
-        try:
-            when, _phase, _seq, event = self._sched.pop()
-        except IndexError:
-            raise SimulationError("no scheduled events") from None
-        self._now = when
-        obs = self.obs
-        if obs is not None:
-            obs.on_sim_step(len(self._sched))
-        prof = self.profile
-        if prof is not None:
-            prof.on_event(event)
-        callbacks = event.callbacks
-        event.callbacks = None
-        assert callbacks is not None
-        for callback in callbacks:
-            callback(event)
-        if not event._ok and not event._defused:
-            raise event._value
+        if not self._sched:
+            raise SimulationError("no scheduled events")
+        self._dispatch(inf, single=True)
 
     def run(self, until: Optional[float] = None) -> None:
-        """Run until the queue drains or the clock passes ``until``."""
-        if until is not None:
-            limit = float(until)
-            if limit < self._now:
-                raise SimulationError(
-                    f"until={limit} is in the past (now={self._now})"
-                )
-        else:
-            limit = float("inf")
-        sched = self._sched
-        while sched and sched.peek_time() <= limit:
-            self.step()
+        """Run until the queue drains or the clock passes ``until``.
+
+        The cyclic collector is held off while events are dispatched and
+        the caller's setting restored on the way out: the simulator's
+        garbage is acyclic (reference counting frees it at once), so a
+        collector pass only re-walks a heap that grows with the cluster
+        and finds nothing.  ``tests/sim/test_run_loop.py`` pins that as
+        an invariant; ``docs/performance.md`` has the measurement.
+        """
+        limit = inf if until is None else float(until)
+        if not limit >= self._now:  # in the past, or NaN
+            raise SimulationError(f"until={limit} is not at or after now={self._now}")
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            self._dispatch(limit)
+        finally:
+            if gc_was_enabled:
+                gc.enable()
         if until is not None and self._now < limit:
             self._now = limit
+
+    def _dispatch(self, limit: float, single: bool = False) -> None:
+        """The one event loop: pop, advance the clock, run the callbacks.
+
+        Stops when the queue is empty, when the next event lies beyond
+        ``limit``, or after one event when ``single``.
+        """
+        pop, peek_time = self._sched.pop, self._sched.peek_time
+        bounded = limit < inf
+        while True:
+            if bounded and peek_time() > limit:
+                return
+            try:  # around the pop alone: a callback's IndexError must escape
+                when, _phase, _seq, event = pop()
+            except IndexError:
+                return
+            self._now = when
+            # Hooks are read per event so one attached mid-run is honoured.
+            obs = self.obs
+            if obs is not None:
+                obs.on_sim_step(len(self._sched))
+            prof = self.profile
+            if prof is not None:
+                prof.on_event(event)
+            callbacks = event.callbacks
+            event.callbacks = None
+            assert callbacks is not None
+            for callback in callbacks:
+                callback(event)
+            if not event._ok and not event._defused:
+                raise event._value
+            if single:
+                return
 
     def run_process(self, generator: Generator, until: Optional[float] = None) -> Any:
         """Convenience: spawn ``generator``, run, and return its value."""

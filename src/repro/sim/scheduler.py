@@ -95,9 +95,6 @@ class Scheduler:
     def __len__(self) -> int:
         raise NotImplementedError
 
-    def __bool__(self) -> bool:
-        return len(self) > 0
-
 
 class HeapScheduler(Scheduler):
     """Reference scheduler: one global binary heap (the historical kernel)."""

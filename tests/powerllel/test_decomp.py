@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.powerllel import PencilDecomp, split_sizes, split_starts
+from repro.powerllel import PencilDecomp, block_of, split_sizes, split_starts
 
 
 @settings(max_examples=200, deadline=None)
@@ -19,11 +19,25 @@ def test_split_sizes_partition(n, p):
         assert starts[i] == starts[i - 1] + sizes[i - 1]
 
 
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, 10_000), p=st.integers(1, 64))
+def test_block_of_closed_form_matches_lists(n, p):
+    blocks = [block_of(n, p, i) for i in range(p)]
+    assert blocks == list(zip(split_starts(n, p), split_sizes(n, p)))
+    assert all(type(v) is int for block in blocks for v in block)
+
+
 def test_split_rejects_bad_args():
     with pytest.raises(ValueError):
         split_sizes(5, 0)
     with pytest.raises(ValueError):
         split_sizes(-1, 2)
+    with pytest.raises(ValueError):
+        block_of(5, 0, 0)
+    with pytest.raises(IndexError):
+        block_of(5, 2, 2)
+    with pytest.raises(IndexError):
+        block_of(5, 2, -1)
 
 
 def test_rank_layout_row_major_in_z():

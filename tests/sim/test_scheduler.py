@@ -25,7 +25,7 @@ from repro.bench.fingerprints import (
     run_schedule,
     run_schedule_observed,
 )
-from repro.sim import Environment
+from repro.sim import Environment, Interrupt, SimulationError
 from repro.sim.scheduler import (
     DEFAULT_BUCKET_WIDTH,
     CalendarScheduler,
@@ -139,6 +139,78 @@ def test_environment_accepts_explicit_scheduler():
         env.process(proc(env))
         env.run()
     assert fired == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("make_sched", [HeapScheduler, CalendarScheduler])
+@pytest.mark.parametrize("delay", [float("inf"), float("nan"), -1e-9])
+def test_non_finite_or_negative_delay_rejected_by_both(make_sched, delay):
+    # The heap used to accept inf/NaN silently (NaN corrupts its order)
+    # while the calendar queue died inside push(): same answer now, and
+    # nothing half-scheduled is left behind.
+    env = Environment(scheduler=make_sched())
+    with pytest.raises(SimulationError, match="delay"):
+        env.timeout(delay)
+    with pytest.raises(SimulationError, match="delay"):
+        env.defer(delay, print)
+    event = env.event()
+    with pytest.raises(SimulationError, match="delay"):
+        env._schedule(event, delay=delay)
+    assert env.peek() == float("inf")
+    event.succeed("still schedulable")
+    env.run()
+    assert event.processed and env.now == 0.0
+
+
+# -- whole-kernel differential ------------------------------------------------
+
+program_strategy = st.lists(  # one entry per process: its (delay, action) steps
+    st.lists(
+        st.tuples(st.sampled_from(DELAYS), st.sampled_from(["wait", "defer", "join", "poke"])),
+        min_size=1,
+        max_size=12,
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+def run_program(sched, program, until):
+    """Drive ``Environment.run`` itself: timeouts, deferreds, conditions
+    and priority interrupts, stopped once at ``until`` and then drained."""
+    env = Environment(scheduler=sched)
+    log = []
+    procs = []
+
+    def worker(env, tag, steps):
+        for delay, action in steps:
+            try:
+                if action == "join":
+                    yield env.all_of([env.timeout(delay), env.timeout(delay / 2)])
+                else:
+                    yield env.timeout(delay)
+                if action == "defer":
+                    env.defer(delay, log.append, ("deferred", tag, delay))
+                elif action == "poke" and tag != 0 and procs[0].is_alive:
+                    procs[0].interrupt(tag)
+            except Interrupt as hit:
+                log.append((env.now, tag, "interrupted", hit.cause))
+            log.append((env.now, tag, action))
+
+    for tag, steps in enumerate(program):
+        procs.append(env.process(worker(env, tag, steps)))
+    env.run(until=until)
+    log.append(("until", env.now, env.peek()))
+    env.run()
+    log.append(("end", env.now, env.peek()))
+    return log
+
+
+@settings(max_examples=150, deadline=None)
+@given(program=program_strategy, until=st.sampled_from([0.0, 1e-6, 3.3e-6, 2e-3]))
+def test_environment_run_identical_under_both_schedulers(program, until):
+    assert run_program(CalendarScheduler(), program, until) == run_program(
+        HeapScheduler(), program, until
+    )
 
 
 # -- corpus-level identity ----------------------------------------------------
