@@ -63,14 +63,15 @@ demo-faults:
 trace:
 	$(REPRO) trace stream --perfetto trace_obs.json --bench BENCH_obs.json
 
-# The 12-events/put ceiling is the coalesced datapath cost (10.50, see
+# The 10-events/put ceiling is the datapath cost (8.17: coalesced runs,
+# process-free completion path; see
 # tests/bench/fixtures/BENCH_engine.after.json) plus slack for one extra
 # bookkeeping event; raising it needs a justification.  The throughput
 # floor pins ops/simulated-second, which is set by the modelled platform
 # physics — a drop means the datapath added simulated time per op.
 bench-engine:
 	$(REPRO) engine-bench --out BENCH_engine.json \
-		--max-events-per-put 12 --min-ops-per-sim-sec 270000
+		--max-events-per-put 10 --min-ops-per-sim-sec 270000
 
 # The full Figure 7 ladder up to the 1728-node machine, with a fixed
 # small halo workload: flat wall/RSS curves prove the lazy netsim pays
@@ -94,7 +95,7 @@ bench-report:
 	@files="$$(ls BENCH_*.json 2>/dev/null)"; \
 	if [ -n "$$files" ]; then \
 		$(REPRO) bench-report $$files \
-			--max-events-per-put 12 --min-ops-per-sim-sec 270000; \
+			--max-events-per-put 10 --min-ops-per-sim-sec 270000; \
 	else \
 		echo "no BENCH_*.json artifacts; run make trace/bench-engine/profile first"; \
 	fi

@@ -24,11 +24,12 @@ UNR005  ``except Exception`` / bare ``except`` that can swallow
 UNR006  wall-clock sources inside the observability layer (``obs``) —
         traces must be stamped with ``env.now`` so an armed run stays
         fingerprint-identical to a disarmed one
-UNR007  CQ draining (``cq.get`` / ``cq.poll`` / ``cq.poll_batch`` /
-        ``cq.poll_batch_into``) outside ``core/engine.py`` —
-        completion records must flow through the unified progress
-        engine; a second drainer steals records and changes dispatch
-        order
+UNR007  CQ consuming (``cq.park``, or draining with ``cq.get`` /
+        ``cq.poll`` / ``cq.poll_batch`` / ``cq.poll_batch_into``)
+        outside ``core/engine.py`` — completion records must flow
+        through the unified progress engine, whose sweepers hold each
+        queue's one parked-consumer slot; a second consumer steals
+        records and changes dispatch order
 UNR008  retry/backoff loops (``while`` loops that call ``timeout()``)
         outside the reliability layer (``core/transport.py`` /
         ``core/health.py``) — ad-hoc retry loops bypass the watchdog's
@@ -147,10 +148,11 @@ RULES: Dict[str, Rule] = {
         ),
         Rule(
             "UNR007",
-            "completion-queue draining outside the progress engine",
+            "completion-queue parking or draining outside the progress engine",
             "route completions through ProgressEngine (core/engine.py) — its "
-            "registered handlers are the one CQ consumer; a side drainer "
-            "steals records and perturbs dispatch order",
+            "sweepers park on each CQ and its registered handlers are the one "
+            "consumer; a side consumer steals records and perturbs dispatch "
+            "order",
         ),
         Rule(
             "UNR008",
@@ -345,8 +347,9 @@ _TEAM_STATE_TOKENS = (
 _PROMOTION_TOKENS = ("promot", "primary", "leader", "elect", "failover")
 
 #: CompletionQueue consumers (``cq.push`` is the producer and always
-#: fine; only *draining* is reserved to the progress engine).
-_CQ_DRAIN_FUNCS = {"get", "poll", "poll_batch", "poll_batch_into"}
+#: fine; only *consuming* — parking on the queue or draining it — is
+#: reserved to the progress engine).
+_CQ_CONSUME_FUNCS = {"park", "get", "poll", "poll_batch", "poll_batch_into"}
 
 
 def _attr_chain(node: ast.AST) -> List[str]:
@@ -467,17 +470,18 @@ class _Visitor(ast.NodeVisitor):
             self._check_rng_call(node, resolved)
             if not self.wallclock_allowed:
                 self._check_wallclock_call(node, resolved)
-        self._check_cq_drain(node)
+        self._check_cq_consume(node)
         self.generic_visit(node)
 
-    def _check_cq_drain(self, node: ast.Call) -> None:
+    def _check_cq_consume(self, node: ast.Call) -> None:
         if self.cq_allowed:
             return
         chain = _attr_tail(node.func)
-        if len(chain) >= 2 and chain[-2] == "cq" and chain[-1] in _CQ_DRAIN_FUNCS:
+        if len(chain) >= 2 and chain[-2] == "cq" and chain[-1] in _CQ_CONSUME_FUNCS:
+            verb = "parks on" if chain[-1] == "park" else "drains"
             self._flag(
                 "UNR007", node,
-                f"cq.{chain[-1]}() drains a completion queue outside "
+                f"cq.{chain[-1]}() {verb} a completion queue outside "
                 "core/engine.py — the progress engine is the only consumer",
             )
 

@@ -13,7 +13,6 @@ from .convert import alltoallv_convert, irecv_convert, isend_convert, sendrecv_c
 from .engine import (
     CTRL_BYTES,
     FALLBACK_RAIL,
-    PollingEngine,
     ProgressEngine,
     StripePlan,
     TransferEngine,
@@ -64,7 +63,6 @@ __all__ = [
     "OpContext",
     "PlannedOp",
     "PollingConfig",
-    "PollingEngine",
     "ProgressEngine",
     "ReliabilityConfig",
     "ReplicationConfig",

@@ -68,7 +68,6 @@ __all__ = [
     "TransferOp",
     "TransferEngine",
     "ProgressEngine",
-    "PollingEngine",
     "coalesce_runs",
 ]
 
@@ -1275,18 +1274,86 @@ class TransferEngine:
         return min(1 << budget, 1 << 16)
 
 
+class _Sweeper:
+    """One rail's share of the polling thread, as callbacks.
+
+    Parked on the rail's CQ between sweeps; the push that finds it there
+    calls :meth:`on_record`, which only schedules.  ``_fire`` — always
+    its own kernel event, ``dispatch_delay`` after the record arrived —
+    runs the handlers and parks again.
+    """
+
+    __slots__ = ("engine", "nic", "cq", "delay")
+
+    def __init__(self, engine: "ProgressEngine", nic: Any) -> None:
+        self.engine = engine
+        self.nic = nic
+        self.cq = nic.cq
+        self.delay = engine.config.dispatch_delay
+        self._park()
+
+    def _park(self) -> None:
+        # A record already queued (a backlog beyond the batch limit) is
+        # taken now but starts its sweep from a zero-delay event, the
+        # way a get() on a non-empty queue is served.
+        record = self.cq.park(self.on_record)
+        if record is not None:
+            self.engine.env.defer(0.0, self.on_record, record)
+
+    def on_record(self, record: CompletionRecord) -> None:
+        """A sweep begins.  Runs inside the producer's kernel event."""
+        engine = self.engine
+        if engine.obs is not None:
+            engine.obs.count("core.poll_sweeps")
+        # A stalled CQ (fault injection) holds its records back: the
+        # progress engine is wedged until the stall window passes.
+        if self.cq.is_stalled:
+            self._stall_over(record)
+        else:
+            engine.env.defer(self.delay, self._fire, record)
+
+    def _stall_over(self, record: CompletionRecord) -> None:
+        cq = self.cq
+        env = self.engine.env
+        if cq.is_stalled:  # still, or again: the window can be extended
+            env.defer(cq.stalled_until - env.now, self._stall_over, record)
+        elif self.delay > 0:
+            env.defer(self.delay, self._fire, record)
+        else:
+            self._fire(record)  # already in a kernel event of our own
+
+    def _fire(self, record: CompletionRecord) -> None:
+        engine = self.engine
+        nic = self.nic
+        engine._dispatch(nic, record)
+        # Drain whatever else arrived during the delay in one batched
+        # sweep — no extra simulator events per record, no allocations
+        # (records land in the preallocated buffer).  Anything beyond
+        # the batch limit starts the next sweep from _park.
+        batch = engine._batch
+        n = self.cq.poll_batch_into(batch, len(batch))
+        for i in range(n):
+            extra = batch[i]
+            batch[i] = None
+            engine._dispatch(nic, extra)
+        self._park()
+
+
 class ProgressEngine:
     """One node's progress core: batched CQ sweeps, handler dispatch.
 
-    The paper's per-node polling thread (§IV-C).  One sweeper coroutine
-    per NIC blocks on that rail's completion queue; each wakeup applies
-    the triggering record after the configured dispatch delay, then
-    drains whatever else accumulated in one batched sweep (a real
-    polling thread processes the CQ in batches).  Records dispatch to
-    the handler registered for their ``kind`` — the library registers
-    MMAS custom-bit decoding for RMA completions and the (p, a) apply
-    for Level-0 ctrl messages — with ``default_handler`` as the
-    catch-all.
+    The paper's per-node polling thread (§IV-C), modelled without a
+    simulated process: one :class:`_Sweeper` per NIC is *parked* on that
+    rail's completion queue, and the NIC delivery that pushes a record
+    hands it over directly.  The record is applied after the configured
+    dispatch delay, in a kernel event of its own even when the delay is
+    zero (a handler never runs inside the NIC's delivery callback); the
+    same event then drains whatever else accumulated in one batched
+    sweep (a real polling thread processes the CQ in batches) and parks
+    the sweeper again.  Records dispatch to the handler registered for
+    their ``kind`` — the library registers MMAS custom-bit decoding for
+    RMA completions and the (p, a) apply for Level-0 ctrl messages —
+    with ``default_handler`` as the catch-all.
     """
 
     def __init__(
@@ -1328,9 +1395,7 @@ class ProgressEngine:
         elif config.cpu_duty > 0:
             node.cpu.add_polling_load(config.cpu_duty)
         for nic in node.nics:
-            env.process(
-                self._sweep_loop(nic), name=f"progress-n{node.index}-r{nic.index}"
-            )
+            _Sweeper(self, nic)  # kept alive by the queue it parks on
 
     def register(
         self, kind: str, handler: Callable[[int, CompletionRecord], None]
@@ -1339,31 +1404,6 @@ class ProgressEngine:
         self._handlers[kind] = handler
         self._last_kind = None
         self._last_handler = None
-
-    def _sweep_loop(self, nic: Any) -> Generator[Any, Any, None]:
-        delay = self.config.dispatch_delay
-        batch = self._batch
-        limit = len(batch)
-        while True:  # unrlint: disable=UNR008
-            record = yield nic.cq.get()
-            if self.obs is not None:
-                self.obs.count("core.poll_sweeps")
-            # A stalled CQ (fault injection) holds its records back: the
-            # progress engine is wedged until the stall window passes.
-            while nic.cq.is_stalled:  # unrlint: disable=UNR008
-                yield self.env.timeout(nic.cq.stalled_until - self.env.now)
-            if delay > 0:
-                yield self.env.timeout(delay)
-            self._dispatch(nic, record)
-            # Drain whatever else arrived during the delay in one
-            # batched sweep — no extra simulator events per record, no
-            # allocations (records land in the preallocated buffer).
-            # Anything beyond the batch limit re-wakes the sweeper.
-            n = nic.cq.poll_batch_into(batch, limit)
-            for i in range(n):
-                extra = batch[i]
-                batch[i] = None
-                self._dispatch(nic, extra)
 
     def _dispatch(self, nic: Any, record: CompletionRecord) -> None:
         self.n_dispatched += 1
@@ -1395,7 +1435,3 @@ class ProgressEngine:
         # record object itself.
         recycle_record(record)
 
-
-#: Backwards-compatible name: the progress core grew out of the old
-#: per-subsystem ``PollingEngine`` dispatch loops.
-PollingEngine = ProgressEngine

@@ -51,6 +51,13 @@ class RmaChannel:
         #: ChannelError for any payload that exceeds this interface's
         #: custom-bit budget (see :mod:`repro.interconnect.width`).
         self.width_observer: Optional[WidthObserver] = None
+        # Per-post constants, resolved once: the capability and the
+        # cluster spec are both fixed for the life of the channel.
+        cap = self.capability
+        self._width_bits = {
+            side: getattr(cap, f"effective_{side}") for side in _SIDE_LABELS
+        }
+        self._hw_atomic_offload = bool(job.cluster.spec.nic.atomic_offload)
 
     def check_payload_width(self, value: Optional[int], side: str) -> int:
         """Validate a custom-bit payload against one completion side.
@@ -60,11 +67,9 @@ class RmaChannel:
         the budget.  All adapters route their payloads through here —
         the one chokepoint the sanitizer hooks.
         """
-        cap = self.capability
-        bits = getattr(cap, f"effective_{side}")
         return fit_custom(
-            value, bits, _SIDE_LABELS[side], cap.interface,
-            observer=self.width_observer,
+            value, self._width_bits[side], _SIDE_LABELS[side],
+            self.capability.interface, observer=self.width_observer,
         )
 
     # ------------------------------------------------------------------
@@ -74,7 +79,7 @@ class RmaChannel:
 
     def hw_atomic_offload(self) -> bool:
         """True when the simulated NICs implement Level-4 atomic add."""
-        return bool(self.job.cluster.spec.nic.atomic_offload)
+        return self._hw_atomic_offload
 
     def level(self) -> int:
         """UNR support level of this channel on this cluster."""
@@ -106,9 +111,10 @@ class RmaChannel:
         ``remote_token``/``local_token`` tag the CQ entries for
         duplicate suppression when the reliability layer retransmits.
         """
-        if remote_action is None or not self.hw_atomic_offload():
+        offload = self._hw_atomic_offload
+        if remote_action is None or not offload:
             self.check_payload_width(remote_custom, "put_remote")
-        if local_action is None or not self.hw_atomic_offload():
+        if local_action is None or not offload:
             self.check_payload_width(local_custom, "put_local")
         src_nic = self.job.nic_of(src_rank, rail)
         dst_nic = self.job.nic_of(dst_rank, rail)
@@ -164,9 +170,10 @@ class RmaChannel:
         local_token: Any = None,
     ) -> Event:
         """Notifiable GET from ``dst_rank``'s memory into ``src_rank``'s."""
-        if remote_action is None or not self.hw_atomic_offload():
+        offload = self._hw_atomic_offload
+        if remote_action is None or not offload:
             self.check_payload_width(remote_custom, "get_remote")
-        if local_action is None or not self.hw_atomic_offload():
+        if local_action is None or not offload:
             self.check_payload_width(local_custom, "get_local")
         src_nic = self.job.nic_of(src_rank, rail)
         dst_nic = self.job.nic_of(dst_rank, rail)

@@ -58,8 +58,7 @@ class MpiFallbackChannel(RmaChannel):
     software_notify = True
 
     def __init__(self, job: Job, config: Optional[MpiFallbackConfig] = None):
-        self.job = job
-        self.env = job.env
+        super().__init__(job)
         self.config = config or MpiFallbackConfig()
 
     def level(self) -> int:

@@ -175,14 +175,21 @@ class CompletionQueue:
 
     ``push`` is a *process step*: it blocks (backpressure) while the
     queue is full, which is how an un-polled NIC degrades — exactly the
-    failure mode the progress engine's sweep loops (levels 0–3) and the
-    Level-4 hardware offload exist to prevent.  Draining (``get`` /
-    ``poll`` / ``poll_batch``) is reserved to
+    failure mode the progress engine's sweepers (levels 0–3) and the
+    Level-4 hardware offload exist to prevent.
+
+    The queue has one slot for a **parked consumer** (:meth:`park`), the
+    callback analogue of a process blocked in :meth:`get`: while it is
+    set the queue is empty, and the next ``try_push`` / ``push`` hands
+    its record straight to the consumer, which leaves the slot — no
+    ``Store`` traffic and no getter event.  A queue nobody parked on is
+    an ordinary ``Store``-backed FIFO.  Consuming (``park`` / ``get`` /
+    ``poll`` / ``poll_batch`` / ``poll_batch_into``) is reserved to
     :class:`~repro.core.engine.ProgressEngine`; unrlint rule UNR007
     flags any other caller.
     """
 
-    __slots__ = ("env", "depth", "_store", "_slab", "_slot")
+    __slots__ = ("env", "depth", "_store", "_slab", "_slot", "_parked")
 
     def __init__(
         self,
@@ -204,6 +211,7 @@ class CompletionQueue:
         assert slot is not None
         self._slab = slab
         self._slot = slot
+        self._parked: Optional[Callable[[CompletionRecord], None]] = None
 
     # -- slab-backed accounting (columns, one slot per queue) ----------
     @property
@@ -232,8 +240,8 @@ class CompletionQueue:
 
     def stall(self, until: float) -> None:
         """Suspend servicing (``poll``/``poll_batch``) until sim time
-        ``until``.  Blocking ``get`` waiters already in flight are not
-        interrupted; pollers must check :attr:`is_stalled`."""
+        ``until``.  A blocked ``get`` or a parked consumer still takes
+        the next record; consumers must check :attr:`is_stalled`."""
         col = self._slab.cq_stalled_until
         col[self._slot] = max(col[self._slot], until)
 
@@ -247,7 +255,17 @@ class CompletionQueue:
     def push(self, record: CompletionRecord):
         """Generator: enqueue ``record``, stalling while the CQ is full."""
         slab, i = self._slab, self._slot
-        if self._store.is_full:
+        consumer = self._parked
+        if consumer is not None:
+            # Parked means empty, so never full.  The timeout stands in
+            # for the Store's put event and is created first, as the put
+            # event precedes the getter's: with a zero dispatch delay the
+            # pusher still resumes before the record is dispatched.
+            self._parked = None
+            queued = self.env.timeout(0.0)
+            consumer(record)
+            yield queued
+        elif self._store.is_full:
             slab.cq_overflow_stalls[i] += 1
             t0 = self.env.now
             yield self._store.put(record)
@@ -263,20 +281,48 @@ class CompletionQueue:
         """Synchronous fast-path enqueue; ``False`` when the CQ is full.
 
         The accounting matches :meth:`push` exactly, but no put event is
-        scheduled: a waiting sweeper is woken through the store's getter
-        queue, which is the one kernel event a delivery inherently
-        costs.  On ``False`` the caller must fall back to the blocking
+        scheduled.  A parked consumer takes the record on the spot (the
+        depth stays 0, so ``high_water`` does not move); what it
+        schedules is the one kernel event a delivery inherently costs.
+        On ``False`` the caller must fall back to the blocking
         :meth:`push` so overflow keeps its backpressure semantics
         (stall counters, completion only after the record is queued).
         """
+        slab, i = self._slab, self._slot
+        consumer = self._parked
+        if consumer is not None:
+            self._parked = None
+            slab.cq_pushed[i] += 1
+            consumer(record)
+            return True
         if not self._store.put_nowait(record):
             return False
-        slab, i = self._slab, self._slot
         slab.cq_pushed[i] += 1
         depth = len(self._store)
         if depth > slab.cq_high_water[i]:
             slab.cq_high_water[i] = depth
         return True
+
+    def park(
+        self, consumer: Callable[[CompletionRecord], None]
+    ) -> Optional[CompletionRecord]:
+        """Wait for the next record without a process: the callback
+        analogue of a blocked :meth:`get`.
+
+        On an empty queue ``consumer`` is parked and ``None`` returned;
+        the next push calls ``consumer(record)`` from inside the
+        producer's own kernel event, so the consumer must only schedule
+        its work, never run a handler there.  It is called once — park
+        again for the record after.  A record already queued is popped
+        and returned instead, as a ``get()`` on a non-empty queue is
+        served at once, and nothing is parked.
+        """
+        if self._parked is not None:
+            raise RuntimeError("completion queue already has a parked consumer")
+        record = self._store.try_get()
+        if record is None:
+            self._parked = consumer
+        return record
 
     def poll(self) -> Optional[CompletionRecord]:
         """Non-blocking: pop one record or return ``None``."""
@@ -317,7 +363,8 @@ class CompletionQueue:
         return n
 
     def get(self) -> Event:
-        """Blocking pop (used by event-driven pollers)."""
+        """Blocking pop for a consumer that is a process (an un-attached
+        queue; the progress engine parks a callback instead)."""
         return self._store.get()
 
 

@@ -10,7 +10,7 @@ process per rank and returns their values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .netsim import Cluster, Nic, Node
 from .sim import Environment, Process
@@ -33,21 +33,25 @@ class Job:
                 f"n_ranks={self.n_ranks} out of range 1..{max_ranks}"
             )
         #: rank -> node-index placement overrides (replication failover:
-        #: a promoted rank adopts its mirror's node).  Empty on the hot
-        #: path of every unreplicated run.
+        #: a promoted rank adopts its mirror's node).
         self._node_override: dict = {}
+        #: placement memos, rank -> Node and (rank, rail) -> Nic.  A
+        #: cluster never replaces a node it has built, so
+        #: :meth:`reassign_node` is the only thing that invalidates them.
+        self._node_memo: Dict[int, Node] = {}
+        self._nic_memo: Dict[Tuple[int, int], Nic] = {}
 
     @property
     def env(self) -> Environment:
         return self.cluster.env
 
     def node_of(self, rank: int) -> Node:
-        self._check(rank)
-        if self._node_override:
-            override = self._node_override.get(rank)
-            if override is not None:
-                return self.cluster.node(override)
-        return self.cluster.node(rank // self.ranks_per_node)
+        node = self._node_memo.get(rank)
+        if node is None:
+            self._check(rank)
+            index = self._node_override.get(rank, rank // self.ranks_per_node)
+            node = self._node_memo[rank] = self.cluster.node(index)
+        return node
 
     def reassign_node(self, rank: int, node_index: int) -> None:
         """Re-point ``rank`` onto another node (replication failover).
@@ -61,6 +65,8 @@ class Job:
         if not 0 <= node_index < self.cluster.n_nodes:
             raise ValueError(f"node {node_index} out of range")
         self._node_override[rank] = node_index
+        self._node_memo.clear()
+        self._nic_memo.clear()
 
     def local_index(self, rank: int) -> int:
         """Index of ``rank`` among the ranks of its node."""
@@ -75,9 +81,14 @@ class Job:
         is spread across the node's NICs so co-located ranks use
         different rails (the Figure 5 setup: 2 processes, 2 NICs).
         """
-        node = self.node_of(rank)
-        base = self.local_index(rank) % node.n_rails
-        return node.nic((base + rail) % node.n_rails)
+        nic = self._nic_memo.get((rank, rail))
+        if nic is None:
+            node = self.node_of(rank)
+            base = self.local_index(rank) % node.n_rails
+            nic = self._nic_memo[rank, rail] = node.nic(
+                (base + rail) % node.n_rails
+            )
+        return nic
 
     def co_located(self, a: int, b: int) -> bool:
         return self.node_of(a) is self.node_of(b)

@@ -63,12 +63,13 @@ def test_unr006_flags_wallclock_in_obs_scope():
 def test_unr007_flags_cq_drain_outside_engine():
     findings = lint_fixture("bad_unr007.py")
     assert rules_of(findings) == ["UNR007"]
-    # poll, poll_batch, poll_batch_into, blocking get — but never
+    # poll, poll_batch, poll_batch_into, blocking get, park — but never
     # cq.push (the producer).
-    assert len(findings) == 4
+    assert len(findings) == 5
     assert {f.message.split("(")[0] for f in findings} == {
-        "cq.poll", "cq.poll_batch", "cq.poll_batch_into", "cq.get",
+        "cq.poll", "cq.poll_batch", "cq.poll_batch_into", "cq.get", "cq.park",
     }
+    assert sum("parks on" in f.message for f in findings) == 1
 
 
 def test_unr008_flags_retry_loops_outside_reliability_layer():
@@ -170,7 +171,7 @@ def test_protocol_pass_is_scope_gated():
         "sim/core.py",  # heapq allowed in the kernel path
         "ok_unr005.py",
         "obs/ok_unr006.py",
-        "core/engine.py",  # CQ draining allowed in the progress engine
+        "core/engine.py",  # CQ parking/draining allowed in the progress engine
         "ok_unr008.py",
         "core/health.py",  # retry loops allowed in the reliability layer
         "netsim/node.py",  # slotted hot-path module

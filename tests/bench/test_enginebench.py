@@ -15,12 +15,13 @@ from repro.bench import (
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
-#: Post-coalescing datapath cost ceiling: the raw-fast datapath (fragment
-#: coalescing + slab records + batched CQ dispatch) measures 10.50
-#: simulator events per PUT (see fixtures/BENCH_engine.after.json);
-#: 12 leaves slack for one extra bookkeeping event.  The pre-refactor
-#: cost was 280/12 = 23.33 (fixtures/BENCH_engine.before.json).
-BASELINE_EVENTS_PER_PUT = 12.0
+#: Datapath cost ceiling: the raw-fast datapath (fragment coalescing +
+#: slab records + batched CQ dispatch + process-free completion path)
+#: measures 8.17 simulator events per PUT (see
+#: fixtures/BENCH_engine.after.json); 10 leaves slack for one extra
+#: bookkeeping event.  The pre-refactor cost was 280/12 = 23.33
+#: (fixtures/BENCH_engine.before.json).
+BASELINE_EVENTS_PER_PUT = 10.0
 
 #: Throughput floor on the PUT path.  ops/simulated-second is set by the
 #: modelled platform physics (th-xy link latency + serialization), not

@@ -3,7 +3,7 @@ per-node progress core (`repro.core.engine.ProgressEngine`)."""
 
 import pytest
 
-from repro.core.engine import PollingEngine, ProgressEngine
+from repro.core.engine import ProgressEngine
 from repro.core.polling import PollingConfig
 from repro.netsim import Cluster, ClusterSpec, CompletionRecord, NicSpec, NodeSpec
 from repro.sim import Environment
@@ -62,8 +62,8 @@ def test_cpu_duty_by_mode():
 def test_engine_dispatches_records_to_handler():
     env, node = make_node()
     got = []
-    engine = PollingEngine(env, node, PollingConfig(mode="busy"),
-                           lambda n, rec: got.append((n, rec.custom)))
+    engine = ProgressEngine(env, node, PollingConfig(mode="busy"),
+                            lambda n, rec: got.append((n, rec.custom)))
 
     def feed(env):
         for i in range(5):
@@ -81,7 +81,7 @@ def test_engine_dispatches_records_to_handler():
 
 def test_engine_none_mode_spawns_nothing():
     env, node = make_node()
-    engine = PollingEngine(env, node, PollingConfig(mode="none"), lambda n, r: None)
+    engine = ProgressEngine(env, node, PollingConfig(mode="none"), lambda n, r: None)
     env.process(node.nic(0).cq.push(CompletionRecord(kind="put_remote", custom=1)))
     env.run(until=1e-3)
     assert engine.n_dispatched == 0
@@ -90,8 +90,8 @@ def test_engine_none_mode_spawns_nothing():
 
 def test_engine_reserved_mode_reserves_cores():
     env, node = make_node(cores=8)
-    PollingEngine(env, node, PollingConfig(mode="reserved", reserved_cores=2),
-                  lambda n, r: None)
+    ProgressEngine(env, node, PollingConfig(mode="reserved", reserved_cores=2),
+                   lambda n, r: None)
     assert node.cpu.reserved == 2
     assert node.cpu.polling_load == 0.0
 
@@ -99,8 +99,8 @@ def test_engine_reserved_mode_reserves_cores():
 def test_engine_polls_all_rails():
     env, node = make_node(nics=2)
     got = []
-    PollingEngine(env, node, PollingConfig(mode="busy"),
-                  lambda n, rec: got.append(rec.custom))
+    ProgressEngine(env, node, PollingConfig(mode="busy"),
+                   lambda n, rec: got.append(rec.custom))
 
     def feed(env):
         yield from node.nic(0).cq.push(CompletionRecord(kind="put_remote", custom=10))
@@ -116,7 +116,7 @@ def test_engine_batches_backlog():
     env, node = make_node()
     times = []
     cfg = PollingConfig(mode="interval", interval_us=50.0)
-    PollingEngine(env, node, cfg, lambda n, rec: times.append(env.now))
+    ProgressEngine(env, node, cfg, lambda n, rec: times.append(env.now))
 
     def feed(env):
         for i in range(10):
@@ -158,7 +158,3 @@ def test_engine_dispatches_by_registered_kind():
     assert ctrl == [(3, -1)]
     assert other == ["msg"]
     assert engine.n_dispatched == 3
-
-
-def test_polling_engine_alias_is_progress_engine():
-    assert PollingEngine is ProgressEngine

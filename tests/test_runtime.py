@@ -50,6 +50,30 @@ def test_rank_rail_spread():
     assert job.nic_of(1, rail=1).index == 0
 
 
+def test_placement_lookups_are_memoized_and_retarget_on_reassign():
+    job = Job(make_cluster(4, nics=2))
+    before_node, before_nic = job.node_of(1), job.nic_of(1, 1)
+    assert job.node_of(1) is before_node and job.nic_of(1, 1) is before_nic
+    assert (before_node.index, before_nic.index) == (1, 1)
+    job.reassign_node(1, 3)
+    # Both lookups re-resolve, including pairs memoized before the move.
+    assert job.node_of(1) is job.cluster.node(3)
+    assert job.nic_of(1, 1) is job.cluster.node(3).nic(1)
+    assert job.nic_of(1) is job.cluster.node(3).nic(0)
+    assert job.co_located(1, 3)
+    # Untouched ranks keep their placement.
+    assert job.node_of(2).index == 2
+
+
+def test_out_of_range_rank_raises_on_every_call():
+    job = Job(make_cluster(2))
+    for _ in range(2):  # a miss is never memoized
+        with pytest.raises(ValueError):
+            job.node_of(2)
+        with pytest.raises(ValueError):
+            job.nic_of(-1)
+
+
 def test_run_job_collects_return_values():
     job = Job(make_cluster(2))
 
