@@ -20,6 +20,10 @@
 #   make perf-selfcheck - perfbench twice on the same code against its
 #                      own bounds (~8 min); `make test-perf` runs the
 #                      benchmark's tests (outside pytest's testpaths)
+#   make perf-pairs PARENT=<dir> [WORKLOAD=fig7_thxy288 PAIRS=10 SEED=300]
+#                    - alternating parent/change pairs of one perfbench
+#                      workload (tools/perf_pairs.py): medians, quartiles,
+#                      pairs won — the numbers a perf PR quotes
 #   make test-diff   - differential suite: coalesced datapath vs
 #                      uncoalesced reference + golden fingerprints
 #   make lint        - unrlint determinism rules (+ ruff when installed)
@@ -33,7 +37,7 @@ PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 REPRO   = PYTHONPATH=src $(PYTHON) -m repro
 
-.PHONY: test test-fast test-all test-slow test-chaos test-diff test-perf demo-faults trace bench-engine bench-scaling profile bench-report perf perf-selfcheck lint verify typecheck check
+.PHONY: test test-fast test-all test-slow test-chaos test-diff test-perf demo-faults trace bench-engine bench-scaling profile bench-report perf perf-selfcheck perf-pairs lint verify typecheck check
 
 test: test-fast
 
@@ -110,6 +114,17 @@ perf-selfcheck:
 
 test-perf:
 	$(PYTHON) -m pytest perfbench/tests -q
+
+# Parent vs change, alternating which side runs first.  PARENT is a
+# checkout of the parent commit (git clone / git archive); measure the
+# change from an export beside it, not from the tree being edited.
+WORKLOAD ?= fig7_thxy288
+PAIRS ?= 10
+SEED ?= 300
+perf-pairs:
+	@test -n "$(PARENT)" || { echo "usage: make perf-pairs PARENT=<dir of the parent commit>"; exit 2; }
+	$(PYTHON) tools/perf_pairs.py --parent $(PARENT) --workload $(WORKLOAD) \
+		--pairs $(PAIRS) --seed $(SEED)
 
 # Differential mode: coalesced/zero-copy datapath vs the uncoalesced
 # reference — identical wire fingerprints, token streams, clean

@@ -620,7 +620,12 @@ class UnrEndpoint:
         mr.slice(offset, size)  # bounds check
         sid = None
         if signal is not None:
-            if self.unr._node_index(signal.owner_rank) != self.node_index:
+            # The caller's own signal is on the caller's node by
+            # definition; placements are resolved only for another's.
+            owner = signal.owner_rank
+            if owner != self.rank and (
+                self.unr._node_index(owner) != self.node_index
+            ):
                 raise UnrUsageError("signal must live on the caller's node")
             sid = signal.sid
         blk = Blk(rank=self.rank, mr_handle=mr.handle, offset=offset, size=size, signal_sid=sid)
@@ -733,12 +738,10 @@ class UnrEndpoint:
             yield self.env.any_of([done, self.env.timeout(period)])
             if done.triggered:
                 break
-            if not (rep.covers(self.rank) or rep.covers(dst_rank)):
-                # No failover capacity left: keep the unreplicated
-                # semantics (the post below would raise peer-dead if the
-                # lane is gone for good).
-                pass
             self.unr.stats["replication_ctrl_retransmits"] += 1
+            # With no failover capacity left on either side this keeps
+            # the unreplicated semantics: it raises peer-dead if the
+            # lane is gone for good.
             post()
 
     def recv_ctl(self, src_rank: int, tag: Any = None) -> Generator[Any, Any, Any]:

@@ -76,6 +76,10 @@ CTRL_BYTES = 24  # wire size of a (p, a) control message
 #: sentinel "rail" meaning the degraded MPI fallback lane (health layer)
 FALLBACK_RAIL = -1
 
+#: distinct PUT shapes remembered per engine before the memo starts over
+#: (an application uses a handful; a size sweep must not grow it forever)
+_SHAPE_MEMO_LIMIT = 4096
+
 
 def _target_label(rail: int) -> str:
     return "fallback" if rail == FALLBACK_RAIL else f"rail{rail}"
@@ -109,7 +113,6 @@ def coalesce_runs(stripes: Tuple["StripePlan", ...]) -> List[List["StripePlan"]]
 AddSpec = Tuple[int, int, int]
 
 
-@dataclass(frozen=True)
 class StripePlan:
     """One pre-validated fragment of a :class:`TransferOp`.
 
@@ -117,33 +120,67 @@ class StripePlan:
     view, the encoded custom bits, and which side's add (if any) must be
     applied in software.  Only the payload snapshot and the idempotence
     tokens are per-post.
+
+    A plain slotted class filled positionally — one is built per
+    fragment per PUT, and a frozen dataclass pays an
+    ``object.__setattr__`` per field.  Immutable by convention: only
+    ``prepare_put`` / ``prepare_get`` construct one, nothing writes a
+    field afterwards, and a retransmit reads the very object its first
+    attempt read.
+
+    ``view`` is the destination byte view written on delivery (``None``
+    when either side of the transfer is a virtual region — geometry
+    only).  ``remote_add`` / ``local_action_add`` are applied by the
+    channel's remote / local action (software notify, or Level-4
+    hardware offload at that side); ``local_done_add`` when the post's
+    send completes (no local custom bits: the sender knows its own
+    posts).  ``remote_sig`` / ``local_sig`` are the raw ``(node, sid,
+    addend)`` of the two notifications, independent of the custom-bit
+    encoding chosen above — the degraded fallback path synthesizes the
+    same notifications from these (with the same idempotence tokens),
+    and the drain protocol discharges them for cancelled fragments.
     """
 
-    index: int
-    rail: int
-    offset: int
-    size: int
-    #: destination byte view written on delivery (``None`` when either
-    #: side of the transfer is a virtual region — geometry only).
-    view: Any = None
-    remote_custom: Optional[int] = None
-    local_custom: Optional[int] = None
-    #: add applied by the channel's remote action (software notify or
-    #: Level-4 hardware offload at the target).
-    remote_add: Optional[AddSpec] = None
-    #: add applied by the channel's local action (software notify or
-    #: hardware offload at the initiator).
-    local_action_add: Optional[AddSpec] = None
-    #: add applied when the post's send completes (no local custom
-    #: bits: the sender knows its own posts).
-    local_done_add: Optional[AddSpec] = None
-    #: raw (node, sid, addend) of the remote/local notification,
-    #: independent of the custom-bit encoding chosen above — the
-    #: degraded fallback path synthesizes the same notifications from
-    #: these (with the same idempotence tokens), and the drain protocol
-    #: discharges them for cancelled fragments.
-    remote_sig: Optional[AddSpec] = None
-    local_sig: Optional[AddSpec] = None
+    __slots__ = (
+        "index", "rail", "offset", "size", "view",
+        "remote_custom", "local_custom",
+        "remote_add", "local_action_add", "local_done_add",
+        "remote_sig", "local_sig",
+    )
+
+    def __init__(
+        self,
+        index: int,
+        rail: int,
+        offset: int,
+        size: int,
+        view: Any = None,
+        remote_custom: Optional[int] = None,
+        local_custom: Optional[int] = None,
+        remote_add: Optional[AddSpec] = None,
+        local_action_add: Optional[AddSpec] = None,
+        local_done_add: Optional[AddSpec] = None,
+        remote_sig: Optional[AddSpec] = None,
+        local_sig: Optional[AddSpec] = None,
+    ) -> None:
+        self.index = index
+        self.rail = rail
+        self.offset = offset
+        self.size = size
+        self.view = view
+        self.remote_custom = remote_custom
+        self.local_custom = local_custom
+        self.remote_add = remote_add
+        self.local_action_add = local_action_add
+        self.local_done_add = local_done_add
+        self.remote_sig = remote_sig
+        self.local_sig = local_sig
+
+    def __repr__(self) -> str:
+        return (
+            f"<StripePlan #{self.index} rail={self.rail} "
+            f"[{self.offset}, {self.offset + self.size})>"
+        )
 
 
 @dataclass
@@ -206,6 +243,8 @@ class TransferEngine:
         #: retirement so stale watchdog closures can still read it.
         self._frags = FragmentSlab()
         self._inflight: Dict[int, None] = {}
+        #: fragment geometry per distinct PUT shape, see _stripe_shape
+        self._shapes: Dict[tuple, Tuple[Tuple[int, int, int, int, int], ...]] = {}
         #: logical-op counter: every post_op call (including plan
         #: replays and Level-0 ctrl tails) gets a fresh id, stamped on
         #: the obs :class:`~repro.obs.recorder.OpRecord` of each of its
@@ -221,13 +260,21 @@ class TransferEngine:
         rsid: Optional[int],
         lsid: Optional[int],
     ) -> TransferOp:
-        """Validate and plan one PUT; returns a replayable descriptor."""
+        """Validate and plan one PUT; returns a replayable descriptor.
+
+        Per PUT: argument and sanitizer checks, the two region lookups
+        and placements, one bounds-checked slice of each block.  Per
+        fragment: the destination sub-view, the custom-bit encoding and
+        one :class:`StripePlan`.  The fragment geometry itself comes
+        from :meth:`_stripe_shape`, computed once per distinct shape.
+        """
         unr = self.unr
+        size = src_blk.size
         if src_blk.rank != src_rank:
             raise UnrUsageError(f"put source BLK belongs to rank {src_blk.rank}")
-        if src_blk.size != dst_blk.size:
+        if size != dst_blk.size:
             raise UnrUsageError(
-                f"size mismatch: src {src_blk.size}B vs dst {dst_blk.size}B"
+                f"size mismatch: src {size}B vs dst {dst_blk.size}B"
             )
         if unr.sanitizer is not None:
             unr.sanitizer.check_rma(
@@ -236,8 +283,11 @@ class TransferEngine:
             )
         src_mr = unr._mr_of(src_blk)
         dst_mr = unr._mr_of(dst_blk)
-        src_node = unr._node_index(src_rank)
-        dst_node = unr._node_index(dst_blk.rank)
+        dst_rank = dst_blk.rank
+        src_at = self.job.node_of(src_rank)
+        dst_at = self.job.node_of(dst_rank)
+        src_node = src_at.index
+        dst_node = dst_at.index
 
         software = getattr(unr.channel, "software_notify", False)
         rpol = unr.put_remote_policy
@@ -252,80 +302,111 @@ class TransferEngine:
             and (rsid is None or (rpol.multi_channel and rpol.a_bits > 0))
             and (lsid is None or (lpol.multi_channel and lpol.a_bits > 0))
         )
-        n_rails = min(
-            self.job.node_of(src_rank).n_rails,
-            self.job.node_of(dst_blk.rank).n_rails,
+        shape = self._stripe_shape(
+            size,
+            min(len(src_at.nics), len(dst_at.nics)),
+            multi_ok,
+            rpol if rsid is not None else lpol,
         )
-        max_k = self._max_stripe_k(rpol if rsid is not None else lpol)
-        if unr.max_stripe_rails:
-            max_k = min(max_k, unr.max_stripe_rails)
-        stripes = plan_stripes(
-            src_blk.size,
-            n_rails,
-            threshold=unr.stripe_threshold,
-            multi_channel=multi_ok,
-            max_fragments=max_k,
-            mtu=(unr.stripe_mtu or 0) if multi_ok else 0,
-        )
-        k = len(stripes)
-        r_addends = submessage_addends(k, unr.n_bits) if rsid is not None else None
-        l_addends = submessage_addends(k, unr.n_bits) if lsid is not None else None
-        src_bytes = src_mr.slice(src_blk.offset, src_blk.size)
+        # Stripes tile [0, size) (plan_stripes asserts it), so checking
+        # the whole block admits exactly what per-fragment checks would.
+        src_bytes = src_mr.slice(src_blk.offset, size)
+        dst_bytes = dst_mr.slice(dst_blk.offset, size)
+        if src_bytes is None:
+            dst_bytes = None  # virtual on either side: geometry only
         # The ordered Level-0 lane and the MPI fallback are already
         # reliable (exactly-once, in order); only unordered RDMA
         # fragments need the watchdog.
         reliable = unr.reliability is not None and not software and not ctrl_remote
 
+        notify_remote = rsid is not None and not ctrl_remote
+        remote_in_action = software or rpol.hw_offload
         plans: List[StripePlan] = []
-        for st in stripes:
-            dst_view = dst_mr.slice(dst_blk.offset + st.offset, st.size)
-            view = None if (src_bytes is None or dst_view is None) else dst_view
+        for index, rail, offset, nbytes, addend in shape:
             remote_custom = local_custom = None
             remote_add = local_action_add = local_done_add = None
-            if rsid is not None and not ctrl_remote:
-                if software or rpol.hw_offload:
-                    remote_add = (dst_node, rsid, r_addends[st.index])
+            remote_sig = local_sig = None
+            if notify_remote:
+                remote_sig = (dst_node, rsid, addend)
+                if remote_in_action:
+                    remote_add = remote_sig
                 else:
-                    remote_custom = encode_custom(rsid, r_addends[st.index], rpol)
+                    remote_custom = encode_custom(rsid, addend, rpol)
             if lsid is not None:
-                add = (src_node, lsid, l_addends[st.index])
+                local_sig = (src_node, lsid, addend)
                 if software:
-                    local_action_add = add
+                    local_action_add = local_sig
                 elif lpol.level == 0:
-                    local_done_add = add
+                    local_done_add = local_sig
                 elif lpol.hw_offload:
-                    local_action_add = add
+                    local_action_add = local_sig
                 else:
-                    local_custom = encode_custom(lsid, l_addends[st.index], lpol)
+                    local_custom = encode_custom(lsid, addend, lpol)
             plans.append(
                 StripePlan(
-                    index=st.index, rail=st.rail, offset=st.offset, size=st.size,
-                    view=view,
-                    remote_custom=remote_custom, local_custom=local_custom,
-                    remote_add=remote_add,
-                    local_action_add=local_action_add,
-                    local_done_add=local_done_add,
-                    remote_sig=(
-                        (dst_node, rsid, r_addends[st.index])
-                        if (rsid is not None and not ctrl_remote) else None
-                    ),
-                    local_sig=(
-                        (src_node, lsid, l_addends[st.index])
-                        if lsid is not None else None
-                    ),
+                    index, rail, offset, nbytes,
+                    None if dst_bytes is None else dst_bytes[offset : offset + nbytes],
+                    remote_custom, local_custom,
+                    remote_add, local_action_add, local_done_add,
+                    remote_sig, local_sig,
                 )
             )
         return TransferOp(
             kind="put",
-            src_rank=src_rank, dst_rank=dst_blk.rank,
+            src_rank=src_rank, dst_rank=dst_rank,
             src_node=src_node, dst_node=dst_node,
-            nbytes=src_blk.size,
+            nbytes=size,
             local_blk=src_blk, remote_blk=dst_blk,
             rsid=rsid, lsid=lsid,
             software=software, ctrl_remote=ctrl_remote, reliable=reliable,
             stripes=tuple(plans),
             src_bytes=src_bytes,
         )
+
+    def _stripe_shape(
+        self, size: int, n_rails: int, multi_ok: bool, policy: LevelPolicy
+    ) -> Tuple[Tuple[int, int, int, int, int], ...]:
+        """Fragment geometry of a ``size``-byte PUT: a tuple of
+        ``(index, rail, offset, size, addend)``, one per fragment.
+
+        How a message is striped (paper §IV-B) and which MMAS addend
+        each sub-message carries is a pure function of the size, the
+        rail count, whether the level can aggregate, and the striping
+        knobs — so it is planned once per distinct shape and looked up
+        after that.  The key holds *every* input of ``plan_stripes``,
+        ``submessage_addends`` and ``_max_stripe_k``, with the knobs
+        read from the live ``Unr`` on each call: one changed after
+        construction selects a different entry.  One addend per
+        fragment serves both notifications (remote and local count the
+        same sub-messages).
+        """
+        unr = self.unr
+        key = (
+            size, n_rails, multi_ok, policy.a_bits, unr.n_bits,
+            unr.max_stripe_rails, unr.stripe_threshold, unr.stripe_mtu,
+        )
+        shape = self._shapes.get(key)
+        if shape is None:
+            max_k = self._max_stripe_k(policy)
+            if unr.max_stripe_rails:
+                max_k = min(max_k, unr.max_stripe_rails)
+            stripes = plan_stripes(
+                size,
+                n_rails,
+                threshold=unr.stripe_threshold,
+                multi_channel=multi_ok,
+                max_fragments=max_k,
+                mtu=(unr.stripe_mtu or 0) if multi_ok else 0,
+            )
+            addends = submessage_addends(len(stripes), unr.n_bits)
+            shape = tuple(
+                (st.index, st.rail, st.offset, st.size, addend)
+                for st, addend in zip(stripes, addends)
+            )
+            if len(self._shapes) >= _SHAPE_MEMO_LIMIT:
+                self._shapes.clear()
+            self._shapes[key] = shape
+        return shape
 
     def prepare_get(
         self,
@@ -383,17 +464,13 @@ class TransferEngine:
             else:
                 local_custom = encode_custom(lsid, -1, lpol)
         stripe = StripePlan(
-            index=0, rail=0, offset=0, size=local_blk.size,
-            view=None if virtual else local_view,
-            remote_custom=remote_custom, local_custom=local_custom,
-            remote_add=remote_add,
-            local_action_add=local_action_add,
-            local_done_add=local_done_add,
-            remote_sig=(
-                (remote_node, rsid, -1)
-                if (rsid is not None and not ctrl_remote) else None
-            ),
-            local_sig=(src_node, lsid, -1) if lsid is not None else None,
+            0, 0, 0, local_blk.size,
+            None if virtual else local_view,
+            remote_custom, local_custom,
+            remote_add, local_action_add, local_done_add,
+            (remote_node, rsid, -1)
+            if (rsid is not None and not ctrl_remote) else None,
+            (src_node, lsid, -1) if lsid is not None else None,
         )
         return TransferOp(
             kind="get",
@@ -482,20 +559,21 @@ class TransferEngine:
 
     def _post_put(self, op: TransferOp, opid: int = 0) -> None:
         unr = self.unr
+        stripes = op.stripes
         unr.stats["puts"] += 1
-        unr.stats["fragments"] += len(op.stripes)
+        unr.stats["fragments"] += len(stripes)
         # Idempotence tokens per fragment: remote then local, in plan
         # order — coalescing mints each run's tokens as one block with
         # the same values sequential minting would produce.
         need_r = op.reliable and op.rsid is not None
         need_l = op.reliable and op.lsid is not None
         per = int(need_r) + int(need_l)
-        if self.coalesce and len(op.stripes) > 1:
-            runs = coalesce_runs(op.stripes)
-            if len(runs) < len(op.stripes):
+        if self.coalesce and len(stripes) > 1:
+            runs = coalesce_runs(stripes)
+            if len(runs) < len(stripes):
                 unr.stats["coalesced_runs"] += len(runs)
         else:
-            runs = [list(op.stripes)]
+            runs = (stripes,)
         for run in runs:
             base = unr._next_token_block(per * len(run)) if per else 0
             for j, sp in enumerate(run):
@@ -523,9 +601,15 @@ class TransferEngine:
         ltok: Optional[int],
         opid: int = 0,
     ) -> None:
-        """Post one PUT fragment (payload capture, watchdog, failover)."""
-        env = self.env
-        if op.src_bytes is not None and sp.view is not None:
+        """Post one PUT fragment (payload capture, watchdog, failover).
+
+        The optional tiers are entered only when armed: the health gate
+        with ``unr.health``, the op record with ``unr.obs``, the
+        watchdog with a reliable op.
+        """
+        unr = self.unr
+        view = sp.view
+        if view is not None:  # implies op.src_bytes is not None
             frag = op.src_bytes[sp.offset : sp.offset + sp.size]
             # Zero-copy path: unreliable fragments ride a live view of
             # the source (the RMA contract forbids mutating the buffer
@@ -536,33 +620,34 @@ class TransferEngine:
         else:
             payload = None
         delivered = None
+        deliver: Optional[Callable[[Any], None]]
         if op.reliable:
-            delivered = env.event()
-            deliver: Optional[Callable[[Any], None]] = self._first_delivery(
-                sp.view, delivered
-            )
+            delivered = self.env.event()
+            deliver = self._first_delivery(view, delivered)
             first = self._route(op, sp.rail, "PUT", sp.size)
         else:
-            if sp.view is not None:
-                deliver = self._write_view(sp.view)
-            else:
-                deliver = None
-            first = self._gate_unreliable(op, sp.rail, "PUT", sp.size)
-        oprec = self._record_op(op, sp, opid, first, rtok, ltok)
-        if oprec is not None:
-            deliver = self._stamp_wrap(oprec, deliver)
-        post = self._put_poster(op, sp, payload, deliver, rtok, ltok)
-        if op.reliable:
-            frag_entry = self._track_fragment(op, sp, delivered, rtok, ltok)
-            post(first)
-            self._watchdog(
-                post, delivered, sp.size, op.src_rank, op.dst_rank,
-                first, "PUT", frag=frag_entry,
+            deliver = None if view is None else self._write_view(view)
+            first = sp.rail
+            if unr.health is not None:
+                first = self._gate_unreliable(op, first, "PUT", sp.size)
+        if unr.obs is not None:
+            deliver = self._stamp_wrap(
+                self._record_op(op, sp, opid, first, rtok, ltok), deliver
             )
-        else:
-            post(first)
+        if delivered is None:
+            self._post_put_attempt(op, sp, payload, deliver, rtok, ltok, first)
+            return
+        frag_entry = self._track_fragment(op, sp, delivered, rtok, ltok)
+        self._post_put_attempt(op, sp, payload, deliver, rtok, ltok, first)
+        self._watchdog(
+            lambda rail: self._post_put_attempt(
+                op, sp, payload, deliver, rtok, ltok, rail
+            ),
+            delivered, sp.size, op.src_rank, op.dst_rank,
+            first, "PUT", frag=frag_entry,
+        )
 
-    def _put_poster(
+    def _post_put_attempt(
         self,
         op: TransferOp,
         sp: StripePlan,
@@ -570,49 +655,56 @@ class TransferEngine:
         deliver: Optional[Callable[[Any], None]],
         rtok: Optional[int],
         ltok: Optional[int],
-    ) -> Callable[[int], Any]:
-        """The per-stripe post closure the watchdog retries with."""
-        ch = self.unr.channel
+        rail: int,
+    ) -> Any:
+        """One wire attempt of one PUT fragment on ``rail``.
 
-        def post(rail: int) -> Any:
-            if rail == FALLBACK_RAIL:
-                # Degraded attempt over the MPI lane: the same payload,
-                # delivery callback and idempotence tokens, with the
-                # notifications applied in software from the raw specs.
-                self.unr.stats["fallback_posts"] += 1
-                return self.unr._fallback().put(
-                    op.src_rank,
-                    op.dst_rank,
-                    sp.size,
-                    payload=payload,
-                    on_deliver=deliver,
-                    remote_action=self._add_action(sp.remote_sig, rtok),
-                    local_action=self._add_action(sp.local_sig, ltok),
-                    remote_token=rtok,
-                    local_token=ltok,
-                )
-            done = ch.put(
+        The first post and every watchdog retransmit come through here
+        with the same plan, payload snapshot, delivery callback and
+        idempotence tokens; only the rail moves.
+        """
+        unr = self.unr
+        if rail == FALLBACK_RAIL:
+            # Degraded attempt over the MPI lane: the notifications are
+            # applied in software from the raw specs.
+            unr.stats["fallback_posts"] += 1
+            return unr._fallback().put(
                 op.src_rank,
                 op.dst_rank,
                 sp.size,
                 payload=payload,
                 on_deliver=deliver,
-                remote_custom=sp.remote_custom,
-                local_custom=sp.local_custom,
-                remote_action=self._add_action(sp.remote_add, rtok),
-                local_action=self._add_action(sp.local_action_add, ltok),
-                rail=rail,
-                ordered=op.ctrl_remote,  # Level-0 data must stay ordered
+                remote_action=self._add_action(sp.remote_sig, rtok),
+                local_action=self._add_action(sp.local_sig, ltok),
                 remote_token=rtok,
                 local_token=ltok,
             )
-            if sp.local_done_add is not None:
-                # Applied once per attempt; under retransmits the
-                # idempotence token keeps this a single add.
-                done.callbacks.append(self._add_callback(sp.local_done_add, ltok))
-            return done
-
-        return post
+        remote_add = sp.remote_add
+        local_add = sp.local_action_add
+        done = unr.channel.put(
+            op.src_rank,
+            op.dst_rank,
+            sp.size,
+            payload=payload,
+            on_deliver=deliver,
+            remote_custom=sp.remote_custom,
+            local_custom=sp.local_custom,
+            remote_action=(
+                None if remote_add is None else self._add_action(remote_add, rtok)
+            ),
+            local_action=(
+                None if local_add is None else self._add_action(local_add, ltok)
+            ),
+            rail=rail,
+            ordered=op.ctrl_remote,  # Level-0 data must stay ordered
+            remote_token=rtok,
+            local_token=ltok,
+        )
+        if sp.local_done_add is not None:
+            # Applied once per attempt; under retransmits the
+            # idempotence token keeps this a single add.
+            done.callbacks.append(self._add_callback(sp.local_done_add, ltok))
+        return done
 
     def _post_get(self, op: TransferOp, opid: int = 0) -> None:
         unr = self.unr
@@ -636,10 +728,13 @@ class TransferEngine:
                 deliver = None
             else:
                 deliver = self._write_view(sp.view)
-            first = self._gate_unreliable(op, 0, "GET", op.nbytes)
-        oprec = self._record_op(op, sp, opid, first, rtok, ltok)
-        if oprec is not None:
-            deliver = self._stamp_wrap(oprec, deliver)
+            first = 0
+            if unr.health is not None:
+                first = self._gate_unreliable(op, 0, "GET", op.nbytes)
+        if unr.obs is not None:
+            deliver = self._stamp_wrap(
+                self._record_op(op, sp, opid, first, rtok, ltok), deliver
+            )
         remote_action = self._add_action(sp.remote_add, rtok)
         local_action = self._add_action(sp.local_action_add, ltok)
 
@@ -1069,29 +1164,32 @@ class TransferEngine:
                 return rail
         return preferred % n_rails
 
-    def _delivery_estimate(self, nbytes: int, round_trip: bool = False) -> float:
-        """No-contention delivery time of one fragment (seconds); the
-        watchdog timeout scales from this so large stripes are not
-        declared lost while still serializing onto the wire."""
-        spec = self.job.cluster.spec.nic
-        est = spec.msg_overhead + spec.latency + nbytes / spec.bandwidth + spec.rx_overhead
+    def _delivery_estimate(
+        self, nic: Any, nbytes: int, round_trip: bool = False
+    ) -> float:
+        """No-contention delivery time of one fragment (seconds) from
+        ``nic``'s resolved constants; the watchdog timeout scales from
+        this so large stripes are not declared lost while still
+        serializing onto the wire."""
+        est = nic.msg_overhead + nic.latency + nbytes / nic.bandwidth + nic.rx_overhead
         if round_trip:
-            est += spec.msg_overhead + spec.latency
+            est += nic.msg_overhead + nic.latency
         return est
 
-    def _fallback_estimate(self, nbytes: int, round_trip: bool = False) -> float:
+    def _fallback_estimate(
+        self, nic: Any, nbytes: int, round_trip: bool = False
+    ) -> float:
         """No-contention delivery time over the MPI fallback lane: the
         software lane adds per-message overhead and (for large payloads)
         a rendezvous round-trip, so a degraded attempt must not be
         declared lost on an RMA-sized timeout."""
-        est = self._delivery_estimate(nbytes, round_trip)
+        est = self._delivery_estimate(nic, nbytes, round_trip)
         cfg = getattr(self.unr._fallback(), "config", None)
         if cfg is not None:
-            spec = self.job.cluster.spec.nic
             est += 2.0 * cfg.sw_overhead_us * US
             if nbytes > cfg.eager_threshold:
-                est += cfg.rendezvous_rtts * 2.0 * (spec.latency + spec.msg_overhead)
-                est += (nbytes / spec.bandwidth) * max(
+                est += cfg.rendezvous_rtts * 2.0 * (nic.latency + nic.msg_overhead)
+                est += (nbytes / nic.bandwidth) * max(
                     cfg.rendezvous_bw_penalty - 1.0, 0.0
                 )
         return est
@@ -1116,7 +1214,9 @@ class TransferEngine:
         rel = unr.reliability
         health = unr.health
         env = self.env
-        base = rel.fragment_timeout(self._delivery_estimate(nbytes, round_trip))
+        # Every NIC of a cluster shares one spec; the source's stands in.
+        nic = self.job.nic_of(src_rank)
+        base = rel.fragment_timeout(self._delivery_estimate(nic, nbytes, round_trip))
 
         def guard() -> Generator[Any, Any, None]:
             target = first_rail
@@ -1124,7 +1224,7 @@ class TransferEngine:
             fb_base = 0.0
             if target == FALLBACK_RAIL:
                 fb_base = rel.fragment_timeout(
-                    self._fallback_estimate(nbytes, round_trip)
+                    self._fallback_estimate(nic, nbytes, round_trip)
                 )
                 t = max(t, fb_base)
             attempts = [(_target_label(target), env.now / US)]
@@ -1162,7 +1262,7 @@ class TransferEngine:
                                 if target != FALLBACK_RAIL:
                                     health.on_degraded(src_rank, dst_rank, what)
                                     fb_base = rel.fragment_timeout(
-                                        self._fallback_estimate(nbytes, round_trip)
+                                        self._fallback_estimate(nic, nbytes, round_trip)
                                     )
                                 target = FALLBACK_RAIL
                                 t = max(t, fb_base)
@@ -1197,7 +1297,7 @@ class TransferEngine:
                         if nxt is None:
                             health.on_degraded(src_rank, dst_rank, what)
                             fb_base = rel.fragment_timeout(
-                                self._fallback_estimate(nbytes, round_trip)
+                                self._fallback_estimate(nic, nbytes, round_trip)
                             )
                             target = FALLBACK_RAIL
                             t = max(base, fb_base)

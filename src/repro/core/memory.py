@@ -29,7 +29,7 @@ class MemoryRegion:
     BLK creation separate.
     """
 
-    __slots__ = ("owner_rank", "handle", "array", "bytes_view", "_virtual_nbytes")
+    __slots__ = ("owner_rank", "handle", "array", "bytes_view", "nbytes")
 
     def __init__(
         self,
@@ -40,7 +40,6 @@ class MemoryRegion:
     ) -> None:
         self.owner_rank = owner_rank
         self.handle = handle
-        self._virtual_nbytes = None
         if array is None:
             # Virtual region: geometry only, no backing storage.  Used
             # for at-scale performance runs where the data plane would
@@ -48,7 +47,7 @@ class MemoryRegion:
             # sizes come from BLK geometry, not payload bytes).
             if virtual_nbytes is None or virtual_nbytes <= 0:
                 raise UnrUsageError("virtual region needs a positive size")
-            self._virtual_nbytes = int(virtual_nbytes)
+            self.nbytes = int(virtual_nbytes)
             self.array = None
             self.bytes_view = None
             return
@@ -60,10 +59,12 @@ class MemoryRegion:
             raise UnrUsageError("cannot register an empty buffer")
         self.array = array
         self.bytes_view = array.view(np.uint8).reshape(-1)
+        #: size of the region in bytes (fixed at registration)
+        self.nbytes = self.bytes_view.nbytes
 
     @property
     def is_virtual(self) -> bool:
-        return self._virtual_nbytes is not None
+        return self.bytes_view is None
 
     def overlaps(self, other: "MemoryRegion") -> bool:
         """True when the two registrations share any backing bytes.
@@ -77,12 +78,6 @@ class MemoryRegion:
             return False
         return bool(np.shares_memory(self.array, other.array))
 
-    @property
-    def nbytes(self) -> int:
-        if self.is_virtual:
-            return self._virtual_nbytes
-        return self.bytes_view.nbytes
-
     def slice(self, offset: int, size: int) -> Optional[np.ndarray]:
         """Byte view of ``[offset, offset+size)`` with bounds checking.
 
@@ -92,9 +87,8 @@ class MemoryRegion:
                 f"block [{offset}, {offset + size}) outside region of "
                 f"{self.nbytes} bytes"
             )
-        if self.is_virtual:
-            return None
-        return self.bytes_view[offset : offset + size]
+        view = self.bytes_view
+        return None if view is None else view[offset : offset + size]
 
     def __repr__(self) -> str:
         kind = "virtual " if self.is_virtual else ""

@@ -111,35 +111,32 @@ class RmaChannel:
         ``remote_token``/``local_token`` tag the CQ entries for
         duplicate suppression when the reliability layer retransmits.
         """
+        # fit_custom(None, ...) is 0 before any check: only a payload
+        # that exists is width-checked.
         offload = self._hw_atomic_offload
-        if remote_action is None or not offload:
+        if remote_custom is not None and (remote_action is None or not offload):
             self.check_payload_width(remote_custom, "put_remote")
-        if local_action is None or not offload:
+        if local_custom is not None and (local_action is None or not offload):
             self.check_payload_width(local_custom, "put_local")
-        src_nic = self.job.nic_of(src_rank, rail)
-        dst_nic = self.job.nic_of(dst_rank, rail)
-        remote_record = None
-        if remote_custom is not None:
-            remote_record = alloc_record(
-                "put_remote",
-                custom=remote_custom,
-                nbytes=nbytes,
-                src_node=src_nic.node.index,
-                dst_node=dst_nic.node.index,
-                post_time=self.env.now,
-                token=remote_token,
-            )
-        local_record = None
-        if local_custom is not None:
-            local_record = alloc_record(
-                "put_local",
-                custom=local_custom,
-                nbytes=nbytes,
-                src_node=src_nic.node.index,
-                dst_node=dst_nic.node.index,
-                post_time=self.env.now,
-                token=local_token,
-            )
+        nic_of = self.job.nic_of
+        src_nic = nic_of(src_rank, rail)
+        dst_nic = nic_of(dst_rank, rail)
+        remote_record = local_record = None
+        if remote_custom is not None or local_custom is not None:
+            src_node, dst_node = src_nic.node.index, dst_nic.node.index
+            now = self.env.now
+            # alloc_record(kind, custom, nbytes, src_node, dst_node, tag,
+            #              payload, post_time, complete_time, token)
+            if remote_custom is not None:
+                remote_record = alloc_record(
+                    "put_remote", remote_custom, nbytes, src_node, dst_node,
+                    None, None, now, 0.0, remote_token,
+                )
+            if local_custom is not None:
+                local_record = alloc_record(
+                    "put_local", local_custom, nbytes, src_node, dst_node,
+                    None, None, now, 0.0, local_token,
+                )
         return src_nic.post_put(
             dst_nic,
             nbytes,
@@ -170,35 +167,32 @@ class RmaChannel:
         local_token: Any = None,
     ) -> Event:
         """Notifiable GET from ``dst_rank``'s memory into ``src_rank``'s."""
+        # fit_custom(None, ...) is 0 before any check: only a payload
+        # that exists is width-checked.
         offload = self._hw_atomic_offload
-        if remote_action is None or not offload:
+        if remote_custom is not None and (remote_action is None or not offload):
             self.check_payload_width(remote_custom, "get_remote")
-        if local_action is None or not offload:
+        if local_custom is not None and (local_action is None or not offload):
             self.check_payload_width(local_custom, "get_local")
-        src_nic = self.job.nic_of(src_rank, rail)
-        dst_nic = self.job.nic_of(dst_rank, rail)
-        remote_record = None
-        if remote_custom is not None:
-            remote_record = alloc_record(
-                "get_remote",
-                custom=remote_custom,
-                nbytes=nbytes,
-                src_node=src_nic.node.index,
-                dst_node=dst_nic.node.index,
-                post_time=self.env.now,
-                token=remote_token,
-            )
-        local_record = None
-        if local_custom is not None:
-            local_record = alloc_record(
-                "get_local",
-                custom=local_custom,
-                nbytes=nbytes,
-                src_node=src_nic.node.index,
-                dst_node=dst_nic.node.index,
-                post_time=self.env.now,
-                token=local_token,
-            )
+        nic_of = self.job.nic_of
+        src_nic = nic_of(src_rank, rail)
+        dst_nic = nic_of(dst_rank, rail)
+        remote_record = local_record = None
+        if remote_custom is not None or local_custom is not None:
+            src_node, dst_node = src_nic.node.index, dst_nic.node.index
+            now = self.env.now
+            # alloc_record(kind, custom, nbytes, src_node, dst_node, tag,
+            #              payload, post_time, complete_time, token)
+            if remote_custom is not None:
+                remote_record = alloc_record(
+                    "get_remote", remote_custom, nbytes, src_node, dst_node,
+                    None, None, now, 0.0, remote_token,
+                )
+            if local_custom is not None:
+                local_record = alloc_record(
+                    "get_local", local_custom, nbytes, src_node, dst_node,
+                    None, None, now, 0.0, local_token,
+                )
         return src_nic.post_get(
             dst_nic,
             nbytes,

@@ -109,7 +109,7 @@ class MpiFallbackChannel(RmaChannel):
             yield env.timeout(cfg.sw_overhead_us * US)
             if nbytes > cfg.eager_threshold:
                 # Rendezvous: RTS/CTS handshake round trip(s) first.
-                rtt = 2.0 * src_nic.spec.latency + 2.0 * cfg.sw_overhead_us * US
+                rtt = 2.0 * src_nic.latency + 2.0 * cfg.sw_overhead_us * US
                 yield env.timeout(cfg.rendezvous_rtts * rtt)
                 eff_bytes = int(nbytes * cfg.rendezvous_bw_penalty)
             else:

@@ -162,7 +162,7 @@ class Win:
         yield AllOf(self.env, delivered)
 
     def _ack_latency(self) -> float:
-        return self.comm.world.job.nic_of(self.comm.me_global).spec.latency
+        return self.comm.world.job.nic_of(self.comm.me_global).latency
 
     # -- Fence ----------------------------------------------------------------
     def fence(self):

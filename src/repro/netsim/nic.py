@@ -31,7 +31,7 @@ from typing import Any, Callable, Dict, Generator, Optional, TYPE_CHECKING
 
 import numpy as np
 
-from ..sim import Environment, Event, Store
+from ..sim import Deferred, Environment, Event, Store
 from .slab import NicSlab, RecordPool
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -116,7 +116,6 @@ def reset_record_pool() -> None:
 
 def alloc_record(
     kind: str,
-    *,
     custom: int = 0,
     nbytes: int = 0,
     src_node: int = -1,
@@ -129,7 +128,8 @@ def alloc_record(
 ) -> CompletionRecord:
     """Slab-allocate a :class:`CompletionRecord` (free-list reuse).
 
-    Identical field semantics to the constructor; the returned record is
+    Identical field semantics — and field order — to the constructor,
+    so the per-post callers fill it positionally; the returned record is
     marked pool-owned so :func:`recycle_record` can reclaim it after the
     progress engine dispatches it.
     """
@@ -384,6 +384,11 @@ def _push_then_resolve(
     done.resolve(cq.env.now if value is None else value)
 
 
+#: Routing-jitter draws fetched from a NIC's generator per refill.  Small
+#: on purpose: 576 NICs hold a block each on the 288-node Figure 7 point.
+_JITTER_BLOCK = 16
+
+
 class Nic:  # unrlint: disable=UNR009
     """One RDMA-capable network interface.
 
@@ -392,6 +397,24 @@ class Nic:  # unrlint: disable=UNR009
     on the instance, which needs a ``__dict__``.  There is exactly one
     Nic per rail per node, so the per-instance dict is not a hot-path
     allocation the way records and events are.
+
+    The frozen ``spec`` / ``fabric`` are written in engineering units;
+    the constructor resolves every SI constant the post path reads
+    (``bandwidth``, ``latency``, ``msg_overhead``, ``rx_overhead``,
+    ``atomic_offload``, ``intra_bandwidth``, ``intra_latency``,
+    ``small_cutoff``, ``routing_jitter``, ``global_id``) into plain
+    attributes once, so a post computes with floats instead of
+    re-deriving them through spec properties.
+
+    Routing jitter is ``routing_jitter * serialization * u`` with ``u``
+    the next double of the NIC's private generator — the value
+    ``rng.uniform(0.0, routing_jitter * serialization)`` returns, since
+    NumPy computes that as ``low + (high - low) * next_double``.  The
+    doubles are fetched :data:`_JITTER_BLOCK` at a time (``rng.random``
+    fills a block with consecutive ``next_double`` calls) and consumed
+    in order, one per unordered inter-node post; ordered and intra-node
+    posts consume none.  Nothing else may draw from ``rng`` once the NIC
+    has posted.
     """
 
     def __init__(
@@ -412,6 +435,20 @@ class Nic:  # unrlint: disable=UNR009
         self.spec = spec
         self.fabric = fabric
         self.rng = rng
+        self.global_id = (node.index, index)
+        self.bandwidth: float = spec.bandwidth
+        self.latency: float = spec.latency
+        self.msg_overhead: float = spec.msg_overhead
+        self.rx_overhead: float = spec.rx_overhead
+        self.atomic_offload: bool = spec.atomic_offload
+        self.intra_bandwidth: float = fabric.intra_node_bandwidth
+        self.intra_latency: float = fabric.intra_node_latency
+        self.small_cutoff: int = fabric.small_message_cutoff
+        self.routing_jitter: float = fabric.routing_jitter
+        # Current block of jitter doubles and the next unread position
+        # (starts exhausted: the first jittered post draws the block).
+        self._jitter_u: list = []
+        self._jitter_i = _JITTER_BLOCK
         # Hot scalar state (port/doorbell busy-until horizons, traffic
         # counters, CQ accounting) lives in struct-of-arrays columns: one
         # slot per NIC, shared with its CQ.  A cluster hands every NIC a
@@ -448,25 +485,6 @@ class Nic:  # unrlint: disable=UNR009
     def rx_bytes(self) -> int:
         return self._slab.rx_bytes[self._slot]
 
-    @property
-    def global_id(self) -> tuple:
-        return (self.node.index, self.index)
-
-    def _wire_latency(self, dst: "Nic") -> float:
-        if dst.node is self.node:
-            return self.fabric.intra_node_latency
-        return self.spec.latency
-
-    def _bandwidth_to(self, dst: "Nic") -> float:
-        if dst.node is self.node:
-            return self.fabric.intra_node_bandwidth
-        return min(self.spec.bandwidth, dst.spec.bandwidth)
-
-    def _jitter(self, dst: "Nic", serialization: float, ordered: bool) -> float:
-        if ordered or dst.node is self.node:
-            return 0.0
-        return float(self.rng.uniform(0.0, self.fabric.routing_jitter * serialization))
-
     # ------------------------------------------------------------------
     def post_put(
         self,
@@ -499,64 +517,58 @@ class Nic:  # unrlint: disable=UNR009
         if dst.node is self.node:
             # Intra-node: a memcpy through shared memory — it does not
             # occupy the NIC tx/rx ports (real stacks use CMA/XPMEM).
-            start = max(now, self.node._loopback_free)
-            tx_end = start + nbytes / self.fabric.intra_node_bandwidth
-            self.node._loopback_free = tx_end
-            deliver_at = tx_end + self.fabric.intra_node_latency
-            if ordered:
-                key = self.global_id
-                deliver_at = max(deliver_at, dst._ordered_horizon.get(key, 0.0))
-                dst._ordered_horizon[key] = deliver_at
-        elif nbytes <= self.fabric.small_message_cutoff:
-            # Small messages interleave with bulk traffic at packet
-            # granularity: they do not wait for the ports' bandwidth
-            # busy-until windows — but they do consume the NIC's
-            # message-issue rate (one doorbell/WQE per message).
-            bw = self._bandwidth_to(dst)
-            serialization = nbytes / bw
-            start = max(now, slab.tx_msg_free[slot])
-            slab.tx_msg_free[slot] = start + self.spec.msg_overhead
-            tx_end = start + self.spec.msg_overhead + serialization
-            latency = self._wire_latency(dst)
-            deliver_at = (
-                tx_end
-                + latency
-                + dst.spec.rx_overhead
-                + self._jitter(dst, serialization, ordered)
-            )
-            if ordered:
-                key = self.global_id
-                deliver_at = max(deliver_at, dst._ordered_horizon.get(key, 0.0))
-                dst._ordered_horizon[key] = deliver_at
+            node = self.node
+            start = max(now, node._loopback_free)
+            tx_end = start + nbytes / self.intra_bandwidth
+            node._loopback_free = tx_end
+            deliver_at = tx_end + self.intra_latency
         else:
-            bw = self._bandwidth_to(dst)
-            tx_start = max(now, slab.tx_free[slot])
-            serialization = nbytes / bw
-            tx_end = tx_start + self.spec.msg_overhead + serialization
-            slab.tx_free[slot] = tx_end
-            latency = self._wire_latency(dst)
-            first_byte = tx_start + self.spec.msg_overhead + latency
-            dslab, dslot = dst._slab, dst._slot
-            rx_start = max(first_byte, dslab.rx_free[dslot])
-            dslab.rx_free[dslot] = rx_start + serialization
-            deliver_at = (
-                max(tx_end + latency, rx_start + serialization)
-                + dst.spec.rx_overhead
-                + self._jitter(dst, serialization, ordered)
-            )
-            if ordered:
-                key = self.global_id
-                deliver_at = max(deliver_at, dst._ordered_horizon.get(key, 0.0))
-                dst._ordered_horizon[key] = deliver_at
+            serialization = nbytes / min(self.bandwidth, dst.bandwidth)
+            overhead = self.msg_overhead
+            latency = self.latency
+            if nbytes <= self.small_cutoff:
+                # Small messages interleave with bulk traffic at packet
+                # granularity: they do not wait for the ports' bandwidth
+                # busy-until windows — but they do consume the NIC's
+                # message-issue rate (one doorbell/WQE per message).
+                start = max(now, slab.tx_msg_free[slot])
+                slab.tx_msg_free[slot] = start + overhead
+                tx_end = start + overhead + serialization
+                deliver_at = tx_end + latency + dst.rx_overhead
+            else:
+                tx_start = max(now, slab.tx_free[slot])
+                tx_end = tx_start + overhead + serialization
+                slab.tx_free[slot] = tx_end
+                first_byte = tx_start + overhead + latency
+                dslab, dslot = dst._slab, dst._slot
+                rx_start = max(first_byte, dslab.rx_free[dslot])
+                dslab.rx_free[dslot] = rx_start + serialization
+                deliver_at = (
+                    max(tx_end + latency, rx_start + serialization)
+                    + dst.rx_overhead
+                )
+            if not ordered:
+                # Adaptive routing: one draw per unordered wire message.
+                i = self._jitter_i
+                if i == _JITTER_BLOCK:
+                    self._jitter_u = self.rng.random(_JITTER_BLOCK).tolist()
+                    i = 0
+                self._jitter_i = i + 1
+                deliver_at += (self.routing_jitter * serialization) * self._jitter_u[i]
+        if ordered:
+            key = self.global_id
+            horizon = dst._ordered_horizon
+            deliver_at = max(deliver_at, horizon.get(key, 0.0))
+            horizon[key] = deliver_at
 
         slab.tx_msgs[slot] += 1
         slab.tx_bytes[slot] += nbytes
-        done = env.event()
+        done = Event(env)
 
         # Each side is one deferred callback — one heap entry instead of
         # a generator process (Initialize + yields + completion events).
         def local_side(_value: Any) -> None:
-            if local_action is not None and self.spec.atomic_offload:
+            if local_action is not None and self.atomic_offload:
                 local_action()
             elif local_record is not None:
                 local_record.complete_time = env.now
@@ -574,7 +586,7 @@ class Nic:  # unrlint: disable=UNR009
             rslab.rx_bytes[rslot] += nbytes
             if on_deliver is not None:
                 on_deliver(payload)
-            if remote_action is not None and dst.spec.atomic_offload:
+            if remote_action is not None and dst.atomic_offload:
                 remote_action()
             elif remote_record is not None:
                 remote_record.complete_time = env.now
@@ -584,8 +596,8 @@ class Nic:  # unrlint: disable=UNR009
                         name="nic-put-remote",
                     )
 
-        env.defer(tx_end - now, local_side)
-        env.defer(deliver_at - now, remote_side)
+        Deferred(env, tx_end - now, local_side)
+        Deferred(env, deliver_at - now, remote_side)
         return done
 
     # ------------------------------------------------------------------
@@ -611,43 +623,50 @@ class Nic:  # unrlint: disable=UNR009
             raise ValueError("nbytes must be non-negative")
         env = self.env
         now = env.now
-        bw = self._bandwidth_to(dst)
+        intra = dst.node is self.node
+        if intra:
+            bw, latency = self.intra_bandwidth, self.intra_latency
+        else:
+            bw, latency = min(self.bandwidth, dst.bandwidth), self.latency
         slab, slot = self._slab, self._slot
         dslab, dslot = dst._slab, dst._slot
         # Request leg: minimal message.
         tx_start = max(now, slab.tx_free[slot])
-        req_end = tx_start + self.spec.msg_overhead
+        req_end = tx_start + self.msg_overhead
         slab.tx_free[slot] = req_end
-        latency = self._wire_latency(dst)
         req_arrive = req_end + latency
         # Response leg: target injects the data back.
         serialization = nbytes / bw
+        resp_overhead = dst.msg_overhead
         resp_start = max(req_arrive, dslab.tx_free[dslot])
-        resp_end = resp_start + dst.spec.msg_overhead + serialization
+        resp_end = resp_start + resp_overhead + serialization
         dslab.tx_free[dslot] = resp_end
-        rx_start = max(
-            resp_start + dst.spec.msg_overhead + latency, slab.rx_free[slot]
-        )
+        rx_start = max(resp_start + resp_overhead + latency, slab.rx_free[slot])
         slab.rx_free[slot] = rx_start + serialization
         deliver_at = (
-            max(resp_end + latency, rx_start + serialization)
-            + self.spec.rx_overhead
-            + self._jitter(dst, serialization, ordered=False)
+            max(resp_end + latency, rx_start + serialization) + self.rx_overhead
         )
+        if not intra:
+            i = self._jitter_i
+            if i == _JITTER_BLOCK:
+                self._jitter_u = self.rng.random(_JITTER_BLOCK).tolist()
+                i = 0
+            self._jitter_i = i + 1
+            deliver_at += (self.routing_jitter * serialization) * self._jitter_u[i]
 
         slab.tx_msgs[slot] += 1
         dslab.tx_msgs[dslot] += 1
         dslab.tx_bytes[dslot] += nbytes
         slab.rx_msgs[slot] += 1
         slab.rx_bytes[slot] += nbytes
-        done = env.event()
+        done = Event(env)
         fetched: Any = None
 
         def remote_side(_value: Any) -> None:
             nonlocal fetched
             if fetch is not None:
                 fetched = fetch()
-            if remote_action is not None and dst.spec.atomic_offload:
+            if remote_action is not None and dst.atomic_offload:
                 remote_action()
             elif remote_record is not None:
                 remote_record.complete_time = env.now
@@ -660,7 +679,7 @@ class Nic:  # unrlint: disable=UNR009
         def local_side(_value: Any) -> None:
             if on_deliver is not None:
                 on_deliver(fetched)
-            if local_action is not None and self.spec.atomic_offload:
+            if local_action is not None and self.atomic_offload:
                 local_action()
             elif local_record is not None:
                 local_record.complete_time = env.now
@@ -672,8 +691,8 @@ class Nic:  # unrlint: disable=UNR009
                     return
             done.resolve(env.now)
 
-        env.defer(resp_end - now, remote_side)
-        env.defer(deliver_at - now, local_side)
+        Deferred(env, resp_end - now, remote_side)
+        Deferred(env, deliver_at - now, local_side)
         return done
 
     def __repr__(self) -> str:

@@ -1,7 +1,9 @@
 """Hardware specification dataclasses for the simulated cluster.
 
-Specs are written in engineering units (Gbps, microseconds); the
-simulator converts to SI (bytes/second, seconds) once at construction.
+Specs are written in engineering units (Gbps, microseconds).  The SI
+properties (bytes/second, seconds) convert on every access;
+:class:`~repro.netsim.nic.Nic` reads each once at construction and the
+datapath computes with the NIC's resolved attributes from then on.
 All specs are frozen so a platform definition cannot drift mid-run.
 """
 

@@ -109,7 +109,12 @@ class RankData:
         #: fine-grained wall-time marks (sub-phase → seconds)
         self.detail: Counter = Counter()
         dec = self.dec
-        self.cells = cfg.nx * dec.ny_local * dec.nz_local
+        # The two extents every transpose size query multiplies by,
+        # resolved once (the decomposition is frozen; each property
+        # read is a block_of call).
+        self.ny_local = dec.ny_local
+        self.nxh_local = dec.nxh_local
+        self.cells = cfg.nx * self.ny_local * dec.nz_local
         self.is_bottom = dec.iz == 0
         self.is_top = dec.iz == cfg.pz - 1
         self.real = cfg.mode == "real"
@@ -178,19 +183,19 @@ class RankData:
     def fwd_slot_bytes(self, peer_j: int, slab: int) -> int:
         """Bytes I send to row-peer ``peer_j`` in forward-transpose slab."""
         _zs, zn = self.slabs[slab]
-        return self.xh_sizes[peer_j] * self.dec.ny_local * zn * ITEM
+        return self.xh_sizes[peer_j] * self.ny_local * zn * ITEM
 
     def fwd_recv_bytes(self, from_j: int, slab: int) -> int:
         _zs, zn = self.slabs[slab]
-        return self.dec.nxh_local * self.y_sizes[from_j] * zn * ITEM
+        return self.nxh_local * self.y_sizes[from_j] * zn * ITEM
 
     def inv_slot_bytes(self, peer_j: int, slab: int) -> int:
         _zs, zn = self.slabs[slab]
-        return self.dec.nxh_local * self.y_sizes[peer_j] * zn * ITEM
+        return self.nxh_local * self.y_sizes[peer_j] * zn * ITEM
 
     def inv_recv_bytes(self, from_j: int, slab: int) -> int:
         _zs, zn = self.slabs[slab]
-        return self.xh_sizes[from_j] * self.dec.ny_local * zn * ITEM
+        return self.xh_sizes[from_j] * self.ny_local * zn * ITEM
 
     def pdd_boundary_bytes(self) -> int:
         return 2 * self.n_modes * ITEM

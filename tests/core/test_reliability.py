@@ -325,3 +325,71 @@ def test_reliable_run_without_faults_is_clean():
     assert all(results.values()) and len(results) == 4
     assert unr.stats["retransmits"] == 0
     assert unr.stats["sync_errors"] == 0
+
+
+def test_retransmit_repeats_the_first_attempt_exactly(monkeypatch):
+    """Every wire attempt of a fragment goes through
+    ``_post_put_attempt`` with the plan, payload snapshot, delivery
+    callback and tokens of its first attempt — and re-arms the same
+    send-completion add, which the token keeps single."""
+    from repro.interconnect import Capability, RmaChannel
+
+    class NoLocalBits(RmaChannel):
+        """Remote custom bits only: the local notification is applied
+        when the send completes (``StripePlan.local_done_add``)."""
+
+        capability = Capability(
+            interface="T", interconnect="t", systems="t",
+            put_local=0, put_remote=64, get_local=0, get_remote=0,
+        )
+        name = "nolocal"
+
+    env = Environment()
+    spec = ClusterSpec(
+        "t", 2, NodeSpec(cores=4, nics=1),
+        NicSpec(bandwidth_gbps=100, latency_us=1.0),
+        FabricSpec(routing_jitter=0.3), seed=11,
+    )
+    job = Job(Cluster(env, spec), ranks_per_node=1)
+    inj = FaultInjector.attach(job.cluster, FaultSpec(drop=0.5, seed=3))
+    unr = Unr(job, NoLocalBits(job), reliability=True)
+    engine = unr.engine
+
+    attempts = {}  # fragment (by its remote token) -> [call, ...]
+    real_attempt = engine._post_put_attempt
+
+    def spy_attempt(op, sp, payload, deliver, rtok, ltok, rail):
+        attempts.setdefault(rtok, []).append(
+            (sp, payload, payload.tobytes(), deliver, ltok)
+        )
+        return real_attempt(op, sp, payload, deliver, rtok, ltok, rail)
+
+    done_adds = []
+    real_callback = engine._add_callback
+
+    def spy_callback(spec, token):
+        done_adds.append((spec, token))
+        return real_callback(spec, token)
+
+    monkeypatch.setattr(engine, "_post_put_attempt", spy_attempt)
+    monkeypatch.setattr(engine, "_add_callback", spy_callback)
+
+    results = {}
+    run_job(job, stream_program(unr, results, size=4096, iters=8))
+    assert all(results.values()) and len(results) == 8
+    assert inj.stats["dropped"] > 0 and unr.stats["retransmits"] > 0
+
+    assert len(attempts) == 8 and None not in attempts
+    assert sum(len(calls) for calls in attempts.values()) == 8 + unr.stats["retransmits"]
+    for calls in attempts.values():
+        sp, payload, snapshot, deliver, ltok = calls[0]
+        assert sp.local_done_add is not None and ltok is not None
+        for again in calls[1:]:
+            assert again[0] is sp and again[1] is payload and again[3] is deliver
+            assert again[2] == snapshot and again[4] == ltok
+    # One send-completion add armed per attempt, always the fragment's own.
+    assert sorted(done_adds, key=lambda a: a[1]) == sorted(
+        ((c[0].local_done_add, c[4]) for calls in attempts.values() for c in calls),
+        key=lambda a: a[1],
+    )
+    assert unr.stats["duplicates_suppressed"] > 0

@@ -348,3 +348,144 @@ def test_traffic_counters():
     assert b.rx_bytes == 300
     totals = cluster.total_traffic()
     assert totals["tx_bytes"] == 300
+
+
+# -- routing jitter: block draws vs one uniform() per message ----------------
+#
+# The NIC takes its jitter doubles from ``rng.random(_JITTER_BLOCK)`` and
+# scales them itself.  The references below are the per-message model:
+# busy-until bookkeeping in plain Python and one
+# ``rng.uniform(0.0, routing_jitter * serialization)`` per jittered
+# message, on a generator seeded like the NIC's own.
+
+def make_jitter_pair():
+    """Two identically seeded 2-node, 2-rail clusters: the first posts,
+    the second only lends its (untouched) NIC generator to the reference."""
+    def build():
+        env = Environment()
+        spec = ClusterSpec(
+            "jit", 2, NodeSpec(cores=4, nics=2),
+            NicSpec(bandwidth_gbps=100.0, latency_us=1.0),
+            FabricSpec(routing_jitter=0.7), seed=20240,
+        )
+        return env, Cluster(env, spec)
+
+    env, cluster = build()
+    _env, twin = build()
+    return env, cluster, twin.nodes[0].nic(0).rng
+
+
+def mixed_posts(n_jittered):
+    """``(kind, nbytes)``: unordered posts on both sides of the
+    small-message cutoff, with an ordered and an intra-node post (no
+    draw) after every third one."""
+    sizes = [8, 64 * 1024, 4096, 1 << 20, 8192, 8193, 300_000]
+    posts = []
+    for i in range(n_jittered):
+        posts.append(("unordered", sizes[i % len(sizes)]))
+        if i % 3 == 2:
+            posts.append(("ordered", sizes[(i + 2) % len(sizes)]))
+            posts.append(("intra", sizes[(i + 4) % len(sizes)]))
+    return posts
+
+
+def test_block_drawn_put_jitter_equals_a_uniform_draw_per_message():
+    from repro.netsim.nic import _JITTER_BLOCK
+
+    env, cluster, ref_rng = make_jitter_pair()
+    a, a2, b = cluster.nodes[0].nic(0), cluster.nodes[0].nic(1), cluster.nodes[1].nic(0)
+    posts = mixed_posts(3 * _JITTER_BLOCK + 5)
+    got = {}
+
+    def run(env):
+        for i, (kind, nbytes) in enumerate(posts):
+            a.post_put(
+                a2 if kind == "intra" else b, nbytes,
+                on_deliver=lambda _, i=i: got.__setitem__(i, env.now),
+                ordered=kind == "ordered",
+            )
+        yield env.timeout(1.0)
+
+    env.run_process(run(env))
+
+    spec, fabric = a.spec, a.fabric
+    tx_msg_free = tx_free = rx_free = loop_free = horizon = 0.0
+    want = {}
+    for i, (kind, nbytes) in enumerate(posts):  # all posted at t = 0
+        if kind == "intra":
+            tx_end = loop_free + nbytes / fabric.intra_node_bandwidth
+            loop_free = tx_end
+            want[i] = tx_end + fabric.intra_node_latency
+            continue
+        serialization = nbytes / spec.bandwidth
+        jitter = 0.0 if kind == "ordered" else float(
+            ref_rng.uniform(0.0, fabric.routing_jitter * serialization)
+        )
+        if nbytes <= fabric.small_message_cutoff:
+            start = tx_msg_free
+            tx_msg_free = start + spec.msg_overhead
+            tx_end = start + spec.msg_overhead + serialization
+            at = tx_end + spec.latency + spec.rx_overhead + jitter
+        else:
+            tx_start = tx_free
+            tx_end = tx_start + spec.msg_overhead + serialization
+            tx_free = tx_end
+            rx_start = max(tx_start + spec.msg_overhead + spec.latency, rx_free)
+            rx_free = rx_start + serialization
+            at = (
+                max(tx_end + spec.latency, rx_start + serialization)
+                + spec.rx_overhead + jitter
+            )
+        if kind == "ordered":
+            at = horizon = max(at, horizon)
+        want[i] = at
+    assert got == want  # bit-identical, not approximately
+
+
+def test_block_drawn_get_jitter_equals_a_uniform_draw_per_message():
+    from repro.netsim.nic import _JITTER_BLOCK
+
+    env, cluster, ref_rng = make_jitter_pair()
+    a, a2, b = cluster.nodes[0].nic(0), cluster.nodes[0].nic(1), cluster.nodes[1].nic(0)
+    gets = [
+        (kind, nbytes) for kind, nbytes in mixed_posts(3 * _JITTER_BLOCK + 5)
+        if kind != "ordered"  # a GET has no ordered flavour
+    ]
+    got = {}
+
+    def run(env):
+        for i, (kind, nbytes) in enumerate(gets):
+            a.post_get(
+                a2 if kind == "intra" else b, nbytes,
+                on_deliver=lambda _, i=i: got.__setitem__(i, env.now),
+            )
+        yield env.timeout(1.0)
+
+    env.run_process(run(env))
+
+    spec, fabric = a.spec, a.fabric
+    # busy-until horizons: a's tx/rx ports, and each target's tx port
+    tx_free = rx_free = 0.0
+    peer_tx_free = {"intra": 0.0, "unordered": 0.0}
+    want = {}
+    for i, (kind, nbytes) in enumerate(gets):
+        if kind == "intra":
+            bw, latency = fabric.intra_node_bandwidth, fabric.intra_node_latency
+        else:
+            bw, latency = spec.bandwidth, spec.latency
+        req_end = tx_free + spec.msg_overhead
+        tx_free = req_end
+        serialization = nbytes / bw
+        resp_start = max(req_end + latency, peer_tx_free[kind])
+        resp_end = resp_start + spec.msg_overhead + serialization
+        peer_tx_free[kind] = resp_end
+        rx_start = max(resp_start + spec.msg_overhead + latency, rx_free)
+        rx_free = rx_start + serialization
+        jitter = 0.0 if kind == "intra" else float(
+            ref_rng.uniform(0.0, fabric.routing_jitter * serialization)
+        )
+        want[i] = (
+            max(resp_end + latency, rx_start + serialization)
+            + spec.rx_overhead + jitter
+        )
+    assert got == want
