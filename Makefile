@@ -24,8 +24,8 @@
 #                    - alternating parent/change pairs of one perfbench
 #                      workload (tools/perf_pairs.py): medians, quartiles,
 #                      pairs won — the numbers a perf PR quotes
-#   make test-diff   - differential suite: coalesced datapath vs
-#                      uncoalesced reference + golden fingerprints
+#   make test-golden - the 16-entry golden wire-fingerprint corpus
+#   make loc         - line totals of src/repro, per package
 #   make lint        - unrlint determinism rules (+ ruff when installed)
 #   make verify      - unrverify: happens-before trace verifier over the
 #                      golden + mutation corpora + static protocol pass
@@ -37,7 +37,7 @@ PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 REPRO   = PYTHONPATH=src $(PYTHON) -m repro
 
-.PHONY: test test-fast test-all test-slow test-chaos test-diff test-perf demo-faults trace bench-engine bench-scaling profile bench-report perf perf-selfcheck perf-pairs lint verify typecheck check
+.PHONY: test test-fast test-all test-slow test-chaos test-golden test-perf loc demo-faults trace bench-engine bench-scaling profile bench-report perf perf-selfcheck perf-pairs lint verify typecheck check
 
 test: test-fast
 
@@ -67,10 +67,10 @@ demo-faults:
 trace:
 	$(REPRO) trace stream --perfetto trace_obs.json --bench BENCH_obs.json
 
-# The 10-events/put ceiling is the datapath cost (8.17: coalesced runs,
-# process-free completion path; see
-# tests/bench/fixtures/BENCH_engine.after.json) plus slack for one extra
-# bookkeeping event; raising it needs a justification.  The throughput
+# The 10-events/put ceiling is the datapath cost (8.17: process-free
+# completion path; see tests/bench/fixtures/BENCH_engine.after.json)
+# plus slack for one extra bookkeeping event; raising it needs a
+# justification.  The throughput
 # floor pins ops/simulated-second, which is set by the modelled platform
 # physics — a drop means the datapath added simulated time per op.
 bench-engine:
@@ -126,11 +126,16 @@ perf-pairs:
 	$(PYTHON) tools/perf_pairs.py --parent $(PARENT) --workload $(WORKLOAD) \
 		--pairs $(PAIRS) --seed $(SEED)
 
-# Differential mode: coalesced/zero-copy datapath vs the uncoalesced
-# reference — identical wire fingerprints, token streams, clean
-# sanitizer.  Mismatches drop Perfetto traces into diff-artifacts/.
-test-diff:
-	$(PYTEST) -q tests/core/test_differential.py tests/core/test_fingerprints.py
+# The lockdown gate of every datapath change: all 16 golden wire
+# fingerprints must match the committed corpus.
+test-golden:
+	$(PYTEST) -q tests/core/test_fingerprints.py
+
+# What a simplicity PR quotes in CHANGES.md.
+loc:
+	@for d in src/repro/*/ src/repro; do \
+		printf '%6d  %s\n' "$$(find $$d -name '*.py' | xargs cat | wc -l)" "$$d"; \
+	done
 
 # ruff/mypy are optional locally (the container may not ship them); the
 # unrlint and sanitizer gates always run.  CI installs the full set.

@@ -36,11 +36,10 @@ UNR008  retry/backoff loops (``while`` loops that call ``timeout()``)
         breaker feedback and dedup tokens
 UNR009  un-slotted classes in the simulator hot-path modules
         (``sim/core.py``, ``sim/scheduler.py``, ``sim/resources.py``,
-        ``netsim/nic.py``, ``netsim/node.py``, ``netsim/slab.py``) —
-        per-event records must declare
-        ``__slots__`` (or ``@dataclass(slots=True)``); a ``__dict__``
-        per instance bloats the event heap and defeats the slab
-        allocator.  Exception classes are exempt (cold path).
+        ``netsim/nic.py``, ``netsim/node.py``) — per-event records
+        must declare ``__slots__`` (or ``@dataclass(slots=True)``); a
+        ``__dict__`` per instance bloats the event heap and the record
+        free list.  Exception classes are exempt (cold path).
 UNR010  an RMA post (``ep.put``/``ep.get``) with no wait-like call
         (``sig_wait``/``sig_test``/``recv_ctl``/…) reachable from the
         posting function or any of its callers — the notification can
@@ -167,8 +166,7 @@ RULES: Dict[str, Rule] = {
             "un-slotted class in a simulator hot-path module",
             "declare __slots__ (or use @dataclass(slots=True)) — these "
             "modules allocate one record per simulated event, and an "
-            "instance __dict__ bloats the heap and defeats the slab "
-            "allocator's free-list reuse",
+            "instance __dict__ bloats the heap and the record free list",
         ),
         Rule(
             "UNR010",
@@ -264,7 +262,6 @@ class LintConfig:
         "sim/resources.py",
         "netsim/nic.py",
         "netsim/node.py",
-        "netsim/slab.py",
     )
     #: path components under which the UNR010/UNR011 protocol pass runs
     #: (workload code posting real RMA ops).

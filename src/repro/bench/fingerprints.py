@@ -1,9 +1,9 @@
 """Golden wire-fingerprint corpus: the datapath's bit-exactness lock.
 
-Every optimization PR to the raw datapath (fragment coalescing, slab
-records, deferred NIC callbacks, batched CQ dispatch) must be *wire
-equivalent*: same fragments, same rails, same post/deliver times, same
-order.  This module pins that down as a corpus of
+Every PR to the raw datapath — one that adds an optimization (pooled
+records, deferred NIC callbacks, batched CQ dispatch) or deletes one —
+must be *wire equivalent*: same fragments, same rails, same
+post/deliver times, same order.  This module pins that down as a corpus of
 :func:`~repro.netsim.trace.transfer_fingerprint` digests over four
 canonical schedules on each Table III platform:
 

@@ -174,9 +174,6 @@ class Unr:
         observe: Union[Recorder, bool, None] = None,
         health: Union[HealthConfig, bool, None] = None,
         replication: Union[ReplicationConfig, bool, None] = None,
-        coalesce: bool = True,
-        zero_copy: bool = False,
-        stripe_mtu: Optional[int] = None,
     ) -> None:
         self.job = job
         self.env = job.env
@@ -192,24 +189,12 @@ class Unr:
             channel if isinstance(channel, MpiFallbackChannel) else None
         )
         self.strict = strict
+        if stripe_threshold < 0:
+            raise UnrUsageError("stripe_threshold must be >= 0")
+        if max_stripe_rails is not None and max_stripe_rails < 1:
+            raise UnrUsageError("max_stripe_rails must be >= 1 (or None)")
         self.stripe_threshold = stripe_threshold
         self.max_stripe_rails = max_stripe_rails
-        #: datapath knobs (see :mod:`repro.core.engine`): ``coalesce``
-        #: batches contiguous same-rail fragment runs into one scheduled
-        #: transfer with block-minted tokens; ``zero_copy`` (opt-in)
-        #: posts unreliable PUT payloads as live views of the source
-        #: instead of per-fragment snapshots — callers must then honour
-        #: the strict RMA contract and not mutate the source buffer
-        #: before completion; ``stripe_mtu`` further fragments each rail
-        #: stripe at a wire-MTU boundary (``None`` = off).  Both
-        #: optimizations are wire-equivalent — the differential suite
-        #: (``tests/core/test_differential.py``) pins coalesced and
-        #: uncoalesced runs to identical trace fingerprints.
-        self.coalesce = coalesce
-        self.zero_copy = zero_copy
-        if stripe_mtu is not None and stripe_mtu <= 0:
-            raise UnrUsageError("stripe_mtu must be positive (or None)")
-        self.stripe_mtu = stripe_mtu
         if reliability is True:
             reliability = ReliabilityConfig()
         elif reliability is False:
@@ -414,15 +399,6 @@ class Unr:
         """Globally unique idempotence token for one reliable fragment."""
         self._op_seq += 1
         return self._op_seq
-
-    def _next_token_block(self, count: int) -> int:
-        """Mint ``count`` consecutive tokens in one bump; returns the
-        first.  Coalesced fragment runs amortize token minting this way,
-        with values identical to ``count`` sequential ``_next_token``
-        calls."""
-        first = self._op_seq + 1
-        self._op_seq += count
-        return first
 
     def _apply_add(self, node: int, sid: int, addend: int, token: Optional[int] = None) -> None:
         sig = self._signal_at(node, sid)

@@ -40,7 +40,7 @@ from typing import (
     Tuple,
 )
 
-from ..netsim import CompletionRecord, FragmentSlab, Node, alloc_record, recycle_record
+from ..netsim import CompletionRecord, Node, alloc_record, recycle_record
 from ..sim import Environment
 from ..units import US
 from .errors import (
@@ -68,7 +68,6 @@ __all__ = [
     "TransferOp",
     "TransferEngine",
     "ProgressEngine",
-    "coalesce_runs",
 ]
 
 CTRL_BYTES = 24  # wire size of a (p, a) control message
@@ -84,30 +83,6 @@ _SHAPE_MEMO_LIMIT = 4096
 def _target_label(rail: int) -> str:
     return "fallback" if rail == FALLBACK_RAIL else f"rail{rail}"
 
-
-def coalesce_runs(stripes: Tuple["StripePlan", ...]) -> List[List["StripePlan"]]:
-    """Group consecutive fragments that form one contiguous same-rail run.
-
-    A run is a maximal sequence of plan-order fragments on the same rail
-    whose byte ranges abut (``offset == prev.offset + prev.size``).  The
-    engine schedules each run as one batch: per-fragment wire postings
-    are unchanged (wire equivalence — same fragments, same rails, same
-    order), but token minting and per-post branch work are amortized
-    over the run.  Plan order is preserved exactly, so coalesced and
-    uncoalesced posting produce identical token assignments.
-    """
-    runs: List[List[StripePlan]] = []
-    cur: List[StripePlan] = []
-    for sp in stripes:
-        if cur and sp.rail == cur[-1].rail and sp.offset == cur[-1].offset + cur[-1].size:
-            cur.append(sp)
-        else:
-            if cur:
-                runs.append(cur)
-            cur = [sp]
-    if cur:
-        runs.append(cur)
-    return runs
 
 #: (node index, signal id, addend) — a software MMAS add to apply.
 AddSpec = Tuple[int, int, int]
@@ -221,6 +196,24 @@ class TransferOp:
     n_posts: int = field(default=0, compare=False)
 
 
+@dataclass(slots=True)
+class _Fragment:
+    """One reliable fragment, from its post until delivery or cancel.
+
+    Held by its watchdog and, while in flight, by
+    ``TransferEngine._inflight``.  ``cancelled`` is what a watchdog that
+    wakes after :meth:`TransferEngine.drain` reads to stand down.
+    """
+
+    fid: int
+    op: TransferOp
+    sp: StripePlan
+    delivered: Any
+    rtok: Optional[int]
+    ltok: Optional[int]
+    cancelled: bool = False
+
+
 class TransferEngine:
     """The one posting pipeline behind ``put``/``get``/ctrl/fallback."""
 
@@ -228,21 +221,12 @@ class TransferEngine:
         self.unr = unr
         self.env = unr.env
         self.job = unr.job
-        #: datapath knobs, cached off the owning Unr (attribute loads on
-        #: the post hot path).  ``coalesce`` batches contiguous same-rail
-        #: fragment runs; ``zero_copy`` (opt-in: the caller owes the
-        #: strict RMA buffer-reuse contract) posts unreliable PUT
-        #: payloads as live slices of the source instead of snapshots.
-        self.coalesce: bool = getattr(unr, "coalesce", True)
-        self.zero_copy: bool = getattr(unr, "zero_copy", False)
-        #: reliable-fragment registry: struct-of-arrays columns indexed
-        #: by fid (:class:`~repro.netsim.slab.FragmentSlab`), plus an
-        #: insertion-ordered set (dict keys) of the fids still in
-        #: flight.  Retired on delivery, cancelled by :meth:`drain`
-        #: against dead peers; the slab's ``cancelled`` column outlives
-        #: retirement so stale watchdog closures can still read it.
-        self._frags = FragmentSlab()
-        self._inflight: Dict[int, None] = {}
+        #: reliable fragments still in flight, by fid in post order.
+        #: Retired on delivery, cancelled by :meth:`drain` against dead
+        #: peers.  Fids are never reused: the replication ledger keys
+        #: on them.
+        self._inflight: Dict[int, _Fragment] = {}
+        self._n_fids = 0
         #: fragment geometry per distinct PUT shape, see _stripe_shape
         self._shapes: Dict[tuple, Tuple[Tuple[int, int, int, int, int], ...]] = {}
         #: logical-op counter: every post_op call (including plan
@@ -383,7 +367,7 @@ class TransferEngine:
         unr = self.unr
         key = (
             size, n_rails, multi_ok, policy.a_bits, unr.n_bits,
-            unr.max_stripe_rails, unr.stripe_threshold, unr.stripe_mtu,
+            unr.max_stripe_rails, unr.stripe_threshold,
         )
         shape = self._shapes.get(key)
         if shape is None:
@@ -396,7 +380,6 @@ class TransferEngine:
                 threshold=unr.stripe_threshold,
                 multi_channel=multi_ok,
                 max_fragments=max_k,
-                mtu=(unr.stripe_mtu or 0) if multi_ok else 0,
             )
             addends = submessage_addends(len(stripes), unr.n_bits)
             shape = tuple(
@@ -563,28 +546,13 @@ class TransferEngine:
         unr.stats["puts"] += 1
         unr.stats["fragments"] += len(stripes)
         # Idempotence tokens per fragment: remote then local, in plan
-        # order — coalescing mints each run's tokens as one block with
-        # the same values sequential minting would produce.
+        # order.
         need_r = op.reliable and op.rsid is not None
         need_l = op.reliable and op.lsid is not None
-        per = int(need_r) + int(need_l)
-        if self.coalesce and len(stripes) > 1:
-            runs = coalesce_runs(stripes)
-            if len(runs) < len(stripes):
-                unr.stats["coalesced_runs"] += len(runs)
-        else:
-            runs = (stripes,)
-        for run in runs:
-            base = unr._next_token_block(per * len(run)) if per else 0
-            for j, sp in enumerate(run):
-                rtok = ltok = None
-                if per:
-                    t = base + per * j
-                    if need_r:
-                        rtok = t
-                    if need_l:
-                        ltok = t + 1 if need_r else t
-                self._post_put_fragment(op, sp, rtok, ltok, opid)
+        for sp in stripes:
+            rtok = unr._next_token() if need_r else None
+            ltok = unr._next_token() if need_l else None
+            self._post_put_fragment(op, sp, rtok, ltok, opid)
         if op.ctrl_remote:
             self.post_op(
                 self._signal_ctrl_op(
@@ -610,13 +578,10 @@ class TransferEngine:
         unr = self.unr
         view = sp.view
         if view is not None:  # implies op.src_bytes is not None
-            frag = op.src_bytes[sp.offset : sp.offset + sp.size]
-            # Zero-copy path: unreliable fragments ride a live view of
-            # the source (the RMA contract forbids mutating the buffer
-            # before local completion anyway).  Reliable fragments keep
-            # the snapshot — a retransmit must resend the bytes as they
-            # were at post time, not whatever the app wrote since.
-            payload = frag if (self.zero_copy and not op.reliable) else frag.copy()
+            # Snapshot at post: the caller may reuse the source as soon
+            # as put() returns, and a retransmit must resend the bytes
+            # as they were then.
+            payload = op.src_bytes[sp.offset : sp.offset + sp.size].copy()
         else:
             payload = None
         delivered = None
@@ -637,14 +602,14 @@ class TransferEngine:
         if delivered is None:
             self._post_put_attempt(op, sp, payload, deliver, rtok, ltok, first)
             return
-        frag_entry = self._track_fragment(op, sp, delivered, rtok, ltok)
+        frag = self._track_fragment(op, sp, delivered, rtok, ltok)
         self._post_put_attempt(op, sp, payload, deliver, rtok, ltok, first)
         self._watchdog(
             lambda rail: self._post_put_attempt(
                 op, sp, payload, deliver, rtok, ltok, rail
             ),
             delivered, sp.size, op.src_rank, op.dst_rank,
-            first, "PUT", frag=frag_entry,
+            first, "PUT", frag=frag,
         )
 
     def _post_put_attempt(
@@ -981,14 +946,23 @@ class TransferEngine:
                 # failover restores notification accounting.
                 self.unr.stats["replication_ctrl_to_dead"] += 1
                 return
-            raise UnrPeerDeadError(
-                f"CTRL of {op.nbytes}B from rank {op.src_rank} to rank "
-                f"{op.dst_rank}: peer is dead (ordered/fallback lane down)",
-                context=OpContext(
-                    kind="CTRL", src_rank=op.src_rank, dst_rank=op.dst_rank,
-                    nbytes=op.nbytes, sim_time_us=self.env.now / US,
-                ),
+            raise self._peer_dead(
+                op, "CTRL", op.nbytes,
+                "peer is dead (ordered/fallback lane down)",
             )
+
+    def _peer_dead(
+        self, op: TransferOp, what: str, nbytes: int, why: str
+    ) -> UnrPeerDeadError:
+        """The error of a post rejected before any transmission."""
+        return UnrPeerDeadError(
+            f"{what} of {nbytes}B from rank {op.src_rank} to rank "
+            f"{op.dst_rank}: {why}",
+            context=OpContext(
+                kind=what, src_rank=op.src_rank, dst_rank=op.dst_rank,
+                nbytes=nbytes, sim_time_us=self.env.now / US,
+            ),
+        )
 
     def _route(self, op: TransferOp, preferred: int, what: str, nbytes: int) -> int:
         """Pick the target for a *reliable* fragment's first post.
@@ -1014,14 +988,9 @@ class TransferEngine:
                 # raising — the fragment's watchdog parks on the team's
                 # promotion and re-posts against the surviving node.
                 return FALLBACK_RAIL
-            raise UnrPeerDeadError(
-                f"{what} of {nbytes}B from rank {op.src_rank} to rank "
-                f"{op.dst_rank}: peer is dead (no live RMA rail and the "
-                f"fallback lane is down)",
-                context=OpContext(
-                    kind=what, src_rank=op.src_rank, dst_rank=op.dst_rank,
-                    nbytes=nbytes, sim_time_us=self.env.now / US,
-                ),
+            raise self._peer_dead(
+                op, what, nbytes,
+                "peer is dead (no live RMA rail and the fallback lane is down)",
             )
         health.on_degraded(op.src_rank, op.dst_rank, what)
         return FALLBACK_RAIL
@@ -1042,26 +1011,17 @@ class TransferEngine:
         if health is None:
             return preferred
         if health.fallback_dead(op.src_rank, op.dst_rank):
-            raise UnrPeerDeadError(
-                f"{what} of {nbytes}B from rank {op.src_rank} to rank "
-                f"{op.dst_rank}: peer is dead (fallback lane down)",
-                context=OpContext(
-                    kind=what, src_rank=op.src_rank, dst_rank=op.dst_rank,
-                    nbytes=nbytes, sim_time_us=self.env.now / US,
-                ),
+            raise self._peer_dead(
+                op, what, nbytes, "peer is dead (fallback lane down)"
             )
         if op.software or op.ctrl_remote:
             return preferred
         rail = health.live_rail(op.src_rank, op.dst_rank, preferred)
         if rail is None:
-            raise UnrPeerDeadError(
-                f"{what} of {nbytes}B from rank {op.src_rank} to rank "
-                f"{op.dst_rank}: no live RMA rail and reliability is "
-                f"disarmed (no token-safe degradation path)",
-                context=OpContext(
-                    kind=what, src_rank=op.src_rank, dst_rank=op.dst_rank,
-                    nbytes=nbytes, sim_time_us=self.env.now / US,
-                ),
+            raise self._peer_dead(
+                op, what, nbytes,
+                "no live RMA rail and reliability is disarmed "
+                "(no token-safe degradation path)",
             )
         return rail
 
@@ -1072,16 +1032,23 @@ class TransferEngine:
         delivered: Any,
         rtok: Optional[int],
         ltok: Optional[int],
-    ) -> int:
-        fid = self._frags.alloc(op, sp, delivered, rtok, ltok)
-        self._inflight[fid] = None
+    ) -> _Fragment:
+        self._n_fids += 1
+        frag = _Fragment(self._n_fids, op, sp, delivered, rtok, ltok)
+        self._inflight[frag.fid] = frag
         rep = self.unr.replication
         if rep is not None:
             # Ledger the owed notification tokens (idempotent failover
             # replay) and feed shadow deliveries to the quiesce tracker.
-            rep.note_fragment(fid, sp.remote_sig, rtok, sp.local_sig, ltok)
+            rep.note_fragment(frag.fid, sp.remote_sig, rtok, sp.local_sig, ltok)
             rep.on_shadow_fragment(delivered)
-        return fid
+        return frag
+
+    def _retire(self, frag: _Fragment) -> None:
+        """``frag`` is delivered or cancelled: no longer in flight."""
+        self._inflight.pop(frag.fid, None)
+        if self.unr.replication is not None:
+            self.unr.replication.on_fragment_retired(frag.fid)
 
     # -- drain / quiesce protocol -----------------------------------------
     def drain(self, peer_rank: Optional[int] = None) -> int:
@@ -1096,27 +1063,21 @@ class TransferEngine:
         number of fragments cancelled.
         """
         health = self.unr.health
-        frags = self._frags
         cancelled = 0
-        for fid in list(self._inflight):
-            i = fid - 1
-            op = frags.op[i]
+        for frag in list(self._inflight.values()):
+            op = frag.op
             if peer_rank is not None and op.dst_rank != peer_rank:
                 continue
-            delivered = frags.delivered[i]
-            if delivered is not None and delivered.triggered:
-                self._inflight.pop(fid, None)
-                frags.retire(fid)
-                if self.unr.replication is not None:
-                    self.unr.replication.on_fragment_retired(fid)
+            if frag.delivered.triggered:
+                self._retire(frag)
                 continue
             if health is None or not health.fallback_dead(op.src_rank, op.dst_rank):
                 continue
-            self._cancel_fragment(fid)
+            self._cancel_fragment(frag)
             cancelled += 1
         return cancelled
 
-    def _cancel_fragment(self, fid: int) -> None:
+    def _cancel_fragment(self, frag: _Fragment) -> None:
         """Discharge one cancelled fragment's notifications.
 
         The adds go through ``_apply_add`` with the fragment's original
@@ -1125,22 +1086,17 @@ class TransferEngine:
         count single.  Tokenless Level-0 ctrl tails can't be discharged
         that way — the sanitizer is told to expect the shortfall."""
         unr = self.unr
-        frags = self._frags
-        frags.cancel(fid)
-        self._inflight.pop(fid, None)
-        i = fid - 1
-        op, sp = frags.op[i], frags.sp[i]
+        frag.cancelled = True
+        op, sp = frag.op, frag.sp
         if sp.local_sig is not None:
             node, sid, addend = sp.local_sig
-            unr._apply_add(node, sid, addend, token=frags.ltok[i])
+            unr._apply_add(node, sid, addend, token=frag.ltok)
         if sp.remote_sig is not None:
             node, sid, addend = sp.remote_sig
-            unr._apply_add(node, sid, addend, token=frags.rtok[i])
+            unr._apply_add(node, sid, addend, token=frag.rtok)
         if op.ctrl_remote and op.rsid is not None and unr.sanitizer is not None:
             unr.sanitizer.on_fragment_drained(op.dst_node, op.rsid)
-        frags.retire(fid)  # keeps the cancelled flag for stale watchdogs
-        if unr.replication is not None:
-            unr.replication.on_fragment_retired(fid)
+        self._retire(frag)
         unr.stats["drained_fragments"] += 1
         if unr.obs is not None:
             unr.obs.count("health.drained_fragments")
@@ -1196,8 +1152,7 @@ class TransferEngine:
 
     def _watchdog(self, post: Callable[[int], Any], delivered: Any, nbytes: int,
                   src_rank: int, dst_rank: int, first_rail: int, what: str,
-                  round_trip: bool = False,
-                  frag: Optional[int] = None) -> None:
+                  *, frag: _Fragment, round_trip: bool = False) -> None:
         """Guard one posted fragment: retransmit (with exponential
         backoff, moving to the next live target each attempt) until
         ``delivered`` fires, else raise :class:`UnrTimeoutError`.
@@ -1233,16 +1188,12 @@ class TransferEngine:
             # UNR008 tells everyone else to route through).
             while True:  # unrlint: disable=UNR008
                 yield env.any_of([delivered, env.timeout(t)])
-                if frag is not None and self._frags.is_cancelled(frag):
+                if frag.cancelled:
                     return  # drained: the op was quiesced against a dead peer
                 if delivered.triggered:
                     if health is not None and target != FALLBACK_RAIL:
                         health.on_success(src_rank, dst_rank, target)
-                    if frag is not None:
-                        self._inflight.pop(frag, None)
-                        self._frags.retire(frag)
-                        if unr.replication is not None:
-                            unr.replication.on_fragment_retired(frag)
+                    self._retire(frag)
                     if attempt:
                         unr.stats["recovered_ops"] += 1
                     return
@@ -1289,7 +1240,7 @@ class TransferEngine:
                         if self._fail_op_waiter(frag, fexc):
                             return
                         raise
-                    if frag is not None and self._frags.is_cancelled(frag):
+                    if frag.cancelled:
                         return  # drained during the failover
                     attempt = 0
                     if not delivered.triggered:
@@ -1344,17 +1295,14 @@ class TransferEngine:
 
         env.process(guard(), name=f"unr-watchdog-{what.lower()}")
 
-    def _fail_op_waiter(self, frag: Optional[int],
-                        err: BaseException) -> bool:
+    def _fail_op_waiter(self, frag: _Fragment, err: BaseException) -> bool:
         """Throw ``err`` into a frame blocked in ``sig_wait`` on one of
         the fragment's signals.  The remote notification is the one the
         lost fragment actually owes (local completion usually fired when
         the data left the source NIC), so its waiter is tried first."""
-        if frag is None:
-            return False
-        sp = self._frags.sp[frag - 1]
-        if sp is None:  # already retired — nothing left to discharge
-            return False
+        if frag.fid not in self._inflight:
+            return False  # already retired: nothing left to discharge
+        sp = frag.sp
         for spec in (sp.remote_sig, sp.local_sig):
             if spec is None:
                 continue
@@ -1483,11 +1431,6 @@ class ProgressEngine:
         self._batch: List[Optional[CompletionRecord]] = (
             [None] * config.sweep_batch
         )
-        #: memoized (kind -> handler) of the last dispatched record; CQ
-        #: bursts are overwhelmingly same-kind, so this skips the dict
-        #: lookup on the hot path.  Invalidated by :meth:`register`.
-        self._last_kind: Optional[str] = None
-        self._last_handler: Optional[Callable[[int, CompletionRecord], None]] = None
         if config.mode == "none":
             return
         if config.mode == "reserved":
@@ -1502,8 +1445,6 @@ class ProgressEngine:
     ) -> None:
         """Dispatch records of ``kind`` to ``handler(node_index, record)``."""
         self._handlers[kind] = handler
-        self._last_kind = None
-        self._last_handler = None
 
     def _dispatch(self, nic: Any, record: CompletionRecord) -> None:
         self.n_dispatched += 1
@@ -1513,10 +1454,7 @@ class ProgressEngine:
             self.obs.count("core.poll_dispatches")
             self.obs.observe("core.poll_dispatch_delay_us", delay / US)
         kind = record.kind
-        if kind != self._last_kind:
-            self._last_kind = kind
-            self._last_handler = self._handlers.get(kind, self.default_handler)
-        handler = self._last_handler
+        handler = self._handlers.get(kind, self.default_handler)
         if handler is not None:
             # Read through env each dispatch (not cached at construction)
             # so profilers attached after engine creation are still seen.
@@ -1529,7 +1467,7 @@ class ProgressEngine:
                 handler(self.node.index, record)
         if self.health is not None:
             self.health.on_cq_record(nic.index, record)
-        # Slab-allocated records go back to the free list the moment
+        # Pooled records go back to the free list the moment
         # they are dispatched (no-op for un-pooled records): handlers
         # consume record fields synchronously and must not retain the
         # record object itself.

@@ -91,28 +91,17 @@ def plan_stripes(
     multi_channel: bool = True,
     max_fragments: int = 0,
     min_fragment: int = MIN_FRAGMENT,
-    mtu: int = 0,
 ) -> List[Stripe]:
     """Split ``size`` bytes over up to ``n_rails`` rails.
 
     Returns at least one stripe; a single stripe means no striping
     (small message, single rail, or a level that cannot aggregate
-    sub-messages).  Fragment sizes differ by at most one byte so rails
-    finish together.
-
-    ``mtu`` (0 = off) further splits each rail stripe into contiguous
-    same-rail fragments no larger than ``mtu`` bytes — the wire-transfer
-    unit of fabrics that fragment at a fixed MTU.  These contiguous
-    same-rail runs are what the transfer engine's fragment coalescing
-    re-batches (:func:`repro.core.engine.coalesce_runs`).  The total
-    fragment count still respects ``max_fragments`` (the addend-bit
-    budget): when the budget is tight, later fragments absorb the
-    remainder.
+    sub-messages).  One fragment per rail (paper §IV-B): sizes differ
+    by at most one byte so rails finish together, and the count never
+    exceeds ``max_fragments`` (0 = no cap), the addend-bit budget.
     """
     if size < 0:
         raise ValueError("size must be non-negative")
-    if mtu < 0:
-        raise ValueError("mtu must be non-negative")
     k = n_rails
     if not multi_channel or size < threshold or n_rails <= 1:
         k = 1
@@ -129,20 +118,4 @@ def plan_stripes(
         stripes.append(Stripe(index=i, rail=i % n_rails, offset=offset, size=frag))
         offset += frag
     assert offset == size
-    if not mtu:
-        return stripes
-    budget = max_fragments if max_fragments else 1 << 16
-    out: List[Stripe] = []
-    for st in stripes:
-        pieces = max(1, -(-st.size // mtu))
-        # Leave at least one fragment of budget for every later stripe.
-        room = budget - len(out) - (k - st.index - 1)
-        pieces = max(1, min(pieces, room))
-        psize, pextra = divmod(st.size, pieces)
-        off = st.offset
-        for j in range(pieces):
-            n = psize + (1 if j < pextra else 0)
-            out.append(Stripe(index=len(out), rail=st.rail, offset=off, size=n))
-            off += n
-        assert off == st.offset + st.size
-    return out
+    return stripes

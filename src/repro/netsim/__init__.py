@@ -23,13 +23,11 @@ from .nic import (
     CqOverflowError,
     Nic,
     alloc_record,
-    configure_record_pool,
     record_pool_stats,
     recycle_record,
     reset_record_pool,
 )
 from .node import CpuSet, Node
-from .slab import FragmentSlab, NicSlab, RecordPool
 from .spec import GBPS, US, ClusterSpec, FabricSpec, NicSpec, NodeSpec
 from .trace import MessageTrace, TraceRecord
 
@@ -47,20 +45,16 @@ __all__ = [
     "FabricSpec",
     "FaultInjector",
     "FaultSpec",
-    "FragmentSlab",
     "LinkFlap",
     "Nic",
-    "NicSlab",
     "NicSpec",
     "MessageTrace",
     "Node",
     "NodeCrash",
     "NodeSpec",
     "RailFailure",
-    "RecordPool",
     "TraceRecord",
     "alloc_record",
-    "configure_record_pool",
     "record_pool_stats",
     "recycle_record",
     "reset_record_pool",

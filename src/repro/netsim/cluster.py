@@ -19,10 +19,6 @@ Determinism contract (what makes laziness behaviour-invisible):
   register *node hooks* via :meth:`Cluster.add_node_hook`; hooks run in
   registration order on every node at materialization time, preserving
   the historical wrapper nesting (faults innermost, recorder outside).
-
-Hot per-NIC state lives in one cluster-shared
-:class:`~repro.netsim.slab.NicSlab` (struct-of-arrays), so traffic
-aggregation is a column sum that never touches the object graph.
 """
 
 from __future__ import annotations
@@ -32,9 +28,8 @@ from typing import Callable, Dict, Iterator, List, Union
 import numpy as np
 
 from ..sim import Environment
-from .nic import configure_record_pool, reset_record_pool
+from .nic import reset_record_pool
 from .node import Node
-from .slab import NicSlab
 from .spec import ClusterSpec
 
 __all__ = ["Cluster"]
@@ -99,14 +94,10 @@ class Cluster:
         ]
         self._nodes: Dict[int, Node] = {}
         self._node_hooks: List[NodeHook] = []
-        #: shared struct-of-arrays store for all hot per-NIC scalars
-        self.nic_slab = NicSlab()
         self.nodes = _NodesView(self)
         # Cold-start the process-global completion-record pool: per-run
         # hit/miss stats, and byte-stable metrics across identical runs.
         reset_record_pool()
-        if spec.record_pool_limit is not None:
-            configure_record_pool(spec.record_pool_limit)
 
     @property
     def n_nodes(self) -> int:
@@ -129,8 +120,7 @@ class Cluster:
             raise IndexError(f"node index {index} out of range (0..{n - 1})")
         node = Node(self.env, index, self.spec.node, self.spec.fabric,
                     seed=self._seeds[index])
-        node._attach_nics(self.spec.nic, self.spec.node.nics,
-                          slab=self.nic_slab)
+        node._attach_nics(self.spec.nic, self.spec.node.nics)
         self._nodes[index] = node
         for hook in self._node_hooks:
             hook(node)
@@ -166,10 +156,17 @@ class Cluster:
     def total_traffic(self) -> dict:
         """Aggregate NIC counters (for tests and benchmark reports).
 
-        A column sum over the shared slab — only materialized NICs have
-        slots, and an unmaterialized NIC cannot have moved a byte.
+        Sums the NICs of the nodes built so far and builds none: an
+        unmaterialized NIC cannot have moved a byte.
         """
-        return self.nic_slab.traffic_totals()
+        nics = [nic for node in self._nodes.values() for nic in node.nics]
+        return {
+            "tx_msgs": sum(nic.tx_msgs for nic in nics),
+            "tx_bytes": sum(nic.tx_bytes for nic in nics),
+            "rx_msgs": sum(nic.rx_msgs for nic in nics),
+            "rx_bytes": sum(nic.rx_bytes for nic in nics),
+            "cq_overflow_stalls": sum(nic.cq.n_overflow_stalls for nic in nics),
+        }
 
     def __repr__(self) -> str:
         return (

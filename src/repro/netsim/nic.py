@@ -27,12 +27,11 @@ polling thread needed, reproducing the paper's §IV-C proposal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Generator, Optional, TYPE_CHECKING
+from typing import Any, Callable, Dict, Generator, List, Optional, TYPE_CHECKING
 
 import numpy as np
 
 from ..sim import Deferred, Environment, Event, Store
-from .slab import NicSlab, RecordPool
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .node import Node
@@ -44,7 +43,6 @@ __all__ = [
     "CqOverflowError",
     "alloc_record",
     "recycle_record",
-    "configure_record_pool",
     "record_pool_stats",
     "reset_record_pool",
 ]
@@ -66,8 +64,8 @@ class CompletionRecord:
     :class:`~repro.core.engine.ProgressEngine`, which routes each kind to
     its registered handler.
 
-    Hot-path records are slab-allocated through :func:`alloc_record` and
-    returned to the free list by :func:`recycle_record` once dispatched;
+    Hot-path records come off a free list (:func:`alloc_record`) and go
+    back to it (:func:`recycle_record`) once dispatched;
     ``dataclasses.replace`` copies (the fault injector's re-stamped
     deliveries) come out un-pooled and are left to the garbage collector.
     """
@@ -84,34 +82,39 @@ class CompletionRecord:
     #: opaque idempotence token; a faulted fabric may re-deliver the same
     #: record, and the signal path dedups on this (None = never dedup).
     token: Any = None
-    #: slab bookkeeping: True only for live records handed out by
+    #: free-list bookkeeping: True only for live records handed out by
     #: ``alloc_record`` (``init=False`` so ``dataclasses.replace`` copies
     #: never claim pool membership and can't be double-recycled).
     _pooled: bool = field(init=False, default=False, repr=False, compare=False)
 
 
-#: Free list for :func:`alloc_record`; bounded so a pathological burst
+#: Free list behind :func:`alloc_record`, capped so a pathological burst
 #: cannot pin memory forever.  Process-global (records flow between
-#: clusters' progress engines only within one process); the cap is
-#: configurable via :func:`configure_record_pool` /
-#: ``ClusterSpec.record_pool_limit``, and the hit/miss accounting is
+#: clusters' progress engines only within one process) and cold-started
+#: by every new :class:`~repro.netsim.cluster.Cluster`; the counters are
 #: surfaced through the Recorder's ``net.record_pool.*`` collector.
-_RECORD_POOL = RecordPool()
-
-
-def configure_record_pool(limit: int) -> None:
-    """Re-cap the process-global completion-record free list."""
-    _RECORD_POOL.configure(limit)
+_POOL_LIMIT = 4096
+_free_records: List["CompletionRecord"] = []
+_pool_stats = {"hits": 0, "misses": 0, "recycled": 0, "dropped": 0}
 
 
 def record_pool_stats() -> Dict[str, float]:
-    """Hit/miss/recycle accounting of the record free list."""
-    return _RECORD_POOL.stats()
+    """Accounting of the record free list: allocations served from it
+    (``hits``) or constructed (``misses``), records taken back
+    (``recycled``) or refused because it was full (``dropped``)."""
+    return {"limit": _POOL_LIMIT, "free": len(_free_records), **_pool_stats}
 
 
 def reset_record_pool() -> None:
-    """Cold-start the pool (new run): clear the free list, zero stats."""
-    _RECORD_POOL.reset()
+    """Cold-start the pool (new run): clear the free list, zero stats.
+
+    Called at :class:`~repro.netsim.cluster.Cluster` construction, so
+    the reported counts are per-run and identical runs in one process
+    stay byte-stable even though the list is process-global.
+    """
+    _free_records.clear()
+    for key in _pool_stats:
+        _pool_stats[key] = 0
 
 
 def alloc_record(
@@ -126,15 +129,16 @@ def alloc_record(
     complete_time: float = 0.0,
     token: Any = None,
 ) -> CompletionRecord:
-    """Slab-allocate a :class:`CompletionRecord` (free-list reuse).
+    """A :class:`CompletionRecord` from the free list, or a new one.
 
     Identical field semantics — and field order — to the constructor,
     so the per-post callers fill it positionally; the returned record is
     marked pool-owned so :func:`recycle_record` can reclaim it after the
     progress engine dispatches it.
     """
-    rec = _RECORD_POOL.take()
-    if rec is not None:
+    if _free_records:
+        _pool_stats["hits"] += 1
+        rec = _free_records.pop()
         rec.kind = kind
         rec.custom = custom
         rec.nbytes = nbytes
@@ -146,6 +150,7 @@ def alloc_record(
         rec.complete_time = complete_time
         rec.token = token
     else:
+        _pool_stats["misses"] += 1
         rec = CompletionRecord(
             kind, custom, nbytes, src_node, dst_node, tag, payload,
             post_time, complete_time, token,
@@ -167,7 +172,11 @@ def recycle_record(rec: CompletionRecord) -> None:
     rec.tag = None
     rec.payload = None
     rec.token = None
-    _RECORD_POOL.give(rec)
+    if len(_free_records) < _POOL_LIMIT:
+        _free_records.append(rec)
+        _pool_stats["recycled"] += 1
+    else:
+        _pool_stats["dropped"] += 1
 
 
 class CompletionQueue:
@@ -187,63 +196,39 @@ class CompletionQueue:
     ``poll`` / ``poll_batch`` / ``poll_batch_into``) is reserved to
     :class:`~repro.core.engine.ProgressEngine`; unrlint rule UNR007
     flags any other caller.
+
+    Accounting, all readable attributes: ``n_pushed`` records accepted,
+    ``high_water`` deepest the queue got, ``n_overflow_stalls`` pushes
+    that found it full and ``stall_time`` the seconds they waited,
+    ``stalled_until`` the end of an injected :meth:`stall` window.
     """
 
-    __slots__ = ("env", "depth", "_store", "_slab", "_slot", "_parked")
+    __slots__ = (
+        "env", "depth", "_store", "_parked",
+        "high_water", "n_pushed", "n_overflow_stalls", "stall_time",
+        "stalled_until",
+    )
 
-    def __init__(
-        self,
-        env: Environment,
-        depth: int,
-        *,
-        slab: Optional[NicSlab] = None,
-        slot: Optional[int] = None,
-    ):
+    def __init__(self, env: Environment, depth: int):
         self.env = env
         self.depth = depth
         self._store = Store(env, capacity=depth)
-        # Accounting lives in struct-of-arrays slab columns.  A NIC's CQ
-        # shares the NIC's slot in the cluster slab; standalone queues
-        # (tests, ad-hoc models) get a private single-slot slab.
-        if slab is None:
-            slab = NicSlab()
-            slot = slab.alloc()
-        assert slot is not None
-        self._slab = slab
-        self._slot = slot
         self._parked: Optional[Callable[[CompletionRecord], None]] = None
-
-    # -- slab-backed accounting (columns, one slot per queue) ----------
-    @property
-    def high_water(self) -> int:
-        return self._slab.cq_high_water[self._slot]
-
-    @property
-    def n_pushed(self) -> int:
-        return self._slab.cq_pushed[self._slot]
-
-    @property
-    def n_overflow_stalls(self) -> int:
-        return self._slab.cq_overflow_stalls[self._slot]
-
-    @property
-    def stall_time(self) -> float:
-        return self._slab.cq_stall_time[self._slot]
-
-    @property
-    def stalled_until(self) -> float:
-        return self._slab.cq_stalled_until[self._slot]
+        self.high_water = 0
+        self.n_pushed = 0
+        self.n_overflow_stalls = 0
+        self.stall_time = 0.0
+        self.stalled_until = 0.0
 
     @property
     def is_stalled(self) -> bool:
-        return self.env.now < self._slab.cq_stalled_until[self._slot]
+        return self.env.now < self.stalled_until
 
     def stall(self, until: float) -> None:
         """Suspend servicing (``poll``/``poll_batch``) until sim time
         ``until``.  A blocked ``get`` or a parked consumer still takes
         the next record; consumers must check :attr:`is_stalled`."""
-        col = self._slab.cq_stalled_until
-        col[self._slot] = max(col[self._slot], until)
+        self.stalled_until = max(self.stalled_until, until)
 
     def __len__(self) -> int:
         return len(self._store)
@@ -254,7 +239,6 @@ class CompletionQueue:
 
     def push(self, record: CompletionRecord):
         """Generator: enqueue ``record``, stalling while the CQ is full."""
-        slab, i = self._slab, self._slot
         consumer = self._parked
         if consumer is not None:
             # Parked means empty, so never full.  The timeout stands in
@@ -266,16 +250,16 @@ class CompletionQueue:
             consumer(record)
             yield queued
         elif self._store.is_full:
-            slab.cq_overflow_stalls[i] += 1
+            self.n_overflow_stalls += 1
             t0 = self.env.now
             yield self._store.put(record)
-            slab.cq_stall_time[i] += self.env.now - t0
+            self.stall_time += self.env.now - t0
         else:
             yield self._store.put(record)
-        slab.cq_pushed[i] += 1
+        self.n_pushed += 1
         depth = len(self._store)
-        if depth > slab.cq_high_water[i]:
-            slab.cq_high_water[i] = depth
+        if depth > self.high_water:
+            self.high_water = depth
 
     def try_push(self, record: CompletionRecord) -> bool:
         """Synchronous fast-path enqueue; ``False`` when the CQ is full.
@@ -288,19 +272,18 @@ class CompletionQueue:
         :meth:`push` so overflow keeps its backpressure semantics
         (stall counters, completion only after the record is queued).
         """
-        slab, i = self._slab, self._slot
         consumer = self._parked
         if consumer is not None:
             self._parked = None
-            slab.cq_pushed[i] += 1
+            self.n_pushed += 1
             consumer(record)
             return True
         if not self._store.put_nowait(record):
             return False
-        slab.cq_pushed[i] += 1
+        self.n_pushed += 1
         depth = len(self._store)
-        if depth > slab.cq_high_water[i]:
-            slab.cq_high_water[i] = depth
+        if depth > self.high_water:
+            self.high_water = depth
         return True
 
     def park(
@@ -404,7 +387,11 @@ class Nic:  # unrlint: disable=UNR009
     ``atomic_offload``, ``intra_bandwidth``, ``intra_latency``,
     ``small_cutoff``, ``routing_jitter``, ``global_id``) into plain
     attributes once, so a post computes with floats instead of
-    re-deriving them through spec properties.
+    re-deriving them through spec properties.  Its mutable state is
+    plain attributes too: the busy-until horizons ``tx_free`` /
+    ``rx_free`` / ``tx_msg_free`` and the traffic counters ``tx_msgs`` /
+    ``tx_bytes`` / ``rx_msgs`` / ``rx_bytes``
+    (:meth:`Cluster.total_traffic` sums them).
 
     Routing jitter is ``routing_jitter * serialization * u`` with ``u``
     the next double of the NIC's private generator — the value
@@ -425,9 +412,6 @@ class Nic:  # unrlint: disable=UNR009
         spec,
         fabric,
         rng: np.random.Generator,
-        *,
-        slab: Optional[NicSlab] = None,
-        slot: Optional[int] = None,
     ):
         self.env = env
         self.node = node
@@ -449,41 +433,20 @@ class Nic:  # unrlint: disable=UNR009
         # (starts exhausted: the first jittered post draws the block).
         self._jitter_u: list = []
         self._jitter_i = _JITTER_BLOCK
-        # Hot scalar state (port/doorbell busy-until horizons, traffic
-        # counters, CQ accounting) lives in struct-of-arrays columns: one
-        # slot per NIC, shared with its CQ.  A cluster hands every NIC a
-        # slot in its shared slab; standalone NICs get a private one.
-        if slab is None:
-            slab = NicSlab()
-            slot = slab.alloc()
-        assert slot is not None
-        self._slab = slab
-        self._slot = slot
-        self.cq = CompletionQueue(env, spec.cq_depth, slab=slab, slot=slot)
+        # Busy-until horizons: tx / rx ports, message-issue (doorbell).
+        self.tx_free = 0.0
+        self.rx_free = 0.0
+        self.tx_msg_free = 0.0
+        self.tx_msgs = 0
+        self.tx_bytes = 0
+        self.rx_msgs = 0
+        self.rx_bytes = 0
+        self.cq = CompletionQueue(env, spec.cq_depth)
         # Fault injection: a failed rail delivers nothing (see
         # :mod:`repro.netsim.faults`); the happy path never sets this.
         self.failed = False
         # Per-source ordered-delivery horizon (for ordered=True traffic).
         self._ordered_horizon: dict = {}
-
-    # ------------------------------------------------------------------
-    # slab-backed traffic counters (read-only compatibility surface; the
-    # datapath below writes the columns directly)
-    @property
-    def tx_msgs(self) -> int:
-        return self._slab.tx_msgs[self._slot]
-
-    @property
-    def tx_bytes(self) -> int:
-        return self._slab.tx_bytes[self._slot]
-
-    @property
-    def rx_msgs(self) -> int:
-        return self._slab.rx_msgs[self._slot]
-
-    @property
-    def rx_bytes(self) -> int:
-        return self._slab.rx_bytes[self._slot]
 
     # ------------------------------------------------------------------
     def post_put(
@@ -513,7 +476,6 @@ class Nic:  # unrlint: disable=UNR009
             raise ValueError("nbytes must be non-negative")
         env = self.env
         now = env.now
-        slab, slot = self._slab, self._slot
         if dst.node is self.node:
             # Intra-node: a memcpy through shared memory — it does not
             # occupy the NIC tx/rx ports (real stacks use CMA/XPMEM).
@@ -531,18 +493,17 @@ class Nic:  # unrlint: disable=UNR009
                 # granularity: they do not wait for the ports' bandwidth
                 # busy-until windows — but they do consume the NIC's
                 # message-issue rate (one doorbell/WQE per message).
-                start = max(now, slab.tx_msg_free[slot])
-                slab.tx_msg_free[slot] = start + overhead
+                start = max(now, self.tx_msg_free)
+                self.tx_msg_free = start + overhead
                 tx_end = start + overhead + serialization
                 deliver_at = tx_end + latency + dst.rx_overhead
             else:
-                tx_start = max(now, slab.tx_free[slot])
+                tx_start = max(now, self.tx_free)
                 tx_end = tx_start + overhead + serialization
-                slab.tx_free[slot] = tx_end
+                self.tx_free = tx_end
                 first_byte = tx_start + overhead + latency
-                dslab, dslot = dst._slab, dst._slot
-                rx_start = max(first_byte, dslab.rx_free[dslot])
-                dslab.rx_free[dslot] = rx_start + serialization
+                rx_start = max(first_byte, dst.rx_free)
+                dst.rx_free = rx_start + serialization
                 deliver_at = (
                     max(tx_end + latency, rx_start + serialization)
                     + dst.rx_overhead
@@ -561,8 +522,8 @@ class Nic:  # unrlint: disable=UNR009
             deliver_at = max(deliver_at, horizon.get(key, 0.0))
             horizon[key] = deliver_at
 
-        slab.tx_msgs[slot] += 1
-        slab.tx_bytes[slot] += nbytes
+        self.tx_msgs += 1
+        self.tx_bytes += nbytes
         done = Event(env)
 
         # Each side is one deferred callback — one heap entry instead of
@@ -581,9 +542,8 @@ class Nic:  # unrlint: disable=UNR009
             done.resolve(tx_end)
 
         def remote_side(_value: Any) -> None:
-            rslab, rslot = dst._slab, dst._slot
-            rslab.rx_msgs[rslot] += 1
-            rslab.rx_bytes[rslot] += nbytes
+            dst.rx_msgs += 1
+            dst.rx_bytes += nbytes
             if on_deliver is not None:
                 on_deliver(payload)
             if remote_action is not None and dst.atomic_offload:
@@ -628,21 +588,19 @@ class Nic:  # unrlint: disable=UNR009
             bw, latency = self.intra_bandwidth, self.intra_latency
         else:
             bw, latency = min(self.bandwidth, dst.bandwidth), self.latency
-        slab, slot = self._slab, self._slot
-        dslab, dslot = dst._slab, dst._slot
         # Request leg: minimal message.
-        tx_start = max(now, slab.tx_free[slot])
+        tx_start = max(now, self.tx_free)
         req_end = tx_start + self.msg_overhead
-        slab.tx_free[slot] = req_end
+        self.tx_free = req_end
         req_arrive = req_end + latency
         # Response leg: target injects the data back.
         serialization = nbytes / bw
         resp_overhead = dst.msg_overhead
-        resp_start = max(req_arrive, dslab.tx_free[dslot])
+        resp_start = max(req_arrive, dst.tx_free)
         resp_end = resp_start + resp_overhead + serialization
-        dslab.tx_free[dslot] = resp_end
-        rx_start = max(resp_start + resp_overhead + latency, slab.rx_free[slot])
-        slab.rx_free[slot] = rx_start + serialization
+        dst.tx_free = resp_end
+        rx_start = max(resp_start + resp_overhead + latency, self.rx_free)
+        self.rx_free = rx_start + serialization
         deliver_at = (
             max(resp_end + latency, rx_start + serialization) + self.rx_overhead
         )
@@ -654,11 +612,11 @@ class Nic:  # unrlint: disable=UNR009
             self._jitter_i = i + 1
             deliver_at += (self.routing_jitter * serialization) * self._jitter_u[i]
 
-        slab.tx_msgs[slot] += 1
-        dslab.tx_msgs[dslot] += 1
-        dslab.tx_bytes[dslot] += nbytes
-        slab.rx_msgs[slot] += 1
-        slab.rx_bytes[slot] += nbytes
+        self.tx_msgs += 1
+        dst.tx_msgs += 1
+        dst.tx_bytes += nbytes
+        self.rx_msgs += 1
+        self.rx_bytes += nbytes
         done = Event(env)
         fetched: Any = None
 

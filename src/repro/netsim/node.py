@@ -107,22 +107,16 @@ class Node:
         #: (shared across rails: loopback bypasses the NIC ports).
         self._loopback_free = 0.0
 
-    def _attach_nics(self, nic_spec, count: int, *, slab=None) -> None:
-        """Create ``count`` rails.  When ``slab`` (a cluster-shared
-        :class:`~repro.netsim.slab.NicSlab`) is given, each NIC gets one
-        slot in it; otherwise each NIC carries a private slab.  NIC RNGs
-        derive from this node's own stream, so the cluster-level
-        materialization order never changes the draws."""
+    def _attach_nics(self, nic_spec, count: int) -> None:
+        """Create ``count`` rails.  NIC RNGs derive from this node's own
+        stream, so the cluster-level materialization order never changes
+        the draws."""
         from .nic import Nic
 
         self._nic_spec = nic_spec
         for i in range(count):
             rng = np.random.default_rng(self._rng.integers(0, 2**63 - 1))
-            slot = slab.alloc() if slab is not None else None
-            self.nics.append(
-                Nic(self.env, self, i, nic_spec, self.fabric, rng,
-                    slab=slab, slot=slot)
-            )
+            self.nics.append(Nic(self.env, self, i, nic_spec, self.fabric, rng))
 
     def nic(self, rail: int = 0):
         return self.nics[rail % len(self.nics)]

@@ -10,7 +10,6 @@ All specs are frozen so a platform definition cannot drift mid-run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 from ..units import GBPS, US
 
@@ -123,15 +122,9 @@ class ClusterSpec:
     nic: NicSpec
     fabric: FabricSpec = field(default_factory=FabricSpec)
     seed: int = 0xC0FFEE
-    #: cap of the process-global completion-record free list
-    #: (:class:`repro.netsim.slab.RecordPool`); ``None`` keeps the
-    #: current/default cap.  Applied at :class:`Cluster` construction.
-    record_pool_limit: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.n_nodes < 1:
             raise ValueError("cluster needs at least one node")
         if self.node.nics < 1:
             raise ValueError("node needs at least one NIC")
-        if self.record_pool_limit is not None and self.record_pool_limit < 0:
-            raise ValueError("record_pool_limit must be >= 0")

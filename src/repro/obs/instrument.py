@@ -127,7 +127,7 @@ def _collect_pool() -> Dict[str, float]:
     """Completion-record pool accounting (``net.record_pool.*``).
 
     The pool is process-global (see
-    :func:`repro.netsim.nic.configure_record_pool`), so the snapshot is
+    :func:`repro.netsim.nic.record_pool_stats`), so the snapshot is
     cluster-independent; hit/miss/dropped counts tell whether the cap
     fits the run's completion-record working set."""
     from ..netsim.nic import record_pool_stats

@@ -99,13 +99,6 @@ def test_unr009_scope_covers_scheduler_module():
     assert "LooseQueue" in findings[0].message
 
 
-def test_unr009_scope_covers_slab_module():
-    findings = lint_fixture("netsim/slab.py")
-    assert rules_of(findings) == ["UNR009"]
-    assert len(findings) == 1
-    assert "LoosePool" in findings[0].message
-
-
 def test_unr010_flags_posts_with_no_reachable_wait():
     findings = lint_fixture("examples/bad_unr010.py")
     assert rules_of(findings) == ["UNR010"]

@@ -94,6 +94,45 @@ def test_put_data_integrity_large_striped():
     assert unr.stats["fragments"] > unr.stats["puts"]
 
 
+@pytest.mark.parametrize("size,fragments", [(4096, 1), (256 * 1024, 2)])
+def test_put_payload_is_the_source_as_it_was_at_the_post(size, fragments):
+    """The source may be repacked as soon as ``put()`` returns
+    (``examples/producer_consumer.py`` does): the target receives the
+    bytes as they were at the post, unstriped or striped."""
+    job, unr = make_unr("glex", nics=2)
+    posted = (np.arange(size) % 251).astype(np.uint8)
+    received = {}
+
+    def program(ctx):
+        ep = unr.endpoint(ctx.rank)
+        buf = posted.copy() if ctx.rank == 0 else np.zeros(size, dtype=np.uint8)
+        sig = ep.sig_init(1)
+        blk = ep.blk_init(ep.mem_reg(buf), 0, size, signal=sig)
+        if ctx.rank == 0:
+            rmt = yield from ep.recv_ctl(1, tag="addr")
+            ep.put(blk, rmt)
+            buf[:] = 0xFF
+        else:
+            yield from ep.send_ctl(0, blk, tag="addr")
+        yield from ep.sig_wait(sig)
+        received[ctx.rank] = buf.copy()
+
+    run_job(job, program)
+    assert unr.stats["fragments"] == fragments
+    np.testing.assert_array_equal(received[1], posted)
+    assert (received[0] == 0xFF).all()
+
+
+@pytest.mark.parametrize("knobs", [
+    {"max_stripe_rails": 0},
+    {"max_stripe_rails": -1},
+    {"stripe_threshold": -1},
+])
+def test_striping_knobs_out_of_range_rejected(knobs):
+    with pytest.raises(UnrUsageError, match="|".join(knobs)):
+        make_unr("glex", nics=2, **knobs)
+
+
 def test_striping_disabled_below_threshold():
     job, unr = make_unr("glex", nics=4, stripe_threshold=1 << 20)
     code2_pingpong(unr, job, size=4096)

@@ -21,6 +21,9 @@ from repro.netsim import (
     NodeSpec,
     RailFailure,
 )
+from repro.netsim.trace import transfer_fingerprint
+from repro.obs import Recorder
+from repro.platforms import make_job
 from repro.runtime import Job, run_job
 from repro.sim import Environment
 
@@ -393,3 +396,43 @@ def test_retransmit_repeats_the_first_attempt_exactly(monkeypatch):
         key=lambda a: a[1],
     )
     assert unr.stats["duplicates_suppressed"] > 0
+
+
+# ------------------------------------------------------------ replay identity
+#: the PR 1 fault-stress schedule (th-xy has two rails: the rail failure
+#: exercises failover rather than killing the only lane)
+STRESS = "drop=0.2,dup=0.1,reorder=0.3,rail_fail@t=40:node=1:rail=0"
+
+
+def _observed_stream(faults):
+    """One credit-flowed dual-rail-striped PUT stream: its wire
+    fingerprint and every signal add with its idempotence token."""
+    job = make_job("th-xy", 2, seed=0xC0FFEE)
+    if faults is not None:
+        FaultInjector.attach(job.cluster, FaultSpec.parse(faults, seed=5))
+    recorder = Recorder.attach(job.cluster)
+    unr = Unr(job, "glex", reliability=True, sanitize=True)
+    adds = []
+    apply_add = unr._apply_add
+
+    def spy(node, sid, addend, token=None):
+        adds.append((node, sid, addend, token))
+        apply_add(node, sid, addend, token=token)
+
+    unr._apply_add = spy
+    results = {}
+    run_job(job, stream_program(unr, results, size=65536, iters=3))
+    report = unr.finalize()
+    assert all(results.values()) and len(results) == 3
+    assert report is not None and report.ok
+    assert unr.stats["fragments"] == 2 * unr.stats["puts"] == 6
+    assert not unr.engine._inflight  # every fragment delivered and retired
+    return transfer_fingerprint(recorder.transfers), adds
+
+
+@pytest.mark.parametrize("faults", [None, STRESS], ids=["healthy", "fault-stress"])
+def test_same_seed_replay_is_identical(faults):
+    """Two runs on one seed: the same wire, the same token stream."""
+    fingerprint, adds = _observed_stream(faults)
+    assert adds and all(token is not None for *_spec, token in adds)
+    assert _observed_stream(faults) == (fingerprint, adds)

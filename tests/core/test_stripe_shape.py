@@ -43,7 +43,6 @@ def fresh_shape(unr, size, n_rails, multi_ok, policy):
         threshold=unr.stripe_threshold,
         multi_channel=multi_ok,
         max_fragments=max_k,
-        mtu=(unr.stripe_mtu or 0) if multi_ok else 0,
     )
     addends = submessage_addends(len(stripes), unr.n_bits)
     return tuple(
@@ -59,7 +58,6 @@ policies = st.builds(
     st.sampled_from([0, 16, 24, 32, 40, 64]),
 )
 thresholds = st.sampled_from([1024, 8192, 65536])
-mtus = st.one_of(st.none(), st.integers(1024, 1 << 17))
 
 
 @pytest.fixture(scope="module")
@@ -72,15 +70,15 @@ def live_unr():
 @settings(max_examples=300, deadline=None)
 @given(
     st.integers(1, 1 << 19), st.integers(1, 8), st.booleans(), policies,
-    thresholds, mtus, st.one_of(st.none(), st.integers(1, 8)),
-    st.sampled_from([4, 8, 16, 30, 32]), thresholds, mtus,
+    thresholds, st.one_of(st.none(), st.integers(1, 8)),
+    st.sampled_from([4, 8, 16, 30, 32]), thresholds,
 )
 def test_memo_equals_fresh_planning(
     live_unr, size, n_rails, multi_ok, policy,
-    threshold, mtu, max_rails, n_bits, threshold2, mtu2,
+    threshold, max_rails, n_bits, threshold2,
 ):
     unr, engine = live_unr, live_unr.engine
-    unr.stripe_threshold, unr.stripe_mtu = threshold, mtu
+    unr.stripe_threshold = threshold
     unr.max_stripe_rails, unr.n_bits = max_rails, n_bits
     args = (size, n_rails, multi_ok, policy)
 
@@ -89,15 +87,14 @@ def test_memo_equals_fresh_planning(
     assert engine._stripe_shape(*args) is first  # served from the memo
     assert sum(n for _i, _r, _o, n, _a in first) == size
 
-    unr.stripe_threshold, unr.stripe_mtu = threshold2, mtu2
+    unr.stripe_threshold = threshold2
     assert engine._stripe_shape(*args) == fresh_shape(unr, *args)
-    unr.stripe_threshold, unr.stripe_mtu = threshold, mtu
+    unr.stripe_threshold = threshold
     assert engine._stripe_shape(*args) is first
 
 
 @pytest.mark.parametrize("change", [
     {"stripe_threshold": 1 << 20},
-    {"stripe_mtu": 32 * 1024},
     {"max_stripe_rails": 1},
     {"n_bits": 60},
     {"multi_ok": False},

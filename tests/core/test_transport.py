@@ -74,3 +74,54 @@ def test_stripes_partition_exactly(size, n_rails, threshold, max_fragments):
     if size >= max(threshold, 1) and n_rails > 1 and not max_fragments:
         # Large messages use multiple fragments unless min-fragment bound.
         assert len(stripes) == min(n_rails, max(size // MIN_FRAGMENT, 1))
+
+
+# The same planner with the minimum fragment size varied too.
+plans = st.builds(
+    lambda size, n_rails, threshold, budget, min_fragment: (
+        size, n_rails, budget,
+        plan_stripes(
+            size, n_rails, threshold=threshold, multi_channel=True,
+            max_fragments=budget, min_fragment=min_fragment,
+        ),
+    ),
+    st.integers(0, 1 << 18),
+    st.integers(1, 8),
+    st.sampled_from([1024, 8192, 65536]),
+    st.integers(0, 64),
+    st.sampled_from([512, 4096, 8192]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(plans)
+def test_plan_tiles_bytes_exactly(plan):
+    size, n_rails, _budget, stripes = plan
+    assert len(stripes) >= 1
+    offset = 0
+    for i, sp in enumerate(stripes):
+        assert sp.index == i
+        assert sp.offset == offset
+        assert sp.size >= 0
+        assert 0 <= sp.rail < n_rails
+        offset += sp.size
+    assert offset == size
+
+
+@settings(max_examples=200, deadline=None)
+@given(plans)
+def test_plan_respects_fragment_budget(plan):
+    _size, _n_rails, budget, stripes = plan
+    if budget:
+        assert len(stripes) <= budget
+
+
+@settings(max_examples=200, deadline=None)
+@given(plans)
+def test_per_rail_fragments_stay_offset_ordered(plan):
+    _size, _n_rails, _budget, stripes = plan
+    per_rail = {}
+    for sp in stripes:
+        per_rail.setdefault(sp.rail, []).append(sp.offset)
+    for offsets in per_rail.values():
+        assert offsets == sorted(offsets)

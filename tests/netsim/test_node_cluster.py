@@ -99,3 +99,33 @@ def test_cluster_deterministic_across_builds():
         return cluster.node(0).nic(0).rng.uniform(size=8).tolist()
 
     assert sample() == sample()
+
+
+def test_total_traffic_sums_materialized_nics_and_builds_none():
+    env = Environment()
+    spec = ClusterSpec(
+        "c", 16, NodeSpec(cores=2, nics=2), NicSpec(bandwidth_gbps=100, latency_us=1)
+    )
+    cluster = Cluster(env, spec)
+    assert cluster.total_traffic() == dict.fromkeys(
+        ("tx_msgs", "tx_bytes", "rx_msgs", "rx_bytes", "cq_overflow_stalls"), 0
+    )
+    a, b = cluster.node(2), cluster.node(9)
+    a.nic(0).post_put(b.nic(0), 4096)
+    a.nic(1).post_put(b.nic(1), 1 << 20)
+    b.nic(0).post_put(b.nic(1), 512)  # intra-node
+    b.nic(1).post_get(a.nic(1), 8192)
+    env.run()
+
+    nics = [nic for node in cluster.materialized_nodes() for nic in node.nics]
+    traffic = cluster.total_traffic()
+    assert traffic == {
+        "tx_msgs": sum(nic.tx_msgs for nic in nics),
+        "tx_bytes": sum(nic.tx_bytes for nic in nics),
+        "rx_msgs": sum(nic.rx_msgs for nic in nics),
+        "rx_bytes": sum(nic.rx_bytes for nic in nics),
+        "cq_overflow_stalls": sum(nic.cq.n_overflow_stalls for nic in nics),
+    }
+    assert traffic["tx_msgs"] == 5 and traffic["rx_msgs"] == 4  # a GET sends twice
+    assert traffic["tx_bytes"] == traffic["rx_bytes"] == 4096 + (1 << 20) + 512 + 8192
+    assert [node.index for node in cluster.materialized_nodes()] == [2, 9]
