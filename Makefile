@@ -5,16 +5,12 @@
 #   make test-all    - the full suite including the fault/stress soaks
 #   make test-slow   - only the slow soaks
 #   make test-chaos  - fault-domain resilience soak (degradation + the
-#                      replication warm-failover leg) + BENCH_resilience.json
+#                      replication warm-failover leg) + BENCH_resilience.json;
+#                      `repro chaos` exits 1 on any failed verdict or budget
 #   make demo-faults - the fault-injection acceptance demo
 #   make trace       - observed trace demo: Perfetto JSON + bench record
-#   make bench-engine - unified-engine datapath micro-benchmark (gated)
-#   make bench-scaling - host cost of the paper's full 1728-node
-#                      envelope: BENCH_scaling.json, budget gated
 #   make profile     - unrprof host-time profile: BENCH_profile.json +
 #                      flamegraph stacks, overhead gated at 10%
-#   make bench-report - trend table + regression gates over the
-#                      BENCH_*.json artifacts present in the repo root
 #   make perf        - perfbench: host-time ladder of eight workloads
 #                      (~4 min), writes perfbench/out/record.json
 #   make perf-selfcheck - perfbench twice on the same code against its
@@ -25,7 +21,7 @@
 #                      workload (tools/perf_pairs.py): medians, quartiles,
 #                      pairs won — the numbers a perf PR quotes
 #   make test-golden - the 16-entry golden wire-fingerprint corpus
-#   make loc         - line totals of src/repro, per package
+#   make loc         - line totals of src/repro, per package, and of cli.py
 #   make lint        - unrlint determinism rules (+ ruff when installed)
 #   make verify      - unrverify: happens-before trace verifier over the
 #                      golden + mutation corpora + static protocol pass
@@ -37,7 +33,7 @@ PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 REPRO   = PYTHONPATH=src $(PYTHON) -m repro
 
-.PHONY: test test-fast test-all test-slow test-chaos test-golden test-perf loc demo-faults trace bench-engine bench-scaling profile bench-report perf perf-selfcheck perf-pairs lint verify typecheck check
+.PHONY: test test-fast test-all test-slow test-chaos test-golden test-perf loc demo-faults trace profile perf perf-selfcheck perf-pairs lint verify typecheck check
 
 test: test-fast
 
@@ -51,15 +47,12 @@ test-slow:
 	$(PYTEST) -q -m slow
 
 # The chaos soak: node-kill schedules on all four Table III platforms,
-# then the CLI run that writes the BENCH_resilience.json record.
-# The overhead gate is 1.5x, not the 1.15x CHANGES.md (PR 11) quotes:
-# the gated ratio is the max over the four platforms, and single-NIC
-# hpc-roce measures 1.321x (th-xy 1.002x); see docs/resilience.md.
+# then the CLI run that writes the BENCH_resilience.json record and
+# exits 1 on a failed verdict or a blown replication budget (the rules
+# and their constants live in src/repro/bench/resilience.py).
 test-chaos:
 	$(PYTEST) -q -m chaos
 	$(REPRO) chaos --out BENCH_resilience.json
-	$(REPRO) bench-report BENCH_resilience.json \
-		--max-failover-ttr-us 500 --max-replication-overhead 1.5
 
 demo-faults:
 	PYTHONPATH=src $(PYTHON) -m repro faults
@@ -67,42 +60,13 @@ demo-faults:
 trace:
 	$(REPRO) trace stream --perfetto trace_obs.json --bench BENCH_obs.json
 
-# The 10-events/put ceiling is the datapath cost (8.17: process-free
-# completion path; see tests/bench/fixtures/BENCH_engine.after.json)
-# plus slack for one extra bookkeeping event; raising it needs a
-# justification.  The throughput
-# floor pins ops/simulated-second, which is set by the modelled platform
-# physics — a drop means the datapath added simulated time per op.
-bench-engine:
-	$(REPRO) engine-bench --out BENCH_engine.json \
-		--max-events-per-put 10 --min-ops-per-sim-sec 270000
-
-# The full Figure 7 ladder up to the 1728-node machine, with a fixed
-# small halo workload: flat wall/RSS curves prove the lazy netsim pays
-# O(active-set), not O(nodes).  Each point must finish inside 10 s —
-# generous vs the ~30 ms measured, so only O(nodes) regressions trip it.
-bench-scaling:
-	$(REPRO) scaling-bench --out BENCH_scaling.json --max-point-seconds 10
-
 # Host-time attribution of the latency workload (BENCH_profile.json +
-# collapsed stacks), then the profiler-tax gate on the engine
-# micro-benchmark: profiled wall time may exceed observed by <=10%.
+# collapsed stacks), then the profiler-tax gate on a 64 KiB PUT
+# ping-pong + GET pull: profiled wall time may exceed observed by <=10%.
 profile:
 	$(REPRO) profile latency --sample-every 1 \
 		--output BENCH_profile.json --flame profile_flame.txt \
 		--overhead-repeats 15 --max-overhead-pct 10
-
-# Trend + regression gates over whatever bench artifacts exist locally
-# (each of the targets above drops one in the repo root).  CI runs the
-# same command with the prior run's downloaded artifacts prepended.
-bench-report:
-	@files="$$(ls BENCH_*.json 2>/dev/null)"; \
-	if [ -n "$$files" ]; then \
-		$(REPRO) bench-report $$files \
-			--max-events-per-put 10 --min-ops-per-sim-sec 270000; \
-	else \
-		echo "no BENCH_*.json artifacts; run make trace/bench-engine/profile first"; \
-	fi
 
 # Host-time benchmark (BENCHMARK.json; protocol in perfbench/README.md).
 # It sets its own sys.path, so no PYTHONPATH here.
@@ -133,7 +97,7 @@ test-golden:
 
 # What a simplicity PR quotes in CHANGES.md.
 loc:
-	@for d in src/repro/*/ src/repro; do \
+	@for d in src/repro/*/ src/repro/cli.py src/repro; do \
 		printf '%6d  %s\n' "$$(find $$d -name '*.py' | xargs cat | wc -l)" "$$d"; \
 	done
 

@@ -1,12 +1,5 @@
 """Benchmark harness: drivers for every paper table and figure."""
 
-from .enginebench import (
-    ENGINE_BENCH_SCHEMA,
-    engine_bench,
-    validate_engine_bench,
-    validate_engine_bench_file,
-    write_engine_bench,
-)
 from .faultdemo import DEFAULT_FAULTS, fault_demo
 from .fingerprints import (
     GOLDEN_SCHEMA,
@@ -14,8 +7,13 @@ from .fingerprints import (
     compare_corpus,
     write_corpus,
 )
-from .history import check_thresholds, history_report, load_runs, render_trend
-from .latency import DEFAULT_SIZES, latency_table, mpi_rma_pingpong, unr_pingpong
+from .latency import (
+    DEFAULT_SIZES,
+    latency_table,
+    mpi_rma_pingpong,
+    unr_get_pull,
+    unr_pingpong,
+)
 from .multinic import aggregation_sweep, imbalance_sweep, pingpong_with_calc
 from .powerllel_bench import (
     FIG6_GRIDS,
@@ -35,19 +33,11 @@ from .profile_bench import (
     write_profile_bench,
 )
 from .report import format_series, format_size, format_table
-from .scalingbench import (
-    SCALING_NODE_SERIES,
-    SCALING_SCHEMA,
-    scaling_bench,
-    scaling_point,
-    validate_scaling_bench,
-    validate_scaling_bench_file,
-    write_scaling_bench,
-)
 from .resilience import (
     DEFAULT_CHAOS_FAULTS,
     RESILIENCE_SCHEMA,
     resilience_bench,
+    resilience_failures,
     validate_resilience_bench,
     validate_resilience_bench_file,
     write_resilience_bench,
@@ -58,26 +48,18 @@ __all__ = [
     "DEFAULT_CHAOS_FAULTS",
     "DEFAULT_FAULTS",
     "DEFAULT_SIZES",
-    "ENGINE_BENCH_SCHEMA",
     "GOLDEN_SCHEMA",
     "PROFILE_SCHEMA",
     "PROFILE_WORKLOADS",
     "RESILIENCE_SCHEMA",
-    "SCALING_NODE_SERIES",
-    "SCALING_SCHEMA",
     "FIG6_GRIDS",
     "FIG7_SERIES",
     "TRACE_DEMOS",
     "aggregation_sweep",
-    "check_thresholds",
     "collect_fingerprints",
     "compare_corpus",
-    "engine_bench",
-    "history_report",
-    "load_runs",
     "measure_overhead",
     "profile_bench",
-    "render_trend",
     "fault_demo",
     "fig6_platform",
     "fig6_polling_study",
@@ -91,21 +73,15 @@ __all__ = [
     "pingpong_with_calc",
     "powerllel_point",
     "resilience_bench",
-    "scaling_bench",
-    "scaling_point",
+    "resilience_failures",
     "trace_demo",
+    "unr_get_pull",
     "unr_pingpong",
-    "validate_scaling_bench",
-    "validate_scaling_bench_file",
-    "write_scaling_bench",
-    "validate_engine_bench",
-    "validate_engine_bench_file",
     "validate_profile_bench",
     "validate_profile_bench_file",
     "validate_resilience_bench",
     "validate_resilience_bench_file",
     "write_corpus",
-    "write_engine_bench",
     "write_profile_bench",
     "write_resilience_bench",
 ]

@@ -25,7 +25,8 @@ from ..obs import HostProfiler, Recorder
 from ..platforms import get_platform, make_job
 from ..runtime import run_job
 
-__all__ = ["unr_pingpong", "mpi_rma_pingpong", "latency_table", "DEFAULT_SIZES"]
+__all__ = ["unr_pingpong", "unr_get_pull", "mpi_rma_pingpong", "latency_table",
+           "DEFAULT_SIZES"]
 
 DEFAULT_SIZES = [8, 64, 512, 4096, 32768, 262144, 1048576]
 
@@ -76,13 +77,54 @@ def unr_pingpong(
                 yield from ep.sig_wait(sig)
                 ep.sig_reset(sig)
                 ep.put(blk, rmt, local_signal=None)
-        if ctx.rank == 1:
-            # Rank 0 measures after its last wait; give rank 1 symmetry.
-            pass
         results[ctx.rank] = (ctx.env.now - t0) / iters / 2.0
 
     run_job(job, program)
     return results[0]
+
+
+def unr_get_pull(
+    platform: str,
+    size: int,
+    iters: int = 20,
+    *,
+    seed: int = 2024,
+    profiler: Optional["HostProfiler"] = None,
+) -> Recorder:
+    """Rank 0 GETs a patterned ``size``-byte buffer from rank 1 ``iters``
+    times, one credit per pull; returns the run's recorder.  The GET-side
+    twin of :func:`unr_pingpong`: together they are the two datapath runs
+    ``tests/bench/test_datapath_cost.py`` pins and ``measure_overhead``
+    times."""
+    plat = get_platform(platform)
+    job = make_job(platform, 2, seed=seed)
+    recorder = Recorder.attach(job.cluster)
+    if profiler is not None:
+        HostProfiler.attach(job.cluster, profiler)
+    unr = Unr(job, plat.channel, observe=recorder)
+
+    def program(ctx):
+        ep = unr.endpoint(ctx.rank)
+        buf = np.zeros(size, dtype=np.uint8)
+        mr = ep.mem_reg(buf)
+        if ctx.rank == 0:
+            sig = ep.sig_init(1)
+            blk = ep.blk_init(mr, 0, size, signal=sig)
+            rmt = yield from ep.recv_ctl(1, tag="addr")
+            for _ in range(iters):
+                ep.get(blk, rmt)
+                yield from ep.sig_wait(sig)
+                ep.sig_reset(sig)
+                yield from ep.send_ctl(1, "next", tag="credit")
+        else:
+            buf[:] = (np.arange(size) * 7 + 3) % 251
+            blk = ep.blk_init(mr, 0, size)
+            yield from ep.send_ctl(0, blk, tag="addr")
+            for _ in range(iters):
+                yield from ep.recv_ctl(0, tag="credit")
+
+    run_job(job, program)
+    return recorder
 
 
 def mpi_rma_pingpong(platform: str, scheme: str, size: int, iters: int = 20) -> float:

@@ -1,12 +1,11 @@
 """``repro profile``: host-time profiles of the bench workloads.
 
-Drives one of four workloads — ``latency`` (Figure 4 ping-pong),
-``stream`` (credit-flowed PUT stream), ``powerllel`` (small PowerLLEL
-grid) or ``engine`` (the PR 4 engine micro-benchmark) — with a
-:class:`~repro.obs.profile.HostProfiler` armed, and reduces the result
-to the machine-readable ``BENCH_profile.json`` record (schema
-``repro.bench.profile/1``, validated in the same hand-rolled style as
-the other bench emitters).
+Drives one of three workloads — ``latency`` (Figure 4 ping-pong),
+``stream`` (credit-flowed PUT stream) or ``powerllel`` (small PowerLLEL
+grid) — with a :class:`~repro.obs.profile.HostProfiler` armed, and
+reduces the result to the machine-readable ``BENCH_profile.json``
+record (schema ``repro.bench.profile/1``, validated in the same
+hand-rolled style as the other bench emitters).
 
 Two properties make the record trustworthy:
 
@@ -21,8 +20,9 @@ Two properties make the record trustworthy:
   percentiles) are identical to an unprofiled run's.
 
 ``measure_overhead`` quantifies the profiler tax: best-of-N wall time
-of the engine micro-benchmark observed vs observed+profiled.  The CI
-gate holds the ratio under 1.10 (``--max-overhead-pct 10``).
+of the two datapath runs (64 KiB x 6 PUT ping-pong + GET pull) observed
+vs observed+profiled.  The CI gate holds the ratio under 1.10
+(``--max-overhead-pct 10``).
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ __all__ = [
 
 PROFILE_SCHEMA = "repro.bench.profile/1"
 
-PROFILE_WORKLOADS: Tuple[str, ...] = ("latency", "stream", "powerllel", "engine")
+PROFILE_WORKLOADS: Tuple[str, ...] = ("latency", "stream", "powerllel")
 
 #: refuse to emit a profile whose attribution misses >10% of wall time
 COVERAGE_FLOOR = 0.9
@@ -92,23 +92,10 @@ def _run_powerllel(platform: str, size: int, iters: int, seed: int,
     return recorder, {"time": res["time"], "phases": res.get("phases", {})}
 
 
-def _run_engine(platform: str, size: int, iters: int, seed: int,
-                prof: HostProfiler) -> Tuple[Optional[Recorder], Dict[str, Any]]:
-    from .enginebench import engine_bench
-
-    record = engine_bench(platform, size=size, iters=iters, seed=seed,
-                          profiler=prof)
-    return None, {
-        "sim_events_per_put": record["sim_events_per_put"],
-        "put_ops_per_sim_sec": record["paths"]["put"]["ops_per_sim_sec"],
-    }
-
-
 _RUNNERS: Dict[str, Callable[..., Tuple[Optional[Recorder], Dict[str, Any]]]] = {
     "latency": _run_latency,
     "stream": _run_stream,
     "powerllel": _run_powerllel,
-    "engine": _run_engine,
 }
 
 
@@ -127,7 +114,7 @@ def profile_bench(
     """Profile one workload; returns the ``BENCH_profile.json`` record.
 
     ``overhead_repeats > 0`` additionally runs :func:`measure_overhead`
-    (engine micro-benchmark, best-of-N) and embeds the result.  Pass a
+    (the two datapath runs, best-of-N) and embeds the result.  Pass a
     pre-built ``profiler`` to control sampling or to share accumulators
     across calls.
     """
@@ -184,7 +171,8 @@ def profile_bench(
 def measure_overhead(
     platform: str = "th-xy", *, repeats: int = 3, seed: int = 2024
 ) -> Dict[str, Any]:
-    """Profiler tax on the engine micro-benchmark (best-of-``repeats``).
+    """Profiler tax on a 64 KiB x 6 PUT ping-pong plus GET pull
+    (best-of-``repeats``).
 
     Returns observed (recorder-armed, no profiler) and profiled wall
     times in ms plus the overhead ratio.  The two variants are timed in
@@ -197,23 +185,18 @@ def measure_overhead(
     the timed region, so the gate measures the steady-state per-event
     tax, not the one-off construction / calibration cost.
     """
-    from .enginebench import engine_bench
+    from .latency import unr_get_pull, unr_pingpong
 
     prof = HostProfiler()
 
-    def observed() -> None:
-        engine_bench(platform, seed=seed)
-
-    def profiled() -> None:
-        engine_bench(platform, seed=seed, profiler=prof)
-
-    def timed(run: Callable[[], None]) -> int:
+    def timed(profiler: Optional[HostProfiler]) -> int:
         t0 = host_clock_ns()
-        run()
+        unr_pingpong(platform, 65536, 6, observe=True, profiler=profiler)
+        unr_get_pull(platform, 65536, 6, seed=seed, profiler=profiler)
         return host_clock_ns() - t0
 
-    observed()  # untimed warmups: imports, allocator, branch caches
-    profiled()
+    timed(None)  # untimed warmups: imports, allocator, branch caches
+    timed(prof)
     observed_ns = profiled_ns = float("inf")
     # Cyclic-GC pauses are milliseconds against a ~5 ms workload; collect
     # the backlog up front and keep the collector out of the timed pairs.
@@ -222,8 +205,8 @@ def measure_overhead(
     gc.disable()
     try:
         for _ in range(max(repeats, 1)):
-            observed_ns = min(observed_ns, timed(observed))
-            profiled_ns = min(profiled_ns, timed(profiled))
+            observed_ns = min(observed_ns, timed(None))
+            profiled_ns = min(profiled_ns, timed(prof))
     finally:
         if gc_was_enabled:
             gc.enable()

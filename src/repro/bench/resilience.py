@@ -20,8 +20,9 @@ recovered ops, breaker transitions, re-promotions) and nearest-rank
 percentiles of the time-to-recover distribution from
 :attr:`~repro.core.health.HealthMonitor.recovery_log`.  The result is
 the machine-readable ``BENCH_resilience.json`` record (schema
-``repro.bench.resilience/1``), validated in the same hand-rolled style
-as the other bench records.
+``repro.bench.resilience/2``), validated in the same hand-rolled style
+as the other bench records.  :func:`resilience_failures` is the soak's
+verdict over that record — the rules ``repro chaos`` exits on.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ __all__ = [
     "RESILIENCE_SCHEMA",
     "DEFAULT_CHAOS_FAULTS",
     "resilience_bench",
+    "resilience_failures",
     "write_resilience_bench",
     "validate_resilience_bench",
     "validate_resilience_bench_file",
@@ -48,6 +50,17 @@ RESILIENCE_SCHEMA = "repro.bench.resilience/2"
 #: simulated time at which the replication leg kills the consumer's
 #: primary node (mid-stream on every Table III platform).
 REPLICATION_CRASH_US = 120.0
+
+#: budget on the p95 warm-failover time-to-recover, simulated us: 5x the
+#: ~98 us every platform measures (floor: ``suspicion_threshold x
+#: heartbeat_period_us`` = 75 us), so only a failover that stalls for
+#: whole extra heartbeat rounds trips it.
+MAX_FAILOVER_TTR_US = 500.0
+
+#: cap on the healthy replicated/unreplicated time ratio.  1.5x, not the
+#: 1.15x CHANGES.md (PR 11) quotes: the gated ratio is the max over the
+#: four platforms, and single-NIC hpc-roce measures 1.321x (th-xy 1.002x).
+MAX_REPLICATION_OVERHEAD = 1.5
 
 #: the PR 1 stress noise plus an endpoint-down window on the consumer:
 #: every rail of node 1 goes dark at t=40us and recovers at t=290us (the
@@ -284,6 +297,33 @@ def resilience_bench(
         "replication": rep_block,
         **verdicts,
     }
+
+
+def resilience_failures(record: Dict[str, Any]) -> List[str]:
+    """The soak's verdict over a record: one string per broken rule.
+
+    ``correct`` and ``identical`` cover every leg; the replication leg
+    (absent when ``replication`` is ``None``) adds the split-brain
+    verdict and the two budgets above.
+    """
+    failures = [
+        f"verdict {name!r} is False"
+        for name in ("correct", "identical") if not record[name]
+    ]
+    rep = record["replication"]
+    if rep is not None:
+        if not rep["divergence_ok"]:
+            failures.append("replication verdict 'divergence_ok' is False "
+                            "(split-brain)")
+        ttr = rep["p95_failover_ttr_us"]
+        if ttr > MAX_FAILOVER_TTR_US:
+            failures.append(f"p95 failover TTR {ttr:.1f}us exceeds budget "
+                            f"{MAX_FAILOVER_TTR_US:.1f}us")
+        overhead = rep["overhead_ratio"]
+        if overhead > MAX_REPLICATION_OVERHEAD:
+            failures.append(f"replication overhead {overhead:.3f}x exceeds "
+                            f"cap {MAX_REPLICATION_OVERHEAD:.3f}x")
+    return failures
 
 
 def write_resilience_bench(record: Dict[str, Any], path: str) -> str:

@@ -12,11 +12,8 @@
     python -m repro faults --kill-node 1        # kill every rail of node 1
     python -m repro chaos                       # resilience soak -> BENCH_resilience.json
     python -m repro trace stream                # observed demo + Perfetto JSON
-    python -m repro engine-bench                # unified-engine datapath cost
-    python -m repro scaling-bench               # host cost of the 1728-node envelope
     python -m repro fingerprints                # golden wire-fingerprint diff
     python -m repro profile latency             # unrprof host-time attribution
-    python -m repro bench-report --history ...  # cross-run bench trend table
     python -m repro lint src/repro              # unrlint determinism rules
     python -m repro check                       # UnrSanitizer runtime checks
     python -m repro verify                      # unrverify HB + protocol pass
@@ -27,7 +24,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 __all__ = ["main", "build_parser"]
 
@@ -47,22 +44,6 @@ def _fault_spec(text: str) -> str:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return text
-
-
-def _share_spec(text: str) -> "tuple":
-    """``LAYER=FRACTION`` (e.g. ``obs=0.15``) for --max-share."""
-    layer, sep, frac = text.partition("=")
-    if not sep or not layer:
-        raise argparse.ArgumentTypeError(
-            f"bad share spec {text!r} (expected LAYER=FRACTION)"
-        )
-    try:
-        value = float(frac)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad fraction in {text!r}") from None
-    if not (0.0 < value <= 1.0):
-        raise argparse.ArgumentTypeError(f"fraction in {text!r} must be in (0, 1]")
-    return (layer, value)
 
 
 def _artifact_path(output: Optional[str], default_name: str,
@@ -163,7 +144,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "chaos",
         help="resilience soak: endpoint-kill schedules on the Table III "
-             "platforms, degradation + recovery metrics -> BENCH_resilience.json",
+             "platforms, degradation + recovery metrics -> "
+             "BENCH_resilience.json; exits 1 on a failed verdict or a "
+             "blown replication budget",
     )
     p.add_argument("--platform", action="append", dest="platforms",
                    metavar="NAME", default=None,
@@ -228,57 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="max rows in the printed timeline")
 
     p = sub.add_parser(
-        "engine-bench",
-        help="unified-engine micro-benchmark: ops per simulated second and "
-             "sim events per op on the PUT/GET datapaths -> BENCH_engine.json",
-    )
-    p.add_argument("--platform", default="th-xy")
-    p.add_argument("--size", type=int, default=65536)
-    p.add_argument("--iters", type=int, default=6)
-    p.add_argument("--seed", type=int, default=2024)
-    p.add_argument("--out", default="BENCH_engine.json", metavar="PATH",
-                   help="machine-readable engine bench record output")
-    p.add_argument("--max-events-per-put", type=float, default=None,
-                   metavar="N",
-                   help="fail (exit 1) when sim_events_per_put exceeds N "
-                        "(the CI datapath-bloat gate)")
-    p.add_argument("--min-ops-per-sim-sec", type=float, default=None,
-                   metavar="N",
-                   help="fail (exit 1) when the PUT path's ops/simulated-"
-                        "second drops below N (the throughput-floor gate; "
-                        "this metric is set by the platform's modelled "
-                        "latency/bandwidth, so the floor catches datapath "
-                        "changes that add simulated time per op)")
-    p.add_argument("--profile", action="store_true",
-                   help="arm the unrprof host-time profiler across both "
-                        "datapath runs and print the attribution report")
-
-    p = sub.add_parser(
-        "scaling-bench",
-        help="host-cost scaling over the paper's node envelope: build the "
-             "full cluster at each Figure 7 node count (up to 1728), run a "
-             "fixed-size halo ring, record wall-clock + peak RSS "
-             "-> BENCH_scaling.json",
-    )
-    p.add_argument("--platform", default="th-xy")
-    p.add_argument("--nodes", type=_sizes, default=None, metavar="N1,N2,..",
-                   help="node-count ladder (default: 288,576,1152,1728, "
-                        "capped at the platform's max_nodes)")
-    p.add_argument("--neighborhood", type=int, default=16, metavar="K",
-                   help="active halo-ring ranks per point (even, >= 2; the "
-                        "workload stays this size while the machine grows)")
-    p.add_argument("--size", type=int, default=65536)
-    p.add_argument("--iters", type=int, default=8)
-    p.add_argument("--seed", type=int, default=2024)
-    p.add_argument("--out", default="BENCH_scaling.json", metavar="PATH",
-                   help="machine-readable scaling record output")
-    p.add_argument("--max-point-seconds", type=float, default=None,
-                   metavar="S",
-                   help="fail (exit 1) when any point's wall-clock exceeds "
-                        "S seconds (the CI envelope-budget gate: the full "
-                        "1728-node machine must stay cheap to hold)")
-
-    p = sub.add_parser(
         "fingerprints",
         help="golden wire-fingerprint corpus: recompute four schedules "
              "per Table III platform and diff against the committed "
@@ -298,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
              "timing, flamegraph stacks -> BENCH_profile.json",
     )
     p.add_argument("workload", nargs="?", default="latency",
-                   choices=["latency", "stream", "powerllel", "engine"])
+                   choices=["latency", "stream", "powerllel"])
     p.add_argument("--platform", default="th-xy")
     p.add_argument("--size", type=int, default=4096)
     p.add_argument("--iters", type=int, default=40)
@@ -315,52 +247,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "directory for the default-named artifact "
                         "(default: BENCH_profile.json in the cwd)")
     p.add_argument("--overhead-repeats", type=int, default=0, metavar="N",
-                   help="also measure profiler overhead on the engine "
-                        "micro-benchmark: N interleaved observed/profiled "
+                   help="also measure profiler overhead on a 64 KiB PUT "
+                        "ping-pong + GET pull: N interleaved observed/profiled "
                         "pairs, gated on the best-of-N wall-time ratio")
     p.add_argument("--max-overhead-pct", type=float, default=None, metavar="PCT",
                    help="fail (exit 1) when measured profiler overhead "
                         "exceeds PCT percent (implies --overhead-repeats 3)")
-
-    p = sub.add_parser(
-        "bench-report",
-        help="cross-run bench trend report: ingest BENCH_*.json artifacts "
-             "(engine, obs, resilience, profile, scaling), render a trend "
-             "table keyed by git SHA + platform, gate on regression "
-             "thresholds",
-    )
-    p.add_argument("files", nargs="+", metavar="BENCH.json",
-                   help="bench artifacts, oldest first (prior runs, then "
-                        "the current one)")
-    p.add_argument("--history", action="store_true",
-                   help="trend every run with deltas vs its predecessor "
-                        "(default: show only the latest run per series)")
-    p.add_argument("--format", default="text", choices=("text", "md"),
-                   help="table format (md for CI job summaries)")
-    p.add_argument("--output", default=None, metavar="PATH",
-                   help="write the report to PATH instead of stdout")
-    p.add_argument("--max-events-per-put", type=float, default=None, metavar="N",
-                   help="fail when the latest engine run exceeds N events/put")
-    p.add_argument("--min-ops-per-sim-sec", type=float, default=None, metavar="N",
-                   help="fail when the latest engine run's PUT throughput "
-                        "drops below N ops/simulated-second")
-    p.add_argument("--max-share", action="append", type=_share_spec,
-                   default=None, metavar="LAYER=FRAC",
-                   help="fail when the latest profile run spends more than "
-                        "FRAC of host self-time in LAYER (repeatable, e.g. "
-                        "obs=0.15)")
-    p.add_argument("--max-scaling-wall-ms", type=float, default=None,
-                   metavar="MS",
-                   help="fail when the latest scaling run's headline point "
-                        "(largest node count) exceeds MS milliseconds")
-    p.add_argument("--max-failover-ttr-us", type=float, default=None,
-                   metavar="US",
-                   help="fail when the latest resilience run's p95 "
-                        "replication failover time-to-recover exceeds US")
-    p.add_argument("--max-replication-overhead", type=float, default=None,
-                   metavar="RATIO",
-                   help="fail when the latest resilience run's healthy "
-                        "replication overhead ratio exceeds RATIO (e.g. 1.15)")
 
     p = sub.add_parser(
         "lint",
@@ -605,6 +497,7 @@ def cmd_chaos(args) -> int:
     from .bench import (
         DEFAULT_CHAOS_FAULTS,
         resilience_bench,
+        resilience_failures,
         validate_resilience_bench,
         write_resilience_bench,
     )
@@ -645,9 +538,11 @@ def cmd_chaos(args) -> int:
                   f"ttr_p95={block['crash']['ttr_us']['p95']:.1f}us")
     write_resilience_bench(record, args.out)
     print(f"  -> {args.out}")
-    ok = record["correct"] and record["identical"]
-    print("  verdict      " + ("OK" if ok else "FAILED"))
-    return 0 if ok else 1
+    failures = resilience_failures(record)
+    for failure in failures:
+        print(f"  FAILED       {failure}")
+    print("  verdict      " + ("FAILED" if failures else "OK"))
+    return 1 if failures else 0
 
 
 def cmd_trace(args) -> int:
@@ -766,95 +661,6 @@ def cmd_scaling(args) -> int:
     return 0
 
 
-def cmd_engine_bench(args) -> int:
-    from .bench import engine_bench, validate_engine_bench, write_engine_bench
-
-    prof = None
-    if args.profile:
-        from .obs import HostProfiler
-
-        prof = HostProfiler()
-    if prof is not None:
-        with prof.window():
-            record = engine_bench(
-                args.platform, size=args.size, iters=args.iters,
-                seed=args.seed, profiler=prof,
-            )
-    else:
-        record = engine_bench(
-            args.platform, size=args.size, iters=args.iters, seed=args.seed,
-        )
-    if prof is not None:
-        print(prof.report())
-        print()
-    errors = validate_engine_bench(record)
-    if errors:
-        print(f"engine-bench: record FAILED validation: {'; '.join(errors)}")
-        return 1
-    print(f"Engine bench on {args.platform} "
-          f"({args.iters} iters x {args.size} B):")
-    for key in ("put", "get"):
-        m = record["paths"][key]
-        print(f"  {key:4s} {int(m['ops'])} ops in {m['sim_time_us']:.2f} us "
-              f"— {m['ops_per_sim_sec']:.0f} ops/sim-s, "
-              f"{m['sim_events_per_op']:.2f} sim events/op")
-    write_engine_bench(record, args.out)
-    print(f"  -> {args.out} (put fingerprint "
-          f"{record['paths']['put']['fingerprint'][:16]}…)")
-    failed = False
-    if (args.max_events_per_put is not None
-            and record["sim_events_per_put"] > args.max_events_per_put):
-        print(f"  verdict FAILED: sim_events_per_put "
-              f"{record['sim_events_per_put']:.2f} > {args.max_events_per_put}")
-        failed = True
-    put_rate = record["paths"]["put"]["ops_per_sim_sec"]
-    if (args.min_ops_per_sim_sec is not None
-            and put_rate < args.min_ops_per_sim_sec):
-        print(f"  verdict FAILED: put ops_per_sim_sec "
-              f"{put_rate:.0f} < {args.min_ops_per_sim_sec:.0f}")
-        failed = True
-    return 1 if failed else 0
-
-
-def cmd_scaling_bench(args) -> int:
-    from .bench import (
-        scaling_bench,
-        validate_scaling_bench,
-        write_scaling_bench,
-    )
-
-    try:
-        record = scaling_bench(
-            args.platform, args.nodes, neighborhood=args.neighborhood,
-            size=args.size, iters=args.iters, seed=args.seed,
-        )
-    except ValueError as exc:
-        print(f"scaling-bench: {exc}", file=sys.stderr)
-        return 2
-    errors = validate_scaling_bench(record)
-    if errors:
-        print(f"scaling-bench: record FAILED validation: {'; '.join(errors)}")
-        return 1
-    print(f"Scaling bench on {args.platform} (halo ring, "
-          f"{args.neighborhood} active ranks x {args.iters} x {args.size} B):")
-    for pt in record["points"]:
-        rss = pt["peak_rss_kb"]
-        rss_text = f"{rss / 1024:7.0f} MB" if rss is not None else "     n/a "
-        print(f"  {pt['nodes']:>5d} nodes  wall {pt['wall_ms']:8.1f} ms "
-              f"(setup {pt['setup_ms']:6.1f} ms)  rss {rss_text}  "
-              f"materialized {pt['nodes_materialized']}")
-    write_scaling_bench(record, args.out)
-    print(f"  -> {args.out}")
-    if args.max_point_seconds is not None:
-        worst = max(record["points"], key=lambda p: p["wall_ms"])
-        budget_ms = args.max_point_seconds * 1e3
-        if worst["wall_ms"] > budget_ms:
-            print(f"  verdict FAILED: {worst['nodes']}-node point took "
-                  f"{worst['wall_ms']:.0f} ms > {budget_ms:.0f} ms budget")
-            return 1
-    return 0
-
-
 def cmd_fingerprints(args) -> int:
     from .bench.fingerprints import (
         GOLDEN_PATH,
@@ -929,70 +735,6 @@ def cmd_profile(args) -> int:
                   f"{args.max_overhead_pct}%")
             return 1
     return 0
-
-
-def cmd_bench_report(args) -> int:
-    import json as _json
-
-    from .bench import history_report, load_runs, render_trend
-
-    max_share: Optional[Dict[str, float]] = None
-    if args.max_share:
-        max_share = dict(args.max_share)
-    try:
-        return _bench_report(args, max_share, history_report, load_runs,
-                             render_trend)
-    except OSError as exc:
-        print(f"bench-report: cannot read artifact: {exc}", file=sys.stderr)
-        return 2
-    except _json.JSONDecodeError as exc:
-        print(f"bench-report: malformed JSON artifact: {exc}", file=sys.stderr)
-        return 2
-
-
-def _bench_report(args, max_share, history_report, load_runs,
-                  render_trend) -> int:
-    if args.history:
-        report, failures = history_report(
-            args.files, fmt=args.format,
-            max_events_per_put=args.max_events_per_put,
-            min_ops_per_sim_sec=args.min_ops_per_sim_sec,
-            max_share=max_share,
-            max_scaling_wall_ms=args.max_scaling_wall_ms,
-            max_failover_ttr_us=args.max_failover_ttr_us,
-            max_replication_overhead=args.max_replication_overhead,
-        )
-    else:
-        # Latest run per series only — the single-artifact summary view.
-        from .bench import check_thresholds
-
-        runs = load_runs(args.files)
-        latest: Dict[tuple, dict] = {}
-        for run in runs:
-            latest[(run["series"], run["name"], run["platform"])] = run
-        kept = [run for run in runs if latest[
-            (run["series"], run["name"], run["platform"])] is run]
-        failures = check_thresholds(
-            kept,
-            max_events_per_put=args.max_events_per_put,
-            min_ops_per_sim_sec=args.min_ops_per_sim_sec,
-            max_share=max_share,
-            max_scaling_wall_ms=args.max_scaling_wall_ms,
-            max_failover_ttr_us=args.max_failover_ttr_us,
-            max_replication_overhead=args.max_replication_overhead,
-        )
-        report = render_trend(kept, fmt=args.format)
-        if failures:
-            report += "\n\nregression gates FAILED:\n" + "\n".join(
-                f"  - {f}" for f in failures
-            )
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(report + "\n")
-        print(f"bench-report: wrote {args.output}")
-    else:
-        print(report)
-    return 1 if failures else 0
 
 
 def _emit_findings(findings, fmt: str, output: Optional[str], tool: str) -> None:
@@ -1139,11 +881,8 @@ _COMMANDS = {
     "faults": cmd_faults,
     "chaos": cmd_chaos,
     "trace": cmd_trace,
-    "engine-bench": cmd_engine_bench,
-    "scaling-bench": cmd_scaling_bench,
     "fingerprints": cmd_fingerprints,
     "profile": cmd_profile,
-    "bench-report": cmd_bench_report,
     "fig6": cmd_fig6,
     "scaling": cmd_scaling,
     "lint": cmd_lint,

@@ -101,9 +101,8 @@ def peak_rss_kb() -> Optional[int]:
 def run_meta() -> Dict[str, Any]:
     """Host/run identity block embedded in ``BENCH_profile.json``.
 
-    ``repro bench-report --history`` keys runs by ``git_sha`` +
-    ``platform``; everything here is best-effort (a detached tarball
-    build reports ``git_sha="unknown"``).
+    Everything here is best-effort (a detached tarball build reports
+    ``git_sha="unknown"``).
     """
     sha = "unknown"
     try:
@@ -223,7 +222,7 @@ class HostProfiler:
     # append: every timestamp is captured live, but classification and
     # accounting replay from the buffer at drain time (window exit /
     # snapshot / periodic cap), OUTSIDE the measured workload.  The 10%
-    # overhead gate on the engine micro-benchmark is what forces this
+    # overhead gate (``measure_overhead``) is what forces this
     # shape — attribute walks and dict updates per event cost more than
     # the attribution is worth while the workload is running.
     __slots__ = (
@@ -281,8 +280,8 @@ class HostProfiler:
 
         Must run **before** ``Unr(...)`` so progress engines pick the
         profiler up at construction.  One profiler may be attached to
-        several clusters over its life (e.g. the engine micro-benchmark
-        runs two jobs); accumulators keep growing across them.
+        several clusters over its life (e.g. ``measure_overhead`` runs
+        two jobs per pass); accumulators keep growing across them.
         """
         existing = getattr(cluster, "prof", None)
         if existing is not None:
@@ -358,7 +357,7 @@ class HostProfiler:
         previous event's interval and opens this one *at replay time*
         (chained attribution — bookkeeping for event *i* lands inside
         event *i+1*'s interval).  The overhead gate holds the profiled
-        engine micro-benchmark to <=10%, which is why nothing else
+        ``measure_overhead`` runs to <=10%, which is why nothing else
         happens per event — no counters, no dict updates (``_clock``
         and ``_deferred`` are bound as default arguments to skip the
         module-global lookups; the counter-timeline countdown replays

@@ -9,8 +9,7 @@ Public surface:
 * :class:`~repro.sim.scheduler.Scheduler` — pluggable event queue:
   :class:`~repro.sim.scheduler.CalendarScheduler` (default) and the
   reference :class:`~repro.sim.scheduler.HeapScheduler`.
-* :class:`~repro.sim.resources.Store`, `PriorityStore`, `FilterStore`,
-  :class:`~repro.sim.resources.Resource`.
+* :class:`~repro.sim.resources.Store`, :class:`~repro.sim.resources.FilterStore`.
 """
 
 from .core import (
@@ -26,7 +25,7 @@ from .core import (
     StopProcess,
     Timeout,
 )
-from .resources import FilterStore, PriorityStore, Resource, Store
+from .resources import FilterStore, Store
 from .scheduler import CalendarScheduler, HeapScheduler, Scheduler
 
 __all__ = [
@@ -40,9 +39,7 @@ __all__ = [
     "FilterStore",
     "HeapScheduler",
     "Interrupt",
-    "PriorityStore",
     "Process",
-    "Resource",
     "Scheduler",
     "SimulationError",
     "StopProcess",

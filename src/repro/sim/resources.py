@@ -5,25 +5,18 @@ layers:
 
 * :class:`Store` — a FIFO buffer of items with optional capacity; ``get``
   and ``put`` return events (back-pressure falls out naturally).
-* :class:`PriorityStore` — like :class:`Store` but items pop lowest-key
-  first (used for ordered delivery / control channels).
 * :class:`FilterStore` — ``get`` takes a predicate (used for MPI tag
   matching).
-* :class:`Resource` — counting semaphore (used for CPU cores and NIC
-  injection serialization).
 """
 
 from __future__ import annotations
 
-# PriorityStore keeps a private heap with its own (priority, seq)
-# tie-break, so ordering stays deterministic without the kernel heap.
-import heapq  # unrlint: disable=UNR004
 from collections import deque
-from typing import Any, Callable, Deque, List, Optional
+from typing import Any, Callable, Deque
 
 from .core import Environment, Event, SimulationError
 
-__all__ = ["Store", "PriorityStore", "FilterStore", "Resource"]
+__all__ = ["Store", "FilterStore"]
 
 
 class StorePut(Event):
@@ -125,50 +118,6 @@ class Store:
                 progress = True
 
 
-class PriorityStore(Store):
-    """Store whose items pop in ascending order of ``(priority, seq)``.
-
-    Items are inserted as ``put((priority, item))`` or any comparable
-    object; internally a heap with an insertion sequence breaks ties so
-    equal priorities stay FIFO.
-    """
-
-    __slots__ = ("_heap", "_seq")
-
-    def __init__(self, env: Environment, capacity: float = float("inf")) -> None:
-        super().__init__(env, capacity)
-        self._heap: List[tuple] = []
-        self._seq = 0
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    @property
-    def is_full(self) -> bool:
-        return len(self._heap) >= self.capacity
-
-    def _store_item(self, item: Any) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, (item[0], self._seq, item))
-
-    def _pop_item(self) -> Any:
-        return heapq.heappop(self._heap)[2]
-
-    def _dispatch(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            while self._putters and len(self._heap) < self.capacity:
-                put = self._putters.popleft()
-                self._store_item(put.item)
-                put.succeed()
-                progress = True
-            while self._getters and self._heap:
-                get = self._getters.popleft()
-                get.succeed(self._pop_item())
-                progress = True
-
-
 class FilterStoreGet(StoreGet):
     """Get event carrying the match predicate."""
 
@@ -216,64 +165,3 @@ class FilterStore(Store):
                 else:
                     remaining.append(get)
             self._getters = remaining
-
-
-class ResourceRequest(Event):
-    """Event returned by :meth:`Resource.request`; succeeds on acquisition."""
-
-    __slots__ = ("amount",)
-
-    def __init__(self, env: Environment, amount: int) -> None:
-        super().__init__(env)
-        self.amount = amount
-
-
-class Resource:
-    """A counting semaphore with FIFO waiters.
-
-    Usage::
-
-        req = cores.request()
-        yield req
-        try:
-            yield env.timeout(work)
-        finally:
-            cores.release(req)
-    """
-
-    __slots__ = ("env", "capacity", "in_use", "_waiters")
-
-    def __init__(self, env: Environment, capacity: int = 1) -> None:
-        if capacity < 1:
-            raise SimulationError("capacity must be >= 1")
-        self.env = env
-        self.capacity = capacity
-        self.in_use = 0
-        self._waiters: Deque[ResourceRequest] = deque()
-
-    @property
-    def available(self) -> int:
-        return self.capacity - self.in_use
-
-    def request(self, amount: int = 1) -> ResourceRequest:
-        if amount < 1 or amount > self.capacity:
-            raise SimulationError(
-                f"request of {amount} units on capacity-{self.capacity} resource"
-            )
-        req = ResourceRequest(self.env, amount)
-        self._waiters.append(req)
-        self._grant()
-        return req
-
-    def release(self, request: Optional[ResourceRequest] = None, amount: int = 1) -> None:
-        amount = request.amount if request is not None else amount
-        self.in_use -= amount
-        if self.in_use < 0:
-            raise SimulationError("released more units than acquired")
-        self._grant()
-
-    def _grant(self) -> None:
-        while self._waiters and self._waiters[0].amount <= self.available:
-            req = self._waiters.popleft()
-            self.in_use += req.amount
-            req.succeed()

@@ -45,14 +45,6 @@ def test_sim_block_carries_exact_percentiles(latency_record):
         assert stats["p99"] <= stats["max"], name
 
 
-def test_engine_workload_embeds_headline_metrics():
-    record = profile_bench("engine", "th-xy", size=2048, iters=4, seed=2024)
-    assert validate_profile_bench(record) == []
-    assert record["result"]["sim_events_per_put"] > 0
-    assert record["result"]["put_ops_per_sim_sec"] > 0
-    assert "sim" not in record  # engine runner has no recorder
-
-
 def test_unknown_workload_is_rejected():
     with pytest.raises(ValueError, match="unknown profile workload"):
         profile_bench("fft")

@@ -13,6 +13,7 @@ import pytest
 from repro.bench import (
     RESILIENCE_SCHEMA,
     resilience_bench,
+    resilience_failures,
     validate_resilience_bench,
     validate_resilience_bench_file,
     write_resilience_bench,
@@ -106,3 +107,23 @@ def test_validator_rejects_malformed_replication(record):
     bad = json.loads(json.dumps(record))
     bad["replication"]["platforms"]["th-xy"]["crash"]["failovers"] = 0
     assert any("failovers" in e for e in validate_resilience_bench(bad))
+
+
+@pytest.mark.parametrize("patch, where, named", [
+    ({"divergence_ok": False}, "replication", "divergence_ok"),
+    ({"p95_failover_ttr_us": 501}, "replication", "failover TTR 501.0us"),
+    ({"overhead_ratio": 1.51}, "replication", "overhead 1.510x"),
+    ({"correct": False}, None, "'correct'"),
+], ids=["divergence", "ttr", "overhead", "correct"])
+def test_each_verdict_rule_fails_alone(record, patch, where, named):
+    """`repro chaos` exits on `resilience_failures`: every rule must
+    fire on its own mutation and stay quiet on the real record."""
+    assert resilience_failures(record) == []
+    bad = json.loads(json.dumps(record))
+    (bad[where] if where else bad).update(patch)
+    failures = resilience_failures(bad)
+    assert len(failures) == 1 and named in failures[0], failures
+    # The budgets and the split-brain verdict belong to the replication
+    # leg: a record that skipped it cannot trip them.
+    skipped = dict(bad, replication=None)
+    assert resilience_failures(skipped) == ([] if where else failures)

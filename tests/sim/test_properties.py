@@ -78,37 +78,3 @@ def test_allof_fires_at_max_anyof_at_min(delays):
     env.run()
     assert results["all"] == max(delays)
     assert results["any"] == min(delays)
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    n_workers=st.integers(1, 6),
-    n_jobs=st.integers(1, 20),
-    job_time=st.floats(0.1, 5, allow_nan=False),
-)
-def test_resource_conservation(n_workers, n_jobs, job_time):
-    """A capacity-k resource never runs more than k jobs concurrently,
-    and total makespan is at least the work/capacity bound."""
-    from repro.sim import Resource
-
-    env = Environment()
-    res = Resource(env, capacity=n_workers)
-    active = [0]
-    max_active = [0]
-
-    def job(env):
-        req = res.request()
-        yield req
-        active[0] += 1
-        max_active[0] = max(max_active[0], active[0])
-        yield env.timeout(job_time)
-        active[0] -= 1
-        res.release(req)
-
-    for _ in range(n_jobs):
-        env.process(job(env))
-    env.run()
-    assert max_active[0] <= n_workers
-    import math
-
-    assert env.now >= math.ceil(n_jobs / n_workers) * job_time - 1e-9

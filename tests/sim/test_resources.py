@@ -5,8 +5,6 @@ import pytest
 from repro.sim import (
     Environment,
     FilterStore,
-    PriorityStore,
-    Resource,
     SimulationError,
     Store,
 )
@@ -103,42 +101,6 @@ def test_store_len():
     assert len(store) == 4
 
 
-# ---------------------------------------------------------- PriorityStore
-
-
-def test_priority_store_orders_by_key():
-    env = Environment()
-    store = PriorityStore(env)
-    got = []
-
-    def run(env):
-        yield store.put((5, "low"))
-        yield store.put((1, "high"))
-        yield store.put((3, "mid"))
-        for _ in range(3):
-            item = yield store.get()
-            got.append(item[1])
-
-    env.run_process(run(env))
-    assert got == ["high", "mid", "low"]
-
-
-def test_priority_store_fifo_within_priority():
-    env = Environment()
-    store = PriorityStore(env)
-    got = []
-
-    def run(env):
-        yield store.put((1, "first"))
-        yield store.put((1, "second"))
-        for _ in range(2):
-            item = yield store.get()
-            got.append(item[1])
-
-    env.run_process(run(env))
-    assert got == ["first", "second"]
-
-
 # ------------------------------------------------------------ FilterStore
 
 
@@ -200,95 +162,3 @@ def test_filter_store_multiple_waiters_distinct_matches():
     env.process(producer(env))
     env.run()
     assert got == {"a": 1, "b": 2}
-
-
-# --------------------------------------------------------------- Resource
-
-
-def test_resource_serializes_exclusive_access():
-    env = Environment()
-    res = Resource(env, capacity=1)
-    log = []
-
-    def worker(env, tag, hold):
-        req = res.request()
-        yield req
-        log.append((tag, "in", env.now))
-        yield env.timeout(hold)
-        res.release(req)
-        log.append((tag, "out", env.now))
-
-    env.process(worker(env, "w1", 5))
-    env.process(worker(env, "w2", 3))
-    env.run()
-    assert log == [
-        ("w1", "in", 0),
-        ("w1", "out", 5),
-        ("w2", "in", 5),
-        ("w2", "out", 8),
-    ]
-
-
-def test_resource_capacity_allows_concurrency():
-    env = Environment()
-    res = Resource(env, capacity=2)
-    log = []
-
-    def worker(env, tag):
-        req = res.request()
-        yield req
-        log.append((tag, env.now))
-        yield env.timeout(10)
-        res.release(req)
-
-    for i in range(3):
-        env.process(worker(env, i))
-    env.run()
-    assert log == [(0, 0), (1, 0), (2, 10)]
-
-
-def test_resource_multi_unit_request():
-    env = Environment()
-    res = Resource(env, capacity=4)
-    log = []
-
-    def big(env):
-        req = res.request(3)
-        yield req
-        log.append(("big", env.now))
-        yield env.timeout(2)
-        res.release(req)
-
-    def small(env):
-        req = res.request(2)
-        yield req
-        log.append(("small", env.now))
-        res.release(req)
-
-    env.process(big(env))
-    env.process(small(env))
-    env.run()
-    assert log == [("big", 0), ("small", 2)]
-
-
-def test_resource_over_request_rejected():
-    env = Environment()
-    res = Resource(env, capacity=2)
-    with pytest.raises(SimulationError):
-        res.request(3)
-
-
-def test_resource_over_release_rejected():
-    env = Environment()
-    res = Resource(env, capacity=1)
-    with pytest.raises(SimulationError):
-        res.release(amount=1)
-
-
-def test_resource_available_property():
-    env = Environment()
-    res = Resource(env, capacity=3)
-    req = res.request(2)
-    env.run()
-    assert req.triggered
-    assert res.available == 1

@@ -219,30 +219,23 @@ def test_latency_profile_flag_prints_attribution(capsys):
     assert "netsim" in out
 
 
-def test_bench_report_history_gates_regression(tmp_path, capsys):
+def test_chaos_exit_code_covers_split_brain(tmp_path, capsys, monkeypatch):
     import json
 
-    def engine(sha, epp):
-        return {
-            "schema": "repro.bench.engine/1", "name": "engine_bench",
-            "platform": "th-xy", "run": {"git_sha": sha},
-            "sim_events_per_put": epp,
-            "paths": {"put": {"ops_per_sim_sec": 300000.0}},
-        }
+    import repro.bench
 
-    a = tmp_path / "a.json"
-    b = tmp_path / "b.json"
-    a.write_text(json.dumps(engine("aaaaaaa", 10.0)))
-    b.write_text(json.dumps(engine("bbbbbbb", 25.0)))
-    assert main(["bench-report", "--history", str(a), str(b)]) == 0
-    assert "+150.0%" in capsys.readouterr().out
-    rc = main(["bench-report", "--history", str(a), str(b),
-               "--max-events-per-put", "12"])
-    assert rc == 1
-    assert "regression gates FAILED" in capsys.readouterr().out
-    rc = main(["bench-report", str(tmp_path / "nonexistent.json")])
-    assert rc == 2
-    assert "cannot read artifact" in capsys.readouterr().err
+    out = tmp_path / "BENCH_resilience.json"
+    argv = ["chaos", "--platform", "th-xy", "--iters", "8", "--out", str(out)]
+    assert main(argv) == 0
+    assert "verdict      OK" in capsys.readouterr().out
+
+    record = json.loads(out.read_text())
+    record["replication"]["divergence_ok"] = False
+    monkeypatch.setattr(repro.bench, "resilience_bench", lambda *a, **kw: record)
+    assert main(argv) == 1
+    text = capsys.readouterr().out
+    assert "SPLIT-BRAIN" in text and "divergence_ok" in text
+    assert "verdict      FAILED" in text
 
 
 def test_check_reports_ok(capsys):
