@@ -19,7 +19,9 @@
 #   make perf-pairs PARENT=<dir> [WORKLOAD=fig7_thxy288 PAIRS=10 SEED=300]
 #                    - alternating parent/change pairs of one perfbench
 #                      workload (tools/perf_pairs.py): medians, quartiles,
-#                      pairs won — the numbers a perf PR quotes
+#                      pairs won — the numbers a perf PR quotes; with
+#                      COUNTERS=1, one traced run per side and a diff of
+#                      the counters that must repeat exactly instead
 #   make test-golden - the 16-entry golden wire-fingerprint corpus
 #   make loc         - line totals of src/repro, per package, and of cli.py
 #   make lint        - unrlint determinism rules (+ ruff when installed)
@@ -88,7 +90,7 @@ SEED ?= 300
 perf-pairs:
 	@test -n "$(PARENT)" || { echo "usage: make perf-pairs PARENT=<dir of the parent commit>"; exit 2; }
 	$(PYTHON) tools/perf_pairs.py --parent $(PARENT) --workload $(WORKLOAD) \
-		--pairs $(PAIRS) --seed $(SEED)
+		--pairs $(PAIRS) --seed $(SEED) $(if $(COUNTERS),--counters)
 
 # The lockdown gate of every datapath change: all 16 golden wire
 # fingerprints must match the committed corpus.

@@ -54,7 +54,7 @@ from .errors import (
     UnrSyncWarning,
     UnrUsageError,
 )
-from .levels import LevelPolicy, decode_custom, max_signals, policy_for_channel
+from .levels import LevelPolicy, max_signals, policy_for_channel
 from .memory import Blk, MemoryRegion
 from .polling import PollingConfig
 from .replication import ReplicationConfig, ReplicationManager
@@ -206,11 +206,13 @@ class Unr:
         self.put_local_policy = policy_for_channel(channel, "put_local", mode2_split)
         self.get_remote_policy = policy_for_channel(channel, "get_remote", mode2_split)
         self.get_local_policy = policy_for_channel(channel, "get_local", mode2_split)
-        self._record_policies = {
-            "put_remote": self.put_remote_policy,
-            "put_local": self.put_local_policy,
-            "get_remote": self.get_remote_policy,
-            "get_local": self.get_local_policy,
+        #: addend width per RMA record kind: what the progress engine's
+        #: handler needs to split a record's custom bits into (p, a)
+        self._record_a_bits = {
+            "put_remote": self.put_remote_policy.a_bits,
+            "put_local": self.put_local_policy.a_bits,
+            "get_remote": self.get_remote_policy.a_bits,
+            "get_local": self.get_local_policy.a_bits,
         }
 
         if n_bits is None:
@@ -307,7 +309,7 @@ class Unr:
                     self._handle_unknown_record, obs=self.obs,
                     health=self.health,
                 )
-                for kind in self._record_policies:
+                for kind in self._record_a_bits:
                     eng.register(kind, self._handle_rma_record)
                 eng.register("ctrl", self._handle_ctrl_record)
                 self.engines.append(eng)
@@ -426,9 +428,28 @@ class Unr:
 
     # -- progress-engine handlers (one per record kind) -----------------
     def _handle_rma_record(self, node: int, record: CompletionRecord) -> None:
-        """RMA completion: decode the custom bits, apply the add."""
-        sid, addend = decode_custom(record.custom, self._record_policies[record.kind])
-        self._apply_add(node, sid, addend, token=record.token)
+        """RMA completion: decode the custom bits (as
+        :func:`~repro.core.levels.decode_custom` does), apply the add.
+        An untokened add nobody observes cannot be a duplicate and goes
+        straight to its signal; the rest go through :meth:`_apply_add`.
+        """
+        custom = record.custom
+        a_bits = self._record_a_bits[record.kind]
+        if a_bits == 0:
+            sid, addend = custom, -1
+        else:
+            sid = custom >> a_bits
+            addend = custom & ((1 << a_bits) - 1)
+            if addend >> (a_bits - 1):
+                addend -= 1 << a_bits
+        token = record.token
+        if token is None and self.obs is None:
+            sig = self._sig_tables[node].get(sid)
+            if sig is not None:
+                sig.add(addend)
+                self.stats["adds_applied"] += 1
+                return
+        self._apply_add(node, sid, addend, token=token)
 
     def _handle_ctrl_record(self, node: int, record: CompletionRecord) -> None:
         """Level-0 control message: the (p, a) pair travels as payload."""
@@ -442,7 +463,7 @@ class Unr:
         """Dispatch one record exactly as the progress engine would."""
         if record.kind == "ctrl":
             self._handle_ctrl_record(node, record)
-        elif record.kind in self._record_policies:
+        elif record.kind in self._record_a_bits:
             self._handle_rma_record(node, record)
         else:
             self._handle_unknown_record(node, record)

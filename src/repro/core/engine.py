@@ -41,7 +41,7 @@ from typing import (
 )
 
 from ..netsim import CompletionRecord, Node, alloc_record, recycle_record
-from ..sim import Environment
+from ..sim import Environment, InFlight
 from ..units import US
 from .errors import (
     OpContext,
@@ -1322,6 +1322,17 @@ class TransferEngine:
         return min(1 << budget, 1 << 16)
 
 
+def _sweep_fire(ev: "_SweepFire") -> None:
+    ev.sweeper._fire(ev.record)
+
+
+class _SweepFire(InFlight):
+    """One sweep's fire: ``record`` reached ``sweeper`` a dispatch delay ago."""
+
+    __slots__ = ("sweeper", "record")
+    handlers = (_sweep_fire,)
+
+
 class _Sweeper:
     """One rail's share of the polling thread, as callbacks.
 
@@ -1331,22 +1342,24 @@ class _Sweeper:
     runs the handlers and parks again.
     """
 
-    __slots__ = ("engine", "nic", "cq", "delay")
+    __slots__ = ("engine", "nic", "cq", "delay", "_on_record")
 
     def __init__(self, engine: "ProgressEngine", nic: Any) -> None:
         self.engine = engine
         self.nic = nic
         self.cq = nic.cq
         self.delay = engine.config.dispatch_delay
+        #: the parked consumer, bound once rather than per park
+        self._on_record = self.on_record
         self._park()
 
     def _park(self) -> None:
         # A record already queued (a backlog beyond the batch limit) is
         # taken now but starts its sweep from a zero-delay event, the
         # way a get() on a non-empty queue is served.
-        record = self.cq.park(self.on_record)
+        record = self.cq.park(self._on_record)
         if record is not None:
-            self.engine.env.defer(0.0, self.on_record, record)
+            self.engine.env.defer(0.0, self._on_record, record)
 
     def on_record(self, record: CompletionRecord) -> None:
         """A sweep begins.  Runs inside the producer's kernel event."""
@@ -1358,7 +1371,9 @@ class _Sweeper:
         if self.cq.is_stalled:
             self._stall_over(record)
         else:
-            engine.env.defer(self.delay, self._fire, record)
+            fire = _SweepFire(engine.env, self.delay)
+            fire.sweeper = self
+            fire.record = record
 
     def _stall_over(self, record: CompletionRecord) -> None:
         cq = self.cq
@@ -1373,13 +1388,22 @@ class _Sweeper:
     def _fire(self, record: CompletionRecord) -> None:
         engine = self.engine
         nic = self.nic
+        cq = self.cq
         engine._dispatch(nic, record)
+        backlog = cq.park(self._on_record)
+        if backlog is None:
+            return  # the usual case: nothing else arrived, parked again
+        if cq.is_stalled:  # holds its records back: the next sweep waits it out
+            engine.env.defer(0.0, self._on_record, backlog)
+            return
         # Drain whatever else arrived during the delay in one batched
         # sweep — no extra simulator events per record, no allocations
-        # (records land in the preallocated buffer).  Anything beyond
-        # the batch limit starts the next sweep from _park.
+        # (records land in the preallocated buffer; ``backlog`` is the
+        # first of them, already off the queue).  Anything beyond the
+        # batch limit starts the next sweep from _park.
         batch = engine._batch
-        n = self.cq.poll_batch_into(batch, len(batch))
+        n = cq.poll_batch_into(batch, len(batch) - 1)
+        engine._dispatch(nic, backlog)
         for i in range(n):
             extra = batch[i]
             batch[i] = None

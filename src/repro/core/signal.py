@@ -43,11 +43,6 @@ MASK64 = (1 << 64) - 1
 DEFAULT_N_BITS = 32
 
 
-def _to_unsigned(value: int) -> int:
-    """Two's-complement 64-bit representation of a Python int."""
-    return value & MASK64
-
-
 def _to_signed(value: int) -> int:
     value &= MASK64
     return value - (1 << 64) if value >> 63 else value
@@ -197,19 +192,20 @@ class Signal:
         (signal triggered).  A duplicate ``token`` makes the add a no-op
         (idempotent re-delivery, see :meth:`accept`).
         """
-        if not self.accept(token):
+        if token is not None and not self.accept(token):
             return False
-        self._counter = _to_unsigned(self._counter + addend)
+        counter = self._counter = (self._counter + addend) & MASK64
         self.n_adds += 1
-        if self._counter == 0:
+        waiter = self._wait_event
+        if counter == 0:
             self.n_triggers += 1
-            if self._wait_event is not None and not self._wait_event.triggered:
-                self._wait_event.succeed(self)
+            if waiter is not None and not waiter.triggered:
+                waiter.succeed(self)
             return True
-        if self.overflow_bit and self._wait_event is not None and not self._wait_event.triggered:
+        if (counter >> self.n_bits) & 1 and waiter is not None and not waiter.triggered:
             # Too many events: wake waiters so sig_wait can report the
             # overflow instead of spinning forever (paper §IV-D).
-            self._wait_event.succeed(self)
+            waiter.succeed(self)
         return False
 
     def _reset_counter(self) -> None:

@@ -31,7 +31,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional, TYPE_CHECKING
 
 import numpy as np
 
-from ..sim import Deferred, Environment, Event, Store
+from ..sim import Environment, Event, InFlight, Store
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .node import Node
@@ -302,10 +302,11 @@ class CompletionQueue:
         """
         if self._parked is not None:
             raise RuntimeError("completion queue already has a parked consumer")
-        record = self._store.try_get()
-        if record is None:
-            self._parked = consumer
-        return record
+        store = self._store
+        if store.items:
+            return store.try_get()
+        self._parked = consumer
+        return None
 
     def poll(self) -> Optional[CompletionRecord]:
         """Non-blocking: pop one record or return ``None``."""
@@ -361,10 +362,85 @@ def _push_then_resolve(
 ) -> Generator:
     """Overflow fallback preserving completion order: the ``done`` event
     must not fire until the record is actually queued.  ``value=None``
-    resolves with the (possibly later) enqueue time, matching the old
-    GET semantics; PUT passes its fixed ``tx_end``."""
+    resolves with the (possibly later) enqueue time, as a GET
+    completes; a PUT passes its fixed ``tx_end``."""
     yield from cq.push(record)
     done.resolve(cq.env.now if value is None else value)
+
+
+def _put_remote(ev: "_PutRemote") -> None:
+    dst = ev.dst
+    dst.rx_msgs += 1
+    dst.rx_bytes += ev.nbytes
+    if ev.on_deliver is not None:
+        ev.on_deliver(ev.payload)
+    action, record = ev.action, ev.record
+    if action is not None and dst.atomic_offload:
+        action()
+    elif record is not None:
+        record.complete_time = ev.env.now
+        if not dst.cq.try_push(record):
+            ev.env.process(_blocking_push(dst.cq, record), name="nic-put-remote")
+
+
+def _get_remote(ev: "_GetRemote") -> None:
+    dst = ev.dst
+    if ev.fetch is not None:
+        ev.fetched = ev.fetch()
+    action, record = ev.action, ev.record
+    if action is not None and dst.atomic_offload:
+        action()
+    elif record is not None:
+        record.complete_time = ev.env.now
+        if not dst.cq.try_push(record):
+            ev.env.process(_blocking_push(dst.cq, record), name="nic-get-remote")
+
+
+def _local_side(ev: "_LocalSide") -> None:
+    nic = ev.nic
+    if ev.on_deliver is not None:
+        ev.on_deliver(ev.request.fetched)
+    action, record = ev.action, ev.record
+    if action is not None and nic.atomic_offload:
+        action()
+    elif record is not None:
+        record.complete_time = ev.env.now
+        if not nic.cq.try_push(record):
+            ev.env.process(
+                _push_then_resolve(nic.cq, record, ev.done, ev.value), name="nic-local"
+            )
+            return
+    ev.done.resolve(ev.env.now if ev.value is None else ev.value)
+
+
+# One posted wire message is two of these in the scheduler and nothing
+# else: each side is a single queue entry whose event object carries the
+# side's arguments (no closure, no per-event callback list).  ``action``
+# is the side's Level-4 atomic, ``record`` its CQ entry.
+
+class _PutRemote(InFlight):
+    """Remote delivery of a PUT: the data lands in ``dst``'s memory."""
+
+    __slots__ = ("dst", "nbytes", "on_deliver", "payload", "record", "action")
+    handlers = (_put_remote,)
+
+
+class _GetRemote(InFlight):
+    """A GET's request reaches the target, which snapshots the data
+    into ``fetched`` for the :class:`_LocalSide` of the pair."""
+
+    __slots__ = ("dst", "fetch", "fetched", "record", "action")
+    handlers = (_get_remote,)
+
+
+class _LocalSide(InFlight):
+    """Local completion: ``done`` resolves with ``value`` — a PUT's
+    ``tx_end`` (source buffer reusable) — or, when that is ``None``,
+    with the time a GET's data landed: what ``request`` fetched is
+    delivered first."""
+
+    __slots__ = ("nic", "done", "value", "request", "on_deliver", "record", "action")
+    handlers = (_local_side,)
 
 
 #: Routing-jitter draws fetched from a NIC's generator per refill.  Small
@@ -526,38 +602,20 @@ class Nic:  # unrlint: disable=UNR009
         self.tx_bytes += nbytes
         done = Event(env)
 
-        # Each side is one deferred callback — one heap entry instead of
-        # a generator process (Initialize + yields + completion events).
-        def local_side(_value: Any) -> None:
-            if local_action is not None and self.atomic_offload:
-                local_action()
-            elif local_record is not None:
-                local_record.complete_time = env.now
-                if not self.cq.try_push(local_record):
-                    env.process(
-                        _push_then_resolve(self.cq, local_record, done, tx_end),
-                        name="nic-put-local",
-                    )
-                    return
-            done.resolve(tx_end)
-
-        def remote_side(_value: Any) -> None:
-            dst.rx_msgs += 1
-            dst.rx_bytes += nbytes
-            if on_deliver is not None:
-                on_deliver(payload)
-            if remote_action is not None and dst.atomic_offload:
-                remote_action()
-            elif remote_record is not None:
-                remote_record.complete_time = env.now
-                if not dst.cq.try_push(remote_record):
-                    env.process(
-                        _blocking_push(dst.cq, remote_record),
-                        name="nic-put-remote",
-                    )
-
-        Deferred(env, tx_end - now, local_side)
-        Deferred(env, deliver_at - now, remote_side)
+        local = _LocalSide(env, tx_end - now)
+        local.nic = self
+        local.done = done
+        local.value = tx_end
+        local.on_deliver = None
+        local.record = local_record
+        local.action = local_action
+        remote = _PutRemote(env, deliver_at - now)
+        remote.dst = dst
+        remote.nbytes = nbytes
+        remote.on_deliver = on_deliver
+        remote.payload = payload
+        remote.record = remote_record
+        remote.action = remote_action
         return done
 
     # ------------------------------------------------------------------
@@ -618,39 +676,20 @@ class Nic:  # unrlint: disable=UNR009
         self.rx_msgs += 1
         self.rx_bytes += nbytes
         done = Event(env)
-        fetched: Any = None
-
-        def remote_side(_value: Any) -> None:
-            nonlocal fetched
-            if fetch is not None:
-                fetched = fetch()
-            if remote_action is not None and dst.atomic_offload:
-                remote_action()
-            elif remote_record is not None:
-                remote_record.complete_time = env.now
-                if not dst.cq.try_push(remote_record):
-                    env.process(
-                        _blocking_push(dst.cq, remote_record),
-                        name="nic-get-remote",
-                    )
-
-        def local_side(_value: Any) -> None:
-            if on_deliver is not None:
-                on_deliver(fetched)
-            if local_action is not None and self.atomic_offload:
-                local_action()
-            elif local_record is not None:
-                local_record.complete_time = env.now
-                if not self.cq.try_push(local_record):
-                    env.process(
-                        _push_then_resolve(self.cq, local_record, done, None),
-                        name="nic-get-local",
-                    )
-                    return
-            done.resolve(env.now)
-
-        Deferred(env, resp_end - now, remote_side)
-        Deferred(env, deliver_at - now, local_side)
+        request = _GetRemote(env, resp_end - now)
+        request.dst = dst
+        request.fetch = fetch
+        request.fetched = None
+        request.record = remote_record
+        request.action = remote_action
+        local = _LocalSide(env, deliver_at - now)
+        local.nic = self
+        local.done = done
+        local.value = None
+        local.request = request
+        local.on_deliver = on_deliver
+        local.record = local_record
+        local.action = local_action
         return done
 
     def __repr__(self) -> str:

@@ -57,7 +57,7 @@ from contextlib import contextmanager
 from types import CodeType
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from ..sim.core import Deferred as _Deferred
+from ..sim.core import Deferred as _Deferred, InFlight as _InFlight
 
 __all__ = [
     "HostProfiler",
@@ -254,7 +254,7 @@ class HostProfiler:
         self.counter_timeline: List[Tuple[float, Dict[str, int]]] = []
         #: deferred-work buffer: (host_ns, event_class, key, sim_now)
         #: per sim event — key is a Deferred callback's ``__code__`` or
-        #: the captured callbacks list — (host_ns, kind_str, t0_ns, 0.0)
+        #: the captured callbacks sequence — (host_ns, kind_str, t0_ns, 0.0)
         #: per engine dispatch frame, plus _SETUP/_FLUSH control
         #: entries.  Replayed by :meth:`_drain`; never retains event
         #: objects (see :meth:`on_event`).
@@ -369,11 +369,12 @@ class HostProfiler:
         measured ~1 us/event of cache misses, triple the cost of the
         append itself.  So the entry carries only the event's *class*
         plus a classification key that is already long-lived: the
-        ``__code__`` of a Deferred's callback (the closure itself is
-        fresh per post), or the callbacks list for everything else
-        (its entries are bound methods of long-lived Processes; the
-        list must be captured here anyway because ``step`` nulls
-        ``event.callbacks`` right after this hook).
+        ``__code__`` of a Deferred's callback (the callable itself can
+        be fresh per event), or the callbacks sequence for everything
+        else (an in-flight message's class-shared handlers tuple, or a
+        list of bound methods of long-lived Processes; it must be
+        captured here anyway because ``step`` nulls ``event.callbacks``
+        right after this hook).
         """
         cls = event.__class__
         if cls is _deferred:
@@ -511,11 +512,11 @@ class HostProfiler:
     def _stat_for_code(self, prefix: str, fkey: Any) -> _Stat:
         """Resolve a callable to its stat, keyed by ``__code__``.
 
-        Deferred callbacks are often *fresh closures* (``Nic.post_put``
-        builds one ``local_side`` per post), so memoizing on the
-        function object would miss — and leak — once per post.  The
-        shared code object identifies the source location exactly and
-        lives for the life of the module.
+        A Deferred's callback can be a *fresh closure* or bound method
+        per event (``_Sweeper._stall_over`` binds one per stall window),
+        so memoizing on the function object would miss — and leak —
+        once per event.  The shared code object identifies the source
+        location exactly and lives for the life of the module.
         """
         code = fkey if type(fkey) is CodeType else getattr(fkey, "__code__", None)
         key = code if code is not None else fkey
@@ -542,6 +543,11 @@ class HostProfiler:
         """
         if cls is _Deferred:
             return self._stat_for_code("defer", key)
+        if issubclass(cls, _InFlight):
+            # An in-flight wire message or sweep fire: ``key`` is the
+            # class-shared handlers tuple, its first entry a
+            # module-level function that names the kind and the layer.
+            return self._stat_for_code("defer", key[0])
         # Timeout / Initialize / Process / Condition / plain Event: the
         # host time goes to whatever the first callback resumes — usually
         # a Process generator, whose *code object* names both the kind

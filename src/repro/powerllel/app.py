@@ -18,7 +18,7 @@ from ..runtime import Job, run_job
 from .backend_mpi import powerllel_mpi_rank
 from .backend_unr import powerllel_unr_rank
 from .numerics import divergence, interior
-from .state import PowerLLELConfig
+from .state import PowerLLELConfig, shared_spectra
 
 __all__ = ["run_powerllel", "gather_fields", "max_divergence", "PowerLLELConfig"]
 
@@ -46,13 +46,14 @@ def run_powerllel(
             f"config wants {cfg.n_ranks} ranks, job has {job.n_ranks}"
         )
     out: Dict[int, dict] = {}
+    spectra = shared_spectra(cfg)  # one set for the run, not one per rank
     if backend == "mpi":
         world = world or MpiWorld(job, mpi_config)
-        run_job(job, powerllel_mpi_rank, cfg, world, out)
+        run_job(job, powerllel_mpi_rank, cfg, world, out, spectra)
     elif backend == "unr":
         if unr is None:
             unr = Unr(job, channel, polling=polling, **(unr_kwargs or {}))
-        run_job(job, powerllel_unr_rank, cfg, unr, out)
+        run_job(job, powerllel_unr_rank, cfg, unr, out, spectra)
     else:
         raise ValueError(f"unknown backend {backend!r}")
 

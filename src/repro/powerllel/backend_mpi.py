@@ -209,9 +209,9 @@ def _pdd_solve(rd: RankData, col_comm, rhs_modes: Optional[np.ndarray]):
     return sol
 
 
-def powerllel_mpi_rank(ctx, cfg: PowerLLELConfig, world: MpiWorld, out: dict):
+def powerllel_mpi_rank(ctx, cfg: PowerLLELConfig, world: MpiWorld, out: dict, spectra=None):
     """One rank of the MPI-baseline PowerLLEL (generator)."""
-    rd = RankData(ctx, cfg)
+    rd = RankData(ctx, cfg, spectra)
     dec = rd.dec
     comm = world.comm_world(ctx.rank)
     row_comm = world.comm(ctx.rank, dec.row_ranks)

@@ -307,9 +307,9 @@ def _unr_allgather_ring(ep: UnrEndpoint, ranks: List[int], data, nbytes: int, ta
     return out
 
 
-def powerllel_unr_rank(ctx, cfg: PowerLLELConfig, unr: Unr, out: dict):
+def powerllel_unr_rank(ctx, cfg: PowerLLELConfig, unr: Unr, out: dict, spectra=None):
     """One rank of the UNR-optimized PowerLLEL (generator)."""
-    rd = RankData(ctx, cfg)
+    rd = RankData(ctx, cfg, spectra)
     dec = rd.dec
     ep = unr.endpoint(ctx.rank)
     env = ctx.env

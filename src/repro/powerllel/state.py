@@ -24,7 +24,7 @@ from .numerics import (
     z_tridiag_coeffs,
 )
 
-__all__ = ["PowerLLELConfig", "PhaseTimes", "RankData"]
+__all__ = ["PowerLLELConfig", "PhaseTimes", "RankData", "shared_spectra"]
 
 COMPLEX = np.complex128
 ITEM = 16  # bytes per complex mode
@@ -92,10 +92,27 @@ class PhaseTimes:
         }
 
 
+def shared_spectra(cfg: PowerLLELConfig) -> Tuple[np.ndarray, ...]:
+    """``(lam_x, lam_y, z_lower, z_diag, z_upper)`` of one run, full
+    length and read-only.  They depend on the configuration alone, so
+    :func:`~repro.powerllel.run_powerllel` builds them once and hands
+    the same arrays to every rank's :class:`RankData`."""
+    dx, dy, dz = cfg.spacing
+    arrays = (
+        modified_wavenumbers(cfg.nx, dx, real_half=True),
+        modified_wavenumbers(cfg.ny, dy),
+        *z_tridiag_coeffs(cfg.nz, dz),
+    )
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
 class RankData:
     """Arrays + geometry + costs for one rank."""
 
-    def __init__(self, ctx, cfg: PowerLLELConfig):
+    def __init__(self, ctx, cfg: PowerLLELConfig,
+                 spectra: Optional[Tuple[np.ndarray, ...]] = None):
         self.ctx = ctx
         self.cfg = cfg
         self.dec = PencilDecomp(cfg.nx, cfg.ny, cfg.nz, cfg.py, cfg.pz, ctx.rank)
@@ -119,13 +136,12 @@ class RankData:
         self.is_top = dec.iz == cfg.pz - 1
         self.real = cfg.mode == "real"
 
-        # Spectral geometry (independent of mode).
-        dx, dy, dz = cfg.spacing
-        self.lam_x = modified_wavenumbers(cfg.nx, dx, real_half=True)[
-            dec.xh_start : dec.xh_start + dec.nxh_local
-        ]
-        self.lam_y = modified_wavenumbers(cfg.ny, dy)
-        self.z_lower, self.z_diag, self.z_upper = z_tridiag_coeffs(cfg.nz, dz)
+        # Spectral geometry (independent of mode): the run's shared
+        # arrays, ``lam_x`` a view of the x-modes this rank owns.
+        lam_x, self.lam_y, self.z_lower, self.z_diag, self.z_upper = (
+            spectra if spectra is not None else shared_spectra(cfg)
+        )
+        self.lam_x = lam_x[dec.xh_start : dec.xh_start + dec.nxh_local]
         self.n_modes = dec.nxh_local * cfg.ny  # tridiagonal systems I own
 
         # Transpose slot geometry: who sends how much to whom, per slab.

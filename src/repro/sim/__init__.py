@@ -4,6 +4,7 @@ Public surface:
 
 * :class:`~repro.sim.core.Environment` — clock + pending-event scheduler.
 * :class:`~repro.sim.core.Event`, :class:`~repro.sim.core.Timeout`,
+  :class:`~repro.sim.core.InFlight`, :class:`~repro.sim.core.Deferred`,
   :class:`~repro.sim.core.Process`, :class:`~repro.sim.core.AllOf`,
   :class:`~repro.sim.core.AnyOf`, :class:`~repro.sim.core.Interrupt`.
 * :class:`~repro.sim.scheduler.Scheduler` — pluggable event queue:
@@ -19,6 +20,7 @@ from .core import (
     Deferred,
     Environment,
     Event,
+    InFlight,
     Interrupt,
     Process,
     SimulationError,
@@ -38,6 +40,7 @@ __all__ = [
     "Event",
     "FilterStore",
     "HeapScheduler",
+    "InFlight",
     "Interrupt",
     "Process",
     "Scheduler",

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import gc
 from math import inf
-from typing import Any, Callable, Generator, Iterable, List, Optional, cast
+from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 from .scheduler import CalendarScheduler, Scheduler
 
@@ -43,6 +43,7 @@ __all__ = [
     "Event",
     "Timeout",
     "Deferred",
+    "InFlight",
     "Process",
     "Condition",
     "AllOf",
@@ -210,22 +211,51 @@ class Timeout(Event):
         return f"<Timeout delay={self.delay}>"
 
 
-def _run_deferred(event: "Event") -> None:
-    deferred = cast("Deferred", event)
+class InFlight(Event):
+    """A pre-triggered event that carries its own arguments.
+
+    The one way to schedule a delayed action for a single queue entry
+    and a single object: subclass with ``__slots__`` naming the
+    arguments and ``handlers`` a tuple of module-level functions taking
+    the event, construct with ``(env, delay)``, then fill the slots.
+    No closure, no bound method and no per-event callback list — every
+    instance's ``callbacks`` *is* the class's one tuple, so nothing can
+    wait on such an event (there is no list to append to); hand out a
+    plain :class:`Event` for that.
+    """
+
+    __slots__ = ()
+
+    #: run in order, each as ``fn(event)``, when the event fires
+    handlers: Tuple[Callable[[Any], None], ...] = ()
+
+    def __init__(self, env: "Environment", delay: float) -> None:
+        if not 0 <= delay < inf:
+            raise SimulationError(f"delay must be finite and >= 0, got {delay}")
+        # Same direct construction as Timeout.
+        self.env = env
+        self.callbacks = self.handlers  # type: ignore[assignment]
+        self._value = None
+        self._ok = True
+        self._scheduled = True
+        self._defused = False
+        env._seq = seq = env._seq + 1
+        env._sched.push((env._now + delay, 1, seq, self))
+
+
+def _run_deferred(deferred: "Deferred") -> None:
     deferred._fn(deferred._value)
 
 
-class Deferred(Event):
-    """A pre-triggered event that runs ``fn(value)`` when it fires.
-
-    The single-heap-entry alternative to wrapping a delayed callback in
-    a :class:`Process`: a process costs an Initialize event, one event
-    per yield and a final completion event, while a deferred costs
-    exactly one heap entry.  The NIC delivery paths
-    (:mod:`repro.netsim.nic`) are built on this.
+class Deferred(InFlight):
+    """Runs ``fn(value)`` after ``delay``: the general-purpose
+    :class:`InFlight`, for callers off the per-message path (a process
+    costs an Initialize event, one event per yield and a completion
+    event; a deferred costs exactly one queue entry).
     """
 
     __slots__ = ("_fn",)
+    handlers = (_run_deferred,)
 
     def __init__(
         self,
@@ -234,18 +264,9 @@ class Deferred(Event):
         fn: Callable[[Any], None],
         value: Any = None,
     ) -> None:
-        if not 0 <= delay < inf:
-            raise SimulationError(f"delay must be finite and >= 0, got {delay}")
-        # Same direct construction as Timeout.
-        self.env = env
-        self.callbacks = [_run_deferred]
-        self._value = value
-        self._ok = True
-        self._scheduled = True
-        self._defused = False
+        InFlight.__init__(self, env, delay)
         self._fn = fn
-        env._seq = seq = env._seq + 1
-        env._sched.push((env._now + delay, 1, seq, self))
+        self._value = value
 
     def __repr__(self) -> str:
         return f"<Deferred fn={getattr(self._fn, '__name__', self._fn)!r}>"
@@ -522,7 +543,7 @@ class Environment:
 
     # -- scheduling ---------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0, priority: bool = False) -> None:
-        # Timeout and Deferred inline this (phase 1) in their constructors;
+        # Timeout and InFlight inline this (phase 1) in their constructors;
         # a change to the key or to how seq is minted must be made there too.
         if event._scheduled:
             return

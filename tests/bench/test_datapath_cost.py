@@ -4,17 +4,27 @@ The 64 KiB x 6 notified PUT ping-pong and GET pull on th-xy are
 deterministic, so what the engine schedules per operation is an
 integer: every extra coroutine, timeout or deferred per post shows up
 in ``sim.events``.  The halo ring on the 1728-node machine pins the
-other cost that must not grow: nodes built per rank that runs.
+other cost that must not grow: nodes built per rank that runs.  The
+last group pins what one posted message keeps in flight and how many
+frames its completion takes — structure, not host time.
 """
+
+import ast
+import gc
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.bench import unr_get_pull, unr_pingpong
-from repro.core import Unr
+from repro.core import Signal, Unr
 from repro.core.engine import CTRL_BYTES
 from repro.netsim.trace import transfer_fingerprint
 from repro.platforms import get_platform, make_job
 from repro.runtime import run_job
+from repro.sim import InFlight
 from repro.units import US
 
 SIZE, ITERS = 65536, 6
@@ -114,3 +124,124 @@ def test_full_machine_costs_its_active_set_not_its_nodes():
     assert small_job.env.now == job.env.now
     assert small_unr.stats["puts"] == unr.stats["puts"]
     assert small_job.cluster.total_traffic() == traffic
+
+
+# -- what a posted message leaves in flight ------------------------------------
+
+PENDING_PUTS = 2000
+
+#: allocator blocks and traced bytes per *pending* notified 8-byte PUT,
+#: steady state (record pool and scheduler warm).  10.8 / 742 measured;
+#: 30.8 / 1750 when each side of a post was a closure behind a Deferred
+#: with its own callback list.  The resident set of a big all-to-all is
+#: its pending set, so this is the Figure 7 points' peak RSS per message.
+MAX_BLOCKS_PER_PENDING_PUT = 14
+MAX_BYTES_PER_PENDING_PUT = 800
+
+
+def test_pending_put_footprint():
+    job = make_job("th-xy", 2, seed=2024)
+    unr = Unr(job, get_platform("th-xy").channel)
+    ends = {}
+
+    def program(ctx):
+        ep = unr.endpoint(ctx.rank)
+        sig = ep.sig_init(PENDING_PUTS)
+        blk = ep.blk_init(ep.mem_reg_virtual(8), 0, 8, signal=sig)
+        ends[ctx.rank] = (ep, blk, (yield from ep.exchange_blk(1 - ctx.rank, blk)))
+
+    run_job(job, program)
+    ep, blk, remote = ends[0]
+
+    def post_all():
+        for _ in range(PENDING_PUTS):
+            ep.put(blk, remote, local_signal=None)
+
+    post_all()
+    job.env.run()  # one full round first: pools, plan memo, buckets warm
+    gc.collect()
+    tracemalloc.start()
+    try:
+        blocks, traced = sys.getallocatedblocks(), tracemalloc.get_traced_memory()[0]
+        post_all()  # the clock does not move: every message stays pending
+        blocks = sys.getallocatedblocks() - blocks
+        traced = tracemalloc.get_traced_memory()[0] - traced
+    finally:
+        tracemalloc.stop()
+    assert blocks / PENDING_PUTS <= MAX_BLOCKS_PER_PENDING_PUT
+    assert traced / PENDING_PUTS <= MAX_BYTES_PER_PENDING_PUT
+    job.env.run()
+    assert unr.stats["adds_applied"] == 2 * PENDING_PUTS
+
+
+def test_unarmed_record_reaches_signal_add_in_four_frames(monkeypatch):
+    """Kernel callback -> sweeper fire -> engine dispatch -> RMA handler
+    -> Signal.add: every further frame is paid once per wire message."""
+    stacks = set()
+    real_add = Signal.add
+
+    def add(self, addend, token=None):
+        names, frame = [], sys._getframe(1)
+        while not (frame.f_code.co_name == "_dispatch"
+                   and frame.f_code.co_filename.endswith("sim/core.py")):
+            names.append(frame.f_code.co_name)
+            frame = frame.f_back
+        stacks.add(tuple(names))
+        return real_add(self, addend, token)
+
+    monkeypatch.setattr(Signal, "add", add)
+    unr_pingpong("th-xy", SIZE, ITERS)
+    assert stacks == {("_handle_rma_record", "_dispatch", "_fire", "_sweep_fire")}
+    # An observed run takes the one definition of the general path.
+    stacks.clear()
+    assert _cost("put")[:2] == (12, 98)
+    assert stacks == {
+        ("_apply_add", "_handle_rma_record", "_dispatch", "_fire", "_sweep_fire")
+    }
+
+
+SRC = Path(repro.__file__).parent
+
+
+def _classes(path):
+    return {
+        node.name: node
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+    }
+
+
+@pytest.mark.parametrize("path, cls, method", [
+    ("netsim/nic.py", "Nic", "post_put"),
+    ("netsim/nic.py", "Nic", "post_get"),
+    ("core/engine.py", "_Sweeper", "on_record"),
+])
+def test_per_message_paths_build_no_callables(path, cls, method):
+    """A closure or lambda per message is an object (plus its cells) in
+    flight per message; arguments ride in the event's own slots."""
+    body = next(
+        node for node in _classes(SRC / path)[cls].body
+        if isinstance(node, ast.FunctionDef) and node.name == method
+    )
+    nested = [
+        node for node in ast.walk(body)
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)) and node is not body
+    ]
+    assert nested == []
+
+
+def test_every_in_flight_event_class_is_slotted():
+    def names(cls):
+        return {cls.__name__}.union(*(names(sub) for sub in cls.__subclasses__()))
+
+    in_flight, found = names(InFlight), set()
+    for path in sorted(SRC.rglob("*.py")):
+        for name, node in _classes(path).items():
+            if name in in_flight:
+                found.add(name)
+                assert any(
+                    isinstance(stmt, ast.Assign)
+                    and any(getattr(t, "id", None) == "__slots__" for t in stmt.targets)
+                    for stmt in node.body
+                ), f"{path.name}:{name} has no __slots__ (each instance grows a __dict__)"
+    assert {"_LocalSide", "_PutRemote", "_GetRemote", "_SweepFire"} <= found

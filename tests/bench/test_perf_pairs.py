@@ -84,3 +84,55 @@ def test_summary_skips_pairs_with_a_missing_side(perf_pairs):
     assert perf_pairs.summarise({"parent": [None], "change": [None]}, metrics) == [
         "wall_s: no complete pair"
     ]
+
+
+PARENT_LINE = json.dumps({"correct": True, "attempted": 576, "failed": 0, "metrics": {
+    "sim.events": {"value": 368097}, "netsim.posts": {"value": 84084},
+    "netsim.bytes": {"value": 328261842432}, "netsim.cq_high_water": {"value": 1},
+    "netsim.pool_hit_ratio": {"value": 0.4371394820814924},
+    "core.puts": {"value": 32592}, "core.fragments": {"value": 65184},
+    "core.poll_sweeps": {"value": 129441},
+    "core.events_per_op": {"value": 11.29409057437408},
+    "core.dispatch_per_sweep": {"value": 1.0071615639557792},
+    "powerllel.sim_time_ms": {"value": 105.09736143371875},
+    "trace.digest_match": {"value": 1.0},
+    "sim.ns_per_event": {"value": 7776.1},  # host time: not an exact counter
+}})
+
+
+def _metrics(line):
+    return {k: float(m["value"]) for k, m in json.loads(line)["metrics"].items()}
+
+
+def test_counter_diff_is_empty_only_when_every_exact_counter_repeats(perf_pairs):
+    parent = _metrics(PARENT_LINE)
+    faster = dict(parent, **{"sim.ns_per_event": 6100.0})
+    lines, n_diff = perf_pairs.diff_counters(parent, faster)
+    assert n_diff == 0 and len(lines) == len(perf_pairs.EXACT_COUNTERS)
+    assert all(line.endswith("same") for line in lines)
+    assert not any("ns_per_event" in line for line in lines)
+
+    # One fused event and a last-bit move of the simulated time both show.
+    moved = dict(parent, **{"sim.events": 368096.0,
+                            "powerllel.sim_time_ms": 105.09736143371876})
+    lines, n_diff = perf_pairs.diff_counters(parent, moved)
+    assert n_diff == 2
+    assert [line.split()[0] for line in lines if line.endswith("DIFFERENT")] == [
+        "sim.events", "powerllel.sim_time_ms",
+    ]
+    assert "105.09736143371875" in lines[10] and "105.09736143371876" in lines[10]
+
+    # A side that gave no result, or not that counter, is a difference.
+    assert perf_pairs.diff_counters(parent, None)[1] == len(perf_pairs.EXACT_COUNTERS)
+    del moved["core.puts"]
+    assert perf_pairs.diff_counters(parent, moved)[1] == 3
+
+
+def test_counters_dry_run_is_one_traced_run_per_side(perf_pairs, tmp_path, capsys):
+    code = perf_pairs.main([
+        "--parent", str(tmp_path), "--change", ROOT, "--counters",
+        "--seed", "2024", "--pairs", "10", "--dry-run",
+    ])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert code == 0 and len(lines) == 2
+    assert all(line.endswith("--seed 2024 --seconds 12 --trace 1") for line in lines)

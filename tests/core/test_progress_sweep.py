@@ -284,3 +284,42 @@ def test_one_parked_consumer_per_queue():
     ProgressEngine(env, node, PollingConfig(), lambda n, r: None)
     with pytest.raises(RuntimeError, match="parked consumer"):
         node.nic(0).cq.park(lambda rec: None)
+
+
+@pytest.mark.parametrize("config", [PollingConfig(), PollingConfig(poll_cost_us=0.0)],
+                         ids=["delay", "no-delay"])
+def test_stalled_queue_holds_its_record_until_the_window_closes(config):
+    """A record reaching a stalled CQ waits the window out — including
+    an extension made while it waits — then the dispatch delay; with no
+    delay the fire runs inside the window-closing event itself."""
+    env, node = make_node()
+    log = []
+    obs = SweepCounter()
+    engine = ProgressEngine(
+        env, node, config, lambda n, rec: log.append((rec.custom, env.now)), obs=obs,
+    )
+    cq = node.nic(0).cq
+    delay = config.dispatch_delay
+    env.defer(1e-6, cq.stall, 4e-6)
+    env.defer(2e-6, lambda _v: cq.try_push(record(1, env.now)))
+    env.defer(3e-6, cq.stall, 6e-6)  # extended while record 1 waits
+    env.defer(5e-6, lambda _v: cq.try_push(record(2, env.now)))  # queues behind it
+    n_events = [0]
+
+    class Count:
+        def on_sim_step(self, depth):
+            n_events[0] += 1
+
+    env.obs = Count()
+    env.run()
+    window_closes = 2e-6 + (4e-6 - 2e-6) + (6e-6 - 4e-6)  # as the sweeper adds it up
+    assert log == [(1, window_closes + delay), (2, window_closes + delay)]
+    assert obs.counts["core.poll_sweeps"] == 1  # record 2 rode the same sweep
+    assert engine.n_dispatched == 2
+    assert engine.total_delay == pytest.approx(
+        (window_closes + delay - 2e-6) + (window_closes + delay - 5e-6)
+    )
+    # 4 scripted deferreds, two stall-over wake-ups, and the fire as an
+    # event of its own only when there is a delay to wait.
+    assert n_events[0] == 6 + (1 if delay > 0 else 0)
+    assert (len(cq), cq.high_water, cq.n_pushed) == (0, 1, 2)

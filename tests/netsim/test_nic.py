@@ -489,3 +489,57 @@ def test_block_drawn_get_jitter_equals_a_uniform_draw_per_message():
             + spec.rx_overhead + jitter
         )
     assert got == want
+
+
+# -- local-side CQ overflow: completion waits for the queue -------------------
+
+def _overflow_script(op, depth):
+    """Four posts with a local record each on a depth-``depth`` source CQ
+    nobody polls until t = 50 us, then one poll per 10 us.  Returns, per
+    post, when its ``done`` fired, with what value, and how many records
+    the CQ had accepted by then; plus the CQ's own accounting."""
+    env, cluster = make_cluster(cq_depth=depth)
+    a, b = cluster.nodes[0].nic(), cluster.nodes[1].nic()
+    post = a.post_put if op == "put" else a.post_get
+    fired, polled = [], []
+    for i in range(4):
+        done = post(b, 4096, local_record=CompletionRecord(kind=f"{op}_local", custom=i))
+        done.callbacks.append(
+            lambda evt, i=i: fired.append((i, env.now, evt.value, a.cq.n_pushed))
+        )
+
+    def poller(env):
+        yield env.timeout(50e-6)
+        while len(polled) < 4:
+            rec = a.cq.poll()
+            if rec is not None:
+                polled.append((rec.custom, env.now))
+            yield env.timeout(10e-6)
+
+    env.run_process(poller(env))
+    cq = a.cq
+    return fired, polled, (cq.n_overflow_stalls, cq.stall_time, cq.high_water, cq.n_pushed)
+
+
+@pytest.mark.parametrize("op, depth, accounting", [
+    # (overflow stalls, stalled seconds, high water, pushes) as measured
+    # before the two sides of a post became slotted events (PR 24).
+    ("put", 1, (3, 0.00017631696, 1, 4)),
+    ("put", 2, (2, 0.00010724464000000001, 2, 4)),
+    ("get", 1, (3, 0.00016685088000000002, 1, 4)),
+    ("get", 2, (2, 0.00010060624000000001, 2, 4)),
+])
+def test_done_waits_for_an_overflowed_local_record(op, depth, accounting):
+    fired, polled, measured = _overflow_script(op, depth)
+    assert [i for i, *_ in fired] == [c for c, _ in polled] == [0, 1, 2, 3]
+    for i, when, value, n_pushed in fired:
+        # The record is in the queue by the time done fires ...
+        assert n_pushed >= i + 1
+        if i < depth:
+            assert when < 50e-6  # room in the CQ: local completion time
+        else:
+            # ... so an overflowed one waits for the poll that frees a slot.
+            assert when == polled[i - depth][1]
+        # A PUT resolves with its fixed tx_end, a GET with the enqueue time.
+        assert (value < 50e-6) if op == "put" else (value == when)
+    assert measured == accounting

@@ -16,6 +16,7 @@ from repro.bench import unr_pingpong
 from repro.bench.fingerprints import load_corpus, run_schedule
 from repro.obs import HostProfiler, Recorder, host_clock_ns, perfetto_json, validate_trace
 from repro.platforms import make_job
+from repro.sim import InFlight
 
 GOLDEN = Path(__file__).resolve().parent.parent / "core" / "fixtures" / "golden_fingerprints.json"
 
@@ -69,6 +70,27 @@ def test_setup_frame_and_expected_layers_present():
     # Handler dispatch is timed per completion-record kind.
     assert "put_remote" in snap["dispatch"]
     assert snap["dispatch"]["put_remote"]["layer"] == "engine"
+
+
+def test_in_flight_events_keep_their_attribution():
+    """NIC deliveries and sweep fires are slotted events, not Deferreds:
+    they are booked by their class-shared handler, never by class name."""
+    prof = HostProfiler()
+    profiled_pingpong(prof)
+    events = prof.snapshot()["events"]
+    for kind, layer in (
+        ("defer:_local_side", "netsim"),
+        ("defer:_put_remote", "netsim"),
+        ("defer:_sweep_fire", "engine"),
+    ):
+        assert events[kind]["layer"] == layer
+        assert events[kind]["count"] > 0 and events[kind]["total_ns"] > 0
+
+    def names(cls):
+        return {cls.__name__}.union(*(names(sub) for sub in cls.__subclasses__()))
+
+    assert {"_LocalSide", "_PutRemote", "_SweepFire"} <= names(InFlight)
+    assert not {f"event:{name}" for name in names(InFlight)} & set(events)
 
 
 def test_snapshot_is_json_ready_and_sorted():

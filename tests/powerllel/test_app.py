@@ -106,6 +106,23 @@ def test_model_mode_runs_and_times(backend):
     assert "max_divergence" not in res
 
 
+@pytest.mark.parametrize("backend", ["mpi", "unr"])
+def test_ranks_share_one_read_only_set_of_spectra(backend):
+    cfg = PowerLLELConfig(
+        nx=64, ny=64, nz=64, py=2, pz=2, steps=1, mode="model", lengths=(1, 1, 8)
+    )
+    ranks = run_powerllel(make_job(4), cfg, backend=backend)["ranks"]
+    a, b = ranks[0]["rank_data"], ranks[3]["rank_data"]
+    for name in ("lam_y", "z_lower", "z_diag", "z_upper"):
+        assert np.shares_memory(getattr(a, name), getattr(b, name)), name
+    # lam_x is each rank's slice of the one x spectrum.
+    assert len({id(info["rank_data"].lam_x.base) for info in ranks.values()}) == 1
+    assert len(a.lam_x) < len(a.lam_x.base)
+    for arr in (a.lam_x, a.lam_y, a.z_diag):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+
+
 def test_model_mode_timing_scales_with_grid():
     def run(n):
         cfg = PowerLLELConfig(

@@ -25,7 +25,7 @@ from repro.bench.fingerprints import (
     run_schedule,
     run_schedule_observed,
 )
-from repro.sim import Environment, Interrupt, SimulationError
+from repro.sim import Environment, InFlight, Interrupt, SimulationError
 from repro.sim.scheduler import (
     DEFAULT_BUCKET_WIDTH,
     CalendarScheduler,
@@ -141,6 +141,29 @@ def test_environment_accepts_explicit_scheduler():
     assert fired == [1.0, 1.0]
 
 
+def _log_carried(event):
+    event.log.append((event.env.now, event.tag))
+
+
+class Carried(InFlight):
+    """An event carrying its own arguments, the way a wire message does."""
+
+    __slots__ = ("log", "tag")
+    handlers = (_log_carried,)
+
+
+def test_in_flight_event_runs_its_class_handlers_with_its_slots():
+    env = Environment()
+    log = []
+    for delay, tag in ((2.0, "b"), (1.0, "a"), (2.0, "c")):
+        event = Carried(env, delay)
+        event.log, event.tag = log, tag
+    assert event.callbacks is Carried.handlers  # no per-event list
+    env.run()
+    assert log == [(1.0, "a"), (2.0, "b"), (2.0, "c")]
+    assert event.processed and event.ok and event.value is None
+
+
 @pytest.mark.parametrize("make_sched", [HeapScheduler, CalendarScheduler])
 @pytest.mark.parametrize("delay", [float("inf"), float("nan"), -1e-9])
 def test_non_finite_or_negative_delay_rejected_by_both(make_sched, delay):
@@ -152,6 +175,8 @@ def test_non_finite_or_negative_delay_rejected_by_both(make_sched, delay):
         env.timeout(delay)
     with pytest.raises(SimulationError, match="delay"):
         env.defer(delay, print)
+    with pytest.raises(SimulationError, match="delay"):
+        Carried(env, delay)
     event = env.event()
     with pytest.raises(SimulationError, match="delay"):
         env._schedule(event, delay=delay)

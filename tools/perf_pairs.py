@@ -21,6 +21,13 @@ imported from either tree.  Export both trees side by side (two
 measured where it is edited reads a few percent off in ``setup_s``.
 
 ``--dry-run`` prints the commands in the order they would run.
+
+``--counters`` answers a different question — did the change move the
+*schedule*? — with one ``--trace 1`` run per side at ``--seed``: the
+counters in :data:`EXACT_COUNTERS` are counts the program makes of its
+own simulated work, so they repeat exactly between runs and a change
+that claims "same events, fewer host cycles" must leave every one of
+them equal.  Exits non-zero on any difference.
 """
 
 from __future__ import annotations
@@ -34,6 +41,14 @@ import sys
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 SIDES = ("parent", "change")
+#: per-layer counters that are functions of the simulated schedule alone
+#: (no host time in them): equal on both sides or the schedule moved
+EXACT_COUNTERS = (
+    "sim.events", "netsim.posts", "netsim.bytes", "netsim.cq_high_water",
+    "netsim.pool_hit_ratio", "core.puts", "core.fragments", "core.poll_sweeps",
+    "core.events_per_op", "core.dispatch_per_sweep", "powerllel.sim_time_ms",
+    "trace.digest_match",
+)
 #: one planned run: (pair index, side, working directory, argv)
 Step = Tuple[int, str, str, List[str]]
 #: per side, per pair: metric name -> value (None: the run gave no result)
@@ -46,7 +61,7 @@ def load_benchmark(tree: str) -> Dict[str, Any]:
 
 
 def plan(parent: str, change: str, spec: Dict[str, Any], workload: str,
-         pairs: int, seed: int) -> List[Step]:
+         pairs: int, seed: int, trace: int = 0) -> List[Step]:
     """The runs, in order: even pairs parent first, odd pairs change first."""
     trees = {"parent": os.path.abspath(parent), "change": os.path.abspath(change)}
     steps: List[Step] = []
@@ -54,7 +69,7 @@ def plan(parent: str, change: str, spec: Dict[str, Any], workload: str,
         for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
             argv = list(spec["command"]) + [
                 "--workload", workload, "--seed", str(seed + i),
-                "--seconds", str(spec["run_seconds"]), "--trace", "0",
+                "--seconds", str(spec["run_seconds"]), "--trace", str(trace),
             ]
             steps.append((i, side, trees[side], argv))
     return steps
@@ -112,6 +127,21 @@ def summarise(results: Results, metrics: Sequence[Dict[str, Any]]) -> List[str]:
     return lines
 
 
+def diff_counters(parent: Optional[Dict[str, float]],
+                  change: Optional[Dict[str, float]]) -> Tuple[List[str], int]:
+    """One line per exact counter (values by ``repr``, so a last-bit
+    difference shows) and how many differ; a counter either side did
+    not report counts as a difference."""
+    lines, n_diff = [], 0
+    for name in EXACT_COUNTERS:
+        p = None if parent is None else parent.get(name)
+        c = None if change is None else change.get(name)
+        same = p is not None and p == c
+        n_diff += not same
+        lines.append(f"{name:26s} {p!r:>22} {c!r:>22}  {'same' if same else 'DIFFERENT'}")
+    return lines, n_diff
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -120,17 +150,28 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ap.add_argument("--workload", default="fig7_thxy288")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=300, help="seed of pair 0")
+    ap.add_argument("--counters", action="store_true",
+                    help="one traced run per side at --seed; diff the exact counters")
     ap.add_argument("--dry-run", action="store_true", help="print the commands, run nothing")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
 
     spec = load_benchmark(args.change)
-    steps = plan(args.parent, args.change, spec, args.workload, args.pairs, args.seed)
+    steps = plan(args.parent, args.change, spec, args.workload,
+                 1 if args.counters else args.pairs, args.seed,
+                 trace=int(args.counters))
     if args.dry_run:
         for i, side, cwd, cmd in steps:
             print(f"pair {i} {side}: cd {cwd} && {' '.join(cmd)}")
         return 0
+    if args.counters:
+        values = {side: run_step(cwd, cmd)[0] for _i, side, cwd, cmd in steps}
+        lines, n_diff = diff_counters(values["parent"], values["change"])
+        print(f"{args.workload} seed {args.seed}: exact counters, parent | change")
+        print("\n".join(lines))
+        print(f"{n_diff} of {len(lines)} differ")
+        return 1 if n_diff else 0
 
     results: Results = {side: [None] * args.pairs for side in SIDES}
     failed = {side: 0 for side in SIDES}
