@@ -23,7 +23,7 @@
 #                      COUNTERS=1, one traced run per side and a diff of
 #                      the counters that must repeat exactly instead
 #   make test-golden - the 16-entry golden wire-fingerprint corpus
-#   make loc         - line totals of src/repro, per package, and of cli.py
+#   make loc         - line totals of src/repro, per package, of core/engine.py and of cli.py
 #   make lint        - unrlint determinism rules (+ ruff when installed)
 #   make verify      - unrverify: happens-before trace verifier over the
 #                      golden + mutation corpora + static protocol pass
@@ -99,7 +99,7 @@ test-golden:
 
 # What a simplicity PR quotes in CHANGES.md.
 loc:
-	@for d in src/repro/*/ src/repro/cli.py src/repro; do \
+	@for d in src/repro/*/ src/repro/core/engine.py src/repro/cli.py src/repro; do \
 		printf '%6d  %s\n' "$$(find $$d -name '*.py' | xargs cat | wc -l)" "$$d"; \
 	done
 

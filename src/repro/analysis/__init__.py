@@ -7,7 +7,7 @@ reproducibility discipline:
   dependencies) with UNR-specific determinism rules UNR001–UNR011.
   Run via ``repro lint`` or :func:`lint_paths`.
 * :mod:`repro.analysis.sanitizer` — the opt-in UnrSanitizer runtime
-  checks (``Unr(sanitize=True)`` / ``UNR_SANITIZE=1``), surfacing
+  checks (``Unr(sanitize=True)``), surfacing
   out-of-bounds RMA, overlapping registrations, over-width custom-bit
   payloads, use-after-free and leaked notifications through a
   structured :class:`SanitizerReport`.  Run via ``repro check``.

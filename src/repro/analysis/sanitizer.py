@@ -1,8 +1,8 @@
 """UnrSanitizer: opt-in runtime checks for the UNR library.
 
-Armed with ``Unr(sanitize=True)`` (or ``UNR_SANITIZE=1`` in the
-environment), the sanitizer validates the dynamic properties that the
-static :mod:`~repro.analysis.unrlint` rules cannot see:
+Armed with ``Unr(sanitize=True)``, the sanitizer validates the dynamic
+properties that the static :mod:`~repro.analysis.unrlint` rules cannot
+see:
 
 * every RMA operation is checked against the registered-memory map —
   out-of-bounds blocks and blocks over unregistered handles are

@@ -5,8 +5,8 @@ Two acceptance surfaces for the UnrSanitizer:
 * :func:`sanitized_stream_demo` — the clean producer→consumer stream
   run twice, armed and disarmed.  The armed run must report **zero**
   findings and both runs must produce bit-identical
-  :class:`~repro.netsim.trace.MessageTrace` fingerprints (the sanitizer
-  is passive: arming it cannot move a single event).
+  :func:`~repro.netsim.trace.transfer_fingerprint` digests (the
+  sanitizer is passive: arming it cannot move a single event).
 * :func:`sanitizer_selftest` — a battery of deliberately broken
   programs, one per finding kind, asserting the sanitizer actually
   catches what it claims to catch.
@@ -20,7 +20,8 @@ import numpy as np
 
 from ..core import Blk, Unr, UnrUsageError
 from ..interconnect import ChannelError
-from ..netsim import MessageTrace
+from ..netsim.trace import transfer_fingerprint
+from ..obs import Recorder
 from ..platforms import get_platform, make_job
 from ..runtime import Job, run_job
 from .sanitizer import SanitizerReport
@@ -73,10 +74,10 @@ def _one_stream_run(
 ) -> Tuple[str, Dict, Unr]:
     plat = get_platform(platform)
     job = make_job(platform, 2, seed=seed)
-    trace = MessageTrace.attach(job.cluster)
+    recorder = Recorder.attach(job.cluster)
     unr = Unr(job, plat.channel, sanitize=sanitize)
     result = _stream_program(unr, job, size=size, iters=iters)
-    return trace.fingerprint(), result, unr
+    return transfer_fingerprint(recorder.transfers), result, unr
 
 
 def sanitized_stream_demo(

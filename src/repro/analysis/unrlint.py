@@ -1,7 +1,7 @@
 """unrlint: an AST-based determinism linter for the UNR reproduction.
 
 The whole reproduction rests on two properties: the simulator is
-deterministic (same seed → bit-identical :class:`MessageTrace`
+deterministic (same seed → bit-identical transfer
 fingerprints) and the MMAS counter encoding is exact against the
 Table II custom-bit widths.  Nothing in the runtime stops a future
 change from quietly importing a wall clock or an unseeded RNG into the

@@ -8,8 +8,8 @@ checks the two guarantees the fault subsystem makes:
    every message arrives intact despite drops, reordering and a rail
    failing mid-run;
 2. **bit-identical replay** — both runs produce the same
-   :class:`~repro.netsim.trace.MessageTrace` fingerprint, so any
-   failing schedule can be reproduced from its seed alone.
+   :func:`~repro.netsim.trace.transfer_fingerprint`, so any failing
+   schedule can be reproduced from its seed alone.
 """
 
 from __future__ import annotations
@@ -19,7 +19,9 @@ from typing import Dict, Optional
 import numpy as np
 
 from ..core import Unr
-from ..netsim import FaultInjector, FaultSpec, MessageTrace
+from ..netsim import FaultInjector, FaultSpec
+from ..netsim.trace import transfer_fingerprint, transfer_summary
+from ..obs import Recorder
 from ..platforms import get_platform, make_job
 from ..runtime import run_job
 
@@ -88,12 +90,12 @@ def _one_run(
     plat = get_platform(platform)
     job = make_job(platform, n_nodes, seed=seed)
     injector = FaultInjector.attach(job.cluster, faults)
-    trace = MessageTrace.attach(job.cluster)  # outermost: sees post-fault times
+    recorder = Recorder.attach(job.cluster)  # outermost: sees post-fault times
     unr = Unr(job, plat.channel, reliability=True, observe=observe, health=health)
     result = _producer_consumer(unr, job, size=size, iters=iters)
     result.update(
-        fingerprint=trace.fingerprint(),
-        trace=trace.summary(),
+        fingerprint=transfer_fingerprint(recorder.transfers),
+        trace=transfer_summary(recorder.transfers),
         faults=dict(injector.stats),
         retransmits=unr.stats["retransmits"],
         duplicates_suppressed=unr.stats["duplicates_suppressed"],

@@ -12,8 +12,8 @@ the resilience story checkable in CI:
    plane to the peer went fully dark mid-run (the ops degrade to the
    MPI fallback channel and re-promote after recovery);
 2. **identical** — both runs of the seeded schedule produce the same
-   :class:`~repro.netsim.trace.MessageTrace` fingerprint (degradation
-   and re-promotion are deterministic).
+   :func:`~repro.netsim.trace.transfer_fingerprint` (degradation and
+   re-promotion are deterministic).
 
 Per platform the record reports the resilience counters (degraded /
 recovered ops, breaker transitions, re-promotions) and nearest-rank
@@ -31,7 +31,9 @@ import json
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..core import ReplicationConfig, Unr
-from ..netsim import FaultInjector, FaultSpec, MessageTrace, NodeCrash
+from ..netsim import FaultInjector, FaultSpec, NodeCrash
+from ..netsim.trace import transfer_fingerprint
+from ..obs import Recorder
 from ..platforms import PLATFORMS, get_platform, make_job
 from .faultdemo import _producer_consumer
 
@@ -89,12 +91,12 @@ def _one_run(
     plat = get_platform(platform)
     job = make_job(platform, n_nodes, seed=seed)
     injector = FaultInjector.attach(job.cluster, spec)
-    trace = MessageTrace.attach(job.cluster)  # outermost: sees post-fault times
+    recorder = Recorder.attach(job.cluster)  # outermost: sees post-fault times
     unr = Unr(job, plat.channel, reliability=True, health=True)
     result = _producer_consumer(unr, job, size=size, iters=iters)
     recover_us = sorted(w["duration_us"] for w in unr.health.recovery_log)
     result.update(
-        fingerprint=trace.fingerprint(),
+        fingerprint=transfer_fingerprint(recorder.transfers),
         faults=dict(injector.stats),
         retransmits=int(unr.stats["retransmits"]),
         recovered_ops=int(unr.stats["recovered_ops"]),

@@ -31,10 +31,9 @@ handlers registered below.
 
 from __future__ import annotations
 
-import os
 import warnings
 from collections import Counter
-from typing import Any, Generator, List, Optional, Set, Union
+from typing import Any, Callable, Generator, List, Optional, Set, TypeVar, Union
 
 import numpy as np
 
@@ -65,6 +64,21 @@ __all__ = ["Unr", "UnrEndpoint"]
 
 _UNSET = object()
 _CTRL_BYTES = CTRL_BYTES  # wire size of a (p, a) control message
+
+_Config = TypeVar("_Config")
+
+
+def _tier_config(
+    arg: Union[_Config, bool, None], default: Callable[[], _Config]
+) -> Optional[_Config]:
+    """An optional tier's ``Unr`` keyword: ``True`` arms it with the
+    default config, ``False`` / ``None`` leave it off, and a config
+    instance arms it with that config."""
+    if arg is True:
+        return default()
+    if arg is None or arg is False:
+        return None
+    return arg
 
 
 class Unr:
@@ -108,9 +122,8 @@ class Unr:
     sanitize:
         Arm the :class:`~repro.analysis.sanitizer.UnrSanitizer` runtime
         checks (out-of-bounds RMA, overlapping registrations, over-width
-        custom-bit payloads, use-after-free, leaked notifications).
-        ``None`` (the default) reads the ``UNR_SANITIZE`` environment
-        variable.  The checks are passive — an armed run is
+        custom-bit payloads, use-after-free, leaked notifications);
+        off by default.  The checks are passive — an armed run is
         trace-identical to a disarmed one; call :meth:`finalize` at the
         end of the job to collect the report.
     observe:
@@ -118,11 +131,10 @@ class Unr:
         plan/collective spans, signal-wait latency histograms, poll-loop
         and retransmit counters, NIC transfer records, Perfetto export.
         ``True`` attaches a recorder to the job's cluster (or reuses the
-        one already attached, e.g. by ``MessageTrace.attach``); a
+        one already attached, e.g. by ``Recorder.attach``); a
         :class:`~repro.obs.Recorder` instance attaches that recorder;
-        ``None`` (the default) reads the ``UNR_OBSERVE`` environment
-        variable.  Like the sanitizer, observation is passive: an armed
-        run is trace-fingerprint-identical to a disarmed one.
+        off by default.  Like the sanitizer, observation is passive: an
+        armed run is trace-fingerprint-identical to a disarmed one.
     health:
         Arm the fault-domain resilience layer
         (:class:`~repro.core.health.HealthMonitor`): per-``(src, dst,
@@ -133,10 +145,9 @@ class Unr:
         semantics — raising
         :class:`~repro.core.errors.UnrPeerDeadError` only when the
         fallback lane is dead too (fail-stop node crash).  ``True`` or
-        a :class:`~repro.core.health.HealthConfig` arms it; ``None``
-        (the default) reads the ``UNR_HEALTH`` environment variable.
-        Healthy armed runs are trace-fingerprint-identical to disarmed
-        ones (the breakers are passive until something fails).
+        a :class:`~repro.core.health.HealthConfig` arms it; off by
+        default.  Healthy armed runs are trace-fingerprint-identical to
+        disarmed ones (the breakers are passive until something fails).
     replication:
         Arm the replication resilience tier
         (:class:`~repro.core.replication.ReplicationManager`): physical
@@ -148,9 +159,8 @@ class Unr:
         promotes the warmest mirror when a primary's node crashes —
         instead of :class:`~repro.core.errors.UnrPeerDeadError` ending
         the job.  ``True`` or a
-        :class:`~repro.core.replication.ReplicationConfig` arms it;
-        ``None`` (the default) reads the ``UNR_REPLICATION`` environment
-        variable.  Requires ``reliability`` (ledger replay and failover
+        :class:`~repro.core.replication.ReplicationConfig` arms it; off
+        by default.  Requires ``reliability`` (ledger replay and failover
         parking ride on idempotence tokens) and auto-arms ``health``.
         Unreplicated runs never touch this layer: every engine hook is
         behind an ``is None`` check, keeping the golden fingerprint
@@ -195,11 +205,7 @@ class Unr:
             raise UnrUsageError("max_stripe_rails must be >= 1 (or None)")
         self.stripe_threshold = stripe_threshold
         self.max_stripe_rails = max_stripe_rails
-        if reliability is True:
-            reliability = ReliabilityConfig()
-        elif reliability is False:
-            reliability = None
-        self.reliability: Optional[ReliabilityConfig] = reliability
+        self.reliability = _tier_config(reliability, ReliabilityConfig)
         self._op_seq = 0
 
         self.put_remote_policy = policy_for_channel(channel, "put_remote", mode2_split)
@@ -243,19 +249,11 @@ class Unr:
         self.stats: Counter = Counter()
         self._degrade_warned = False
 
-        if sanitize is None:
-            sanitize = os.environ.get("UNR_SANITIZE", "").lower() in (
-                "1", "true", "yes", "on",
-            )
         self.sanitizer: Optional[UnrSanitizer] = UnrSanitizer(self) if sanitize else None
         if self.sanitizer is not None:
             # Route the interconnect's width chokepoint into the report.
             self.channel.width_observer = self.sanitizer.on_width_violation
 
-        if observe is None:
-            observe = os.environ.get("UNR_OBSERVE", "").lower() in (
-                "1", "true", "yes", "on",
-            )
         self.obs: Optional[Recorder] = None
         if observe:
             self.obs = Recorder.attach(
@@ -266,34 +264,19 @@ class Unr:
                 lambda: {f"core.{k}": float(stats[k]) for k in sorted(stats)}
             )
 
-        if replication is None:
-            replication = os.environ.get("UNR_REPLICATION", "").lower() in (
-                "1", "true", "yes", "on",
-            )
-        if replication is True:
-            replication = ReplicationConfig()
-        elif replication is False:
-            replication = None
-        self._replication_config: Optional[ReplicationConfig] = replication
+        self._replication_config = _tier_config(replication, ReplicationConfig)
         #: replication resilience tier; armed at the end of __init__ so
         #: the manager sees the fully-built library.  None on the
         #: unreplicated path — every hook checks that first.
         self.replication: Optional[ReplicationManager] = None
 
-        if health is None:
-            health = os.environ.get("UNR_HEALTH", "").lower() in (
-                "1", "true", "yes", "on",
-            )
-        if health is True:
-            health = HealthConfig()
-        elif health is False:
-            health = None
-        if health is None and replication is not None:
+        health_config = _tier_config(health, HealthConfig)
+        if health_config is None and self._replication_config is not None:
             # Replication rides on the health layer (heartbeat ledger,
             # fail-stop predicate, degradation ladder): auto-arm it.
-            health = HealthConfig()
+            health_config = HealthConfig()
         self.health: Optional[HealthMonitor] = (
-            HealthMonitor(self, health) if health is not None else None
+            None if health_config is None else HealthMonitor(self, health_config)
         )
 
         #: the unified transfer engine: every put/get/ctrl/fallback post
@@ -458,15 +441,6 @@ class Unr:
 
     def _handle_unknown_record(self, node: int, record: CompletionRecord) -> None:
         self.stats["unknown_records"] += 1
-
-    def _handle_record(self, node: int, record: CompletionRecord) -> None:
-        """Dispatch one record exactly as the progress engine would."""
-        if record.kind == "ctrl":
-            self._handle_ctrl_record(node, record)
-        elif record.kind in self._record_a_bits:
-            self._handle_rma_record(node, record)
-        else:
-            self._handle_unknown_record(node, record)
 
     # -- memory ------------------------------------------------------------
     def _register_mr(

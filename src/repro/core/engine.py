@@ -50,6 +50,7 @@ from .errors import (
     UnrTimeoutError,
     UnrUsageError,
 )
+from .health import scan_rails
 from .levels import LevelPolicy, encode_custom
 from .polling import PollingConfig
 from .signal import submessage_addends
@@ -183,16 +184,16 @@ class TransferOp:
     reliable: bool = False
     stripes: Tuple[StripePlan, ...] = ()
     #: PUT only: source byte view payload snapshots are taken from at
-    #: each post (the data may change between plan replays).
+    #: each post (the data may change between plan replays); ``None``
+    #: when either side is virtual.
     src_bytes: Any = None
     #: GET only: remote-side fetch closure (``None`` for virtual runs).
     fetch: Optional[Callable[[], Any]] = None
     #: ctrl only: out-of-band payload + delivery callback…
     payload: Any = None
     on_deliver: Optional[Callable[[Any], None]] = None
-    #: …or the (sid, addend) of a Level-0 signal notification.
+    #: …or the sid of a Level-0 signal notification (addend -1).
     ctrl_sid: Optional[int] = None
-    ctrl_addend: int = -1
     n_posts: int = field(default=0, compare=False)
 
 
@@ -201,7 +202,8 @@ class _Fragment:
     """One reliable fragment, from its post until delivery or cancel.
 
     Held by its watchdog and, while in flight, by
-    ``TransferEngine._inflight``.  ``cancelled`` is what a watchdog that
+    ``TransferEngine._inflight``.  ``payload`` and ``deliver`` are what
+    every attempt posts again; ``cancelled`` is what a watchdog that
     wakes after :meth:`TransferEngine.drain` reads to stand down.
     """
 
@@ -209,6 +211,8 @@ class _Fragment:
     op: TransferOp
     sp: StripePlan
     delivered: Any
+    payload: Any
+    deliver: Optional[Callable[[Any], None]]
     rtok: Optional[int]
     ltok: Optional[int]
     cancelled: bool = False
@@ -296,8 +300,8 @@ class TransferEngine:
         # the whole block admits exactly what per-fragment checks would.
         src_bytes = src_mr.slice(src_blk.offset, size)
         dst_bytes = dst_mr.slice(dst_blk.offset, size)
-        if src_bytes is None:
-            dst_bytes = None  # virtual on either side: geometry only
+        if src_bytes is None or dst_bytes is None:
+            src_bytes = dst_bytes = None  # virtual on either side: geometry only
         # The ordered Level-0 lane and the MPI fallback are already
         # reliable (exactly-once, in order); only unordered RDMA
         # fragments need the watchdog.
@@ -487,17 +491,16 @@ class TransferEngine:
             payload=payload, on_deliver=on_deliver,
         )
 
-    def _signal_ctrl_op(
-        self, src_rank: int, src_node: int, dst_rank: int, dst_node: int,
-        sid: int, addend: int,
-    ) -> TransferOp:
-        """The Level-0 scheme: an ordered message carrying ``(p, a)``."""
+    @staticmethod
+    def _ctrl_tail(op: TransferOp) -> TransferOp:
+        """The Level-0 scheme for ``op``'s remote notification: an
+        ordered message carrying ``(p, a) = (rsid, -1)``."""
         return TransferOp(
             kind="ctrl",
-            src_rank=src_rank, dst_rank=dst_rank,
-            src_node=src_node, dst_node=dst_node,
+            src_rank=op.src_rank, dst_rank=op.dst_rank,
+            src_node=op.src_node, dst_node=op.dst_node,
             nbytes=CTRL_BYTES,
-            ctrl_sid=sid, ctrl_addend=addend,
+            ctrl_sid=op.rsid,
         )
 
     # -- post: the one pipeline ------------------------------------------
@@ -510,8 +513,8 @@ class TransferEngine:
         posts into like any other).  On replay (``n_posts > 0``) the
         sanitizer re-admits the operation — the arguments were validated
         at prepare time, but a signal freed since must still be caught.
-        Returns the channel completion event for ctrl payload messages,
-        ``None`` otherwise (RMA completion is observed through signals).
+        Returns the channel completion event for ctrl messages, ``None``
+        otherwise (RMA completion is observed through signals).
         """
         unr = self.unr
         if op.n_posts and unr.sanitizer is not None and op.kind in ("put", "get"):
@@ -523,13 +526,17 @@ class TransferEngine:
         self._op_post_seq += 1
         opid = self._op_post_seq
         if op.kind == "ctrl":
-            if op.ctrl_sid is not None:
-                return self._post_signal_ctrl(op, opid)
-            return self._post_payload_ctrl(op, opid)
+            return self._post_ctrl(op, opid)
         if op.kind == "put":
-            self._post_put(op, opid)
+            unr.stats["puts"] += 1
+            unr.stats["fragments"] += len(op.stripes)
+            for sp in op.stripes:
+                self._post_fragment(op, sp, opid)
+            if op.ctrl_remote:
+                self.post_op(self._ctrl_tail(op))
         elif op.kind == "get":
-            self._post_get(op, opid)
+            unr.stats["gets"] += 1
+            self._post_fragment(op, op.stripes[0], opid)
         else:
             raise UnrUsageError(f"unknown transfer kind {op.kind!r}")
         if unr.replication is not None:
@@ -540,79 +547,71 @@ class TransferEngine:
             unr.replication.on_op_posted(op)
         return None
 
-    def _post_put(self, op: TransferOp, opid: int = 0) -> None:
-        unr = self.unr
-        stripes = op.stripes
-        unr.stats["puts"] += 1
-        unr.stats["fragments"] += len(stripes)
-        # Idempotence tokens per fragment: remote then local, in plan
-        # order.
-        need_r = op.reliable and op.rsid is not None
-        need_l = op.reliable and op.lsid is not None
-        for sp in stripes:
-            rtok = unr._next_token() if need_r else None
-            ltok = unr._next_token() if need_l else None
-            self._post_put_fragment(op, sp, rtok, ltok, opid)
-        if op.ctrl_remote:
-            self.post_op(
-                self._signal_ctrl_op(
-                    op.src_rank, op.src_node, op.dst_rank, op.dst_node,
-                    op.rsid, -1,
-                )
-            )
-
-    def _post_put_fragment(
-        self,
-        op: TransferOp,
-        sp: StripePlan,
-        rtok: Optional[int],
-        ltok: Optional[int],
-        opid: int = 0,
-    ) -> None:
-        """Post one PUT fragment (payload capture, watchdog, failover).
+    def _post_fragment(self, op: TransferOp, sp: StripePlan, opid: int) -> None:
+        """Post one fragment of a PUT, or a GET: idempotence tokens,
+        payload capture, rail choice, op record, first attempt and — for
+        a reliable op — the fragment's watchdog.
 
         The optional tiers are entered only when armed: the health gate
         with ``unr.health``, the op record with ``unr.obs``, the
         watchdog with a reliable op.
         """
         unr = self.unr
+        reliable = op.reliable
+        # Idempotence tokens, remote then local, in plan order.
+        rtok = unr._next_token() if reliable and sp.remote_sig is not None else None
+        ltok = unr._next_token() if reliable and sp.local_sig is not None else None
+        src = op.src_bytes  # PUT with real memory on both sides only
+        # Snapshot at post: the caller may reuse the source as soon as
+        # put() returns, and a retransmit must resend the bytes as they
+        # were then.
+        payload = None if src is None else src[sp.offset : sp.offset + sp.size].copy()
         view = sp.view
-        if view is not None:  # implies op.src_bytes is not None
-            # Snapshot at post: the caller may reuse the source as soon
-            # as put() returns, and a retransmit must resend the bytes
-            # as they were then.
-            payload = op.src_bytes[sp.offset : sp.offset + sp.size].copy()
-        else:
-            payload = None
         delivered = None
         deliver: Optional[Callable[[Any], None]]
-        if op.reliable:
+        if reliable:
             delivered = self.env.event()
             deliver = self._first_delivery(view, delivered)
-            first = self._route(op, sp.rail, "PUT", sp.size)
+            first = self._route(op, sp)
         else:
             deliver = None if view is None else self._write_view(view)
-            first = sp.rail
-            if unr.health is not None:
-                first = self._gate_unreliable(op, first, "PUT", sp.size)
+            first = sp.rail if unr.health is None else self._gate_unreliable(op, sp)
         if unr.obs is not None:
             deliver = self._stamp_wrap(
                 self._record_op(op, sp, opid, first, rtok, ltok), deliver
             )
         if delivered is None:
-            self._post_put_attempt(op, sp, payload, deliver, rtok, ltok, first)
+            done = self._attempt(op, sp, payload, deliver, rtok, ltok, first)
+            if op.kind == "get":
+                self._hang_get_tails(op, sp, ltok, done)
             return
-        frag = self._track_fragment(op, sp, delivered, rtok, ltok)
-        self._post_put_attempt(op, sp, payload, deliver, rtok, ltok, first)
-        self._watchdog(
-            lambda rail: self._post_put_attempt(
-                op, sp, payload, deliver, rtok, ltok, rail
-            ),
-            delivered, sp.size, op.src_rank, op.dst_rank,
-            first, "PUT", frag=frag,
-        )
+        if op.kind == "get":
+            self._hang_get_tails(op, sp, ltok, delivered)
+        self._n_fids += 1
+        frag = _Fragment(self._n_fids, op, sp, delivered, payload, deliver, rtok, ltok)
+        self._inflight[frag.fid] = frag
+        rep = unr.replication
+        if rep is not None:
+            # Ledger the owed notification tokens (idempotent failover
+            # replay) and feed shadow deliveries to the quiesce tracker.
+            rep.note_fragment(frag.fid, sp.remote_sig, rtok, sp.local_sig, ltok)
+            rep.on_shadow_fragment(delivered)
+        self._attempt(op, sp, payload, deliver, rtok, ltok, first)
+        self.env.process(self._watchdog(frag, first), name=f"unr-watchdog-{op.kind}")
 
-    def _post_put_attempt(
+    def _hang_get_tails(
+        self, op: TransferOp, sp: StripePlan, ltok: Optional[int], evt: Any
+    ) -> None:
+        """A GET's local add and Level-0 tail fire once, when ``evt``
+        completes: its one attempt, or — reliable — its *actual*
+        delivery, however many attempts that took."""
+        if sp.local_done_add is not None:
+            evt.callbacks.append(self._add_callback(sp.local_done_add, ltok))
+        if op.ctrl_remote:
+            # Notify the target after our read completed.
+            evt.callbacks.append(self._ctrl_callback(op))
+
+    def _attempt(
         self,
         op: TransferOp,
         sp: StripePlan,
@@ -622,7 +621,8 @@ class TransferEngine:
         ltok: Optional[int],
         rail: int,
     ) -> Any:
-        """One wire attempt of one PUT fragment on ``rail``.
+        """One wire attempt of one fragment on ``rail`` (or the fallback
+        lane); returns the channel's local-completion event.
 
         The first post and every watchdog retransmit come through here
         with the same plan, payload snapshot, delivery callback and
@@ -631,150 +631,87 @@ class TransferEngine:
         unr = self.unr
         if rail == FALLBACK_RAIL:
             # Degraded attempt over the MPI lane: the notifications are
-            # applied in software from the raw specs.
+            # applied in software from the raw specs, with the same tokens.
             unr.stats["fallback_posts"] += 1
+            remote_action = self._add_action(sp.remote_sig, rtok)
+            local_action = self._add_action(sp.local_sig, ltok)
+            if op.kind == "get":  # emulated: request out, data back
+                return unr._fallback().get(
+                    op.src_rank, op.dst_rank, sp.size,
+                    fetch=op.fetch, on_deliver=deliver,
+                    remote_action=remote_action, local_action=local_action,
+                    remote_token=rtok, local_token=ltok,
+                )
             return unr._fallback().put(
-                op.src_rank,
-                op.dst_rank,
-                sp.size,
-                payload=payload,
-                on_deliver=deliver,
-                remote_action=self._add_action(sp.remote_sig, rtok),
-                local_action=self._add_action(sp.local_sig, ltok),
-                remote_token=rtok,
-                local_token=ltok,
+                op.src_rank, op.dst_rank, sp.size,
+                payload=payload, on_deliver=deliver,
+                remote_action=remote_action, local_action=local_action,
+                remote_token=rtok, local_token=ltok,
             )
         remote_add = sp.remote_add
         local_add = sp.local_action_add
+        remote_action = None if remote_add is None else self._add_action(remote_add, rtok)
+        local_action = None if local_add is None else self._add_action(local_add, ltok)
+        if op.kind == "get":
+            return unr.channel.get(
+                op.src_rank, op.dst_rank, sp.size,
+                fetch=op.fetch, on_deliver=deliver,
+                remote_custom=sp.remote_custom, local_custom=sp.local_custom,
+                remote_action=remote_action, local_action=local_action,
+                rail=rail, remote_token=rtok, local_token=ltok,
+            )
         done = unr.channel.put(
-            op.src_rank,
-            op.dst_rank,
-            sp.size,
-            payload=payload,
-            on_deliver=deliver,
-            remote_custom=sp.remote_custom,
-            local_custom=sp.local_custom,
-            remote_action=(
-                None if remote_add is None else self._add_action(remote_add, rtok)
-            ),
-            local_action=(
-                None if local_add is None else self._add_action(local_add, ltok)
-            ),
+            op.src_rank, op.dst_rank, sp.size,
+            payload=payload, on_deliver=deliver,
+            remote_custom=sp.remote_custom, local_custom=sp.local_custom,
+            remote_action=remote_action, local_action=local_action,
             rail=rail,
             ordered=op.ctrl_remote,  # Level-0 data must stay ordered
-            remote_token=rtok,
-            local_token=ltok,
+            remote_token=rtok, local_token=ltok,
         )
         if sp.local_done_add is not None:
-            # Applied once per attempt; under retransmits the
-            # idempotence token keeps this a single add.
+            # A PUT's send-completion add is armed once per attempt;
+            # under retransmits the idempotence token keeps it single.
             done.callbacks.append(self._add_callback(sp.local_done_add, ltok))
         return done
 
-    def _post_get(self, op: TransferOp, opid: int = 0) -> None:
+    def _post_ctrl(self, op: TransferOp, opid: int) -> Any:
+        """Post one control message on the ordered lane: an out-of-band
+        payload, or the Level-0 ``(p, a)`` of a signal notification."""
         unr = self.unr
-        env = self.env
-        ch = unr.channel
-        unr.stats["gets"] += 1
-        sp = op.stripes[0]
-        rtok = (
-            unr._next_token()
-            if (op.reliable and op.rsid is not None and not op.ctrl_remote)
-            else None
-        )
-        ltok = unr._next_token() if (op.reliable and op.lsid is not None) else None
-        delivered = None
-        if op.reliable:
-            delivered = env.event()
-            deliver = self._first_delivery(sp.view, delivered)
-            first = self._route(op, 0, "GET", op.nbytes)
-        else:
-            if sp.view is None:
-                deliver = None
-            else:
-                deliver = self._write_view(sp.view)
-            first = 0
-            if unr.health is not None:
-                first = self._gate_unreliable(op, 0, "GET", op.nbytes)
-        if unr.obs is not None:
-            deliver = self._stamp_wrap(
-                self._record_op(op, sp, opid, first, rtok, ltok), deliver
-            )
-        remote_action = self._add_action(sp.remote_add, rtok)
-        local_action = self._add_action(sp.local_action_add, ltok)
-
-        def post(rail: int) -> Any:
-            if rail == FALLBACK_RAIL:
-                # Degraded attempt over the MPI lane (emulated GET):
-                # same tokens, software-applied notifications.
-                unr.stats["fallback_posts"] += 1
-                return unr._fallback().get(
-                    op.src_rank,
-                    op.dst_rank,
-                    op.nbytes,
-                    fetch=op.fetch,
-                    on_deliver=deliver,
-                    remote_action=self._add_action(sp.remote_sig, rtok),
-                    local_action=self._add_action(sp.local_sig, ltok),
-                    remote_token=rtok,
-                    local_token=ltok,
-                )
-            done = ch.get(
-                op.src_rank,
-                op.dst_rank,
-                op.nbytes,
-                fetch=op.fetch,
-                on_deliver=deliver,
-                remote_custom=sp.remote_custom,
-                local_custom=sp.local_custom,
-                remote_action=remote_action,
-                local_action=local_action,
-                rail=rail,
-                remote_token=rtok,
-                local_token=ltok,
-            )
-            if not op.reliable:
-                if sp.local_done_add is not None:
-                    done.callbacks.append(self._add_callback(sp.local_done_add, ltok))
-                if op.ctrl_remote:
-                    # Notify the target after our read completed.
-                    done.callbacks.append(self._ctrl_callback(op))
-            return done
-
-        if op.reliable:
-            # Post-completion actions fire on *actual* delivery, exactly
-            # once, no matter how many attempts the watchdog makes.
-            if sp.local_done_add is not None:
-                delivered.callbacks.append(self._add_callback(sp.local_done_add, ltok))
-            if op.ctrl_remote:
-                delivered.callbacks.append(self._ctrl_callback(op))
-            frag = self._track_fragment(op, sp, delivered, rtok, ltok)
-            post(first)
-            self._watchdog(
-                post, delivered, op.nbytes, op.src_rank, op.dst_rank,
-                first, "GET", round_trip=True, frag=frag,
-            )
-        else:
-            post(first)
-
-    def _post_signal_ctrl(self, op: TransferOp, opid: int = 0) -> None:
-        unr = self.unr
-        env = self.env
         self._check_ctrl_lane(op)
-        unr.stats["ctrl_msgs"] += 1
-        if unr.obs is not None:
-            unr.obs.event(
-                "unr.ctrl_fallback", track=f"rank{op.src_rank}",
-                dst=op.dst_rank, sid=op.ctrl_sid,
-            )
+        on_del = op.on_deliver
+        if op.ctrl_sid is not None:
+            unr.stats["ctrl_msgs"] += 1
+            if unr.obs is not None:
+                unr.obs.event(
+                    "unr.ctrl_fallback", track=f"rank{op.src_rank}",
+                    dst=op.dst_rank, sid=op.ctrl_sid,
+                )
+            on_del = self._ctrl_delivery(op)
+        oprec = self._record_op(op, None, opid, 0)
+        if oprec is not None:
+            on_del = self._stamp_wrap(oprec, on_del)
+        return unr.channel.put(
+            op.src_rank,
+            op.dst_rank,
+            op.nbytes,
+            payload=op.payload,
+            on_deliver=on_del,
+            ordered=True,
+        )
+
+    def _ctrl_delivery(self, op: TransferOp) -> Callable[[Any], None]:
+        """Delivery of a Level-0 message: a ``ctrl`` record carrying
+        ``(sid, -1)`` onto the target NIC's completion queue."""
+        env = self.env
         dst_nic = self.job.nic_of(op.dst_rank)
-        sid, addend = op.ctrl_sid, op.ctrl_addend
-        src_node, dst_node = op.src_node, op.dst_node
+        sid, src_node, dst_node = op.ctrl_sid, op.src_node, op.dst_node
 
         def deliver(_payload: Any) -> None:
             rec = alloc_record(
                 "ctrl",
-                payload=(sid, addend),
+                payload=(sid, -1),
                 src_node=src_node,
                 dst_node=dst_node,
                 complete_time=env.now,
@@ -784,32 +721,7 @@ class TransferEngine:
             if not dst_nic.cq.try_push(rec):
                 env.process(dst_nic.cq.push(rec), name="ctrl-cqe")
 
-        on_del: Optional[Callable[[Any], None]] = deliver
-        oprec = self._record_op(op, None, opid, 0)
-        if oprec is not None:
-            on_del = self._stamp_wrap(oprec, on_del)
-        unr.channel.put(
-            op.src_rank,
-            op.dst_rank,
-            CTRL_BYTES,
-            on_deliver=on_del,
-            ordered=True,
-        )
-
-    def _post_payload_ctrl(self, op: TransferOp, opid: int = 0) -> Any:
-        self._check_ctrl_lane(op)
-        on_del = op.on_deliver
-        oprec = self._record_op(op, None, opid, 0)
-        if oprec is not None:
-            on_del = self._stamp_wrap(oprec, on_del)
-        return self.unr.channel.put(
-            op.src_rank,
-            op.dst_rank,
-            op.nbytes,
-            payload=op.payload,
-            on_deliver=on_del,
-            ordered=True,
-        )
+        return deliver
 
     # -- obs op-metadata emission (unrverify layer 1) ----------------------
     def _record_op(
@@ -923,38 +835,30 @@ class TransferEngine:
         return lambda _e: unr._apply_add(node, sid, addend, token=token)
 
     def _ctrl_callback(self, op: TransferOp) -> Callable[[Any], None]:
-        return lambda _e: self.post_op(
-            self._signal_ctrl_op(
-                op.src_rank, op.src_node, op.dst_rank, op.dst_node, op.rsid, -1
-            )
-        )
+        return lambda _e: self.post_op(self._ctrl_tail(op))
 
     # -- health / degradation routing -------------------------------------
+    def _replicated(self, op: TransferOp) -> bool:
+        """A replica team stands behind one of ``op``'s endpoints."""
+        rep = self.unr.replication
+        return rep is not None and (rep.covers(op.dst_rank) or rep.covers(op.src_rank))
+
     def _check_ctrl_lane(self, op: TransferOp) -> None:
         """The ordered lane is the last rung of the degradation ladder:
         it only dies with the peer (fail-stop node crash)."""
         health = self.unr.health
-        if health is None:
+        if health is None or not health.fallback_dead(op.src_rank, op.dst_rank):
             return
-        if health.fallback_dead(op.src_rank, op.dst_rank):
-            rep = self.unr.replication
-            if rep is not None and (
-                rep.covers(op.dst_rank) or rep.covers(op.src_rank)
-            ):
-                # A replica team stands behind the dead endpoint: the
-                # post proceeds (blackholed by the crash) and the team's
-                # failover restores notification accounting.
-                self.unr.stats["replication_ctrl_to_dead"] += 1
-                return
-            raise self._peer_dead(
-                op, "CTRL", op.nbytes,
-                "peer is dead (ordered/fallback lane down)",
-            )
+        if self._replicated(op):
+            # The post proceeds (blackholed by the crash) and the team's
+            # failover restores notification accounting.
+            self.unr.stats["replication_ctrl_to_dead"] += 1
+            return
+        raise self._peer_dead(op, op.nbytes, "peer is dead (ordered/fallback lane down)")
 
-    def _peer_dead(
-        self, op: TransferOp, what: str, nbytes: int, why: str
-    ) -> UnrPeerDeadError:
+    def _peer_dead(self, op: TransferOp, nbytes: int, why: str) -> UnrPeerDeadError:
         """The error of a post rejected before any transmission."""
+        what = op.kind.upper()
         return UnrPeerDeadError(
             f"{what} of {nbytes}B from rank {op.src_rank} to rank "
             f"{op.dst_rank}: {why}",
@@ -964,39 +868,51 @@ class TransferEngine:
             ),
         )
 
-    def _route(self, op: TransferOp, preferred: int, what: str, nbytes: int) -> int:
-        """Pick the target for a *reliable* fragment's first post.
+    def _next_rail(
+        self, op: TransferOp, preferred: int, *,
+        degrade: bool = True, check_dead: bool = True,
+    ) -> Optional[int]:
+        """The rail-choice step of a *reliable* fragment, for its first
+        post and every re-post.
 
-        Health disarmed: plain rail failover (exactly the pre-health
-        behaviour).  Health armed: breaker-gated rail selection; when the
-        RMA plane to the peer is fully dark the op degrades transparently
-        to :data:`FALLBACK_RAIL`, and :class:`UnrPeerDeadError` is raised
-        only when the fallback lane is dead too.
+        Health disarmed: plain rail failover (:meth:`_live_rail`).
+        Health armed: the breaker-gated :meth:`HealthMonitor.live_rail`;
+        when it leaves no rail the fragment degrades to
+        :data:`FALLBACK_RAIL` (counted by ``on_degraded`` when
+        ``degrade``), and ``None`` means the fallback lane is dead too
+        (not asked when ``check_dead`` is off).
         """
         health = self.unr.health
+        src_rank, dst_rank = op.src_rank, op.dst_rank
         if health is None:
-            return self._live_rail(op.src_rank, op.dst_rank, preferred)
-        rail = health.live_rail(op.src_rank, op.dst_rank, preferred)
+            return self._live_rail(src_rank, dst_rank, preferred)
+        rail = health.live_rail(src_rank, dst_rank, preferred)
         if rail is not None:
             return rail
-        if health.fallback_dead(op.src_rank, op.dst_rank):
-            rep = self.unr.replication
-            if rep is not None and (
-                rep.covers(op.dst_rank) or rep.covers(op.src_rank)
-            ):
-                # Replicated peer mid-failover: degrade instead of
-                # raising — the fragment's watchdog parks on the team's
-                # promotion and re-posts against the surviving node.
-                return FALLBACK_RAIL
-            raise self._peer_dead(
-                op, what, nbytes,
-                "peer is dead (no live RMA rail and the fallback lane is down)",
-            )
-        health.on_degraded(op.src_rank, op.dst_rank, what)
+        if check_dead and health.fallback_dead(src_rank, dst_rank):
+            return None
+        if degrade:
+            health.on_degraded(src_rank, dst_rank, op.kind.upper())
         return FALLBACK_RAIL
 
-    def _gate_unreliable(self, op: TransferOp, preferred: int, what: str,
-                         nbytes: int) -> int:
+    def _route(self, op: TransferOp, sp: StripePlan) -> int:
+        """The target of a *reliable* fragment's first post;
+        :class:`UnrPeerDeadError` only when the RMA plane and the
+        fallback lane are both dead."""
+        rail = self._next_rail(op, sp.rail)
+        if rail is not None:
+            return rail
+        if self._replicated(op):
+            # Replicated peer mid-failover: degrade instead of raising —
+            # the fragment's watchdog parks on the team's promotion and
+            # re-posts against the surviving node.
+            return FALLBACK_RAIL
+        raise self._peer_dead(
+            op, sp.size,
+            "peer is dead (no live RMA rail and the fallback lane is down)",
+        )
+
+    def _gate_unreliable(self, op: TransferOp, sp: StripePlan) -> int:
         """Health gate for *unreliable* posts (reliability disarmed, or
         lanes that are reliable by construction).
 
@@ -1009,40 +925,19 @@ class TransferEngine:
         """
         health = self.unr.health
         if health is None:
-            return preferred
+            return sp.rail
         if health.fallback_dead(op.src_rank, op.dst_rank):
-            raise self._peer_dead(
-                op, what, nbytes, "peer is dead (fallback lane down)"
-            )
+            raise self._peer_dead(op, sp.size, "peer is dead (fallback lane down)")
         if op.software or op.ctrl_remote:
-            return preferred
-        rail = health.live_rail(op.src_rank, op.dst_rank, preferred)
+            return sp.rail
+        rail = health.live_rail(op.src_rank, op.dst_rank, sp.rail)
         if rail is None:
             raise self._peer_dead(
-                op, what, nbytes,
+                op, sp.size,
                 "no live RMA rail and reliability is disarmed "
                 "(no token-safe degradation path)",
             )
         return rail
-
-    def _track_fragment(
-        self,
-        op: TransferOp,
-        sp: StripePlan,
-        delivered: Any,
-        rtok: Optional[int],
-        ltok: Optional[int],
-    ) -> _Fragment:
-        self._n_fids += 1
-        frag = _Fragment(self._n_fids, op, sp, delivered, rtok, ltok)
-        self._inflight[frag.fid] = frag
-        rep = self.unr.replication
-        if rep is not None:
-            # Ledger the owed notification tokens (idempotent failover
-            # replay) and feed shadow deliveries to the quiesce tracker.
-            rep.note_fragment(frag.fid, sp.remote_sig, rtok, sp.local_sig, ltok)
-            rep.on_shadow_fragment(delivered)
-        return frag
 
     def _retire(self, frag: _Fragment) -> None:
         """``frag`` is delivered or cancelled: no longer in flight."""
@@ -1106,41 +1001,28 @@ class TransferEngine:
         """First rail at or after ``preferred`` whose NICs are alive on
         both ends (rail failover).  Falls back to ``preferred`` when
         every rail is dead — the watchdog will then raise."""
-        job = self.job
-        n_rails = min(
-            job.node_of(src_rank).n_rails,
-            job.node_of(dst_rank).n_rails,
-        )
-        for i in range(n_rails):
-            rail = (preferred + i) % n_rails
-            if not (job.nic_of(src_rank, rail).failed
-                    or job.nic_of(dst_rank, rail).failed):
-                if i and self.unr.obs is not None:
-                    self.unr.obs.count("reliability.rail_failovers")
-                return rail
-        return preferred % n_rails
+        rail, hops = scan_rails(self.job, src_rank, dst_rank, preferred)
+        if rail is None:
+            return preferred % hops  # all ``hops`` rails scanned were dead
+        if hops and self.unr.obs is not None:
+            self.unr.obs.count("reliability.rail_failovers")
+        return rail
 
-    def _delivery_estimate(
-        self, nic: Any, nbytes: int, round_trip: bool = False
-    ) -> float:
-        """No-contention delivery time of one fragment (seconds) from
-        ``nic``'s resolved constants; the watchdog timeout scales from
-        this so large stripes are not declared lost while still
-        serializing onto the wire."""
+    def _fragment_timeout(self, frag: _Fragment, fallback: bool = False) -> float:
+        """The watchdog timeout of one attempt of ``frag``: the
+        reliability policy's scaling of its no-contention delivery time,
+        so a large stripe is not declared lost while still serializing
+        onto the wire.  Over the MPI fallback lane (``fallback``) the
+        software lane adds per-message overhead and, for large payloads,
+        a rendezvous round trip: a degraded attempt must not be declared
+        lost on an RMA-sized timeout."""
+        op, nbytes = frag.op, frag.sp.size
+        # Every NIC of a cluster shares one spec; the source's stands in.
+        nic = self.job.nic_of(op.src_rank)
         est = nic.msg_overhead + nic.latency + nbytes / nic.bandwidth + nic.rx_overhead
-        if round_trip:
+        if op.kind == "get":  # a round trip: the request goes out first
             est += nic.msg_overhead + nic.latency
-        return est
-
-    def _fallback_estimate(
-        self, nic: Any, nbytes: int, round_trip: bool = False
-    ) -> float:
-        """No-contention delivery time over the MPI fallback lane: the
-        software lane adds per-message overhead and (for large payloads)
-        a rendezvous round-trip, so a degraded attempt must not be
-        declared lost on an RMA-sized timeout."""
-        est = self._delivery_estimate(nic, nbytes, round_trip)
-        cfg = getattr(self.unr._fallback(), "config", None)
+        cfg = getattr(self.unr._fallback(), "config", None) if fallback else None
         if cfg is not None:
             est += 2.0 * cfg.sw_overhead_us * US
             if nbytes > cfg.eager_threshold:
@@ -1148,14 +1030,13 @@ class TransferEngine:
                 est += (nbytes / nic.bandwidth) * max(
                     cfg.rendezvous_bw_penalty - 1.0, 0.0
                 )
-        return est
+        return self.unr.reliability.fragment_timeout(est)
 
-    def _watchdog(self, post: Callable[[int], Any], delivered: Any, nbytes: int,
-                  src_rank: int, dst_rank: int, first_rail: int, what: str,
-                  *, frag: _Fragment, round_trip: bool = False) -> None:
-        """Guard one posted fragment: retransmit (with exponential
-        backoff, moving to the next live target each attempt) until
-        ``delivered`` fires, else raise :class:`UnrTimeoutError`.
+    def _watchdog(self, frag: _Fragment, first_rail: int) -> Generator[Any, Any, None]:
+        """Guard one posted reliable fragment: retransmit it (with
+        exponential backoff, moving to the next live target each
+        attempt) until it is delivered, else raise
+        :class:`UnrTimeoutError`.
 
         With the health layer armed every timeout/delivery feeds the
         per-path circuit breakers, and when the breakers leave no live
@@ -1169,131 +1050,107 @@ class TransferEngine:
         rel = unr.reliability
         health = unr.health
         env = self.env
-        # Every NIC of a cluster shares one spec; the source's stands in.
-        nic = self.job.nic_of(src_rank)
-        base = rel.fragment_timeout(self._delivery_estimate(nic, nbytes, round_trip))
-
-        def guard() -> Generator[Any, Any, None]:
-            target = first_rail
-            t = base
-            fb_base = 0.0
-            if target == FALLBACK_RAIL:
-                fb_base = rel.fragment_timeout(
-                    self._fallback_estimate(nic, nbytes, round_trip)
-                )
-                t = max(t, fb_base)
-            attempts = [(_target_label(target), env.now / US)]
-            attempt = 0
-            # This IS the sanctioned watchdog retry ladder (the loop
-            # UNR008 tells everyone else to route through).
-            while True:  # unrlint: disable=UNR008
-                yield env.any_of([delivered, env.timeout(t)])
-                if frag.cancelled:
-                    return  # drained: the op was quiesced against a dead peer
-                if delivered.triggered:
-                    if health is not None and target != FALLBACK_RAIL:
-                        health.on_success(src_rank, dst_rank, target)
-                    self._retire(frag)
-                    if attempt:
-                        unr.stats["recovered_ops"] += 1
-                    return
+        op, sp, delivered = frag.op, frag.sp, frag.delivered
+        src_rank, dst_rank = op.src_rank, op.dst_rank
+        what, nbytes = op.kind.upper(), sp.size
+        base = self._fragment_timeout(frag)
+        target, t, fb_base = first_rail, base, 0.0
+        if target == FALLBACK_RAIL:
+            fb_base = self._fragment_timeout(frag, fallback=True)
+            t = max(t, fb_base)
+        attempts = [(_target_label(target), env.now / US)]
+        attempt = 0
+        # This IS the sanctioned watchdog retry ladder (the loop UNR008
+        # tells everyone else to route through).
+        while True:  # unrlint: disable=UNR008
+            yield env.any_of([delivered, env.timeout(t)])
+            if frag.cancelled:
+                return  # drained: the op was quiesced against a dead peer
+            if delivered.triggered:
                 if health is not None and target != FALLBACK_RAIL:
-                    health.on_timeout(src_rank, dst_rank, target)
-                dead_end = attempt == rel.max_retries
-                if not dead_end:
-                    if health is None:
-                        target = self._live_rail(src_rank, dst_rank, target + 1)
-                    else:
-                        probe_from = 0 if target == FALLBACK_RAIL else target + 1
-                        nxt = health.live_rail(src_rank, dst_rank, probe_from)
-                        if nxt is None:
-                            if health.fallback_dead(src_rank, dst_rank):
-                                dead_end = True  # ladder exhausted: fail-stop
-                            else:
-                                if target != FALLBACK_RAIL:
-                                    health.on_degraded(src_rank, dst_rank, what)
-                                    fb_base = rel.fragment_timeout(
-                                        self._fallback_estimate(nic, nbytes, round_trip)
-                                    )
-                                target = FALLBACK_RAIL
-                                t = max(t, fb_base)
-                        else:
-                            target = nxt
-                if dead_end:
-                    # Replication tier: when a replica team stands behind
-                    # the dead endpoint, park on its failover instead of
-                    # declaring the op lost — the fragment is either
-                    # cancelled by the failover's drain or gets a fresh
-                    # retry ladder against the promoted node.
-                    evt = None
-                    if unr.replication is not None:
-                        evt = unr.replication.failover_wait(src_rank, dst_rank)
-                    if evt is None:
-                        break
-                    unr.stats["failover_parks"] += 1
-                    attempts.append(("failover", env.now / US))
-                    try:
-                        yield evt
-                    except UnrFailoverError as fexc:
-                        # Refused failover (team exhausted / divergence):
-                        # surface in the blocked application frame.
-                        if self._fail_op_waiter(frag, fexc):
-                            return
-                        raise
-                    if frag.cancelled:
-                        return  # drained during the failover
-                    attempt = 0
-                    if not delivered.triggered:
-                        nxt = health.live_rail(src_rank, dst_rank, 0)
-                        if nxt is None:
-                            health.on_degraded(src_rank, dst_rank, what)
-                            fb_base = rel.fragment_timeout(
-                                self._fallback_estimate(nic, nbytes, round_trip)
-                            )
-                            target = FALLBACK_RAIL
-                            t = max(base, fb_base)
-                        else:
-                            target = nxt
-                            t = base
-                        attempts.append((_target_label(target), env.now / US))
-                        post(target)
+                    health.on_success(src_rank, dst_rank, target)
+                self._retire(frag)
+                if attempt:
+                    unr.stats["recovered_ops"] += 1
+                return
+            if health is not None and target != FALLBACK_RAIL:
+                health.on_timeout(src_rank, dst_rank, target)
+            nxt = None
+            if attempt < rel.max_retries:
+                nxt = self._next_rail(
+                    op, 0 if target == FALLBACK_RAIL else target + 1,
+                    degrade=target != FALLBACK_RAIL,
+                )
+            retransmit = nxt is not None  # else: ladder exhausted (fail-stop)
+            if retransmit:
+                target = nxt
+            else:
+                # Replication tier: when a replica team stands behind the
+                # dead endpoint, park on its failover instead of
+                # declaring the op lost — the fragment is either
+                # cancelled by the failover's drain or gets a fresh retry
+                # ladder against the promoted node.
+                evt = None
+                if unr.replication is not None:
+                    evt = unr.replication.failover_wait(src_rank, dst_rank)
+                if evt is None:
+                    break
+                unr.stats["failover_parks"] += 1
+                attempts.append(("failover", env.now / US))
+                try:
+                    yield evt
+                except UnrFailoverError as fexc:
+                    # Refused failover (team exhausted / divergence):
+                    # surface in the blocked application frame.
+                    if self._fail_op_waiter(frag, fexc):
+                        return
+                    raise
+                if frag.cancelled:
+                    return  # drained during the failover
+                attempt = 0
+                if delivered.triggered:
                     continue
+                target = self._next_rail(op, 0, check_dead=False)
+                t = base
+            if target == FALLBACK_RAIL:
+                fb_base = self._fragment_timeout(frag, fallback=True)
+                t = max(t, fb_base)
+            if retransmit:
                 unr.stats["retransmits"] += 1
                 if unr.obs is not None:
                     unr.obs.event(
                         "reliability.retransmit", track=f"rank{src_rank}",
                         what=what, attempt=attempt + 1, rail=target, nbytes=nbytes,
                     )
-                attempts.append((_target_label(target), env.now / US))
-                post(target)
+            attempts.append((_target_label(target), env.now / US))
+            self._attempt(op, sp, frag.payload, frag.deliver, frag.rtok, frag.ltok, target)
+            if retransmit:
                 t = min(t * rel.backoff_factor, max(rel.max_backoff, base, fb_base))
                 attempt += 1
-            unr.stats["reliability_failures"] += 1
-            # NB: the fragment stays in ``_inflight`` — a later drain()
-            # discharges its notification tokens against the dead peer.
-            context = OpContext(
-                kind=what, src_rank=src_rank, dst_rank=dst_rank, nbytes=nbytes,
-                sim_time_us=env.now / US, attempts=tuple(attempts),
-                degraded=any(lbl == "fallback" for lbl, _ in attempts),
-            )
-            message = (
-                f"{what} of {nbytes}B from rank {src_rank} to rank {dst_rank}: "
-                f"no delivery after {rel.max_retries} retransmits "
-                f"(last timeout {t / US:.1f} us)"
-            )
-            if health is not None and health.fallback_dead(src_rank, dst_rank):
-                err: UnrTimeoutError = UnrPeerDeadError(message, context=context)
-            else:
-                err = UnrTimeoutError(message, context=context)
-            # Prefer surfacing in the application frame blocked in
-            # sig_wait on this op's signal — the context rides along and
-            # the app may handle the dead peer; without a waiter the
-            # error propagates through the kernel as before.
-            if self._fail_op_waiter(frag, err):
-                return
-            raise err
-
-        env.process(guard(), name=f"unr-watchdog-{what.lower()}")
+        unr.stats["reliability_failures"] += 1
+        # NB: the fragment stays in ``_inflight`` — a later drain()
+        # discharges its notification tokens against the dead peer.
+        context = OpContext(
+            kind=what, src_rank=src_rank, dst_rank=dst_rank, nbytes=nbytes,
+            sim_time_us=env.now / US, attempts=tuple(attempts),
+            degraded=any(lbl == "fallback" for lbl, _ in attempts),
+        )
+        message = (
+            f"{what} of {nbytes}B from rank {src_rank} to rank {dst_rank}: "
+            f"no delivery after {rel.max_retries} retransmits "
+            f"(last timeout {t / US:.1f} us)"
+        )
+        if health is not None and health.fallback_dead(src_rank, dst_rank):
+            err: UnrTimeoutError = UnrPeerDeadError(message, context=context)
+        else:
+            err = UnrTimeoutError(message, context=context)
+        # Prefer surfacing in the application frame blocked in sig_wait
+        # on this op's signal — the context rides along and the app may
+        # handle the dead peer; without a waiter the error propagates
+        # through the kernel as before.
+        if self._fail_op_waiter(frag, err):
+            return
+        raise err
 
     def _fail_op_waiter(self, frag: _Fragment, err: BaseException) -> bool:
         """Throw ``err`` into a frame blocked in ``sig_wait`` on one of

@@ -36,14 +36,14 @@ The degradation ladder, in full::
       -> MPI fallback channel (same notification-token semantics)
         -> UnrPeerDeadError (fail-stop peer, op context attached)
 
-Armed with ``Unr(health=True)`` (or ``UNR_HEALTH=1``); disarmed, the
-engine behaves exactly as before this module existed.
+Armed with ``Unr(health=True)``; disarmed, the engine behaves exactly
+as before this module existed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from ..units import US
 
@@ -66,6 +66,39 @@ BREAKER_HALF_OPEN = "half_open"
 
 #: record kinds that prove a (src_node -> dst_node) path carried data
 _PATH_PROOF_KINDS = frozenset({"put_remote", "get_local", "ctrl"})
+
+
+def scan_rails(
+    job: Any,
+    src_rank: int,
+    dst_rank: int,
+    preferred: int,
+    monitor: Optional["HealthMonitor"] = None,
+) -> Tuple[Optional[int], int]:
+    """The one rail scan behind rail failover: ``(rail, hops)`` for the
+    first rail at or after ``preferred`` (cyclically, ``hops`` rails
+    on) whose NICs are alive on both ends, or ``(None, n_rails)`` when
+    there is none.
+
+    With a ``monitor`` the rail's breaker also has to admit traffic,
+    and a rail with an observably dead NIC trips its breaker.
+    """
+    n_rails = min(job.node_of(src_rank).n_rails, job.node_of(dst_rank).n_rails)
+    if monitor is not None:
+        src_node, dst_node = monitor._nodes(src_rank, dst_rank)
+    for hops in range(n_rails):
+        rail = (preferred + hops) % n_rails
+        alive = not (job.nic_of(src_rank, rail).failed or job.nic_of(dst_rank, rail).failed)
+        if monitor is None:
+            if alive:
+                return rail, hops
+            continue
+        br = monitor.breaker(src_node, dst_node, rail)
+        if not alive:
+            br.trip()
+        elif br.allow():
+            return rail, hops
+    return None, n_rails
 
 
 @dataclass(frozen=True)
@@ -246,21 +279,7 @@ class HealthMonitor:
         immediately (no vote needed); recovery then always passes
         through a half-open probe, never silently.
         """
-        job = self.job
-        src_node, dst_node = self._nodes(src_rank, dst_rank)
-        n_rails = min(
-            job.node_of(src_rank).n_rails,
-            job.node_of(dst_rank).n_rails,
-        )
-        for i in range(n_rails):
-            rail = (preferred + i) % n_rails
-            br = self.breaker(src_node, dst_node, rail)
-            if job.nic_of(src_rank, rail).failed or job.nic_of(dst_rank, rail).failed:
-                br.trip()
-                continue
-            if br.allow():
-                return rail
-        return None
+        return scan_rails(self.job, src_rank, dst_rank, preferred, self)[0]
 
     # -- dead checks ----------------------------------------------------
     def fallback_dead(self, src_rank: int, dst_rank: int) -> bool:
@@ -269,9 +288,6 @@ class HealthMonitor:
             self.job.node_of(src_rank).crashed
             or self.job.node_of(dst_rank).crashed
         )
-
-    def rma_dead(self, src_rank: int, dst_rank: int) -> bool:
-        return self.live_rail(src_rank, dst_rank, 0) is None
 
     # -- replication heartbeat ledger -----------------------------------
     def record_heartbeat(self, src_rank: int, dst_rank: int) -> None:

@@ -29,7 +29,7 @@ from .nic import (
 )
 from .node import CpuSet, Node
 from .spec import GBPS, US, ClusterSpec, FabricSpec, NicSpec, NodeSpec
-from .trace import MessageTrace, TraceRecord
+from .trace import TraceRecord
 
 __all__ = [
     "GBPS",
@@ -48,7 +48,6 @@ __all__ = [
     "LinkFlap",
     "Nic",
     "NicSpec",
-    "MessageTrace",
     "Node",
     "NodeCrash",
     "NodeSpec",

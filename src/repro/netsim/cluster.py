@@ -145,8 +145,8 @@ class Cluster:
     def inject_faults(self, spec) -> "FaultInjector":
         """Attach a :class:`~repro.netsim.faults.FaultInjector` built
         from ``spec`` (a :class:`FaultSpec` or a spec string).  Attach
-        faults *before* a :class:`~repro.netsim.trace.MessageTrace` so
-        the trace sees post-fault delivery times."""
+        faults *before* the :class:`~repro.obs.Recorder` so its
+        transfer log sees post-fault delivery times."""
         from .faults import FaultInjector, FaultSpec
 
         if isinstance(spec, str):

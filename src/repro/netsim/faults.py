@@ -2,8 +2,8 @@
 
 The happy-path cluster model delivers every fragment exactly once.  This
 module wraps the NICs of a :class:`~repro.netsim.cluster.Cluster` (the
-same interception idiom as :class:`~repro.netsim.trace.MessageTrace`)
-and subjects unordered RDMA traffic to a *fault schedule*:
+same interception idiom as the :class:`~repro.obs.Recorder`) and
+subjects unordered RDMA traffic to a *fault schedule*:
 
 * **drop** — the fragment never reaches the destination (its wire time
   is still consumed; the sender's local completion still fires, exactly
@@ -350,9 +350,10 @@ class _Fate:
 class FaultInjector:
     """Wraps every NIC of a cluster and applies a :class:`FaultSpec`.
 
-    Attach *before* :class:`~repro.netsim.trace.MessageTrace` so the
-    trace observes post-fault delivery times (dropped fragments keep
-    ``deliver_time=None`` and show up in ``summary()['n_dropped']``).
+    Attach *before* the :class:`~repro.obs.Recorder` so its transfer
+    log observes post-fault delivery times (dropped fragments keep
+    ``deliver_time=None`` and show up in ``transfer_summary``'s
+    ``n_dropped``).
     """
 
     def __init__(self, cluster, spec: FaultSpec):

@@ -1,32 +1,23 @@
-"""Message tracing: record every transfer a cluster performs.
+"""Message tracing: the record of every transfer a cluster performs.
 
-Attach a :class:`MessageTrace` to a cluster *before* running and every
-``post_put``/``post_get`` is recorded with its size, endpoints and
-timing.  Useful for debugging communication schedules (who sent what
-when), asserting traffic invariants in tests, and producing the
-text timelines used in the examples.
+Arm the cluster's :class:`~repro.obs.Recorder` *before* running and
+every ``post_put``/``post_get`` is appended to ``recorder.transfers`` as
+a :class:`TraceRecord` with its size, endpoints and timing.  This module
+holds the record type and the plain functions over a record list: the
+order-sensitive :func:`transfer_fingerprint` (the replay guarantee),
+:func:`transfer_summary` and :func:`render_timeline`.
 
-Since the ``repro.obs`` layer landed, the transfer log itself lives on
-the cluster's :class:`~repro.obs.Recorder` (``cluster.obs``) and
-``MessageTrace`` is a thin *view* over it: attaching a trace arms the
-recorder (idempotently), so a transfer is recorded exactly once no
-matter how many observers exist, and ``attach`` can be called on an
-already-observed cluster without double-wrapping the NICs.
-
->>> trace = MessageTrace.attach(cluster)
+>>> recorder = Recorder.attach(cluster)
 >>> ...run...
->>> trace.summary()["n_messages"]
+>>> transfer_summary(recorder.transfers)["n_messages"]
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..obs.recorder import Recorder
-
-__all__ = ["TraceRecord", "MessageTrace", "transfer_fingerprint", "render_timeline"]
+__all__ = ["TraceRecord", "transfer_fingerprint", "transfer_summary", "render_timeline"]
 
 
 @dataclass
@@ -75,6 +66,27 @@ def transfer_fingerprint(records: Iterable[TraceRecord]) -> str:
     return h.hexdigest()
 
 
+def transfer_summary(records: Sequence[TraceRecord]) -> Dict[str, Any]:
+    """Aggregate statistics over a transfer record list.
+
+    Undelivered records (dropped by fault injection, or still in flight
+    when the run ended) have ``latency is None``; they are excluded from
+    the latency aggregates but counted explicitly in ``n_dropped``
+    instead of being silently ignored.
+    """
+    lat = [r.deliver_time - r.post_time for r in records if r.deliver_time is not None]
+    return {
+        "n_messages": len(records),
+        "n_delivered": len(lat),
+        "n_dropped": len(records) - len(lat),
+        "total_bytes": sum(r.nbytes for r in records),
+        "intra_node_messages": sum(r.intra_node for r in records),
+        "min_latency": min(lat) if lat else None,
+        "max_latency": max(lat) if lat else None,
+        "mean_latency": (sum(lat) / len(lat)) if lat else None,
+    }
+
+
 def render_timeline(
     records: Sequence[TraceRecord], limit: int = 40, min_bytes: int = 0
 ) -> str:
@@ -99,81 +111,3 @@ def render_timeline(
             lines.append(f"... ({len(records)} total)")
             break
     return "\n".join(lines)
-
-
-class MessageTrace:
-    """Transfer-log view over the cluster's :class:`~repro.obs.Recorder`.
-
-    The public query API (``summary()``, ``fingerprint()``,
-    ``per_pair_bytes()``, ``timeline()``, …) is unchanged from when this
-    class wrapped the NICs itself; the recording now happens once, in
-    :mod:`repro.obs.instrument`.
-    """
-
-    def __init__(self, recorder: "Recorder") -> None:
-        self._recorder = recorder
-
-    @property
-    def records(self) -> List[TraceRecord]:
-        return self._recorder.transfers
-
-    @property
-    def recorder(self) -> "Recorder":
-        return self._recorder
-
-    @classmethod
-    def attach(cls, cluster: Any) -> "MessageTrace":
-        """Arm observation on ``cluster`` (idempotent) and return a view."""
-        from ..obs.recorder import Recorder
-
-        return cls(Recorder.attach(cluster))
-
-    # ------------------------------------------------------------- queries
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def filter(self, predicate: Callable[[TraceRecord], bool]) -> List[TraceRecord]:
-        return [r for r in self.records if predicate(r)]
-
-    def between(self, src_node: int, dst_node: int) -> List[TraceRecord]:
-        return self.filter(
-            lambda r: r.src_node == src_node and r.dst_node == dst_node
-        )
-
-    def summary(self) -> Dict[str, Any]:
-        """Aggregate statistics over all messages.
-
-        Undelivered records (dropped by fault injection, or still in
-        flight when the run ended) have ``latency is None``; they are
-        excluded from the latency aggregates but counted explicitly in
-        ``n_dropped`` instead of being silently ignored.
-        """
-        records = self.records
-        delivered = [r for r in records if r.deliver_time is not None]
-        lat = [r.deliver_time - r.post_time for r in delivered if r.deliver_time is not None]
-        return {
-            "n_messages": len(records),
-            "n_delivered": len(delivered),
-            "n_dropped": len(records) - len(delivered),
-            "total_bytes": sum(r.nbytes for r in records),
-            "intra_node_messages": sum(r.intra_node for r in records),
-            "min_latency": min(lat) if lat else None,
-            "max_latency": max(lat) if lat else None,
-            "mean_latency": (sum(lat) / len(lat)) if lat else None,
-        }
-
-    def fingerprint(self) -> str:
-        """Stable digest of the full record list, order-sensitive."""
-        return transfer_fingerprint(self.records)
-
-    def per_pair_bytes(self) -> Dict[Tuple[int, int], int]:
-        """Bytes moved per (src_node, dst_node)."""
-        out: Dict[Tuple[int, int], int] = {}
-        for r in self.records:
-            key = (r.src_node, r.dst_node)
-            out[key] = out.get(key, 0) + r.nbytes
-        return out
-
-    def timeline(self, limit: int = 40, min_bytes: int = 0) -> str:
-        """Text rendering of the first ``limit`` transfers."""
-        return render_timeline(self.records, limit=limit, min_bytes=min_bytes)

@@ -4,10 +4,11 @@ One :class:`Recorder` per cluster collects counters, gauges, histograms,
 instant events, spans and NIC transfer records, all timestamped with
 simulated time (``env.now``).  Recording is passive: arming a recorder
 never changes what the simulation does, only what gets written down —
-``MessageTrace.fingerprint()`` is identical with observation on or off.
+the ``transfer_fingerprint`` of a run is identical with observation on
+or off.
 
-Arm via ``Unr(..., observe=True)``, the ``UNR_OBSERVE=1`` environment
-variable, ``Recorder.attach(cluster)``, or the ``repro trace`` CLI.
+Arm via ``Unr(..., observe=True)``, ``Recorder.attach(cluster)``, or
+the ``repro trace`` CLI.
 Export with :func:`write_perfetto` (Chrome/Perfetto ``trace_event``
 JSON), :func:`text_timeline`, or :func:`bench_record` /
 :func:`write_bench` (``BENCH_obs.json``).  See ``docs/observability.md``.

@@ -10,8 +10,8 @@ artifacts (enforced by the golden test in ``tests/obs``).
   events for spans and NIC transfers, ``"i"`` instants for markers,
   ``"M"`` metadata naming the tracks.  Load at https://ui.perfetto.dev
   or ``chrome://tracing``.
-* :func:`text_timeline` — the merged transfer+marker text view that
-  supersedes ``MessageTrace.timeline`` (which remains as a view).
+* :func:`text_timeline` — the merged transfer+marker text view (the
+  transfers alone render with :func:`~repro.netsim.trace.render_timeline`).
 * :func:`bench_record` / :func:`write_bench` — the machine-readable
   ``BENCH_obs.json`` record: snapshot, per-track critical paths and the
   transfer fingerprint.
@@ -167,7 +167,7 @@ def write_perfetto(
 
 def text_timeline(recorder: "Recorder", limit: int = 40, min_bytes: int = 0) -> str:
     """Merged text view: NIC transfers interleaved with instant markers,
-    ordered by simulated time (supersedes ``MessageTrace.timeline``)."""
+    ordered by simulated time."""
     rows: List[Any] = []
     for order, rec in enumerate(recorder.transfers):
         if rec.nbytes < min_bytes:

@@ -3,8 +3,8 @@
 Installed once per cluster by :meth:`Recorder.attach`.  Two mechanisms:
 
 * **push** — each NIC's ``post_put``/``post_get`` is replaced with a
-  recording wrapper (the historical ``MessageTrace`` interception
-  idiom).  A :class:`~repro.netsim.faults.FaultInjector` attached
+  recording wrapper (the same interception idiom as the fault
+  injector).  A :class:`~repro.netsim.faults.FaultInjector` attached
   *earlier* stays innermost, so the recorder observes post-fault
   delivery times and dropped fragments keep ``deliver_time=None``.
 * **pull** — per-rail NIC counters, CQ high-water marks and

@@ -187,8 +187,7 @@ class Recorder:
     instant events, spans and NIC transfer records.
 
     Attach with :meth:`attach` (idempotent per cluster) or implicitly
-    via ``Unr(..., observe=True)`` / ``UNR_OBSERVE=1`` or
-    ``MessageTrace.attach``.
+    via ``Unr(..., observe=True)``.
     """
 
     def __init__(self, env: Environment) -> None:
@@ -199,8 +198,8 @@ class Recorder:
         self.events: List[InstantEvent] = []
         self.spans = SpanLog(env)
         #: NIC transfer log (:class:`~repro.netsim.trace.TraceRecord`),
-        #: appended by :mod:`repro.obs.instrument`;
-        #: :class:`~repro.netsim.trace.MessageTrace` is a view over it.
+        #: appended by :mod:`repro.obs.instrument`; digest it with
+        #: :func:`~repro.netsim.trace.transfer_fingerprint`.
         self.transfers: List["TraceRecord"] = []
         #: op-level protocol metadata (unrverify layer 1): one
         #: :class:`OpRecord` per posted transfer fragment, and one

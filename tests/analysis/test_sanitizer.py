@@ -5,7 +5,7 @@ identity), the Table II width chokepoint, and the self-test battery."""
 import numpy as np
 import pytest
 
-from repro.analysis import SanitizerReport, UnrSanitizer
+from repro.analysis import SanitizerReport
 from repro.analysis.selfcheck import (
     SELFTEST_KINDS,
     sanitized_stream_demo,
@@ -126,15 +126,6 @@ def test_fit_custom_handles_none_and_negative():
 
 
 # -- arming surfaces ----------------------------------------------------------
-
-def test_env_var_arms_the_sanitizer(monkeypatch):
-    monkeypatch.setenv("UNR_SANITIZE", "1")
-    unr, _ = fresh_unr(sanitize=None)
-    assert isinstance(unr.sanitizer, UnrSanitizer)
-    monkeypatch.setenv("UNR_SANITIZE", "0")
-    unr, _ = fresh_unr(sanitize=None)
-    assert unr.sanitizer is None
-
 
 def test_disarmed_by_default():
     unr, _ = fresh_unr(sanitize=False)

@@ -35,15 +35,18 @@ from repro.netsim import (
     FaultInjector,
     FaultSpec,
     LinkFlap,
-    MessageTrace,
     NicSpec,
     NodeCrash,
     NodeSpec,
     RailFailure,
 )
+from repro.netsim.trace import transfer_fingerprint
+from repro.obs import Recorder
 from repro.runtime import Job, run_job
 from repro.sim import Environment
 from repro.units import US
+
+from .test_reliability import get_stream_program
 
 
 def make_unr(channel="glex", n_nodes=2, nics=2, faults=None, trace=False, **kw):
@@ -59,7 +62,7 @@ def make_unr(channel="glex", n_nodes=2, nics=2, faults=None, trace=False, **kw):
     job = Job(Cluster(env, spec), ranks_per_node=1)
     if faults is not None:
         FaultInjector.attach(job.cluster, faults)
-    tr = MessageTrace.attach(job.cluster) if trace else None
+    tr = Recorder.attach(job.cluster) if trace else None
     return job, Unr(job, channel, **kw), tr
 
 
@@ -190,21 +193,9 @@ def test_live_rail_skips_tripped_breakers_and_reports_dark_plane():
     assert health.live_rail(0, 1, 0) == 1  # failover to the other rail
     health.breaker(0, 1, 1).trip()
     assert health.live_rail(0, 1, 0) is None  # RMA plane fully dark
-    assert health.rma_dead(0, 1)
     assert not health.fallback_dead(0, 1)  # ordered lane still up
     snap = health.snapshot()
     assert snap["breakers"]["0->1/rail0"]["state"] == BREAKER_OPEN
-
-
-def test_health_is_opt_in_and_env_armable(monkeypatch):
-    _, unr, _ = make_unr()
-    assert unr.health is None
-    monkeypatch.setenv("UNR_HEALTH", "1")
-    _, unr, _ = make_unr()
-    assert isinstance(unr.health, HealthMonitor)
-    monkeypatch.delenv("UNR_HEALTH")
-    _, unr, _ = make_unr(health=HealthConfig(failure_threshold=3))
-    assert unr.health.config.failure_threshold == 3
 
 
 # ------------------------------------------------------- heartbeat ledger
@@ -263,7 +254,10 @@ def test_endpoint_down_degrades_then_repromotes():
 
 
 def test_endpoint_down_runs_are_fingerprint_identical():
-    fps = [endpoint_down_run(trace=True)[2].fingerprint() for _ in range(2)]
+    fps = [
+        transfer_fingerprint(endpoint_down_run(trace=True)[2].transfers)
+        for _ in range(2)
+    ]
     assert fps[0] == fps[1], "degradation/re-promotion is not deterministic"
 
 
@@ -275,7 +269,7 @@ def test_armed_healthy_run_is_fingerprint_neutral():
         job, unr, tr = make_unr(trace=True, reliability=True, health=health)
         run_job(job, stream_program(unr, results, size=100_000, iters=6))
         assert all(results.values())
-        return tr.fingerprint()
+        return transfer_fingerprint(tr.transfers)
 
     assert run(health=False) == run(health=True)
 
@@ -442,6 +436,28 @@ def test_endpoint_recovery_mid_plan_replay():
     assert all(results.values()) and len(results) == iters
     assert unr.stats["degraded_ops"] > 0
     assert unr.stats["repromotions"] >= 1
+
+
+def test_get_stream_degrades_when_both_rails_are_dead():
+    """Every GET finds the RMA plane dark and is emulated over the MPI
+    fallback lane, with its notifications applied in software."""
+    results = {}
+    job, unr, tr = make_unr(
+        faults=FaultSpec(rail_failures=(
+            RailFailure(0.0, node=1, rail=0),
+            RailFailure(0.0, node=1, rail=1),
+        )),
+        trace=True,
+        reliability=True,
+        health=True,
+    )
+    run_job(job, get_stream_program(unr, results, size=50_000, iters=6))
+    assert all(results.values()) and len(results) == 6
+    stats = unr.stats
+    assert (stats["gets"], stats["fallback_posts"], stats["degraded_ops"]) == (6, 6, 6)
+    assert transfer_fingerprint(tr.transfers) == (
+        "5284728403e4883ba5982f54a213bfe5b36db1292ca58fbd08f33d13c7e97456"
+    )
 
 
 # ---------------------------------------------------------------- drain API

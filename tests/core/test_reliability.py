@@ -81,6 +81,46 @@ def stream_program(unr, results, *, size, iters):
     return program
 
 
+def get_stream_program(unr, results, *, size, iters, notified=None):
+    """Rank 0 pulls patterned buffers from rank 1 with credit flow.
+
+    Rank 1 refills its buffer only after its block signal says the read
+    completed.  ``notified`` collects, per GET, whether rank 0's buffer
+    already held the data when rank 1 was notified."""
+
+    def pattern(it):
+        return ((np.arange(size) * 7 + 3 * it) % 251).astype(np.uint8)
+
+    bufs = {}
+
+    def program(ctx):
+        ep = unr.endpoint(ctx.rank)
+        buf = bufs[ctx.rank] = np.zeros(size, dtype=np.uint8)
+        mr = ep.mem_reg(buf)
+        sig = ep.sig_init(1)
+        blk = ep.blk_init(mr, 0, size, signal=sig)
+        if ctx.rank == 0:
+            rmt = yield from ep.recv_ctl(1, tag="addr")
+            for it in range(iters):
+                yield from ep.recv_ctl(1, tag="ready")
+                ep.get(blk, rmt)
+                yield from ep.sig_wait(sig)
+                results[it] = np.array_equal(buf, pattern(it))
+                ep.sig_reset(sig)
+        else:
+            yield from ep.send_ctl(0, blk, tag="addr")
+            for it in range(iters):
+                buf[:] = pattern(it)
+                yield from ep.send_ctl(0, "ready", tag="ready")
+                yield from ep.sig_wait(sig)  # the read of this buffer completed
+                if notified is not None:
+                    notified.append(np.array_equal(bufs[0], pattern(it)))
+                ep.sig_reset(sig)
+        return ctx.env.now
+
+    return program
+
+
 # ---------------------------------------------------------------- idempotence
 def test_signal_duplicate_token_is_noop():
     env = Environment()
@@ -134,14 +174,15 @@ def test_striped_duplicates_via_handle_record():
     from repro.core.levels import encode_custom
 
     node = unr._node_index(1)
+    progress, nic = unr.engines[node], job.nic_of(1)
     for i, a in enumerate(addends):
         rec = CompletionRecord(
             kind="put_remote",
             custom=encode_custom(sig.sid, a, unr.put_remote_policy),
             token=("frag", i),
         )
-        unr._handle_record(node, rec)
-        unr._handle_record(node, rec)  # replayed by the fabric
+        progress._dispatch(nic, rec)
+        progress._dispatch(nic, rec)  # replayed by the fabric
     assert sig.is_zero
     assert not sig.overflow_bit
     assert unr.stats["duplicates_suppressed"] == 2
@@ -260,6 +301,55 @@ def test_get_timeout_raises():
         run_job(job, program)
 
 
+#: GET streams under drops and duplicates (the same schedule for both)
+GET_FAULTS = dict(drop=0.3, duplicate=0.1, seed=8)
+
+
+def test_reliable_get_stream_under_drop_and_dup():
+    """glex: the remote add rides the read's custom bits, so every
+    attempt that reaches the target notifies it, and the token keeps
+    the count single."""
+    results = {}
+    job, unr, inj = make_unr(nics=2, faults=FaultSpec(**GET_FAULTS), reliability=True)
+    recorder = Recorder.attach(job.cluster)
+    run_job(job, get_stream_program(unr, results, size=50_000, iters=12))
+    assert all(results.values()) and len(results) == 12
+    assert inj.stats["dropped"] > 0 and inj.stats["duplicated"] > 0
+    assert unr.stats["gets"] == 12
+    assert (unr.stats["retransmits"], unr.stats["duplicates_suppressed"]) == (10, 2)
+    assert unr.stats["sync_errors"] == unr.stats["overflow_errors"] == 0
+    assert transfer_fingerprint(recorder.transfers) == (
+        "491138f046d425899b206e5edc1d31298eb5c5e42d42b4d54f5e1ea742cd9007"
+    )
+
+
+def test_reliable_get_level0_tail_notifies_once_after_delivery():
+    """verbs has no GET-remote bits: the target hears of each read from
+    a Level-0 ctrl message sent once the data landed — exactly once per
+    GET, however many attempts the read took."""
+    results, notified = {}, []
+    job, unr, inj = make_unr(
+        "verbs", nics=2, faults=FaultSpec(**GET_FAULTS), reliability=True
+    )
+    remote_adds = []
+    apply_add = unr._apply_add
+
+    def spy(node, sid, addend, token=None):
+        if node == unr._node_index(1):
+            remote_adds.append((job.env.now, token))
+        apply_add(node, sid, addend, token=token)
+
+    unr._apply_add = spy
+    run_job(job, get_stream_program(unr, results, size=50_000, iters=12,
+                                    notified=notified))
+    assert all(results.values()) and len(results) == 12
+    assert inj.stats["dropped"] > 0 and unr.stats["retransmits"] == 10
+    assert unr.stats["ctrl_msgs"] == 12
+    assert len(remote_adds) == 12 and all(tok is None for _, tok in remote_adds)
+    assert notified == [True] * 12
+    assert unr.stats["sync_errors"] == unr.stats["overflow_errors"] == 0
+
+
 def test_fragment_timeout_scales_with_size():
     cfg = ReliabilityConfig()
     small = cfg.fragment_timeout(1e-6)
@@ -330,16 +420,20 @@ def test_reliable_run_without_faults_is_clean():
     assert unr.stats["sync_errors"] == 0
 
 
-def test_retransmit_repeats_the_first_attempt_exactly(monkeypatch):
-    """Every wire attempt of a fragment goes through
-    ``_post_put_attempt`` with the plan, payload snapshot, delivery
-    callback and tokens of its first attempt — and re-arms the same
-    send-completion add, which the token keeps single."""
+@pytest.mark.parametrize("kind", ["put", "get"])
+def test_retransmit_repeats_the_first_attempt_exactly(monkeypatch, kind):
+    """Every wire attempt of a fragment goes through ``_attempt`` with
+    the plan, payload snapshot, delivery callback and tokens of its
+    first attempt.  A PUT re-arms the same send-completion add per
+    attempt, which the token keeps single; a GET arms its local add
+    once, on delivery."""
     from repro.interconnect import Capability, RmaChannel
 
     class NoLocalBits(RmaChannel):
-        """Remote custom bits only: the local notification is applied
-        when the send completes (``StripePlan.local_done_add``)."""
+        """Remote PUT custom bits only: the local notification is
+        applied when the send or read completes
+        (``StripePlan.local_done_add``), a GET's remote one by a
+        Level-0 tail."""
 
         capability = Capability(
             interface="T", interconnect="t", systems="t",
@@ -358,13 +452,12 @@ def test_retransmit_repeats_the_first_attempt_exactly(monkeypatch):
     unr = Unr(job, NoLocalBits(job), reliability=True)
     engine = unr.engine
 
-    attempts = {}  # fragment (by its remote token) -> [call, ...]
-    real_attempt = engine._post_put_attempt
+    attempts = {}  # fragment (by its tokens) -> [call, ...]
+    real_attempt = engine._attempt
 
     def spy_attempt(op, sp, payload, deliver, rtok, ltok, rail):
-        attempts.setdefault(rtok, []).append(
-            (sp, payload, payload.tobytes(), deliver, ltok)
-        )
+        snapshot = None if payload is None else payload.tobytes()
+        attempts.setdefault((rtok, ltok), []).append((sp, payload, snapshot, deliver))
         return real_attempt(op, sp, payload, deliver, rtok, ltok, rail)
 
     done_adds = []
@@ -374,28 +467,34 @@ def test_retransmit_repeats_the_first_attempt_exactly(monkeypatch):
         done_adds.append((spec, token))
         return real_callback(spec, token)
 
-    monkeypatch.setattr(engine, "_post_put_attempt", spy_attempt)
+    monkeypatch.setattr(engine, "_attempt", spy_attempt)
     monkeypatch.setattr(engine, "_add_callback", spy_callback)
 
     results = {}
-    run_job(job, stream_program(unr, results, size=4096, iters=8))
+    program = stream_program if kind == "put" else get_stream_program
+    run_job(job, program(unr, results, size=4096, iters=8))
     assert all(results.values()) and len(results) == 8
     assert inj.stats["dropped"] > 0 and unr.stats["retransmits"] > 0
 
-    assert len(attempts) == 8 and None not in attempts
+    assert len(attempts) == 8
     assert sum(len(calls) for calls in attempts.values()) == 8 + unr.stats["retransmits"]
-    for calls in attempts.values():
-        sp, payload, snapshot, deliver, ltok = calls[0]
+    for (_rtok, ltok), calls in attempts.items():
+        sp, payload, snapshot, deliver = calls[0]
         assert sp.local_done_add is not None and ltok is not None
+        assert (payload is None) == (kind == "get")
         for again in calls[1:]:
             assert again[0] is sp and again[1] is payload and again[3] is deliver
-            assert again[2] == snapshot and again[4] == ltok
-    # One send-completion add armed per attempt, always the fragment's own.
-    assert sorted(done_adds, key=lambda a: a[1]) == sorted(
-        ((c[0].local_done_add, c[4]) for calls in attempts.values() for c in calls),
-        key=lambda a: a[1],
-    )
-    assert unr.stats["duplicates_suppressed"] > 0
+            assert again[2] == snapshot
+    # The local add armed per PUT attempt, once per GET: always the
+    # fragment's own, with its own token.
+    armed = [
+        (c[0].local_done_add, ltok)
+        for (_rtok, ltok), calls in attempts.items()
+        for c in (calls if kind == "put" else calls[:1])
+    ]
+    assert sorted(done_adds, key=lambda a: a[1]) == sorted(armed, key=lambda a: a[1])
+    if kind == "put":
+        assert unr.stats["duplicates_suppressed"] > 0
 
 
 # ------------------------------------------------------------ replay identity

@@ -15,13 +15,14 @@ from repro.netsim import (
     FabricSpec,
     FaultInjector,
     FaultSpec,
-    MessageTrace,
     NicSpec,
     NodeSpec,
     RailFailure,
     US,
 )
 from repro.netsim.faults import Partition
+from repro.netsim.trace import transfer_fingerprint, transfer_summary
+from repro.obs import Recorder
 from repro.sim import Environment
 
 
@@ -86,13 +87,11 @@ def test_same_seed_identical_trace(schedule, seed):
     for _ in range(2):
         env, cluster = make_cluster(seed=17)
         FaultInjector.attach(cluster, dataclasses.replace(schedule, seed=seed))
-        trace = MessageTrace.attach(cluster)
+        transfers = Recorder.attach(cluster).transfers
         blast(env, cluster, rng_seed=seed + 100)
-        runs.append(trace)
-    assert runs[0].records == runs[1].records, (
-        f"trace diverged for schedule={schedule} seed={seed}"
-    )
-    assert runs[0].fingerprint() == runs[1].fingerprint()
+        runs.append(transfers)
+    assert runs[0] == runs[1], f"trace diverged for schedule={schedule} seed={seed}"
+    assert transfer_fingerprint(runs[0]) == transfer_fingerprint(runs[1])
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -114,10 +113,10 @@ def test_delivered_puts_carry_posted_bytes(seed):
 def test_drop_probability_one_drops_everything():
     env, cluster = make_cluster()
     inj = FaultInjector.attach(cluster, FaultSpec(drop=1.0, seed=3))
-    trace = MessageTrace.attach(cluster)
+    transfers = Recorder.attach(cluster).transfers
     got, _ = blast(env, cluster, n_msgs=20)
     assert got == {}
-    s = trace.summary()
+    s = transfer_summary(transfers)
     assert s["n_messages"] == 20
     assert s["n_delivered"] == 0
     assert s["n_dropped"] == 20  # the latent-bug fix: explicit accounting
@@ -132,9 +131,9 @@ def test_noop_schedule_changes_nothing():
         if attach:
             inj = FaultInjector.attach(cluster, FaultSpec(seed=9))
             assert inj.spec.is_noop
-        trace = MessageTrace.attach(cluster)
+        transfers = Recorder.attach(cluster).transfers
         blast(env, cluster, rng_seed=7)
-        baseline.append(trace.fingerprint())
+        baseline.append(transfer_fingerprint(transfers))
     assert baseline[0] == baseline[1]
 
 

@@ -1,9 +1,11 @@
-"""Tests for the message-tracing facility (`repro.netsim.trace`)."""
+"""Tests for the transfer log (`repro.netsim.trace` over `Recorder.transfers`)."""
 
 import numpy as np
 
 from repro.core import Unr
-from repro.netsim import Cluster, ClusterSpec, MessageTrace, NicSpec, NodeSpec
+from repro.netsim import Cluster, ClusterSpec, NicSpec, NodeSpec
+from repro.netsim.trace import TraceRecord, render_timeline, transfer_summary
+from repro.obs import Recorder
 from repro.runtime import Job, run_job
 from repro.sim import Environment
 
@@ -19,7 +21,7 @@ def make_cluster(n=2, nics=1):
 
 def test_trace_records_put():
     env, cluster = make_cluster()
-    trace = MessageTrace.attach(cluster)
+    transfers = Recorder.attach(cluster).transfers
     a, b = cluster.node(0).nic(), cluster.node(1).nic()
 
     def run(env):
@@ -27,8 +29,8 @@ def test_trace_records_put():
         yield env.timeout(1e-3)
 
     env.run_process(run(env))
-    assert len(trace) == 1
-    rec = trace.records[0]
+    assert len(transfers) == 1
+    rec = transfers[0]
     assert rec.kind == "put"
     assert (rec.src_node, rec.dst_node) == (0, 1)
     assert rec.nbytes == 4096
@@ -39,7 +41,7 @@ def test_trace_records_put():
 
 def test_trace_preserves_delivery_callback():
     env, cluster = make_cluster()
-    trace = MessageTrace.attach(cluster)
+    Recorder.attach(cluster)
     a, b = cluster.node(0).nic(), cluster.node(1).nic()
     landed = []
 
@@ -53,20 +55,20 @@ def test_trace_preserves_delivery_callback():
 
 def test_trace_records_get():
     env, cluster = make_cluster()
-    trace = MessageTrace.attach(cluster)
+    transfers = Recorder.attach(cluster).transfers
     a, b = cluster.node(0).nic(), cluster.node(1).nic()
 
     def run(env):
         yield a.post_get(b, 256, fetch=lambda: b"y")
 
     env.run_process(run(env))
-    assert trace.records[0].kind == "get"
-    assert trace.records[0].nbytes == 256
+    assert transfers[0].kind == "get"
+    assert transfers[0].nbytes == 256
 
 
 def test_trace_summary_and_queries():
     env, cluster = make_cluster(n=3)
-    trace = MessageTrace.attach(cluster)
+    transfers = Recorder.attach(cluster).transfers
     nics = [cluster.node(i).nic() for i in range(3)]
 
     def run(env):
@@ -76,19 +78,19 @@ def test_trace_summary_and_queries():
         yield env.timeout(1e-3)
 
     env.run_process(run(env))
-    s = trace.summary()
+    s = transfer_summary(transfers)
     assert s["n_messages"] == 3
     assert s["n_delivered"] == 3
     assert s["total_bytes"] == 600
     assert s["min_latency"] <= s["mean_latency"] <= s["max_latency"]
-    assert trace.per_pair_bytes() == {(0, 1): 100, (0, 2): 200, (1, 2): 300}
-    assert len(trace.between(0, 2)) == 1
+    pairs = {(r.src_node, r.dst_node): r.nbytes for r in transfers}
+    assert pairs == {(0, 1): 100, (0, 2): 200, (1, 2): 300}
 
 
 def test_trace_through_full_unr_exchange():
     """Tracing composes with the whole stack (UNR notified puts)."""
     env, cluster = make_cluster()
-    trace = MessageTrace.attach(cluster)
+    transfers = Recorder.attach(cluster).transfers
     job = Job(cluster)
     unr = Unr(job, "glex")
 
@@ -107,14 +109,13 @@ def test_trace_through_full_unr_exchange():
 
     run_job(job, program)
     # 2 ctl messages (BLK exchange) + 1 data put.
-    data = trace.filter(lambda r: r.nbytes == 8192)
-    assert len(data) == 1
-    assert trace.summary()["n_messages"] == 3
+    assert [r.nbytes for r in transfers].count(8192) == 1
+    assert transfer_summary(transfers)["n_messages"] == 3
 
 
 def test_timeline_rendering():
     env, cluster = make_cluster()
-    trace = MessageTrace.attach(cluster)
+    transfers = Recorder.attach(cluster).transfers
     a, b = cluster.node(0).nic(), cluster.node(1).nic()
 
     def run(env):
@@ -123,26 +124,20 @@ def test_timeline_rendering():
         yield env.timeout(1e-3)
 
     env.run_process(run(env))
-    text = trace.timeline()
+    text = render_timeline(transfers)
     assert "put n0.0 => n1.0  64B  [ordered]" in text
     assert "65536B" in text
-    filtered = trace.timeline(min_bytes=1000)
+    filtered = render_timeline(transfers, min_bytes=1000)
     assert "64B" not in filtered
 
 
 def test_timeline_delivery_at_t_zero_is_not_pending():
     """Regression: a record delivered at exactly t=0.0 must render its
     delivery column, not ``pending`` (falsy-float bug in the renderer)."""
-    from repro.netsim.trace import TraceRecord
-
-    env, cluster = make_cluster()
-    trace = MessageTrace.attach(cluster)
-    trace.records.append(
-        TraceRecord(
-            kind="put", src_node=0, src_rail=0, dst_node=1, dst_rail=0,
-            nbytes=8, post_time=0.0, deliver_time=0.0,
-        )
+    record = TraceRecord(
+        kind="put", src_node=0, src_rail=0, dst_node=1, dst_rail=0,
+        nbytes=8, post_time=0.0, deliver_time=0.0,
     )
-    line = trace.timeline().splitlines()[-1]
+    line = render_timeline([record]).splitlines()[-1]
     assert "pending" not in line
     assert line.count("0.00") >= 2  # both post and deliver columns

@@ -4,7 +4,7 @@ single-recording guarantee for NIC transfers."""
 import pytest
 
 from repro.bench import trace_demo
-from repro.netsim import MessageTrace
+from repro.core import Unr
 from repro.obs import Recorder
 from repro.platforms import make_job
 from repro.sim import Environment
@@ -105,13 +105,13 @@ def test_collector_sums_into_snapshot_counters():
     assert rec.snapshot()["counters"]["x"] == 3
 
 
-def test_attach_is_idempotent_and_shared_with_messagetrace():
+def test_attach_is_idempotent_and_shared_by_every_observer():
+    """Every observer of a cluster shares its one recorder (and so its
+    one transfer log)."""
     job = make_job("th-xy", 2, seed=7)
     rec = Recorder.attach(job.cluster)
     assert Recorder.attach(job.cluster) is rec
-    trace = MessageTrace.attach(job.cluster)
-    assert trace.recorder is rec
-    assert trace.records is rec.transfers
+    assert Unr(job, "glex", observe=True).obs is rec
     with pytest.raises(ValueError):
         Recorder.attach(job.cluster, Recorder(job.cluster.env))
 

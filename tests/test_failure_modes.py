@@ -93,13 +93,15 @@ def test_stray_completion_counted_not_crashing():
     """A completion for a freed signal is counted, not fatal (e.g. a
     late message after signal teardown)."""
     job, unr = make_unr()
-    unr._handle_record(0, CompletionRecord(kind="put_remote", custom=12345 << 64))
+    unr.engines[0]._dispatch(
+        job.nic_of(0), CompletionRecord(kind="put_remote", custom=12345 << 64)
+    )
     assert unr.stats["stray_completions"] == 1
 
 
 def test_unknown_record_kind_ignored():
     job, unr = make_unr()
-    unr._handle_record(0, CompletionRecord(kind="exotic", custom=1))
+    unr.engines[0]._dispatch(job.nic_of(0), CompletionRecord(kind="exotic", custom=1))
     assert unr.stats["unknown_records"] == 1
 
 

@@ -12,7 +12,9 @@ import pytest
 
 from repro.bench import fault_demo
 from repro.core import Unr
-from repro.netsim import FaultInjector, FaultSpec, MessageTrace
+from repro.netsim import FaultInjector, FaultSpec
+from repro.netsim.trace import transfer_fingerprint
+from repro.obs import Recorder
 from repro.platforms import get_platform, make_job
 from repro.powerllel import PowerLLELConfig, gather_fields, run_powerllel
 
@@ -102,11 +104,11 @@ def test_powerllel_faulted_replays_identically():
         plat = get_platform("th-xy")
         job = make_job("th-xy", 4, seed=7)
         FaultInjector.attach(job.cluster, FaultSpec.parse(FAULTS["th-xy"], seed=3))
-        trace = MessageTrace.attach(job.cluster)
+        transfers = Recorder.attach(job.cluster).transfers
         cfg = PowerLLELConfig(
             nx=32, ny=24, nz=32, py=2, pz=2, steps=2, lengths=(1.0, 1.0, 8.0),
         )
         unr = Unr(job, plat.channel, reliability=True)
         run_powerllel(job, cfg, backend="unr", unr=unr)
-        prints.append(trace.fingerprint())
+        prints.append(transfer_fingerprint(transfers))
     assert prints[0] == prints[1]
