@@ -106,7 +106,7 @@ loc:
 # ruff/mypy are optional locally (the container may not ship them); the
 # unrlint and sanitizer gates always run.  CI installs the full set.
 lint:
-	$(REPRO) lint src/repro
+	$(REPRO) lint src/repro examples
 	@if command -v ruff >/dev/null 2>&1; then \
 		ruff check src tests; \
 	else \

@@ -4,8 +4,9 @@ Two halves, mirroring the split between compile-time and run-time
 reproducibility discipline:
 
 * :mod:`repro.analysis.unrlint` — an AST linter (stdlib ``ast``, no
-  dependencies) with UNR-specific determinism rules UNR001–UNR011.
-  Run via ``repro lint`` or :func:`lint_paths`.
+  dependencies) with the determinism rules UNR001–UNR005 and the
+  protocol rules UNR010/UNR011.  Run via ``repro lint`` or
+  :func:`lint_paths`.
 * :mod:`repro.analysis.sanitizer` — the opt-in UnrSanitizer runtime
   checks (``Unr(sanitize=True)``), surfacing
   out-of-bounds RMA, overlapping registrations, over-width custom-bit
@@ -17,9 +18,7 @@ reproducibility discipline:
   op/protocol streams; rules VER001–VER004) and the static
   protocol-conformance pass behind UNR010/UNR011.  Run via
   ``repro verify``; :mod:`repro.analysis.mutants` is the seeded bug
-  corpus proving it detects real violations, and
-  :mod:`repro.analysis.sarif` serializes any finding stream as
-  JSON/SARIF for CI annotation.
+  corpus proving it detects real violations.
 
 :mod:`repro.analysis.selfcheck` (imported lazily — it pulls in the
 whole library) drives the sanitized stream demo and the deliberate
@@ -28,7 +27,6 @@ violation battery behind ``repro check``.
 
 from .hbgraph import HBEvent, HBGraph, VectorClock
 from .sanitizer import SanitizerFinding, SanitizerReport, UnrSanitizer
-from .sarif import findings_to_json, findings_to_sarif, serialize_findings
 from .unrlint import (
     RULES,
     Finding,
@@ -62,13 +60,10 @@ __all__ = [
     "VectorClock",
     "VerifyReport",
     "build_hb_graph",
-    "findings_to_json",
-    "findings_to_sarif",
     "format_findings",
     "lint_file",
     "lint_paths",
     "lint_source",
-    "serialize_findings",
     "verify_corpus",
     "verify_recorder",
     "verify_schedule",

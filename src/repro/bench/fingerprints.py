@@ -221,7 +221,7 @@ def run_schedule(
 
     A ``profiler`` (:class:`repro.obs.HostProfiler`) arms host-time
     profiling for the run; the fingerprint must be bit-identical either
-    way (that is the UNR012 passivity contract, and what
+    way (that is the profiler's passivity contract, and what
     ``tests/obs/test_profile.py`` checks against the golden corpus).
     """
     job, recorder, program = _setup_schedule(platform, schedule, seed, observe_core=False)

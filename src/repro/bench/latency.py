@@ -176,7 +176,7 @@ def mpi_rma_pingpong(platform: str, scheme: str, size: int, iters: int = 20) -> 
                         yield from win.unlock(peer)
                     else:
                         # MPI baseline polls a flag byte, not a retry loop.
-                        while buf[max(size, 1)] != (1 + it) % 256:  # unrlint: disable=UNR008
+                        while buf[max(size, 1)] != (1 + it) % 256:
                             yield ctx.env.timeout(poll_interval)
         results[comm.rank] = (ctx.env.now - t0) / iters / 2.0
 

@@ -14,7 +14,7 @@
     python -m repro trace stream                # observed demo + Perfetto JSON
     python -m repro fingerprints                # golden wire-fingerprint diff
     python -m repro profile latency             # unrprof host-time attribution
-    python -m repro lint src/repro              # unrlint determinism rules
+    python -m repro lint src/repro examples     # unrlint determinism rules
     python -m repro check                       # UnrSanitizer runtime checks
     python -m repro verify                      # unrverify HB + protocol pass
 """
@@ -199,8 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: BENCH_obs.json, or under --output)")
     p.add_argument("--output", default=None, metavar="DIR",
                    help="directory receiving the default-named artifacts "
-                        "(created if missing; the uniform --output "
-                        "convention shared with lint/verify/profile)")
+                        "(created if missing; the --output convention "
+                        "shared with profile)")
     p.add_argument("--no-bench", action="store_true",
                    help="skip writing the bench record")
     p.add_argument("--profile", action="store_true",
@@ -256,7 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "lint",
-        help="unrlint: static determinism rules UNR001-UNR013 over Python sources",
+        help="unrlint: static determinism rules (UNR001-UNR005, UNR010, "
+             "UNR011) over Python sources",
     )
     p.add_argument("paths", nargs="*", default=["src/repro"],
                    help="files or directories to lint (default: src/repro)")
@@ -264,10 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated rule ids to check (default: all)")
     p.add_argument("--list-rules", action="store_true",
                    help="print the rule table and exit")
-    p.add_argument("--format", default="text", choices=("text", "json", "sarif"),
-                   help="finding output format (default: text)")
-    p.add_argument("--output", default=None, metavar="PATH",
-                   help="write findings to PATH instead of stdout")
 
     p = sub.add_parser(
         "verify",
@@ -282,10 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(repeatable; default: all four)")
     p.add_argument("--no-static", action="store_true",
                    help="skip the static protocol-conformance sweep")
-    p.add_argument("--format", default="text", choices=("text", "json", "sarif"),
-                   help="finding output format (default: text)")
-    p.add_argument("--output", default=None, metavar="PATH",
-                   help="write findings to PATH instead of stdout")
 
     p = sub.add_parser(
         "check",
@@ -737,19 +730,6 @@ def cmd_profile(args) -> int:
     return 0
 
 
-def _emit_findings(findings, fmt: str, output: Optional[str], tool: str) -> None:
-    """Serialize a finding stream per --format, to stdout or --output."""
-    from .analysis import serialize_findings
-
-    text = serialize_findings(findings, fmt, tool_name=tool)
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"{tool}: wrote {len(findings)} finding(s) [{fmt}] -> {output}")
-    elif text:
-        sys.stdout.write(text)
-
-
 def cmd_lint(args) -> int:
     from .analysis import RULES, LintConfig, lint_paths
 
@@ -767,11 +747,6 @@ def cmd_lint(args) -> int:
             return 2
     config = LintConfig(select=select)
     findings = lint_paths(args.paths, config=config)
-    # json/sarif always emit a document (possibly empty) so CI uploads
-    # have a file either way; text keeps the human-readable summary.
-    if args.format != "text" or args.output:
-        _emit_findings(findings, args.format, args.output, "unrlint")
-        return 1 if findings else 0
     if findings:
         from .analysis import format_findings
 
@@ -787,7 +762,6 @@ def cmd_verify(args) -> int:
     from .analysis.mutants import run_all_mutants
     from .bench.fingerprints import load_corpus
 
-    all_findings = []
     ok = True
 
     if args.corpus in ("golden", "all"):
@@ -798,7 +772,6 @@ def cmd_verify(args) -> int:
         for report in reports:
             if report.findings:
                 ok = False
-                all_findings.extend(report.findings)
                 for f in report.findings:
                     print(f"    {f.format()}")
             expected = golden.get(report.origin)
@@ -828,12 +801,9 @@ def cmd_verify(args) -> int:
               f"over {', '.join(scopes)}")
         if static:
             ok = False
-            all_findings.extend(static)
             for f in static:
                 print(f"    {f.format()}")
 
-    if args.format != "text" or args.output:
-        _emit_findings(all_findings, args.format, args.output, "unrverify")
     print("verify: " + ("OK" if ok else "FAILED"))
     return 0 if ok else 1
 

@@ -705,7 +705,7 @@ class UnrEndpoint:
         # warm-failover recovery path for control messages, deterministic
         # fixed period; unreplicated runs never enter this loop).
         period = rep.config.heartbeat_period_us * US
-        while not done.triggered:  # unrlint: disable=UNR008
+        while not done.triggered:
             yield self.env.any_of([done, self.env.timeout(period)])
             if done.triggered:
                 break

@@ -1060,9 +1060,7 @@ class TransferEngine:
             t = max(t, fb_base)
         attempts = [(_target_label(target), env.now / US)]
         attempt = 0
-        # This IS the sanctioned watchdog retry ladder (the loop UNR008
-        # tells everyone else to route through).
-        while True:  # unrlint: disable=UNR008
+        while True:
             yield env.any_of([delivered, env.timeout(t)])
             if frag.cancelled:
                 return  # drained: the op was quiesced against a dead peer

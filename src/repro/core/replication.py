@@ -490,7 +490,7 @@ class ReplicationManager:
         """
         env = self.env
         period = self.config.heartbeat_period_us * US
-        while True:  # unrlint: disable=UNR008
+        while True:
             yield env.timeout(period)
             if not env._sched and not self._pending_duty():
                 return

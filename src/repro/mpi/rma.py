@@ -231,7 +231,7 @@ class Win:
         yield self.env.timeout(cfg.lock_overhead_us * US)
         rtt = 2.0 * self._ack_latency()
         # Lock contention spin, not a transfer retry loop.
-        while peer._lock_holder.get(0, False):  # unrlint: disable=UNR008
+        while peer._lock_holder.get(0, False):
             yield self.env.timeout(rtt)  # retry (contention backoff)
         peer._lock_holder[0] = True
         yield self.env.timeout(rtt)

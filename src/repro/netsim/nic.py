@@ -194,8 +194,8 @@ class CompletionQueue:
     ``Store`` traffic and no getter event.  A queue nobody parked on is
     an ordinary ``Store``-backed FIFO.  Consuming (``park`` / ``get`` /
     ``poll`` / ``poll_batch`` / ``poll_batch_into``) is reserved to
-    :class:`~repro.core.engine.ProgressEngine`; unrlint rule UNR007
-    flags any other caller.
+    :class:`~repro.core.engine.ProgressEngine`; a test runs the golden
+    fault-stress schedule and fails on any other caller.
 
     Accounting, all readable attributes: ``n_pushed`` records accepted,
     ``high_water`` deepest the queue got, ``n_overflow_stalls`` pushes
@@ -448,7 +448,7 @@ class _LocalSide(InFlight):
 _JITTER_BLOCK = 16
 
 
-class Nic:  # unrlint: disable=UNR009
+class Nic:
     """One RDMA-capable network interface.
 
     Deliberately un-slotted: the fault-injection and observability

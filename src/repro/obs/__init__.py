@@ -15,7 +15,7 @@ JSON), :func:`text_timeline`, or :func:`bench_record` /
 
 Host-time profiling lives in :mod:`repro.obs.profile` (``unrprof``):
 :class:`HostProfiler` is the repo's one sanctioned wall-clock consumer
-(unrlint UNR012) and attributes host CPU time per event kind and layer
+(unrlint UNR002) and attributes host CPU time per event kind and layer
 without perturbing the schedule.  See ``docs/profiling.md``.
 """
 

@@ -9,7 +9,7 @@ inside the simulator itself, which is exactly the signal the
 calendar-queue / 1728-node scaling work needs.
 
 This module is the one sanctioned wall-clock user in the repository
-(statically enforced: unrlint rule UNR012 flags ``time.*`` anywhere
+(statically enforced: unrlint rule UNR002 flags ``time.*`` anywhere
 outside ``obs/profile.py``).  The profiler is architecturally separate
 from the Recorder:
 
@@ -52,7 +52,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
-import time  # sanctioned: the ONLY wall-clock import in the repo (UNR012)
+import time  # sanctioned: the ONLY wall-clock import in the repo (UNR002)
 from contextlib import contextmanager
 from types import CodeType
 from typing import Any, Dict, Iterator, List, Optional, Tuple
@@ -74,7 +74,7 @@ def host_clock_ns() -> int:
 
     The chokepoint bench code uses to time wall-clock spans (overhead
     baselines, trend timestamps) without importing ``time`` itself —
-    unrlint UNR012 reserves ``time.*`` for this module.
+    unrlint UNR002 reserves ``time.*`` for this module.
     """
     return _clock_ns()
 

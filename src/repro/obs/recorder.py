@@ -13,7 +13,7 @@ Design rules, in priority order:
 1. **Passive.**  Recording is synchronous appends into Python
    lists/dicts.  The recorder never schedules simulation events, never
    consumes RNG draws, and never reads a wall clock (timestamps come
-   from ``env.now`` only — statically enforced by unrlint rule UNR006).
+   from ``env.now`` only — statically enforced by unrlint rule UNR002).
    An armed run is therefore trace-fingerprint-identical to a disarmed
    one, the same guarantee as :class:`~repro.analysis.sanitizer.UnrSanitizer`.
 2. **Chokepointed.**  Hot paths pay one ``None`` check when disarmed;

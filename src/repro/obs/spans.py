@@ -4,7 +4,7 @@ Spans model *durations* (a collective phase, a signal wait, a plan
 replay) the way Chrome's ``trace_event`` format does: each span lives on
 a named *track* (one per rank, plus auxiliary tracks), nests under the
 innermost span still open on that track, and is timestamped exclusively
-with ``env.now`` — never a wall clock (unrlint rule UNR006).
+with ``env.now`` — never a wall clock (unrlint rule UNR002).
 
 The log is append-only and never touches the event heap, so arming it
 cannot move a single simulation event (the passive guarantee).

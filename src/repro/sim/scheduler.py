@@ -41,9 +41,9 @@ width, exactly as they share heap locality in ``heapq`` — delay-0
 cascades cost the same in both.  The width only controls how many
 *distinct* timestamps share a sort.
 
-``heapq`` use outside ``sim/core.py`` is normally an unrlint violation
-(UNR004); this module is a sanctioned kernel module and is listed in
-``LintConfig.heapq_allowed_suffixes``.
+``heapq`` use outside the kernel is an unrlint violation (UNR004); this
+module is one of the two kernel modules listed in
+``repro.analysis.unrlint.HEAPQ_KERNEL_MODULES``.
 """
 
 from __future__ import annotations

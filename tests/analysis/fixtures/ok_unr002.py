@@ -1,4 +1,4 @@
-"""Fixture: simulated-clock use inside a deterministic scope — clean."""
+"""Fixture: simulated-clock use only — clean."""
 
 import time
 

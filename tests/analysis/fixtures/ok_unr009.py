@@ -1,4 +1,5 @@
-"""Fixture: un-slotted classes outside the hot-path scope are fine."""
+"""Fixture: un-slotted classes are no lint finding — ``__slots__`` is
+checked on the live hot-path classes, not on source text."""
 
 
 class ColdConfig:

@@ -1,4 +1,5 @@
-"""Fixture: deterministic leader election — sorted candidates, rank tie-break."""
+"""Fixture: deterministic leader election — sorted candidates, rank
+tie-break, and an unordered walk that only aggregates."""
 
 
 def promote_first_alive(team):

@@ -11,6 +11,8 @@ frames its completion takes — structure, not host time.
 
 import ast
 import gc
+import importlib
+import pkgutil
 import sys
 import tracemalloc
 from pathlib import Path
@@ -24,7 +26,7 @@ from repro.core.engine import CTRL_BYTES
 from repro.netsim.trace import transfer_fingerprint
 from repro.platforms import get_platform, make_job
 from repro.runtime import run_job
-from repro.sim import InFlight
+from repro.sim import Event
 from repro.units import US
 
 SIZE, ITERS = 65536, 6
@@ -230,18 +232,46 @@ def test_per_message_paths_build_no_callables(path, cls, method):
     assert nested == []
 
 
-def test_every_in_flight_event_class_is_slotted():
-    def names(cls):
-        return {cls.__name__}.union(*(names(sub) for sub in cls.__subclasses__()))
+#: the simulator modules that allocate per simulated event.
+HOT_PATH_MODULES = ("sim.core", "sim.scheduler", "sim.resources", "netsim.nic", "netsim.node")
 
-    in_flight, found = names(InFlight), set()
-    for path in sorted(SRC.rglob("*.py")):
-        for name, node in _classes(path).items():
-            if name in in_flight:
-                found.add(name)
-                assert any(
-                    isinstance(stmt, ast.Assign)
-                    and any(getattr(t, "id", None) == "__slots__" for t in stmt.targets)
-                    for stmt in node.body
-                ), f"{path.name}:{name} has no __slots__ (each instance grows a __dict__)"
-    assert {"_LocalSide", "_PutRemote", "_GetRemote", "_SweepFire"} <= found
+#: the one class allowed a ``__dict__``, with the reason from its
+#: docstring: the fault-injection and observability layers wrap a live
+#: NIC by assigning ``nic.post_put`` / ``nic.post_get`` on the instance,
+#: and there is one Nic per rail per node, not one per event.
+DICT_EXEMPT = {"repro.netsim.nic.Nic"}
+
+
+def hot_path_classes(module):
+    """The classes ``module`` defines, exceptions and warnings aside."""
+    return {
+        c for c in vars(module).values()
+        if isinstance(c, type) and c.__module__ == module.__name__
+        and not issubclass(c, BaseException)
+    }
+
+
+def with_dict(classes):
+    """Qualified names of the classes whose instances grow a ``__dict__``."""
+    return {f"{c.__module__}.{c.__qualname__}" for c in classes if c.__dictoffset__ != 0}
+
+
+def test_every_in_flight_event_class_is_slotted():
+    """Every ``Event`` subclass under ``repro`` and every class of the
+    hot-path modules but an exception is slotted up its whole MRO, so
+    no instance grows a ``__dict__``."""
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if not info.name.endswith(".__main__"):  # runs the CLI on import
+            importlib.import_module(info.name)
+
+    def events(cls):
+        return {cls}.union(*(events(sub) for sub in cls.__subclasses__()))
+
+    classes = {c for c in events(Event) if c.__module__.startswith("repro.")}
+    for name in HOT_PATH_MODULES:
+        classes.update(hot_path_classes(importlib.import_module(f"repro.{name}")))
+    names = {f"{c.__module__}.{c.__qualname__}" for c in classes}
+    assert DICT_EXEMPT <= names, "drop the exemption of a class that is gone"
+    assert with_dict(classes) == DICT_EXEMPT
+    assert {"_LocalSide", "_PutRemote", "_GetRemote", "_SweepFire", "Scheduler",
+            "CompletionRecord", "Node"} <= {c.__name__ for c in classes}

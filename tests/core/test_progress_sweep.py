@@ -7,6 +7,7 @@ plain-Python statement of the batching rule.  The unit tests below it
 pin the parked-consumer hand-off at its edges.
 """
 
+import sys
 from dataclasses import replace
 from math import inf
 
@@ -14,9 +15,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.bench.fingerprints import PLATFORMS, run_schedule
 from repro.core.engine import ProgressEngine
 from repro.core.polling import PollingConfig
 from repro.netsim import Cluster, ClusterSpec, CompletionRecord, NicSpec, NodeSpec
+from repro.netsim.nic import CompletionQueue
 from repro.sim import Environment
 
 TICK = 0.25e-6  # the default busy-mode dispatch delay, so fires land on arrivals
@@ -284,6 +287,40 @@ def test_one_parked_consumer_per_queue():
     ProgressEngine(env, node, PollingConfig(), lambda n, r: None)
     with pytest.raises(RuntimeError, match="parked consumer"):
         node.nic(0).cq.park(lambda rec: None)
+
+
+#: the ``CompletionQueue`` methods that take records off a queue.
+CQ_CONSUMERS = ("park", "get", "poll", "poll_batch", "poll_batch_into")
+
+
+def record_cq_consumers(monkeypatch):
+    """Wrap every CQ consumer method; the returned set fills with
+    ``(calling module, method)`` pairs as the wrapped methods run."""
+    callers = set()
+
+    def spy(name):
+        real = getattr(CompletionQueue, name)
+
+        def consume(self, *args, **kwargs):
+            callers.add((sys._getframe(1).f_globals["__name__"], name))
+            return real(self, *args, **kwargs)
+        return consume
+
+    for name in CQ_CONSUMERS:
+        monkeypatch.setattr(CompletionQueue, name, spy(name))
+    return callers
+
+
+def test_only_the_engine_consumes_a_completion_queue(monkeypatch):
+    """A second consumer steals the sweepers' records and reorders
+    dispatch, so every park or drain of a CQ comes from the engine —
+    checked on the golden fault-stress schedule, which exercises the
+    reliability layer's retransmits and duplicates on every platform."""
+    callers = record_cq_consumers(monkeypatch)
+    for platform in PLATFORMS:
+        run_schedule(platform, "fault_stress")
+    assert ("repro.core.engine", "park") in callers
+    assert {module for module, _ in callers} == {"repro.core.engine"}
 
 
 @pytest.mark.parametrize("config", [PollingConfig(), PollingConfig(poll_cost_us=0.0)],

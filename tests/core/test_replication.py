@@ -204,20 +204,32 @@ def test_primary_crash_promotes_warm_mirror():
     unr.finalize()
 
 
-def test_failover_is_deterministic_across_runs():
-    def once():
-        _, unr = make_unr(faults=crash_schedule((120.0, 1)))
-        rep = unr.replication
-        results = {}
-        ends = run_job(unr.job, stream_program(unr, results, size=4096, iters=10),
-                       ranks=rep.world.app_ranks)
-        return rep.failover_log, ends, sorted(results.items())
+def failover_run(team_size, reverse):
+    """Stream under a crash of node 1 -> (failover log, end times,
+    payloads); ``reverse`` holds every team's live list in reverse."""
+    _, unr = make_unr(n_nodes=2 * team_size, faults=crash_schedule((120.0, 1)),
+                      replication=ReplicationConfig(team_size=team_size))
+    rep = unr.replication
+    if reverse:
+        for team in rep._teams:
+            team.live.reverse()
+    results = {}
+    ends = run_job(unr.job, stream_program(unr, results, size=4096, iters=10),
+                   ranks=rep.world.app_ranks)
+    return rep.failover_log, ends, sorted(results.items())
 
-    log_a, ends_a, res_a = once()
-    log_b, ends_b, res_b = once()
-    assert log_a == log_b
-    assert ends_a == ends_b
-    assert res_a == res_b
+
+def test_failover_is_deterministic_across_runs():
+    """Same seed, same failover.  With three members a team has two
+    candidate mirrors, and the second run holds every team's live list
+    in reverse: membership order must not pick the promoted rank."""
+    for team_size in (2, 3):
+        log_a, ends_a, res_a = failover_run(team_size, reverse=False)
+        log_b, ends_b, res_b = failover_run(team_size, reverse=team_size == 3)
+        assert [rec["promoted_rank"] for rec in log_a] == [3]
+        assert log_a == log_b
+        assert ends_a == ends_b
+        assert res_a == res_b
 
 
 def test_sender_side_crash_also_fails_over():

@@ -1,7 +1,7 @@
 """unrprof tests: attribution accounting, the passivity contract against
 the golden fingerprint corpus, collapsed stacks and counter tracks.
 
-The profiler is the one sanctioned wall-clock user (UNR012), so these
+The profiler is the one sanctioned wall-clock user (UNR002), so these
 tests assert *accounting identities* (self ≤ total, Σ layers == Σ
 kinds, coverage near 1.0) rather than absolute times — host timing
 itself is nondeterministic, the bookkeeping around it must not be.
@@ -163,7 +163,7 @@ def test_report_names_layers_and_kinds():
 
 
 def test_profiled_run_keeps_golden_fingerprint_identical():
-    """The UNR012 passivity contract, against the committed corpus:
+    """The profiler's passivity contract, against the committed corpus:
     arming the host profiler must not move a single wire fragment."""
     golden = load_corpus(str(GOLDEN))
     for key in ("th-xy/latency", "hpc-ib/stream"):

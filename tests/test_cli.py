@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import re
 from pathlib import Path
 
 import pytest
@@ -59,7 +60,7 @@ def test_scaling(capsys):
 
 def test_lint_clean_tree_exits_zero(capsys):
     assert main(["lint"]) == 0  # defaults to src/repro
-    assert "clean" in capsys.readouterr().out
+    assert "clean (7 rules)" in capsys.readouterr().out
 
 
 def test_lint_bad_fixture_exits_nonzero(capsys):
@@ -75,39 +76,9 @@ def test_lint_select_and_list_rules(capsys):
     assert main(["lint", "--select", "UNR002", str(FIXTURES / "bad_unr001.py")]) == 0
     capsys.readouterr()
     assert main(["lint", "--list-rules"]) == 0
-    out = capsys.readouterr().out
-    for rule_id in ("UNR001", "UNR002", "UNR003", "UNR004", "UNR005", "UNR006"):
-        assert rule_id in out
+    listed = re.findall(r"^(UNR\d{3})", capsys.readouterr().out, re.M)
+    assert listed == ["UNR001", "UNR002", "UNR003", "UNR004", "UNR005", "UNR010", "UNR011"]
     assert main(["lint", "--select", "NOPE42"]) == 2
-
-
-def test_lint_json_format(capsys):
-    import json
-
-    rc = main(["lint", "--format", "json", str(FIXTURES / "bad_unr001.py")])
-    assert rc == 1
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["summary"]["total"] == len(doc["findings"]) > 0
-    assert all(f["rule"] == "UNR001" for f in doc["findings"])
-
-
-def test_lint_sarif_output_file(tmp_path, capsys):
-    import json
-
-    out_path = tmp_path / "lint.sarif"
-    rc = main([
-        "lint", "--format", "sarif", "--output", str(out_path),
-        str(FIXTURES / "bad_unr004.py"),
-    ])
-    assert rc == 1
-    assert str(out_path) in capsys.readouterr().out
-    doc = json.loads(out_path.read_text())
-    assert doc["version"] == "2.1.0"
-    run = doc["runs"][0]
-    assert run["tool"]["driver"]["name"] == "unrlint"
-    assert {r["ruleId"] for r in run["results"]} == {"UNR004"}
-    region = run["results"][0]["locations"][0]["physicalLocation"]["region"]
-    assert region["startLine"] >= 1 and region["startColumn"] >= 1
 
 
 def test_verify_mutants_and_static(capsys):
@@ -125,19 +96,6 @@ def test_verify_golden_single_platform(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "4/4 scenarios clean" in out
-
-
-def test_verify_sarif_output(tmp_path, capsys):
-    import json
-
-    out_path = tmp_path / "verify.sarif"
-    rc = main(["verify", "--corpus", "mutants", "--no-static",
-               "--format", "sarif", "--output", str(out_path)])
-    assert rc == 0
-    doc = json.loads(out_path.read_text())
-    assert doc["version"] == "2.1.0"
-    # A fully-flagged mutant corpus yields zero *reportable* findings.
-    assert doc["runs"][0]["results"] == []
 
 
 def test_trace_writes_valid_artifacts(tmp_path, capsys):

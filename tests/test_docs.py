@@ -3,13 +3,16 @@
 Every repo path, ``make`` target and ``repro`` subcommand quoted in a
 code span or fenced block of README.md, DESIGN.md, EXPERIMENTS.md and
 docs/*.md must exist — a doc that names a deleted command or a file
-that moved fails here, not in a reader's shell.  (``perfbench/`` keeps
-its own README and is out of scope.)
+that moved fails here, not in a reader's shell.  Every lint or verifier
+rule id those docs, the verify skill notes or the source quote must be
+a live rule.  (``perfbench/`` keeps its own README and is out of scope.)
 """
 
 import re
 from pathlib import Path
 
+from repro.analysis import RULES, VERIFY_RULES
+from repro.analysis.unrlint import PARSE_ERROR
 from repro.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -19,7 +22,8 @@ DOCS = [ROOT / "README.md", ROOT / "DESIGN.md", ROOT / "EXPERIMENTS.md",
 _CODE = re.compile(r"```.*?```|`[^`]+`", re.S)
 _PATH = re.compile(r"(?<![\w/.-])((?:benchmarks|examples|tests|src|tools)/[\w./-]+)(?![\w*<{])")
 _MAKE = re.compile(r"\bmake\s+([a-z][a-z-]*)\b")
-_REPRO = re.compile(r"(?<!from )\brepro\s+([a-z][a-z0-9-]*)\b")
+_REPRO = re.compile(r"(?<!from )(?<![\w/])repro\s+([a-z][a-z0-9-]*)\b")
+_RULE_ID = re.compile(r"\b(?:UNR|VER)\d{3}\b")
 
 
 def _quoted(pattern):
@@ -45,3 +49,16 @@ def test_docs_resolve_against_the_tree():
         + [(doc, f"repro {c}") for doc, c in repros if c not in sub.choices]
     )
     assert not missing
+
+
+def test_rule_ids_in_prose_resolve():
+    texts = [*DOCS, ROOT / ".claude" / "skills" / "verify" / "SKILL.md",
+             *sorted((ROOT / "src").rglob("*.py"))]
+    quoted = {
+        (path.relative_to(ROOT).as_posix(), rule_id)
+        for path in texts
+        for rule_id in _RULE_ID.findall(path.read_text(encoding="utf-8"))
+    }
+    assert len({rule_id for _, rule_id in quoted}) > 8, "the pattern stopped matching"
+    live = {*RULES, *VERIFY_RULES, PARSE_ERROR.id}
+    assert sorted(hit for hit in quoted if hit[1] not in live) == []
