@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional, Sequence
 
-from ..core import ReplicationConfig, Unr
+from ..core import Unr
 from ..netsim import FaultInjector, FaultSpec, NodeCrash
 from ..netsim.trace import transfer_fingerprint
 from ..obs import Recorder
@@ -128,6 +128,9 @@ def _one_replicated_run(
 ) -> Dict[str, Any]:
     """One producer→consumer stream on a replicated 2x``team_size``-node
     job; ``crash_us`` kills the consumer's primary node mid-stream."""
+    # Imported here so that importing repro.bench does not load the tier.
+    from ..replication import ReplicationConfig
+
     plat = get_platform(platform)
     job = make_job(platform, 2 * team_size, seed=seed)
     if crash_us is not None:
@@ -166,7 +169,7 @@ def _replication_block(
     an unreplicated baseline on the *same* cluster size (the extra cost
     is shadow traffic + heartbeats, not topology).  The crash leg runs
     the same seeded schedule twice; per-crash TTRs come from the
-    :attr:`~repro.core.replication.ReplicationManager.failover_log`.
+    :attr:`~repro.replication.ReplicationManager.failover_log`.
     """
     plat = get_platform(platform)
     base_job = make_job(platform, 2 * team_size, seed=seed)

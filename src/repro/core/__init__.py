@@ -32,7 +32,6 @@ from .errors import (
     UnrUsageError,
 )
 from .health import CircuitBreaker, HealthConfig, HealthMonitor
-from .replication import ReplicationConfig, ReplicationManager, TeamWorld
 from .levels import LevelPolicy, decode_custom, encode_custom, max_signals, policy_for_channel
 from .memory import Blk, MemoryRegion
 from .plan import PlannedOp, RmaPlan
@@ -65,11 +64,8 @@ __all__ = [
     "PollingConfig",
     "ProgressEngine",
     "ReliabilityConfig",
-    "ReplicationConfig",
-    "ReplicationManager",
     "RmaPlan",
     "Signal",
-    "TeamWorld",
     "Stripe",
     "StripePlan",
     "TransferEngine",

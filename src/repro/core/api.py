@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import warnings
 from collections import Counter
+from importlib import import_module
 from typing import Any, Callable, Generator, List, Optional, Set, TypeVar, Union
 
 import numpy as np
@@ -42,9 +43,9 @@ from ..interconnect import MpiFallbackChannel, RmaChannel, make_channel
 from ..netsim import CompletionRecord
 from ..obs import Recorder
 from ..runtime import Job
-from ..sim import FilterStore
+from ..sim import Event, FilterStore
 from ..units import US
-from .engine import CTRL_BYTES, ProgressEngine, TransferEngine
+from .engine import CTRL_BYTES, ProgressEngine, TransferEngine, TransferOp
 from .health import HealthConfig, HealthMonitor
 from .errors import (
     UnrDegradeWarning,
@@ -56,7 +57,6 @@ from .errors import (
 from .levels import LevelPolicy, max_signals, policy_for_channel
 from .memory import Blk, MemoryRegion
 from .polling import PollingConfig
-from .replication import ReplicationConfig, ReplicationManager
 from .signal import DEFAULT_N_BITS, Signal
 from .transport import DEFAULT_STRIPE_THRESHOLD, ReliabilityConfig
 
@@ -149,22 +149,10 @@ class Unr:
         default.  Healthy armed runs are trace-fingerprint-identical to
         disarmed ones (the breakers are passive until something fails).
     replication:
-        Arm the replication resilience tier
-        (:class:`~repro.core.replication.ReplicationManager`): physical
-        ranks are split into replica teams of
-        :attr:`~repro.core.replication.ReplicationConfig.team_size`, the
-        application runs on the logical primaries
-        (``unr.replication.world.app_ranks``), warm mirrors shadow every
-        op landing on a replicated rank, and heartbeat-driven failover
-        promotes the warmest mirror when a primary's node crashes —
-        instead of :class:`~repro.core.errors.UnrPeerDeadError` ending
-        the job.  ``True`` or a
-        :class:`~repro.core.replication.ReplicationConfig` arms it; off
-        by default.  Requires ``reliability`` (ledger replay and failover
-        parking ride on idempotence tokens) and auto-arms ``health``.
-        Unreplicated runs never touch this layer: every engine hook is
-        behind an ``is None`` check, keeping the golden fingerprint
-        corpus bit-identical.
+        Arm the replica-team tier of :mod:`repro.replication` (warm
+        failover on a node crash; ``True`` or a ``ReplicationConfig``);
+        off by default.  It requires ``reliability``, arms ``health``,
+        and wraps this library from outside: ``core`` does not know it.
     """
 
     def __init__(
@@ -183,7 +171,7 @@ class Unr:
         sanitize: Optional[bool] = None,
         observe: Union[Recorder, bool, None] = None,
         health: Union[HealthConfig, bool, None] = None,
-        replication: Union[ReplicationConfig, bool, None] = None,
+        replication: Any = None,
     ) -> None:
         self.job = job
         self.env = job.env
@@ -264,17 +252,10 @@ class Unr:
                 lambda: {f"core.{k}": float(stats[k]) for k in sorted(stats)}
             )
 
-        self._replication_config = _tier_config(replication, ReplicationConfig)
-        #: replication resilience tier; armed at the end of __init__ so
-        #: the manager sees the fully-built library.  None on the
-        #: unreplicated path — every hook checks that first.
-        self.replication: Optional[ReplicationManager] = None
-
-        health_config = _tier_config(health, HealthConfig)
-        if health_config is None and self._replication_config is not None:
-            # Replication rides on the health layer (heartbeat ledger,
-            # fail-stop predicate, degradation ladder): auto-arm it.
-            health_config = HealthConfig()
+        # The team tier is a module outside core/, imported only when
+        # armed; it rides on the health layer, so arming it arms health.
+        tier = import_module("repro.replication") if replication else None
+        health_config = _tier_config(health or tier is not None, HealthConfig)
         self.health: Optional[HealthMonitor] = (
             None if health_config is None else HealthMonitor(self, health_config)
         )
@@ -297,8 +278,8 @@ class Unr:
                 eng.register("ctrl", self._handle_ctrl_record)
                 self.engines.append(eng)
 
-        if self._replication_config is not None:
-            self.replication = ReplicationManager(self, self._replication_config)
+        # Built last: the tier wraps the finished library.
+        self.replication = None if tier is None else tier.arm(self, replication)
 
     # ------------------------------------------------------------------
     def _resolve_polling(self, polling: Union[PollingConfig, str, None]) -> PollingConfig:
@@ -336,8 +317,6 @@ class Unr:
             self._sid_next[node] += 1
         sig = Signal(self.env, sid, num_event, n_bits=self.n_bits, owner_rank=rank)
         self._sig_tables[node][sid] = sig
-        if self.replication is not None:
-            self.replication.on_sig_init(sig)
         if self.obs is not None:
             self.obs.record_proto(
                 "sig_init", rank=rank, node=node, sid=sid, num_event=num_event,
@@ -365,8 +344,6 @@ class Unr:
             raise UnrUsageError(
                 f"signal {sig.sid} is not registered (double free?)"
             )
-        if self.replication is not None:
-            self.replication.on_sig_free(sig)
         del self._sig_tables[node][sig.sid]
         sig.armed = False
         self._sid_free[node].append(sig.sid)
@@ -452,8 +429,6 @@ class Unr:
         if self.sanitizer is not None:
             self.sanitizer.on_mem_reg(mr)
         self._mrs[(rank, handle)] = mr
-        if self.replication is not None:
-            self.replication.on_mem_reg(mr)
         return mr
 
     def _mr_of(self, blk: Blk) -> MemoryRegion:
@@ -546,7 +521,7 @@ class UnrEndpoint:
     @property
     def node_index(self) -> int:
         """Current node index of this rank — resolved at use time so a
-        replication failover transparently re-points the endpoint."""
+        placement change (``Job.reassign_node``) re-points the endpoint."""
         return self.unr._node_index(self.rank)
 
     # -- registration --------------------------------------------------------
@@ -599,10 +574,7 @@ class UnrEndpoint:
             ):
                 raise UnrUsageError("signal must live on the caller's node")
             sid = signal.sid
-        blk = Blk(rank=self.rank, mr_handle=mr.handle, offset=offset, size=size, signal_sid=sid)
-        if self.unr.replication is not None:
-            self.unr.replication.on_blk_init(blk)
-        return blk
+        return Blk(rank=self.rank, mr_handle=mr.handle, offset=offset, size=size, signal_sid=sid)
 
     # -- signal operations ----------------------------------------------------
     def sig_reset(self, sig: Signal) -> None:
@@ -661,59 +633,30 @@ class UnrEndpoint:
         """Generator: send a small control object to ``dst_rank``.
 
         ``nbytes`` sets the on-the-wire size (defaults to a bare (p, a)
-        envelope; pass the payload size when shipping real data).
-
-        With the replication tier armed the send is made *reliable*: a
-        crash can destroy an ordered-lane frame in flight (fail-stop
-        loses the wire), so the sender re-posts on a fixed heartbeat
-        cadence until the first copy is delivered — each re-post
-        re-resolves the destination's placement, which is exactly what
-        re-targets the frame at the promoted node after a failover.
-        First delivery wins; late duplicates are dropped at the
-        callback, so the receiver's inbox sees the object once."""
-        rep = self.unr.replication
-        if rep is not None:
-            # Hold the send while the destination's team is mid-failover
-            # (no yields on the healthy path).
-            yield from rep.ctrl_gate(self.rank, dst_rank)
-        inbox = self.unr._inbox[dst_rank]
+        envelope; pass the payload size when shipping real data)."""
         done = self.env.event()
-        engine = self.unr.engine
+        self._post_ctl(dst_rank, (self.rank, tag, obj), nbytes, done)
+        yield done
 
-        def deliver(item: Any) -> None:
+    def _post_ctl(self, dst_rank: int, item: Any, nbytes: int, done: Event) -> None:
+        """Post one copy of a control message on the ordered lane.  The
+        first copy delivered puts ``item`` in the receiver's inbox and
+        succeeds ``done``; a later copy is dropped."""
+        inbox = self.unr._inbox[dst_rank]
+
+        def deliver(payload: Any) -> None:
             if done.triggered:
-                return  # a retransmitted copy already landed
-            inbox.put(item)
+                return
+            inbox.put(payload)
             done.succeed()
 
-        def post() -> None:
-            engine.post_op(
-                engine.prepare_ctrl(
-                    self.rank,
-                    dst_rank,
-                    payload=(self.rank, tag, obj),
-                    on_deliver=deliver,
-                    nbytes=max(nbytes, _CTRL_BYTES),
-                )
+        engine = self.unr.engine
+        engine.post_op(
+            engine.prepare_ctrl(
+                self.rank, dst_rank, payload=item, on_deliver=deliver,
+                nbytes=max(nbytes, _CTRL_BYTES),
             )
-
-        post()
-        if rep is None:
-            yield done
-            return
-        # Replicated ctl sends retransmit on the heartbeat cadence (the
-        # warm-failover recovery path for control messages, deterministic
-        # fixed period; unreplicated runs never enter this loop).
-        period = rep.config.heartbeat_period_us * US
-        while not done.triggered:
-            yield self.env.any_of([done, self.env.timeout(period)])
-            if done.triggered:
-                break
-            self.unr.stats["replication_ctrl_retransmits"] += 1
-            # With no failover capacity left on either side this keeps
-            # the unreplicated semantics: it raises peer-dead if the
-            # lane is gone for good.
-            post()
+        )
 
     def recv_ctl(self, src_rank: int, tag: Any = None) -> Generator[Any, Any, Any]:
         """Generator: receive a control object from ``src_rank``."""
@@ -762,8 +705,7 @@ class UnrEndpoint:
             lsid = src_blk.signal_sid
         else:
             lsid = None if local_signal is None else local_signal.sid
-        engine = self.unr.engine
-        engine.post_op(engine.prepare_put(self.rank, src_blk, dst_blk, rsid, lsid))
+        self._post(self.unr.engine.prepare_put(self.rank, src_blk, dst_blk, rsid, lsid))
 
     def get(
         self,
@@ -785,8 +727,12 @@ class UnrEndpoint:
             lsid = local_blk.signal_sid
         else:
             lsid = None if local_signal is None else local_signal.sid
-        engine = self.unr.engine
-        engine.post_op(engine.prepare_get(self.rank, local_blk, remote_blk, rsid, lsid))
+        self._post(self.unr.engine.prepare_get(self.rank, local_blk, remote_blk, rsid, lsid))
+
+    def _post(self, op: TransferOp) -> None:
+        """Post a prepared PUT/GET: the one call ``put``, ``get`` and
+        :meth:`RmaPlan.start <repro.core.plan.RmaPlan.start>` make."""
+        self.unr.engine.post_op(op)
 
     # -- plans ---------------------------------------------------------------
     def plan(self) -> "RmaPlan":

@@ -41,7 +41,7 @@ from typing import (
 )
 
 from ..netsim import CompletionRecord, Node, alloc_record, recycle_record
-from ..sim import Environment, InFlight
+from ..sim import Environment, Event, InFlight
 from ..units import US
 from .errors import (
     OpContext,
@@ -225,12 +225,18 @@ class TransferEngine:
         self.unr = unr
         self.env = unr.env
         self.job = unr.job
-        #: reliable fragments still in flight, by fid in post order.
-        #: Retired on delivery, cancelled by :meth:`drain` against dead
-        #: peers.  Fids are never reused: the replication ledger keys
-        #: on them.
+        #: reliable fragments still in flight, by fid in post order,
+        #: each with its notification specs and tokens.  Retired on
+        #: delivery, cancelled by :meth:`drain` against dead peers.
+        #: Fids count up from 1 and are never reused; ``_n_fids`` is
+        #: the last one handed out.
         self._inflight: Dict[int, _Fragment] = {}
         self._n_fids = 0
+        #: the one seam an outside tier may install: given ``(src_rank,
+        #: dst_rank)`` of a post toward a crashed peer, an event that
+        #: fires when that peer's recovery settles, or ``None`` to
+        #: declare the peer dead.  ``None`` (no tier): always dead.
+        self.peer_recovery: Optional[Callable[[int, int], Optional[Event]]] = None
         #: fragment geometry per distinct PUT shape, see _stripe_shape
         self._shapes: Dict[tuple, Tuple[Tuple[int, int, int, int, int], ...]] = {}
         #: logical-op counter: every post_op call (including plan
@@ -539,12 +545,6 @@ class TransferEngine:
             self._post_fragment(op, op.stripes[0], opid)
         else:
             raise UnrUsageError(f"unknown transfer kind {op.kind!r}")
-        if unr.replication is not None:
-            # Replication tier: replay the same descriptor onto the live
-            # mirrors of the rank this op lands on (re-entrant shadow
-            # posts return immediately inside the manager).  Plan replays
-            # pass through here too, so replayed streams shadow as well.
-            unr.replication.on_op_posted(op)
         return None
 
     def _post_fragment(self, op: TransferOp, sp: StripePlan, opid: int) -> None:
@@ -590,12 +590,6 @@ class TransferEngine:
         self._n_fids += 1
         frag = _Fragment(self._n_fids, op, sp, delivered, payload, deliver, rtok, ltok)
         self._inflight[frag.fid] = frag
-        rep = unr.replication
-        if rep is not None:
-            # Ledger the owed notification tokens (idempotent failover
-            # replay) and feed shadow deliveries to the quiesce tracker.
-            rep.note_fragment(frag.fid, sp.remote_sig, rtok, sp.local_sig, ltok)
-            rep.on_shadow_fragment(delivered)
         self._attempt(op, sp, payload, deliver, rtok, ltok, first)
         self.env.process(self._watchdog(frag, first), name=f"unr-watchdog-{op.kind}")
 
@@ -838,10 +832,10 @@ class TransferEngine:
         return lambda _e: self.post_op(self._ctrl_tail(op))
 
     # -- health / degradation routing -------------------------------------
-    def _replicated(self, op: TransferOp) -> bool:
-        """A replica team stands behind one of ``op``'s endpoints."""
-        rep = self.unr.replication
-        return rep is not None and (rep.covers(op.dst_rank) or rep.covers(op.src_rank))
+    def _recovery(self, op: TransferOp) -> Optional[Event]:
+        """The :attr:`peer_recovery` answer for ``op``'s crashed peer."""
+        recovery = self.peer_recovery
+        return None if recovery is None else recovery(op.src_rank, op.dst_rank)
 
     def _check_ctrl_lane(self, op: TransferOp) -> None:
         """The ordered lane is the last rung of the degradation ladder:
@@ -849,10 +843,9 @@ class TransferEngine:
         health = self.unr.health
         if health is None or not health.fallback_dead(op.src_rank, op.dst_rank):
             return
-        if self._replicated(op):
-            # The post proceeds (blackholed by the crash) and the team's
-            # failover restores notification accounting.
-            self.unr.stats["replication_ctrl_to_dead"] += 1
+        if self._recovery(op) is not None:
+            # A recovering peer: the post proceeds (lost with the crashed
+            # node), and the sender's re-post after recovery lands.
             return
         raise self._peer_dead(op, op.nbytes, "peer is dead (ordered/fallback lane down)")
 
@@ -902,10 +895,10 @@ class TransferEngine:
         rail = self._next_rail(op, sp.rail)
         if rail is not None:
             return rail
-        if self._replicated(op):
-            # Replicated peer mid-failover: degrade instead of raising —
-            # the fragment's watchdog parks on the team's promotion and
-            # re-posts against the surviving node.
+        if self._recovery(op) is not None:
+            # A recovering peer: degrade instead of raising — the
+            # fragment's watchdog parks on the recovery and re-posts
+            # against wherever the peer lives then.
             return FALLBACK_RAIL
         raise self._peer_dead(
             op, sp.size,
@@ -939,12 +932,6 @@ class TransferEngine:
             )
         return rail
 
-    def _retire(self, frag: _Fragment) -> None:
-        """``frag`` is delivered or cancelled: no longer in flight."""
-        self._inflight.pop(frag.fid, None)
-        if self.unr.replication is not None:
-            self.unr.replication.on_fragment_retired(frag.fid)
-
     # -- drain / quiesce protocol -----------------------------------------
     def drain(self, peer_rank: Optional[int] = None) -> int:
         """Quiesce in-flight reliable fragments (``Unr.drain``).
@@ -964,7 +951,7 @@ class TransferEngine:
             if peer_rank is not None and op.dst_rank != peer_rank:
                 continue
             if frag.delivered.triggered:
-                self._retire(frag)
+                self._inflight.pop(frag.fid)
                 continue
             if health is None or not health.fallback_dead(op.src_rank, op.dst_rank):
                 continue
@@ -991,7 +978,7 @@ class TransferEngine:
             unr._apply_add(node, sid, addend, token=frag.rtok)
         if op.ctrl_remote and op.rsid is not None and unr.sanitizer is not None:
             unr.sanitizer.on_fragment_drained(op.dst_node, op.rsid)
-        self._retire(frag)
+        self._inflight.pop(frag.fid, None)
         unr.stats["drained_fragments"] += 1
         if unr.obs is not None:
             unr.obs.count("health.drained_fragments")
@@ -1067,7 +1054,7 @@ class TransferEngine:
             if delivered.triggered:
                 if health is not None and target != FALLBACK_RAIL:
                     health.on_success(src_rank, dst_rank, target)
-                self._retire(frag)
+                self._inflight.pop(frag.fid, None)
                 if attempt:
                     unr.stats["recovered_ops"] += 1
                 return
@@ -1083,14 +1070,11 @@ class TransferEngine:
             if retransmit:
                 target = nxt
             else:
-                # Replication tier: when a replica team stands behind the
-                # dead endpoint, park on its failover instead of
+                # A recovering peer: park on its recovery instead of
                 # declaring the op lost — the fragment is either
-                # cancelled by the failover's drain or gets a fresh retry
-                # ladder against the promoted node.
-                evt = None
-                if unr.replication is not None:
-                    evt = unr.replication.failover_wait(src_rank, dst_rank)
+                # cancelled by a drain meanwhile or gets a fresh retry
+                # ladder against wherever the peer lives then.
+                evt = self._recovery(op)
                 if evt is None:
                     break
                 unr.stats["failover_parks"] += 1
@@ -1098,8 +1082,8 @@ class TransferEngine:
                 try:
                     yield evt
                 except UnrFailoverError as fexc:
-                    # Refused failover (team exhausted / divergence):
-                    # surface in the blocked application frame.
+                    # Refused recovery: surface in the blocked
+                    # application frame.
                     if self._fail_op_waiter(frag, fexc):
                         return
                     raise

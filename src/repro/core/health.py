@@ -245,11 +245,6 @@ class HealthMonitor:
         self.degraded_since: Dict[Tuple[int, int], float] = {}
         #: completed degradation windows (for time-to-recover metrics)
         self.recovery_log: List[Dict[str, float]] = []
-        #: replication heartbeat ledger: (src_rank, dst_rank) -> env-time
-        #: of the last heartbeat delivered from src to dst.  Fed by the
-        #: replication layer's heartbeat sweeps; empty (and never
-        #: consulted) on unreplicated runs.
-        self.heartbeat_log: Dict[Tuple[int, int], float] = {}
 
     # ------------------------------------------------------------------
     def breaker(self, src_node: int, dst_node: int, rail: int) -> CircuitBreaker:
@@ -288,32 +283,6 @@ class HealthMonitor:
             self.job.node_of(src_rank).crashed
             or self.job.node_of(dst_rank).crashed
         )
-
-    # -- replication heartbeat ledger -----------------------------------
-    def record_heartbeat(self, src_rank: int, dst_rank: int) -> None:
-        """A heartbeat from ``src_rank`` reached ``dst_rank`` now.
-
-        Called from the delivery callback of the replication layer's
-        ordered-lane heartbeat messages.  Passive bookkeeping only."""
-        self.heartbeat_log[(src_rank, dst_rank)] = self.env.now
-        self.unr.stats["heartbeats_seen"] += 1
-
-    def last_heartbeat(self, src_rank: int, dst_rank: int) -> Optional[float]:
-        """env-time of the last heartbeat ``src -> dst`` (``None`` if no
-        heartbeat was ever delivered on that edge)."""
-        return self.heartbeat_log.get((src_rank, dst_rank))
-
-    def missed_heartbeats(
-        self, src_rank: int, dst_rank: int, period: float
-    ) -> int:
-        """Whole heartbeat periods elapsed since ``src`` was last heard
-        from at ``dst``.  Before the first delivery the count stays 0 —
-        suspicion needs observed life followed by silence, so a slow
-        first beat can never trip a false positive."""
-        last = self.heartbeat_log.get((src_rank, dst_rank))
-        if last is None:
-            return 0
-        return int((self.env.now - last) / period)
 
     # -- feeds ----------------------------------------------------------
     def on_timeout(self, src_rank: int, dst_rank: int, rail: int) -> None:

@@ -9,7 +9,8 @@ The first ``start()`` prepares one
 :class:`~repro.core.engine.TransferOp` per recorded operation through
 the unified transfer engine — argument checks, signal-id resolution and
 stripe planning run once — and every start (including the first)
-replays the cached descriptors through
+replays the cached descriptors through the endpoint's ``_post`` (the
+call ``put`` and ``get`` make) into
 :meth:`~repro.core.engine.TransferEngine.post_op`, which re-admits each
 op with the sanitizer so a signal freed between iterations is still
 caught."""
@@ -130,7 +131,7 @@ class RmaPlan:
                     built.append(engine.prepare_get(ep.rank, op.src, op.dst, rsid, lsid))
             self._prepared = built
         for top in self._prepared:
-            engine.post_op(top)
+            ep._post(top)
         if handle is not None:
             handle.end()
 

@@ -1,5 +1,5 @@
-"""Replication-based resilience tier: transparent rank teams with
-heartbeat-driven warm failover (TeaMPI-style, ROADMAP resilience item).
+"""Replication resilience tier: transparent rank teams with
+heartbeat-driven warm failover (TeaMPI-style).
 
 ``Unr(replication=ReplicationConfig(team_size=k))`` splits the job's
 physical ranks into replica **teams**: with logical world size
@@ -10,64 +10,82 @@ application runs only on the primary incarnation (physical ranks
 **warm mirrors** whose node-local resources (memory regions, signal
 table slots, BLKs) are allocated in lock-step with the primary's.
 
-Three mechanisms make a node crash cost a failover instead of a job:
+The tier lives outside :mod:`repro.core`, the way TeaMPI lives at the
+PMPI boundary.  It wraps each application rank's endpoint in a
+:class:`ReplicatedEndpoint` and installs one seam in the transfer
+engine, :attr:`~repro.core.engine.TransferEngine.peer_recovery`; the
+library itself does not know the tier exists.
+
+Four mechanisms make a node crash cost a failover instead of a job:
 
 * **Op shadowing** — every application PUT/GET that lands data on a
-  replicated rank is re-prepared against the mirrors' BLKs and replayed
-  through the same :class:`~repro.core.engine.TransferEngine` post
-  pipeline (one shadow ``TransferOp`` per live mirror, no signals, no
-  tokens), so each mirror's memory converges on the primary's received
-  state.  A per-team descriptor digest over the shadowed op stream is
-  the divergence check consumed at promotion time.
+  replicated rank is re-prepared against the mirrors' BLKs and posted
+  through the same :class:`~repro.core.engine.TransferEngine` pipeline
+  (one shadow ``TransferOp`` per live mirror, no signals, no tokens),
+  so each mirror's memory converges on the primary's received state.
+  A per-team descriptor digest over the shadowed op stream is the
+  divergence check consumed at promotion time.
 
-* **Token ledger** — at post time the engine reports every reliable
-  fragment's ``(node, sid, addend, token)`` notification spec; specs
-  aimed at a replicated rank's signals are recorded in that team's
-  ledger and dropped again when the fragment retires.  At failover the
-  ledger is replayed through the normal idempotent-add path: tokens the
-  primary already applied are suppressed by the signal's dedup window,
-  tokens lost with the dead node are discharged exactly once.
+* **Token replay** — every reliable fragment sits in the engine's
+  in-flight table, with its notification specs and idempotence
+  tokens, until it is delivered or cancelled.  At failover the tokens
+  still owed to the team's signals are replayed from that table
+  through the normal idempotent-add path: tokens the primary already
+  applied are suppressed by the signal's dedup window, tokens lost
+  with the dead node are discharged exactly once.
 
 * **Heartbeats** — one sim-time pulse loop posts small ordered-lane
   beats between team members every ``heartbeat_period_us`` and sweeps
-  the :class:`~repro.core.health.HealthMonitor` heartbeat ledger.  A
-  member is *suspected* after ``suspicion_threshold`` whole periods of
-  silence at every observer, and *promoted against* only when the
-  fail-stop predicate (the same ``fallback_dead`` check that ends the
-  PR 5 degradation ladder) confirms the crash — so a control-plane
-  partition raises suspicion but never a false promotion.
+  the tier's heartbeat ledger.  A member is *suspected* after
+  ``suspicion_threshold`` whole periods of silence at every observer,
+  and *promoted against* only when the fail-stop predicate (the node
+  is actually crashed) confirms it — so a control-plane partition
+  raises suspicion but never a false promotion.
+
+* **Peer recovery** — where the engine would declare a crashed peer
+  dead (the ordered-lane check, a reliable fragment's first post, the
+  watchdog's exhausted retry ladder) it asks the seam instead, which
+  answers with an event that fires when the peer's team settles.
 
 Failover itself re-points the logical rank at the warmest mirror:
-in-flight fragments to the dead node are cancelled through the PR 5
-drain machinery, the token ledger is replayed, received-data regions
-are restored from the mirror's copy, the signal objects (with their
-blocked ``sig_wait`` waiters) are rebound into the mirror node's signal
-table, and the rank's placement is re-assigned so every later post
-re-resolves onto the surviving node.  Everything runs in one
-no-yield section of the monitor process, so waiters observe the
-completed failover atomically.
-
-With replication disarmed this module is never imported into the hot
-path: every hook in the engine is behind an ``unr.replication is None``
-check and unreplicated runs stay bit-identical to the golden
-fingerprint corpus.
+in-flight fragments to the dead node are cancelled through the drain
+machinery, the owed tokens are replayed, received-data regions are
+restored from the mirror's copy, the signal objects (with their blocked
+``sig_wait`` waiters) are rebound into the mirror node's signal table,
+and the rank's placement is re-assigned so every later post re-resolves
+onto the surviving node.  Everything runs in one no-yield section of
+the monitor process, so waiters observe the completed failover
+atomically.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Tuple
 
-from ..units import US
-from .errors import FailoverContext, UnrFailoverError, UnrUsageError
+import numpy as np
+
+from .core.api import UnrEndpoint
+from .core.engine import CTRL_BYTES
+from .core.errors import FailoverContext, UnrFailoverError, UnrUsageError
+from .units import US
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .api import Unr
-    from .memory import Blk, MemoryRegion
-    from .signal import Signal
+    from .core.api import Unr
+    from .core.engine import TransferOp
+    from .core.memory import Blk, MemoryRegion
+    from .core.signal import Signal
+    from .sim import Event
 
-__all__ = ["ReplicationConfig", "ReplicationManager", "TeamWorld", "HEARTBEAT_BYTES"]
+__all__ = [
+    "HEARTBEAT_BYTES",
+    "ReplicatedEndpoint",
+    "ReplicationConfig",
+    "ReplicationManager",
+    "TeamWorld",
+    "arm",
+]
 
 #: on-the-wire size of one heartbeat message (ordered/control lane)
 HEARTBEAT_BYTES = 16
@@ -88,7 +106,6 @@ class ReplicationConfig:
     team_size: int = 2
     heartbeat_period_us: float = 25.0
     suspicion_threshold: int = 3
-    divergence_check: bool = True
 
     def __post_init__(self) -> None:
         if self.team_size < 2:
@@ -97,6 +114,13 @@ class ReplicationConfig:
             raise ValueError("heartbeat_period_us must be positive")
         if self.suspicion_threshold < 1:
             raise ValueError("suspicion_threshold must be >= 1")
+
+
+def arm(unr: "Unr", replication: Any) -> "ReplicationManager":
+    """The tier behind ``Unr``'s ``replication`` keyword: ``True`` arms
+    the default config, a :class:`ReplicationConfig` arms that one."""
+    config = ReplicationConfig() if replication is True else replication
+    return ReplicationManager(unr, config)
 
 
 class TeamWorld:
@@ -154,10 +178,13 @@ class TeamWorld:
 @dataclass
 class _SigEntry:
     """One replicated signal: the primary's object, its current table
-    coordinates, and the reserved mirror-table slots."""
+    coordinates, the reserved mirror-table slots, and the engine's
+    fragment count when it was created — only fragments posted later
+    can owe it a token (a reused sid must not inherit a freed signal's)."""
 
     sig: "Signal"
     node: int
+    since: int
     mirrors: Dict[int, "Signal"] = field(default_factory=dict)
 
 
@@ -183,21 +210,128 @@ class _Team:
     #: primary's own stream digests under its rank key.
     digests: Dict[int, Any] = field(default_factory=dict)
     shadow_ops: int = 0
-    #: outstanding shadow-fragment delivery events, per mirror member
-    outstanding: Dict[int, List[Any]] = field(default_factory=dict)
     #: events succeeded when this team completes a failover / drop
     waiters: List[Any] = field(default_factory=list)
     failed_over: bool = False
 
 
+class ReplicatedEndpoint(UnrEndpoint):
+    """An application rank's endpoint with a replica team behind it.
+
+    Each override runs the plain endpoint's call, then repeats it on
+    the team's live mirrors — through *their* plain endpoints, in rank
+    order — so mirror resources never recurse into the tier.  PUT/GET
+    posts (direct or plan replay) are shadowed onto the mirrors of the
+    rank they land on, and control sends are made reliable.
+    """
+
+    def __init__(self, unr: "Unr", rank: int, manager: "ReplicationManager") -> None:
+        super().__init__(unr, rank)
+        self.manager = manager
+
+    # -- resource mirroring ----------------------------------------------
+    def mem_reg(self, array: np.ndarray) -> "MemoryRegion":
+        mr = super().mem_reg(array)
+        self.manager._mrs[(self.rank, mr.handle)] = _MrEntry(mr, {
+            m: self.unr.endpoint(m).mem_reg(np.zeros_like(mr.array))
+            for m in self.manager._mirrors(self.rank)
+        })
+        return mr
+
+    def mem_reg_virtual(self, nbytes: int) -> "MemoryRegion":
+        mr = super().mem_reg_virtual(nbytes)
+        self.manager._mrs[(self.rank, mr.handle)] = _MrEntry(mr, {
+            m: self.unr.endpoint(m).mem_reg_virtual(mr.nbytes)
+            for m in self.manager._mirrors(self.rank)
+        })
+        return mr
+
+    def sig_init(self, num_event: int) -> "Signal":
+        sig = super().sig_init(num_event)
+        man = self.manager
+        entry = _SigEntry(sig, self.node_index, self.unr.engine._n_fids)
+        for m in man._mirrors(self.rank):
+            mirror = self.unr.endpoint(m).sig_init(num_event)
+            if mirror.sid != sig.sid:
+                raise UnrUsageError(
+                    f"replicated signal allocation diverged: primary "
+                    f"sid={sig.sid} on rank {self.rank} vs mirror "
+                    f"sid={mirror.sid} on rank {m} — team members must "
+                    f"allocate signals in the same order"
+                )
+            entry.mirrors[m] = mirror
+        man._sigs[(entry.node, sig.sid)] = entry
+        man._team_sigs[man._team_of[self.rank].id].append(entry)
+        return sig
+
+    def sig_free(self, sig: "Signal") -> None:
+        super().sig_free(sig)
+        man = self.manager
+        entry = man._sigs.pop((self.unr._node_index(sig.owner_rank), sig.sid), None)
+        if entry is None:
+            return
+        man._team_sigs[man._team_of[sig.owner_rank].id].remove(entry)
+        for m in sorted(entry.mirrors):
+            self.unr.endpoint(m).sig_free(entry.mirrors[m])
+
+    def blk_init(
+        self,
+        mr: "MemoryRegion",
+        offset: int,
+        size: int,
+        signal: Optional["Signal"] = None,
+    ) -> "Blk":
+        blk = super().blk_init(mr, offset, size, signal)
+        entry = self.manager._mrs.get((blk.rank, blk.mr_handle))
+        if entry is not None:
+            # Mirror BLKs carry no signal: shadow transfers move data
+            # only; owed notifications are replayed at failover.
+            self.manager._blks[blk] = {
+                m: self.unr.endpoint(m).blk_init(entry.mirrors[m], offset, size)
+                for m in sorted(entry.mirrors)
+            }
+        return blk
+
+    # -- op shadowing and reliable control -------------------------------
+    def _post(self, op: "TransferOp") -> None:
+        super()._post(op)
+        self.manager._shadow(op)
+
+    def send_ctl(
+        self, dst_rank: int, obj: Any, tag: Any = None, nbytes: int = CTRL_BYTES
+    ) -> Generator[Any, Any, None]:
+        """Generator: a *reliable* control send.
+
+        A crash can destroy an ordered-lane frame in flight (fail-stop
+        loses the wire), so the sender re-posts on the heartbeat cadence
+        until the first copy is delivered — each re-post re-resolves the
+        destination's placement, which is exactly what re-targets the
+        frame at the promoted node after a failover.  First delivery
+        wins; late duplicates are dropped, so the receiver's inbox sees
+        the object once."""
+        done = self.env.event()
+        item = (self.rank, tag, obj)
+        self._post_ctl(dst_rank, item, nbytes, done)
+        period = self.manager.config.heartbeat_period_us * US
+        while not done.triggered:
+            yield self.env.any_of([done, self.env.timeout(period)])
+            if done.triggered:
+                break
+            self.unr.stats["replication_ctrl_retransmits"] += 1
+            # With no failover capacity left on either side this keeps
+            # the unreplicated semantics: it raises peer-dead if the
+            # lane is gone for good.
+            self._post_ctl(dst_rank, item, nbytes, done)
+
+
 class ReplicationManager:
     """Owns the replica teams of one :class:`~repro.core.api.Unr`.
 
-    Constructed by ``Unr(replication=...)`` after the transfer engine;
-    requires the reliability layer (idempotence tokens and watchdogs are
-    what make ledger replay and fragment parking safe) and arms the
-    health layer automatically for the heartbeat ledger and fail-stop
-    predicate.
+    Built by ``Unr(replication=...)`` (through :func:`arm`) once the
+    library is complete; requires the reliability layer (idempotence
+    tokens and watchdogs are what make token replay and fragment parking
+    safe).  ``Unr`` arms the health layer for it: the degradation
+    ladder is what routes a crashed peer's traffic to the recovery seam.
     """
 
     def __init__(self, unr: "Unr", config: ReplicationConfig) -> None:
@@ -205,11 +339,9 @@ class ReplicationManager:
         if unr.reliability is None:
             raise UnrUsageError(
                 "replication requires the reliability layer "
-                "(Unr(..., reliability=True)): ledger replay and failover "
+                "(Unr(..., reliability=True)): token replay and failover "
                 "parking ride on idempotence tokens and watchdogs"
             )
-        if unr.health is None:
-            raise UnrUsageError("replication requires the health layer")
         if job.ranks_per_node != 1:
             raise UnrUsageError(
                 "replication needs ranks_per_node == 1 so team members "
@@ -240,8 +372,6 @@ class ReplicationManager:
         for team in self._teams:
             for m in team.members:
                 self._team_of[m] = team
-        #: (node, sid) -> owed-notification ledger {token: addend}
-        self._ledgers: Dict[Tuple[int, int], Dict[int, int]] = {}
         #: (node, sid) -> replicated-signal entry
         self._sigs: Dict[Tuple[int, int], _SigEntry] = {}
         #: per-team creation-ordered signal entries (failover rebinding)
@@ -250,31 +380,25 @@ class ReplicationManager:
         self._mrs: Dict[Tuple[int, int], _MrEntry] = {}
         #: primary Blk (value-keyed) -> {mirror rank: mirror Blk}
         self._blks: Dict["Blk", Dict[int, "Blk"]] = {}
-        #: fragment id -> notification specs recorded in a ledger
-        self._frag_specs: Dict[int, List[Tuple[Tuple[int, int], int]]] = {}
-        #: re-entrancy guard: True while posting mirror resources/ops
-        self._in_shadow = False
-        #: team currently being shadowed (delivery-event attribution)
-        self._shadow_target: Optional[Tuple[_Team, int]] = None
+        #: (src_rank, dst_rank) -> env-time of the last heartbeat
+        #: delivered from src to dst
+        self.heartbeats: Dict[Tuple[int, int], float] = {}
         self.world = TeamWorld(self)
         self.failover_log: List[Dict[str, float]] = []
+        for rank in self.world.app_ranks:
+            unr._endpoints[rank] = ReplicatedEndpoint(unr, rank, self)
+        unr.engine.peer_recovery = self._recovery
         self._pulse_proc = self.env.process(self._pulse(), name="unr-replication")
 
-    # -- membership ------------------------------------------------------
-    def covers(self, rank: int) -> bool:
-        """Does a live replica team stand behind ``rank``?  True while
-        the rank's team still has a surviving member to promote (or has
-        already completed its failover)."""
-        team = self._team_of.get(rank)
-        if team is None:
-            return False
-        return team.failed_over or len(team.live) > 1
+    def _mirrors(self, rank: int) -> List[int]:
+        team = self._team_of[rank]
+        return sorted(m for m in team.live if m != team.primary)
 
-    def failover_wait(self, src_rank: int, dst_rank: int) -> Optional[Any]:
+    # -- the engine's peer-recovery seam ----------------------------------
+    def _recovery(self, src_rank: int, dst_rank: int) -> Optional["Event"]:
         """An event that fires when the crashed endpoint's team settles
         (promotion or mirror drop), or ``None`` when neither endpoint is
-        backed by a live team.  Used by the engine watchdog to park a
-        fragment across a failover instead of declaring the peer dead."""
+        a crashed member of a team that can still recover."""
         for rank in (dst_rank, src_rank):
             team = self._team_of.get(rank)
             if team is None or len(team.live) <= 1:
@@ -285,117 +409,18 @@ class ReplicationManager:
                 return evt
         return None
 
-    def ctrl_gate(self, src_rank: int, dst_rank: int):
-        """Generator: hold an ordered-lane send while the destination's
-        team is mid-failover; yields nothing on the healthy path."""
-        team = self._team_of.get(dst_rank)
-        if (
-            team is not None
-            and len(team.live) > 1
-            and self.job.node_of(dst_rank).crashed
-        ):
-            evt = self.env.event()
-            team.waiters.append(evt)
-            yield evt
-
-    # -- resource mirroring ---------------------------------------------
-    def _mirrors(self, rank: int) -> List[int]:
-        team = self._team_of[rank]
-        return sorted(m for m in team.live if m != team.primary)
-
-    def on_mem_reg(self, mr: "MemoryRegion") -> None:
-        if self._in_shadow:
-            return
-        import numpy as np
-
-        entry = _MrEntry(mr=mr)
-        self._mrs[(mr.owner_rank, mr.handle)] = entry
-        self._in_shadow = True
-        try:
-            for m in self._mirrors(mr.owner_rank):
-                ep = self.unr.endpoint(m)
-                if mr.array is None:
-                    entry.mirrors[m] = ep.mem_reg_virtual(mr.nbytes)
-                else:
-                    entry.mirrors[m] = ep.mem_reg(np.zeros_like(mr.array))
-        finally:
-            self._in_shadow = False
-
-    def on_sig_init(self, sig: "Signal") -> None:
-        if self._in_shadow:
-            return
-        team = self._team_of[sig.owner_rank]
-        node = self.job.node_of(sig.owner_rank).index
-        entry = _SigEntry(sig=sig, node=node)
-        self._in_shadow = True
-        try:
-            for m in self._mirrors(sig.owner_rank):
-                mirror = self.unr.endpoint(m).sig_init(sig.num_event)
-                if mirror.sid != sig.sid:
-                    raise UnrUsageError(
-                        f"replicated signal allocation diverged: primary "
-                        f"sid={sig.sid} on rank {sig.owner_rank} vs mirror "
-                        f"sid={mirror.sid} on rank {m} — team members must "
-                        f"allocate signals in the same order"
-                    )
-                entry.mirrors[m] = mirror
-        finally:
-            self._in_shadow = False
-        self._sigs[(node, sig.sid)] = entry
-        self._ledgers[(node, sig.sid)] = {}
-        self._team_sigs[team.id].append(entry)
-
-    def on_sig_free(self, sig: "Signal") -> None:
-        if self._in_shadow:
-            return
-        node = self.job.node_of(sig.owner_rank).index
-        entry = self._sigs.pop((node, sig.sid), None)
-        self._ledgers.pop((node, sig.sid), None)
-        if entry is None:
-            return
-        team = self._team_of[sig.owner_rank]
-        if entry in self._team_sigs[team.id]:
-            self._team_sigs[team.id].remove(entry)
-        self._in_shadow = True
-        try:
-            for m in sorted(entry.mirrors):
-                self.unr.endpoint(m).sig_free(entry.mirrors[m])
-        finally:
-            self._in_shadow = False
-
-    def on_blk_init(self, blk: "Blk") -> None:
-        if self._in_shadow:
-            return
-        mr_entry = self._mrs.get((blk.rank, blk.mr_handle))
-        if mr_entry is None:
-            return
-        mirrors: Dict[int, "Blk"] = {}
-        self._in_shadow = True
-        try:
-            for m in sorted(mr_entry.mirrors):
-                mirror_mr = mr_entry.mirrors[m]
-                # Mirror BLKs carry no signal: shadow transfers move data
-                # only; notification state lives in the token ledger.
-                mirrors[m] = self.unr.endpoint(m).blk_init(
-                    mirror_mr, blk.offset, blk.size, signal=None
-                )
-        finally:
-            self._in_shadow = False
-        self._blks[blk] = mirrors
-
     # -- op shadowing ----------------------------------------------------
-    def _descriptor(self, op: Any) -> bytes:
+    @staticmethod
+    def _descriptor(op: "TransferOp") -> bytes:
         return (
             f"{op.kind}|{op.src_rank}|{op.dst_rank}|{op.nbytes}|"
             f"{op.rsid}|{op.lsid}"
         ).encode()
 
-    def on_op_posted(self, op: Any) -> None:
-        """Shadow one application PUT/GET onto the live mirrors of the
-        rank whose memory it lands on.  Called by ``post_op`` after the
-        primary post; re-entrant shadow posts are guarded out."""
-        if self._in_shadow or op.kind not in ("put", "get"):
-            return
+    def _shadow(self, op: "TransferOp") -> None:
+        """Shadow one posted application PUT/GET onto the live mirrors
+        of the rank whose memory it lands on, in rank order, then fold
+        it into the team digests."""
         if op.kind == "put":
             landing_rank, blk = op.dst_rank, op.remote_blk
         else:
@@ -410,78 +435,50 @@ class ReplicationManager:
         team.digests[team.primary].update(desc)
         team.shadow_ops += 1
         engine = self.unr.engine
-        mirrors = [m for m in sorted(mirror_blks) if m in team.live]
-        for m in mirrors:
+        for m in sorted(mirror_blks):
+            if m not in team.live:
+                continue
             mblk = mirror_blks[m]
-            self._in_shadow = True
-            self._shadow_target = (team, m)
-            try:
-                if op.kind == "put":
-                    shadow = engine.prepare_put(
-                        op.src_rank, op.local_blk, mblk, None, None
-                    )
-                else:
-                    shadow = engine.prepare_get(m, mblk, op.remote_blk, None, None)
-                engine.post_op(shadow)
-            finally:
-                self._in_shadow = False
-                self._shadow_target = None
+            if op.kind == "put":
+                shadow = engine.prepare_put(op.src_rank, op.local_blk, mblk, None, None)
+            else:
+                shadow = engine.prepare_get(m, mblk, op.remote_blk, None, None)
+            engine.post_op(shadow)
             team.digests[m].update(desc)
             mr_entry = self._mrs.get((blk.rank, blk.mr_handle))
             if mr_entry is not None:
                 mr_entry.inbound = True
             self.unr.stats["replication_shadow_ops"] += 1
 
-    def on_shadow_fragment(self, delivered: Any) -> None:
-        """Engine feed: a reliable shadow fragment's delivery event, for
-        the pre-promotion quiesce."""
-        if self._shadow_target is None:
-            return
-        team, member = self._shadow_target
-        pending = team.outstanding.setdefault(member, [])
-        # Lazily prune what already delivered so the list stays small.
-        if len(pending) > 32:
-            pending[:] = [e for e in pending if not e.triggered]
-        pending.append(delivered)
+    # -- the engine's in-flight table --------------------------------------
+    def _undelivered_to(self, rank: int) -> List[Any]:
+        """Delivery events of the reliable fragments in flight that land
+        on ``rank``, in post order.  A PUT lands on its destination and
+        a GET on its source; on a mirror, only shadows land."""
+        return [
+            frag.delivered
+            for frag in self.unr.engine._inflight.values()
+            if not frag.delivered.triggered
+            and (frag.op.dst_rank if frag.op.kind == "put" else frag.op.src_rank) == rank
+        ]
 
-    # -- token ledger ----------------------------------------------------
-    def note_fragment(
-        self,
-        fid: int,
-        remote_sig: Optional[Tuple[int, int, int]],
-        rtok: Optional[int],
-        local_sig: Optional[Tuple[int, int, int]],
-        ltok: Optional[int],
-    ) -> None:
-        """Engine feed: one reliable fragment's notification specs.
-        Specs aimed at a replicated signal are recorded as owed tokens
-        until the fragment retires."""
-        recorded: List[Tuple[Tuple[int, int], int]] = []
-        for spec, token in ((remote_sig, rtok), (local_sig, ltok)):
-            if spec is None or token is None:
+    def _owed(self, entry: _SigEntry) -> List[Tuple[int, int]]:
+        """``(token, addend)`` of every notification that an in-flight
+        reliable fragment, posted since ``entry``'s signal was created,
+        still owes that signal — by token."""
+        node, sid = entry.node, entry.sig.sid
+        owed = []
+        for frag in self.unr.engine._inflight.values():
+            if frag.fid <= entry.since:
                 continue
-            key = (spec[0], spec[1])
-            ledger = self._ledgers.get(key)
-            if ledger is None:
-                continue
-            ledger[token] = spec[2]
-            recorded.append((key, token))
-        if recorded:
-            self._frag_specs[fid] = recorded
-
-    def on_fragment_retired(self, fid: int) -> None:
-        """Engine feed: the fragment settled (delivered, drained or
-        cancelled) — its tokens are no longer owed."""
-        recorded = self._frag_specs.pop(fid, None)
-        if recorded is None:
-            return
-        for key, token in recorded:
-            ledger = self._ledgers.get(key)
-            if ledger is not None:
-                ledger.pop(token, None)
+            sp = frag.sp
+            for spec, token in ((sp.remote_sig, frag.rtok), (sp.local_sig, frag.ltok)):
+                if spec is not None and token is not None and spec[0] == node and spec[1] == sid:
+                    owed.append((token, spec[2]))
+        return sorted(owed)
 
     # -- heartbeats and the monitor sweep --------------------------------
-    def _pulse(self):
+    def _pulse(self) -> Generator[Any, Any, None]:
         """The replication pulse: heartbeat posts + suspicion sweep.
 
         Terminates itself when the simulation has otherwise drained and
@@ -509,7 +506,7 @@ class ReplicationManager:
         return False
 
     def _send_heartbeats(self) -> None:
-        job, health, channel = self.job, self.unr.health, self.unr.channel
+        job, channel = self.job, self.unr.channel
         for team in self._teams:
             if len(team.live) <= 1:
                 continue
@@ -521,17 +518,31 @@ class ReplicationManager:
                         continue
                     channel.put(
                         src, dst, HEARTBEAT_BYTES,
-                        on_deliver=self._beat_cb(health, src, dst),
+                        on_deliver=self._beat_cb(src, dst),
                         ordered=True,
                     )
                     self.unr.stats["replication_heartbeats"] += 1
 
-    @staticmethod
-    def _beat_cb(health: Any, src: int, dst: int):
-        return lambda _payload: health.record_heartbeat(src, dst)
+    def _beat_cb(self, src: int, dst: int) -> Any:
+        return lambda _payload: self.record_heartbeat(src, dst)
 
-    def _sweep(self, period: float):
-        health, job = self.unr.health, self.job
+    def record_heartbeat(self, src_rank: int, dst_rank: int) -> None:
+        """A heartbeat from ``src_rank`` reached ``dst_rank`` now."""
+        self.heartbeats[(src_rank, dst_rank)] = self.env.now
+        self.unr.stats["heartbeats_seen"] += 1
+
+    def missed_heartbeats(self, src_rank: int, dst_rank: int, period: float) -> int:
+        """Whole heartbeat periods elapsed since ``src`` was last heard
+        from at ``dst``.  Before the first delivery the count stays 0 —
+        suspicion needs observed life followed by silence, so a slow
+        first beat can never trip a false positive."""
+        last = self.heartbeats.get((src_rank, dst_rank))
+        if last is None:
+            return 0
+        return int((self.env.now - last) / period)
+
+    def _sweep(self, period: float) -> Generator[Any, Any, None]:
+        job = self.job
         k = self.config.suspicion_threshold
         for team in self._teams:
             if len(team.live) <= 1:
@@ -539,8 +550,7 @@ class ReplicationManager:
             for member in list(team.live):
                 observers = [o for o in team.live if o != member]
                 missed = min(
-                    health.missed_heartbeats(member, o, period)
-                    for o in observers
+                    self.missed_heartbeats(member, o, period) for o in observers
                 )
                 if missed < k:
                     if member in team.suspected:
@@ -572,15 +582,14 @@ class ReplicationManager:
 
     # -- failover --------------------------------------------------------
     def _warmth(self, team: _Team, member: int) -> float:
-        health = self.unr.health
         times = [
-            health.last_heartbeat(member, o) or -1.0
+            self.heartbeats.get((member, o)) or -1.0
             for o in team.live
             if o != member
         ]
         return max(times) if times else -1.0
 
-    def _promote(self, team: _Team):
+    def _promote(self, team: _Team) -> Generator[Any, Any, None]:
         """Fail the team over onto its warmest live mirror."""
         env, unr, job = self.env, self.unr, self.job
         primary = team.primary
@@ -602,35 +611,29 @@ class ReplicationManager:
 
         # 1. Quiesce the promoted mirror's shadow stream so its memory
         #    holds everything the primary ever acknowledged.
-        pending = [
-            e for e in team.outstanding.get(promoted, ()) if not e.triggered
-        ]
+        pending = self._undelivered_to(promoted)
         while pending:
             yield env.all_of(pending)
-            pending = [
-                e for e in team.outstanding.get(promoted, ()) if not e.triggered
-            ]
-        team.outstanding.pop(promoted, None)
+            pending = self._undelivered_to(promoted)
 
         # 2. Divergence check: the mirror must have shadowed exactly the
         #    primary's op stream — refuse a silent split-brain.
-        if self.config.divergence_check:
-            want = team.digests[primary].hexdigest()
-            got = team.digests[promoted].hexdigest()
-            if want != got:
-                ctx = FailoverContext(
-                    team=team.id, dead_rank=primary, promoted_rank=-1,
-                    ttr_us=(env.now - last_proof) / US,
-                    replayed_ops=team.shadow_ops,
-                )
-                err = UnrFailoverError(
-                    f"divergence check failed for team {team.id}: mirror "
-                    f"rank {promoted} shadowed a different op stream than "
-                    f"primary rank {primary} (refusing split-brain)",
-                    context=ctx,
-                )
-                self._fail_team(team, err)
-                raise err
+        want = team.digests[primary].hexdigest()
+        got = team.digests[promoted].hexdigest()
+        if want != got:
+            ctx = FailoverContext(
+                team=team.id, dead_rank=primary, promoted_rank=-1,
+                ttr_us=(env.now - last_proof) / US,
+                replayed_ops=team.shadow_ops,
+            )
+            err = UnrFailoverError(
+                f"divergence check failed for team {team.id}: mirror "
+                f"rank {promoted} shadowed a different op stream than "
+                f"primary rank {primary} (refusing split-brain)",
+                context=ctx,
+            )
+            self._fail_team(team, err)
+            raise err
 
         # --- atomic section: no yields until the failover is complete ---
         # 3. Cancel in-flight fragments to the dead node; their owed
@@ -638,7 +641,8 @@ class ReplicationManager:
         drained = unr.engine.drain(primary)
         mirror_node = job.node_of(promoted).index
         # 4. Rebind the primary's signals (waiters included) into the
-        #    mirror node's table and replay the owed-token ledger.
+        #    mirror node's table and replay the tokens the fragments
+        #    still in flight owe them.
         replayed = 0
         for entry in self._team_sigs[team.id]:
             sig = entry.sig
@@ -649,14 +653,12 @@ class ReplicationManager:
                 # signal object; stale raw-spec adds still resolve via
                 # the alias left in the dead node's table.
                 unr._sig_tables[mirror_node][sig.sid] = sig
-            ledger = self._ledgers.pop(old_key, {})
-            for token in sorted(ledger):
-                unr._apply_add(mirror_node, sig.sid, ledger[token], token=token)
+            for token, addend in self._owed(entry):
+                unr._apply_add(mirror_node, sig.sid, addend, token=token)
                 replayed += 1
             entry.node = mirror_node
             self._sigs.pop(old_key, None)
             self._sigs[(mirror_node, sig.sid)] = entry
-            self._ledgers[(mirror_node, sig.sid)] = {}
         # 5. Restore received-data regions from the mirror's copy and
         #    consume the mirror's registrations.
         for key in sorted(self._mrs):
@@ -712,7 +714,6 @@ class ReplicationManager:
         self.unr.engine.drain(member)
         team.live.remove(member)
         team.suspected.pop(member, None)
-        team.outstanding.pop(member, None)
         self.unr.stats["replication_mirrors_dropped"] += 1
         if self.unr.obs is not None:
             self.unr.obs.event(
@@ -722,16 +723,19 @@ class ReplicationManager:
         self._settle_waiters(team)
 
     def _settle_waiters(self, team: _Team) -> None:
+        # resolve(): a waiter nobody yielded (the ordered-lane check and
+        # a fragment's first post only ask) costs no kernel event.
         waiters, team.waiters = team.waiters, []
         for evt in waiters:
             if not evt.triggered:
-                evt.succeed()
+                evt.resolve()
 
     def _fail_team(self, team: _Team, err: UnrFailoverError) -> None:
         """Propagate a refused failover into everything blocked on it."""
         waiters, team.waiters = team.waiters, []
         for evt in waiters:
-            if not evt.triggered:
+            # A waiter nobody yielded has no frame to raise into.
+            if not evt.triggered and evt.callbacks:
                 evt.fail(err)
         for entry in self._team_sigs[team.id]:
             entry.sig.fail_waiters(err)

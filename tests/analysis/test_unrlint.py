@@ -8,7 +8,7 @@ import pytest
 
 from repro.analysis import LintConfig, RULES, format_findings, lint_file, lint_paths, lint_source
 from repro.analysis.unrlint import PARSE_ERROR, iter_python_files
-from repro.core.replication import ReplicationManager
+from repro.replication import ReplicationManager
 from tests.bench.test_datapath_cost import HOT_PATH_MODULES, hot_path_classes, with_dict
 from tests.core.test_progress_sweep import CQ_CONSUMERS, make_node, record, record_cq_consumers
 from tests.core.test_replication import failover_run

@@ -198,32 +198,6 @@ def test_live_rail_skips_tripped_breakers_and_reports_dark_plane():
     assert snap["breakers"]["0->1/rail0"]["state"] == BREAKER_OPEN
 
 
-# ------------------------------------------------------- heartbeat ledger
-def test_heartbeat_ledger_records_and_counts_missed_periods():
-    job, unr, _ = make_unr(health=True)
-    health = unr.health
-    env = job.env
-    assert health.last_heartbeat(0, 1) is None
-    # Before any beat: no silence evidence, so never any missed periods.
-    assert health.missed_heartbeats(0, 1, period=25.0 * US) == 0
-
-    health.record_heartbeat(0, 1)
-    assert health.last_heartbeat(0, 1) == env.now
-    assert health.missed_heartbeats(0, 1, period=25.0 * US) == 0
-    assert unr.stats["heartbeats_seen"] == 1
-
-    env.run(until=env.now + 80.0 * US)  # 3 whole periods of silence
-    assert health.missed_heartbeats(0, 1, period=25.0 * US) == 3
-    # The edge is directed: the reverse direction has no evidence.
-    assert health.last_heartbeat(1, 0) is None
-    assert health.missed_heartbeats(1, 0, period=25.0 * US) == 0
-
-    # A fresh beat clears the silence count.
-    health.record_heartbeat(0, 1)
-    assert health.missed_heartbeats(0, 1, period=25.0 * US) == 0
-    assert unr.stats["heartbeats_seen"] == 2
-
-
 # ------------------------------------------------------- degrade/repromote
 def endpoint_down_run(*, trace=False, iters=14):
     results = {}

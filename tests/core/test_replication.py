@@ -7,17 +7,19 @@ iteration's pattern must land bit-exact even when the receiving rank
 migrates to its mirror node mid-stream.
 """
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro.core
 from repro.core import (
     FailoverContext,
-    ReplicationConfig,
     Unr,
     UnrFailoverError,
     UnrUsageError,
 )
-from repro.core.replication import HEARTBEAT_BYTES
 from repro.netsim import (
     Cluster,
     ClusterSpec,
@@ -29,6 +31,7 @@ from repro.netsim import (
     NodeSpec,
 )
 from repro.netsim.faults import Partition
+from repro.replication import HEARTBEAT_BYTES, ReplicationConfig
 from repro.runtime import Job, run_job
 from repro.sim import Environment
 from repro.units import US
@@ -138,6 +141,31 @@ def test_disarmed_unr_has_no_replication_state():
     _, unr = make_unr(replication=None)
     assert unr.replication is None
     assert not any(k.startswith("replication") for k in unr.stats)
+
+
+def test_heartbeat_ledger_records_and_counts_missed_periods():
+    _, unr = make_unr()
+    rep = unr.replication
+    env = unr.env
+    assert rep.heartbeats.get((0, 1)) is None
+    # Before any beat: no silence evidence, so never any missed periods.
+    assert rep.missed_heartbeats(0, 1, period=25.0 * US) == 0
+
+    rep.record_heartbeat(0, 1)
+    assert rep.heartbeats[(0, 1)] == env.now
+    assert rep.missed_heartbeats(0, 1, period=25.0 * US) == 0
+    assert unr.stats["heartbeats_seen"] == 1
+
+    env.run(until=env.now + 80.0 * US)  # 3 whole periods of silence
+    assert rep.missed_heartbeats(0, 1, period=25.0 * US) == 3
+    # The edge is directed: the reverse direction has no evidence.
+    assert rep.heartbeats.get((1, 0)) is None
+    assert rep.missed_heartbeats(1, 0, period=25.0 * US) == 0
+
+    # A fresh beat clears the silence count.
+    rep.record_heartbeat(0, 1)
+    assert rep.missed_heartbeats(0, 1, period=25.0 * US) == 0
+    assert unr.stats["heartbeats_seen"] == 2
 
 
 # ---------------------------------------------------------------- healthy
@@ -351,6 +379,88 @@ def test_failover_run_is_sanitizer_clean_and_notification_balanced():
     assert list(report) == [], [f.detail for f in report]
 
 
+# ------------------------------------------------------- in-flight replay
+def test_sender_crash_mid_striped_put_replays_owed_tokens():
+    """Node 0 dies while rank 0's striped 256 KiB PUT is on the wire.
+    The fragments park on team 0's failover; the promotion replays the
+    local-completion tokens they still owe rank 0's signal onto the
+    mirror node, and their re-posts from there land byte-exact."""
+    _, unr = make_unr(faults=crash_schedule((40.0, 0)), sanitize=True)
+    rep = unr.replication
+    results = {}
+    iters = 4
+    run_job(unr.job, stream_program(unr, results, size=256 * 1024, iters=iters),
+            ranks=rep.world.app_ranks)
+    assert len(results) == iters and all(results.values())
+    assert unr.stats["fragments"] > iters  # striped: more than one per PUT
+    assert unr.stats["replication_tokens_replayed"] >= 1
+    [rec] = rep.failover_log
+    assert rec["team"] == 0 and rec["replayed_tokens"] >= 1
+    report = unr.finalize()
+    assert list(report) == [], [f.detail for f in report]
+
+
+def crashed_peer_program(unr, got, *, ctrl):
+    """Rank 0 waits until node 1 has crashed but team 1 has not yet
+    promoted, then sends rank 1 one PUT (``ctrl=False``) or one control
+    message (``ctrl=True``)."""
+    size = 4096
+
+    def program(ctx):
+        ep = unr.endpoint(ctx.rank)
+        buf = np.zeros(size, dtype=np.uint8)
+        mr = ep.mem_reg(buf)
+        sig = ep.sig_init(1)
+        blk = ep.blk_init(mr, 0, size, signal=sig)
+        if ctx.rank == 0:
+            rmt = yield from ep.recv_ctl(1, tag="addr")
+            yield ctx.env.timeout(140.0 * US - ctx.env.now)
+            got["posted_before_promotion"] = not unr.replication.failover_log
+            if ctrl:
+                yield from ep.send_ctl(1, "go", tag="go")
+            else:
+                buf[:] = pattern(7, size)
+                ep.put(blk, rmt)
+                yield from ep.sig_wait(sig)
+        else:
+            yield from ep.send_ctl(0, blk, tag="addr")
+            if ctrl:
+                got["msg"] = yield from ep.recv_ctl(0, tag="go")
+            else:
+                yield from ep.sig_wait(sig)
+                got["payload"] = buf.copy()
+        return ctx.env.now
+
+    return program
+
+
+def test_put_toward_crashed_primary_parks_until_promotion():
+    # No RMA rail and no fallback lane reach node 1, yet the first post
+    # is not rejected: it goes to the fallback lane, the watchdog parks
+    # on team 1's failover, and the re-post reaches the promoted node.
+    _, unr = make_unr(faults=crash_schedule((120.0, 1)))
+    got = {}
+    run_job(unr.job, crashed_peer_program(unr, got, ctrl=False),
+            ranks=unr.replication.world.app_ranks)
+    assert got["posted_before_promotion"]
+    assert np.array_equal(got["payload"], pattern(7, 4096))
+    assert unr.stats["fallback_posts"] >= 1
+    assert unr.stats["failover_parks"] >= 1
+    assert unr.stats["replication_failovers"] == 1
+    unr.finalize()
+
+
+def test_send_ctl_toward_crashed_primary_lands_after_promotion():
+    _, unr = make_unr(faults=crash_schedule((120.0, 1)))
+    got = {}
+    run_job(unr.job, crashed_peer_program(unr, got, ctrl=True),
+            ranks=unr.replication.world.app_ranks)
+    assert got["posted_before_promotion"]
+    assert got["msg"] == "go"
+    assert unr.stats["replication_failovers"] == 1
+    unr.finalize()
+
+
 # ---------------------------------------------------------------- partition
 def test_partition_raises_suspicion_but_never_promotes():
     # Control-plane partition between the two team "columns": heartbeats
@@ -375,3 +485,52 @@ def test_partition_raises_suspicion_but_never_promotes():
     assert inj.stats["partitions_healed"] == 1
     assert not rep.failover_log
     unr.finalize()
+
+
+# ---------------------------------------------------------------- layering
+CORE = Path(repro.core.__file__).parent
+
+
+def code_lines(tree, source):
+    """(line number, text) of every source line outside a docstring."""
+    docs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)) and node.body:
+            first = node.body[0]
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
+                docs.update(range(first.lineno, first.end_lineno + 1))
+    return [(n, line) for n, line in enumerate(source.splitlines(), 1) if n not in docs]
+
+
+def names_the_tier(node):
+    """An import of a ``replication`` module, or its dotted name as a string."""
+    if isinstance(node, ast.ImportFrom):
+        return "replication" in (node.module or "").split(".") or any(
+            alias.name == "replication" for alias in node.names)
+    if isinstance(node, ast.Import):
+        return any("replication" in alias.name.split(".") for alias in node.names)
+    return isinstance(node, ast.Constant) and node.value == "repro.replication"
+
+
+def test_core_does_not_know_the_team_tier():
+    """The team tier wraps ``core`` from outside: ``Unr.__init__`` names
+    it on at most three lines (the keyword, the import, building it), no
+    other ``core`` code imports or mentions it, and the heartbeat ledger
+    is the tier's own."""
+    assert not (CORE / "replication.py").exists()
+    sources = {path.name: path.read_text() for path in sorted(CORE.glob("*.py"))}
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    unr = next(node for node in trees["api.py"].body
+               if isinstance(node, ast.ClassDef) and node.name == "Unr")
+    init = next(node for node in unr.body
+                if isinstance(node, ast.FunctionDef) and node.name == "__init__")
+    in_init = range(init.lineno, init.end_lineno + 1)
+    imports = [(name, node.lineno) for name, tree in trees.items()
+               for node in ast.walk(tree) if names_the_tier(node)]
+    assert [(name, line in in_init) for name, line in imports] == [("api.py", True)]
+    mentions = [(name, n) for name in ("api.py", "engine.py")
+                for n, line in code_lines(trees[name], sources[name])
+                if "replicat" in line.lower()]
+    assert len(mentions) <= 3 and all(
+        name == "api.py" and n in in_init for name, n in mentions), mentions
+    assert "heartbeat" not in sources["health.py"].lower()

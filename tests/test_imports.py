@@ -30,6 +30,7 @@ MODULES = [
     "repro.core.plan",
     "repro.core.convert",
     "repro.core.errors",
+    "repro.replication",
     "repro.mpi",
     "repro.mpi.world",
     "repro.mpi.collectives",
