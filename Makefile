@@ -8,9 +8,10 @@
 #                      replication warm-failover leg) + BENCH_resilience.json;
 #                      `repro chaos` exits 1 on any failed verdict or budget
 #   make demo-faults - the fault-injection acceptance demo
-#   make trace       - observed trace demo: Perfetto JSON + bench record
-#   make profile     - unrprof host-time profile: BENCH_profile.json +
-#                      flamegraph stacks, overhead gated at 10%
+#   make trace       - observed trace demo: one Perfetto JSON file
+#   make profile     - unrprof host-time profile of the latency demo
+#                      (flamegraph stacks, exit 1 below 90% coverage),
+#                      then the slow profiler-tax test (<= 10%)
 #   make perf        - perfbench: host-time ladder of eight workloads
 #                      (~4 min), writes perfbench/out/record.json
 #   make perf-selfcheck - perfbench twice on the same code against its
@@ -28,8 +29,7 @@
 #   make verify      - unrverify: happens-before trace verifier over the
 #                      golden + mutation corpora + static protocol pass
 #   make typecheck   - mypy strict-lite gate (skipped when not installed)
-#   make check       - lint + typecheck + unrverify + the UnrSanitizer
-#                      acceptance run (selfcheck demo + violation battery)
+#   make check       - lint + typecheck + unrverify
 
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
@@ -60,15 +60,14 @@ demo-faults:
 	PYTHONPATH=src $(PYTHON) -m repro faults
 
 trace:
-	$(REPRO) trace stream --perfetto trace_obs.json --bench BENCH_obs.json
+	$(REPRO) trace stream --perfetto trace_obs.json
 
-# Host-time attribution of the latency workload (BENCH_profile.json +
-# collapsed stacks), then the profiler-tax gate on a 64 KiB PUT
+# Host-time attribution of the latency demo (collapsed stacks; exits 1
+# below 90% coverage), then the profiler-tax test on a 64 KiB PUT
 # ping-pong + GET pull: profiled wall time may exceed observed by <=10%.
 profile:
-	$(REPRO) profile latency --sample-every 1 \
-		--output BENCH_profile.json --flame profile_flame.txt \
-		--overhead-repeats 15 --max-overhead-pct 10
+	$(REPRO) trace latency --profile --flame profile_flame.txt
+	$(PYTEST) -q -m slow tests/obs/test_profile.py
 
 # Host-time benchmark (BENCHMARK.json; protocol in perfbench/README.md).
 # It sets its own sys.path, so no PYTHONPATH here.
@@ -104,7 +103,7 @@ loc:
 	done
 
 # ruff/mypy are optional locally (the container may not ship them); the
-# unrlint and sanitizer gates always run.  CI installs the full set.
+# unrlint and unrverify gates always run.  CI installs the full set.
 lint:
 	$(REPRO) lint src/repro examples
 	@if command -v ruff >/dev/null 2>&1; then \
@@ -124,4 +123,3 @@ typecheck:
 	fi
 
 check: lint typecheck verify
-	$(REPRO) check

@@ -18,7 +18,8 @@ Package map (DESIGN.md has the full inventory):
 * :mod:`repro.platforms` — the four Table III systems, calibrated.
 * :mod:`repro.bench` — drivers regenerating every table and figure.
 * :mod:`repro.obs` — observability: event/span/metric recorder over
-  simulated time, Perfetto export, bench records (docs/observability.md).
+  simulated time, Perfetto export, host-time profiler
+  (docs/observability.md).
 """
 
 from .core import (

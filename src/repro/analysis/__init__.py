@@ -11,7 +11,7 @@ reproducibility discipline:
   checks (``Unr(sanitize=True)``), surfacing
   out-of-bounds RMA, overlapping registrations, over-width custom-bit
   payloads, use-after-free and leaked notifications through a
-  structured :class:`SanitizerReport`.  Run via ``repro check``.
+  structured :class:`SanitizerReport`, returned by ``Unr.finalize()``.
 * :mod:`repro.analysis.verify` + :mod:`repro.analysis.hbgraph` —
   unrverify, the two-layer ordering verifier: a trace-based
   happens-before checker (vector clocks over the armed Recorder's
@@ -19,10 +19,6 @@ reproducibility discipline:
   protocol-conformance pass behind UNR010/UNR011.  Run via
   ``repro verify``; :mod:`repro.analysis.mutants` is the seeded bug
   corpus proving it detects real violations.
-
-:mod:`repro.analysis.selfcheck` (imported lazily — it pulls in the
-whole library) drives the sanitized stream demo and the deliberate
-violation battery behind ``repro check``.
 """
 
 from .hbgraph import HBEvent, HBGraph, VectorClock

@@ -23,15 +23,6 @@ from .powerllel_bench import (
     fig7_scaling,
     powerllel_point,
 )
-from .profile_bench import (
-    PROFILE_SCHEMA,
-    PROFILE_WORKLOADS,
-    measure_overhead,
-    profile_bench,
-    validate_profile_bench,
-    validate_profile_bench_file,
-    write_profile_bench,
-)
 from .report import format_series, format_size, format_table
 from .resilience import (
     DEFAULT_CHAOS_FAULTS,
@@ -49,8 +40,6 @@ __all__ = [
     "DEFAULT_FAULTS",
     "DEFAULT_SIZES",
     "GOLDEN_SCHEMA",
-    "PROFILE_SCHEMA",
-    "PROFILE_WORKLOADS",
     "RESILIENCE_SCHEMA",
     "FIG6_GRIDS",
     "FIG7_SERIES",
@@ -58,8 +47,6 @@ __all__ = [
     "aggregation_sweep",
     "collect_fingerprints",
     "compare_corpus",
-    "measure_overhead",
-    "profile_bench",
     "fault_demo",
     "fig6_platform",
     "fig6_polling_study",
@@ -77,11 +64,8 @@ __all__ = [
     "trace_demo",
     "unr_get_pull",
     "unr_pingpong",
-    "validate_profile_bench",
-    "validate_profile_bench_file",
     "validate_resilience_bench",
     "validate_resilience_bench_file",
     "write_corpus",
-    "write_profile_bench",
     "write_resilience_bench",
 ]

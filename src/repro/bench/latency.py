@@ -94,8 +94,8 @@ def unr_get_pull(
     """Rank 0 GETs a patterned ``size``-byte buffer from rank 1 ``iters``
     times, one credit per pull; returns the run's recorder.  The GET-side
     twin of :func:`unr_pingpong`: together they are the two datapath runs
-    ``tests/bench/test_datapath_cost.py`` pins and ``measure_overhead``
-    times."""
+    ``tests/bench/test_datapath_cost.py`` pins and the profiler-tax test
+    in ``tests/obs/test_profile.py`` times."""
     plat = get_platform(platform)
     job = make_job(platform, 2, seed=seed)
     recorder = Recorder.attach(job.cluster)

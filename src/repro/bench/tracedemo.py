@@ -42,32 +42,24 @@ def trace_demo(
     steps: int = 1,
     profiler: Optional[Any] = None,
 ) -> Dict[str, Any]:
-    """Run one observed demo; returns ``{"name", "recorder", "result",
-    "params"}`` for the CLI / exporters.
+    """Run one observed demo; returns ``{"recorder", "result"}`` for the
+    CLI / exporters.
 
     ``profiler`` (a :class:`repro.obs.HostProfiler`) arms host-time
     attribution on the demo's cluster — wire-passive, so traces are
     identical with it on or off."""
     if demo not in TRACE_DEMOS:
         raise ValueError(f"unknown trace demo {demo!r} (choose from {TRACE_DEMOS})")
-    params: Dict[str, Any] = {"platform": platform, "seed": seed}
     if demo == "stream":
-        params.update(size=size, iters=iters, faults=faults)
-        out = _stream_demo(
+        return _stream_demo(
             platform=platform, size=size, iters=iters, seed=seed,
             faults=faults, fault_seed=fault_seed, profiler=profiler,
         )
-    elif demo == "latency":
-        params.update(size=size, iters=iters)
-        out = _latency_demo(platform=platform, size=size, iters=iters,
-                            profiler=profiler)
-    else:
-        params.update(nodes=nodes, steps=steps)
-        out = _powerllel_demo(platform=platform, nodes=nodes, steps=steps,
-                              seed=seed, profiler=profiler)
-    out["name"] = f"trace_{demo}"
-    out["params"] = params
-    return out
+    if demo == "latency":
+        return _latency_demo(platform=platform, size=size, iters=iters,
+                             profiler=profiler)
+    return _powerllel_demo(platform=platform, nodes=nodes, steps=steps,
+                           seed=seed, profiler=profiler)
 
 
 def _stream_demo(

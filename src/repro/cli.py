@@ -11,19 +11,18 @@
     python -m repro faults                      # fault-injection demo
     python -m repro faults --kill-node 1        # kill every rail of node 1
     python -m repro chaos                       # resilience soak -> BENCH_resilience.json
-    python -m repro trace stream                # observed demo + Perfetto JSON
+    python -m repro trace stream                # observed demo -> trace_obs.json
+    python -m repro trace latency --profile     # + unrprof host-time attribution
     python -m repro fingerprints                # golden wire-fingerprint diff
-    python -m repro profile latency             # unrprof host-time attribution
     python -m repro lint src/repro examples     # unrlint determinism rules
-    python -m repro check                       # UnrSanitizer runtime checks
     python -m repro verify                      # unrverify HB + protocol pass
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
+from contextlib import nullcontext
 from typing import List, Optional
 
 __all__ = ["main", "build_parser"]
@@ -46,29 +45,6 @@ def _fault_spec(text: str) -> str:
     return text
 
 
-def _artifact_path(output: Optional[str], default_name: str,
-                   explicit: Optional[str] = None) -> str:
-    """Uniform ``--output`` resolution for bench/trace artifacts.
-
-    ``explicit`` (a legacy per-artifact flag like ``--perfetto PATH``)
-    wins outright.  Otherwise: no ``--output`` keeps the historical
-    cwd-relative default; an ``--output`` ending in ``.json`` is the
-    exact file; anything else is treated as a directory (created if
-    missing) that receives the default-named artifact.
-    """
-    if explicit is not None:
-        return explicit
-    if output is None:
-        return default_name
-    if output.endswith(".json"):
-        parent = os.path.dirname(output)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        return output
-    os.makedirs(output, exist_ok=True)
-    return os.path.join(output, default_name)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -83,14 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--platform", default="th-xy")
     p.add_argument("--sizes", type=_sizes, default=[8, 512, 4096, 65536, 1048576])
     p.add_argument("--iters", type=int, default=10)
-    p.add_argument("--trace", action="store_true",
-                   help="also run one observed UNR ping-pong (largest size) "
-                        "and export its Perfetto trace")
-    p.add_argument("--perfetto", default="trace_latency.json", metavar="PATH",
-                   help="Perfetto output path for --trace")
-    p.add_argument("--profile", action="store_true",
-                   help="arm the unrprof host-time profiler on the UNR runs "
-                        "and print the attribution report")
 
     p = sub.add_parser("multinic", help="Figure 5: multi-NIC aggregation sweeps")
     p.add_argument("--platform", default="th-xy")
@@ -110,13 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fault schedule, e.g. 'drop=0.3,reorder=0.2,rail_fail@t=5.0' "
                         "(arms the UNR reliability layer)")
     p.add_argument("--fault-seed", type=int, default=None)
-    p.add_argument("--trace", action="store_true",
-                   help="observe the run and export its Perfetto trace")
-    p.add_argument("--perfetto", default="trace_powerllel.json", metavar="PATH",
-                   help="Perfetto output path for --trace")
-    p.add_argument("--profile", action="store_true",
-                   help="arm the unrprof host-time profiler and print the "
-                        "attribution report")
 
     p = sub.add_parser(
         "faults",
@@ -178,8 +139,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "trace",
-        help="repro.obs demo: run an observed workload, print its timeline "
-             "and critical paths, export Perfetto JSON + BENCH_obs.json",
+        help="observe one run: print its timeline, latency percentiles and "
+             "critical paths (--profile: host-time attribution too) and "
+             "write one Perfetto JSON file",
     )
     p.add_argument("demo", nargs="?", choices=["stream", "latency", "powerllel"],
                    default="stream")
@@ -191,22 +153,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fault schedule for the stream demo "
                         "(arms the UNR reliability layer)")
     p.add_argument("--fault-seed", type=int, default=None)
-    p.add_argument("--perfetto", default=None, metavar="PATH",
-                   help="explicit Perfetto trace_event JSON output path "
-                        "(default: trace_obs.json, or under --output)")
-    p.add_argument("--bench", default=None, metavar="PATH",
-                   help="explicit bench record output path "
-                        "(default: BENCH_obs.json, or under --output)")
-    p.add_argument("--output", default=None, metavar="DIR",
-                   help="directory receiving the default-named artifacts "
-                        "(created if missing; the --output convention "
-                        "shared with profile)")
-    p.add_argument("--no-bench", action="store_true",
-                   help="skip writing the bench record")
+    p.add_argument("--perfetto", default="trace_obs.json", metavar="PATH",
+                   help="Perfetto trace_event JSON output path "
+                        "(default: trace_obs.json)")
     p.add_argument("--profile", action="store_true",
-                   help="arm the unrprof host-time profiler, print its "
-                        "attribution report, and merge its counter tracks "
-                        "into the Perfetto export")
+                   help="arm the unrprof host-time profiler: print its "
+                        "attribution report, put its tables and counter "
+                        "tracks in the Perfetto file, exit 1 below "
+                        "90%% coverage")
+    p.add_argument("--flame", default=None, metavar="PATH",
+                   help="write collapsed stacks (flamegraph.pl input) to "
+                        "PATH; implies --profile")
     p.add_argument("--limit", type=int, default=30,
                    help="max rows in the printed timeline")
 
@@ -222,37 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--write", action="store_true",
                    help="regenerate the golden file from the current run "
                         "instead of diffing against it")
-
-    p = sub.add_parser(
-        "profile",
-        help="unrprof: host-time self-profile of a bench workload — "
-             "per-event-kind/per-layer attribution, engine dispatch "
-             "timing, flamegraph stacks -> BENCH_profile.json",
-    )
-    p.add_argument("workload", nargs="?", default="latency",
-                   choices=["latency", "stream", "powerllel"])
-    p.add_argument("--platform", default="th-xy")
-    p.add_argument("--size", type=int, default=4096)
-    p.add_argument("--iters", type=int, default=40)
-    p.add_argument("--seed", type=int, default=2024)
-    p.add_argument("--sample-every", type=int, default=0, metavar="N",
-                   help="collapsed-stack sampling period (0 = exact per-kind "
-                        "totals only)")
-    p.add_argument("--top", type=int, default=14,
-                   help="rows in the printed top-kinds table")
-    p.add_argument("--flame", default=None, metavar="PATH",
-                   help="write collapsed stacks (flamegraph.pl input) to PATH")
-    p.add_argument("--output", default=None, metavar="PATH",
-                   help="BENCH_profile.json destination: a .json file, or a "
-                        "directory for the default-named artifact "
-                        "(default: BENCH_profile.json in the cwd)")
-    p.add_argument("--overhead-repeats", type=int, default=0, metavar="N",
-                   help="also measure profiler overhead on a 64 KiB PUT "
-                        "ping-pong + GET pull: N interleaved observed/profiled "
-                        "pairs, gated on the best-of-N wall-time ratio")
-    p.add_argument("--max-overhead-pct", type=float, default=None, metavar="PCT",
-                   help="fail (exit 1) when measured profiler overhead "
-                        "exceeds PCT percent (implies --overhead-repeats 3)")
 
     p = sub.add_parser(
         "lint",
@@ -279,18 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(repeatable; default: all four)")
     p.add_argument("--no-static", action="store_true",
                    help="skip the static protocol-conformance sweep")
-
-    p = sub.add_parser(
-        "check",
-        help="UnrSanitizer runtime checks: sanitized stream demo + "
-             "deliberate-violation self-test",
-    )
-    p.add_argument("--platform", default="th-xy")
-    p.add_argument("--size", type=int, default=65536)
-    p.add_argument("--iters", type=int, default=4)
-    p.add_argument("--seed", type=int, default=2024)
-    p.add_argument("--no-selftest", action="store_true",
-                   help="skip the deliberate-violation battery")
 
     return parser
 
@@ -338,11 +252,6 @@ def cmd_tables(args) -> int:
 def cmd_latency(args) -> int:
     from .bench import format_size, format_table, latency_table
 
-    prof = None
-    if args.profile:
-        from .obs import HostProfiler
-
-        prof = HostProfiler()
     table = latency_table(args.platform, args.sizes, args.iters)
     rows = [
         [format_size(s)]
@@ -351,30 +260,6 @@ def cmd_latency(args) -> int:
     ]
     print(f"Figure 4 ({args.platform}): half round-trip latency (us)")
     print(format_table(["size", "UNR", "fence", "PSCW", "lock"], rows))
-    if args.trace or prof is not None:
-        from .bench import unr_pingpong
-
-        out = {}
-        size = args.sizes[-1]
-        if prof is not None:
-            with prof.window():
-                unr_pingpong(args.platform, size, args.iters, out=out,
-                             profiler=prof)
-        else:
-            unr_pingpong(args.platform, size, args.iters, out=out)
-        rec = out["recorder"]
-        snap = rec.snapshot()
-        if args.trace:
-            from .obs import write_perfetto
-
-            write_perfetto(rec, args.perfetto, prof)
-            print(f"trace: {format_size(size)} ping-pong — "
-                  f"{snap['n_transfers']} transfers, {snap['n_spans']} spans, "
-                  f"{int(snap['counters']['sim.events'])} sim events "
-                  f"-> {args.perfetto}")
-    if prof is not None:
-        print()
-        print(prof.report())
     return 0
 
 
@@ -394,24 +279,13 @@ def cmd_multinic(args) -> int:
 def cmd_powerllel(args) -> int:
     from .bench import powerllel_point
 
-    prof = None
-    if args.profile:
-        from .obs import HostProfiler
-
-        prof = HostProfiler()
-    kwargs = dict(
-        backend=args.backend, fallback=args.fallback,
-        nodes=args.nodes, py=args.py, pz=args.pz,
-        steps=args.steps,
-        faults=args.faults, fault_seed=args.fault_seed,
-        observe=args.trace, profiler=prof,
-    )
     nx, ny, nz = args.grid
-    if prof is not None:
-        with prof.window():
-            res = powerllel_point(args.platform, nx=nx, ny=ny, nz=nz, **kwargs)
-    else:
-        res = powerllel_point(args.platform, nx=nx, ny=ny, nz=nz, **kwargs)
+    res = powerllel_point(
+        args.platform, nx=nx, ny=ny, nz=nz,
+        backend=args.backend, fallback=args.fallback,
+        nodes=args.nodes, py=args.py, pz=args.pz, steps=args.steps,
+        faults=args.faults, fault_seed=args.fault_seed,
+    )
     p = res["phases"]
     print(f"PowerLLEL [{args.backend}{'+fallback' if args.fallback else ''}"
           f"{'+faults' if args.faults else ''}] "
@@ -419,18 +293,6 @@ def cmd_powerllel(args) -> int:
     print(f"  total {res['time']*1e3:.3f} ms  "
           f"(vel {p['vel_update']*1e3:.3f}, ppe {p['ppe']*1e3:.3f}, "
           f"other {p['other']*1e3:.3f})")
-    if args.trace:
-        from .obs import write_perfetto
-
-        rec = res["recorder"]
-        snap = rec.snapshot()
-        write_perfetto(rec, args.perfetto, prof)
-        print(f"  trace {snap['n_transfers']} transfers, {snap['n_spans']} spans, "
-              f"{int(snap['counters']['sim.events'])} sim events "
-              f"-> {args.perfetto}")
-    if prof is not None:
-        print()
-        print(prof.report())
     return 0
 
 
@@ -540,38 +402,17 @@ def cmd_chaos(args) -> int:
 
 def cmd_trace(args) -> int:
     from .bench import trace_demo
-    from .obs import (
-        bench_record,
-        text_timeline,
-        validate_bench,
-        validate_trace_file,
-        write_bench,
-        write_perfetto,
-    )
+    from .obs import HostProfiler, text_timeline, validate_trace_file, write_perfetto
+    from .obs.profile import COVERAGE_FLOOR
 
-    if args.output is not None and args.output.endswith(".json"):
-        print("trace: --output names the artifact *directory* "
-              "(use --perfetto/--bench for explicit file paths)",
-              file=sys.stderr)
-        return 2
-    perfetto_path = _artifact_path(args.output, "trace_obs.json", args.perfetto)
-    bench_path = _artifact_path(args.output, "BENCH_obs.json", args.bench)
     prof = None
-    if args.profile:
-        from .obs import HostProfiler
-
-        prof = HostProfiler()
-    if prof is not None:
-        with prof.window():
-            out = trace_demo(
-                args.demo, platform=args.platform, size=args.size,
-                iters=args.iters, seed=args.seed, faults=args.faults,
-                fault_seed=args.fault_seed, profiler=prof,
-            )
-    else:
+    if args.profile or args.flame:
+        prof = HostProfiler(sample_every=1 if args.flame else 0)
+    with prof.window() if prof is not None else nullcontext():
         out = trace_demo(
-            args.demo, platform=args.platform, size=args.size, iters=args.iters,
-            seed=args.seed, faults=args.faults, fault_seed=args.fault_seed,
+            args.demo, platform=args.platform, size=args.size,
+            iters=args.iters, seed=args.seed, faults=args.faults,
+            fault_seed=args.fault_seed, profiler=prof,
         )
     rec = out["recorder"]
     snap = rec.snapshot()
@@ -585,15 +426,15 @@ def cmd_trace(args) -> int:
     print("\ntimeline (simulated time, us):")
     print(text_timeline(rec, limit=args.limit))
 
-    interesting = ("core.sig_wait_us", "net.frag_latency_us",
-                   "core.poll_dispatch_delay_us")
+    interesting = ("core.sig_wait_us", "core.poll_dispatch_delay_us",
+                   "net.frag_latency_us")
     shown = [k for k in interesting if k in snap["histograms"]]
     if shown:
-        print("\nlatency histograms:")
+        print("\nlatency histograms (us):")
         for key in shown:
             h = snap["histograms"][key]
-            print(f"  {key:28s} n={h['count']:<5d} "
-                  f"mean={h['mean']:.2f} min={h['min']:.2f} max={h['max']:.2f}")
+            print(f"  {key:28s} n={h['count']:<5d} p50={h['p50']:.2f} "
+                  f"p95={h['p95']:.2f} p99={h['p99']:.2f} max={h['max']:.2f}")
 
     print("\nper-rank critical paths:")
     for track in rec.spans.tracks():
@@ -607,25 +448,23 @@ def cmd_trace(args) -> int:
         print()
         print(prof.report())
 
-    write_perfetto(rec, perfetto_path, prof)
+    write_perfetto(rec, args.perfetto, prof)
     try:
-        validate_trace_file(perfetto_path)
+        validate_trace_file(args.perfetto)
     except ValueError as exc:
-        print(f"\nperfetto: {perfetto_path} FAILED schema validation: {exc}")
+        print(f"\nperfetto: {args.perfetto} FAILED schema validation: {exc}")
         return 1
-    print(f"\nperfetto: {perfetto_path} (load at https://ui.perfetto.dev)")
-
-    if not args.no_bench:
-        record = bench_record(
-            rec, name=out["name"], platform=args.platform, params=out["params"],
-        )
-        errors = validate_bench(record)
-        if errors:
-            print(f"bench: record FAILED validation: {'; '.join(errors)}")
-            return 1
-        write_bench(record, bench_path)
-        print(f"bench: {bench_path} "
-              f"(fingerprint {record['transfer_fingerprint'][:16]}…)")
+    print(f"\nperfetto: {args.perfetto} (load at https://ui.perfetto.dev)")
+    if prof is None:
+        return 0
+    if args.flame:
+        prof.write_collapsed(args.flame)
+        print(f"flame: {args.flame} (collapsed stacks; feed to flamegraph.pl)")
+    coverage = prof.coverage() or 0.0
+    if coverage < COVERAGE_FLOOR:
+        print(f"profile: coverage {coverage:.1%} below the "
+              f"{COVERAGE_FLOOR:.0%} floor: the attribution is not trustworthy")
+        return 1
     return 0
 
 
@@ -676,57 +515,6 @@ def cmd_fingerprints(args) -> int:
         print("  (intentional wire change? regenerate with --write)")
         return 1
     print(f"fingerprints: {len(entries)} entries match {path}")
-    return 0
-
-
-def cmd_profile(args) -> int:
-    from .bench import (
-        profile_bench,
-        validate_profile_bench,
-        write_profile_bench,
-    )
-    from .obs import HostProfiler
-
-    overhead_repeats = args.overhead_repeats
-    if args.max_overhead_pct is not None and overhead_repeats <= 0:
-        overhead_repeats = 3
-    prof = HostProfiler(sample_every=args.sample_every)
-    record = profile_bench(
-        args.workload, args.platform,
-        size=args.size, iters=args.iters, seed=args.seed,
-        sample_every=args.sample_every,
-        overhead_repeats=overhead_repeats, profiler=prof,
-    )
-    errors = validate_profile_bench(record)
-    if errors:
-        print(f"profile: record FAILED validation: {'; '.join(errors)}")
-        return 1
-    print(f"unrprof '{args.workload}' on {args.platform} "
-          f"(size {args.size}, iters {args.iters}):")
-    print(prof.report(top=args.top))
-    sim = record.get("sim")
-    if sim and sim.get("histograms"):
-        print("  sim latency percentiles (us):")
-        for name in sorted(sim["histograms"]):
-            h = sim["histograms"][name]
-            print(f"    {name:28s} n={h['count']:<5d} p50={h['p50']:.2f} "
-                  f"p95={h['p95']:.2f} p99={h['p99']:.2f}")
-    out_path = _artifact_path(args.output, "BENCH_profile.json")
-    write_profile_bench(record, out_path)
-    print(f"  -> {out_path} (coverage {record['coverage']:.1%})")
-    if args.flame:
-        prof.write_collapsed(args.flame)
-        print(f"  -> {args.flame} (collapsed stacks; feed to flamegraph.pl)")
-    overhead = record.get("overhead")
-    if overhead is not None:
-        pct = (overhead["ratio"] - 1.0) * 100.0
-        print(f"  overhead: observed {overhead['observed_ms']:.2f} ms vs "
-              f"profiled {overhead['profiled_ms']:.2f} ms "
-              f"({pct:+.1f}%, best of {overhead['repeats']} pairs)")
-        if args.max_overhead_pct is not None and pct > args.max_overhead_pct:
-            print(f"  verdict FAILED: profiler overhead {pct:.1f}% > "
-                  f"{args.max_overhead_pct}%")
-            return 1
     return 0
 
 
@@ -808,41 +596,6 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_check(args) -> int:
-    from .analysis.selfcheck import (
-        SELFTEST_KINDS,
-        sanitized_stream_demo,
-        sanitizer_selftest,
-    )
-
-    demo = sanitized_stream_demo(
-        platform=args.platform, size=args.size, iters=args.iters, seed=args.seed,
-    )
-    report = demo["report"]
-    print(f"UnrSanitizer check on {args.platform} "
-          f"({args.iters} x {args.size} B stream):")
-    print(f"  armed run     {len(report)} finding(s) (expected 0)")
-    if len(report):
-        for finding in report:
-            print(f"    {finding.format()}")
-    print(f"  delivery      {'intact' if demo['correct'] else 'CORRUPTED'}")
-    print(f"  trace         armed vs disarmed fingerprints "
-          f"{'IDENTICAL' if demo['identical'] else 'DIVERGED'}")
-    ok = report.ok and demo["identical"] and demo["correct"]
-
-    if not args.no_selftest:
-        results = sanitizer_selftest(args.platform)
-        caught = sum(1 for r in results.values() if r["found"])
-        print(f"  self-test     {caught}/{len(SELFTEST_KINDS)} deliberate "
-              "violations caught:")
-        for kind, res in results.items():
-            print(f"    {'ok  ' if res['found'] else 'MISS'} {kind}")
-        ok = ok and caught == len(SELFTEST_KINDS)
-
-    print("  verdict       " + ("OK" if ok else "FAILED"))
-    return 0 if ok else 1
-
-
 _COMMANDS = {
     "tables": cmd_tables,
     "latency": cmd_latency,
@@ -852,12 +605,10 @@ _COMMANDS = {
     "chaos": cmd_chaos,
     "trace": cmd_trace,
     "fingerprints": cmd_fingerprints,
-    "profile": cmd_profile,
     "fig6": cmd_fig6,
     "scaling": cmd_scaling,
     "lint": cmd_lint,
     "verify": cmd_verify,
-    "check": cmd_check,
 }
 
 

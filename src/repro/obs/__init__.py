@@ -10,8 +10,8 @@ or off.
 Arm via ``Unr(..., observe=True)``, ``Recorder.attach(cluster)``, or
 the ``repro trace`` CLI.
 Export with :func:`write_perfetto` (Chrome/Perfetto ``trace_event``
-JSON), :func:`text_timeline`, or :func:`bench_record` /
-:func:`write_bench` (``BENCH_obs.json``).  See ``docs/observability.md``.
+JSON: ``repro trace``'s one artifact) or :func:`text_timeline`.  See
+``docs/observability.md``.
 
 Host-time profiling lives in :mod:`repro.obs.profile` (``unrprof``):
 :class:`HostProfiler` is the repo's one sanctioned wall-clock consumer
@@ -20,18 +20,14 @@ without perturbing the schedule.  See ``docs/profiling.md``.
 """
 
 from .export import (
-    bench_record,
     perfetto_json,
     text_timeline,
     to_trace_events,
-    validate_bench,
-    validate_bench_file,
     validate_trace,
     validate_trace_file,
-    write_bench,
     write_perfetto,
 )
-from .profile import HostProfiler, host_clock_ns, peak_rss_kb
+from .profile import HostProfiler, host_clock_ns
 from .recorder import Histogram, InstantEvent, OpRecord, ProtoEvent, Recorder
 from .spans import Span, SpanHandle, SpanLog
 
@@ -39,7 +35,6 @@ __all__ = [
     "Recorder",
     "HostProfiler",
     "host_clock_ns",
-    "peak_rss_kb",
     "Histogram",
     "InstantEvent",
     "OpRecord",
@@ -51,10 +46,6 @@ __all__ = [
     "perfetto_json",
     "write_perfetto",
     "text_timeline",
-    "bench_record",
-    "write_bench",
     "validate_trace",
     "validate_trace_file",
-    "validate_bench",
-    "validate_bench_file",
 ]

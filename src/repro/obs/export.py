@@ -1,4 +1,4 @@
-"""Exporters: Perfetto ``trace_event`` JSON, text timeline, bench records.
+"""Exporters: Perfetto ``trace_event`` JSON and the text timeline.
 
 Everything here is a pure function of a :class:`~repro.obs.Recorder` —
 no wall-clock reads, no environment probing — and every serialization
@@ -8,15 +8,15 @@ artifacts (enforced by the golden test in ``tests/obs``).
 * :func:`perfetto_json` / :func:`write_perfetto` — Chrome/Perfetto
   ``trace_event`` JSON: one pid, one tid per track, ``"X"`` complete
   events for spans and NIC transfers, ``"i"`` instants for markers,
-  ``"M"`` metadata naming the tracks.  Load at https://ui.perfetto.dev
-  or ``chrome://tracing``.
+  ``"M"`` metadata naming the tracks.  ``otherData`` carries the
+  recorder snapshot and the transfer fingerprint (and, with a
+  profiler, its attribution tables).  Load at https://ui.perfetto.dev
+  or ``chrome://tracing``.  This file is the one artifact of
+  ``repro trace``.
 * :func:`text_timeline` — the merged transfer+marker text view (the
   transfers alone render with :func:`~repro.netsim.trace.render_timeline`).
-* :func:`bench_record` / :func:`write_bench` — the machine-readable
-  ``BENCH_obs.json`` record: snapshot, per-track critical paths and the
-  transfer fingerprint.
-* :func:`validate_trace` / :func:`validate_bench` — hand-rolled schema
-  checks (no external jsonschema dependency) used by the CLI and CI.
+* :func:`validate_trace` — the hand-rolled schema check (no external
+  jsonschema dependency) used by the CLI and CI.
 """
 
 from __future__ import annotations
@@ -34,15 +34,9 @@ __all__ = [
     "perfetto_json",
     "write_perfetto",
     "text_timeline",
-    "bench_record",
-    "write_bench",
     "validate_trace",
     "validate_trace_file",
-    "validate_bench",
-    "validate_bench_file",
 ]
-
-BENCH_SCHEMA = "repro.obs.bench/1"
 
 _PID = 1
 
@@ -144,13 +138,21 @@ def perfetto_json(recorder: "Recorder", profiler: Optional[Any] = None) -> str:
     """Byte-stable Perfetto JSON (sorted keys, fixed separators).
 
     With ``profiler`` the document additionally carries unrprof's
-    counter tracks; the recorder-derived events stay byte-identical
-    (host-time values live only on the profiler's own tracks).
+    counter tracks and its :meth:`~repro.obs.HostProfiler.snapshot`
+    under ``otherData.host_profile``; the recorder-derived events stay
+    byte-identical (host-time values live only on the profiler's own
+    tracks and tables).
     """
+    other: Dict[str, Any] = {
+        "snapshot": recorder.snapshot(),
+        "transfer_fingerprint": transfer_fingerprint(recorder.transfers),
+    }
+    if profiler is not None:
+        other["host_profile"] = profiler.snapshot()
     doc = {
         "traceEvents": to_trace_events(recorder, profiler),
         "displayTimeUnit": "ms",
-        "otherData": {"snapshot": recorder.snapshot()},
+        "otherData": other,
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -187,41 +189,6 @@ def text_timeline(recorder: "Recorder", limit: int = 40, min_bytes: int = 0) -> 
     if len(rows) > limit:
         lines.append(f"... ({len(rows)} rows total)")
     return "\n".join(lines)
-
-
-# -- bench record -------------------------------------------------------------
-
-def bench_record(
-    recorder: "Recorder",
-    *,
-    name: str,
-    platform: Optional[str] = None,
-    params: Optional[Dict[str, Any]] = None,
-) -> Dict[str, Any]:
-    """Machine-readable benchmark record (the ``BENCH_obs.json`` body)."""
-    critical_paths: Dict[str, List[Dict[str, Any]]] = {}
-    for track in recorder.spans.tracks():
-        path = recorder.spans.critical_path(track)
-        if path:
-            critical_paths[track] = [
-                {"name": s.name, "cat": s.cat, "t0_us": _us(s.t0), "dur_us": _us(s.duration)}
-                for s in path
-            ]
-    return {
-        "schema": BENCH_SCHEMA,
-        "name": name,
-        "platform": platform,
-        "params": dict(params or {}),
-        "snapshot": recorder.snapshot(),
-        "critical_paths": critical_paths,
-        "transfer_fingerprint": transfer_fingerprint(recorder.transfers),
-    }
-
-
-def write_bench(record: Dict[str, Any], path: str) -> str:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(record, sort_keys=True, indent=2) + "\n")
-    return path
 
 
 # -- validation ---------------------------------------------------------------
@@ -265,38 +232,5 @@ def validate_trace_file(path: str) -> None:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     errors = validate_trace(doc)
-    if errors:
-        raise ValueError(f"{path}: " + "; ".join(errors))
-
-
-def validate_bench(record: Any) -> List[str]:
-    """Schema-check a bench record; returns error strings."""
-    errors: List[str] = []
-    if not isinstance(record, dict):
-        return ["bench record must be an object"]
-    if record.get("schema") != BENCH_SCHEMA:
-        errors.append(f"schema must be {BENCH_SCHEMA!r}, got {record.get('schema')!r}")
-    if not isinstance(record.get("name"), str):
-        errors.append("name must be a string")
-    snap = record.get("snapshot")
-    if not isinstance(snap, dict):
-        errors.append("snapshot must be an object")
-    else:
-        for section in ("counters", "gauges", "histograms"):
-            if not isinstance(snap.get(section), dict):
-                errors.append(f"snapshot.{section} must be an object")
-    fp = record.get("transfer_fingerprint")
-    if not (isinstance(fp, str) and len(fp) == 64):
-        errors.append("transfer_fingerprint must be a sha256 hex digest")
-    if not isinstance(record.get("critical_paths"), dict):
-        errors.append("critical_paths must be an object")
-    return errors
-
-
-def validate_bench_file(path: str) -> None:
-    """Load + validate a bench JSON file; raises ``ValueError`` on errors."""
-    with open(path, "r", encoding="utf-8") as fh:
-        record = json.load(fh)
-    errors = validate_bench(record)
     if errors:
         raise ValueError(f"{path}: " + "; ".join(errors))

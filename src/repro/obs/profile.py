@@ -1,4 +1,4 @@
-"""unrprof: the host-time self-profiler (``repro profile``).
+"""unrprof: the host-time self-profiler (``repro trace --profile``).
 
 Everything else in :mod:`repro.obs` is deliberately blind to the wall
 clock: the :class:`~repro.obs.recorder.Recorder` stamps with ``env.now``
@@ -43,15 +43,14 @@ from the Recorder:
 Arm with :meth:`HostProfiler.attach` **before** constructing ``Unr``
 (so progress engines see it), wrap the measured region in
 :meth:`window`, then export via :meth:`snapshot`, :meth:`report`,
-:meth:`collapsed` or the Perfetto counter tracks
-(:func:`repro.obs.export.perfetto_json` with ``profiler=``).
+:meth:`collapsed` or the Perfetto file
+(:func:`repro.obs.export.perfetto_json` with ``profiler=``: the counter
+tracks, plus :meth:`snapshot` under ``otherData.host_profile``).
 """
 
 from __future__ import annotations
 
 import os
-import subprocess
-import sys
 import time  # sanctioned: the ONLY wall-clock import in the repo (UNR002)
 from contextlib import contextmanager
 from types import CodeType
@@ -60,11 +59,15 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 from ..sim.core import Deferred as _Deferred, InFlight as _InFlight
 
 __all__ = [
+    "COVERAGE_FLOOR",
     "HostProfiler",
     "host_clock_ns",
-    "peak_rss_kb",
-    "run_meta",
 ]
+
+#: below this attributed share of the measured wall time the attribution
+#: chain is broken and the profile is not worth reading
+#: (``repro trace --profile`` exits 1)
+COVERAGE_FLOOR = 0.9
 
 _clock_ns = time.perf_counter_ns
 
@@ -72,54 +75,11 @@ _clock_ns = time.perf_counter_ns
 def host_clock_ns() -> int:
     """Monotonic host clock in nanoseconds.
 
-    The chokepoint bench code uses to time wall-clock spans (overhead
-    baselines, trend timestamps) without importing ``time`` itself —
-    unrlint UNR002 reserves ``time.*`` for this module.
+    The chokepoint other code uses to time wall-clock spans (the
+    profiler-tax test) without importing ``time`` itself — unrlint
+    UNR002 reserves ``time.*`` for this module.
     """
     return _clock_ns()
-
-
-def peak_rss_kb() -> Optional[int]:
-    """Peak resident set size of this process, in kilobytes.
-
-    Read from ``resource.getrusage`` (``ru_maxrss`` is KB on Linux, and
-    converted from bytes on macOS); ``None`` on platforms without the
-    ``resource`` module.  Like the host clock this is host-side
-    telemetry only — it rides in bench records (``peak_rss_kb``) and
-    never feeds the simulation.
-    """
-    try:
-        import resource
-    except ImportError:  # pragma: no cover - non-POSIX
-        return None
-    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    if sys.platform == "darwin":  # pragma: no cover - ru_maxrss in bytes
-        rss //= 1024
-    return int(rss)
-
-
-def run_meta() -> Dict[str, Any]:
-    """Host/run identity block embedded in ``BENCH_profile.json``.
-
-    Everything here is best-effort (a detached tarball build reports
-    ``git_sha="unknown"``).
-    """
-    sha = "unknown"
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True, timeout=5,
-            cwd=os.path.dirname(os.path.abspath(__file__)),
-        )
-        if out.returncode == 0:
-            sha = out.stdout.strip() or "unknown"
-    except (OSError, subprocess.SubprocessError):
-        pass
-    return {
-        "git_sha": sha,
-        "python": "%d.%d.%d" % sys.version_info[:3],
-        "unix_time": int(time.time()),
-    }
 
 
 #: package component -> attribution layer.  ``core`` is the transfer/
@@ -222,7 +182,7 @@ class HostProfiler:
     # append: every timestamp is captured live, but classification and
     # accounting replay from the buffer at drain time (window exit /
     # snapshot / periodic cap), OUTSIDE the measured workload.  The 10%
-    # overhead gate (``measure_overhead``) is what forces this
+    # profiler-tax test (``tests/obs/test_profile.py``) is what forces this
     # shape — attribute walks and dict updates per event cost more than
     # the attribution is worth while the workload is running.
     __slots__ = (
@@ -280,7 +240,7 @@ class HostProfiler:
 
         Must run **before** ``Unr(...)`` so progress engines pick the
         profiler up at construction.  One profiler may be attached to
-        several clusters over its life (e.g. ``measure_overhead`` runs
+        several clusters over its life (e.g. the profiler-tax test runs
         two jobs per pass); accumulators keep growing across them.
         """
         existing = getattr(cluster, "prof", None)
@@ -356,8 +316,8 @@ class HostProfiler:
         One clock read and one buffer append: the timestamp closes the
         previous event's interval and opens this one *at replay time*
         (chained attribution — bookkeeping for event *i* lands inside
-        event *i+1*'s interval).  The overhead gate holds the profiled
-        ``measure_overhead`` runs to <=10%, which is why nothing else
+        event *i+1*'s interval).  The profiler-tax test holds the
+        profiled datapath runs to <=10%, which is why nothing else
         happens per event — no counters, no dict updates (``_clock``
         and ``_deferred`` are bound as default arguments to skip the
         module-global lookups; the counter-timeline countdown replays

@@ -383,6 +383,9 @@ class ReplicationManager:
         #: (src_rank, dst_rank) -> env-time of the last heartbeat
         #: delivered from src to dst
         self.heartbeats: Dict[Tuple[int, int], float] = {}
+        #: env-time of the first heartbeat round: the silence baseline
+        #: of a pair whose first beat has not landed yet
+        self._armed_at: Optional[float] = None
         self.world = TeamWorld(self)
         self.failover_log: List[Dict[str, float]] = []
         for rank in self.world.app_ranks:
@@ -491,6 +494,8 @@ class ReplicationManager:
             yield env.timeout(period)
             if not env._sched and not self._pending_duty():
                 return
+            if self._armed_at is None:
+                self._armed_at = env.now
             self._send_heartbeats()
             yield from self._sweep(period)
 
@@ -533,10 +538,12 @@ class ReplicationManager:
 
     def missed_heartbeats(self, src_rank: int, dst_rank: int, period: float) -> int:
         """Whole heartbeat periods elapsed since ``src`` was last heard
-        from at ``dst``.  Before the first delivery the count stays 0 —
-        suspicion needs observed life followed by silence, so a slow
-        first beat can never trip a false positive."""
-        last = self.heartbeats.get((src_rank, dst_rank))
+        from at ``dst``.  Before the first delivery the silence counts
+        from the tier's first heartbeat round (0 before that round), so
+        a node that crashes before its first beat lands is still
+        suspected.  A slow first beat can at most raise a suspicion:
+        promotion also needs the node to be crashed."""
+        last = self.heartbeats.get((src_rank, dst_rank), self._armed_at)
         if last is None:
             return 0
         return int((self.env.now - last) / period)

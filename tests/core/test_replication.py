@@ -276,6 +276,25 @@ def test_sender_side_crash_also_fails_over():
     unr.finalize()
 
 
+@pytest.mark.parametrize("node", [0, 1])
+def test_crash_before_first_heartbeat_still_fails_over(node):
+    """A node that dies at 20 us, before its first 25 us heartbeat can
+    land, is still suspected: silence counts from the first heartbeat
+    round.  The simulated deadline turns a never-suspected member (its
+    parked fragments and the pulse loop run forever) into a failure."""
+    _, unr = make_unr(faults=crash_schedule((20.0, node)))
+    rep = unr.replication
+    results = {}
+    iters = 8
+    run_job(unr.job, stream_program(unr, results, size=4096, iters=iters),
+            ranks=rep.world.app_ranks, until=2000.0 * US)
+    assert len(results) == iters and all(results.values())
+    assert unr.stats["replication_failovers"] == 1
+    [rec] = rep.failover_log
+    assert rec["dead_rank"] == node and rec["promoted_rank"] == node + 2
+    unr.finalize()
+
+
 def test_team_exhaustion_raises_failover_error_with_context():
     _, unr = make_unr(faults=crash_schedule((120.0, 1), (180.0, 3)))
     rep = unr.replication

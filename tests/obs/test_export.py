@@ -5,17 +5,8 @@ import json
 from pathlib import Path
 
 from repro.bench import trace_demo
-from repro.obs import (
-    bench_record,
-    perfetto_json,
-    text_timeline,
-    to_trace_events,
-    validate_bench,
-    validate_bench_file,
-    validate_trace,
-)
-
-FIXTURES = Path(__file__).resolve().parent / "fixtures"
+from repro.netsim.trace import transfer_fingerprint
+from repro.obs import perfetto_json, text_timeline, to_trace_events, validate_trace
 
 
 def run_demo():
@@ -34,29 +25,14 @@ def test_trace_events_validate_and_carry_metadata():
 
 
 def test_perfetto_json_is_byte_stable_across_identical_runs():
-    a = perfetto_json(run_demo())
+    rec = run_demo()
+    a = perfetto_json(rec)
     b = perfetto_json(run_demo())
     assert a == b
     doc = json.loads(a)
     assert validate_trace(doc) == []
-
-
-def test_bench_record_is_byte_stable_and_valid():
-    def record(rec):
-        return bench_record(rec, name="t", platform="th-xy", params={"size": 4096})
-
-    ra = record(run_demo())
-    rb = record(run_demo())
-    assert validate_bench(ra) == []
-    dump = lambda r: json.dumps(r, sort_keys=True, indent=2)  # noqa: E731
-    assert dump(ra) == dump(rb)
-    assert ra["transfer_fingerprint"] == rb["transfer_fingerprint"]
-
-
-def test_committed_bench_fixture_validates():
-    """The one committed bench record (the schema fixture) stays valid —
-    regenerated artifacts in the repo root are gitignored instead."""
-    validate_bench_file(str(FIXTURES / "BENCH_obs.json"))
+    assert doc["otherData"]["snapshot"] == json.loads(json.dumps(rec.snapshot()))
+    assert doc["otherData"]["transfer_fingerprint"] == transfer_fingerprint(rec.transfers)
 
 
 def test_golden_roundtrip_spans_instants_and_counters(tmp_path):

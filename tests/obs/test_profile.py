@@ -7,12 +7,13 @@ kinds, coverage near 1.0) rather than absolute times — host timing
 itself is nondeterministic, the bookkeeping around it must not be.
 """
 
+import gc
 import json
 from pathlib import Path
 
 import pytest
 
-from repro.bench import unr_pingpong
+from repro.bench import unr_get_pull, unr_pingpong
 from repro.bench.fingerprints import load_corpus, run_schedule
 from repro.obs import HostProfiler, Recorder, host_clock_ns, perfetto_json, validate_trace
 from repro.platforms import make_job
@@ -182,3 +183,35 @@ def test_accumulators_survive_across_clusters():
     profiled_pingpong(prof, iters=3)
     assert prof.n_events > first
     assert prof.snapshot()["events"]["host:setup"]["count"] >= 2
+
+
+@pytest.mark.slow
+def test_profiler_tax_stays_under_ten_percent():
+    """The profiler tax on the two datapath runs (64 KiB x 6 PUT
+    ping-pong + GET pull): observed vs observed+profiled, 15 interleaved
+    pairs after an untimed warmup of each, the cyclic GC off.  The gate
+    is min(profiled) / min(observed): on a shared box per-run times
+    swing by tens of percent with background load, while the minima —
+    the runs that hit a quiet window — reproduce to about 1 %.  The
+    profiler is built once, outside the timed region, so the ratio is
+    the steady-state per-event tax."""
+    prof = HostProfiler()
+
+    def timed(profiler):
+        t0 = host_clock_ns()
+        unr_pingpong("th-xy", 65536, 6, observe=True, profiler=profiler)
+        unr_get_pull("th-xy", 65536, 6, seed=2024, profiler=profiler)
+        return host_clock_ns() - t0
+
+    timed(None)  # untimed warmups: imports, allocator, branch caches
+    timed(prof)
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        pairs = [(timed(None), timed(prof)) for _ in range(15)]
+    finally:
+        if was_enabled:
+            gc.enable()
+    ratio = min(p for _, p in pairs) / min(o for o, _ in pairs)
+    assert ratio <= 1.10, f"profiler tax {ratio:.3f}x > 1.10x"

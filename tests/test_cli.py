@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import json
 import re
 from pathlib import Path
 
@@ -100,86 +101,64 @@ def test_verify_golden_single_platform(capsys):
 
 def test_trace_writes_valid_artifacts(tmp_path, capsys):
     perfetto = tmp_path / "trace.json"
-    bench = tmp_path / "bench.json"
     assert main([
         "trace", "stream", "--size", "4096", "--iters", "3",
-        "--perfetto", str(perfetto), "--bench", str(bench),
+        "--perfetto", str(perfetto),
     ]) == 0
     out = capsys.readouterr().out
     assert "Trace demo 'stream'" in out
     assert "critical paths" in out
-    assert perfetto.exists() and bench.exists()
+    assert "host profile:" not in out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.json"]
 
-    from repro.obs import validate_bench_file, validate_trace_file
+    from repro.obs import validate_trace_file
 
     validate_trace_file(str(perfetto))  # raises ValueError on schema errors
-    validate_bench_file(str(bench))
+    other = json.loads(perfetto.read_text())["otherData"]
+    assert sorted(other) == ["snapshot", "transfer_fingerprint"]
 
 
-def test_trace_output_directory_collects_artifacts(tmp_path, capsys):
-    """Satellite regression: ``--output DIR`` is the uniform artifact
-    destination — both files land inside it under their default names."""
-    outdir = tmp_path / "artifacts" / "run1"  # created on demand
-    assert main([
-        "trace", "stream", "--size", "4096", "--iters", "3",
-        "--output", str(outdir),
-    ]) == 0
-    capsys.readouterr()
-    from repro.obs import validate_bench_file, validate_trace_file
-
-    validate_trace_file(str(outdir / "trace_obs.json"))
-    validate_bench_file(str(outdir / "BENCH_obs.json"))
-    # Explicit per-artifact flags still win over --output.
-    explicit = tmp_path / "elsewhere.json"
-    assert main([
-        "trace", "stream", "--size", "4096", "--iters", "3",
-        "--output", str(outdir), "--perfetto", str(explicit),
-    ]) == 0
-    capsys.readouterr()
-    assert explicit.exists()
-
-
-def test_trace_output_rejects_file_path(tmp_path, capsys):
-    rc = main([
-        "trace", "stream", "--size", "4096", "--iters", "3",
-        "--output", str(tmp_path / "notadir.json"),
-    ])
-    assert rc == 2
-    assert "directory" in capsys.readouterr().err
-
-
-def test_profile_emits_valid_record_and_flame(tmp_path, capsys):
-    outdir = tmp_path / "prof"
+def test_trace_profile_flame_writes_one_artifact(tmp_path, capsys):
+    """``trace --profile --flame``: the Perfetto file carries the recorder
+    snapshot, the transfer fingerprint and the profiler's tables; the
+    flame file holds sampled collapsed stacks."""
+    perfetto = tmp_path / "trace.json"
     flame = tmp_path / "flame.txt"
     assert main([
-        "profile", "latency", "--size", "4096", "--iters", "5",
-        "--sample-every", "1", "--output", str(outdir), "--flame", str(flame),
+        "trace", "latency", "--size", "4096", "--iters", "5", "--profile",
+        "--flame", str(flame), "--perfetto", str(perfetto),
     ]) == 0
     out = capsys.readouterr().out
-    assert "unrprof 'latency'" in out
-    assert "coverage" in out
-    assert "sim latency percentiles" in out and "p99=" in out
+    assert "host profile:" in out and "coverage" in out
+    assert "core.sig_wait_us" in out and "p99=" in out and "max=" in out
 
-    from repro.bench import validate_profile_bench_file
+    from repro.obs import validate_trace_file
 
-    validate_profile_bench_file(str(outdir / "BENCH_profile.json"))
+    validate_trace_file(str(perfetto))
+    other = json.loads(perfetto.read_text())["otherData"]
+    assert other["snapshot"]["n_transfers"] > 0
+    assert len(other["transfer_fingerprint"]) == 64
+    host = other["host_profile"]
+    assert {"events", "layers", "dispatch", "coverage"} <= set(host)
+    assert host["coverage"] >= 0.9
     lines = flame.read_text().strip().splitlines()
     assert lines and all(" " in line for line in lines)
+    assert any(";dispatch:" in line for line in lines)
 
 
-def test_latency_profile_flag_prints_attribution(capsys):
+def test_trace_profile_exits_one_below_the_coverage_floor(tmp_path, capsys,
+                                                          monkeypatch):
+    from repro.obs import HostProfiler
+
+    monkeypatch.setattr(HostProfiler, "coverage", lambda self: 0.5)
     assert main([
-        "latency", "--platform", "th-xy", "--sizes", "4096",
-        "--iters", "3", "--profile",
-    ]) == 0
-    out = capsys.readouterr().out
-    assert "host profile:" in out
-    assert "netsim" in out
+        "trace", "latency", "--size", "4096", "--iters", "3", "--profile",
+        "--perfetto", str(tmp_path / "trace.json"),
+    ]) == 1
+    assert "below the 90% floor" in capsys.readouterr().out
 
 
 def test_chaos_exit_code_covers_split_brain(tmp_path, capsys, monkeypatch):
-    import json
-
     import repro.bench
 
     out = tmp_path / "BENCH_resilience.json"
@@ -194,13 +173,6 @@ def test_chaos_exit_code_covers_split_brain(tmp_path, capsys, monkeypatch):
     text = capsys.readouterr().out
     assert "SPLIT-BRAIN" in text and "divergence_ok" in text
     assert "verdict      FAILED" in text
-
-
-def test_check_reports_ok(capsys):
-    assert main(["check", "--size", "4096", "--iters", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "IDENTICAL" in out
-    assert "verdict       OK" in out
 
 
 def test_parser_requires_command():

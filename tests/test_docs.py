@@ -3,9 +3,11 @@
 Every repo path, ``make`` target and ``repro`` subcommand quoted in a
 code span or fenced block of README.md, DESIGN.md, EXPERIMENTS.md and
 docs/*.md must exist — a doc that names a deleted command or a file
-that moved fails here, not in a reader's shell.  Every lint or verifier
-rule id those docs, the verify skill notes or the source quote must be
-a live rule.  (``perfbench/`` keeps its own README and is out of scope.)
+that moved fails here, not in a reader's shell.  Every ``--flag`` those
+docs or the verify skill notes quote after ``repro <sub>`` must be an
+option of that subcommand.  Every lint or verifier rule id those docs,
+the verify skill notes or the source quote must be a live rule.
+(``perfbench/`` keeps its own README and is out of scope.)
 """
 
 import re
@@ -18,12 +20,16 @@ from repro.cli import build_parser
 ROOT = Path(__file__).resolve().parent.parent
 DOCS = [ROOT / "README.md", ROOT / "DESIGN.md", ROOT / "EXPERIMENTS.md",
         *sorted((ROOT / "docs").glob("*.md"))]
+SKILL = ROOT / ".claude" / "skills" / "verify" / "SKILL.md"
 
 _CODE = re.compile(r"```.*?```|`[^`]+`", re.S)
 _PATH = re.compile(r"(?<![\w/.-])((?:benchmarks|examples|tests|src|tools)/[\w./-]+)(?![\w*<{])")
 _MAKE = re.compile(r"\bmake\s+([a-z][a-z-]*)\b")
 _REPRO = re.compile(r"(?<!from )(?<![\w/])repro\s+([a-z][a-z0-9-]*)\b")
 _RULE_ID = re.compile(r"\b(?:UNR|VER)\d{3}\b")
+_COMMAND = re.compile(r"(?<![\w/.])repro\s+([a-z][a-z0-9-]*)([^\n]*)")
+_END = re.compile(r"\s#|[|;]|&&|(?<![\w/.])repro\s")
+_FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
 
 
 def _quoted(pattern):
@@ -51,9 +57,29 @@ def test_docs_resolve_against_the_tree():
     assert not missing
 
 
+def test_quoted_flags_resolve():
+    """``repro <sub> ... --flag`` on one command line (``\\``
+    continuations joined) names an option of ``<sub>``."""
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    checked, stale = 0, []
+    for doc in [*DOCS, SKILL]:
+        text = doc.read_text(encoding="utf-8").replace("\\\n", " ")
+        for code in _CODE.findall(text):
+            for name, rest in _COMMAND.findall(code):
+                parser = sub.choices.get(name)
+                if parser is None:
+                    continue
+                options = {o for a in parser._actions for o in a.option_strings}
+                for flag in _FLAG.findall(_END.split(rest)[0]):
+                    checked += 1
+                    if flag not in options:
+                        stale.append((doc.name, f"repro {name} {flag}"))
+    assert checked > 20, "the pattern stopped matching the docs"
+    assert stale == []
+
+
 def test_rule_ids_in_prose_resolve():
-    texts = [*DOCS, ROOT / ".claude" / "skills" / "verify" / "SKILL.md",
-             *sorted((ROOT / "src").rglob("*.py"))]
+    texts = [*DOCS, SKILL, *sorted((ROOT / "src").rglob("*.py"))]
     quoted = {
         (path.relative_to(ROOT).as_posix(), rule_id)
         for path in texts
