@@ -510,7 +510,7 @@ class TransferEngine:
         )
 
     # -- post: the one pipeline ------------------------------------------
-    def post_op(self, op: TransferOp) -> Any:
+    def post_op(self, op: TransferOp) -> None:
         """Post a prepared descriptor (non-blocking).
 
         Every datapath terminates here: PUTs and GETs (direct or plan
@@ -519,8 +519,8 @@ class TransferEngine:
         posts into like any other).  On replay (``n_posts > 0``) the
         sanitizer re-admits the operation — the arguments were validated
         at prepare time, but a signal freed since must still be caught.
-        Returns the channel completion event for ctrl messages, ``None``
-        otherwise (RMA completion is observed through signals).
+        Nothing is returned: RMA completion is observed through signals,
+        a control message's through its delivery callback.
         """
         unr = self.unr
         if op.n_posts and unr.sanitizer is not None and op.kind in ("put", "get"):
@@ -532,8 +532,8 @@ class TransferEngine:
         self._op_post_seq += 1
         opid = self._op_post_seq
         if op.kind == "ctrl":
-            return self._post_ctrl(op, opid)
-        if op.kind == "put":
+            self._post_ctrl(op, opid)
+        elif op.kind == "put":
             unr.stats["puts"] += 1
             unr.stats["fragments"] += len(op.stripes)
             for sp in op.stripes:
@@ -545,7 +545,6 @@ class TransferEngine:
             self._post_fragment(op, op.stripes[0], opid)
         else:
             raise UnrUsageError(f"unknown transfer kind {op.kind!r}")
-        return None
 
     def _post_fragment(self, op: TransferOp, sp: StripePlan, opid: int) -> None:
         """Post one fragment of a PUT, or a GET: idempotence tokens,
@@ -616,43 +615,53 @@ class TransferEngine:
         rail: int,
     ) -> Any:
         """One wire attempt of one fragment on ``rail`` (or the fallback
-        lane); returns the channel's local-completion event.
+        lane); returns the channel's local-completion event when
+        something hangs on it, else ``None``.
 
         The first post and every watchdog retransmit come through here
         with the same plan, payload snapshot, delivery callback and
-        idempotence tokens; only the rail moves.
+        idempotence tokens; only the rail moves.  The completion event
+        is asked for only where it is listened to: a PUT's
+        send-completion add, or the tails of an unreliable GET (a
+        reliable GET hangs them on its first delivery instead).
         """
         unr = self.unr
+        is_get = op.kind == "get"
+        local_done_add = sp.local_done_add
+        get_tails = is_get and not op.reliable and (
+            local_done_add is not None or op.ctrl_remote
+        )
         if rail == FALLBACK_RAIL:
             # Degraded attempt over the MPI lane: the notifications are
             # applied in software from the raw specs, with the same tokens.
             unr.stats["fallback_posts"] += 1
             remote_action = self._add_action(sp.remote_sig, rtok)
             local_action = self._add_action(sp.local_sig, ltok)
-            if op.kind == "get":  # emulated: request out, data back
+            if is_get:  # emulated: request out, data back
                 return unr._fallback().get(
                     op.src_rank, op.dst_rank, sp.size,
                     fetch=op.fetch, on_deliver=deliver,
                     remote_action=remote_action, local_action=local_action,
-                    remote_token=rtok, local_token=ltok,
+                    remote_token=rtok, local_token=ltok, done=get_tails,
                 )
+            # The local add rides in local_action: nothing hangs on done.
             return unr._fallback().put(
                 op.src_rank, op.dst_rank, sp.size,
                 payload=payload, on_deliver=deliver,
                 remote_action=remote_action, local_action=local_action,
-                remote_token=rtok, local_token=ltok,
+                remote_token=rtok, local_token=ltok, done=False,
             )
         remote_add = sp.remote_add
         local_add = sp.local_action_add
         remote_action = None if remote_add is None else self._add_action(remote_add, rtok)
         local_action = None if local_add is None else self._add_action(local_add, ltok)
-        if op.kind == "get":
+        if is_get:
             return unr.channel.get(
                 op.src_rank, op.dst_rank, sp.size,
                 fetch=op.fetch, on_deliver=deliver,
                 remote_custom=sp.remote_custom, local_custom=sp.local_custom,
                 remote_action=remote_action, local_action=local_action,
-                rail=rail, remote_token=rtok, local_token=ltok,
+                rail=rail, remote_token=rtok, local_token=ltok, done=get_tails,
             )
         done = unr.channel.put(
             op.src_rank, op.dst_rank, sp.size,
@@ -661,15 +670,16 @@ class TransferEngine:
             remote_action=remote_action, local_action=local_action,
             rail=rail,
             ordered=op.ctrl_remote,  # Level-0 data must stay ordered
-            remote_token=rtok, local_token=ltok,
+            remote_token=rtok, local_token=ltok, done=local_done_add is not None,
         )
-        if sp.local_done_add is not None:
+        if local_done_add is not None:
             # A PUT's send-completion add is armed once per attempt;
             # under retransmits the idempotence token keeps it single.
-            done.callbacks.append(self._add_callback(sp.local_done_add, ltok))
+            assert done is not None
+            done.callbacks.append(self._add_callback(local_done_add, ltok))
         return done
 
-    def _post_ctrl(self, op: TransferOp, opid: int) -> Any:
+    def _post_ctrl(self, op: TransferOp, opid: int) -> None:
         """Post one control message on the ordered lane: an out-of-band
         payload, or the Level-0 ``(p, a)`` of a signal notification."""
         unr = self.unr
@@ -686,13 +696,14 @@ class TransferEngine:
         oprec = self._record_op(op, None, opid, 0)
         if oprec is not None:
             on_del = self._stamp_wrap(oprec, on_del)
-        return unr.channel.put(
+        unr.channel.put(
             op.src_rank,
             op.dst_rank,
             op.nbytes,
             payload=op.payload,
             on_deliver=on_del,
             ordered=True,
+            done=False,
         )
 
     def _ctrl_delivery(self, op: TransferOp) -> Callable[[Any], None]:

@@ -102,8 +102,11 @@ class RmaChannel:
         ordered: bool = False,
         remote_token: Any = None,
         local_token: Any = None,
-    ) -> Event:
-        """Notifiable PUT; returns the local-completion event.
+        done: bool = True,
+    ) -> Optional[Event]:
+        """Notifiable PUT; returns the local-completion event, or
+        ``None`` with ``done=False`` (see :meth:`Nic.post_put
+        <repro.netsim.nic.Nic.post_put>`).
 
         ``remote_custom``/``local_custom`` land in the corresponding
         CQ entries.  ``remote_action``/``local_action`` are Level-4
@@ -147,6 +150,7 @@ class RmaChannel:
             remote_action=remote_action,
             local_action=local_action,
             ordered=ordered,
+            done=done,
         )
 
     # ------------------------------------------------------------------
@@ -165,8 +169,11 @@ class RmaChannel:
         rail: int = 0,
         remote_token: Any = None,
         local_token: Any = None,
-    ) -> Event:
-        """Notifiable GET from ``dst_rank``'s memory into ``src_rank``'s."""
+        done: bool = True,
+    ) -> Optional[Event]:
+        """Notifiable GET from ``dst_rank``'s memory into ``src_rank``'s;
+        returns the local-completion event, or ``None`` with
+        ``done=False``."""
         # fit_custom(None, ...) is 0 before any check: only a payload
         # that exists is width-checked.
         offload = self._hw_atomic_offload
@@ -202,6 +209,7 @@ class RmaChannel:
             remote_record=remote_record,
             remote_action=remote_action,
             local_action=local_action,
+            done=done,
         )
 
     def __repr__(self) -> str:

@@ -81,14 +81,15 @@ class MpiFallbackChannel(RmaChannel):
         ordered: bool = True,
         remote_token: Any = None,
         local_token: Any = None,
-    ) -> Event:
+        done: bool = True,
+    ) -> Optional[Event]:
         # remote_token/local_token are accepted for interface parity and
         # ignored: MPI delivery is already exactly-once (reliable lane).
         cfg = self.config
         env = self.env
         src_nic = self.job.nic_of(src_rank, rail)
         dst_nic = self.job.nic_of(dst_rank, rail)
-        done = env.event()
+        done_evt = env.event() if done else None
         # Looked up per call: the recorder may attach after channel creation.
         rec = getattr(self.job.cluster, "obs", None)
         if rec is not None:
@@ -124,10 +125,11 @@ class MpiFallbackChannel(RmaChannel):
             yield inj
             if local_action is not None:
                 local_action()
-            done.succeed(env.now)
+            if done_evt is not None:
+                done_evt.resolve(env.now)
 
         env.process(transfer(), name="mpi-fallback-put")
-        return done
+        return done_evt
 
     def get(
         self,
@@ -144,13 +146,14 @@ class MpiFallbackChannel(RmaChannel):
         rail: int = 0,
         remote_token: Any = None,
         local_token: Any = None,
-    ) -> Event:
+        done: bool = True,
+    ) -> Optional[Event]:
         """Emulated GET: a request message plus a data message back."""
         cfg = self.config
         env = self.env
         src_nic = self.job.nic_of(src_rank, rail)
         dst_nic = self.job.nic_of(dst_rank, rail)
-        done = env.event()
+        done_evt = env.event() if done else None
         rec = getattr(self.job.cluster, "obs", None)
         if rec is not None:
             rec.count("fallback.gets")
@@ -160,7 +163,8 @@ class MpiFallbackChannel(RmaChannel):
             yield env.timeout(cfg.sw_overhead_us * US)
             req_done = env.event()
             src_nic.post_put(
-                dst_nic, 64, on_deliver=lambda _: req_done.succeed(), ordered=True
+                dst_nic, 64, on_deliver=lambda _: req_done.succeed(), ordered=True,
+                done=False,
             )
             yield req_done
             data = fetch() if fetch is not None else None
@@ -175,13 +179,15 @@ class MpiFallbackChannel(RmaChannel):
                 payload=data,
                 on_deliver=lambda d: resp_done.succeed(d),
                 ordered=True,
+                done=False,
             )
             got = yield resp_done
             if on_deliver is not None:
                 on_deliver(got)
             if local_action is not None:
                 local_action()
-            done.succeed(env.now)
+            if done_evt is not None:
+                done_evt.resolve(env.now)
 
         env.process(transfer(), name="mpi-fallback-get")
-        return done
+        return done_evt

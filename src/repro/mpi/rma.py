@@ -158,6 +158,7 @@ class Win:
                 op.nbytes,
                 payload=op.data,
                 on_deliver=land,
+                done=False,
             )
         yield AllOf(self.env, delivered)
 

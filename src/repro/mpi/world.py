@@ -137,8 +137,12 @@ class MpiWorld:
         return self.comm(rank, app_ranks)
 
     # -- wire helpers -----------------------------------------------------
-    def _post(self, src_g: int, dst_g: int, nbytes: int, item: tuple, ordered: bool = True) -> Event:
-        """Ship ``item`` to dst's matching box; returns local completion."""
+    def _post(
+        self, src_g: int, dst_g: int, nbytes: int, item: tuple,
+        ordered: bool = True, done: bool = True,
+    ) -> Optional[Event]:
+        """Ship ``item`` to dst's matching box; returns local completion
+        (``None`` with ``done=False``)."""
         src_nic = self.job.nic_of(src_g)
         dst_nic = self.job.nic_of(dst_g)
         box = self._boxes[dst_g]
@@ -148,6 +152,7 @@ class MpiWorld:
             payload=item,
             on_deliver=lambda m: box.put(m),
             ordered=ordered,
+            done=done,
         )
 
     def _send_proc(self, src_g: int, dst_g: int, data: Any, tag: Any, done: Event):
@@ -180,7 +185,7 @@ class MpiWorld:
             msgid = next(self._msgid)
             cts = self.env.event()
             self._cts[msgid] = cts
-            self._post(src_g, dst_g, 64, ("rts", src_g, tag, msgid, nbytes))
+            self._post(src_g, dst_g, 64, ("rts", src_g, tag, msgid, nbytes), done=False)
             yield cts  # wait for the receiver's clear-to-send
             del self._cts[msgid]
             yield env.timeout(cfg.sw_overhead_us * US)
@@ -216,6 +221,7 @@ class MpiWorld:
             64,
             on_deliver=lambda _m: cts_evt.succeed(),
             ordered=True,
+            done=False,
         )
         data_msg = yield self._boxes[me_g].get(
             lambda m: m[0] == "data" and m[1] == msgid

@@ -640,7 +640,8 @@ class FaultInjector:
 
         def post_put(dst, nbytes, *, payload=None, on_deliver=None,
                      local_record=None, remote_record=None,
-                     remote_action=None, local_action=None, ordered=False):
+                     remote_action=None, local_action=None, ordered=False,
+                     done=True):
             if ordered and not spec.fault_ordered:
                 # The reliable ordered lane survives every fault except a
                 # fail-stop node crash: traffic touching a crashed node is
@@ -663,7 +664,8 @@ class FaultInjector:
                                 local_record=local_record,
                                 remote_record=remote_record,
                                 remote_action=remote_action,
-                                local_action=local_action, ordered=ordered)
+                                local_action=local_action, ordered=ordered,
+                                done=done)
             self.stats["fragments_seen"] += 1
             fate = self._draw_fate()
             if nic.failed or dst.failed:
@@ -701,11 +703,11 @@ class FaultInjector:
             return orig_put(dst, nbytes, payload=payload, on_deliver=hook,
                             local_record=local_record, remote_record=None,
                             remote_action=None, local_action=local_action,
-                            ordered=ordered)
+                            ordered=ordered, done=done)
 
         def post_get(dst, nbytes, *, fetch=None, on_deliver=None,
                      local_record=None, remote_record=None,
-                     local_action=None, remote_action=None):
+                     local_action=None, remote_action=None, done=True):
             self.stats["fragments_seen"] += 1
             fate = self._draw_fate()
             if nic.failed or dst.failed:
@@ -751,7 +753,7 @@ class FaultInjector:
 
             return orig_get(dst, nbytes, fetch=fetch_hook, on_deliver=hook,
                             local_record=None, remote_record=None,
-                            local_action=None, remote_action=None)
+                            local_action=None, remote_action=None, done=done)
 
         nic.post_put = post_put  # type: ignore[method-assign]
         nic.post_get = post_get  # type: ignore[method-assign]

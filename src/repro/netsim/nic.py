@@ -358,14 +358,16 @@ def _blocking_push(cq: CompletionQueue, record: CompletionRecord) -> Generator:
 
 
 def _push_then_resolve(
-    cq: CompletionQueue, record: CompletionRecord, done: Event, value: Any
+    cq: CompletionQueue, record: CompletionRecord, done: Optional[Event], value: Any
 ) -> Generator:
     """Overflow fallback preserving completion order: the ``done`` event
     must not fire until the record is actually queued.  ``value=None``
     resolves with the (possibly later) enqueue time, as a GET
-    completes; a PUT passes its fixed ``tx_end``."""
+    completes; a PUT passes its fixed ``tx_end``.  A post that asked for
+    no ``done`` (``done=None``) only pushes."""
     yield from cq.push(record)
-    done.resolve(cq.env.now if value is None else value)
+    if done is not None:
+        done.resolve(cq.env.now if value is None else value)
 
 
 def _put_remote(ev: "_PutRemote") -> None:
@@ -410,13 +412,17 @@ def _local_side(ev: "_LocalSide") -> None:
                 _push_then_resolve(nic.cq, record, ev.done, ev.value), name="nic-local"
             )
             return
-    ev.done.resolve(ev.env.now if ev.value is None else ev.value)
+    done = ev.done
+    if done is not None:
+        done.resolve(ev.env.now if ev.value is None else ev.value)
 
 
-# One posted wire message is two of these in the scheduler and nothing
-# else: each side is a single queue entry whose event object carries the
-# side's arguments (no closure, no per-event callback list).  ``action``
-# is the side's Level-4 atomic, ``record`` its CQ entry.
+# One posted wire message is at most two of these in the scheduler and
+# nothing else: each side is a single queue entry whose event object
+# carries the side's arguments (no closure, no per-event callback list).
+# ``action`` is the side's Level-4 atomic, ``record`` its CQ entry.  A
+# local side with nothing to do — no ``done`` asked for, no record, no
+# action and (GET) nothing to land — is not scheduled at all.
 
 class _PutRemote(InFlight):
     """Remote delivery of a PUT: the data lands in ``dst``'s memory."""
@@ -434,10 +440,10 @@ class _GetRemote(InFlight):
 
 
 class _LocalSide(InFlight):
-    """Local completion: ``done`` resolves with ``value`` — a PUT's
-    ``tx_end`` (source buffer reusable) — or, when that is ``None``,
-    with the time a GET's data landed: what ``request`` fetched is
-    delivered first."""
+    """Local completion: ``done`` (when the poster asked for one)
+    resolves with ``value`` — a PUT's ``tx_end`` (source buffer
+    reusable) — or, when that is ``None``, with the time a GET's data
+    landed: what ``request`` fetched is delivered first."""
 
     __slots__ = ("nic", "done", "value", "request", "on_deliver", "record", "action")
     handlers = (_local_side,)
@@ -537,16 +543,21 @@ class Nic:
         remote_action: Optional[Callable[[], None]] = None,
         local_action: Optional[Callable[[], None]] = None,
         ordered: bool = False,
-    ) -> Event:
+        done: bool = True,
+    ) -> Optional[Event]:
         """Post an RDMA write of ``nbytes`` to ``dst``.
 
         Returns an event that fires at *local completion* (source buffer
-        reusable).  ``on_deliver(payload)`` runs at the instant the data
-        lands in the destination memory.  ``remote_record`` /
-        ``local_record`` are CQ entries to post; ``remote_action`` /
-        ``local_action`` are Level-4 hardware atomic actions executed
-        instead of (or in addition to) CQ entries when the corresponding
-        NIC supports :attr:`~repro.netsim.spec.NicSpec.atomic_offload`.
+        reusable), or ``None`` with ``done=False``: a poster that never
+        waits on the completion asks for no event, and when it also
+        passes no ``local_record`` / ``local_action`` the local side is
+        not scheduled at all.  ``on_deliver(payload)`` runs at the
+        instant the data lands in the destination memory.
+        ``remote_record`` / ``local_record`` are CQ entries to post;
+        ``remote_action`` / ``local_action`` are Level-4 hardware atomic
+        actions executed instead of (or in addition to) CQ entries when
+        the corresponding NIC supports
+        :attr:`~repro.netsim.spec.NicSpec.atomic_offload`.
         """
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
@@ -600,15 +611,15 @@ class Nic:
 
         self.tx_msgs += 1
         self.tx_bytes += nbytes
-        done = Event(env)
-
-        local = _LocalSide(env, tx_end - now)
-        local.nic = self
-        local.done = done
-        local.value = tx_end
-        local.on_deliver = None
-        local.record = local_record
-        local.action = local_action
+        done_evt = Event(env) if done else None
+        if done_evt is not None or local_record is not None or local_action is not None:
+            local = _LocalSide(env, tx_end - now)
+            local.nic = self
+            local.done = done_evt
+            local.value = tx_end
+            local.on_deliver = None
+            local.record = local_record
+            local.action = local_action
         remote = _PutRemote(env, deliver_at - now)
         remote.dst = dst
         remote.nbytes = nbytes
@@ -616,7 +627,7 @@ class Nic:
         remote.payload = payload
         remote.record = remote_record
         remote.action = remote_action
-        return done
+        return done_evt
 
     # ------------------------------------------------------------------
     def post_get(
@@ -630,12 +641,15 @@ class Nic:
         remote_record: Optional[CompletionRecord] = None,
         local_action: Optional[Callable[[], None]] = None,
         remote_action: Optional[Callable[[], None]] = None,
-    ) -> Event:
+        done: bool = True,
+    ) -> Optional[Event]:
         """Post an RDMA read of ``nbytes`` from ``dst`` (round trip).
 
         ``fetch()`` snapshots the remote data when the request reaches
         the target; ``on_deliver(data)`` lands it locally.  The returned
-        event fires at local completion (data available).
+        event fires at local completion (data available); with
+        ``done=False`` none is made and ``None`` is returned, and a local
+        side with no ``on_deliver``, record or action is not scheduled.
         """
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
@@ -675,22 +689,24 @@ class Nic:
         dst.tx_bytes += nbytes
         self.rx_msgs += 1
         self.rx_bytes += nbytes
-        done = Event(env)
+        done_evt = Event(env) if done else None
         request = _GetRemote(env, resp_end - now)
         request.dst = dst
         request.fetch = fetch
         request.fetched = None
         request.record = remote_record
         request.action = remote_action
-        local = _LocalSide(env, deliver_at - now)
-        local.nic = self
-        local.done = done
-        local.value = None
-        local.request = request
-        local.on_deliver = on_deliver
-        local.record = local_record
-        local.action = local_action
-        return done
+        if (done_evt is not None or on_deliver is not None
+                or local_record is not None or local_action is not None):
+            local = _LocalSide(env, deliver_at - now)
+            local.nic = self
+            local.done = done_evt
+            local.value = None
+            local.request = request
+            local.on_deliver = on_deliver
+            local.record = local_record
+            local.action = local_action
+        return done_evt
 
     def __repr__(self) -> str:
         return f"<Nic node={self.node.index} rail={self.index}>"

@@ -525,6 +525,7 @@ class ReplicationManager:
                         src, dst, HEARTBEAT_BYTES,
                         on_deliver=self._beat_cb(src, dst),
                         ordered=True,
+                        done=False,
                     )
                     self.unr.stats["replication_heartbeats"] += 1
 

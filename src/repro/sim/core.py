@@ -139,9 +139,10 @@ class Event:
         in place instead of scheduling a kernel event whose only job
         would be flipping that flag.  Late waiters stay safe — every
         kernel wait path (:meth:`Process._wait_on`, :class:`Condition`)
-        already handles processed events.  Hot completion events (the
-        NIC ``done`` events) use this so unobserved completions cost
-        zero heap traffic.
+        already handles processed events.  The completion events a
+        poster asks for (the NIC's and the MPI fallback's ``done``) use
+        this, so a completion nobody listened to by then costs no heap
+        traffic; a poster that never listens asks for no event at all.
         """
         if self._value is not _PENDING:
             raise SimulationError(f"{self!r} already triggered")

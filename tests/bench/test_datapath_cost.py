@@ -31,10 +31,10 @@ from repro.units import US
 
 SIZE, ITERS = 65536, 6
 
-#: 8.17 measured (98 events / 12 PUTs) plus slack for one extra
-#: bookkeeping event per PUT; raising it needs a justification.  The
-#: pre-coalescing datapath cost 280 / 12 = 23.33.
-MAX_EVENTS_PER_PUT = 10.0
+#: 6.0 measured (72 events / 12 PUTs) plus one bookkeeping event per
+#: PUT; raising it needs a justification.  The pre-coalescing datapath
+#: cost 280 / 12 = 23.33.
+MAX_EVENTS_PER_PUT = 7.0
 
 #: ops per *simulated* second are set by the modelled th-xy physics, not
 #: host speed: a drop means the datapath added simulated time per PUT.
@@ -65,9 +65,9 @@ def test_put_cost_stays_under_both_ceilings():
 
 
 @pytest.mark.parametrize("path, expected", [
-    ("put", (12, 98, 43.71160967621647,
+    ("put", (12, 72, 43.71160967621647,
              "d4e12436426cb0e93d6c3da5b5674e33bd109f9f2584f4aae747e0738ef18975")),
-    ("get", (6, 63, 50.33144705980915,
+    ("get", (6, 56, 50.33144705980915,
              "1bd518ad56d68cebfb2d2cb53707673d83e0fc9b7d79dc741e82db654205c0ba")),
 ], ids=["put", "get"])
 def test_exact_cost_and_wire_snapshot(path, expected):
@@ -133,12 +133,14 @@ def test_full_machine_costs_its_active_set_not_its_nodes():
 PENDING_PUTS = 2000
 
 #: allocator blocks and traced bytes per *pending* notified 8-byte PUT,
-#: steady state (record pool and scheduler warm).  10.8 / 742 measured;
-#: 30.8 / 1750 when each side of a post was a closure behind a Deferred
-#: with its own callback list.  The resident set of a big all-to-all is
-#: its pending set, so this is the Figure 7 points' peak RSS per message.
-MAX_BLOCKS_PER_PENDING_PUT = 14
-MAX_BYTES_PER_PENDING_PUT = 800
+#: steady state (record pool and scheduler warm).  3.8 / 318 measured;
+#: 10.8 / 742 while every post also allocated a ``done`` event and
+#: scheduled its local side, 30.8 / 1750 when each side of a post was a
+#: closure behind a Deferred with its own callback list.  The resident
+#: set of a big all-to-all is its pending set, so this is the Figure 7
+#: points' peak RSS per message.
+MAX_BLOCKS_PER_PENDING_PUT = 6
+MAX_BYTES_PER_PENDING_PUT = 400
 
 
 def test_pending_put_footprint():
@@ -196,7 +198,7 @@ def test_unarmed_record_reaches_signal_add_in_four_frames(monkeypatch):
     assert stacks == {("_handle_rma_record", "_dispatch", "_fire", "_sweep_fire")}
     # An observed run takes the one definition of the general path.
     stacks.clear()
-    assert _cost("put")[:2] == (12, 98)
+    assert _cost("put")[:2] == (12, 72)
     assert stacks == {
         ("_apply_add", "_handle_rma_record", "_dispatch", "_fire", "_sweep_fire")
     }

@@ -249,3 +249,68 @@ def test_fallback_preserves_order():
 
     env.run_process(run(env))
     assert order == list(range(10))
+
+
+# ------------------------------------------------------- done on request only
+
+
+def test_channel_put_get_without_done_still_notify():
+    env, job = make_job()
+    ch = GlexChannel(job)
+    landed = []
+    assert ch.put(0, 1, 64, payload=b"p", on_deliver=landed.append,
+                  remote_custom=3, local_custom=4, done=False) is None
+    assert ch.get(0, 1, 64, fetch=lambda: b"g", on_deliver=landed.append,
+                  local_custom=5, done=False) is None
+    env.run()
+    assert landed == [b"p", b"g"]
+    assert job.nic_of(1).cq.poll().custom == 3
+    assert sorted(r.custom for r in job.nic_of(0).cq.poll_batch()) == [4, 5]
+
+
+def test_fallback_without_done_runs_its_actions():
+    env, job = make_job()
+    ch = MpiFallbackChannel(job)
+    log = []
+    assert ch.put(0, 1, 128, on_deliver=lambda d: log.append("deliver"),
+                  local_action=lambda: log.append("local"), done=False) is None
+    assert ch.get(0, 1, 128, fetch=lambda: 1, on_deliver=lambda d: log.append(("got", d)),
+                  local_action=lambda: log.append("get-local"), done=False) is None
+    env.run()
+    assert sorted(log, key=str) == sorted(
+        ["deliver", "local", ("got", 1), "get-local"], key=str
+    )
+
+
+def _fallback_listener(op, resolve_is_succeed, monkeypatch):
+    """(time, events minted so far) when a listener hung on a fallback
+    ``done`` at post time runs; with ``resolve_is_succeed`` the done
+    event is triggered the way it was before ``Event.resolve``."""
+    from repro.sim import Event
+
+    if resolve_is_succeed:
+        monkeypatch.setattr(Event, "resolve", Event.succeed)
+    env, job = make_job()
+    ch = MpiFallbackChannel(job)
+    seen = {}
+    if op == "put":
+        done = ch.put(0, 1, 4096, payload=b"x",
+                      local_action=lambda: seen.setdefault("action", env.now))
+    else:
+        done = ch.get(0, 1, 4096, fetch=lambda: b"x",
+                      local_action=lambda: seen.setdefault("action", env.now))
+    done.callbacks.append(lambda evt: seen.setdefault("fired", (env.now, env._seq, evt.value)))
+    env.run()
+    monkeypatch.undo()
+    return seen
+
+
+@pytest.mark.parametrize("op", ["put", "get"])
+def test_listened_fallback_done_fires_as_a_kernel_event(op, monkeypatch):
+    """A listener hung at post time is served exactly as by ``succeed``:
+    same time, same sequence number, same value."""
+    now = _fallback_listener(op, False, monkeypatch)
+    before = _fallback_listener(op, True, monkeypatch)
+    assert now == before
+    when, _seq, value = now["fired"]
+    assert when == value == now["action"]

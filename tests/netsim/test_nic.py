@@ -543,3 +543,104 @@ def test_done_waits_for_an_overflowed_local_record(op, depth, accounting):
         # A PUT resolves with its fixed tx_end, a GET with the enqueue time.
         assert (value < 50e-6) if op == "put" else (value == when)
     assert measured == accounting
+
+
+# -- done only on request: a local side with nothing to do is no event --------
+
+def _drain(env):
+    """Dispatch every pending event; returns how many there were."""
+    n = 0
+    while env.peek() < float("inf"):
+        env.step()
+        n += 1
+    return n
+
+
+@pytest.mark.parametrize("op", ["put", "get"])
+@pytest.mark.parametrize("done, events", [(True, 2), (False, 1)])
+def test_unobserved_post_without_local_work_is_one_event(op, done, events):
+    env, cluster = make_cluster()
+    a, b = cluster.nodes[0].nic(), cluster.nodes[1].nic()
+    seen = []
+    if op == "put":
+        evt = a.post_put(b, 64, payload=b"x", on_deliver=seen.append, done=done)
+    else:  # the request still reaches the target
+        evt = a.post_get(b, 64, fetch=lambda: seen.append(b"x"), done=done)
+    assert (evt is None) == (not done)
+    assert _drain(env) == events
+    assert seen == [b"x"]
+
+
+@pytest.mark.parametrize("op", ["put", "get"])
+def test_unobserved_post_still_pushes_its_local_record(op):
+    """``done=False`` drops the event, not the local side's work: the
+    record lands at the same instant the event would have fired."""
+    when = {}
+    for done in (True, False):
+        env, cluster = make_cluster()
+        a, b = cluster.nodes[0].nic(), cluster.nodes[1].nic()
+        post = a.post_put if op == "put" else a.post_get
+        rec = CompletionRecord(kind=f"{op}_local", custom=5)
+        evt = post(b, 4096, local_record=rec, done=done)
+        assert (evt is None) == (not done)
+        assert _drain(env) == 2
+        assert a.cq.poll() is rec
+        when[done] = rec.complete_time
+        if done:
+            assert evt.value == rec.complete_time
+    assert when[False] == when[True]
+    if op == "put":  # a PUT's local side is its injection end
+        assert when[False] == pytest.approx(a.msg_overhead + 4096 / a.bandwidth)
+
+
+@pytest.mark.parametrize("op", ["put", "get"])
+def test_overflowed_local_record_without_done_still_waits_for_the_queue(op):
+    """The CQ-overflow fallback with ``done=None``: records queue in
+    post order behind the poller and the accounting is the one a
+    listened post gets."""
+    accounting = {}
+    for done in (True, False):
+        env, cluster = make_cluster(cq_depth=1)
+        a, b = cluster.nodes[0].nic(), cluster.nodes[1].nic()
+        post = a.post_put if op == "put" else a.post_get
+        for i in range(3):
+            post(b, 4096, local_record=CompletionRecord(kind=f"{op}_local", custom=i),
+                 done=done)
+        polled = []
+
+        def poller(env):
+            yield env.timeout(50e-6)
+            while len(polled) < 3:
+                rec = a.cq.poll()
+                if rec is not None:
+                    polled.append(rec.custom)
+                yield env.timeout(10e-6)
+
+        env.run_process(poller(env))
+        assert polled == [0, 1, 2]
+        cq = a.cq
+        accounting[done] = (cq.n_overflow_stalls, cq.stall_time, cq.high_water,
+                            cq.n_pushed, env.now)
+    assert accounting[False] == accounting[True]
+    assert accounting[False][0] == 2
+
+
+@pytest.mark.parametrize("fault", [{"drop": 1.0}, {"duplicate": 1.0}], ids=["drop", "dup"])
+def test_fault_injector_forwards_done(fault):
+    from repro.netsim import FaultInjector, FaultSpec
+
+    env, cluster = make_cluster()
+    inj = FaultInjector.attach(cluster, FaultSpec(seed=3, **fault))
+    a, b = cluster.nodes[0].nic(), cluster.nodes[1].nic()
+    hits = []
+    assert a.post_put(b, 64, on_deliver=hits.append, done=False) is None
+    assert a.post_get(b, 64, on_deliver=hits.append, done=False) is None
+    put_done = a.post_put(b, 64, on_deliver=hits.append)
+    get_done = a.post_get(b, 64, on_deliver=hits.append)
+    env.run()
+    # Local completion is the sender's business: it fires under any fate.
+    assert put_done.processed and get_done.processed
+    if "drop" in fault:
+        assert hits == [] and inj.stats["dropped"] == 4
+    else:
+        assert len(hits) == 8 and inj.stats["duplicated"] == 4

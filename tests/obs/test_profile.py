@@ -15,8 +15,10 @@ import pytest
 
 from repro.bench import unr_get_pull, unr_pingpong
 from repro.bench.fingerprints import load_corpus, run_schedule
+from repro.core import Unr
 from repro.obs import HostProfiler, Recorder, host_clock_ns, perfetto_json, validate_trace
-from repro.platforms import make_job
+from repro.platforms import get_platform, make_job
+from repro.runtime import run_job
 from repro.sim import InFlight
 
 GOLDEN = Path(__file__).resolve().parent.parent / "core" / "fixtures" / "golden_fingerprints.json"
@@ -73,19 +75,48 @@ def test_setup_frame_and_expected_layers_present():
     assert snap["dispatch"]["put_remote"]["layer"] == "engine"
 
 
+def profiled_local_notified_puts(prof, n=4):
+    """Rank 0 PUTs ``n`` times with its source block's signal bound, so
+    every PUT carries a local CQ notification; rank 1 only receives."""
+    job = make_job("th-xy", 2, seed=7)
+    HostProfiler.attach(job.cluster, prof)
+    unr = Unr(job, get_platform("th-xy").channel)
+
+    def program(ctx):
+        ep = unr.endpoint(ctx.rank)
+        sig = ep.sig_init(n)
+        blk = ep.blk_init(ep.mem_reg_virtual(64), 0, 64, signal=sig)
+        rmt = yield from ep.exchange_blk(1 - ctx.rank, blk)
+        if ctx.rank == 0:
+            for _ in range(n):
+                ep.put(blk, rmt)
+        yield from ep.sig_wait(sig)
+
+    with prof.window():
+        run_job(job, program)
+
+
 def test_in_flight_events_keep_their_attribution():
     """NIC deliveries and sweep fires are slotted events, not Deferreds:
-    they are booked by their class-shared handler, never by class name."""
+    they are booked by their class-shared handler, never by class name.
+    A PUT's local side is an event only when it has work: the plain
+    ping-pong (no local signal) books none."""
     prof = HostProfiler()
     profiled_pingpong(prof)
     events = prof.snapshot()["events"]
     for kind, layer in (
-        ("defer:_local_side", "netsim"),
         ("defer:_put_remote", "netsim"),
         ("defer:_sweep_fire", "engine"),
     ):
         assert events[kind]["layer"] == layer
         assert events[kind]["count"] > 0 and events[kind]["total_ns"] > 0
+    assert "defer:_local_side" not in events
+
+    local = HostProfiler()
+    profiled_local_notified_puts(local)
+    side = local.snapshot()["events"]["defer:_local_side"]
+    assert side["layer"] == "netsim"
+    assert side["count"] == 4 and side["total_ns"] > 0
 
     def names(cls):
         return {cls.__name__}.union(*(names(sub) for sub in cls.__subclasses__()))
