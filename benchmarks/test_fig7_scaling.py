@@ -44,11 +44,7 @@ def test_fig7_th2a(benchmark, emit):
     assert rows[-1]["efficiency"] > 0.75
     # Efficiency decays monotonically (within noise).
     assert rows[-1]["efficiency"] <= rows[0]["efficiency"] + 1e-9
-
-
-def test_fig7_th2a_breakdown(benchmark):
-    """Velocity update scales better than the PPE solver."""
-    rows = record(benchmark, fig7_scaling, "th-2a", 1)
+    # Velocity update scales better than the PPE solver.
     first, last = rows[0], rows[-1]
     ratio = first["nodes"] / last["nodes"]  # ideal time ratio
     vel_eff = (first["vel_update"] / last["vel_update"]) * ratio

@@ -14,14 +14,14 @@ reproducibility discipline:
   structured :class:`SanitizerReport`, returned by ``Unr.finalize()``.
 * :mod:`repro.analysis.verify` + :mod:`repro.analysis.hbgraph` —
   unrverify, the two-layer ordering verifier: a trace-based
-  happens-before checker (vector clocks over the armed Recorder's
+  happens-before checker (reachability over the armed Recorder's
   op/protocol streams; rules VER001–VER004) and the static
   protocol-conformance pass behind UNR010/UNR011.  Run via
   ``repro verify``; :mod:`repro.analysis.mutants` is the seeded bug
   corpus proving it detects real violations.
 """
 
-from .hbgraph import HBEvent, HBGraph, VectorClock
+from .hbgraph import HBEvent, HBGraph
 from .sanitizer import SanitizerFinding, SanitizerReport, UnrSanitizer
 from .unrlint import (
     RULES,
@@ -53,7 +53,6 @@ __all__ = [
     "SanitizerReport",
     "UnrSanitizer",
     "VERIFY_RULES",
-    "VectorClock",
     "VerifyReport",
     "build_hb_graph",
     "format_findings",

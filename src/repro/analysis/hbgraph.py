@@ -1,24 +1,16 @@
-"""Happens-before graph and vector clocks for unrverify (layer 1).
+"""Happens-before graph for unrverify (layer 1).
 
 This module is the *mechanism* half of the trace verifier: a small,
-generic DAG of trace events with two complementary orderings —
+generic DAG of trace events, each owned by an *actor* (a rank's program
+chain, a node's asynchronous delivery stream, …).  Happens-before is
+answered exactly from **reachability bitsets**: asynchronous delivery
+events share an actor *without* being chained (two unrelated delivers
+on one node must stay concurrent), so :meth:`HBGraph.happens_before`
+reads a transitive-closure bitset computed in topological order rather
+than anything per-actor.
 
-* **Vector clocks** (:class:`VectorClock`): one component per *actor*
-  (a rank's program chain, a node's asynchronous delivery stream, …).
-  Each event's clock is the join of its predecessors' clocks ticked on
-  its own actor.  Clocks are what the reports print ("rank 1 at
-  ⟨3,7⟩"), and their algebraic laws (tick monotonicity, join
-  commutativity/associativity/idempotence) are pinned by Hypothesis
-  property tests.
-* **Reachability bitsets**: exact happens-before for the race queries.
-  Clocks alone are only sound when every actor's events form a chain;
-  asynchronous delivery events share an actor *without* being chained
-  (two unrelated delivers on one node must stay concurrent), so
-  :meth:`HBGraph.happens_before` answers from a transitive-closure
-  bitset computed in topological order instead.
-
-Both are computed by one Kahn pass (:meth:`HBGraph.prepare`) whose
-ready queue is ordered by recorder sequence number, making the
+The bitsets are computed by one Kahn pass (:meth:`HBGraph.prepare`)
+whose ready queue is ordered by recorder sequence number, making the
 computation deterministic and doubling as the cycle check: a cycle in
 a happens-before relation derived from a deterministic simulation is
 itself a verifier finding (VER004).
@@ -36,66 +28,14 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-__all__ = ["VectorClock", "HBEvent", "HBGraph"]
-
-
-class VectorClock:
-    """An immutable vector clock over arbitrary hashable actors.
-
-    Components default to zero; operations return new clocks.  The
-    partial order is componentwise: ``a.leq(b)`` iff every component of
-    ``a`` is ≤ the matching component of ``b``.  ``a`` and ``b`` are
-    *concurrent* when neither ``a.leq(b)`` nor ``b.leq(a)``.
-    """
-
-    __slots__ = ("_c",)
-
-    def __init__(self, components: Optional[Dict[Any, int]] = None) -> None:
-        # Drop zero components so equal clocks compare equal regardless
-        # of which actors they ever touched.
-        self._c: Dict[Any, int] = {
-            k: v for k, v in (components or {}).items() if v
-        }
-
-    def get(self, actor: Any) -> int:
-        return self._c.get(actor, 0)
-
-    def tick(self, actor: Any) -> "VectorClock":
-        """One local step of ``actor``: its component + 1."""
-        out = dict(self._c)
-        out[actor] = out.get(actor, 0) + 1
-        return VectorClock(out)
-
-    def join(self, other: "VectorClock") -> "VectorClock":
-        """Componentwise maximum (least upper bound)."""
-        out = dict(self._c)
-        for k, v in other._c.items():
-            if v > out.get(k, 0):
-                out[k] = v
-        return VectorClock(out)
-
-    def leq(self, other: "VectorClock") -> bool:
-        return all(v <= other._c.get(k, 0) for k, v in self._c.items())
-
-    def components(self) -> Dict[Any, int]:
-        return dict(self._c)
-
-    def __eq__(self, other: Any) -> bool:
-        return isinstance(other, VectorClock) and self._c == other._c
-
-    def __hash__(self) -> int:  # pragma: no cover - convenience only
-        return hash(frozenset(self._c.items()))
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{k}:{v}" for k, v in sorted(self._c.items(), key=repr))
-        return f"⟨{inner}⟩"
+__all__ = ["HBEvent", "HBGraph"]
 
 
 @dataclass
 class HBEvent:
     """One node of the happens-before graph.
 
-    ``actor`` names the vector-clock component this event ticks;
+    ``actor`` names the chain or stream this event belongs to;
     ``seq`` is the recorder-wide sequence number used for deterministic
     tie-breaking; ``ref`` points back at the underlying
     ``OpRecord``/``ProtoEvent`` for report context.
@@ -108,7 +48,6 @@ class HBEvent:
     seq: int
     label: str = ""
     ref: Any = None
-    clock: Optional[VectorClock] = None
     meta: Dict[str, Any] = field(default_factory=dict)
 
     def __repr__(self) -> str:
@@ -116,7 +55,7 @@ class HBEvent:
 
 
 class HBGraph:
-    """A happens-before DAG with vector clocks and exact reachability.
+    """A happens-before DAG with exact reachability.
 
     Build with :meth:`add_event` / :meth:`add_edge`, then call
     :meth:`prepare` once; queries (:meth:`happens_before`,
@@ -177,13 +116,12 @@ class HBGraph:
 
     # -- analysis ----------------------------------------------------------
     def prepare(self) -> bool:
-        """Kahn topological pass: clocks + reachability bitsets.
+        """Kahn topological pass: reachability bitsets.
 
         Returns ``True`` when the graph is acyclic (queries valid).  On
-        a cycle, events on the cycle keep ``clock=None`` and
-        reachability answers are *underapproximate* for them — the
-        caller reports the cycle itself (VER004) and stops trusting
-        pairwise queries.
+        a cycle, reachability answers are *underapproximate* for the
+        events on and behind it — the caller reports the cycle itself
+        (VER004) and stops trusting pairwise queries.
         """
         if self._acyclic is not None:
             return self._acyclic
@@ -197,15 +135,9 @@ class HBGraph:
         while ready:
             _, i = heapq.heappop(ready)
             order.append(i)
-            ev = self.events[i]
-            clock = VectorClock()
             mask = 0
             for p in self._pred[i]:
-                pc = self.events[p].clock
-                if pc is not None:
-                    clock = clock.join(pc)
                 mask |= reach[p] | (1 << p)
-            ev.clock = clock.tick(ev.actor)
             reach[i] = mask
             for s in self._succ[i]:
                 indeg[s] -= 1
@@ -218,11 +150,6 @@ class HBGraph:
 
     def is_acyclic(self) -> bool:
         return self.prepare()
-
-    def topo_order(self) -> List[HBEvent]:
-        """Events in the deterministic topological order (acyclic only)."""
-        self.prepare()
-        return [self.events[i] for i in (self._order or [])]
 
     def cycle_events(self) -> List[HBEvent]:
         """The events left unordered by :meth:`prepare` (on/behind a cycle)."""
@@ -257,18 +184,6 @@ class HBGraph:
             if a.actor == b.actor and b.t < a.t:
                 out.append((a, b))
         return out
-
-    def clock_monotone_along_edges(self) -> bool:
-        """Every edge ``a → b`` must have ``clock(a) ≤ clock(b)`` —
-        holds by construction on acyclic graphs; exposed for the
-        property-test suite."""
-        if not self.prepare():
-            return False
-        for i, j in self._edges:
-            ca, cb = self.events[i].clock, self.events[j].clock
-            if ca is None or cb is None or not ca.leq(cb):
-                return False
-        return True
 
     def __repr__(self) -> str:
         return f"<HBGraph events={len(self.events)} edges={len(self._edges)}>"

@@ -29,8 +29,6 @@ from .resilience import (
     RESILIENCE_SCHEMA,
     resilience_bench,
     resilience_failures,
-    validate_resilience_bench,
-    validate_resilience_bench_file,
     write_resilience_bench,
 )
 from .tracedemo import TRACE_DEMOS, trace_demo
@@ -64,8 +62,6 @@ __all__ = [
     "trace_demo",
     "unr_get_pull",
     "unr_pingpong",
-    "validate_resilience_bench",
-    "validate_resilience_bench_file",
     "write_corpus",
     "write_resilience_bench",
 ]

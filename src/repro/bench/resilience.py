@@ -20,9 +20,8 @@ recovered ops, breaker transitions, re-promotions) and nearest-rank
 percentiles of the time-to-recover distribution from
 :attr:`~repro.core.health.HealthMonitor.recovery_log`.  The result is
 the machine-readable ``BENCH_resilience.json`` record (schema
-``repro.bench.resilience/2``), validated in the same hand-rolled style
-as the other bench records.  :func:`resilience_failures` is the soak's
-verdict over that record — the rules ``repro chaos`` exits on.
+``repro.bench.resilience/2``).  :func:`resilience_failures` is the
+soak's verdict over that record — the rules ``repro chaos`` exits on.
 """
 
 from __future__ import annotations
@@ -43,8 +42,6 @@ __all__ = [
     "resilience_bench",
     "resilience_failures",
     "write_resilience_bench",
-    "validate_resilience_bench",
-    "validate_resilience_bench_file",
 ]
 
 RESILIENCE_SCHEMA = "repro.bench.resilience/2"
@@ -309,7 +306,8 @@ def resilience_failures(record: Dict[str, Any]) -> List[str]:
 
     ``correct`` and ``identical`` cover every leg; the replication leg
     (absent when ``replication`` is ``None``) adds the split-brain
-    verdict and the two budgets above.
+    verdict, one failover per platform's crash leg (the schedule must
+    actually kill a primary) and the two budgets above.
     """
     failures = [
         f"verdict {name!r} is False"
@@ -320,6 +318,11 @@ def resilience_failures(record: Dict[str, Any]) -> List[str]:
         if not rep["divergence_ok"]:
             failures.append("replication verdict 'divergence_ok' is False "
                             "(split-brain)")
+        failures.extend(
+            f"{name}: crash leg performed no failover"
+            for name, block in rep["platforms"].items()
+            if block["crash"]["failovers"] < 1
+        )
         ttr = rep["p95_failover_ttr_us"]
         if ttr > MAX_FAILOVER_TTR_US:
             failures.append(f"p95 failover TTR {ttr:.1f}us exceeds budget "
@@ -335,125 +338,3 @@ def write_resilience_bench(record: Dict[str, Any], path: str) -> str:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(record, sort_keys=True, indent=2) + "\n")
     return path
-
-
-def validate_resilience_bench(record: Any) -> List[str]:
-    """Schema-check a resilience-bench record; returns error strings."""
-    errors: List[str] = []
-    if not isinstance(record, dict):
-        return ["resilience bench record must be an object"]
-    if record.get("schema") != RESILIENCE_SCHEMA:
-        errors.append(
-            f"schema must be {RESILIENCE_SCHEMA!r}, got {record.get('schema')!r}"
-        )
-    if not isinstance(record.get("name"), str):
-        errors.append("name must be a string")
-    if not isinstance(record.get("params"), dict):
-        errors.append("params must be an object")
-    for verdict in ("correct", "identical"):
-        if not isinstance(record.get(verdict), bool):
-            errors.append(f"{verdict} must be a boolean")
-    platforms = record.get("platforms")
-    if not isinstance(platforms, dict) or not platforms:
-        return errors + ["platforms must be a non-empty object"]
-    for name, block in platforms.items():
-        where = f"platforms.{name}"
-        if not isinstance(block, dict):
-            errors.append(f"{where} must be an object")
-            continue
-        for verdict in ("identical", "correct", "degraded"):
-            if not isinstance(block.get(verdict), bool):
-                errors.append(f"{where}.{verdict} must be a boolean")
-        runs = block.get("runs")
-        if not isinstance(runs, list) or len(runs) != 2:
-            errors.append(f"{where}.runs must be a list of 2 runs")
-            continue
-        for i, run in enumerate(runs):
-            rw = f"{where}.runs[{i}]"
-            if not isinstance(run, dict):
-                errors.append(f"{rw} must be an object")
-                continue
-            for metric in ("recovered_ops", "degraded_ops", "repromotions",
-                           "breaker_opens", "breaker_closes", "fallback_posts"):
-                value = run.get(metric)
-                if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                    errors.append(f"{rw}.{metric} must be a non-negative integer")
-            fp = run.get("fingerprint")
-            if not (isinstance(fp, str) and len(fp) == 64):
-                errors.append(f"{rw}.fingerprint must be a sha256 hex digest")
-            ttr = run.get("time_to_recover_us")
-            if not isinstance(ttr, dict):
-                errors.append(f"{rw}.time_to_recover_us must be an object")
-                continue
-            for key in ("p50", "p90", "p99", "max"):
-                value = ttr.get(key)
-                if not isinstance(value, (int, float)) or isinstance(value, bool) or value < 0:
-                    errors.append(f"{rw}.time_to_recover_us.{key} must be a non-negative number")
-            n = ttr.get("n")
-            if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-                errors.append(f"{rw}.time_to_recover_us.n must be a non-negative integer")
-    errors.extend(_validate_replication_block(record))
-    return errors
-
-
-def _validate_replication_block(record: Dict[str, Any]) -> List[str]:
-    """Check the warm-failover leg (``None`` = leg explicitly skipped)."""
-    errors: List[str] = []
-    if "replication" not in record:
-        return ["replication must be present (an object, or null when skipped)"]
-    block = record["replication"]
-    if block is None:
-        return errors
-    if not isinstance(block, dict):
-        return ["replication must be an object or null"]
-    where = "replication"
-    team = block.get("team_size")
-    if not isinstance(team, int) or isinstance(team, bool) or team < 2:
-        errors.append(f"{where}.team_size must be an integer >= 2")
-    for key in ("overhead_ratio", "p95_failover_ttr_us"):
-        value = block.get(key)
-        if not isinstance(value, (int, float)) or isinstance(value, bool) or value < 0:
-            errors.append(f"{where}.{key} must be a non-negative number")
-    for verdict in ("correct", "identical", "divergence_ok"):
-        if not isinstance(block.get(verdict), bool):
-            errors.append(f"{where}.{verdict} must be a boolean")
-    platforms = block.get("platforms")
-    if not isinstance(platforms, dict) or not platforms:
-        return errors + [f"{where}.platforms must be a non-empty object"]
-    for name, plat in platforms.items():
-        pw = f"{where}.platforms.{name}"
-        if not isinstance(plat, dict):
-            errors.append(f"{pw} must be an object")
-            continue
-        ratio = plat.get("overhead_ratio")
-        if not isinstance(ratio, (int, float)) or isinstance(ratio, bool) or ratio <= 0:
-            errors.append(f"{pw}.overhead_ratio must be a positive number")
-        crash = plat.get("crash")
-        if not isinstance(crash, dict):
-            errors.append(f"{pw}.crash must be an object")
-            continue
-        failovers = crash.get("failovers")
-        if not isinstance(failovers, int) or isinstance(failovers, bool) or failovers < 1:
-            errors.append(f"{pw}.crash.failovers must be a positive integer "
-                          "(the schedule must actually kill a primary)")
-        ttr = crash.get("ttr_us")
-        if not isinstance(ttr, dict):
-            errors.append(f"{pw}.crash.ttr_us must be an object")
-            continue
-        for key in ("p50", "p95", "max"):
-            value = ttr.get(key)
-            if not isinstance(value, (int, float)) or isinstance(value, bool) or value < 0:
-                errors.append(f"{pw}.crash.ttr_us.{key} must be a non-negative number")
-        n = ttr.get("n")
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            errors.append(f"{pw}.crash.ttr_us.n must be a positive integer")
-    return errors
-
-
-def validate_resilience_bench_file(path: str) -> None:
-    """Load + validate a resilience JSON file; raises ``ValueError``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        record = json.load(fh)
-    errors = validate_resilience_bench(record)
-    if errors:
-        raise ValueError(f"{path}: " + "; ".join(errors))

@@ -166,7 +166,6 @@ class Unr:
         stripe_threshold: int = DEFAULT_STRIPE_THRESHOLD,
         max_stripe_rails: Optional[int] = None,
         strict: bool = False,
-        fallback_config: Any = None,
         reliability: Union[ReliabilityConfig, bool, None] = None,
         sanitize: Optional[bool] = None,
         observe: Union[Recorder, bool, None] = None,
@@ -177,11 +176,10 @@ class Unr:
         self.env = job.env
         if isinstance(channel, str):
             if channel.lower() == "mpi":
-                channel = MpiFallbackChannel(job, fallback_config)
+                channel = MpiFallbackChannel(job)
             else:
                 channel = make_channel(channel, job)
         self.channel = channel
-        self._fallback_config = fallback_config
         #: lazily-built degraded lane (reused when ``channel`` already is one)
         self._fallback_channel: Optional[MpiFallbackChannel] = (
             channel if isinstance(channel, MpiFallbackChannel) else None
@@ -459,9 +457,7 @@ class Unr:
         gated (health layer).  Built lazily; when the primary channel
         already *is* the fallback it is reused as-is."""
         if self._fallback_channel is None:
-            self._fallback_channel = MpiFallbackChannel(
-                self.job, self._fallback_config
-            )
+            self._fallback_channel = MpiFallbackChannel(self.job)
         return self._fallback_channel
 
     def drain(self, peer_rank: Optional[int] = None) -> int:

@@ -114,28 +114,6 @@ class MpiWorld:
             self._comms[key] = Comm(self, rank, tuple(ranks))
         return self._comms[key]
 
-    def team_comm(self, rank: int, unr: Any) -> "Comm":
-        """The team-aware COMM_WORLD: with ``unr``'s replication tier
-        armed, a communicator over the *logical* world (the replica
-        teams' primary ranks, TeaMPI's transparent-team view) — mirror
-        ranks stay invisible to the application.  Without replication
-        this is plain :meth:`comm_world`.
-
-        Message targeting is failover-transparent: every send resolves
-        its destination NIC through ``job.nic_of`` at post time, so
-        after a promotion traffic to the logical rank lands on the
-        surviving node with no change to the communicator."""
-        rep = getattr(unr, "replication", None)
-        if rep is None:
-            return self.comm_world(rank)
-        app_ranks = rep.world.app_ranks
-        if rank not in app_ranks:
-            raise MpiError(
-                f"rank {rank} is a replica mirror — only logical ranks "
-                f"{app_ranks} run application code"
-            )
-        return self.comm(rank, app_ranks)
-
     # -- wire helpers -----------------------------------------------------
     def _post(
         self, src_g: int, dst_g: int, nbytes: int, item: tuple,

@@ -58,8 +58,8 @@ subject it to the schedule as well.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
-from typing import Callable, Optional, Set, Tuple
+from dataclasses import MISSING, dataclass, fields, replace
+from typing import Any, Callable, Optional, Set, Tuple
 
 import numpy as np
 
@@ -144,10 +144,9 @@ class LinkFlap:
             raise ValueError(f"link_flap down_us={self.down_us} must be > 0")
         if self.n_flaps < 1:
             raise ValueError(f"link_flap n_flaps={self.n_flaps} must be >= 1")
-        period = self.period_us if self.period_us is not None else 2.0 * self.down_us
-        if period < self.down_us:
+        if self.period < self.down_us:
             raise ValueError(
-                f"link_flap period_us={period} shorter than down_us={self.down_us}"
+                f"link_flap period_us={self.period} shorter than down_us={self.down_us}"
             )
 
     @property
@@ -179,6 +178,52 @@ class Partition:
             )
 
 
+#: The timed-event grammar: token -> (FaultSpec field, event class,
+#: {option: event field}).  An option's value type is its field's
+#: annotation; the fields without a default are the required options.
+#: Field order here is the order the injector draws and schedules in.
+_EVENTS = {
+    "rail_fail": ("rail_failures", RailFailure,
+                  {"t": "time_us", "node": "node", "rail": "rail"}),
+    "cq_stall": ("cq_stalls", CqStall,
+                 {"t": "time_us", "dur": "duration_us", "node": "node", "rail": "rail"}),
+    "node_crash": ("node_crashes", NodeCrash, {"t": "time_us", "node": "node"}),
+    "endpoint_down": ("endpoint_downs", EndpointDown,
+                      {"t": "time_us", "dur": "duration_us", "node": "node"}),
+    "link_flap": ("link_flaps", LinkFlap,
+                  {"t": "time_us", "down": "down_us", "node": "node", "rail": "rail",
+                   "n": "n_flaps", "period": "period_us"}),
+    "partition": ("partitions", Partition,
+                  {"t": "time_us", "dur": "duration_us", "a": "a", "b": "b"}),
+}
+_PROBABILITIES = ("drop", "duplicate", "delay", "corrupt", "reorder")
+_ALIASES = {"dup": "duplicate", "ordered": "fault_ordered"}
+
+
+def _parse_event(token: str) -> Tuple[str, Any]:
+    """``name@opt=v:opt=v`` -> (FaultSpec field, event) via :data:`_EVENTS`."""
+    name, _, rest = token.partition("@")
+    field, cls, options = _EVENTS[name]
+    types = {f.name: str(f.type) for f in fields(cls)}
+    kwargs: dict = {}
+    for part in rest.split(":"):
+        key, _, value = part.partition("=")
+        if not value:
+            raise ValueError(f"bad fault option {part!r} in {token!r}")
+        attr = options.get(key.strip())
+        if attr is None:
+            raise ValueError(f"unknown option {key.strip()!r} in {token!r}")
+        if "Tuple" in types[attr]:  # a node set: 0+1+2
+            kwargs[attr] = tuple(int(x) for x in value.split("+"))
+        else:
+            kwargs[attr] = int(float(value)) if "int" in types[attr] else float(value)
+    for f in fields(cls):
+        if f.default is MISSING and f.name not in kwargs:
+            opt = next(k for k, v in options.items() if v == f.name)
+            raise ValueError(f"{token!r} is missing required option {opt!r}")
+    return field, cls(**kwargs)
+
+
 @dataclass(frozen=True)
 class FaultSpec:
     """One fault schedule.  Probabilities are per *fragment*; times are
@@ -205,23 +250,15 @@ class FaultSpec:
     fault_ordered: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("drop", "duplicate", "delay", "corrupt", "reorder"):
+        for name in _PROBABILITIES:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name}={p} is not a probability")
 
     @property
     def is_noop(self) -> bool:
-        return (
-            self.drop == self.duplicate == self.delay == 0.0
-            and self.corrupt == self.reorder == 0.0
-            and not self.rail_failures
-            and not self.cq_stalls
-            and not self.node_crashes
-            and not self.endpoint_downs
-            and not self.link_flaps
-            and not self.partitions
-        )
+        timed = tuple(field for field, _, _ in _EVENTS.values())
+        return not any(getattr(self, name) for name in _PROBABILITIES + timed)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -236,81 +273,18 @@ class FaultSpec:
         node sets ``a``/``b``, e.g. ``partition@t=40:dur=100:a=0+1:b=2+3``).
         """
         kwargs: dict = {}
-        rails: list = []
-        stalls: list = []
-        crashes: list = []
-        downs: list = []
-        flaps: list = []
-        cuts: list = []
-        aliases = {"dup": "duplicate", "ordered": "fault_ordered"}
-        event_tokens = (
-            "rail_fail@", "cq_stall@", "node_crash@", "endpoint_down@",
-            "link_flap@", "partition@",
-        )
+        events: dict = {field: [] for field, _, _ in _EVENTS.values()}
         for token in (t.strip() for t in text.split(",") if t.strip()):
-            if token.startswith(event_tokens):
-                name, _, rest = token.partition("@")
-                opts = {}
-                for part in rest.split(":"):
-                    k, _, v = part.partition("=")
-                    if not v:
-                        raise ValueError(f"bad fault option {part!r} in {token!r}")
-                    if name == "partition" and k.strip() in ("a", "b"):
-                        opts[k.strip()] = tuple(int(x) for x in v.split("+"))
-                    else:
-                        opts[k.strip()] = float(v)
-                try:
-                    if name == "rail_fail":
-                        rails.append(RailFailure(
-                            time_us=opts.pop("t"),
-                            node=_opt_int(opts, "node"),
-                            rail=_opt_int(opts, "rail"),
-                        ))
-                    elif name == "cq_stall":
-                        stalls.append(CqStall(
-                            time_us=opts.pop("t"),
-                            duration_us=opts.pop("dur"),
-                            node=_opt_int(opts, "node"),
-                            rail=_opt_int(opts, "rail"),
-                        ))
-                    elif name == "node_crash":
-                        crashes.append(NodeCrash(
-                            time_us=opts.pop("t"),
-                            node=_opt_int(opts, "node"),
-                        ))
-                    elif name == "endpoint_down":
-                        downs.append(EndpointDown(
-                            time_us=opts.pop("t"),
-                            duration_us=opts.pop("dur"),
-                            node=_opt_int(opts, "node"),
-                        ))
-                    elif name == "partition":
-                        cuts.append(Partition(
-                            time_us=opts.pop("t"),
-                            duration_us=opts.pop("dur"),
-                            a=tuple(opts.pop("a", ())),
-                            b=tuple(opts.pop("b", ())),
-                        ))
-                    else:
-                        flaps.append(LinkFlap(
-                            time_us=opts.pop("t"),
-                            down_us=opts.pop("down"),
-                            node=_opt_int(opts, "node"),
-                            rail=_opt_int(opts, "rail"),
-                            n_flaps=_opt_int(opts, "n") or 1,
-                            period_us=opts.pop("period", None),
-                        ))
-                except KeyError as exc:
-                    raise ValueError(f"{token!r} is missing required option {exc}") from None
-                if opts:
-                    raise ValueError(f"unknown options {sorted(opts)} in {token!r}")
+            name, at, _ = token.partition("@")
+            if at and name in _EVENTS:
+                field, event = _parse_event(token)
+                events[field].append(event)
                 continue
             key, _, value = token.partition("=")
-            key = aliases.get(key.strip(), key.strip())
+            key = _ALIASES.get(key.strip(), key.strip())
             if not value:
                 raise ValueError(f"bad fault token {token!r} (expected key=value)")
-            if key in ("drop", "duplicate", "delay", "delay_us",
-                       "corrupt", "reorder", "reorder_us"):
+            if key in _PROBABILITIES or key in ("delay_us", "reorder_us"):
                 kwargs[key] = float(value)
             elif key == "seed":
                 kwargs[key] = int(value, 0)
@@ -320,19 +294,7 @@ class FaultSpec:
                 raise ValueError(f"unknown fault key {key!r}")
         if seed is not None and "seed" not in kwargs:
             kwargs["seed"] = seed
-        return cls(
-            rail_failures=tuple(rails),
-            cq_stalls=tuple(stalls),
-            node_crashes=tuple(crashes),
-            endpoint_downs=tuple(downs),
-            link_flaps=tuple(flaps),
-            partitions=tuple(cuts),
-            **kwargs,
-        )
-
-
-def _opt_int(opts: dict, key: str) -> Optional[int]:
-    return int(opts.pop(key)) if key in opts else None
+        return cls(**{f: tuple(evs) for f, evs in events.items()}, **kwargs)
 
 
 @dataclass
@@ -380,22 +342,11 @@ class FaultInjector:
             )
             for p in spec.partitions
         ]
-        self._schedule_rail_failures()
-        self._schedule_cq_stalls()
-        self._schedule_node_crashes()
-        self._schedule_endpoint_downs()
-        self._schedule_link_flaps()
-        self._schedule_partitions()
+        self._schedule()
         # Wrap NICs as their nodes materialize (lazy cluster).  The hook
         # applies immediately to already-built nodes, so attaching the
-        # injector before the Recorder keeps the fault wrapper innermost
-        # exactly as the historical eager loop did.
-        add_hook = getattr(cluster, "add_node_hook", None)
-        if add_hook is not None:
-            add_hook(self._wrap_node)
-        else:  # plain/eager cluster stand-ins (tests)
-            for node in cluster.nodes:
-                self._wrap_node(node)
+        # injector before the Recorder keeps the fault wrapper innermost.
+        cluster.add_node_hook(self._wrap_node)
 
     def _wrap_node(self, node) -> None:
         for nic in node.nics:
@@ -406,156 +357,99 @@ class FaultInjector:
         return cls(cluster, spec)
 
     # -- scheduled events --------------------------------------------------
-    def _schedule_rail_failures(self) -> None:
+    def _schedule(self) -> None:
+        """Turn the timed events into timeouts.  Entry by entry in field
+        order, unpinned nodes and rails are drawn (node before rail) and
+        the entry's timeouts are created — the draw and heap orders a
+        replay depends on."""
+        now = self.env.now
         for rf in self.spec.rail_failures:
-            node_idx = rf.node if rf.node is not None else int(
-                self.rng.integers(self.cluster.n_nodes)
-            )
-            node = self.cluster.node(node_idx)
-            rail = rf.rail if rf.rail is not None else int(
-                self.rng.integers(node.n_rails)
-            )
-            nic = node.nics[rail % node.n_rails]
-            when = max(rf.time_us * US - self.env.now, 0.0)
-            evt = self.env.timeout(when)
-            evt.callbacks.append(lambda _e, n=nic: self._fail_rail(n))
+            nic = self._pick_nic(rf.node, rf.rail)
+            self._at(max(rf.time_us * US - now, 0.0), self._fail_rail, nic)
+        for cs in self.spec.cq_stalls:
+            nic = self._pick_nic(cs.node, cs.rail)
+            self._at(max(cs.time_us * US - now, 0.0), self._stall, nic, cs.duration_us * US)
+        for nc in self.spec.node_crashes:
+            node = self._pick(nc.node)
+            self._at(max(nc.time_us * US - now, 0.0), self._crash, node)
+        for ed in self.spec.endpoint_downs:
+            node = self._pick(ed.node)
+            when = max(ed.time_us * US - now, 0.0)
+            dur = ed.duration_us * US
+            self._at(when, self._mark, "endpoint_downs", "fault.endpoint_down",
+                     rails=node.nics, each=self._fail_rail,
+                     node=node.index, dur_us=dur / US)
+            self._at(when + dur, self._mark, "endpoint_recoveries", "fault.endpoint_up",
+                     rails=node.nics, each=self._recover_rail, node=node.index)
+        for lf in self.spec.link_flaps:
+            nic = self._pick_nic(lf.node, lf.rail)
+            period = lf.period * US
+            down_dur = lf.down_us * US
+            start = max(lf.time_us * US - now, 0.0)
+            for i in range(lf.n_flaps):
+                self._at(start + i * period, self._mark, "link_flaps", "fault.link_flap",
+                         rails=(nic,), each=self._fail_rail,
+                         node=nic.node.index, rail=nic.index)
+                self._at(start + i * period + down_dur, self._recover_rail, nic)
+        # Markers only: the cut itself is evaluated per delivery against
+        # the windows in ``self._partitions``.
+        for p in self.spec.partitions:
+            start = max(p.time_us * US - now, 0.0)
+            self._at(start, self._mark, "partitions", "fault.partition",
+                     a=list(p.a), b=list(p.b), dur_us=p.duration_us)
+            self._at(start + p.duration_us * US, self._mark, "partitions_healed",
+                     "fault.partition_heal", a=list(p.a), b=list(p.b))
+
+    def _pick(self, node: Optional[int]):
+        """The pinned node, or a draw from the injector's generator."""
+        if node is None:
+            node = int(self.rng.integers(self.cluster.n_nodes))
+        return self.cluster.node(node)
+
+    def _pick_nic(self, node: Optional[int], rail: Optional[int]) -> Nic:
+        picked = self._pick(node)
+        if rail is None:
+            rail = int(self.rng.integers(picked.n_rails))
+        return picked.nics[rail % picked.n_rails]
+
+    def _at(self, delay: float, fn: Callable[..., None], *args: Any, **kw: Any) -> None:
+        self.env.timeout(delay).callbacks.append(lambda _e: fn(*args, **kw))
+
+    def _mark(self, stat: str, marker: str, *, rails=(), each=None, **args: Any) -> None:
+        """Count ``stat``, apply ``each`` to ``rails``, then emit the
+        ``fault.*`` marker on the faults track of ``cluster.obs``."""
+        self.stats[stat] += 1
+        for nic in rails:
+            each(nic)
+        obs = getattr(self.cluster, "obs", None)
+        if obs is not None:
+            obs.event(marker, track="faults", **args)
 
     def _fail_rail(self, nic: Nic) -> None:
         if not nic.failed:
             nic.failed = True
             self.failed_rails.add(nic.global_id)
-            self.stats["rail_failures"] += 1
-            obs = getattr(self.cluster, "obs", None)
-            if obs is not None:
-                obs.event(
-                    "fault.rail_fail", track="faults",
-                    node=nic.node.index, rail=nic.index,
-                )
+            self._mark("rail_failures", "fault.rail_fail",
+                       node=nic.node.index, rail=nic.index)
 
     def _recover_rail(self, nic: Nic) -> None:
         """Bring a failed NIC back (endpoint recovery / link-flap up)."""
         if nic.failed and not nic.node.crashed:
             nic.failed = False
             self.failed_rails.discard(nic.global_id)
-            self.stats["rails_recovered"] += 1
-            obs = getattr(self.cluster, "obs", None)
-            if obs is not None:
-                obs.event(
-                    "fault.rail_recover", track="faults",
-                    node=nic.node.index, rail=nic.index,
-                )
+            self._mark("rails_recovered", "fault.rail_recover",
+                       node=nic.node.index, rail=nic.index)
 
-    def _schedule_node_crashes(self) -> None:
-        for nc in self.spec.node_crashes:
-            node_idx = nc.node if nc.node is not None else int(
-                self.rng.integers(self.cluster.n_nodes)
-            )
-            node = self.cluster.node(node_idx)
-            when = max(nc.time_us * US - self.env.now, 0.0)
+    def _crash(self, node) -> None:
+        if not node.crashed:
+            node.crashed = True
+            self._mark("node_crashes", "fault.node_crash",
+                       rails=node.nics, each=self._fail_rail, node=node.index)
 
-            def crash(_e, node=node):
-                if node.crashed:
-                    return
-                node.crashed = True
-                self.stats["node_crashes"] += 1
-                for nic in node.nics:
-                    self._fail_rail(nic)
-                obs = getattr(self.cluster, "obs", None)
-                if obs is not None:
-                    obs.event("fault.node_crash", track="faults", node=node.index)
-
-            evt = self.env.timeout(when)
-            evt.callbacks.append(crash)
-
-    def _schedule_endpoint_downs(self) -> None:
-        for ed in self.spec.endpoint_downs:
-            node_idx = ed.node if ed.node is not None else int(
-                self.rng.integers(self.cluster.n_nodes)
-            )
-            node = self.cluster.node(node_idx)
-            when = max(ed.time_us * US - self.env.now, 0.0)
-            dur = ed.duration_us * US
-
-            def down(_e, node=node):
-                self.stats["endpoint_downs"] += 1
-                for nic in node.nics:
-                    self._fail_rail(nic)
-                obs = getattr(self.cluster, "obs", None)
-                if obs is not None:
-                    obs.event(
-                        "fault.endpoint_down", track="faults",
-                        node=node.index, dur_us=dur / US,
-                    )
-
-            def up(_e, node=node):
-                self.stats["endpoint_recoveries"] += 1
-                for nic in node.nics:
-                    self._recover_rail(nic)
-                obs = getattr(self.cluster, "obs", None)
-                if obs is not None:
-                    obs.event("fault.endpoint_up", track="faults", node=node.index)
-
-            self.env.timeout(when).callbacks.append(down)
-            self.env.timeout(when + dur).callbacks.append(up)
-
-    def _schedule_link_flaps(self) -> None:
-        for lf in self.spec.link_flaps:
-            node_idx = lf.node if lf.node is not None else int(
-                self.rng.integers(self.cluster.n_nodes)
-            )
-            node = self.cluster.node(node_idx)
-            rail = lf.rail if lf.rail is not None else int(
-                self.rng.integers(node.n_rails)
-            )
-            nic = node.nics[rail % node.n_rails]
-            period = lf.period * US
-            down_dur = lf.down_us * US
-            start = max(lf.time_us * US - self.env.now, 0.0)
-
-            def flap_down(_e, nic=nic):
-                self.stats["link_flaps"] += 1
-                self._fail_rail(nic)
-                obs = getattr(self.cluster, "obs", None)
-                if obs is not None:
-                    obs.event(
-                        "fault.link_flap", track="faults",
-                        node=nic.node.index, rail=nic.index,
-                    )
-
-            def flap_up(_e, nic=nic):
-                self._recover_rail(nic)
-
-            for i in range(lf.n_flaps):
-                self.env.timeout(start + i * period).callbacks.append(flap_down)
-                self.env.timeout(start + i * period + down_dur).callbacks.append(flap_up)
-
-    def _schedule_partitions(self) -> None:
-        """Observability markers only — the cut itself is evaluated per
-        delivery against the time windows in ``self._partitions``."""
-        for p in self.spec.partitions:
-            start = max(p.time_us * US - self.env.now, 0.0)
-            dur = p.duration_us * US
-
-            def opened(_e, p=p):
-                self.stats["partitions"] += 1
-                obs = getattr(self.cluster, "obs", None)
-                if obs is not None:
-                    obs.event(
-                        "fault.partition", track="faults",
-                        a=list(p.a), b=list(p.b), dur_us=p.duration_us,
-                    )
-
-            def healed(_e, p=p):
-                self.stats["partitions_healed"] += 1
-                obs = getattr(self.cluster, "obs", None)
-                if obs is not None:
-                    obs.event(
-                        "fault.partition_heal", track="faults",
-                        a=list(p.a), b=list(p.b),
-                    )
-
-            self.env.timeout(start).callbacks.append(opened)
-            self.env.timeout(start + dur).callbacks.append(healed)
+    def _stall(self, nic: Nic, dur: float) -> None:
+        nic.cq.stall(self.env.now + dur)
+        self._mark("cq_stalls", "fault.cq_stall",
+                   node=nic.node.index, rail=nic.index, dur_us=dur / US)
 
     def _partitioned(self, src_node: int, dst_node: int) -> bool:
         """Is the ordered lane between these nodes cut right now?"""
@@ -567,32 +461,6 @@ class FaultInjector:
             ):
                 return True
         return False
-
-    def _schedule_cq_stalls(self) -> None:
-        for cs in self.spec.cq_stalls:
-            node_idx = cs.node if cs.node is not None else int(
-                self.rng.integers(self.cluster.n_nodes)
-            )
-            node = self.cluster.node(node_idx)
-            rail = cs.rail if cs.rail is not None else int(
-                self.rng.integers(node.n_rails)
-            )
-            cq = node.nics[rail % node.n_rails].cq
-            when = max(cs.time_us * US - self.env.now, 0.0)
-            dur = cs.duration_us * US
-
-            def start(_e, cq=cq, dur=dur, node_idx=node_idx, rail=rail % node.n_rails):
-                cq.stall(self.env.now + dur)
-                self.stats["cq_stalls"] += 1
-                obs = getattr(self.cluster, "obs", None)
-                if obs is not None:
-                    obs.event(
-                        "fault.cq_stall", track="faults",
-                        node=node_idx, rail=rail, dur_us=dur / US,
-                    )
-
-            evt = self.env.timeout(when)
-            evt.callbacks.append(start)
 
     # -- fate drawing ------------------------------------------------------
     def _draw_fate(self) -> _Fate:
@@ -611,16 +479,13 @@ class FaultInjector:
         fate.corrupt_frac = u[4]
         return fate
 
-    def _later(self, delay: float, fn: Callable[[], None]) -> None:
-        if delay <= 0.0:
-            fn()
-            return
-        evt = self.env.timeout(delay)
-        evt.callbacks.append(lambda _e: fn())
-
-    def _push(self, nic: Nic, record: CompletionRecord) -> None:
-        rec = replace(record, complete_time=self.env.now)
-        self.env.process(nic.cq.push(rec), name="fault-cqe")
+    def _complete(self, tgt: Nic, action, record: Optional[CompletionRecord]) -> None:
+        """The target NIC's Level-4 action, else its CQ record."""
+        if action is not None and tgt.spec.atomic_offload:
+            action()
+        elif record is not None:
+            rec = replace(record, complete_time=self.env.now)
+            self.env.process(tgt.cq.push(rec), name="fault-cqe")
 
     def _mangle(self, data, frac: float):
         """Flip one byte of a payload copy (``crc=False`` mode)."""
@@ -632,11 +497,51 @@ class FaultInjector:
         return bad
 
     # -- NIC wrapping ------------------------------------------------------
+    def _fated(self, src: Nic, dst: Nic, tgt: Nic, on_deliver, action, record):
+        """Draw the fate of one fragment posted on ``src`` to ``dst`` and
+        return it with the ``on_deliver`` hook that applies it: drop, or
+        land once (and again for a duplicate) — the data through
+        ``on_deliver``, then ``tgt``'s action or record."""
+        stats = self.stats
+        stats["fragments_seen"] += 1
+        fate = self._draw_fate()
+        if src.failed or dst.failed:
+            stats["posts_on_dead_rail"] += 1
+            fate.drop = True
+
+        def fire(data):
+            if src.failed or dst.failed:
+                stats["killed_in_flight"] += 1
+                return
+            if fate.corrupt:
+                if self.spec.crc:
+                    stats["corrupt_discarded"] += 1
+                    return
+                stats["corrupt_delivered"] += 1
+                data = self._mangle(data, fate.corrupt_frac)
+            if on_deliver is not None:
+                on_deliver(data)
+            self._complete(tgt, action, record)
+
+        def hook(data):
+            if fate.drop:
+                stats["dropped"] += 1
+                return
+            if fate.extra > 0.0:
+                stats["delayed"] += 1
+                self._at(fate.extra, fire, data)
+            else:
+                fire(data)
+            if fate.duplicate:
+                stats["duplicated"] += 1
+                self._at(fate.extra + fate.dup_gap, fire, data)
+
+        return fate, hook
+
     def _wrap(self, nic: Nic) -> None:
         orig_put = nic.post_put
         orig_get = nic.post_get
         spec = self.spec
-        env = self.env
 
         def post_put(dst, nbytes, *, payload=None, on_deliver=None,
                      local_record=None, remote_record=None,
@@ -644,10 +549,9 @@ class FaultInjector:
                      done=True):
             if ordered and not spec.fault_ordered:
                 # The reliable ordered lane survives every fault except a
-                # fail-stop node crash: traffic touching a crashed node is
-                # blackholed, checked at delivery time so frames already in
-                # flight when the crash fires are lost too.
-                def ordered_deliver(data, _orig=on_deliver):
+                # fail-stop node crash or a partition: checked at delivery
+                # time, so frames in flight when either starts are lost too.
+                def deliver(data, _orig=on_deliver):
                     if nic.node.crashed or dst.node.crashed:
                         self.stats["ordered_killed"] += 1
                         return
@@ -658,102 +562,28 @@ class FaultInjector:
                         return
                     if _orig is not None:
                         _orig(data)
-
-                return orig_put(dst, nbytes, payload=payload,
-                                on_deliver=ordered_deliver,
-                                local_record=local_record,
-                                remote_record=remote_record,
-                                remote_action=remote_action,
-                                local_action=local_action, ordered=ordered,
-                                done=done)
-            self.stats["fragments_seen"] += 1
-            fate = self._draw_fate()
-            if nic.failed or dst.failed:
-                self.stats["posts_on_dead_rail"] += 1
-                fate.drop = True
-
-            def fire(data):
-                if nic.failed or dst.failed:
-                    self.stats["killed_in_flight"] += 1
-                    return
-                if fate.corrupt:
-                    if spec.crc:
-                        self.stats["corrupt_discarded"] += 1
-                        return
-                    self.stats["corrupt_delivered"] += 1
-                    data = self._mangle(data, fate.corrupt_frac)
-                if on_deliver is not None:
-                    on_deliver(data)
-                if remote_action is not None and dst.spec.atomic_offload:
-                    remote_action()
-                elif remote_record is not None:
-                    self._push(dst, remote_record)
-
-            def hook(data):
-                if fate.drop:
-                    self.stats["dropped"] += 1
-                    return
-                if fate.extra > 0.0:
-                    self.stats["delayed"] += 1
-                self._later(fate.extra, lambda: fire(data))
-                if fate.duplicate:
-                    self.stats["duplicated"] += 1
-                    self._later(fate.extra + fate.dup_gap, lambda: fire(data))
-
-            return orig_put(dst, nbytes, payload=payload, on_deliver=hook,
-                            local_record=local_record, remote_record=None,
-                            remote_action=None, local_action=local_action,
+            else:
+                _, deliver = self._fated(nic, dst, dst, on_deliver,
+                                         remote_action, remote_record)
+                remote_record = remote_action = None
+            return orig_put(dst, nbytes, payload=payload, on_deliver=deliver,
+                            local_record=local_record, remote_record=remote_record,
+                            remote_action=remote_action, local_action=local_action,
                             ordered=ordered, done=done)
 
         def post_get(dst, nbytes, *, fetch=None, on_deliver=None,
                      local_record=None, remote_record=None,
                      local_action=None, remote_action=None, done=True):
-            self.stats["fragments_seen"] += 1
-            fate = self._draw_fate()
-            if nic.failed or dst.failed:
-                self.stats["posts_on_dead_rail"] += 1
-                fate.drop = True
+            fate, hook = self._fated(nic, dst, nic, on_deliver,
+                                     local_action, local_record)
 
             def fetch_hook():
                 data = fetch() if fetch is not None else None
                 if not fate.drop and not (nic.failed or dst.failed):
-                    if remote_action is not None and dst.spec.atomic_offload:
-                        remote_action()
-                    elif remote_record is not None:
-                        self._push(dst, remote_record)
+                    self._complete(dst, remote_action, remote_record)
                 return data
 
-            def fire(data):
-                if nic.failed or dst.failed:
-                    self.stats["killed_in_flight"] += 1
-                    return
-                if fate.corrupt:
-                    if spec.crc:
-                        self.stats["corrupt_discarded"] += 1
-                        return
-                    self.stats["corrupt_delivered"] += 1
-                    data = self._mangle(data, fate.corrupt_frac)
-                if on_deliver is not None:
-                    on_deliver(data)
-                if local_action is not None and nic.spec.atomic_offload:
-                    local_action()
-                elif local_record is not None:
-                    self._push(nic, local_record)
-
-            def hook(data):
-                if fate.drop:
-                    self.stats["dropped"] += 1
-                    return
-                if fate.extra > 0.0:
-                    self.stats["delayed"] += 1
-                self._later(fate.extra, lambda: fire(data))
-                if fate.duplicate:
-                    self.stats["duplicated"] += 1
-                    self._later(fate.extra + fate.dup_gap, lambda: fire(data))
-
-            return orig_get(dst, nbytes, fetch=fetch_hook, on_deliver=hook,
-                            local_record=None, remote_record=None,
-                            local_action=None, remote_action=None, done=done)
+            return orig_get(dst, nbytes, fetch=fetch_hook, on_deliver=hook, done=done)
 
         nic.post_put = post_put  # type: ignore[method-assign]
         nic.post_get = post_get  # type: ignore[method-assign]

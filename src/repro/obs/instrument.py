@@ -38,12 +38,7 @@ def instrument_cluster(recorder: "Recorder", cluster: Any) -> None:
         for nic in node.nics:
             _wrap_nic(recorder, nic)
 
-    add_hook = getattr(cluster, "add_node_hook", None)
-    if add_hook is not None:
-        add_hook(wrap_node)
-    else:  # plain/eager cluster stand-ins (tests)
-        for node in cluster.nodes:
-            wrap_node(node)
+    cluster.add_node_hook(wrap_node)
     recorder.add_collector(lambda: _collect_net(cluster))
     recorder.add_collector(lambda: _collect_faults(cluster))
     recorder.add_collector(_collect_pool)
@@ -107,9 +102,7 @@ def _collect_net(cluster: Any) -> Dict[str, float]:
     construction the scaling runs rely on.
     """
     out: Dict[str, float] = {}
-    materialized = getattr(cluster, "materialized_nodes", None)
-    nodes = materialized() if materialized is not None else cluster.nodes
-    for node in nodes:
+    for node in cluster.materialized_nodes():
         for nic in node.nics:
             pre = f"net.n{node.index}.r{nic.index}."
             out[pre + "tx_msgs"] = nic.tx_msgs

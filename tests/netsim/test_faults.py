@@ -308,6 +308,7 @@ def test_spec_parse_roundtrip():
     "partition@t=1:dur=5:a=0",   # missing set b
     "partition@t=1:dur=5:a=0:b=0",   # overlapping sets
     "partition@t=1:dur=5:a=0:b=1:x=2",  # unknown option
+    "link_flap@t=1:down=2:n=0",  # zero flaps, as LinkFlap(n_flaps=0) rejects
 ])
 def test_spec_parse_rejects(bad):
     with pytest.raises(ValueError):
@@ -318,6 +319,61 @@ def test_parse_seed_argument_vs_token():
     assert FaultSpec.parse("drop=0.1", seed=42).seed == 42
     # An explicit seed token wins over the argument.
     assert FaultSpec.parse("drop=0.1,seed=7", seed=42).seed == 7
+
+
+#: every event token plus drop/dup/reorder; rail_fail draws both its
+#: node and its rail, cq_stall and link_flap draw a rail.
+PIN_SCHEDULE = (
+    "drop=0.1,dup=0.1,reorder=0.2,"
+    "rail_fail@t=30,"
+    "cq_stall@t=20:dur=15:node=1,"
+    "node_crash@t=50:node=3,"
+    "endpoint_down@t=150.1:dur=100.3:node=1,"
+    "link_flap@t=10.1:down=5.3:n=2:node=0,"
+    "partition@t=5.3:dur=100.7:a=0+1:b=2+3"
+)
+PIN_DIGEST = "a3bf707a64dfd4a83e35f352511d3b18791f3cc50741305c43a4fd7691084d02"
+
+
+def test_full_schedule_replays_to_pinned_digest():
+    """The injector's replay contract in one number: node/rail draws,
+    timeout order and delays, stats and ``fault.*`` markers, and the
+    fate of every fragment of a producer→consumer stream on 4 TH-XY
+    nodes with reliability and health armed, then of a raw GET burst."""
+    import hashlib
+
+    from repro.bench.faultdemo import _producer_consumer
+    from repro.core import Unr
+    from repro.netsim import CompletionRecord
+    from repro.platforms import get_platform, make_job
+
+    job = make_job("th-xy", 4, seed=2024)
+    inj = FaultInjector.attach(job.cluster, FaultSpec.parse(PIN_SCHEDULE, seed=3))
+    rec = Recorder.attach(job.cluster)
+    unr = Unr(job, get_platform("th-xy").channel, reliability=True, health=True)
+    out = _producer_consumer(unr, job, size=64 * 1024, iters=32, ranks=[0, 1])
+    assert out["correct"] == 32
+    env, (n0, n1) = job.env, job.cluster.nodes[:2]
+    got = []
+    for i in range(32):
+        n0.nics[i % 2].post_get(
+            n1.nics[i % 2], 4096, fetch=lambda i=i: i,
+            on_deliver=lambda d: got.append((float(env.now), d)),
+            local_record=CompletionRecord(kind="get_local", custom=i),
+            remote_record=CompletionRecord(kind="get_remote", custom=i),
+        )
+    env.run()
+    assert got
+    markers = [
+        (repr(ev.t), ev.name, sorted(ev.args.items()))
+        for ev in rec.events if ev.name.startswith("fault.")
+    ]
+    # The progress engine drains every CQ; count what was pushed.
+    cq_pushes = [nic.cq.n_pushed
+                 for node in job.cluster.materialized_nodes() for nic in node.nics]
+    blob = repr((transfer_fingerprint(rec.transfers), sorted(inj.stats.items()),
+                 markers, got, cq_pushes))
+    assert hashlib.sha256(blob.encode()).hexdigest() == PIN_DIGEST, blob
 
 
 def test_cluster_inject_faults_convenience():

@@ -9,7 +9,7 @@ replay bit-identically from its seed.
 
 import pytest
 
-from repro.bench import resilience_bench, validate_resilience_bench
+from repro.bench import resilience_bench, resilience_failures
 from repro.bench.faultdemo import fault_demo
 from repro.core import UnrPeerDeadError
 from repro.platforms import PLATFORMS
@@ -19,7 +19,7 @@ pytestmark = [pytest.mark.slow, pytest.mark.chaos]
 
 def test_chaos_soak_holds_on_all_platforms():
     record = resilience_bench()
-    assert validate_resilience_bench(record) == []
+    assert resilience_failures(record) == []
     assert set(record["platforms"]) == set(PLATFORMS)
     assert record["correct"], "a degraded op lost data somewhere"
     assert record["identical"], "degradation/re-promotion is not deterministic"

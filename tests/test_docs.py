@@ -6,8 +6,10 @@ docs/*.md must exist — a doc that names a deleted command or a file
 that moved fails here, not in a reader's shell.  Every ``--flag`` those
 docs or the verify skill notes quote after ``repro <sub>`` must be an
 option of that subcommand.  Every lint or verifier rule id those docs,
-the verify skill notes or the source quote must be a live rule.
-(``perfbench/`` keeps its own README and is out of scope.)
+the verify skill notes or the source quote must be a live rule.  Every
+quoted fault spec with a timed event (``@t=``) in those docs or the
+verify skill notes must parse.  (``perfbench/`` keeps its own README
+and is out of scope.)
 """
 
 import re
@@ -16,6 +18,7 @@ from pathlib import Path
 from repro.analysis import RULES, VERIFY_RULES
 from repro.analysis.unrlint import PARSE_ERROR
 from repro.cli import build_parser
+from repro.netsim import FaultSpec
 
 ROOT = Path(__file__).resolve().parent.parent
 DOCS = [ROOT / "README.md", ROOT / "DESIGN.md", ROOT / "EXPERIMENTS.md",
@@ -30,6 +33,7 @@ _RULE_ID = re.compile(r"\b(?:UNR|VER)\d{3}\b")
 _COMMAND = re.compile(r"(?<![\w/.])repro\s+([a-z][a-z0-9-]*)([^\n]*)")
 _END = re.compile(r"\s#|[|;]|&&|(?<![\w/.])repro\s")
 _FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+_SPEC = re.compile(r"[\w.=:+@,-]*@t=[^\s\"'`]*")
 
 
 def _quoted(pattern):
@@ -88,3 +92,23 @@ def test_rule_ids_in_prose_resolve():
     assert len({rule_id for _, rule_id in quoted}) > 8, "the pattern stopped matching"
     live = {*RULES, *VERIFY_RULES, PARSE_ERROR.id}
     assert sorted(hit for hit in quoted if hit[1] not in live) == []
+
+
+def test_quoted_fault_specs_parse():
+    """A spec quoted in code with a timed event parses; the grammar
+    table's template rows (``t=T``, ``[:node=N]``) are not specs."""
+    specs = [
+        (doc.name, spec)
+        for doc in [*DOCS, SKILL]
+        for code in _CODE.findall(doc.read_text(encoding="utf-8"))
+        for spec in _SPEC.findall(code)
+        if not re.search(r"=[A-Z]", spec)
+    ]
+    assert len(specs) > 8, "the pattern stopped matching the docs"
+    bad = []
+    for doc, spec in specs:
+        try:
+            FaultSpec.parse(spec)
+        except ValueError as exc:
+            bad.append((doc, spec, str(exc)))
+    assert bad == []
