@@ -95,7 +95,7 @@ class MemoryRegion:
         return f"<MemoryRegion {kind}rank={self.owner_rank} h={self.handle} {self.nbytes}B>"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Blk:
     """Transportable handle to a block of a registered region.
 
@@ -104,6 +104,8 @@ class Blk:
     main loop; we provide ``endpoint.exchange_blk`` for the same job).
     ``signal_sid`` is the node-table id of the signal bound to the block
     (triggered when the block finishes sending/receiving), or ``None``.
+    Slotted: a 1728-rank transpose holds over a million of them, all
+    created before the first PUT.
     """
 
     rank: int

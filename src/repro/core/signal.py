@@ -123,8 +123,10 @@ class Signal:
         self.n_adds = 0
         self.n_duplicates = 0
         self.armed = True
-        self._seen_tokens: set = set()
-        self._seen_order: deque = deque()
+        # The dedup window is made on the first token: a fault-free run
+        # never mints one, and a big job has tens of thousands of signals.
+        self._seen_tokens: Optional[set] = None
+        self._seen_order: Optional[deque] = None
 
     # -- counter views ------------------------------------------------------
     @property
@@ -176,13 +178,17 @@ class Signal:
         """
         if token is None:
             return True
-        if token in self._seen_tokens:
+        seen, order = self._seen_tokens, self._seen_order
+        if seen is None or order is None:
+            seen, order = set(), deque()
+            self._seen_tokens, self._seen_order = seen, order
+        elif token in seen:
             self.n_duplicates += 1
             return False
-        self._seen_tokens.add(token)
-        self._seen_order.append(token)
-        if len(self._seen_order) > self.TOKEN_WINDOW:
-            self._seen_tokens.discard(self._seen_order.popleft())
+        seen.add(token)
+        order.append(token)
+        if len(order) > self.TOKEN_WINDOW:
+            seen.discard(order.popleft())
         return True
 
     def add(self, addend: int, token: Optional[int] = None) -> bool:

@@ -126,74 +126,61 @@ class _UnrHalo:
 
 
 class _UnrTranspose:
-    """One direction of the pipelined pencil transpose."""
+    """One direction of the pipelined pencil transpose.
+
+    ``send_blk[j][s]`` and ``recv_blk[j][s]`` are the blocks for row peer
+    ``j`` and slab ``s``, laid out row by row in one region per side: a
+    BLK's ``offset`` and ``size`` are its slot in the buffer."""
 
     def __init__(self, rd: RankData, ep: UnrEndpoint, forward: bool, tag: str):
         self.rd = rd
         self.ep = ep
-        self.forward = forward
         self.tag = tag
-        dec = rd.dec
-        self.peers = dec.row_ranks
-        self.n_slabs = len(rd.slabs)
-        py = rd.cfg.py
-
-        def send_size(j, s):
-            return rd.fwd_slot_bytes(j, s) if forward else rd.inv_slot_bytes(j, s)
-
-        def recv_size(j, s):
-            return rd.fwd_recv_bytes(j, s) if forward else rd.inv_recv_bytes(j, s)
-
-        self.send_off, total_send = self._offsets(py, self.n_slabs, send_size)
-        self.recv_off, total_recv = self._offsets(py, self.n_slabs, recv_size)
-        self.send_size, self.recv_size = send_size, recv_size
+        self.peers = rd.dec.row_ranks
+        py, n_slabs = rd.cfg.py, len(rd.slabs)
         # One signal per slab on the receive side (num_event = py: one
         # event per source, paper Fig. 3e); one reuse-guard per side.
-        self.slab_sig = [ep.sig_init(py) for _ in range(self.n_slabs)]
-        self.send_sig = ep.sig_init(py * self.n_slabs)
-        if rd.real:
-            self.send_buf = np.zeros(max(total_send, 1), dtype=np.uint8)
-            self.recv_buf = np.zeros(max(total_recv, 1), dtype=np.uint8)
-            self.send_mr = ep.mem_reg(self.send_buf)
-            self.recv_mr = ep.mem_reg(self.recv_buf)
-        else:
-            self.send_mr = ep.mem_reg_virtual(max(total_send, 1))
-            self.recv_mr = ep.mem_reg_virtual(max(total_recv, 1))
-        self.send_blk = {
-            (j, s): ep.blk_init(self.send_mr, self.send_off[(j, s)], send_size(j, s),
-                                signal=self.send_sig)
-            for j in range(py)
-            for s in range(self.n_slabs)
-        }
-        self.recv_blk = {
-            (j, s): ep.blk_init(self.recv_mr, self.recv_off[(j, s)], recv_size(j, s),
-                                signal=self.slab_sig[s])
-            for j in range(py)
-            for s in range(self.n_slabs)
-        }
-        self.peer_blk: Dict[tuple, object] = {}
+        self.slab_sig = [ep.sig_init(py) for _ in range(n_slabs)]
+        self.send_sig = ep.sig_init(py * n_slabs)
+        self.send_buf, self.send_blk = self._rows(
+            rd.fwd_slot_bytes if forward else rd.inv_slot_bytes,
+            [self.send_sig] * n_slabs,
+        )
+        self.recv_buf, self.recv_blk = self._rows(
+            rd.fwd_recv_bytes if forward else rd.inv_recv_bytes, self.slab_sig
+        )
+        self.peer_blk: List[tuple] = []
         self.used = False
 
-    @staticmethod
-    def _offsets(py, n_slabs, size_fn):
-        offsets = {}
-        off = 0
+    def _rows(self, size, slab_sigs):
+        """Register one region for the ``size(j, s)`` blocks and carve it,
+        in a single running-offset pass, into one tuple of per-slab BLKs
+        per row peer (slab ``s`` bound to ``slab_sigs[s]``).  Returns the
+        buffer (None in model mode) and the rows."""
+        rd, ep = self.rd, self.ep
+        py, n_slabs = len(self.peers), len(slab_sigs)
+        total = max(sum(size(j, s) for j in range(py) for s in range(n_slabs)), 1)
+        buf = np.zeros(total, dtype=np.uint8) if rd.real else None
+        mr = ep.mem_reg_virtual(total) if buf is None else ep.mem_reg(buf)
+        rows, off = [], 0
         for j in range(py):
-            for s in range(n_slabs):
-                offsets[(j, s)] = off
-                off += size_fn(j, s)
-        return offsets, off
+            row = []
+            for s, sig in enumerate(slab_sigs):
+                nbytes = size(j, s)
+                row.append(ep.blk_init(mr, off, nbytes, signal=sig))
+                off += nbytes
+            rows.append(tuple(row))
+        return buf, rows
 
     def setup(self):
         """Generator: ship my receive BLKs to every row peer (one ctl
-        message per peer carries the whole per-slab list)."""
+        message per peer carries its whole per-slab row)."""
         me = self.rd.dec.iy
         for j, peer in enumerate(self.peers):
             # Peer j writes into my slot row indexed by *its* iy.
-            blks = [self.recv_blk[(j, s)] for s in range(self.n_slabs)]
-            yield from self.ep.send_ctl(peer, blks, tag=(self.tag, me))
+            yield from self.ep.send_ctl(peer, self.recv_blk[j], tag=(self.tag, me))
         for j, peer in enumerate(self.peers):
-            self.peer_blk[j] = yield from self.ep.recv_ctl(peer, tag=(self.tag, j))
+            self.peer_blk.append((yield from self.ep.recv_ctl(peer, tag=(self.tag, j))))
 
     def begin_iteration(self):
         """Generator: reuse guard for the send buffers."""
@@ -209,14 +196,12 @@ class _UnrTranspose:
         rd, ep = self.rd, self.ep
         py = len(self.peers)
         pack_bytes = 0
-        for j in range(py):
-            nbytes = self.send_size(j, s)
-            pack_bytes += nbytes
+        for j, row in enumerate(self.send_blk):
+            blk = row[s]
+            pack_bytes += blk.size
             if rd.real:
-                block = pack_fn(j, s)
-                raw = block.reshape(-1).view(np.uint8)
-                off = self.send_off[(j, s)]
-                self.send_buf[off : off + nbytes] = raw
+                raw = pack_fn(j, s).reshape(-1).view(np.uint8)
+                self.send_buf[blk.offset : blk.offset + blk.size] = raw
         yield from rd.charge(rd.cost.pack(pack_bytes))
         # Rotated target order (peer me+1 first, self last): with a
         # fixed 0..py-1 order every sender's tx queue serves row 0
@@ -226,19 +211,18 @@ class _UnrTranspose:
         order = [(me + k) % py for k in range(1, py)] + [me]
         for j in order:
             # peer j stores my block in its slot row for my iy.
-            ep.put(self.send_blk[(j, s)], self.peer_blk[j][s])
+            ep.put(self.send_blk[j][s], self.peer_blk[j][s])
 
     def wait_slab(self, s: int, unpack_fn):
         """Generator: wait for slab ``s`` from every source, consume it."""
         rd, ep = self.rd, self.ep
         yield from ep.sig_wait(self.slab_sig[s])
         unpack_bytes = 0
-        for j in range(len(self.peers)):
-            nbytes = self.recv_size(j, s)
-            unpack_bytes += nbytes
+        for j, row in enumerate(self.recv_blk):
+            blk = row[s]
+            unpack_bytes += blk.size
             if rd.real:
-                off = self.recv_off[(j, s)]
-                raw = self.recv_buf[off : off + nbytes]
+                raw = self.recv_buf[blk.offset : blk.offset + blk.size]
                 unpack_fn(j, s, raw.view(np.complex128))
         yield from rd.charge(rd.cost.pack(unpack_bytes))
         ep.sig_reset(self.slab_sig[s])

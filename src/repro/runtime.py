@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .netsim import Cluster, Nic, Node
-from .sim import Environment, Process
+from .sim import Environment, Process, SimulationError
 
 __all__ = ["Job", "RankContext", "run_job"]
 
@@ -141,7 +141,8 @@ def run_job(
 ) -> List[Any]:
     """Run ``fn(ctx, *args)`` as a generator on every rank; return values.
 
-    Raises if any rank fails or if the job does not complete.
+    Raises if any rank fails, and :class:`SimulationError` naming every
+    unfinished rank if the job does not complete.
     """
     env = job.env
     shared = services if services is not None else {}
@@ -151,10 +152,13 @@ def run_job(
         ctx = RankContext(job=job, rank=rank, services=shared)
         procs.append(env.process(fn(ctx, *args), name=f"rank{rank}"))
     env.run(until=until)
+    blocked = [proc.name for proc in procs if not proc.triggered]
+    if blocked:
+        raise SimulationError(
+            f"{', '.join(blocked)} did not finish (deadlock?) at t={env.now}"
+        )
     results = []
     for proc in procs:
-        if not proc.triggered:
-            raise RuntimeError(f"{proc.name} did not finish (deadlock?) at t={env.now}")
         if not proc.ok:
             raise proc.value
         results.append(proc.value)

@@ -5,8 +5,9 @@ deterministic, so what the engine schedules per operation is an
 integer: every extra coroutine, timeout or deferred per post shows up
 in ``sim.events``.  The halo ring on the 1728-node machine pins the
 other cost that must not grow: nodes built per rank that runs.  The
-last group pins what one posted message keeps in flight and how many
-frames its completion takes — structure, not host time.
+last groups pin what one posted message keeps in flight, what a rank's
+transposers hold before the first PUT, and how many frames a
+completion takes — structure, not host time.
 """
 
 import ast
@@ -20,12 +21,14 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.bench import unr_get_pull, unr_pingpong
+from repro.bench import FIG7_SERIES, unr_get_pull, unr_pingpong
 from repro.core import Signal, Unr
 from repro.core.engine import CTRL_BYTES
 from repro.netsim.trace import transfer_fingerprint
 from repro.platforms import get_platform, make_job
-from repro.runtime import run_job
+from repro.powerllel.backend_unr import _UnrTranspose
+from repro.powerllel.state import PowerLLELConfig, RankData
+from repro.runtime import RankContext, run_job
 from repro.sim import Event
 from repro.units import US
 
@@ -176,6 +179,47 @@ def test_pending_put_footprint():
     assert traced / PENDING_PUTS <= MAX_BYTES_PER_PENDING_PUT
     job.env.run()
     assert unr.stats["adds_applied"] == 2 * PENDING_PUTS
+
+
+# -- what a rank holds before its first PUT -----------------------------------
+
+#: traced bytes per (row peer x slab) of one rank's forward and inverse
+#: transposers together, four BLKs each, after a warm-up build.  768
+#: measured; 1763 while ``Blk`` carried a ``__dict__`` and the offsets
+#: and BLKs sat in dicts keyed by ``(j, s)`` tuples.  The 1728-node
+#: Figure 7 point holds one such table per rank, so this is its setup
+#: footprint per rank and row peer.
+MAX_SETUP_BYTES_PER_PEER_SLAB = 1000
+
+
+def test_transposer_setup_footprint():
+    point = FIG7_SERIES["th-xy"]["points"][0]
+    job = make_job("th-xy", point["nodes"], seed=2024)
+    unr = Unr(job, get_platform("th-xy").channel)
+    cfg = PowerLLELConfig(
+        **FIG7_SERIES["th-xy"]["grid"], py=point["py"], pz=point["pz"], steps=1,
+        mode="model", pipeline_slabs=2, lengths=(1.0, 1.0, 8.0),
+    )
+    assert (cfg.py, cfg.pz) == (24, 12)
+    rd = RankData(RankContext(job=job, rank=0, services={}), cfg)
+    ep = unr.endpoint(0)
+
+    def build():
+        return [_UnrTranspose(rd, ep, forward, tag) for forward, tag in
+                ((True, "fwd"), (False, "inv"))]
+
+    build()  # warm-up: the endpoint's signal and region tables grow once
+    gc.collect()
+    tracemalloc.start()
+    try:
+        traced = tracemalloc.get_traced_memory()[0]
+        kept = build()
+        traced = tracemalloc.get_traced_memory()[0] - traced
+    finally:
+        tracemalloc.stop()
+    assert len(rd.slabs) == 2
+    assert [len(t.send_blk) for t in kept] == [cfg.py, cfg.py]
+    assert traced / (cfg.py * len(rd.slabs)) <= MAX_SETUP_BYTES_PER_PEER_SLAB
 
 
 def test_unarmed_record_reaches_signal_add_in_four_frames(monkeypatch):

@@ -1,5 +1,7 @@
 """Unit tests for memory regions, BLK handles and RMA plans."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -96,8 +98,25 @@ def test_blk_with_signal_replaces_sid():
 def test_blk_is_hashable_and_frozen():
     blk = Blk(rank=0, mr_handle=0, offset=0, size=8)
     {blk: 1}
-    with pytest.raises(Exception):
+    with pytest.raises(dataclasses.FrozenInstanceError):
         blk.size = 16  # type: ignore[misc]
+
+
+def test_blk_is_slotted():
+    """A big transpose holds one BLK per (row peer x slab) per rank."""
+    blk = Blk(rank=0, mr_handle=0, offset=0, size=8)
+    assert not hasattr(blk, "__dict__")
+
+
+def test_equal_blks_are_one_dict_key():
+    """The replication tier keys its mirror table by BLK value."""
+    a = Blk(rank=1, mr_handle=2, offset=64, size=8, signal_sid=3)
+    b = Blk(rank=1, mr_handle=2, offset=64, size=8, signal_sid=3)
+    assert a is not b and a == b and hash(a) == hash(b)
+    table = {a: "mirror"}
+    assert table[b] == "mirror"
+    assert a.sub(0, 8) == a and a.with_signal(3) == a
+    assert a.with_signal(None) not in table
 
 
 # ------------------------------------------------------- virtual put/get

@@ -144,6 +144,21 @@ def test_signal_tokenless_adds_never_deduped():
     assert sig.n_duplicates == 0
 
 
+def test_signal_dedup_window_is_made_on_the_first_token():
+    """A signal that only ever sees tokenless adds holds no window; the
+    first token creates it."""
+    env = Environment()
+    sig = Signal(env, sid=0, num_event=4)
+    sig.add(-1)
+    sig._reset_counter()
+    sig.add(-1, token=None)
+    assert sig._seen_tokens is None and sig._seen_order is None
+    assert sig.add(-1, token="t") is False  # applied, not yet at zero
+    assert sig._seen_tokens == {"t"} and list(sig._seen_order) == ["t"]
+    assert sig.add(-1, token="t") is False and sig.n_duplicates == 1
+    assert sig.remaining_events == 2
+
+
 def test_signal_token_survives_reset():
     """A late duplicate from before sig_reset must still be suppressed."""
     env = Environment()

@@ -4,7 +4,7 @@ import pytest
 
 from repro.netsim import Cluster, ClusterSpec, NicSpec, NodeSpec
 from repro.runtime import Job, run_job
-from repro.sim import Environment
+from repro.sim import Environment, SimulationError
 
 
 def make_cluster(n_nodes=4, nics=2, cores=8):
@@ -85,14 +85,20 @@ def test_run_job_collects_return_values():
 
 
 def test_run_job_reports_deadlock():
-    job = Job(make_cluster(2))
+    job = Job(make_cluster(4))
 
     def program(ctx):
-        if ctx.rank == 0:
+        yield ctx.env.timeout(1.5)
+        if ctx.rank in (1, 3):
             yield ctx.env.event()  # never fires
 
-    with pytest.raises(RuntimeError, match="did not finish"):
+    with pytest.raises(SimulationError, match="did not finish") as err:
         run_job(job, program)
+    assert isinstance(err.value, RuntimeError)  # existing catches still hold
+    message = str(err.value)
+    assert "rank1, rank3 did not finish" in message
+    assert "rank0" not in message and "rank2" not in message
+    assert "t=1.5" in message
 
 
 def test_run_job_propagates_rank_exception():
