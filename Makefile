@@ -5,7 +5,8 @@
 #   make test-all    - the full suite including the fault/stress soaks
 #   make test-slow   - only the slow soaks
 #   make test-chaos  - fault-domain resilience soak (degradation + the
-#                      replication warm-failover leg) + BENCH_resilience.json;
+#                      replica-world leg at team sizes 2 and 3) +
+#                      BENCH_resilience.json and BENCH_resilience_t3.json;
 #                      `repro chaos` exits 1 on any failed verdict or budget
 #   make demo-faults - the fault-injection acceptance demo
 #   make trace       - observed trace demo: one Perfetto JSON file
@@ -49,12 +50,14 @@ test-slow:
 	$(PYTEST) -q -m slow
 
 # The chaos soak: node-kill schedules on all four Table III platforms,
-# then the CLI run that writes the BENCH_resilience.json record and
-# exits 1 on a failed verdict or a blown replication budget (the rules
-# and their constants live in src/repro/bench/resilience.py).
+# then the CLI runs that write the BENCH_resilience.json record (two
+# replica worlds) and BENCH_resilience_t3.json (three) and exit 1 on a
+# failed verdict or a blown replication budget (the rules and their
+# constants live in src/repro/bench/resilience.py).
 test-chaos:
 	$(PYTEST) -q -m chaos
 	$(REPRO) chaos --out BENCH_resilience.json
+	$(REPRO) chaos --team-size 3 --out BENCH_resilience_t3.json
 
 demo-faults:
 	PYTHONPATH=src $(PYTHON) -m repro faults

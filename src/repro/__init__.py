@@ -9,8 +9,8 @@ Package map (DESIGN.md has the full inventory):
   (GLEX/Verbs/uTofu/uGNI/PAMI/Portals + MPI fallback), Table II.
 * :mod:`repro.core` — **UNR itself**: MMAS signals, BLK handles,
   support levels, polling engine, notified PUT/GET, plans, converters.
-* :mod:`repro.replication` — replica-team warm failover, wrapped
-  around ``core``'s endpoints from outside (docs/resilience.md).
+* :mod:`repro.replication` — replica worlds: a node crash stops one
+  world, wrapped around ``core`` from outside (docs/resilience.md).
 * :mod:`repro.mpi` — simulated MPI baseline (p2p, collectives, RMA
   windows with Fence/PSCW/Lock synchronization).
 * :mod:`repro.powerllel` — the driving application: pencil-decomposed

@@ -30,18 +30,22 @@ __all__ = ["DEFAULT_FAULTS", "fault_demo"]
 DEFAULT_FAULTS = "drop=0.3,reorder=0.2,rail_fail@t=5.0"
 
 
-def _producer_consumer(unr, job, *, size: int, iters: int, ranks=None) -> Dict:
+def _producer_consumer(unr, job, *, size: int, iters: int, ranks=None, world=None) -> Dict:
     """Rank 0 streams ``iters`` buffers to rank 1; rank 1 verifies each.
 
-    ``ranks`` restricts which physical ranks run the program (the
-    replication tier's logical world); ``None`` runs every rank."""
-    out = {"received": 0, "correct": 0}
+    ``ranks`` restricts which physical ranks run the program (``None``
+    runs every rank).  A :class:`~repro.replication.TeamWorld` as
+    ``world`` runs it in every replica world instead; ``received`` and
+    ``correct`` are then per-world lists."""
+    n_worlds = 1 if world is None else world.team_size
+    received = [0] * n_worlds
+    correct = [0] * n_worlds
 
     def pattern(it: int) -> np.ndarray:
         return ((np.arange(size) * 31 + it * 7) % 251).astype(np.uint8)
 
     def program(ctx):
-        ep = unr.endpoint(ctx.rank)
+        ep = ctx.services["unr"](ctx.rank)
         if ctx.rank == 0:
             buf = np.zeros(size, dtype=np.uint8)
             mr = ep.mem_reg(buf)
@@ -57,6 +61,7 @@ def _producer_consumer(unr, job, *, size: int, iters: int, ranks=None) -> Dict:
                 # before overwriting the source.
                 yield from ep.recv_ctl(1, tag="credit")
         else:
+            w = ep.rank // ctx.n_ranks  # the replica world
             buf = np.zeros(size, dtype=np.uint8)
             mr = ep.mem_reg(buf)
             recv_sig = ep.sig_init(1)
@@ -64,16 +69,18 @@ def _producer_consumer(unr, job, *, size: int, iters: int, ranks=None) -> Dict:
             yield from ep.send_ctl(0, recv_blk, tag="addr")
             for it in range(iters):
                 yield from ep.sig_wait(recv_sig)
-                out["received"] += 1
+                received[w] += 1
                 if np.array_equal(buf, pattern(it)):
-                    out["correct"] += 1
+                    correct[w] += 1
                 ep.sig_reset(recv_sig)
                 yield from ep.send_ctl(0, "go", tag="credit")
         return ctx.env.now
 
-    times = run_job(job, program, ranks=ranks)
-    out["time"] = max(times)
-    return out
+    if world is not None:
+        times = world.run(program)
+        return {"received": received, "correct": correct, "time": max(times)}
+    times = run_job(job, program, ranks=ranks, services={"unr": unr.endpoint})
+    return {"received": received[0], "correct": correct[0], "time": max(times)}
 
 
 def _one_run(

@@ -35,6 +35,19 @@ def _sizes(text: str) -> List[int]:
         raise argparse.ArgumentTypeError(f"bad size list {text!r}") from None
 
 
+def _at_least(low: int):
+    """An argparse ``type``: an int no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse's "invalid int value" on a non-number
+    return parse
+
+
 def _fault_spec(text: str) -> str:
     from .netsim import FaultSpec
 
@@ -114,15 +127,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="platform to include (repeatable; default: all four)")
     p.add_argument("--faults", type=_fault_spec, default=None, metavar="SPEC",
                    help="override the chaos fault schedule")
-    p.add_argument("--size", type=int, default=65536)
-    p.add_argument("--iters", type=int, default=32)
+    p.add_argument("--size", type=_at_least(1), default=65536)
+    p.add_argument("--iters", type=_at_least(1), default=32)
     p.add_argument("--seed", type=int, default=2024)
     p.add_argument("--fault-seed", type=int, default=3)
     p.add_argument("--replication", action=argparse.BooleanOptionalAction,
                    default=True,
-                   help="include the replication-tier leg (warm-failover "
-                        "overhead + TTR; default: on)")
-    p.add_argument("--team-size", type=int, default=2, metavar="N",
+                   help="include the replication-tier leg (replica-world "
+                        "overhead + failover TTR; default: on)")
+    p.add_argument("--team-size", type=_at_least(2), default=2, metavar="N",
                    help="replicas per rank team for the replication leg "
                         "(default: 2)")
     p.add_argument("--out", default="BENCH_resilience.json", metavar="PATH",
@@ -380,8 +393,7 @@ def cmd_chaos(args) -> int:
               f"overhead={rep['overhead_ratio']:.3f}x "
               f"ttr_p95={ttr:.1f}us "
               f"correct={'yes' if rep['correct'] else 'NO'} "
-              f"identical={'yes' if rep['identical'] else 'NO'} "
-              f"divergence={'ok' if rep['divergence_ok'] else 'SPLIT-BRAIN'}")
+              f"identical={'yes' if rep['identical'] else 'NO'}")
         for name, block in rep["platforms"].items():
             print(f"    {name:10s} overhead={block['overhead_ratio']:.3f}x "
                   f"failovers={block['crash']['failovers']} "

@@ -19,11 +19,9 @@ from .engine import (
     TransferOp,
 )
 from .errors import (
-    FailoverContext,
     OpContext,
     UnrDegradeWarning,
     UnrError,
-    UnrFailoverError,
     UnrOverflowError,
     UnrPeerDeadError,
     UnrSyncError,
@@ -52,7 +50,6 @@ __all__ = [
     "DEFAULT_N_BITS",
     "DEFAULT_STRIPE_THRESHOLD",
     "FALLBACK_RAIL",
-    "FailoverContext",
     "HealthConfig",
     "HealthMonitor",
     "LevelPolicy",
@@ -74,7 +71,6 @@ __all__ = [
     "UnrDegradeWarning",
     "UnrEndpoint",
     "UnrError",
-    "UnrFailoverError",
     "UnrOverflowError",
     "UnrPeerDeadError",
     "UnrSyncError",

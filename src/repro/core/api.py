@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import warnings
 from collections import Counter
-from importlib import import_module
 from typing import Any, Callable, Generator, List, Optional, Set, TypeVar, Union
 
 import numpy as np
@@ -43,7 +42,7 @@ from ..interconnect import MpiFallbackChannel, RmaChannel, make_channel
 from ..netsim import CompletionRecord
 from ..obs import Recorder
 from ..runtime import Job
-from ..sim import Event, FilterStore
+from ..sim import FilterStore
 from ..units import US
 from .engine import CTRL_BYTES, ProgressEngine, TransferEngine, TransferOp
 from .health import HealthConfig, HealthMonitor
@@ -148,11 +147,6 @@ class Unr:
         a :class:`~repro.core.health.HealthConfig` arms it; off by
         default.  Healthy armed runs are trace-fingerprint-identical to
         disarmed ones (the breakers are passive until something fails).
-    replication:
-        Arm the replica-team tier of :mod:`repro.replication` (warm
-        failover on a node crash; ``True`` or a ``ReplicationConfig``);
-        off by default.  It requires ``reliability``, arms ``health``,
-        and wraps this library from outside: ``core`` does not know it.
     """
 
     def __init__(
@@ -170,7 +164,6 @@ class Unr:
         sanitize: Optional[bool] = None,
         observe: Union[Recorder, bool, None] = None,
         health: Union[HealthConfig, bool, None] = None,
-        replication: Any = None,
     ) -> None:
         self.job = job
         self.env = job.env
@@ -250,10 +243,7 @@ class Unr:
                 lambda: {f"core.{k}": float(stats[k]) for k in sorted(stats)}
             )
 
-        # The team tier is a module outside core/, imported only when
-        # armed; it rides on the health layer, so arming it arms health.
-        tier = import_module("repro.replication") if replication else None
-        health_config = _tier_config(health or tier is not None, HealthConfig)
+        health_config = _tier_config(health, HealthConfig)
         self.health: Optional[HealthMonitor] = (
             None if health_config is None else HealthMonitor(self, health_config)
         )
@@ -275,9 +265,6 @@ class Unr:
                     eng.register(kind, self._handle_rma_record)
                 eng.register("ctrl", self._handle_ctrl_record)
                 self.engines.append(eng)
-
-        # Built last: the tier wraps the finished library.
-        self.replication = None if tier is None else tier.arm(self, replication)
 
     # ------------------------------------------------------------------
     def _resolve_polling(self, polling: Union[PollingConfig, str, None]) -> PollingConfig:
@@ -516,8 +503,7 @@ class UnrEndpoint:
 
     @property
     def node_index(self) -> int:
-        """Current node index of this rank — resolved at use time so a
-        placement change (``Job.reassign_node``) re-points the endpoint."""
+        """Node index of this rank."""
         return self.unr._node_index(self.rank)
 
     # -- registration --------------------------------------------------------
@@ -630,29 +616,23 @@ class UnrEndpoint:
 
         ``nbytes`` sets the on-the-wire size (defaults to a bare (p, a)
         envelope; pass the payload size when shipping real data)."""
-        done = self.env.event()
-        self._post_ctl(dst_rank, (self.rank, tag, obj), nbytes, done)
-        yield done
-
-    def _post_ctl(self, dst_rank: int, item: Any, nbytes: int, done: Event) -> None:
-        """Post one copy of a control message on the ordered lane.  The
-        first copy delivered puts ``item`` in the receiver's inbox and
-        succeeds ``done``; a later copy is dropped."""
         inbox = self.unr._inbox[dst_rank]
+        done = self.env.event()
 
-        def deliver(payload: Any) -> None:
+        def deliver(item: Any) -> None:
             if done.triggered:
-                return
-            inbox.put(payload)
+                return  # a duplicated copy (fault_ordered) already landed
+            inbox.put(item)
             done.succeed()
 
         engine = self.unr.engine
         engine.post_op(
             engine.prepare_ctrl(
-                self.rank, dst_rank, payload=item, on_deliver=deliver,
-                nbytes=max(nbytes, _CTRL_BYTES),
+                self.rank, dst_rank, payload=(self.rank, tag, obj),
+                on_deliver=deliver, nbytes=max(nbytes, _CTRL_BYTES),
             )
         )
+        yield done
 
     def recv_ctl(self, src_rank: int, tag: Any = None) -> Generator[Any, Any, Any]:
         """Generator: receive a control object from ``src_rank``."""

@@ -41,11 +41,10 @@ from typing import (
 )
 
 from ..netsim import CompletionRecord, Node, alloc_record, recycle_record
-from ..sim import Environment, Event, InFlight
+from ..sim import Environment, InFlight
 from ..units import US
 from .errors import (
     OpContext,
-    UnrFailoverError,
     UnrPeerDeadError,
     UnrTimeoutError,
     UnrUsageError,
@@ -232,11 +231,6 @@ class TransferEngine:
         #: the last one handed out.
         self._inflight: Dict[int, _Fragment] = {}
         self._n_fids = 0
-        #: the one seam an outside tier may install: given ``(src_rank,
-        #: dst_rank)`` of a post toward a crashed peer, an event that
-        #: fires when that peer's recovery settles, or ``None`` to
-        #: declare the peer dead.  ``None`` (no tier): always dead.
-        self.peer_recovery: Optional[Callable[[int, int], Optional[Event]]] = None
         #: fragment geometry per distinct PUT shape, see _stripe_shape
         self._shapes: Dict[tuple, Tuple[Tuple[int, int, int, int, int], ...]] = {}
         #: logical-op counter: every post_op call (including plan
@@ -843,22 +837,12 @@ class TransferEngine:
         return lambda _e: self.post_op(self._ctrl_tail(op))
 
     # -- health / degradation routing -------------------------------------
-    def _recovery(self, op: TransferOp) -> Optional[Event]:
-        """The :attr:`peer_recovery` answer for ``op``'s crashed peer."""
-        recovery = self.peer_recovery
-        return None if recovery is None else recovery(op.src_rank, op.dst_rank)
-
     def _check_ctrl_lane(self, op: TransferOp) -> None:
         """The ordered lane is the last rung of the degradation ladder:
         it only dies with the peer (fail-stop node crash)."""
         health = self.unr.health
-        if health is None or not health.fallback_dead(op.src_rank, op.dst_rank):
-            return
-        if self._recovery(op) is not None:
-            # A recovering peer: the post proceeds (lost with the crashed
-            # node), and the sender's re-post after recovery lands.
-            return
-        raise self._peer_dead(op, op.nbytes, "peer is dead (ordered/fallback lane down)")
+        if health is not None and health.fallback_dead(op.src_rank, op.dst_rank):
+            raise self._peer_dead(op, op.nbytes, "peer is dead (ordered/fallback lane down)")
 
     def _peer_dead(self, op: TransferOp, nbytes: int, why: str) -> UnrPeerDeadError:
         """The error of a post rejected before any transmission."""
@@ -873,8 +857,7 @@ class TransferEngine:
         )
 
     def _next_rail(
-        self, op: TransferOp, preferred: int, *,
-        degrade: bool = True, check_dead: bool = True,
+        self, op: TransferOp, preferred: int, *, degrade: bool = True
     ) -> Optional[int]:
         """The rail-choice step of a *reliable* fragment, for its first
         post and every re-post.
@@ -883,8 +866,7 @@ class TransferEngine:
         Health armed: the breaker-gated :meth:`HealthMonitor.live_rail`;
         when it leaves no rail the fragment degrades to
         :data:`FALLBACK_RAIL` (counted by ``on_degraded`` when
-        ``degrade``), and ``None`` means the fallback lane is dead too
-        (not asked when ``check_dead`` is off).
+        ``degrade``), and ``None`` means the fallback lane is dead too.
         """
         health = self.unr.health
         src_rank, dst_rank = op.src_rank, op.dst_rank
@@ -893,7 +875,7 @@ class TransferEngine:
         rail = health.live_rail(src_rank, dst_rank, preferred)
         if rail is not None:
             return rail
-        if check_dead and health.fallback_dead(src_rank, dst_rank):
+        if health.fallback_dead(src_rank, dst_rank):
             return None
         if degrade:
             health.on_degraded(src_rank, dst_rank, op.kind.upper())
@@ -906,11 +888,6 @@ class TransferEngine:
         rail = self._next_rail(op, sp.rail)
         if rail is not None:
             return rail
-        if self._recovery(op) is not None:
-            # A recovering peer: degrade instead of raising — the
-            # fragment's watchdog parks on the recovery and re-posts
-            # against wherever the peer lives then.
-            return FALLBACK_RAIL
         raise self._peer_dead(
             op, sp.size,
             "peer is dead (no live RMA rail and the fallback lane is down)",
@@ -1077,49 +1054,22 @@ class TransferEngine:
                     op, 0 if target == FALLBACK_RAIL else target + 1,
                     degrade=target != FALLBACK_RAIL,
                 )
-            retransmit = nxt is not None  # else: ladder exhausted (fail-stop)
-            if retransmit:
-                target = nxt
-            else:
-                # A recovering peer: park on its recovery instead of
-                # declaring the op lost — the fragment is either
-                # cancelled by a drain meanwhile or gets a fresh retry
-                # ladder against wherever the peer lives then.
-                evt = self._recovery(op)
-                if evt is None:
-                    break
-                unr.stats["failover_parks"] += 1
-                attempts.append(("failover", env.now / US))
-                try:
-                    yield evt
-                except UnrFailoverError as fexc:
-                    # Refused recovery: surface in the blocked
-                    # application frame.
-                    if self._fail_op_waiter(frag, fexc):
-                        return
-                    raise
-                if frag.cancelled:
-                    return  # drained during the failover
-                attempt = 0
-                if delivered.triggered:
-                    continue
-                target = self._next_rail(op, 0, check_dead=False)
-                t = base
+            if nxt is None:
+                break  # ladder exhausted (fail-stop)
+            target = nxt
             if target == FALLBACK_RAIL:
                 fb_base = self._fragment_timeout(frag, fallback=True)
                 t = max(t, fb_base)
-            if retransmit:
-                unr.stats["retransmits"] += 1
-                if unr.obs is not None:
-                    unr.obs.event(
-                        "reliability.retransmit", track=f"rank{src_rank}",
-                        what=what, attempt=attempt + 1, rail=target, nbytes=nbytes,
-                    )
+            unr.stats["retransmits"] += 1
+            if unr.obs is not None:
+                unr.obs.event(
+                    "reliability.retransmit", track=f"rank{src_rank}",
+                    what=what, attempt=attempt + 1, rail=target, nbytes=nbytes,
+                )
             attempts.append((_target_label(target), env.now / US))
             self._attempt(op, sp, frag.payload, frag.deliver, frag.rtok, frag.ltok, target)
-            if retransmit:
-                t = min(t * rel.backoff_factor, max(rel.max_backoff, base, fb_base))
-                attempt += 1
+            t = min(t * rel.backoff_factor, max(rel.max_backoff, base, fb_base))
+            attempt += 1
         unr.stats["reliability_failures"] += 1
         # NB: the fragment stays in ``_inflight`` — a later drain()
         # discharges its notification tokens against the dead peer.

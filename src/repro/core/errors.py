@@ -6,10 +6,8 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 __all__ = [
-    "FailoverContext",
     "OpContext",
     "UnrError",
-    "UnrFailoverError",
     "UnrSyncError",
     "UnrOverflowError",
     "UnrTimeoutError",
@@ -53,35 +51,6 @@ class OpContext:
             f"op={self.kind} rank{self.src_rank}->rank{self.dst_rank} "
             f"{self.nbytes}B | attempts: {history} | {lane} | "
             f"declared dead at t={self.sim_time_us:.1f}us"
-        )
-
-
-@dataclass(frozen=True)
-class FailoverContext:
-    """Structured context of one replication-team failover.
-
-    Attached to :class:`UnrFailoverError` so a failed (or refused)
-    promotion carries enough forensics to replay it: which team, which
-    physical rank died, which replica was promoted (``-1`` when the team
-    was exhausted and no promotion was possible), the failover's
-    time-to-recover in simulated microseconds, and how many shadowed
-    operations the promoted mirror had absorbed before taking over.
-    """
-
-    team: int
-    dead_rank: int
-    promoted_rank: int  # -1: team exhausted, nothing left to promote
-    ttr_us: float
-    replayed_ops: int = 0
-
-    def describe(self) -> str:
-        if self.promoted_rank < 0:
-            outcome = "no replica left to promote (team exhausted)"
-        else:
-            outcome = f"promoted rank {self.promoted_rank}"
-        return (
-            f"team={self.team} dead=rank{self.dead_rank} | {outcome} | "
-            f"replayed_ops={self.replayed_ops} | ttr={self.ttr_us:.1f}us"
         )
 
 
@@ -130,28 +99,6 @@ class UnrPeerDeadError(UnrTimeoutError):
     fallback channel to it is also declared dead (fail-stop node crash).
     Subclasses :class:`UnrTimeoutError` so existing timeout handlers
     keep working."""
-
-
-class UnrFailoverError(UnrError):
-    """A replication-team failover could not complete safely: either the
-    divergence check found the promoted mirror's shadowed op stream out
-    of sync with the primary's (refusing a silent split-brain), or every
-    member of the team is dead and there is nothing left to promote.
-
-    ``context`` (when set) is a :class:`FailoverContext` with the team
-    id, the dead and promoted physical ranks, the time-to-recover and
-    the shadowed-op count, rendered into ``str(err)`` like the
-    :class:`OpContext` on timeout errors."""
-
-    def __init__(self, message: str = "", context: Optional[FailoverContext] = None):
-        super().__init__(message)
-        self.context = context
-
-    def __str__(self) -> str:
-        base = super().__str__()
-        if self.context is None:
-            return base
-        return f"{base}\n  {self.context.describe()}"
 
 
 class UnrUsageError(UnrError):

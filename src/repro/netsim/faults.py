@@ -37,7 +37,7 @@ subjects unordered RDMA traffic to a *fault schedule*:
   fallback) drops every message crossing between node sets ``a`` and
   ``b`` (``a=0+1:b=2+3``) while the unordered RDMA data rails stay up.
   The replication tier's suspicion counters climb on the silenced
-  heartbeats, but promotion requires the fail-stop confirmation — this
+  heartbeats, but stopping a world requires the fail-stop confirmation — this
   is the false-positive scenario a K-missed-heartbeats detector must
   survive.
 

@@ -32,12 +32,9 @@ class Job:
             raise ValueError(
                 f"n_ranks={self.n_ranks} out of range 1..{max_ranks}"
             )
-        #: rank -> node-index placement overrides (replication failover:
-        #: a promoted rank adopts its mirror's node).
-        self._node_override: dict = {}
         #: placement memos, rank -> Node and (rank, rail) -> Nic.  A
-        #: cluster never replaces a node it has built, so
-        #: :meth:`reassign_node` is the only thing that invalidates them.
+        #: cluster never replaces a node it has built, so nothing
+        #: invalidates them.
         self._node_memo: Dict[int, Node] = {}
         self._nic_memo: Dict[Tuple[int, int], Nic] = {}
 
@@ -49,24 +46,8 @@ class Job:
         node = self._node_memo.get(rank)
         if node is None:
             self._check(rank)
-            index = self._node_override.get(rank, rank // self.ranks_per_node)
-            node = self._node_memo[rank] = self.cluster.node(index)
+            node = self._node_memo[rank] = self.cluster.node(rank // self.ranks_per_node)
         return node
-
-    def reassign_node(self, rank: int, node_index: int) -> None:
-        """Re-point ``rank`` onto another node (replication failover).
-
-        Every placement-derived decision — NIC selection, signal-table
-        node indices, fallback-lane liveness — re-resolves through
-        :meth:`node_of` / :meth:`nic_of` at use time, so one override
-        here transparently re-targets all future traffic of ``rank``.
-        """
-        self._check(rank)
-        if not 0 <= node_index < self.cluster.n_nodes:
-            raise ValueError(f"node {node_index} out of range")
-        self._node_override[rank] = node_index
-        self._node_memo.clear()
-        self._nic_memo.clear()
 
     def local_index(self, rank: int) -> int:
         """Index of ``rank`` among the ranks of its node."""

@@ -8,10 +8,8 @@ import pytest
 
 from repro.analysis import LintConfig, RULES, format_findings, lint_file, lint_paths, lint_source
 from repro.analysis.unrlint import PARSE_ERROR, iter_python_files
-from repro.replication import ReplicationManager
 from tests.bench.test_datapath_cost import HOT_PATH_MODULES, hot_path_classes, with_dict
 from tests.core.test_progress_sweep import CQ_CONSUMERS, make_node, record, record_cq_consumers
-from tests.core.test_replication import failover_run
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
@@ -129,9 +127,9 @@ def test_protocol_pass_is_scope_gated():
 
 # -- layout checks that left the linter: their trigger cases -----------------
 #
-# A CQ consumer outside the engine, an un-slotted hot-path class and a
-# promotion picked by membership order are caught by tests on the live
-# code now; each case below shows that check firing on the pattern.
+# A CQ consumer outside the engine and an un-slotted hot-path class are
+# caught by tests on the live code now; each case below shows that
+# check firing on the pattern.
 
 NIC_CLASSES = '''
 from dataclasses import dataclass
@@ -204,16 +202,6 @@ def test_unr009_scope_covers_scheduler_module():
     assert lint_source(SCHEDULER_CLASSES, path="src/repro/sim/scheduler.py") == []
     module = module_of(SCHEDULER_CLASSES, "scheduler_fixture")
     assert with_dict(hot_path_classes(module)) == {"scheduler_fixture.LooseQueue"}
-
-
-def test_unr013_flags_unordered_promotion_selection(monkeypatch):
-    # With every mirror equally warm only the rank tie-break tells the
-    # two candidates apart, so a pick that follows membership order
-    # would promote rank 5 once team.live is reversed.
-    monkeypatch.setattr(ReplicationManager, "_warmth", lambda self, team, member: 0.0)
-    forward = failover_run(3, reverse=False)
-    assert [rec["promoted_rank"] for rec in forward[0]] == [3]
-    assert failover_run(3, reverse=True) == forward
 
 
 # -- per-rule: must NOT trigger ----------------------------------------------

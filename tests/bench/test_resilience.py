@@ -52,13 +52,13 @@ def test_replication_block_shape_and_verdicts(record):
     rep = record["replication"]
     assert rep is not None, "default chaos run must include the replication leg"
     assert rep["team_size"] == 2
-    assert rep["correct"] and rep["identical"] and rep["divergence_ok"]
-    # Shadow traffic + heartbeats on a healthy run should cost percents,
-    # not multiples.
+    assert rep["correct"] and rep["identical"]
+    # Concurrent replica worlds + heartbeats on a healthy run should cost
+    # percents, not multiples.
     assert 1.0 <= rep["overhead_ratio"] < 1.5
     assert rep["p95_failover_ttr_us"] > 0
     block = rep["platforms"]["th-xy"]
-    assert block["healthy"]["shadow_ops"] > 0
+    assert block["healthy"]["correct"]
     assert block["healthy"]["heartbeats"] > 0
     crash = block["crash"]
     assert crash["failovers"] >= 1
@@ -66,8 +66,9 @@ def test_replication_block_shape_and_verdicts(record):
     assert crash["ttr_us"]["n"] >= 1
     assert crash["ttr_us"]["max"] >= crash["ttr_us"]["p50"]
     for run in crash["runs"]:
-        assert run["correct"] == run["received"]
-        assert run["failover_log"][0]["promoted_rank"] >= 0
+        assert run["live_worlds"] == [1]
+        assert run["correct"][1] == run["received"][1] == record["params"]["iters"]
+        assert run["failover_log"][0]["stopped_world"] == 0
 
 
 def test_replication_skip_records_null():
@@ -77,13 +78,12 @@ def test_replication_skip_records_null():
 
 
 @pytest.mark.parametrize("patch, where, named", [
-    ({"divergence_ok": False}, ("replication",), "divergence_ok"),
     ({"p95_failover_ttr_us": 501}, ("replication",), "failover TTR 501.0us"),
     ({"overhead_ratio": 1.51}, ("replication",), "overhead 1.510x"),
     ({"failovers": 0}, ("replication", "platforms", "th-xy", "crash"),
      "th-xy: crash leg performed no failover"),
     ({"correct": False}, (), "'correct'"),
-], ids=["divergence", "ttr", "overhead", "failover", "correct"])
+], ids=["ttr", "overhead", "failover", "correct"])
 def test_each_verdict_rule_fails_alone(record, patch, where, named):
     """`repro chaos` exits on `resilience_failures`: every rule must
     fire on its own mutation and stay quiet on the real record."""
@@ -95,7 +95,7 @@ def test_each_verdict_rule_fails_alone(record, patch, where, named):
     target.update(patch)
     failures = resilience_failures(bad)
     assert len(failures) == 1 and named in failures[0], failures
-    # The budgets, the failover rule and the split-brain verdict belong
-    # to the replication leg: a record that skipped it cannot trip them.
+    # The budgets and the failover rule belong to the replication leg:
+    # a record that skipped it cannot trip them.
     skipped = dict(bad, replication=None)
     assert resilience_failures(skipped) == ([] if where else failures)

@@ -109,7 +109,7 @@ def test_blk_is_slotted():
 
 
 def test_equal_blks_are_one_dict_key():
-    """The replication tier keys its mirror table by BLK value."""
+    """BLKs are values: equal descriptors are one key of a lookup table."""
     a = Blk(rank=1, mr_handle=2, offset=64, size=8, signal_sid=3)
     b = Blk(rank=1, mr_handle=2, offset=64, size=8, signal_sid=3)
     assert a is not b and a == b and hash(a) == hash(b)

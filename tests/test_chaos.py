@@ -32,16 +32,15 @@ def test_chaos_soak_holds_on_all_platforms():
             assert ttr["n"] >= 1 and ttr["p50"] > 0.0, f"{name}: empty recovery log"
     rep = record["replication"]
     assert rep is not None, "soak must exercise the replication tier"
-    assert rep["correct"], "a replicated stream lost data across a failover"
-    assert rep["identical"], "warm failover is not deterministic"
-    assert rep["divergence_ok"], "split-brain: replica state diverged"
+    assert rep["correct"], "a surviving replica world lost data"
+    assert rep["identical"], "world stops are not deterministic"
     assert rep["overhead_ratio"] < 1.5, "healthy replication overhead blew up"
     for name, block in rep["platforms"].items():
-        assert block["crash"]["failovers"] >= 1, f"{name}: crash never promoted"
+        assert block["crash"]["failovers"] >= 1, f"{name}: crash stopped no world"
         assert block["crash"]["ttr_us"]["p95"] > 0.0, f"{name}: empty failover log"
         for run in block["crash"]["runs"]:
             assert run["correct"] == run["received"], (
-                f"{name}: corrupt payload delivered across the failover")
+                f"{name}: corrupt payload delivered in a replica world")
 
 
 @pytest.mark.parametrize("platform", list(PLATFORMS))

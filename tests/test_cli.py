@@ -158,7 +158,7 @@ def test_trace_profile_exits_one_below_the_coverage_floor(tmp_path, capsys,
     assert "below the 90% floor" in capsys.readouterr().out
 
 
-def test_chaos_exit_code_covers_split_brain(tmp_path, capsys, monkeypatch):
+def test_chaos_exit_code_covers_the_overhead_cap(tmp_path, capsys, monkeypatch):
     import repro.bench
 
     out = tmp_path / "BENCH_resilience.json"
@@ -167,12 +167,29 @@ def test_chaos_exit_code_covers_split_brain(tmp_path, capsys, monkeypatch):
     assert "verdict      OK" in capsys.readouterr().out
 
     record = json.loads(out.read_text())
-    record["replication"]["divergence_ok"] = False
+    record["replication"]["overhead_ratio"] = 1.6
     monkeypatch.setattr(repro.bench, "resilience_bench", lambda *a, **kw: record)
     assert main(argv) == 1
     text = capsys.readouterr().out
-    assert "SPLIT-BRAIN" in text and "divergence_ok" in text
+    assert "overhead=1.600x" in text and "exceeds cap 1.500x" in text
     assert "verdict      FAILED" in text
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--team-size", "1"), ("--size", "0"), ("--iters", "0"),
+])
+def test_chaos_rejects_bad_input_up_front(flag, value, capsys, monkeypatch):
+    import repro.bench
+
+    def never(*a, **kw):
+        raise AssertionError("the soak ran")
+
+    monkeypatch.setattr(repro.bench, "resilience_bench", never)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["chaos", flag, value])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and f"argument {flag}: must be >=" in err
 
 
 def test_parser_requires_command():
