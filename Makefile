@@ -28,7 +28,7 @@
 #   make loc         - line totals of src/repro, per package, of core/engine.py, replication.py and cli.py
 #   make lint        - unrlint determinism rules (+ ruff when installed)
 #   make verify      - unrverify: happens-before trace verifier over the
-#                      golden + mutation corpora + static protocol pass
+#                      golden + mutation corpora
 #   make typecheck   - mypy strict-lite gate (skipped when not installed)
 #   make check       - lint + typecheck + unrverify
 

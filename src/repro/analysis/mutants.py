@@ -8,10 +8,9 @@ verify --corpus mutants`` (and CI) runs every mutant and fails unless
 the proof that the checker detects real violations, the complement of
 the 16 golden scenarios proving zero false positives.
 
-Trace mutants run a tiny two-rank job on ``th-xy`` with observation
-armed and feed the recorder to :func:`repro.analysis.verify.verify_recorder`;
-static mutants are source snippets pushed through the unrlint protocol
-pass (UNR010/UNR011) under a workload-scoped pseudo-path.
+Each mutant but ``tampered_trace`` runs a tiny two-rank job on
+``th-xy`` with observation armed; every one feeds its recorder to
+:func:`repro.analysis.verify.verify_recorder`.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ class Mutant:
     """One seeded bug: a name, what it breaks, and the rule that must fire."""
 
     name: str
-    layer: str  # 'trace' | 'static'
     expect: Tuple[str, ...]
     description: str
 
@@ -51,7 +49,7 @@ class MutantOutcome:
         return any(rule in self.got for rule in self.expect)
 
 
-# -- trace mutants ------------------------------------------------------------
+# -- the buggy programs --------------------------------------------------------
 
 
 def _run_program(program_factory: Callable[[Any], Any]) -> Any:
@@ -185,6 +183,61 @@ def _mutant_credit_skip_stream() -> Any:
     return _run_program(factory)
 
 
+def _mutant_plan_replay_no_rearm() -> Any:
+    """A recorded plan replayed twice with no wait between the starts:
+    the second replay overwrites what the first delivered (VER001)."""
+
+    def factory(unr: Any) -> Any:
+        def program(ctx: Any) -> Generator[Any, Any, None]:
+            ep = unr.endpoint(ctx.rank)
+            buf = np.zeros(_NBYTES, dtype=np.uint8)
+            mr = ep.mem_reg(buf)
+            if ctx.rank == 0:
+                blk = ep.blk_init(mr, 0, _NBYTES)
+                rmt = yield from ep.recv_ctl(1, tag="addr")
+                plan = ep.plan().record_put(blk, rmt)
+                plan.start()
+                plan.start()  # BUG: no wait or re-arm between replays
+                yield ctx.env.timeout(_LINGER)
+            else:
+                sig = ep.sig_init(2)
+                blk = ep.blk_init(mr, 0, _NBYTES, signal=sig)
+                yield from ep.send_ctl(0, blk, tag="addr")
+                yield from ep.sig_wait(sig)
+
+        return program
+
+    return _run_program(factory)
+
+
+def _mutant_free_then_post() -> Any:
+    """The producer PUTs after the consumer freed the guarding signal:
+    the notification lands on an unregistered sid (VER003)."""
+
+    def factory(unr: Any) -> Any:
+        def program(ctx: Any) -> Generator[Any, Any, None]:
+            ep = unr.endpoint(ctx.rank)
+            buf = np.zeros(_NBYTES, dtype=np.uint8)
+            mr = ep.mem_reg(buf)
+            if ctx.rank == 0:
+                blk = ep.blk_init(mr, 0, _NBYTES)
+                rmt = yield from ep.recv_ctl(1, tag="addr")
+                yield from ep.recv_ctl(1, tag="freed")
+                ep.put(blk, rmt)  # BUG: the target signal is gone
+                yield ctx.env.timeout(_LINGER)
+            else:
+                sig = ep.sig_init(1)
+                blk = ep.blk_init(mr, 0, _NBYTES, signal=sig)
+                yield from ep.send_ctl(0, blk, tag="addr")
+                ep.sig_free(sig)
+                yield from ep.send_ctl(0, None, tag="freed")
+                yield ctx.env.timeout(_LINGER)
+
+        return program
+
+    return _run_program(factory)
+
+
 def _mutant_tampered_trace() -> Any:
     """A clean run whose trace is then corrupted: one delivery stamped
     before its post (VER004 — the nondeterminism/corruption detector)."""
@@ -200,36 +253,14 @@ def _mutant_tampered_trace() -> Any:
     return recorder
 
 
-_TRACE_RUNNERS: Dict[str, Callable[[], Any]] = {
+_RUNNERS: Dict[str, Callable[[], Any]] = {
     "unawaited_notification": _mutant_unawaited_notification,
     "racy_overlapping_puts": _mutant_racy_overlapping_puts,
     "read_before_notify": _mutant_read_before_notify,
     "credit_skip_stream": _mutant_credit_skip_stream,
+    "plan_replay_no_rearm": _mutant_plan_replay_no_rearm,
+    "free_then_post": _mutant_free_then_post,
     "tampered_trace": _mutant_tampered_trace,
-}
-
-
-# -- static mutants -----------------------------------------------------------
-
-_STATIC_SOURCES: Dict[str, str] = {
-    "unmatched_put": (
-        "def halo_push(ep, blk, rmt):\n"
-        "    ep.put(blk, rmt)\n"
-        "\n"
-        "def main(ep, blk, rmt):\n"
-        "    halo_push(ep, blk, rmt)\n"
-    ),
-    "plan_replay_no_rearm": (
-        "def replay(plan, steps):\n"
-        "    for _ in range(steps):\n"
-        "        plan.start()\n"
-    ),
-    "free_then_post": (
-        "def teardown_then_post(ep, sig, blk, rmt):\n"
-        "    ep.sig_wait(sig)\n"
-        "    ep.sig_free(sig)\n"
-        "    ep.put(blk, rmt)\n"
-    ),
 }
 
 
@@ -237,36 +268,32 @@ MUTANTS: Dict[str, Mutant] = {
     m.name: m
     for m in (
         Mutant(
-            "unawaited_notification", "trace", ("VER003",),
+            "unawaited_notification", ("VER003",),
             "a PUT's arrival notification is applied but never awaited",
         ),
         Mutant(
-            "racy_overlapping_puts", "trace", ("VER001",),
+            "racy_overlapping_puts", ("VER001",),
             "two unordered PUTs overlap the same MR interval",
         ),
         Mutant(
-            "read_before_notify", "trace", ("VER002",),
+            "read_before_notify", ("VER002",),
             "the landing buffer is read before the guarding sig_wait",
         ),
         Mutant(
-            "credit_skip_stream", "trace", ("VER001",),
+            "credit_skip_stream", ("VER001",),
             "stream without credits: local completion mistaken for delivery",
         ),
         Mutant(
-            "tampered_trace", "trace", ("VER004",),
-            "trace corruption: delivery stamped before its post",
+            "plan_replay_no_rearm", ("VER001",),
+            "plan replayed twice with no wait or re-arm between the starts",
         ),
         Mutant(
-            "unmatched_put", "static", ("UNR010",),
-            "an RMA put with no reachable sig_wait anywhere",
-        ),
-        Mutant(
-            "plan_replay_no_rearm", "static", ("UNR011",),
-            "plan replay loop with no wait or re-arm",
-        ),
-        Mutant(
-            "free_then_post", "static", ("UNR011",),
+            "free_then_post", ("VER003",),
             "posting after the guarding signal was freed",
+        ),
+        Mutant(
+            "tampered_trace", ("VER004",),
+            "trace corruption: delivery stamped before its post",
         ),
     )
 }
@@ -274,22 +301,11 @@ MUTANTS: Dict[str, Mutant] = {
 
 def run_mutant(name: str) -> MutantOutcome:
     """Run one mutant; returns what fired vs what was expected."""
-    from .unrlint import LintConfig, lint_source
     from .verify import verify_recorder
 
-    mutant = MUTANTS[name]
-    if mutant.layer == "trace":
-        recorder = _TRACE_RUNNERS[name]()
-        report = verify_recorder(recorder, origin=f"mutant/{name}")
-        got = tuple(sorted({f.rule for f in report.findings}))
-    else:
-        findings = lint_source(
-            _STATIC_SOURCES[name],
-            path=f"examples/mutant_{name}.py",
-            config=LintConfig(force_protocol=True),
-        )
-        got = tuple(sorted({f.rule for f in findings}))
-    return MutantOutcome(name=name, expect=mutant.expect, got=got)
+    report = verify_recorder(_RUNNERS[name](), origin=f"mutant/{name}")
+    got = tuple(sorted({f.rule for f in report.findings}))
+    return MutantOutcome(name=name, expect=MUTANTS[name].expect, got=got)
 
 
 def run_all_mutants() -> List[MutantOutcome]:

@@ -1,22 +1,19 @@
 """UnrSanitizer: opt-in runtime checks for the UNR library.
 
-Armed with ``Unr(sanitize=True)``, the sanitizer validates the dynamic
-properties that the static :mod:`~repro.analysis.unrlint` rules cannot
-see:
+Armed with ``Unr(sanitize=True)``, the sanitizer reports what nothing
+else reports.  The library itself raises on a BLK outside its region or
+over an unregistered handle, on over-width custom bits, on a freed plan
+and on a double ``sig_free`` (the interface is the first checker, paper
+§IV-D), and unrverify reports ordering bugs.  The sanitizer adds:
 
-* every RMA operation is checked against the registered-memory map —
-  out-of-bounds blocks and blocks over unregistered handles are
-  reported *before* the library raises (the check runs in
+* every RMA operation's signal ids are checked — a freed or never
+  registered id, and an id past the level's capacity (silent Level-0
+  degradation), are flagged in
   :meth:`~repro.core.engine.TransferEngine.prepare_put` /
-  ``prepare_get``, and again on every plan replay through
-  :meth:`~repro.core.engine.TransferEngine.post_op`);
+  ``prepare_get`` and again on every plan replay through
+  :meth:`~repro.core.engine.TransferEngine.post_op`;
 * overlapping registrations (two memory regions sharing bytes) are
   flagged at ``mem_reg`` time;
-* signal payloads that exceed the active interface's custom-bit budget
-  are reported through the :mod:`~repro.interconnect.width` chokepoint
-  before the :class:`~repro.interconnect.ChannelError`, and signal ids
-  past the level's capacity (silent Level-0 degradation) are flagged;
-* use of freed plans and freed signal ids is detected;
 * at :meth:`~repro.core.api.Unr.finalize`, leaked notifications —
   signals whose counters are mid-count, overflowed signals and stray
   completions — are reported.
@@ -32,13 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Set, Tuple
 
-from ..interconnect.width import WidthViolation
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.api import Unr
     from ..core.memory import Blk, MemoryRegion
-    from ..core.plan import RmaPlan
-    from ..core.signal import Signal
 
 __all__ = ["SanitizerFinding", "SanitizerReport", "UnrSanitizer"]
 
@@ -121,13 +114,9 @@ class UnrSanitizer:
 
     #: every finding kind the sanitizer can emit
     KINDS = (
-        "oob",  # block outside its memory region
-        "unregistered-mr",  # block references an unknown (rank, handle)
         "overlap",  # two registrations share bytes
-        "custom-width",  # payload exceeds the interface's custom bits
         "degraded-sid",  # signal id past the level capacity (Level-0 fallback)
         "freed-signal",  # RMA/completion referencing a freed signal id
-        "use-after-free",  # freed plan started / signal double-freed
         "leaked-notification",  # signal counter mid-count at finalize
         "overflow",  # event-overflow bit set at finalize
         "stray-completion",  # completions for unknown signal ids
@@ -175,26 +164,8 @@ class UnrSanitizer:
         remote_sid: Optional[int],
         local_sid: Optional[int],
     ) -> None:
-        """Validate one PUT/GET against the registered-memory map."""
+        """Check the signal ids one PUT/GET notifies."""
         where = f"{op} rank{local_blk.rank}->rank{remote_blk.rank}"
-        for role, blk in (("local", local_blk), ("remote", remote_blk)):
-            mr = self.unr._mrs.get((blk.rank, blk.mr_handle))
-            if mr is None:
-                self.report.add(
-                    "unregistered-mr",
-                    where,
-                    f"{role} BLK references unregistered memory "
-                    f"(rank={blk.rank}, handle={blk.mr_handle})",
-                    time=self._now(),
-                )
-            elif blk.offset + blk.size > mr.nbytes:
-                self.report.add(
-                    "oob",
-                    where,
-                    f"{role} BLK [{blk.offset}, {blk.offset + blk.size}) "
-                    f"outside its {mr.nbytes}B region",
-                    time=self._now(),
-                )
         for role, sid, owner in (
             ("remote", remote_sid, remote_blk.rank),
             ("local", local_sid, rank),
@@ -224,32 +195,7 @@ class UnrSanitizer:
                     severity="warning",
                 )
 
-    # -- custom-bit width (interconnect chokepoint hook) ---------------------
-    def on_width_violation(self, violation: WidthViolation) -> None:
-        self.report.add(
-            "custom-width",
-            f"{self.unr.channel.name} {violation.what}",
-            violation.describe(),
-            time=self._now(),
-        )
-
-    # -- lifetime ------------------------------------------------------------
-    def on_plan_start_after_free(self, plan: "RmaPlan") -> None:
-        self.report.add(
-            "use-after-free",
-            f"plan rank{plan.endpoint.rank}",
-            f"plan with {len(plan)} recorded op(s) started after free()",
-            time=self._now(),
-        )
-
-    def on_signal_double_free(self, sig: "Signal") -> None:
-        self.report.add(
-            "use-after-free",
-            f"sig_free rank{sig.owner_rank}",
-            f"signal id {sig.sid} freed twice",
-            time=self._now(),
-        )
-
+    # -- drain protocol ------------------------------------------------------
     def on_fragment_drained(self, node: int, sid: int) -> None:
         """Drain-protocol hook: a cancelled fragment owed ``(node, sid)``
         a notification that cannot be discharged through the idempotent

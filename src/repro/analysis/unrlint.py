@@ -23,21 +23,10 @@ UNR004  direct ``heapq`` use outside the kernel (``sim/core.py`` /
         seq)`` tie-break
 UNR005  ``except Exception`` / bare ``except`` that can swallow
         ``UnrTimeoutError`` (unless the handler re-raises)
-UNR010  an RMA post (``ep.put``/``ep.get``) with no wait-like call
-        (``sig_wait``/``sig_test``/``recv_ctl``/…) reachable from the
-        posting function or any of its callers — the notification can
-        never be consumed (workload scopes; see
-        :mod:`repro.analysis.verify`)
-UNR011  unguarded buffer/plan reuse: a replay loop with no reachable
-        wait or ``sig_reset``, or posting after ``sig_free`` /
-        ``finalize`` / ``drain`` (workload scopes)
 ======= ==============================================================
 
 UNR005 covers ``except Exception``, bare ``except`` *and*
 ``except BaseException`` — all three can swallow ``UnrTimeoutError``.
-UNR010/UNR011 are the static half of unrverify; they run only on files
-under :data:`PROTOCOL_SCOPES` unless :attr:`LintConfig.force_protocol`
-is set.
 
 Suppression: append ``# unrlint: disable=UNR003`` (comma-separated ids,
 or no ids to silence every rule) to the first line of the flagged
@@ -111,20 +100,6 @@ RULES: Dict[str, Rule] = {
             "catch the specific UNR/simulation errors you expect, or re-raise "
             "inside the handler",
         ),
-        Rule(
-            "UNR010",
-            "RMA post with no reachable matching wait",
-            "pair every ep.put/ep.get with a reachable sig_wait/sig_test/"
-            "recv_ctl (in the poster or a caller) so the notification it "
-            "raises is consumed",
-        ),
-        Rule(
-            "UNR011",
-            "unguarded buffer or plan reuse",
-            "wait (sig_wait) or re-arm (sig_reset/sig_init) between reuses "
-            "of a buffer or replayed plan, and never post after "
-            "sig_free/finalize/drain tore the guard down",
-        ),
     )
 }
 
@@ -158,11 +133,6 @@ WALLCLOCK_MODULE = "obs/profile.py"
 #: path suffixes of the kernel modules that may use ``heapq`` (UNR004).
 HEAPQ_KERNEL_MODULES: Tuple[str, ...] = ("sim/core.py", "sim/scheduler.py")
 
-#: path components under which the UNR010/UNR011 protocol pass runs
-#: (workload code posting real RMA ops).
-PROTOCOL_SCOPES: Tuple[str, ...] = ("examples", "powerllel", "collectives")
-
-
 @dataclass(frozen=True)
 class LintConfig:
     """What to check.
@@ -171,9 +141,6 @@ class LintConfig:
     """
 
     select: Optional[FrozenSet[str]] = None
-    #: run the protocol pass on every file regardless of scope
-    #: (used by the mutation corpus and targeted tests).
-    force_protocol: bool = False
 
     def enabled(self, rule_id: str) -> bool:
         return self.select is None or rule_id in self.select
@@ -487,24 +454,9 @@ def lint_source(
         wallclock_allowed=norm.endswith(WALLCLOCK_MODULE),
     )
     visitor.visit(tree)
-    all_findings = list(visitor.findings)
-    in_protocol_scope = any(part in PROTOCOL_SCOPES for part in Path(norm).parts)
-    if (config.force_protocol or in_protocol_scope) and (
-        config.enabled("UNR010") or config.enabled("UNR011")
-    ):
-        # Deferred import: verify.py imports Finding/Rule from here.
-        from .verify import protocol_pass
-
-        all_findings.extend(
-            protocol_pass(
-                tree, path, RULES,
-                check_unr010=config.enabled("UNR010"),
-                check_unr011=config.enabled("UNR011"),
-            )
-        )
     per_line, per_file = _parse_suppressions(source)
     kept: List[Finding] = []
-    for finding in all_findings:
+    for finding in visitor.findings:
         if finding.rule in per_file:
             continue
         if finding.line in per_line:

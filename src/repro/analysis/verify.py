@@ -1,6 +1,6 @@
-"""unrverify: trace-based happens-before verification + static protocol pass.
+"""unrverify: trace-based happens-before verification.
 
-Layer 1 (dynamic) consumes the ``ops``/``protocol`` streams an armed
+The verifier consumes the ``ops``/``protocol`` streams an armed
 :class:`~repro.obs.recorder.Recorder` collects, builds the
 happens-before graph (:mod:`repro.analysis.hbgraph`), and reports:
 
@@ -37,20 +37,10 @@ The happens-before edge taxonomy (see ``docs/analysis.md``):
   ``fallback``) between one ``(src, dst)`` pair, when nondecreasing in
   time (a reorder fault legitimately breaks lane order; the edge is
   simply dropped).
-
-Layer 2 (static) is :func:`protocol_pass`: an inter-procedural sweep
-over workload ASTs flagging UNR010 (an RMA post with no reachable
-wait-like call in the poster or any of its callers) and UNR011
-(buffer/plan reuse without a guard: a replay loop with no wait/reset,
-posting after ``sig_free``, posting after ``finalize``/``drain``).
-It is invoked from :func:`repro.analysis.unrlint.lint_source` for
-files under the workload scopes, so suppressions and ``--select``
-work unchanged.
 """
 
 from __future__ import annotations
 
-import ast
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
@@ -61,9 +51,9 @@ __all__ = [
     "VERIFY_RULES",
     "VerifyReport",
     "build_hb_graph",
+    "verify_corpus",
     "verify_recorder",
     "verify_schedule",
-    "protocol_pass",
 ]
 
 
@@ -102,7 +92,7 @@ VERIFY_RULES: Dict[str, Rule] = {
 _PROGRAM_KINDS = ("sig_init", "sig_free", "wait", "reset", "ctrl_recv")
 
 
-# -- layer 1: graph construction ---------------------------------------------
+# -- graph construction ---------------------------------------------
 
 
 def _interval_overlap(a: Tuple[int, int, int, int], b: Tuple[int, int, int, int]) -> bool:
@@ -276,7 +266,7 @@ def build_hb_graph(recorder: Any) -> HBGraph:
     return g
 
 
-# -- layer 1: the checks ------------------------------------------------------
+# -- the checks ------------------------------------------------------
 
 
 @dataclass
@@ -302,7 +292,7 @@ def _finding(rule_id: str, origin: str, seq: int, message: str) -> Finding:
 
 
 def verify_recorder(recorder: Any, origin: str = "run") -> VerifyReport:
-    """Run every layer-1 check over one armed recorder's streams."""
+    """Run every check over one armed recorder's streams."""
     report = VerifyReport(origin=origin)
     g = build_hb_graph(recorder)
     report.graph = g
@@ -435,242 +425,6 @@ def verify_schedule(platform: str, schedule: str) -> VerifyReport:
     report = verify_recorder(recorder, origin=f"{platform}/{schedule}")
     report.fingerprint = fingerprint
     return report
-
-
-# -- layer 2: static protocol-conformance pass --------------------------------
-
-#: calls that consume/await a notification (or synchronize a phase).
-_WAIT_LIKE = {"sig_wait", "sig_test", "recv_ctl", "exchange_blk", "wait", "barrier"}
-#: calls that re-arm a signal epoch.
-_REARM = {"sig_reset", "sig_init"}
-#: attribute receivers treated as UNR endpoints for put/get detection
-#: (``.get`` alone would collide with ``dict.get``).
-_EP_NAMES = ("ep", "endpoint", "unr")
-
-
-def _is_rma_post(call: ast.Call) -> Optional[str]:
-    """``ep.put(...)`` / ``ep.get(...)`` → the method name, else None."""
-    fn = call.func
-    if not isinstance(fn, ast.Attribute) or fn.attr not in ("put", "get"):
-        return None
-    base = fn.value
-    if isinstance(base, ast.Name):
-        name = base.id.lower()
-        if name in _EP_NAMES or name.startswith("ep") or name.endswith("ep"):
-            return fn.attr
-    if isinstance(base, ast.Attribute) and base.attr in _EP_NAMES:
-        return fn.attr
-    return None
-
-
-def _walk_skip_nested(fn: ast.AST) -> Iterable[ast.AST]:
-    """Walk a function body without descending into nested ``def``s
-    (each nested function is analysed as its own entry point)."""
-    stack = list(ast.iter_child_nodes(fn))
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        yield node
-        stack.extend(ast.iter_child_nodes(node))
-
-
-def _called_names(node: ast.AST) -> Set[str]:
-    out: Set[str] = set()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Call):
-            fn = sub.func
-            if isinstance(fn, ast.Attribute):
-                out.add(fn.attr)
-            elif isinstance(fn, ast.Name):
-                out.add(fn.id)
-    return out
-
-
-class _ProtocolPass:
-    """Inter-procedural UNR010/UNR011 over one module AST."""
-
-    def __init__(self, tree: ast.Module, path: str) -> None:
-        self.path = path
-        self.findings: List[Finding] = []
-        self.functions: Dict[str, ast.AST] = {}
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self.functions.setdefault(node.name, node)
-        # name -> locally-defined callees
-        self.calls: Dict[str, Set[str]] = {
-            name: {c for c in _called_names(fn) if c in self.functions and c != name}
-            for name, fn in self.functions.items()
-        }
-        self.callers: Dict[str, Set[str]] = {name: set() for name in self.functions}
-        for name, callees in self.calls.items():
-            for c in callees:
-                self.callers[c].add(name)
-        self._closure_cache: Dict[str, Set[str]] = {}
-
-    def closure_names(self, fname: str) -> Set[str]:
-        """Every call name textually reachable from ``fname`` through
-        locally-defined functions (including ``fname``'s own calls)."""
-        cached = self._closure_cache.get(fname)
-        if cached is not None:
-            return cached
-        seen: Set[str] = set()
-        out: Set[str] = set()
-        stack = [fname]
-        while stack:
-            cur = stack.pop()
-            if cur in seen or cur not in self.functions:
-                continue
-            seen.add(cur)
-            out |= _called_names(self.functions[cur])
-            stack.extend(self.calls.get(cur, ()))
-        self._closure_cache[fname] = out
-        return out
-
-    def _caller_family(self, fname: str) -> Set[str]:
-        """``fname`` plus every function that (transitively) calls it."""
-        out: Set[str] = set()
-        stack = [fname]
-        while stack:
-            cur = stack.pop()
-            if cur in out:
-                continue
-            out.add(cur)
-            stack.extend(self.callers.get(cur, ()))
-        return out
-
-    def _flag(self, rule_id: str, node: ast.AST, message: str, rules: Dict[str, Rule]) -> None:
-        rule = rules[rule_id]
-        self.findings.append(
-            Finding(
-                rule=rule_id, path=self.path,
-                line=getattr(node, "lineno", 1),
-                col=getattr(node, "col_offset", 0),
-                message=message, hint=rule.hint,
-            )
-        )
-
-    def run(self, rules: Dict[str, Rule], check_unr010: bool, check_unr011: bool) -> List[Finding]:
-        for fname, fn in self.functions.items():
-            # UNR010: an RMA post whose poster — and every caller of the
-            # poster — can never reach a wait-like call.
-            if check_unr010:
-                for sub in _walk_skip_nested(fn):
-                    if isinstance(sub, ast.Call) and _is_rma_post(sub):
-                        family = self._caller_family(fname)
-                        reachable: Set[str] = set()
-                        for member in family:
-                            reachable |= self.closure_names(member)
-                        if not (reachable & _WAIT_LIKE):
-                            self._flag(
-                                "UNR010", sub,
-                                f"{_is_rma_post(sub)}() posted in {fname}() but no "
-                                "sig_wait/sig_test/recv_ctl is reachable from it or "
-                                "any of its callers — the notification can never "
-                                "be consumed",
-                                rules,
-                            )
-            if not check_unr011:
-                continue
-            # UNR011a: a replay loop that never waits or re-arms.  The
-            # fan-out idiom (post to N peers in a loop, synchronize
-            # outside it) is fine — only flag when *nothing* in the
-            # poster or its caller family ever waits or re-arms.
-            family_guard: Set[str] = set()
-            for member in self._caller_family(fname):
-                family_guard |= self.closure_names(member)
-            family_guarded = bool(family_guard & (_WAIT_LIKE | _REARM))
-            for sub in ast.walk(fn):
-                if isinstance(sub, (ast.For, ast.While)):
-                    loop_calls: Set[str] = set()
-                    has_post = False
-                    for inner in ast.walk(sub):
-                        if isinstance(inner, ast.Call):
-                            if _is_rma_post(inner) or (
-                                isinstance(inner.func, ast.Attribute)
-                                and inner.func.attr == "start"
-                            ):
-                                has_post = True
-                            fn_node = inner.func
-                            name = (
-                                fn_node.attr if isinstance(fn_node, ast.Attribute)
-                                else fn_node.id if isinstance(fn_node, ast.Name)
-                                else ""
-                            )
-                            loop_calls.add(name)
-                            if name in self.functions:
-                                loop_calls |= self.closure_names(name)
-                    if (
-                        has_post
-                        and not (loop_calls & (_WAIT_LIKE | _REARM))
-                        and not family_guarded
-                    ):
-                        self._flag(
-                            "UNR011", sub,
-                            f"loop in {fname}() re-posts into the same buffers "
-                            "without a reachable wait or sig_reset — iteration "
-                            "N+1 can overwrite data iteration N never consumed",
-                            rules,
-                        )
-            # UNR011b/c: statement-ordered misuse inside one function:
-            # posting (or replaying) after sig_free / finalize / drain.
-            closed_at: Optional[Tuple[int, str]] = None
-            for stmt in ast.walk(fn):
-                if not isinstance(stmt, ast.Call):
-                    continue
-                fn_node = stmt.func
-                name = (
-                    fn_node.attr if isinstance(fn_node, ast.Attribute)
-                    else fn_node.id if isinstance(fn_node, ast.Name) else ""
-                )
-                line = getattr(stmt, "lineno", 0)
-                if name in ("sig_free", "finalize", "drain"):
-                    if closed_at is None or line < closed_at[0]:
-                        closed_at = (line, name)
-            if closed_at is not None:
-                for stmt in ast.walk(fn):
-                    if not isinstance(stmt, ast.Call):
-                        continue
-                    line = getattr(stmt, "lineno", 0)
-                    if line <= closed_at[0]:
-                        continue
-                    is_replay = (
-                        isinstance(stmt.func, ast.Attribute)
-                        and stmt.func.attr == "start"
-                    )
-                    if _is_rma_post(stmt) or is_replay:
-                        # a fresh sig_init between the close and the post
-                        # re-arms legitimately
-                        rearmed = any(
-                            isinstance(mid.func, ast.Attribute)
-                            and mid.func.attr == "sig_init"
-                            and closed_at[0] < getattr(mid, "lineno", 0) < line
-                            for mid in ast.walk(fn)
-                            if isinstance(mid, ast.Call)
-                        )
-                        if not rearmed:
-                            self._flag(
-                                "UNR011", stmt,
-                                f"post after {closed_at[1]}() (line {closed_at[0]}) "
-                                f"in {fname}() — the guarding signal/plan was "
-                                "already torn down",
-                                rules,
-                            )
-        self.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-        return self.findings
-
-
-def protocol_pass(
-    tree: ast.Module,
-    path: str,
-    rules: Dict[str, Rule],
-    check_unr010: bool = True,
-    check_unr011: bool = True,
-) -> List[Finding]:
-    """UNR010/UNR011 over one parsed module (invoked from unrlint)."""
-    if not (check_unr010 or check_unr011):
-        return []
-    return _ProtocolPass(tree, path).run(rules, check_unr010, check_unr011)
 
 
 # -- corpus drivers -----------------------------------------------------------

@@ -187,7 +187,7 @@ def fig7_scaling(platform: str, steps: int = 1, max_points: Optional[int] = None
     """Strong-scaling sweep; returns one row per node count."""
     series = FIG7_SERIES[platform]
     grid = series["grid"]
-    points = series["points"][: max_points or None]
+    points = series["points"][:max_points]
     rows = []
     base_nodes = points[0]["nodes"]
     base_time = None

@@ -15,12 +15,13 @@
     python -m repro trace latency --profile     # + unrprof host-time attribution
     python -m repro fingerprints                # golden wire-fingerprint diff
     python -m repro lint src/repro examples     # unrlint determinism rules
-    python -m repro verify                      # unrverify HB + protocol pass
+    python -m repro verify                      # unrverify happens-before checker
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import nullcontext
 from typing import List, Optional
@@ -59,6 +60,9 @@ def _fault_spec(text: str) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .platforms import PLATFORMS
+
+    platforms = tuple(PLATFORMS)
     parser = argparse.ArgumentParser(
         prog="repro",
         description="UNR (SC 2024) reproduction: run the paper's experiments "
@@ -69,24 +73,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("tables", help="print Tables I, II and III")
 
     p = sub.add_parser("latency", help="Figure 4: UNR vs MPI-RMA latency")
-    p.add_argument("--platform", default="th-xy")
+    p.add_argument("--platform", choices=platforms, default="th-xy")
     p.add_argument("--sizes", type=_sizes, default=[8, 512, 4096, 65536, 1048576])
-    p.add_argument("--iters", type=int, default=10)
+    p.add_argument("--iters", type=_at_least(1), default=10)
 
     p = sub.add_parser("multinic", help="Figure 5: multi-NIC aggregation sweeps")
-    p.add_argument("--platform", default="th-xy")
-    p.add_argument("--iters", type=int, default=12)
+    p.add_argument("--platform", choices=platforms, default="th-xy")
+    p.add_argument("--iters", type=_at_least(1), default=12)
 
     p = sub.add_parser("powerllel", help="one PowerLLEL run (Figure 6 cell)")
-    p.add_argument("--platform", default="th-2a")
+    p.add_argument("--platform", choices=platforms, default="th-2a")
     p.add_argument("--backend", choices=["mpi", "unr"], default="unr")
     p.add_argument("--fallback", action="store_true", help="use the UNR MPI-fallback channel")
-    p.add_argument("--nodes", type=int, default=12)
-    p.add_argument("--py", type=int, default=4)
-    p.add_argument("--pz", type=int, default=3)
+    p.add_argument("--nodes", type=_at_least(1), default=12)
+    p.add_argument("--py", type=_at_least(1), default=4)
+    p.add_argument("--pz", type=_at_least(1), default=3)
     p.add_argument("--grid", type=_sizes, default=[384, 384, 288],
                    metavar="NX,NY,NZ")
-    p.add_argument("--steps", type=int, default=2)
+    p.add_argument("--steps", type=_at_least(1), default=2)
     p.add_argument("--faults", type=_fault_spec, default=None, metavar="SPEC",
                    help="fault schedule, e.g. 'drop=0.3,reorder=0.2,rail_fail@t=5.0' "
                         "(arms the UNR reliability layer)")
@@ -99,10 +103,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--faults", type=_fault_spec, default=None, metavar="SPEC",
                    help="fault schedule (default: drop=0.3,reorder=0.2,rail_fail@t=5.0)")
-    p.add_argument("--platform", default="th-xy")
-    p.add_argument("--nodes", type=int, default=2)
-    p.add_argument("--size", type=int, default=262144)
-    p.add_argument("--iters", type=int, default=8)
+    p.add_argument("--platform", choices=platforms, default="th-xy")
+    p.add_argument("--nodes", type=_at_least(2), default=2)
+    p.add_argument("--size", type=_at_least(1), default=262144)
+    p.add_argument("--iters", type=_at_least(1), default=8)
     p.add_argument("--seed", type=int, default=2024)
     p.add_argument("--fault-seed", type=int, default=None)
     p.add_argument("--kill-node", type=int, default=None, metavar="NODE",
@@ -123,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
              "blown replication budget",
     )
     p.add_argument("--platform", action="append", dest="platforms",
-                   metavar="NAME", default=None,
+                   choices=platforms, default=None,
                    help="platform to include (repeatable; default: all four)")
     p.add_argument("--faults", type=_fault_spec, default=None, metavar="SPEC",
                    help="override the chaos fault schedule")
@@ -142,13 +146,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="machine-readable resilience record output")
 
     p = sub.add_parser("fig6", help="Figure 6: baseline vs UNR vs fallback")
-    p.add_argument("--platform", default="th-2a")
-    p.add_argument("--steps", type=int, default=2)
+    p.add_argument("--platform", choices=platforms, default="th-2a")
+    p.add_argument("--steps", type=_at_least(1), default=2)
 
     p = sub.add_parser("scaling", help="Figure 7: strong-scaling series")
     p.add_argument("--platform", choices=["th-2a", "th-xy"], default="th-2a")
-    p.add_argument("--steps", type=int, default=1)
-    p.add_argument("--max-points", type=int, default=None)
+    p.add_argument("--steps", type=_at_least(1), default=1)
+    p.add_argument("--max-points", type=_at_least(1), default=None)
 
     p = sub.add_parser(
         "trace",
@@ -158,8 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("demo", nargs="?", choices=["stream", "latency", "powerllel"],
                    default="stream")
-    p.add_argument("--platform", default="th-xy")
-    p.add_argument("--size", type=int, default=65536)
+    p.add_argument("--platform", choices=platforms, default="th-xy")
+    p.add_argument("--size", type=_at_least(1), default=65536)
     p.add_argument("--iters", type=int, default=6)
     p.add_argument("--seed", type=int, default=2024)
     p.add_argument("--faults", type=_fault_spec, default=None, metavar="SPEC",
@@ -195,8 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "lint",
-        help="unrlint: static determinism rules (UNR001-UNR005, UNR010, "
-             "UNR011) over Python sources",
+        help="unrlint: static determinism rules (UNR001-UNR005) over "
+             "Python sources",
     )
     p.add_argument("paths", nargs="*", default=["src/repro"],
                    help="files or directories to lint (default: src/repro)")
@@ -208,16 +212,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "verify",
         help="unrverify: happens-before trace verifier (VER001-VER004) over "
-             "the golden corpus, the seeded mutation corpus, and the static "
-             "protocol pass (UNR010/UNR011)",
+             "the golden corpus and the seeded mutation corpus",
     )
     p.add_argument("--corpus", default="all", choices=("golden", "mutants", "all"),
                    help="which corpus to run (default: all)")
-    p.add_argument("--platform", action="append", default=None, metavar="NAME",
+    p.add_argument("--platform", action="append", choices=platforms, default=None,
                    help="restrict the golden corpus to this platform "
                         "(repeatable; default: all four)")
-    p.add_argument("--no-static", action="store_true",
-                   help="skip the static protocol-conformance sweep")
 
     return parser
 
@@ -509,6 +510,9 @@ def cmd_fingerprints(args) -> int:
     )
 
     path = args.path or GOLDEN_PATH
+    if not args.write and not os.path.isfile(path):
+        print(f"fingerprints: no such file: {path}")
+        return 2
     entries = collect_fingerprints()
     if args.write:
         write_corpus(path, entries=entries)
@@ -540,6 +544,10 @@ def cmd_lint(args) -> int:
         if unknown:
             print(f"unknown rule id(s): {', '.join(sorted(unknown))}")
             return 2
+    missing = [path for path in args.paths if not os.path.exists(path)]
+    if missing:
+        print(f"unrlint: no such file or directory: {', '.join(missing)}")
+        return 2
     config = LintConfig(select=select)
     findings = lint_paths(args.paths, config=config)
     if findings:
@@ -553,7 +561,7 @@ def cmd_lint(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .analysis import LintConfig, lint_paths, verify_corpus
+    from .analysis import verify_corpus
     from .analysis.mutants import run_all_mutants
     from .bench.fingerprints import load_corpus
 
@@ -586,18 +594,6 @@ def cmd_verify(args) -> int:
             print(f"    {mark} {o.name}  expect {'|'.join(o.expect)}  got {got}")
             if not o.flagged:
                 ok = False
-
-    if not args.no_static:
-        scopes = ["src/repro/powerllel", "src/repro/collectives", "examples"]
-        config = LintConfig(select=frozenset({"UNR010", "UNR011"}),
-                            force_protocol=True)
-        static = lint_paths(scopes, config=config)
-        print(f"verify: static pass    {len(static)} UNR010/UNR011 finding(s) "
-              f"over {', '.join(scopes)}")
-        if static:
-            ok = False
-            for f in static:
-                print(f"    {f.format()}")
 
     print("verify: " + ("OK" if ok else "FAILED"))
     return 0 if ok else 1

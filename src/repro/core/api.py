@@ -120,11 +120,10 @@ class Unr:
         :class:`~repro.netsim.faults.FaultInjector` is attached).
     sanitize:
         Arm the :class:`~repro.analysis.sanitizer.UnrSanitizer` runtime
-        checks (out-of-bounds RMA, overlapping registrations, over-width
-        custom-bit payloads, use-after-free, leaked notifications);
-        off by default.  The checks are passive — an armed run is
-        trace-identical to a disarmed one; call :meth:`finalize` at the
-        end of the job to collect the report.
+        checks (freed or degraded signal ids, overlapping registrations,
+        leaked notifications); off by default.  The checks are passive —
+        an armed run is trace-identical to a disarmed one; call
+        :meth:`finalize` at the end of the job to collect the report.
     observe:
         Arm the :class:`~repro.obs.Recorder` observability layer —
         plan/collective spans, signal-wait latency histograms, poll-loop
@@ -229,9 +228,6 @@ class Unr:
         self._degrade_warned = False
 
         self.sanitizer: Optional[UnrSanitizer] = UnrSanitizer(self) if sanitize else None
-        if self.sanitizer is not None:
-            # Route the interconnect's width chokepoint into the report.
-            self.channel.width_observer = self.sanitizer.on_width_violation
 
         self.obs: Optional[Recorder] = None
         if observe:
@@ -324,8 +320,6 @@ class Unr:
     def _free_signal(self, sig: Signal) -> None:
         node = self._node_index(sig.owner_rank)
         if self._sig_tables[node].get(sig.sid) is not sig:
-            if self.sanitizer is not None:
-                self.sanitizer.on_signal_double_free(sig)
             raise UnrUsageError(
                 f"signal {sig.sid} is not registered (double free?)"
             )

@@ -264,11 +264,6 @@ class TransferEngine:
             raise UnrUsageError(
                 f"size mismatch: src {size}B vs dst {dst_blk.size}B"
             )
-        if unr.sanitizer is not None:
-            unr.sanitizer.check_rma(
-                "put", src_rank, src_blk, dst_blk,
-                remote_sid=rsid, local_sid=lsid,
-            )
         src_mr = unr._mr_of(src_blk)
         dst_mr = unr._mr_of(dst_blk)
         dst_rank = dst_blk.rank
@@ -338,6 +333,12 @@ class TransferEngine:
                     remote_add, local_action_add, local_done_add,
                     remote_sig, local_sig,
                 )
+            )
+        # Admitted only once the library accepted the arguments.
+        if unr.sanitizer is not None:
+            unr.sanitizer.check_rma(
+                "put", src_rank, src_blk, dst_blk,
+                remote_sid=rsid, local_sid=lsid,
             )
         return TransferOp(
             kind="put",
@@ -411,11 +412,6 @@ class TransferEngine:
             raise UnrUsageError(
                 f"size mismatch: local {local_blk.size}B vs remote {remote_blk.size}B"
             )
-        if unr.sanitizer is not None:
-            unr.sanitizer.check_rma(
-                "get", src_rank, local_blk, remote_blk,
-                remote_sid=rsid, local_sid=lsid,
-            )
         local_mr = unr._mr_of(local_blk)
         remote_mr = unr._mr_of(remote_blk)
         src_node = unr._node_index(src_rank)
@@ -459,6 +455,11 @@ class TransferEngine:
             if (rsid is not None and not ctrl_remote) else None,
             (src_node, lsid, -1) if lsid is not None else None,
         )
+        if unr.sanitizer is not None:
+            unr.sanitizer.check_rma(
+                "get", src_rank, local_blk, remote_blk,
+                remote_sid=rsid, local_sid=lsid,
+            )
         return TransferOp(
             kind="get",
             src_rank=src_rank, dst_rank=remote_blk.rank,

@@ -81,8 +81,7 @@ class RmaPlan:
         """Release the plan (paper: ``UNR_Plan_Free``).
 
         A freed plan must never be started again; doing so raises
-        :class:`~repro.core.errors.UnrUsageError` (and is reported as a
-        use-after-free when the sanitizer is armed).  Freeing twice is
+        :class:`~repro.core.errors.UnrUsageError`.  Freeing twice is
         harmless."""
         self.freed = True
 
@@ -94,9 +93,6 @@ class RmaPlan:
         overrides)."""
         ep = self.endpoint
         if self.freed:
-            sanitizer = ep.unr.sanitizer
-            if sanitizer is not None:
-                sanitizer.on_plan_start_after_free(self)
             raise UnrUsageError(
                 f"plan with {len(self._ops)} op(s) started after free()"
             )

@@ -18,7 +18,7 @@ from .adapters import (
 from .capabilities import TABLE_II, Capability, get_capability, support_level
 from .channel import ChannelError, RmaChannel
 from .fallback import MpiFallbackChannel, MpiFallbackConfig
-from .width import WidthViolation, fit_custom
+from .width import fit_custom
 
 __all__ = [
     "CHANNEL_TYPES",
@@ -34,7 +34,6 @@ __all__ = [
     "UgniChannel",
     "UtofuChannel",
     "VerbsChannel",
-    "WidthViolation",
     "fit_custom",
     "get_capability",
     "make_channel",

@@ -20,7 +20,7 @@ from ..netsim import alloc_record
 from ..runtime import Job
 from ..sim import Event
 from .capabilities import Capability, support_level
-from .width import ChannelError, WidthObserver, fit_custom
+from .width import ChannelError, fit_custom
 
 __all__ = ["ChannelError", "RmaChannel"]
 
@@ -47,10 +47,6 @@ class RmaChannel:
             raise TypeError("RmaChannel subclasses must define a capability")
         self.job = job
         self.env = job.env
-        #: Sanitizer hook: called with a WidthViolation before the
-        #: ChannelError for any payload that exceeds this interface's
-        #: custom-bit budget (see :mod:`repro.interconnect.width`).
-        self.width_observer: Optional[WidthObserver] = None
         # Per-post constants, resolved once: the capability and the
         # cluster spec are both fixed for the life of the channel.
         cap = self.capability
@@ -64,12 +60,11 @@ class RmaChannel:
 
         ``side`` is ``put_remote``/``put_local``/``get_remote``/
         ``get_local``; the effective Table II width of this interface is
-        the budget.  All adapters route their payloads through here —
-        the one chokepoint the sanitizer hooks.
+        the budget.  All adapters route their payloads through here.
         """
         return fit_custom(
             value, self._width_bits[side], _SIDE_LABELS[side],
-            self.capability.interface, observer=self.width_observer,
+            self.capability.interface,
         )
 
     # ------------------------------------------------------------------

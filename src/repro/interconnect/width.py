@@ -2,61 +2,27 @@
 
 Every adapter routes its custom-bit payloads through :func:`fit_custom`
 before they reach the wire.  A payload wider than the interface's
-Table II budget is *never* silently truncated: the helper first informs
-the registered observer (the UnrSanitizer hook, when armed) and then
-raises :class:`ChannelError` — the loud-failure discipline of the
-paper's bug-avoiding interfaces (§IV-D).
+Table II budget is *never* silently truncated: the helper raises
+:class:`ChannelError` — the loud-failure discipline of the paper's
+bug-avoiding interfaces (§IV-D).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
-__all__ = ["ChannelError", "WidthViolation", "WidthObserver", "fit_custom"]
+__all__ = ["ChannelError", "fit_custom"]
 
 
 class ChannelError(RuntimeError):
     """Custom-bit overflow or unsupported primitive on this interface."""
 
 
-@dataclass(frozen=True)
-class WidthViolation:
-    """One payload that did not fit an interface's custom-bit budget."""
-
-    what: str  # e.g. "PUT remote"
-    interface: str
-    value: int
-    bits_needed: int
-    bits_available: int
-
-    def describe(self) -> str:
-        if self.bits_available == 0:
-            return (
-                f"{self.what}: {self.interface} provides no custom bits; "
-                "the Level-0 ordered-message scheme must carry (p, a)"
-            )
-        return (
-            f"{self.what}: payload {self.value:#x} needs {self.bits_needed} "
-            f"bits, {self.interface} provides {self.bits_available}"
-        )
-
-
-WidthObserver = Callable[[WidthViolation], None]
-
-
-def fit_custom(
-    value: Optional[int],
-    bits: int,
-    what: str,
-    interface: str,
-    observer: Optional[WidthObserver] = None,
-) -> int:
+def fit_custom(value: Optional[int], bits: int, what: str, interface: str) -> int:
     """Validate that ``value`` fits in ``bits`` unsigned custom bits.
 
-    Returns the value (or 0 for ``None``).  On violation the observer —
-    if any — is notified first, then :class:`ChannelError` is raised;
-    truncation never happens silently.
+    Returns the value (or 0 for ``None``).  On violation
+    :class:`ChannelError` is raised; truncation never happens silently.
     """
     if value is None:
         return 0
@@ -64,23 +30,13 @@ def fit_custom(
         raise ChannelError(
             f"{what}: custom bits must be packed unsigned, got {value}"
         )
+    if bits == 0:
+        raise ChannelError(
+            f"{interface} provides no custom bits for {what}; "
+            "use the Level-0 ordered-message scheme instead"
+        )
     needed = value.bit_length()
-    if bits == 0 or needed > bits:
-        if observer is not None:
-            observer(
-                WidthViolation(
-                    what=what,
-                    interface=interface,
-                    value=value,
-                    bits_needed=needed,
-                    bits_available=bits,
-                )
-            )
-        if bits == 0:
-            raise ChannelError(
-                f"{interface} provides no custom bits for {what}; "
-                "use the Level-0 ordered-message scheme instead"
-            )
+    if needed > bits:
         raise ChannelError(
             f"{what}: value needs {needed} bits, {interface} provides {bits}"
         )

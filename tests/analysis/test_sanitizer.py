@@ -1,6 +1,7 @@
-"""UnrSanitizer acceptance tests: one direct test per finding kind (OOB
-PUT, over-width payload, leaked notification, plan use-after-free, PUT
-to a freed signal, overlapping registrations), passivity (fingerprint
+"""UnrSanitizer acceptance tests: a direct test for each finding kind
+(leaked notification, PUT to a freed signal, overlapping registrations),
+the misuses the library itself raises on (reported once, by the
+exception, never again by the sanitizer), passivity (fingerprint
 identity) and the Table II width chokepoint."""
 
 import numpy as np
@@ -10,7 +11,7 @@ from repro.analysis import SanitizerReport
 from repro.bench.faultdemo import _producer_consumer
 from repro.core import Blk, Unr, UnrUsageError
 from repro.interconnect import TABLE_II, ChannelError
-from repro.interconnect.width import WidthViolation, fit_custom
+from repro.interconnect.width import fit_custom
 from repro.netsim.trace import transfer_fingerprint
 from repro.obs import Recorder
 from repro.platforms import get_platform, make_job
@@ -25,32 +26,74 @@ def fresh_unr(sanitize=True, n_ranks=2):
     return Unr(job, plat.channel, sanitize=sanitize), job
 
 
-# -- acceptance: the three headline findings ----------------------------------
+# -- misuse the library raises on: one report, the exception ---------------
+
+def assert_raised_once(error, arm):
+    """``arm(unr)`` sets up one misuse and returns it; the misuse raises
+    ``error`` with the sanitizer armed and disarmed, and the armed
+    sanitizer records nothing for it."""
+    for sanitize in (True, False):
+        unr, _job = fresh_unr(sanitize=sanitize)
+        misuse = arm(unr)
+        with pytest.raises(error):
+            misuse()
+        if sanitize:
+            assert unr.finalize().findings == []
+
+
+def blocks(unr, nbytes=1024):
+    ep0, ep1 = unr.endpoint(0), unr.endpoint(1)
+    src_blk = ep0.blk_init(ep0.mem_reg(np.zeros(nbytes, dtype=np.uint8)), 0, nbytes)
+    return ep0, ep1, src_blk, ep1.mem_reg(np.zeros(nbytes, dtype=np.uint8))
+
 
 def test_oob_put_is_reported():
-    unr, _job = fresh_unr()
-    ep0, ep1 = unr.endpoint(0), unr.endpoint(1)
-    src = np.zeros(1024, dtype=np.uint8)
-    dst = np.zeros(1024, dtype=np.uint8)
-    src_blk = ep0.blk_init(ep0.mem_reg(src), 0, 1024)
-    dst_mr = ep1.mem_reg(dst)
-    rogue = Blk(rank=1, mr_handle=dst_mr.handle, offset=512, size=1024)
-    with pytest.raises(UnrUsageError):
-        ep0.put(src_blk, rogue)
-    oob = unr.sanitizer.report.by_kind("oob")
-    assert oob, "OOB PUT must produce an 'oob' finding"
-    assert "put" in oob[0].format()
+    def arm(unr):
+        ep0, _, src_blk, dst_mr = blocks(unr)
+        rogue = Blk(rank=1, mr_handle=dst_mr.handle, offset=512, size=1024)
+        return lambda: ep0.put(src_blk, rogue)
+
+    assert_raised_once(UnrUsageError, arm)
+
+
+def test_unregistered_handle_is_reported():
+    def arm(unr):
+        ep0, _, local_blk, dst_mr = blocks(unr)
+        rogue = Blk(rank=1, mr_handle=dst_mr.handle + 7, offset=0, size=1024)
+        return lambda: ep0.get(local_blk, rogue)
+
+    assert_raised_once(UnrUsageError, arm)
 
 
 def test_over_width_payload_is_reported_before_truncation():
-    unr, _job = fresh_unr()
-    bits = unr.channel.capability.effective_put_remote
-    with pytest.raises(ChannelError):
-        unr.channel.put(0, 1, 64, remote_custom=1 << bits)
-    findings = unr.sanitizer.report.by_kind("custom-width")
-    assert findings
-    assert str(bits) in findings[0].detail
+    def arm(unr):
+        bits = unr.channel.capability.effective_put_remote
+        return lambda: unr.channel.put(0, 1, 64, remote_custom=1 << bits)
 
+    assert_raised_once(ChannelError, arm)
+
+
+def test_plan_start_after_free_is_reported():
+    def arm(unr):
+        ep0, ep1, src_blk, dst_mr = blocks(unr, 128)
+        plan = ep0.plan().record_put(src_blk, ep1.blk_init(dst_mr, 0, 128))
+        plan.free()
+        return plan.start
+
+    assert_raised_once(UnrUsageError, arm)
+
+
+def test_double_sig_free_is_reported():
+    def arm(unr):
+        ep = unr.endpoint(1)
+        sig = ep.sig_init(1)
+        ep.sig_free(sig)
+        return lambda: ep.sig_free(sig)
+
+    assert_raised_once(UnrUsageError, arm)
+
+
+# -- what only the sanitizer reports ------------------------------------------
 
 def test_leaked_notification_reported_at_finalize():
     unr, job = fresh_unr()
@@ -74,18 +117,6 @@ def test_leaked_notification_reported_at_finalize():
     report = unr.finalize()
     assert report is not None
     assert report.by_kind("leaked-notification")
-
-
-def test_plan_start_after_free_is_reported():
-    unr, _job = fresh_unr()
-    ep0, ep1 = unr.endpoint(0), unr.endpoint(1)
-    src_blk = ep0.blk_init(ep0.mem_reg(np.zeros(128, dtype=np.uint8)), 0, 128)
-    dst_blk = ep1.blk_init(ep1.mem_reg(np.zeros(128, dtype=np.uint8)), 0, 128)
-    plan = ep0.plan().record_put(src_blk, dst_blk.with_signal(None))
-    plan.free()
-    with pytest.raises(UnrUsageError):
-        plan.start()
-    assert unr.sanitizer.report.by_kind("use-after-free")
 
 
 def test_put_to_freed_signal_is_reported():
@@ -130,27 +161,17 @@ def test_armed_and_disarmed_runs_are_fingerprint_identical():
 def test_fit_custom_against_every_table_ii_width(interface, side):
     cap = TABLE_II[interface]
     bits = getattr(cap, f"effective_{side}")
-    seen = []
     if bits:
-        # The widest payload that fits must pass without touching the
-        # observer; one bit more must notify it, then raise.
+        # The widest payload that fits passes; one bit more raises.
         widest = (1 << bits) - 1
-        assert fit_custom(widest, bits, side, cap.interface, observer=seen.append) == widest
-        assert seen == []
-    with pytest.raises(ChannelError):
-        fit_custom(1 << bits, bits, side, cap.interface, observer=seen.append)
-    assert len(seen) == 1
-    v = seen[0]
-    assert isinstance(v, WidthViolation)
-    assert v.bits_available == bits
-    assert v.bits_needed == bits + 1
-    assert v.interface == cap.interface
-    if bits == 0:
+        assert fit_custom(widest, bits, side, cap.interface) == widest
+        with pytest.raises(ChannelError, match=f"needs {bits + 1} bits"):
+            fit_custom(1 << bits, bits, side, cap.interface)
+    else:
         # A zero-bit interface rejects ANY explicit payload, even 0:
         # there is no wire to carry it (None is the "no payload" path).
-        with pytest.raises(ChannelError):
+        with pytest.raises(ChannelError, match="no custom bits"):
             fit_custom(0, bits, side, cap.interface)
-        assert "no custom bits" in v.describe()
 
 
 def test_fit_custom_handles_none_and_negative():

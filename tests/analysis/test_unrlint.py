@@ -101,30 +101,6 @@ def test_unr005_flags_broad_handlers():
     assert len(findings) == 4
 
 
-def test_unr010_flags_posts_with_no_reachable_wait():
-    findings = lint_fixture("examples/bad_unr010.py")
-    assert rules_of(findings) == ["UNR010"]
-    assert len(findings) == 2  # ep.put and ep.get, neither ever awaited
-
-
-def test_unr011_flags_unguarded_reuse():
-    findings = lint_fixture("examples/bad_unr011.py")
-    assert rules_of(findings) == ["UNR011"]
-    # replay loop, post-after-sig_free, start-after-drain
-    assert len(findings) == 3
-
-
-def test_protocol_pass_is_scope_gated():
-    # The same source outside a workload scope stays quiet unless the
-    # config forces the protocol pass on.
-    src = (FIXTURES / "examples" / "bad_unr010.py").read_text()
-    assert lint_source(src, path="somewhere/else.py") == []
-    forced = lint_source(
-        src, path="somewhere/else.py", config=LintConfig(force_protocol=True)
-    )
-    assert rules_of(forced) == ["UNR010"]
-
-
 # -- layout checks that left the linter: their trigger cases -----------------
 #
 # A CQ consumer outside the engine and an un-slotted hot-path class are
@@ -213,10 +189,6 @@ CLEAN = {
     "obs/ok_unr006.py": FIXTURES / "ok_unr002.py",  # simulated-time stamps in the obs layer
     "ok_unr003.py": FIXTURES / "ok_unr003.py",
     "ok_unr005.py": FIXTURES / "ok_unr005.py",
-    "ok_unr009.py": FIXTURES / "ok_unr009.py",  # un-slotted classes
-    "ok_unr013.py": FIXTURES / "ok_unr013.py",  # sorted election, unordered counting
-    "examples/ok_unr010.py": FIXTURES / "examples/ok_unr010.py",  # every post has a reachable wait
-    "examples/ok_unr011.py": FIXTURES / "examples/ok_unr011.py",  # guarded / pipelined / re-armed reuse
     # a fixture that is flagged anywhere else, under the real path that allows it
     "sim/core.py": FIXTURES / "bad_unr004.py",  # heapq in the kernel
     "sim/scheduler.py": FIXTURES / "bad_unr004.py",

@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from repro.analysis import verify_recorder, verify_schedule
+from repro.analysis import VERIFY_RULES, verify_recorder, verify_schedule
 from repro.analysis.mutants import MUTANTS, run_all_mutants
 from repro.bench.fingerprints import (
     PLATFORMS,
@@ -54,20 +54,17 @@ def test_every_seeded_mutant_is_flagged_with_its_expected_rule():
         assert set(outcome.got) & set(outcome.expect), outcome
 
 
-def test_mutant_corpus_spans_both_layers_and_all_trace_rules():
-    layers = {m.layer for m in MUTANTS.values()}
-    assert layers == {"trace", "static"}
+def test_mutant_corpus_covers_every_verifier_rule():
     expected = {rule for m in MUTANTS.values() for rule in m.expect}
-    assert {"VER001", "VER002", "VER003", "VER004"} <= expected
-    assert {"UNR010", "UNR011"} <= expected
+    assert expected == set(VERIFY_RULES)
 
 
 # -- report mechanics ---------------------------------------------------------
 
 def test_findings_carry_trace_origin_and_seq():
-    from repro.analysis.mutants import _TRACE_RUNNERS
+    from repro.analysis.mutants import _RUNNERS
 
-    recorder = _TRACE_RUNNERS["unawaited_notification"]()
+    recorder = _RUNNERS["unawaited_notification"]()
     report = verify_recorder(recorder, origin="unit/odd")
     assert not report.ok
     for finding in report.findings:

@@ -61,7 +61,7 @@ def test_scaling(capsys):
 
 def test_lint_clean_tree_exits_zero(capsys):
     assert main(["lint"]) == 0  # defaults to src/repro
-    assert "clean (7 rules)" in capsys.readouterr().out
+    assert "clean (5 rules)" in capsys.readouterr().out
 
 
 def test_lint_bad_fixture_exits_nonzero(capsys):
@@ -73,27 +73,45 @@ def test_lint_bad_fixture_exits_nonzero(capsys):
     assert "hint:" in out
 
 
+def test_lint_missing_path_exits_two(capsys):
+    assert main(["lint", "does_not_exist.py"]) == 2
+    assert "does_not_exist.py" in capsys.readouterr().out
+
+
+def test_fingerprints_missing_corpus_exits_two(tmp_path, capsys, monkeypatch):
+    import repro.bench.fingerprints
+
+    def never():
+        raise AssertionError("the corpus was recomputed")
+
+    monkeypatch.setattr(repro.bench.fingerprints, "collect_fingerprints", never)
+    missing = tmp_path / "missing.json"
+    assert main(["fingerprints", "--path", str(missing)]) == 2
+    assert str(missing) in capsys.readouterr().out
+
+
 def test_lint_select_and_list_rules(capsys):
     assert main(["lint", "--select", "UNR002", str(FIXTURES / "bad_unr001.py")]) == 0
     capsys.readouterr()
     assert main(["lint", "--list-rules"]) == 0
     listed = re.findall(r"^(UNR\d{3})", capsys.readouterr().out, re.M)
-    assert listed == ["UNR001", "UNR002", "UNR003", "UNR004", "UNR005", "UNR010", "UNR011"]
+    assert listed == ["UNR001", "UNR002", "UNR003", "UNR004", "UNR005"]
     assert main(["lint", "--select", "NOPE42"]) == 2
 
 
 def test_verify_mutants_and_static(capsys):
+    # Every seeded bug is caught by the trace verifier; there is no
+    # static pass left to report.
     rc = main(["verify", "--corpus", "mutants"])
     out = capsys.readouterr().out
     assert rc == 0
-    assert "8/8 seeded bugs flagged" in out
-    assert "static pass" in out
+    assert "7/7 seeded bugs flagged" in out
+    assert "static" not in out
     assert "verify: OK" in out
 
 
 def test_verify_golden_single_platform(capsys):
-    rc = main(["verify", "--corpus", "golden", "--platform", "th-xy",
-               "--no-static"])
+    rc = main(["verify", "--corpus", "golden", "--platform", "th-xy"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "4/4 scenarios clean" in out
@@ -175,6 +193,30 @@ def test_chaos_exit_code_covers_the_overhead_cap(tmp_path, capsys, monkeypatch):
     assert "verdict      FAILED" in text
 
 
+@pytest.mark.parametrize("argv", [
+    ["latency", "--iters", "0"],
+    ["multinic", "--iters", "0"],
+    ["powerllel", "--steps", "0"],
+    ["powerllel", "--py", "0"],
+    ["fig6", "--steps", "0"],
+    ["scaling", "--max-points", "0"],
+    ["scaling", "--steps", "0"],
+    ["faults", "--iters", "0"],
+    ["faults", "--nodes", "1"],
+    ["trace", "--size", "0"],
+    ["verify", "--platform", "nope"],
+    ["latency", "--platform", "nope"],
+    ["chaos", "--platform", "nope"],
+], ids=lambda argv: f"{argv[0]}{argv[1]}={argv[2]}")
+def test_bad_input_exits_two_before_running(argv, capsys):
+    # argparse rejects the value, so no command body ever runs.
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and f"argument {argv[1]}:" in err
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--team-size", "1"), ("--size", "0"), ("--iters", "0"),
 ])
@@ -197,6 +239,8 @@ def test_parser_requires_command():
         build_parser().parse_args([])
 
 
-def test_unknown_platform_raises():
-    with pytest.raises(KeyError):
+def test_unknown_platform_raises(capsys):
+    with pytest.raises(SystemExit) as excinfo:
         main(["latency", "--platform", "summit", "--sizes", "8", "--iters", "2"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'summit'" in capsys.readouterr().err

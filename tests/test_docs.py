@@ -6,8 +6,9 @@ docs/*.md must exist — a doc that names a deleted command or a file
 that moved fails here, not in a reader's shell.  Every ``--flag`` those
 docs or the verify skill notes quote after ``repro <sub>`` must be an
 option of that subcommand.  Every lint or verifier rule id those docs,
-the verify skill notes or the source quote must be a live rule.  Every
-quoted fault spec with a timed event (``@t=``) in those docs or the
+the verify skill notes or the source quote must be a live rule, and
+every sanitizer finding kind they quote must be one the sanitizer
+emits.  Every quoted fault spec with a timed event (``@t=``) in those docs or the
 verify skill notes must parse.  (``perfbench/`` keeps its own README
 and is out of scope.)
 """
@@ -15,7 +16,7 @@ and is out of scope.)
 import re
 from pathlib import Path
 
-from repro.analysis import RULES, VERIFY_RULES
+from repro.analysis import RULES, VERIFY_RULES, UnrSanitizer
 from repro.analysis.unrlint import PARSE_ERROR
 from repro.cli import build_parser
 from repro.netsim import FaultSpec
@@ -34,6 +35,9 @@ _COMMAND = re.compile(r"(?<![\w/.])repro\s+([a-z][a-z0-9-]*)([^\n]*)")
 _END = re.compile(r"\s#|[|;]|&&|(?<![\w/.])repro\s")
 _FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
 _SPEC = re.compile(r"[\w.=:+@,-]*@t=[^\s\"'`]*")
+_BLOCK = re.compile(r"\n\s*\n")
+_KIND_ROW = re.compile(r"^\| `([a-z-]+)` \|", re.M)
+_HYPHENATED = re.compile(r"`([a-z]+(?:-[a-z]+)+)`")
 
 
 def _quoted(pattern):
@@ -92,6 +96,21 @@ def test_rule_ids_in_prose_resolve():
     assert len({rule_id for _, rule_id in quoted}) > 8, "the pattern stopped matching"
     live = {*RULES, *VERIFY_RULES, PARSE_ERROR.id}
     assert sorted(hit for hit in quoted if hit[1] not in live) == []
+
+
+def test_sanitizer_kinds_in_prose_resolve():
+    """A kind is quoted as a row of the ``| Kind |`` table, or as a
+    hyphenated code span in a paragraph naming the sanitizer."""
+    table, quoted = set(), set()
+    for doc in [*DOCS, SKILL]:
+        for block in _BLOCK.split(doc.read_text(encoding="utf-8")):
+            if block.startswith("| Kind |"):
+                table.update(_KIND_ROW.findall(block))
+            if "anitizer" in block:
+                quoted.update((doc.name, k) for k in _HYPHENATED.findall(block))
+    assert table == set(UnrSanitizer.KINDS)
+    assert quoted, "the pattern stopped matching the docs"
+    assert sorted(hit for hit in quoted if hit[1] not in UnrSanitizer.KINDS) == []
 
 
 def test_quoted_fault_specs_parse():
