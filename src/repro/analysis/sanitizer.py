@@ -6,17 +6,17 @@ over an unregistered handle, on over-width custom bits, on a freed plan
 and on a double ``sig_free`` (the interface is the first checker, paper
 §IV-D), and unrverify reports ordering bugs.  The sanitizer adds:
 
-* every RMA operation's signal ids are checked — a freed or never
+* every PUT and GET post, plan replays too, has its signal ids checked
+  once the library accepted its arguments (the sanitizer wraps
+  :meth:`~repro.core.engine.TransferEngine.post_op`): a freed or never
   registered id, and an id past the level's capacity (silent Level-0
-  degradation), are flagged in
-  :meth:`~repro.core.engine.TransferEngine.prepare_put` /
-  ``prepare_get`` and again on every plan replay through
-  :meth:`~repro.core.engine.TransferEngine.post_op`;
+  degradation), are flagged;
 * overlapping registrations (two memory regions sharing bytes) are
   flagged at ``mem_reg`` time;
 * at :meth:`~repro.core.api.Unr.finalize`, leaked notifications —
   signals whose counters are mid-count, overflowed signals and stray
-  completions — are reported.
+  completions — are reported.  A shortfall the drain protocol could not
+  discharge (the engine's ``undischarged`` set) is not a leak.
 
 All checks are passive: they post no events and never touch the
 simulated clock, so an armed run is fingerprint-identical to a
@@ -27,11 +27,12 @@ structured :class:`SanitizerReport`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.api import Unr
-    from ..core.memory import Blk, MemoryRegion
+    from ..core.engine import TransferOp
+    from ..core.memory import MemoryRegion
 
 __all__ = ["SanitizerFinding", "SanitizerReport", "UnrSanitizer"]
 
@@ -106,8 +107,9 @@ class SanitizerReport:
 class UnrSanitizer:
     """Passive runtime-check layer attached to one :class:`Unr` instance.
 
-    The library calls the ``check_*``/``on_*`` hooks at the relevant
-    points; the sanitizer only *records* — control flow, timing and
+    It wraps ``unr.engine.post_op`` to admit each PUT/GET, the library
+    calls :meth:`on_mem_reg`, and :meth:`finalize` scans the signal
+    tables.  The sanitizer only *records* — control flow, timing and
     error behaviour of the library are unchanged, which is what keeps
     armed and disarmed runs trace-identical.
     """
@@ -125,10 +127,15 @@ class UnrSanitizer:
     def __init__(self, unr: "Unr") -> None:
         self.unr = unr
         self.report = SanitizerReport()
-        #: (node, sid) whose shortfall is *expected*: the drain protocol
-        #: cancelled a fragment owing this signal a tokenless Level-0
-        #: ctrl notification against a dead peer — no leak to report.
-        self._drained_sids: Set[Tuple[int, int]] = set()
+        engine = unr.engine
+        post_op = engine.post_op
+
+        def admit(op: "TransferOp") -> None:
+            if op.kind != "ctrl":
+                self.check_rma(op)
+            post_op(op)
+
+        engine.post_op = admit  # type: ignore[method-assign]
 
     # ------------------------------------------------------------------
     def _now(self) -> float:
@@ -154,21 +161,12 @@ class UnrSanitizer:
                 )
 
     # -- RMA operations -----------------------------------------------------
-    def check_rma(
-        self,
-        op: str,
-        rank: int,
-        local_blk: "Blk",
-        remote_blk: "Blk",
-        *,
-        remote_sid: Optional[int],
-        local_sid: Optional[int],
-    ) -> None:
-        """Check the signal ids one PUT/GET notifies."""
-        where = f"{op} rank{local_blk.rank}->rank{remote_blk.rank}"
+    def check_rma(self, op: "TransferOp") -> None:
+        """Check the signal ids one PUT/GET post notifies."""
+        where = f"{op.kind} rank{op.src_rank}->rank{op.dst_rank}"
         for role, sid, owner in (
-            ("remote", remote_sid, remote_blk.rank),
-            ("local", local_sid, rank),
+            ("remote", op.rsid, op.dst_rank),
+            ("local", op.lsid, op.src_rank),
         ):
             if sid is None:
                 continue
@@ -195,14 +193,6 @@ class UnrSanitizer:
                     severity="warning",
                 )
 
-    # -- drain protocol ------------------------------------------------------
-    def on_fragment_drained(self, node: int, sid: int) -> None:
-        """Drain-protocol hook: a cancelled fragment owed ``(node, sid)``
-        a notification that cannot be discharged through the idempotent
-        token path (tokenless Level-0 ctrl tail).  The mid-count this
-        leaves behind is accounted for, not leaked."""
-        self._drained_sids.add((node, sid))
-
     # -- finalize ------------------------------------------------------------
     def finalize(self) -> SanitizerReport:
         """End-of-job scan: leaked notifications, overflows, strays."""
@@ -218,7 +208,7 @@ class UnrSanitizer:
                         time=self._now(),
                     )
                 elif sig.mid_count:
-                    if (node, sid) in self._drained_sids:
+                    if (node, sid) in unr.engine.undischarged:
                         continue  # shortfall accounted by the drain protocol
                     self.report.add(
                         "leaked-notification",

@@ -50,6 +50,8 @@ def trace_demo(
     identical with it on or off."""
     if demo not in TRACE_DEMOS:
         raise ValueError(f"unknown trace demo {demo!r} (choose from {TRACE_DEMOS})")
+    if faults and demo != "stream":
+        raise ValueError(f"faults apply to the stream demo only, not {demo!r}")
     if demo == "stream":
         return _stream_demo(
             platform=platform, size=size, iters=iters, seed=seed,

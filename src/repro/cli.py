@@ -164,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="stream")
     p.add_argument("--platform", choices=platforms, default="th-xy")
     p.add_argument("--size", type=_at_least(1), default=65536)
-    p.add_argument("--iters", type=int, default=6)
+    p.add_argument("--iters", type=_at_least(1), default=6)
     p.add_argument("--seed", type=int, default=2024)
     p.add_argument("--faults", type=_fault_spec, default=None, metavar="SPEC",
                    help="fault schedule for the stream demo "
@@ -413,6 +413,10 @@ def cmd_trace(args) -> int:
     from .obs import HostProfiler, text_timeline, validate_trace_file, write_perfetto
     from .obs.profile import COVERAGE_FLOOR
 
+    if args.faults and args.demo != "stream":
+        print(f"repro trace: error: --faults applies to the stream demo only, "
+              f"not {args.demo!r}", file=sys.stderr)
+        return 2
     prof = None
     if args.profile or args.flame:
         prof = HostProfiler(sample_every=1 if args.flame else 0)

@@ -23,28 +23,27 @@ signals, never through return values (that is the point of the paper).
 This module is a thin facade: ``put``/``get``/``send_ctl`` only resolve
 per-call signal overrides and hand a descriptor to the unified
 :class:`~repro.core.engine.TransferEngine`, where stripe planning,
-reliability, sanitizer admission and posting live once for every
-datapath.  Completion records come back through the per-node
+reliability and posting live once for every datapath.  Completion
+records come back through the per-node
 :class:`~repro.core.engine.ProgressEngine` into the ``_handle_*``
-handlers registered below.
+handlers registered below.  The passive tiers — observation and the
+sanitizer — are imported only when ``Unr`` arms them.
 """
 
 from __future__ import annotations
 
 import warnings
 from collections import Counter
-from typing import Any, Callable, Generator, List, Optional, Set, TypeVar, Union
+from typing import TYPE_CHECKING, Any, Callable, Generator, List, Optional, Set, TypeVar, Union
 
 import numpy as np
 
-from ..analysis.sanitizer import SanitizerReport, UnrSanitizer
 from ..interconnect import MpiFallbackChannel, RmaChannel, make_channel
 from ..netsim import CompletionRecord
-from ..obs import Recorder
 from ..runtime import Job
 from ..sim import FilterStore
 from ..units import US
-from .engine import CTRL_BYTES, ProgressEngine, TransferEngine, TransferOp
+from .engine import CTRL_BYTES, ProgressEngine, TransferEngine
 from .health import HealthConfig, HealthMonitor
 from .errors import (
     UnrDegradeWarning,
@@ -59,10 +58,13 @@ from .polling import PollingConfig
 from .signal import DEFAULT_N_BITS, Signal
 from .transport import DEFAULT_STRIPE_THRESHOLD, ReliabilityConfig
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..analysis.sanitizer import SanitizerReport, UnrSanitizer
+    from ..obs import Recorder
+
 __all__ = ["Unr", "UnrEndpoint"]
 
 _UNSET = object()
-_CTRL_BYTES = CTRL_BYTES  # wire size of a (p, a) control message
 
 _Config = TypeVar("_Config")
 
@@ -98,10 +100,6 @@ class Unr:
     mode2_split:
         Level-2 mode-2: number of pointer bits ``x`` out of 32
         (``None`` selects mode 1: all bits for ``p``).
-    n_bits:
-        The signal event-field width ``N`` shared by all signals
-        (defaults to the widest value the channel's addend bits allow,
-        capped at 32 as on TH Express).
     stripe_threshold:
         Messages at least this large are striped over multiple rails
         when the level supports aggregation.
@@ -155,13 +153,12 @@ class Unr:
         *,
         polling: Union[PollingConfig, str, None] = None,
         mode2_split: Optional[int] = None,
-        n_bits: Optional[int] = None,
         stripe_threshold: int = DEFAULT_STRIPE_THRESHOLD,
         max_stripe_rails: Optional[int] = None,
         strict: bool = False,
         reliability: Union[ReliabilityConfig, bool, None] = None,
         sanitize: Optional[bool] = None,
-        observe: Union[Recorder, bool, None] = None,
+        observe: Union["Recorder", bool, None] = None,
         health: Union[HealthConfig, bool, None] = None,
     ) -> None:
         self.job = job
@@ -199,20 +196,20 @@ class Unr:
             "get_local": self.get_local_policy.a_bits,
         }
 
-        if n_bits is None:
-            def side_n(policy: LevelPolicy) -> int:
-                n = policy.max_n_bits(DEFAULT_N_BITS)
-                if policy.multi_channel and policy.a_bits > 0:
-                    # Leave addend headroom for striping (up to 8 rails).
-                    n = min(n, max(policy.a_bits - 5, 1))
-                return n
+        def side_n(policy: LevelPolicy) -> int:
+            n = policy.max_n_bits(DEFAULT_N_BITS)
+            if policy.multi_channel and policy.a_bits > 0:
+                # Leave addend headroom for striping (up to 8 rails).
+                n = min(n, max(policy.a_bits - 5, 1))
+            return n
 
-            n_bits = min(
-                side_n(self.put_remote_policy),
-                side_n(self.put_local_policy),
-                side_n(self.get_local_policy),
-            )
-        self.n_bits = n_bits
+        #: the event-field width ``N`` of every signal: the widest the
+        #: addend bits allow, capped at 32 as on TH Express
+        self.n_bits = min(
+            side_n(self.put_remote_policy),
+            side_n(self.put_local_policy),
+            side_n(self.get_local_policy),
+        )
         self.sid_capacity = max_signals(self.put_remote_policy)
 
         n_nodes = job.cluster.n_nodes
@@ -226,18 +223,8 @@ class Unr:
         self._endpoints: dict = {}
         self.stats: Counter = Counter()
         self._degrade_warned = False
-
-        self.sanitizer: Optional[UnrSanitizer] = UnrSanitizer(self) if sanitize else None
-
-        self.obs: Optional[Recorder] = None
-        if observe:
-            self.obs = Recorder.attach(
-                job.cluster, observe if isinstance(observe, Recorder) else None
-            )
-            stats = self.stats
-            self.obs.add_collector(
-                lambda: {f"core.{k}": float(stats[k]) for k in sorted(stats)}
-            )
+        self.obs: Optional["Recorder"] = None
+        self.sanitizer: Optional["UnrSanitizer"] = None
 
         health_config = _tier_config(health, HealthConfig)
         self.health: Optional[HealthMonitor] = (
@@ -254,13 +241,22 @@ class Unr:
             for node in job.cluster.nodes:
                 eng = ProgressEngine(
                     self.env, node, self.polling_config,
-                    self._handle_unknown_record, obs=self.obs,
-                    health=self.health,
+                    self._handle_unknown_record, health=self.health,
                 )
                 for kind in self._record_a_bits:
                     eng.register(kind, self._handle_rma_record)
                 eng.register("ctrl", self._handle_ctrl_record)
                 self.engines.append(eng)
+
+        # Last: the passive tiers wrap what the lines above built.
+        if observe:
+            from ..obs.instrument import observe_unr
+
+            self.obs = observe_unr(self, observe)
+        if sanitize:
+            from ..analysis.sanitizer import UnrSanitizer
+
+            self.sanitizer = UnrSanitizer(self)
 
     # ------------------------------------------------------------------
     def _resolve_polling(self, polling: Union[PollingConfig, str, None]) -> PollingConfig:
@@ -462,7 +458,7 @@ class Unr:
                 )
         return cancelled
 
-    def finalize(self) -> Optional[SanitizerReport]:
+    def finalize(self) -> Optional["SanitizerReport"]:
         """End-of-job hook: drain dead-peer fragments, then collect the
         sanitizer report (if armed).
 
@@ -604,7 +600,7 @@ class UnrEndpoint:
 
     # -- out-of-band control (BLK exchange, paper Code 2 lines 6/12) --------
     def send_ctl(
-        self, dst_rank: int, obj: Any, tag: Any = None, nbytes: int = _CTRL_BYTES
+        self, dst_rank: int, obj: Any, tag: Any = None, nbytes: int = CTRL_BYTES
     ) -> Generator[Any, Any, None]:
         """Generator: send a small control object to ``dst_rank``.
 
@@ -623,7 +619,7 @@ class UnrEndpoint:
         engine.post_op(
             engine.prepare_ctrl(
                 self.rank, dst_rank, payload=(self.rank, tag, obj),
-                on_deliver=deliver, nbytes=max(nbytes, _CTRL_BYTES),
+                on_deliver=deliver, nbytes=max(nbytes, CTRL_BYTES),
             )
         )
         yield done
@@ -675,7 +671,8 @@ class UnrEndpoint:
             lsid = src_blk.signal_sid
         else:
             lsid = None if local_signal is None else local_signal.sid
-        self._post(self.unr.engine.prepare_put(self.rank, src_blk, dst_blk, rsid, lsid))
+        engine = self.unr.engine
+        engine.post_op(engine.prepare_put(self.rank, src_blk, dst_blk, rsid, lsid))
 
     def get(
         self,
@@ -697,12 +694,8 @@ class UnrEndpoint:
             lsid = local_blk.signal_sid
         else:
             lsid = None if local_signal is None else local_signal.sid
-        self._post(self.unr.engine.prepare_get(self.rank, local_blk, remote_blk, rsid, lsid))
-
-    def _post(self, op: TransferOp) -> None:
-        """Post a prepared PUT/GET: the one call ``put``, ``get`` and
-        :meth:`RmaPlan.start <repro.core.plan.RmaPlan.start>` make."""
-        self.unr.engine.post_op(op)
+        engine = self.unr.engine
+        engine.post_op(engine.prepare_get(self.rank, local_blk, remote_blk, rsid, lsid))
 
     # -- plans ---------------------------------------------------------------
     def plan(self) -> "RmaPlan":

@@ -7,28 +7,25 @@ This module is that chokepoint for the reproduction:
 * :class:`TransferOp` — a prepared, reusable descriptor of one logical
   operation (PUT, GET, or a Level-0 control message): stripe plan,
   encoded custom bits, software-add actions, reliability policy.
-  Argument validation, signal-id resolution, sanitizer admission checks
-  and stripe planning happen once, at :meth:`TransferEngine.prepare_put`
-  / :meth:`TransferEngine.prepare_get` time — which is what makes
+  Argument validation, signal-id resolution and stripe planning happen
+  once, at :meth:`TransferEngine.prepare_put` /
+  :meth:`TransferEngine.prepare_get` time — which is what makes
   :class:`~repro.core.plan.RmaPlan` replay cheap.
 * :class:`TransferEngine` — the single :meth:`~TransferEngine.post_op`
   pipeline that PUT, GET, control messages and the MPI fallback channel
   all route through: payload capture, idempotence-token minting, rail
   failover, the watchdog retransmit loop and the trailing Level-0
-  notification attach here once instead of per-call-site.
+  notification attach here once instead of per-call-site.  Passive
+  tools attach at its one seam, :attr:`TransferEngine.on_post`.
 * :class:`ProgressEngine` — the per-node progress core (the paper's
   polling thread): drains all of a node's NIC completion queues in
   batched sweeps and dispatches each record to the handler registered
   for its kind (MMAS signal adds, ctrl-message applies, …).
-
-Everything here is timing-exact with the pre-engine inlined datapaths:
-the refactor is behaviour-preserving by construction (fingerprint tests
-in ``tests/core/test_plan_equivalence.py`` hold it to that).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -37,6 +34,7 @@ from typing import (
     Generator,
     List,
     Optional,
+    Set,
     Tuple,
 )
 
@@ -56,7 +54,6 @@ from .signal import submessage_addends
 from .transport import plan_stripes
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..obs import Recorder
     from .api import Unr
     from .health import HealthMonitor
     from .memory import Blk
@@ -163,9 +160,8 @@ class TransferOp:
     """A prepared transfer descriptor, replayable via :meth:`TransferEngine.post_op`.
 
     ``kind`` is ``'put'``, ``'get'`` or ``'ctrl'``.  For RMA kinds the
-    blocks are kept for sanitizer re-admission on replay (a signal freed
-    between plan starts must still be caught); ``n_posts`` counts how
-    often the descriptor has been posted.
+    blocks are kept so a tool at the ``post_op`` boundary can read what
+    each post touches.
     """
 
     kind: str
@@ -193,7 +189,6 @@ class TransferOp:
     on_deliver: Optional[Callable[[Any], None]] = None
     #: …or the sid of a Level-0 signal notification (addend -1).
     ctrl_sid: Optional[int] = None
-    n_posts: int = field(default=0, compare=False)
 
 
 @dataclass(slots=True)
@@ -233,11 +228,17 @@ class TransferEngine:
         self._n_fids = 0
         #: fragment geometry per distinct PUT shape, see _stripe_shape
         self._shapes: Dict[tuple, Tuple[Tuple[int, int, int, int, int], ...]] = {}
-        #: logical-op counter: every post_op call (including plan
-        #: replays and Level-0 ctrl tails) gets a fresh id, stamped on
-        #: the obs :class:`~repro.obs.recorder.OpRecord` of each of its
-        #: fragments so unrverify can group them.
-        self._op_post_seq = 0
+        #: The engine's one seam: ``on_post(op, sp, rail, attempt, rtok,
+        #: ltok, deliver)`` runs at every wire post — each fragment's
+        #: first (``attempt`` 0; ``sp`` is ``None`` for a control
+        #: message), and each watchdog retransmit — and returns the
+        #: delivery callback a first post goes out with.  ``None``: off.
+        self.on_post: Optional[Callable[..., Any]] = None
+        #: rail failovers taken by :meth:`_live_rail`
+        self.n_failovers = 0
+        #: (node, sid) a drained fragment owed a tokenless Level-0
+        #: notification: a shortfall there is accounted for, not leaked.
+        self.undischarged: Set[Tuple[int, int]] = set()
 
     # -- prepare: descriptors --------------------------------------------
     def prepare_put(
@@ -250,7 +251,7 @@ class TransferEngine:
     ) -> TransferOp:
         """Validate and plan one PUT; returns a replayable descriptor.
 
-        Per PUT: argument and sanitizer checks, the two region lookups
+        Per PUT: argument checks, the two region lookups
         and placements, one bounds-checked slice of each block.  Per
         fragment: the destination sub-view, the custom-bit encoding and
         one :class:`StripePlan`.  The fragment geometry itself comes
@@ -333,12 +334,6 @@ class TransferEngine:
                     remote_add, local_action_add, local_done_add,
                     remote_sig, local_sig,
                 )
-            )
-        # Admitted only once the library accepted the arguments.
-        if unr.sanitizer is not None:
-            unr.sanitizer.check_rma(
-                "put", src_rank, src_blk, dst_blk,
-                remote_sid=rsid, local_sid=lsid,
             )
         return TransferOp(
             kind="put",
@@ -455,11 +450,6 @@ class TransferEngine:
             if (rsid is not None and not ctrl_remote) else None,
             (src_node, lsid, -1) if lsid is not None else None,
         )
-        if unr.sanitizer is not None:
-            unr.sanitizer.check_rma(
-                "get", src_rank, local_blk, remote_blk,
-                remote_sid=rsid, local_sid=lsid,
-            )
         return TransferOp(
             kind="get",
             src_rank=src_rank, dst_rank=remote_blk.rank,
@@ -511,44 +501,33 @@ class TransferEngine:
         Every datapath terminates here: PUTs and GETs (direct or plan
         replay), Level-0 control notifications, out-of-band control
         messages, and the MPI fallback (whose channel this pipeline
-        posts into like any other).  On replay (``n_posts > 0``) the
-        sanitizer re-admits the operation — the arguments were validated
-        at prepare time, but a signal freed since must still be caught.
-        Nothing is returned: RMA completion is observed through signals,
-        a control message's through its delivery callback.
+        posts into like any other).  Nothing is returned: RMA completion
+        is observed through signals, a control message's through its
+        delivery callback.
         """
         unr = self.unr
-        if op.n_posts and unr.sanitizer is not None and op.kind in ("put", "get"):
-            unr.sanitizer.check_rma(
-                op.kind, op.src_rank, op.local_blk, op.remote_blk,
-                remote_sid=op.rsid, local_sid=op.lsid,
-            )
-        op.n_posts += 1
-        self._op_post_seq += 1
-        opid = self._op_post_seq
         if op.kind == "ctrl":
-            self._post_ctrl(op, opid)
+            self._post_ctrl(op)
         elif op.kind == "put":
             unr.stats["puts"] += 1
             unr.stats["fragments"] += len(op.stripes)
             for sp in op.stripes:
-                self._post_fragment(op, sp, opid)
+                self._post_fragment(op, sp)
             if op.ctrl_remote:
                 self.post_op(self._ctrl_tail(op))
         elif op.kind == "get":
             unr.stats["gets"] += 1
-            self._post_fragment(op, op.stripes[0], opid)
+            self._post_fragment(op, op.stripes[0])
         else:
             raise UnrUsageError(f"unknown transfer kind {op.kind!r}")
 
-    def _post_fragment(self, op: TransferOp, sp: StripePlan, opid: int) -> None:
+    def _post_fragment(self, op: TransferOp, sp: StripePlan) -> None:
         """Post one fragment of a PUT, or a GET: idempotence tokens,
-        payload capture, rail choice, op record, first attempt and — for
-        a reliable op — the fragment's watchdog.
+        payload capture, rail choice, :attr:`on_post`, first attempt
+        and — for a reliable op — the fragment's watchdog.
 
         The optional tiers are entered only when armed: the health gate
-        with ``unr.health``, the op record with ``unr.obs``, the
-        watchdog with a reliable op.
+        with ``unr.health``, the watchdog with a reliable op.
         """
         unr = self.unr
         reliable = op.reliable
@@ -570,10 +549,8 @@ class TransferEngine:
         else:
             deliver = None if view is None else self._write_view(view)
             first = sp.rail if unr.health is None else self._gate_unreliable(op, sp)
-        if unr.obs is not None:
-            deliver = self._stamp_wrap(
-                self._record_op(op, sp, opid, first, rtok, ltok), deliver
-            )
+        if self.on_post is not None:
+            deliver = self.on_post(op, sp, first, 0, rtok, ltok, deliver)
         if delivered is None:
             done = self._attempt(op, sp, payload, deliver, rtok, ltok, first)
             if op.kind == "get":
@@ -674,7 +651,7 @@ class TransferEngine:
             done.callbacks.append(self._add_callback(local_done_add, ltok))
         return done
 
-    def _post_ctrl(self, op: TransferOp, opid: int) -> None:
+    def _post_ctrl(self, op: TransferOp) -> None:
         """Post one control message on the ordered lane: an out-of-band
         payload, or the Level-0 ``(p, a)`` of a signal notification."""
         unr = self.unr
@@ -682,15 +659,9 @@ class TransferEngine:
         on_del = op.on_deliver
         if op.ctrl_sid is not None:
             unr.stats["ctrl_msgs"] += 1
-            if unr.obs is not None:
-                unr.obs.event(
-                    "unr.ctrl_fallback", track=f"rank{op.src_rank}",
-                    dst=op.dst_rank, sid=op.ctrl_sid,
-                )
             on_del = self._ctrl_delivery(op)
-        oprec = self._record_op(op, None, opid, 0)
-        if oprec is not None:
-            on_del = self._stamp_wrap(oprec, on_del)
+        if self.on_post is not None:
+            on_del = self.on_post(op, None, 0, 0, None, None, on_del)
         unr.channel.put(
             op.src_rank,
             op.dst_rank,
@@ -720,78 +691,6 @@ class TransferEngine:
             # back to the blocking push for backpressure.
             if not dst_nic.cq.try_push(rec):
                 env.process(dst_nic.cq.push(rec), name="ctrl-cqe")
-
-        return deliver
-
-    # -- obs op-metadata emission (unrverify layer 1) ----------------------
-    def _record_op(
-        self,
-        op: TransferOp,
-        sp: Optional[StripePlan],
-        opid: int,
-        rail: int,
-        rtok: Optional[int] = None,
-        ltok: Optional[int] = None,
-    ) -> Any:
-        """Append one obs :class:`~repro.obs.recorder.OpRecord` (or
-        ``None`` when observation is disarmed).  Purely passive: list
-        appends only, no simulator events, no RNG."""
-        obs = self.unr.obs
-        if obs is None:
-            return None
-        write = read = None
-        deliver_rank = op.dst_rank
-        if op.kind == "put" and sp is not None:
-            dst, src = op.remote_blk, op.local_blk
-            if dst is not None:
-                write = (dst.rank, dst.mr_handle, dst.offset + sp.offset, sp.size)
-            if src is not None:
-                read = (src.rank, src.mr_handle, src.offset + sp.offset, sp.size)
-        elif op.kind == "get" and sp is not None:
-            loc, rem = op.local_blk, op.remote_blk
-            if loc is not None:
-                write = (loc.rank, loc.mr_handle, loc.offset, loc.size)
-            if rem is not None:
-                read = (rem.rank, rem.mr_handle, rem.offset, rem.size)
-            deliver_rank = op.src_rank
-        tag = None
-        if op.kind == "ctrl" and isinstance(op.payload, tuple) and len(op.payload) == 3:
-            tag = None if op.payload[1] is None else str(op.payload[1])
-        if op.kind == "ctrl":
-            lane = "ctrl"
-        elif rail == FALLBACK_RAIL:
-            lane = "fallback"
-        else:
-            lane = "rma"
-        return obs.record_op(
-            op_id=opid, kind=op.kind, lane=lane,
-            src_rank=op.src_rank, dst_rank=op.dst_rank,
-            deliver_rank=deliver_rank,
-            nbytes=sp.size if sp is not None else op.nbytes,
-            post_time=self.env.now, rail=rail,
-            frag_index=sp.index if sp is not None else 0,
-            write=write, read=read,
-            rsid=op.rsid, lsid=op.lsid,
-            rnode=op.dst_node, lnode=op.src_node,
-            rtok=rtok, ltok=ltok,
-            ctrl_sid=op.ctrl_sid, tag=tag,
-        )
-
-    def _stamp_wrap(
-        self, oprec: Any, inner: Optional[Callable[[Any], None]]
-    ) -> Callable[[Any], None]:
-        """Wrap a delivery callback to stamp the op record's
-        ``deliver_time``/``deliver_seq`` on *first* delivery (duplicate
-        and retransmit deliveries do not restamp)."""
-        obs = self.unr.obs
-        env = self.env
-
-        def deliver(data: Any) -> None:
-            if oprec.deliver_time is None:
-                oprec.deliver_time = env.now
-                oprec.deliver_seq = obs.next_seq()
-            if inner is not None:
-                inner(data)
 
         return deliver
 
@@ -955,7 +854,7 @@ class TransferEngine:
         idempotence tokens: if a raced wire delivery already applied (or
         later applies) the same notification, the token dedup keeps the
         count single.  Tokenless Level-0 ctrl tails can't be discharged
-        that way — the sanitizer is told to expect the shortfall."""
+        that way: their ``(node, sid)`` joins :attr:`undischarged`."""
         unr = self.unr
         frag.cancelled = True
         op, sp = frag.op, frag.sp
@@ -965,12 +864,10 @@ class TransferEngine:
         if sp.remote_sig is not None:
             node, sid, addend = sp.remote_sig
             unr._apply_add(node, sid, addend, token=frag.rtok)
-        if op.ctrl_remote and op.rsid is not None and unr.sanitizer is not None:
-            unr.sanitizer.on_fragment_drained(op.dst_node, op.rsid)
+        if op.ctrl_remote and op.rsid is not None:
+            self.undischarged.add((op.dst_node, op.rsid))
         self._inflight.pop(frag.fid, None)
         unr.stats["drained_fragments"] += 1
-        if unr.obs is not None:
-            unr.obs.count("health.drained_fragments")
 
     # -- reliability layer ------------------------------------------------
     def _live_rail(self, src_rank: int, dst_rank: int, preferred: int) -> int:
@@ -980,8 +877,8 @@ class TransferEngine:
         rail, hops = scan_rails(self.job, src_rank, dst_rank, preferred)
         if rail is None:
             return preferred % hops  # all ``hops`` rails scanned were dead
-        if hops and self.unr.obs is not None:
-            self.unr.obs.count("reliability.rail_failovers")
+        if hops:
+            self.n_failovers += 1
         return rail
 
     def _fragment_timeout(self, frag: _Fragment, fallback: bool = False) -> float:
@@ -1062,11 +959,8 @@ class TransferEngine:
                 fb_base = self._fragment_timeout(frag, fallback=True)
                 t = max(t, fb_base)
             unr.stats["retransmits"] += 1
-            if unr.obs is not None:
-                unr.obs.event(
-                    "reliability.retransmit", track=f"rank{src_rank}",
-                    what=what, attempt=attempt + 1, rail=target, nbytes=nbytes,
-                )
+            if self.on_post is not None:
+                self.on_post(op, sp, target, attempt + 1, frag.rtok, frag.ltok, frag.deliver)
             attempts.append((_target_label(target), env.now / US))
             self._attempt(op, sp, frag.payload, frag.deliver, frag.rtok, frag.ltok, target)
             t = min(t * rel.backoff_factor, max(rel.max_backoff, base, fb_base))
@@ -1165,8 +1059,7 @@ class _Sweeper:
     def on_record(self, record: CompletionRecord) -> None:
         """A sweep begins.  Runs inside the producer's kernel event."""
         engine = self.engine
-        if engine.obs is not None:
-            engine.obs.count("core.poll_sweeps")
+        engine.n_sweeps += 1
         # A stalled CQ (fault injection) holds its records back: the
         # progress engine is wedged until the stall window passes.
         if self.cq.is_stalled:
@@ -1236,19 +1129,18 @@ class ProgressEngine:
         config: PollingConfig,
         default_handler: Optional[Callable[[int, CompletionRecord], None]] = None,
         *,
-        obs: Optional["Recorder"] = None,
         health: Optional["HealthMonitor"] = None,
     ) -> None:
         self.env = env
         self.node = node
         self.config = config
         self.default_handler = default_handler
-        self._handlers: Dict[str, Callable[[int, CompletionRecord], None]] = {}
-        self.obs = obs
+        self.handlers: Dict[str, Callable[[int, CompletionRecord], None]] = {}
         #: health monitor fed with every swept record: a completion that
         #: crossed the wire proves its (src, dst, rail) path, which is
         #: what closes half-open breakers without extra probe traffic.
         self.health = health
+        self.n_sweeps = 0
         self.n_dispatched = 0
         self.total_delay = 0.0
         #: preallocated sweep buffer — one per engine, reused by every
@@ -1269,17 +1161,14 @@ class ProgressEngine:
         self, kind: str, handler: Callable[[int, CompletionRecord], None]
     ) -> None:
         """Dispatch records of ``kind`` to ``handler(node_index, record)``."""
-        self._handlers[kind] = handler
+        self.handlers[kind] = handler
 
     def _dispatch(self, nic: Any, record: CompletionRecord) -> None:
         self.n_dispatched += 1
         delay = self.env.now - record.complete_time
         self.total_delay += delay
-        if self.obs is not None:
-            self.obs.count("core.poll_dispatches")
-            self.obs.observe("core.poll_dispatch_delay_us", delay / US)
         kind = record.kind
-        handler = self._handlers.get(kind, self.default_handler)
+        handler = self.handlers.get(kind, self.default_handler)
         if handler is not None:
             # Read through env each dispatch (not cached at construction)
             # so profilers attached after engine creation are still seen.

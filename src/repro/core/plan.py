@@ -9,11 +9,10 @@ The first ``start()`` prepares one
 :class:`~repro.core.engine.TransferOp` per recorded operation through
 the unified transfer engine — argument checks, signal-id resolution and
 stripe planning run once — and every start (including the first)
-replays the cached descriptors through the endpoint's ``_post`` (the
-call ``put`` and ``get`` make) into
-:meth:`~repro.core.engine.TransferEngine.post_op`, which re-admits each
-op with the sanitizer so a signal freed between iterations is still
-caught."""
+replays the cached descriptors through
+:meth:`~repro.core.engine.TransferEngine.post_op`, the call ``put`` and
+``get`` make, where an armed sanitizer admits each post, so a signal
+freed between iterations is still caught."""
 
 from __future__ import annotations
 
@@ -127,7 +126,7 @@ class RmaPlan:
                     built.append(engine.prepare_get(ep.rank, op.src, op.dst, rsid, lsid))
             self._prepared = built
         for top in self._prepared:
-            ep._post(top)
+            engine.post_op(top)
         if handle is not None:
             handle.end()
 

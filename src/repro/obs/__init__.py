@@ -7,8 +7,9 @@ never changes what the simulation does, only what gets written down —
 the ``transfer_fingerprint`` of a run is identical with observation on
 or off.
 
-Arm via ``Unr(..., observe=True)``, ``Recorder.attach(cluster)``, or
-the ``repro trace`` CLI.
+Arm via ``Unr(..., observe=True)`` (which also interposes on that
+library's boundary, :func:`repro.obs.instrument.observe_unr`),
+``Recorder.attach(cluster)``, or the ``repro trace`` CLI.
 Export with :func:`write_perfetto` (Chrome/Perfetto ``trace_event``
 JSON: ``repro trace``'s one artifact) or :func:`text_timeline`.  See
 ``docs/observability.md``.

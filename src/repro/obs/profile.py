@@ -40,8 +40,8 @@ from the Recorder:
   Optional sampling mode folds self-time into collapsed-stack lines
   (``layer;kind[;dispatch:rkind] <ns>``) ready for flamegraph tooling.
 
-Arm with :meth:`HostProfiler.attach` **before** constructing ``Unr``
-(so progress engines see it), wrap the measured region in
+Arm with :meth:`HostProfiler.attach` (before or after ``Unr``: progress
+engines read ``env.profile`` on every dispatch), wrap the measured region in
 :meth:`window`, then export via :meth:`snapshot`, :meth:`report`,
 :meth:`collapsed` or the Perfetto file
 (:func:`repro.obs.export.perfetto_json` with ``profiler=``: the counter
@@ -238,8 +238,8 @@ class HostProfiler:
                profiler: Optional["HostProfiler"] = None) -> "HostProfiler":
         """Arm host profiling on ``cluster`` (idempotent per cluster).
 
-        Must run **before** ``Unr(...)`` so progress engines pick the
-        profiler up at construction.  One profiler may be attached to
+        May run before or after ``Unr(...)``: progress engines read
+        ``env.profile`` on every dispatch.  One profiler may be attached to
         several clusters over its life (e.g. the profiler-tax test runs
         two jobs per pass); accumulators keep growing across them.
         """

@@ -240,11 +240,13 @@ def test_unarmed_record_reaches_signal_add_in_four_frames(monkeypatch):
     monkeypatch.setattr(Signal, "add", add)
     unr_pingpong("th-xy", SIZE, ITERS)
     assert stacks == {("_handle_rma_record", "_dispatch", "_fire", "_sweep_fire")}
-    # An observed run takes the one definition of the general path.
+    # An observed run takes the one definition of the general path, under
+    # the recorder's dispatch-delay wrapper.
     stacks.clear()
     assert _cost("put")[:2] == (12, 72)
     assert stacks == {
-        ("_apply_add", "_handle_rma_record", "_dispatch", "_fire", "_sweep_fire")
+        ("_apply_add", "_handle_rma_record", "timed_handler", "_dispatch", "_fire",
+         "_sweep_fire")
     }
 
 

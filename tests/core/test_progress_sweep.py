@@ -38,19 +38,6 @@ def record(rid, now=0.0):
     return CompletionRecord(kind="put_remote", custom=rid, complete_time=now)
 
 
-class SweepCounter:
-    """The two Recorder calls the engine makes, counted."""
-
-    def __init__(self):
-        self.counts = {}
-
-    def count(self, name):
-        self.counts[name] = self.counts.get(name, 0) + 1
-
-    def observe(self, name, value):
-        pass
-
-
 def reference_rail(arrivals, stalls, delay, limit, depth):
     """One rail's batching rule.
 
@@ -135,9 +122,8 @@ windows = st.lists(
 def test_sweeps_match_the_batching_rule(config, n_rails, depth, bursts, windows):
     env, node = make_node(nics=n_rails, cq_depth=depth)
     log = []
-    obs = SweepCounter()
     engine = ProgressEngine(
-        env, node, config, lambda n, rec: log.append((env.now, rec.custom)), obs=obs,
+        env, node, config, lambda n, rec: log.append((env.now, rec.custom)),
     )
 
     arrivals = [[] for _ in range(n_rails)]
@@ -186,8 +172,7 @@ def test_sweeps_match_the_batching_rule(config, n_rails, depth, bursts, windows)
     assert engine.total_delay == pytest.approx(
         sum(t - arrived_at[i] for t, i in log), rel=1e-9, abs=1e-15
     )
-    assert obs.counts["core.poll_sweeps"] == sum(e[1] for e in expected)
-    assert obs.counts["core.poll_dispatches"] == rid
+    assert engine.n_sweeps == sum(e[1] for e in expected)
 
 
 # -- the hand-off at its edges -------------------------------------------------
@@ -331,9 +316,8 @@ def test_stalled_queue_holds_its_record_until_the_window_closes(config):
     delay the fire runs inside the window-closing event itself."""
     env, node = make_node()
     log = []
-    obs = SweepCounter()
     engine = ProgressEngine(
-        env, node, config, lambda n, rec: log.append((rec.custom, env.now)), obs=obs,
+        env, node, config, lambda n, rec: log.append((rec.custom, env.now)),
     )
     cq = node.nic(0).cq
     delay = config.dispatch_delay
@@ -351,7 +335,7 @@ def test_stalled_queue_holds_its_record_until_the_window_closes(config):
     env.run()
     window_closes = 2e-6 + (4e-6 - 2e-6) + (6e-6 - 4e-6)  # as the sweeper adds it up
     assert log == [(1, window_closes + delay), (2, window_closes + delay)]
-    assert obs.counts["core.poll_sweeps"] == 1  # record 2 rode the same sweep
+    assert engine.n_sweeps == 1  # record 2 rode the same sweep
     assert engine.n_dispatched == 2
     assert engine.total_delay == pytest.approx(
         (window_closes + delay - 2e-6) + (window_closes + delay - 5e-6)

@@ -8,7 +8,9 @@ surviving world must receive every iteration's pattern bit-exact.
 """
 
 import ast
+import dataclasses
 import inspect
+import re
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,7 @@ import pytest
 
 import repro.core
 from repro.core import Unr, UnrTimeoutError, UnrUsageError
+from repro.core.engine import ProgressEngine, TransferOp
 from repro.netsim import (
     Cluster,
     ClusterSpec,
@@ -154,7 +157,7 @@ def test_each_world_sees_a_logical_job():
 
 def test_disarmed_unr_has_no_replication_state():
     """The tier wraps ``Unr`` from outside: a plain library has no trace
-    of it, and ``Unr.__init__`` takes 10 keywords."""
+    of it, and ``Unr.__init__`` takes 9 keywords."""
     job = make_job()
     unr = Unr(job, "glex", reliability=True)
     results = {}
@@ -164,7 +167,7 @@ def test_disarmed_unr_has_no_replication_state():
     assert not hasattr(unr, "replication")
     assert not any(k.startswith("replication") for k in unr.stats)
     params = inspect.signature(Unr.__init__).parameters.values()
-    assert sum(p.kind is p.KEYWORD_ONLY for p in params) == 10
+    assert sum(p.kind is p.KEYWORD_ONLY for p in params) == 9
 
 
 def test_heartbeat_ledger_records_and_counts_missed_periods():
@@ -550,3 +553,45 @@ def test_core_does_not_know_the_team_tier():
     assert not hasattr(Unr(make_job(), "glex").engine, "peer_recovery")
     assert "heartbeat" not in sources["health.py"].lower()
     assert not hasattr(Job, "reassign_node")
+
+
+def runtime_imports(tree, package):
+    """Absolute names of the modules a module imports when it is itself
+    imported: outside functions and ``if TYPE_CHECKING:`` blocks."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING":
+            stack.extend(node.orelse)
+        elif isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package.rsplit(".", node.level - 1)[0] if node.level else ""
+            yield ".".join(part for part in (base, node.module) if part)
+        else:
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_engine_knows_only_its_datapath():
+    """Observation and the sanitizer attach at the library's boundary:
+    no engine code line names them, the progress engine takes no
+    recorder, a descriptor counts no posts, and no ``core`` module
+    imports ``repro.obs`` or ``repro.analysis`` when it is imported."""
+    source = (CORE / "engine.py").read_text()
+    pattern = re.compile(r"\bobs\b|sanitizer|Recorder|record_op|check_rma")
+    named = [n for n, line in code_lines(ast.parse(source), source) if pattern.search(line)]
+    assert named == []
+    assert "obs" not in inspect.signature(ProgressEngine).parameters
+    assert "n_posts" not in {f.name for f in dataclasses.fields(TransferOp)}
+    reached = [
+        (path.name, name) for path in sorted(CORE.glob("*.py"))
+        for name in runtime_imports(ast.parse(path.read_text()), "repro.core")
+        if name.split(".")[:2] in (["repro", "obs"], ["repro", "analysis"])
+    ]
+    assert reached == []
+    # The resolver itself: relative imports resolve, typing-only ones are skipped.
+    probe = ast.parse("from ..obs import Recorder\nif TYPE_CHECKING:\n"
+                      "    from ..analysis import sanitizer\nfrom .api import Unr\n")
+    assert sorted(runtime_imports(probe, "repro.core")) == ["repro.core.api", "repro.obs"]

@@ -136,6 +136,16 @@ def test_trace_writes_valid_artifacts(tmp_path, capsys):
     assert sorted(other) == ["snapshot", "transfer_fingerprint"]
 
 
+@pytest.mark.parametrize("demo", ["latency", "powerllel"])
+def test_trace_faults_outside_the_stream_demo_exits_two(demo, tmp_path, capsys):
+    """Only the stream demo runs a fault schedule: elsewhere ``--faults``
+    is refused before anything runs, not silently dropped."""
+    perfetto = tmp_path / "trace.json"
+    assert main(["trace", demo, "--faults", "drop=0.1", "--perfetto", str(perfetto)]) == 2
+    assert "--faults applies to the stream demo only" in capsys.readouterr().err
+    assert not perfetto.exists()
+
+
 def test_trace_profile_flame_writes_one_artifact(tmp_path, capsys):
     """``trace --profile --flame``: the Perfetto file carries the recorder
     snapshot, the transfer fingerprint and the profiler's tables; the
@@ -204,6 +214,8 @@ def test_chaos_exit_code_covers_the_overhead_cap(tmp_path, capsys, monkeypatch):
     ["faults", "--iters", "0"],
     ["faults", "--nodes", "1"],
     ["trace", "--size", "0"],
+    ["trace", "--iters", "0"],
+    ["trace", "--iters", "-1"],
     ["verify", "--platform", "nope"],
     ["latency", "--platform", "nope"],
     ["chaos", "--platform", "nope"],
