@@ -30,7 +30,6 @@ from .core import (
     Signal,
     Unr,
     UnrEndpoint,
-    UnrSyncError,
     UnrSyncWarning,
 )
 from .netsim import Cluster, ClusterSpec, FabricSpec, NicSpec, NodeSpec
@@ -59,7 +58,6 @@ __all__ = [
     "Signal",
     "Unr",
     "UnrEndpoint",
-    "UnrSyncError",
     "UnrSyncWarning",
     "__version__",
     "get_platform",

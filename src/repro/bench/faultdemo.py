@@ -14,7 +14,7 @@ checks the two guarantees the fault subsystem makes:
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -83,7 +83,7 @@ def _producer_consumer(unr, job, *, size: int, iters: int, ranks=None, world=Non
     return {"received": received[0], "correct": correct[0], "time": max(times)}
 
 
-def _one_run(
+def _fault_stream(
     faults: FaultSpec,
     *,
     platform: str,
@@ -93,7 +93,12 @@ def _one_run(
     seed: int,
     observe: bool = False,
     health: bool = False,
-) -> Dict:
+) -> Tuple[Dict[str, Any], Unr, List[Any]]:
+    """One producer→consumer stream on a fresh seeded job under
+    ``faults``, with the reliability layer armed.  Returns the stream's
+    result (plus its wire ``fingerprint`` and the injector's ``faults``
+    counts), the ``Unr`` and the recorded transfers, from which each
+    caller reads its own counters."""
     plat = get_platform(platform)
     job = make_job(platform, n_nodes, seed=seed)
     injector = FaultInjector.attach(job.cluster, faults)
@@ -102,14 +107,9 @@ def _one_run(
     result = _producer_consumer(unr, job, size=size, iters=iters)
     result.update(
         fingerprint=transfer_fingerprint(recorder.transfers),
-        trace=transfer_summary(recorder.transfers),
         faults=dict(injector.stats),
-        retransmits=unr.stats["retransmits"],
-        duplicates_suppressed=unr.stats["duplicates_suppressed"],
-        degraded_ops=unr.stats["degraded_ops"],
-        repromotions=unr.stats["repromotions"],
     )
-    return result
+    return result, unr, recorder.transfers
 
 
 def fault_demo(
@@ -132,12 +132,19 @@ def fault_demo(
     ``node_crash``) — without it such schedules defeat retransmission.
     """
     spec = FaultSpec.parse(faults, seed=fault_seed)
-    runs = [
-        _one_run(spec, platform=platform, n_nodes=n_nodes,
-                 size=size, iters=iters, seed=seed, observe=observe,
-                 health=health)
-        for _ in range(2)
-    ]
+    runs = []
+    for _ in range(2):
+        run, unr, transfers = _fault_stream(
+            spec, platform=platform, n_nodes=n_nodes, size=size, iters=iters,
+            seed=seed, observe=observe, health=health,
+        )
+        run.update(
+            trace=transfer_summary(transfers),
+            **{key: unr.stats[key] for key in (
+                "retransmits", "duplicates_suppressed", "degraded_ops", "repromotions",
+            )},
+        )
+        runs.append(run)
     return {
         "spec": spec,
         "runs": runs,

@@ -31,10 +31,8 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from ..core import Unr
 from ..netsim import FaultInjector, FaultSpec, NodeCrash
-from ..netsim.trace import transfer_fingerprint
-from ..obs import Recorder
 from ..platforms import PLATFORMS, get_platform, make_job
-from .faultdemo import _producer_consumer
+from .faultdemo import _fault_stream, _producer_consumer
 
 __all__ = [
     "RESILIENCE_SCHEMA",
@@ -53,7 +51,7 @@ REPLICATION_CRASH_US = 120.0
 #: budget on the p95 failover time-to-recover (last heartbeat heard from
 #: the dead member -> its world stopped), simulated us.  Heartbeats stop
 #: the world at ~95-98 us on th-xy and hpc-roce (floor:
-#: ``suspicion_threshold x heartbeat_period_us`` = 75 us); on th-2a and
+#: ``SUSPICION_THRESHOLD x HEARTBEAT_PERIOD_US`` = 75 us); on th-2a and
 #: hpc-ib a contained peer-dead error stops it first, at ~39-43 us.  5x
 #: the slowest, so only a stop that stalls for whole extra heartbeat
 #: rounds trips it.
@@ -80,33 +78,14 @@ def _percentile(sorted_values: Sequence[float], q: float) -> float:
     return float(sorted_values[min(rank, len(sorted_values) - 1)])
 
 
-def _one_run(
-    spec: FaultSpec,
-    *,
-    platform: str,
-    n_nodes: int,
-    size: int,
-    iters: int,
-    seed: int,
-) -> Dict[str, Any]:
-    plat = get_platform(platform)
-    job = make_job(platform, n_nodes, seed=seed)
-    injector = FaultInjector.attach(job.cluster, spec)
-    recorder = Recorder.attach(job.cluster)  # outermost: sees post-fault times
-    unr = Unr(job, plat.channel, reliability=True, health=True)
-    result = _producer_consumer(unr, job, size=size, iters=iters)
+def _one_run(spec: FaultSpec, **stream: Any) -> Dict[str, Any]:
+    result, unr, _ = _fault_stream(spec, health=True, **stream)
     recover_us = sorted(w["duration_us"] for w in unr.health.recovery_log)
     result.update(
-        fingerprint=transfer_fingerprint(recorder.transfers),
-        faults=dict(injector.stats),
-        retransmits=int(unr.stats["retransmits"]),
-        recovered_ops=int(unr.stats["recovered_ops"]),
-        degraded_ops=int(unr.stats["degraded_ops"]),
-        degradations=int(unr.stats["degradations"]),
-        repromotions=int(unr.stats["repromotions"]),
-        breaker_opens=int(unr.stats["breaker_opens"]),
-        breaker_closes=int(unr.stats["breaker_closes"]),
-        fallback_posts=int(unr.stats["fallback_posts"]),
+        {key: int(unr.stats[key]) for key in (
+            "retransmits", "recovered_ops", "degraded_ops", "degradations",
+            "repromotions", "breaker_opens", "breaker_closes", "fallback_posts",
+        )},
         time_to_recover_us={
             "p50": _percentile(recover_us, 0.50),
             "p90": _percentile(recover_us, 0.90),
@@ -131,7 +110,7 @@ def _one_replicated_run(
     worlds of a 2x``team_size``-node job; ``crash_us`` kills world 0's
     consumer node mid-stream."""
     # Imported here so that importing repro.bench does not load the tier.
-    from ..replication import ReplicationConfig, TeamWorld
+    from ..replication import TeamWorld
 
     plat = get_platform(platform)
     job = make_job(platform, 2 * team_size, seed=seed)
@@ -141,7 +120,7 @@ def _one_replicated_run(
             FaultSpec(node_crashes=(NodeCrash(crash_us, node=1),)),
         )
     unr = Unr(job, plat.channel, reliability=True, health=True)
-    world = TeamWorld(unr, ReplicationConfig(team_size=team_size))
+    world = TeamWorld(unr, team_size)
     result = _producer_consumer(unr, job, size=size, iters=iters, world=world)
     result.update(
         live_worlds=sorted(world.live),
@@ -228,7 +207,6 @@ def resilience_bench(
     fault_seed: int = 3,
     replication: bool = True,
     team_size: int = 2,
-    replication_crash_us: float = REPLICATION_CRASH_US,
 ) -> Dict[str, Any]:
     """Run the chaos soak; returns the ``BENCH_resilience.json`` record.
 
@@ -258,13 +236,13 @@ def resilience_bench(
         rep_platforms = {
             platform: _replication_block(
                 platform, team_size=team_size, size=size, iters=iters,
-                seed=seed, crash_us=replication_crash_us,
+                seed=seed, crash_us=REPLICATION_CRASH_US,
             )
             for platform in platforms
         }
         rep_block = {
             "team_size": team_size,
-            "crash_us": replication_crash_us,
+            "crash_us": REPLICATION_CRASH_US,
             "platforms": rep_platforms,
             "overhead_ratio": max(
                 b["overhead_ratio"] for b in rep_platforms.values()

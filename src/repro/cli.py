@@ -36,16 +36,17 @@ def _sizes(text: str) -> List[int]:
         raise argparse.ArgumentTypeError(f"bad size list {text!r}") from None
 
 
-def _at_least(low: int):
-    """An argparse ``type``: an int no smaller than ``low``."""
+def _at_least(low: float, kind: type = int):
+    """An argparse ``type``: a ``kind`` (int or float) no smaller than
+    ``low`` (a float NaN is refused too)."""
 
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < low:
+    def parse(text: str):
+        value = kind(text)
+        if not value >= low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
         return value
 
-    parse.__name__ = "int"  # argparse's "invalid int value" on a non-number
+    parse.__name__ = kind.__name__  # argparse's "invalid int value" on a non-number
     return parse
 
 
@@ -113,9 +114,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="add an endpoint failure: every rail of NODE goes "
                         "dark (arms the health layer; ops degrade to the "
                         "MPI fallback channel)")
-    p.add_argument("--kill-at", type=float, default=60.0, metavar="US",
+    p.add_argument("--kill-at", type=_at_least(0.0, float), default=60.0, metavar="US",
                    help="failure onset in simulated us (default: 60)")
-    p.add_argument("--kill-duration", type=float, default=80.0, metavar="US",
+    p.add_argument("--kill-duration", type=_at_least(0.0, float), default=80.0,
+                   metavar="US",
                    help="downtime window in us; 0 = permanent fail-stop "
                         "node crash (default: 80)")
 
@@ -181,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flame", default=None, metavar="PATH",
                    help="write collapsed stacks (flamegraph.pl input) to "
                         "PATH; implies --profile")
-    p.add_argument("--limit", type=int, default=30,
+    p.add_argument("--limit", type=_at_least(0), default=30,
                    help="max rows in the printed timeline")
 
     p = sub.add_parser(
@@ -338,7 +340,7 @@ def cmd_faults(args) -> int:
     except UnrTimeoutError as exc:
         print(f"Fault demo on {args.platform}: schedule {spec_text!r} "
               f"defeated the reliability layer:\n  {exc}")
-        print("  verdict      FAILED (raise max_retries or soften the schedule)")
+        print("  verdict      FAILED (soften the schedule)")
         return 1
     spec = out["spec"]
     r0, r1 = out["runs"]
@@ -620,8 +622,14 @@ _COMMANDS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    from .netsim.faults import FaultScheduleError
+
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except FaultScheduleError as exc:  # raised when the schedule is attached
+        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -22,14 +22,12 @@ from .errors import (
     OpContext,
     UnrDegradeWarning,
     UnrError,
-    UnrOverflowError,
     UnrPeerDeadError,
-    UnrSyncError,
     UnrSyncWarning,
     UnrTimeoutError,
     UnrUsageError,
 )
-from .health import CircuitBreaker, HealthConfig, HealthMonitor
+from .health import CircuitBreaker, HealthMonitor
 from .levels import LevelPolicy, decode_custom, encode_custom, max_signals, policy_for_channel
 from .memory import Blk, MemoryRegion
 from .plan import PlannedOp, RmaPlan
@@ -38,7 +36,6 @@ from .signal import DEFAULT_N_BITS, MASK64, Signal, submessage_addends
 from .transport import (
     DEFAULT_STRIPE_THRESHOLD,
     MIN_FRAGMENT,
-    ReliabilityConfig,
     Stripe,
     plan_stripes,
 )
@@ -50,7 +47,6 @@ __all__ = [
     "DEFAULT_N_BITS",
     "DEFAULT_STRIPE_THRESHOLD",
     "FALLBACK_RAIL",
-    "HealthConfig",
     "HealthMonitor",
     "LevelPolicy",
     "MASK64",
@@ -60,7 +56,6 @@ __all__ = [
     "PlannedOp",
     "PollingConfig",
     "ProgressEngine",
-    "ReliabilityConfig",
     "RmaPlan",
     "Signal",
     "Stripe",
@@ -71,9 +66,7 @@ __all__ = [
     "UnrDegradeWarning",
     "UnrEndpoint",
     "UnrError",
-    "UnrOverflowError",
     "UnrPeerDeadError",
-    "UnrSyncError",
     "UnrSyncWarning",
     "UnrTimeoutError",
     "UnrUsageError",

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import warnings
 from collections import Counter
-from typing import TYPE_CHECKING, Any, Callable, Generator, List, Optional, Set, TypeVar, Union
+from typing import TYPE_CHECKING, Any, Generator, List, Optional, Set, Union
 
 import numpy as np
 
@@ -44,11 +44,9 @@ from ..runtime import Job
 from ..sim import FilterStore
 from ..units import US
 from .engine import CTRL_BYTES, ProgressEngine, TransferEngine
-from .health import HealthConfig, HealthMonitor
+from .health import HealthMonitor
 from .errors import (
     UnrDegradeWarning,
-    UnrOverflowError,
-    UnrSyncError,
     UnrSyncWarning,
     UnrUsageError,
 )
@@ -56,7 +54,7 @@ from .levels import LevelPolicy, max_signals, policy_for_channel
 from .memory import Blk, MemoryRegion
 from .polling import PollingConfig
 from .signal import DEFAULT_N_BITS, Signal
-from .transport import DEFAULT_STRIPE_THRESHOLD, ReliabilityConfig
+from .transport import DEFAULT_STRIPE_THRESHOLD
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..analysis.sanitizer import SanitizerReport, UnrSanitizer
@@ -65,21 +63,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["Unr", "UnrEndpoint"]
 
 _UNSET = object()
-
-_Config = TypeVar("_Config")
-
-
-def _tier_config(
-    arg: Union[_Config, bool, None], default: Callable[[], _Config]
-) -> Optional[_Config]:
-    """An optional tier's ``Unr`` keyword: ``True`` arms it with the
-    default config, ``False`` / ``None`` leave it off, and a config
-    instance arms it with that config."""
-    if arg is True:
-        return default()
-    if arg is None or arg is False:
-        return None
-    return arg
 
 
 class Unr:
@@ -105,16 +88,14 @@ class Unr:
         when the level supports aggregation.
     max_stripe_rails:
         Cap on rails used per message (``None`` = all rails).
-    strict:
-        Raise on detected synchronization errors / overflows instead of
-        warning.
     reliability:
-        ``None``/``False`` (default) — trust the fabric, the happy
-        path.  ``True`` or a :class:`ReliabilityConfig` — arm the
-        reliability layer: every unordered PUT/GET fragment gets a
-        delivery watchdog with timeout + exponential-backoff retransmit
-        and rail failover, and all notifications carry idempotence
-        tokens so re-deliveries never double-count (required when a
+        ``False`` (default) — trust the fabric, the happy path.
+        ``True`` arms the reliability layer: every unordered PUT/GET
+        fragment gets a delivery watchdog with timeout +
+        exponential-backoff retransmit and rail failover (the policy
+        constants live in :mod:`repro.core.transport`), and all
+        notifications carry idempotence tokens so re-deliveries never
+        double-count (required when a
         :class:`~repro.netsim.faults.FaultInjector` is attached).
     sanitize:
         Arm the :class:`~repro.analysis.sanitizer.UnrSanitizer` runtime
@@ -140,10 +121,16 @@ class Unr:
         the MPI fallback channel with identical notification-token
         semantics — raising
         :class:`~repro.core.errors.UnrPeerDeadError` only when the
-        fallback lane is dead too (fail-stop node crash).  ``True`` or
-        a :class:`~repro.core.health.HealthConfig` arms it; off by
-        default.  Healthy armed runs are trace-fingerprint-identical to
-        disarmed ones (the breakers are passive until something fails).
+        fallback lane is dead too (fail-stop node crash).  ``True``
+        arms it (the breaker constants live in
+        :mod:`repro.core.health`); off by default.  Healthy armed runs
+        are trace-fingerprint-identical to disarmed ones (the breakers
+        are passive until something fails).
+
+    A synchronization error found by ``sig_reset`` or an event overflow
+    found by ``sig_wait`` counts its stat and warns
+    :class:`~repro.core.errors.UnrSyncWarning`; to raise instead, set
+    ``warnings.simplefilter("error", UnrSyncWarning)``.
     """
 
     def __init__(
@@ -155,11 +142,10 @@ class Unr:
         mode2_split: Optional[int] = None,
         stripe_threshold: int = DEFAULT_STRIPE_THRESHOLD,
         max_stripe_rails: Optional[int] = None,
-        strict: bool = False,
-        reliability: Union[ReliabilityConfig, bool, None] = None,
+        reliability: bool = False,
         sanitize: Optional[bool] = None,
         observe: Union["Recorder", bool, None] = None,
-        health: Union[HealthConfig, bool, None] = None,
+        health: bool = False,
     ) -> None:
         self.job = job
         self.env = job.env
@@ -173,14 +159,13 @@ class Unr:
         self._fallback_channel: Optional[MpiFallbackChannel] = (
             channel if isinstance(channel, MpiFallbackChannel) else None
         )
-        self.strict = strict
         if stripe_threshold < 0:
             raise UnrUsageError("stripe_threshold must be >= 0")
         if max_stripe_rails is not None and max_stripe_rails < 1:
             raise UnrUsageError("max_stripe_rails must be >= 1 (or None)")
         self.stripe_threshold = stripe_threshold
         self.max_stripe_rails = max_stripe_rails
-        self.reliability = _tier_config(reliability, ReliabilityConfig)
+        self.reliability = bool(reliability)
         self._op_seq = 0
 
         self.put_remote_policy = policy_for_channel(channel, "put_remote", mode2_split)
@@ -226,10 +211,7 @@ class Unr:
         self.obs: Optional["Recorder"] = None
         self.sanitizer: Optional["UnrSanitizer"] = None
 
-        health_config = _tier_config(health, HealthConfig)
-        self.health: Optional[HealthMonitor] = (
-            None if health_config is None else HealthMonitor(self, health_config)
-        )
+        self.health: Optional[HealthMonitor] = HealthMonitor(self) if health else None
 
         #: the unified transfer engine: every put/get/ctrl/fallback post
         #: flows through its :meth:`~repro.core.engine.TransferEngine.post_op`.
@@ -418,14 +400,10 @@ class Unr:
     # -- sync-error accounting -----------------------------------------------
     def _sync_error(self, message: str) -> None:
         self.stats["sync_errors"] += 1
-        if self.strict:
-            raise UnrSyncError(message)
         warnings.warn(message, UnrSyncWarning, stacklevel=4)
 
     def _overflow_error(self, message: str) -> None:
         self.stats["overflow_errors"] += 1
-        if self.strict:
-            raise UnrOverflowError(message)
         warnings.warn(message, UnrSyncWarning, stacklevel=4)
 
     # -- resilience -----------------------------------------------------------

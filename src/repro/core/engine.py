@@ -51,7 +51,7 @@ from .health import scan_rails
 from .levels import LevelPolicy, encode_custom
 from .polling import PollingConfig
 from .signal import submessage_addends
-from .transport import plan_stripes
+from .transport import BACKOFF_FACTOR, MAX_BACKOFF_US, MAX_RETRIES, fragment_timeout, plan_stripes
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .api import Unr
@@ -301,7 +301,7 @@ class TransferEngine:
         # The ordered Level-0 lane and the MPI fallback are already
         # reliable (exactly-once, in order); only unordered RDMA
         # fragments need the watchdog.
-        reliable = unr.reliability is not None and not software and not ctrl_remote
+        reliable = unr.reliability and not software and not ctrl_remote
 
         notify_remote = rsid is not None and not ctrl_remote
         remote_in_action = software or rpol.hw_offload
@@ -422,7 +422,7 @@ class TransferEngine:
         remote_view = remote_mr.slice(remote_blk.offset, remote_blk.size)
         local_view = local_mr.slice(local_blk.offset, local_blk.size)
         virtual = remote_view is None or local_view is None
-        reliable = unr.reliability is not None and not software
+        reliable = unr.reliability and not software
 
         remote_custom = local_custom = None
         remote_add = local_action_add = local_done_add = None
@@ -903,7 +903,7 @@ class TransferEngine:
                 est += (nbytes / nic.bandwidth) * max(
                     cfg.rendezvous_bw_penalty - 1.0, 0.0
                 )
-        return self.unr.reliability.fragment_timeout(est)
+        return fragment_timeout(est)
 
     def _watchdog(self, frag: _Fragment, first_rail: int) -> Generator[Any, Any, None]:
         """Guard one posted reliable fragment: retransmit it (with
@@ -920,7 +920,6 @@ class TransferEngine:
         error's :class:`~repro.core.errors.OpContext`.
         """
         unr = self.unr
-        rel = unr.reliability
         health = unr.health
         env = self.env
         op, sp, delivered = frag.op, frag.sp, frag.delivered
@@ -947,7 +946,7 @@ class TransferEngine:
             if health is not None and target != FALLBACK_RAIL:
                 health.on_timeout(src_rank, dst_rank, target)
             nxt = None
-            if attempt < rel.max_retries:
+            if attempt < MAX_RETRIES:
                 nxt = self._next_rail(
                     op, 0 if target == FALLBACK_RAIL else target + 1,
                     degrade=target != FALLBACK_RAIL,
@@ -963,7 +962,7 @@ class TransferEngine:
                 self.on_post(op, sp, target, attempt + 1, frag.rtok, frag.ltok, frag.deliver)
             attempts.append((_target_label(target), env.now / US))
             self._attempt(op, sp, frag.payload, frag.deliver, frag.rtok, frag.ltok, target)
-            t = min(t * rel.backoff_factor, max(rel.max_backoff, base, fb_base))
+            t = min(t * BACKOFF_FACTOR, max(MAX_BACKOFF_US * US, base, fb_base))
             attempt += 1
         unr.stats["reliability_failures"] += 1
         # NB: the fragment stays in ``_inflight`` — a later drain()
@@ -975,7 +974,7 @@ class TransferEngine:
         )
         message = (
             f"{what} of {nbytes}B from rank {src_rank} to rank {dst_rank}: "
-            f"no delivery after {rel.max_retries} retransmits "
+            f"no delivery after {MAX_RETRIES} retransmits "
             f"(last timeout {t / US:.1f} us)"
         )
         if health is not None and health.fallback_dead(src_rank, dst_rank):

@@ -8,8 +8,6 @@ from typing import Optional, Tuple
 __all__ = [
     "OpContext",
     "UnrError",
-    "UnrSyncError",
-    "UnrOverflowError",
     "UnrTimeoutError",
     "UnrPeerDeadError",
     "UnrUsageError",
@@ -58,20 +56,9 @@ class UnrError(RuntimeError):
     """Base class for UNR errors."""
 
 
-class UnrSyncError(UnrError):
-    """A synchronization error detected by ``sig_reset`` in strict mode:
-    one or more messages arrived *before* the application declared the
-    buffer ready (counter was not zero at reset time)."""
-
-
-class UnrOverflowError(UnrError):
-    """``sig_wait`` found the event-overflow detect bit set: more than
-    ``num_event`` events were delivered to the signal."""
-
-
 class UnrTimeoutError(UnrError):
     """A reliable operation exhausted its retry budget: the fragment was
-    retransmitted ``max_retries`` times (with exponential backoff and,
+    retransmitted ``MAX_RETRIES`` times (with exponential backoff and,
     where possible, rail failover) and still never acknowledged.  Raised
     instead of hanging the event loop so fault-injection runs terminate
     deterministically.
@@ -106,7 +93,12 @@ class UnrUsageError(UnrError):
 
 
 class UnrSyncWarning(UserWarning):
-    """Non-strict-mode variant of :class:`UnrSyncError`."""
+    """A synchronization bug the library detected and counted:
+    ``sig_reset`` found messages that arrived *before* the application
+    declared the buffer ready (the counter was not zero at reset time),
+    or ``sig_wait`` found the event-overflow detect bit set (more than
+    ``num_event`` events were delivered to the signal).  To raise
+    instead, set ``warnings.simplefilter("error", UnrSyncWarning)``."""
 
 
 class UnrDegradeWarning(UserWarning):

@@ -12,14 +12,14 @@ Three pieces, all passive (no simulator events, no RNG, ``env.now``
 only — an armed healthy run is trace-fingerprint-identical to a
 disarmed one):
 
-* :class:`HealthConfig` — thresholds and backoff policy;
+* the breaker constants below — thresholds and backoff policy;
 * :class:`CircuitBreaker` — one deterministic breaker per
   ``(src_node, dst_node, rail)`` path: ``closed`` (healthy) → ``open``
-  after ``failure_threshold`` consecutive failures (posts are routed
+  after ``FAILURE_THRESHOLD`` consecutive failures (posts are routed
   elsewhere) → ``half_open`` once the ``env.now``-based backoff expires
-  (one probe is let through) → ``closed`` again after
-  ``success_threshold`` probe successes, or back to ``open`` with a
-  grown backoff when the probe fails;
+  (one probe is let through) → ``closed`` again after one probe
+  success, or back to ``open`` with a grown backoff when the probe
+  fails;
 * :class:`HealthMonitor` — the per-``Unr`` scoreboard.  It is fed from
   the two places failures are *observed*: watchdog timeouts/deliveries
   in :class:`~repro.core.engine.TransferEngine` and completion records
@@ -42,7 +42,6 @@ as before this module existed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from ..units import US
@@ -55,7 +54,6 @@ __all__ = [
     "BREAKER_CLOSED",
     "BREAKER_OPEN",
     "BREAKER_HALF_OPEN",
-    "HealthConfig",
     "CircuitBreaker",
     "HealthMonitor",
 ]
@@ -63,6 +61,15 @@ __all__ = [
 BREAKER_CLOSED = "closed"
 BREAKER_OPEN = "open"
 BREAKER_HALF_OPEN = "half_open"
+
+#: consecutive failures that trip a closed breaker open
+FAILURE_THRESHOLD = 2
+#: first open window before a half-open probe is allowed (simulated us)
+OPEN_BACKOFF_US = 100.0
+#: open window growth per re-open (probe failed while half-open)
+BACKOFF_FACTOR = 2.0
+#: cap on the open window (simulated us)
+MAX_BACKOFF_US = 5000.0
 
 #: record kinds that prove a (src_node -> dst_node) path carried data
 _PATH_PROOF_KINDS = frozenset({"put_remote", "get_local", "ctrl"})
@@ -101,34 +108,6 @@ def scan_rails(
     return None, n_rails
 
 
-@dataclass(frozen=True)
-class HealthConfig:
-    """Breaker thresholds and backoff policy (simulated microseconds)."""
-
-    #: consecutive failures that trip a closed breaker open
-    failure_threshold: int = 2
-    #: first open window before a half-open probe is allowed
-    open_backoff_us: float = 100.0
-    #: open window growth per re-open (probe failed while half-open)
-    backoff_factor: float = 2.0
-    #: cap on the open window
-    max_backoff_us: float = 5000.0
-    #: probe successes needed to close a half-open breaker
-    success_threshold: int = 1
-
-    def __post_init__(self) -> None:
-        if self.failure_threshold < 1:
-            raise ValueError(f"failure_threshold={self.failure_threshold} must be >= 1")
-        if self.success_threshold < 1:
-            raise ValueError(f"success_threshold={self.success_threshold} must be >= 1")
-        if self.open_backoff_us <= 0.0:
-            raise ValueError(f"open_backoff_us={self.open_backoff_us} must be > 0")
-        if self.backoff_factor < 1.0:
-            raise ValueError(f"backoff_factor={self.backoff_factor} must be >= 1")
-        if self.max_backoff_us < self.open_backoff_us:
-            raise ValueError("max_backoff_us must be >= open_backoff_us")
-
-
 class CircuitBreaker:
     """Deterministic three-state breaker for one (src, dst, rail) path.
 
@@ -141,24 +120,20 @@ class CircuitBreaker:
         self,
         env: object,
         key: Tuple[int, int, int],
-        config: HealthConfig,
         monitor: Optional["HealthMonitor"] = None,
     ) -> None:
         self.env = env
         self.key = key
-        self.config = config
         self.monitor = monitor
         self.state: str = BREAKER_CLOSED
         self.n_failures = 0  # consecutive, while closed
-        self.n_probe_successes = 0  # while half-open
         self.n_opens = 0  # lifetime opens (drives backoff growth)
         self.open_until = 0.0  # env-time the open window expires
 
     # ------------------------------------------------------------------
     def _backoff(self) -> float:
-        cfg = self.config
-        grown = cfg.open_backoff_us * cfg.backoff_factor ** max(self.n_opens - 1, 0)
-        return min(grown, cfg.max_backoff_us) * US
+        grown = OPEN_BACKOFF_US * BACKOFF_FACTOR ** max(self.n_opens - 1, 0)
+        return min(grown, MAX_BACKOFF_US) * US
 
     def _transition(self, new_state: str) -> None:
         old = self.state
@@ -180,7 +155,6 @@ class CircuitBreaker:
             return True
         if self.state == BREAKER_OPEN:
             if self._now() >= self.open_until:
-                self.n_probe_successes = 0
                 self._transition(BREAKER_HALF_OPEN)
                 return True
             return False
@@ -189,10 +163,8 @@ class CircuitBreaker:
     def record_success(self) -> None:
         """A delivery (or swept completion record) proved the path."""
         if self.state == BREAKER_HALF_OPEN:
-            self.n_probe_successes += 1
-            if self.n_probe_successes >= self.config.success_threshold:
-                self.n_failures = 0
-                self._transition(BREAKER_CLOSED)
+            self.n_failures = 0
+            self._transition(BREAKER_CLOSED)
         elif self.state == BREAKER_CLOSED:
             self.n_failures = 0
 
@@ -202,7 +174,7 @@ class CircuitBreaker:
             self._open()
         elif self.state == BREAKER_CLOSED:
             self.n_failures += 1
-            if self.n_failures >= self.config.failure_threshold:
+            if self.n_failures >= FAILURE_THRESHOLD:
                 self._open()
         # already open: nothing to record
 
@@ -235,11 +207,10 @@ class HealthMonitor:
     caller's stack — no events, no RNG.
     """
 
-    def __init__(self, unr: "Unr", config: Optional[HealthConfig] = None) -> None:
+    def __init__(self, unr: "Unr") -> None:
         self.unr = unr
         self.env = unr.env
         self.job = unr.job
-        self.config = config or HealthConfig()
         self._breakers: Dict[Tuple[int, int, int], CircuitBreaker] = {}
         #: (src_node, dst_node) -> env-time the pair degraded to fallback
         self.degraded_since: Dict[Tuple[int, int], float] = {}
@@ -251,7 +222,7 @@ class HealthMonitor:
         key = (src_node, dst_node, rail)
         br = self._breakers.get(key)
         if br is None:
-            br = CircuitBreaker(self.env, key, self.config, monitor=self)
+            br = CircuitBreaker(self.env, key, monitor=self)
             self._breakers[key] = br
         return br
 

@@ -1,4 +1,5 @@
-"""UNR transport-layer helpers: multi-rail striping plans.
+"""UNR transport-layer helpers: multi-rail striping plans and the
+reliability layer's timeout policy.
 
 The UNR Interface Module schedules one logical message across multiple
 UNR Transport Channels (rails).  :func:`plan_stripes` decides how a
@@ -18,7 +19,7 @@ from ..units import US
 __all__ = [
     "Stripe",
     "plan_stripes",
-    "ReliabilityConfig",
+    "fragment_timeout",
     "DEFAULT_STRIPE_THRESHOLD",
     "MIN_FRAGMENT",
 ]
@@ -27,50 +28,28 @@ DEFAULT_STRIPE_THRESHOLD = 64 * 1024
 MIN_FRAGMENT = 8 * 1024
 
 
-@dataclass(frozen=True)
-class ReliabilityConfig:
-    """Per-operation timeout / retransmit policy (the reliability layer).
+# The reliability layer's policy: a reliably posted fragment whose
+# delivery is not confirmed within its timeout is retransmitted (rail
+# failover, exponential backoff) up to MAX_RETRIES times, then
+# UnrTimeoutError is raised.
+#: floor of a fragment's watchdog timeout (simulated microseconds)
+TIMEOUT_US = 25.0
+#: a fragment's timeout is at least this many no-contention delivery times
+TIMEOUT_FACTOR = 4.0
+#: retransmits before a fragment is declared lost
+MAX_RETRIES = 10
+#: timeout growth per retransmit
+BACKOFF_FACTOR = 2.0
+#: backoff ceiling (simulated microseconds)
+MAX_BACKOFF_US = 2000.0
 
-    Every reliably-posted fragment gets a watchdog: if delivery is not
-    confirmed within the timeout, the fragment is retransmitted — on the
-    next surviving rail when the message is striped (rail failover) —
-    with exponential backoff, up to ``max_retries`` times, after which
-    :class:`~repro.core.errors.UnrTimeoutError` is raised.
 
-    The effective timeout scales with the fragment: it is at least
-    ``timeout_us`` and at least ``timeout_factor`` times the model's
-    no-contention delivery estimate, so 1 MiB stripes are not declared
-    lost while still serializing onto the wire.
-    """
-
-    timeout_us: float = 25.0
-    timeout_factor: float = 4.0
-    max_retries: int = 10
-    backoff_factor: float = 2.0
-    max_backoff_us: float = 2000.0
-
-    def __post_init__(self) -> None:
-        if self.timeout_us <= 0:
-            raise ValueError("timeout_us must be positive")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
-
-    @property
-    def timeout(self) -> float:
-        """Base timeout in seconds."""
-        return self.timeout_us * US
-
-    @property
-    def max_backoff(self) -> float:
-        """Backoff ceiling in seconds."""
-        return self.max_backoff_us * US
-
-    def fragment_timeout(self, estimate: float) -> float:
-        """Timeout in seconds for a fragment whose no-contention
-        delivery time is ``estimate`` seconds."""
-        return max(self.timeout, self.timeout_factor * estimate)
+def fragment_timeout(estimate: float) -> float:
+    """Timeout in seconds for a fragment whose no-contention delivery
+    time is ``estimate`` seconds: at least ``TIMEOUT_US`` and at least
+    ``TIMEOUT_FACTOR`` delivery times, so 1 MiB stripes are not declared
+    lost while still serializing onto the wire."""
+    return max(TIMEOUT_US * US, TIMEOUT_FACTOR * estimate)
 
 
 @dataclass(frozen=True)

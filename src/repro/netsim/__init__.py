@@ -20,7 +20,6 @@ from .faults import (
 from .nic import (
     CompletionQueue,
     CompletionRecord,
-    CqOverflowError,
     Nic,
     alloc_record,
     record_pool_stats,
@@ -38,7 +37,6 @@ __all__ = [
     "ClusterSpec",
     "CompletionQueue",
     "CompletionRecord",
-    "CqOverflowError",
     "CqStall",
     "CpuSet",
     "EndpointDown",

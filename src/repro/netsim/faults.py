@@ -75,9 +75,15 @@ __all__ = [
     "Partition",
     "FaultSpec",
     "FaultInjector",
+    "FaultScheduleError",
 ]
 
 DEFAULT_FAULT_SEED = 0xFA117
+
+
+class FaultScheduleError(ValueError):
+    """A schedule pins a node, rail or partition member the cluster it
+    is attached to does not have."""
 
 
 @dataclass(frozen=True)
@@ -98,6 +104,10 @@ class CqStall:
     duration_us: float
     node: Optional[int] = None
     rail: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        if not self.duration_us > 0.0:
+            raise ValueError(f"cq_stall duration_us={self.duration_us} must be > 0")
 
 
 @dataclass(frozen=True)
@@ -221,7 +231,12 @@ def _parse_event(token: str) -> Tuple[str, Any]:
         if f.default is MISSING and f.name not in kwargs:
             opt = next(k for k, v in options.items() if v == f.name)
             raise ValueError(f"{token!r} is missing required option {opt!r}")
-    return field, cls(**kwargs)
+    if not kwargs["time_us"] >= 0.0:
+        raise ValueError(f"{token!r}: t={kwargs['time_us']} must be >= 0")
+    try:
+        return field, cls(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{token!r}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -342,6 +357,7 @@ class FaultInjector:
             )
             for p in spec.partitions
         ]
+        self._check_pins()
         self._schedule()
         # Wrap NICs as their nodes materialize (lazy cluster).  The hook
         # applies immediately to already-built nodes, so attaching the
@@ -357,6 +373,24 @@ class FaultInjector:
         return cls(cluster, spec)
 
     # -- scheduled events --------------------------------------------------
+    def _check_pins(self) -> None:
+        """Reject a pinned node, rail or partition member the cluster
+        does not have: a pin is never wrapped round or clamped."""
+        n_nodes, n_rails = self.cluster.n_nodes, self.cluster.spec.node.nics
+        for name, (field, _, _) in _EVENTS.items():
+            for event in getattr(self.spec, field):
+                for key in ("node", "a", "b"):
+                    pins = getattr(event, key, None)
+                    for node in pins if isinstance(pins, tuple) else (pins,):
+                        if node is not None and not 0 <= node < n_nodes:
+                            raise FaultScheduleError(
+                                f"{name} {key}={node}: the cluster has "
+                                f"{n_nodes} nodes (0..{n_nodes - 1})")
+                rail = getattr(event, "rail", None)
+                if rail is not None and not 0 <= rail < n_rails:
+                    raise FaultScheduleError(f"{name} rail={rail}: the cluster's nodes "
+                                             f"have {n_rails} rails (0..{n_rails - 1})")
+
     def _schedule(self) -> None:
         """Turn the timed events into timeouts.  Entry by entry in field
         order, unpinned nodes and rails are drawn (node before rail) and
@@ -410,7 +444,7 @@ class FaultInjector:
         picked = self._pick(node)
         if rail is None:
             rail = int(self.rng.integers(picked.n_rails))
-        return picked.nics[rail % picked.n_rails]
+        return picked.nics[rail]
 
     def _at(self, delay: float, fn: Callable[..., None], *args: Any, **kw: Any) -> None:
         self.env.timeout(delay).callbacks.append(lambda _e: fn(*args, **kw))

@@ -40,16 +40,11 @@ __all__ = [
     "CompletionRecord",
     "CompletionQueue",
     "Nic",
-    "CqOverflowError",
     "alloc_record",
     "recycle_record",
     "record_pool_stats",
     "reset_record_pool",
 ]
-
-
-class CqOverflowError(RuntimeError):
-    """Raised when a CQ overflows and the cluster is in strict mode."""
 
 
 @dataclass(slots=True)

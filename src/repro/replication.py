@@ -1,7 +1,7 @@
 """Replication resilience tier: replica worlds with heartbeat-driven
 fail-stop survival (TeaMPI-style).
 
-``TeamWorld(unr, ReplicationConfig(team_size=k))`` splits the job's
+``TeamWorld(unr, team_size=k)`` splits the job's
 physical ranks into ``k`` replica **worlds**: with logical world size
 ``L = n_ranks // team_size``, world ``t`` is the physical ranks
 ``{l + t*L for l in range(L)}``.  The physical ranks that serve one
@@ -19,9 +19,9 @@ PMPI boundary; ``core`` does not know it exists.
 Two mechanisms make a node crash cost one world instead of the job:
 
 * **Heartbeats** — one sim-time pulse loop posts small ordered-lane
-  beats all-pairs inside each team every ``heartbeat_period_us`` and
+  beats all-pairs inside each team every ``HEARTBEAT_PERIOD_US`` and
   sweeps the heartbeat ledger.  A member is *suspected* after
-  ``suspicion_threshold`` whole periods of silence at every observer,
+  ``SUSPICION_THRESHOLD`` whole periods of silence at every observer,
   and its world is stopped only when the fail-stop predicate (the node
   is actually crashed) confirms it — so a control-plane partition
   raises suspicion but never stops a world.
@@ -56,36 +56,17 @@ if TYPE_CHECKING:  # pragma: no cover
     from .core.api import Unr
     from .netsim import Node
 
-__all__ = ["HEARTBEAT_BYTES", "ReplicationConfig", "TeamWorld"]
+__all__ = ["HEARTBEAT_BYTES", "HEARTBEAT_PERIOD_US", "SUSPICION_THRESHOLD", "TeamWorld"]
 
 #: on-the-wire size of one heartbeat message (ordered/control lane)
 HEARTBEAT_BYTES = 16
-
-
-@dataclass(frozen=True)
-class ReplicationConfig:
-    """Tuning knobs for the replication tier.
-
-    ``team_size`` replica worlds run the program (2 = one spare).  A
-    member is suspected after ``suspicion_threshold`` whole heartbeat
-    periods of silence at every observing teammate; stopping its world
-    additionally requires the fail-stop confirmation, so the threshold
-    bounds the TTR of a heartbeat-driven stop:
-    ``ttr >= suspicion_threshold * heartbeat_period_us`` (a contained
-    peer-dead error can stop the world sooner).
-    """
-
-    team_size: int = 2
-    heartbeat_period_us: float = 25.0
-    suspicion_threshold: int = 3
-
-    def __post_init__(self) -> None:
-        if self.team_size < 2:
-            raise ValueError("team_size must be >= 2 (1 means no replication)")
-        if self.heartbeat_period_us <= 0.0:
-            raise ValueError("heartbeat_period_us must be positive")
-        if self.suspicion_threshold < 1:
-            raise ValueError("suspicion_threshold must be >= 1")
+#: heartbeat pulse period (simulated us)
+HEARTBEAT_PERIOD_US = 25.0
+#: whole silent periods, at every observing teammate, that make a member
+#: suspected.  Stopping its world also needs the fail-stop confirmation,
+#: so a heartbeat-driven stop has ``ttr >= SUSPICION_THRESHOLD *
+#: HEARTBEAT_PERIOD_US`` (a contained peer-dead error can stop it sooner).
+SUSPICION_THRESHOLD = 3
 
 
 class _WorldEndpoint(UnrEndpoint):
@@ -123,33 +104,34 @@ class _WorldContext(RankContext):
 
 
 class TeamWorld:
-    """The replica worlds of one :class:`~repro.core.api.Unr`.
+    """The ``team_size`` replica worlds of one
+    :class:`~repro.core.api.Unr` (2 = one spare).
 
     Needs one rank per node, so team members occupy independent fault
     domains.  The reliability and health layers are optional: they only
     change how quickly a crash surfaces as a contained error.
     """
 
-    def __init__(self, unr: "Unr", config: Optional[ReplicationConfig] = None) -> None:
-        config = ReplicationConfig() if config is None else config
+    def __init__(self, unr: "Unr", team_size: int = 2) -> None:
+        if team_size < 2:
+            raise ValueError("team_size must be >= 2 (1 means no replication)")
         job = unr.job
         if job.ranks_per_node != 1:
             raise UnrUsageError(
                 "replication needs ranks_per_node == 1 so team members "
                 "occupy independent fault domains"
             )
-        if job.n_ranks % config.team_size:
+        if job.n_ranks % team_size:
             raise UnrUsageError(
-                f"n_ranks={job.n_ranks} is not divisible by "
-                f"team_size={config.team_size}"
+                f"n_ranks={job.n_ranks} is not divisible by team_size={team_size}"
             )
         self.unr = unr
         self.job = job
         self.env = unr.env
-        self.config = config
-        self.logical_size = L = job.n_ranks // config.team_size
+        self.team_size = team_size
+        self.logical_size = L = job.n_ranks // team_size
         #: ids of the worlds still running (order carries no meaning)
-        self.live: List[int] = list(range(config.team_size))
+        self.live: List[int] = list(range(team_size))
         self._endpoints = [
             _WorldEndpoint(unr, rank, rank - rank % L) for rank in range(job.n_ranks)
         ]
@@ -166,10 +148,6 @@ class TeamWorld:
         self.failover_log: List[Dict[str, float]] = []
 
     # -- team math -------------------------------------------------------
-    @property
-    def team_size(self) -> int:
-        return self.config.team_size
-
     def team_of(self, rank: int) -> int:
         """Team id (== logical rank) of a physical rank."""
         return rank % self.logical_size
@@ -280,7 +258,7 @@ class TeamWorld:
         ``env.run()`` returns on job completion.
         """
         env = self.env
-        period = self.config.heartbeat_period_us * US
+        period = HEARTBEAT_PERIOD_US * US
         while True:
             yield env.timeout(period)
             if not env._sched and not self._pending_duty():
@@ -338,14 +316,13 @@ class TeamWorld:
 
     def _sweep(self, period: float) -> None:
         unr = self.unr
-        k = self.config.suspicion_threshold
         for team in range(self.logical_size):
             for member in self.live_members_of(team):
                 observers = [o for o in self.live_members_of(team) if o != member]
                 if not observers or self.world_of(member) not in self.live:
                     continue  # stopped earlier in this sweep
                 missed = min(self.missed_heartbeats(member, o, period) for o in observers)
-                if missed < k:
+                if missed < SUSPICION_THRESHOLD:
                     if self._suspected.pop(member, None) is not None:
                         unr.stats["replication_suspicions_cleared"] += 1
                         if unr.obs is not None:

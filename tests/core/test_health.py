@@ -13,9 +13,7 @@ import pytest
 
 from repro.core import (
     FALLBACK_RAIL,
-    HealthConfig,
     HealthMonitor,
-    ReliabilityConfig,
     Unr,
     UnrPeerDeadError,
     UnrTimeoutError,
@@ -24,8 +22,12 @@ from repro.core.health import (
     BREAKER_CLOSED,
     BREAKER_HALF_OPEN,
     BREAKER_OPEN,
+    FAILURE_THRESHOLD,
+    MAX_BACKOFF_US,
+    OPEN_BACKOFF_US,
     CircuitBreaker,
 )
+from repro.core.transport import MAX_RETRIES
 from repro.netsim import (
     Cluster,
     ClusterSpec,
@@ -103,31 +105,22 @@ class StubClock:
         self.now = now
 
 
-# ---------------------------------------------------------------- config
-def test_health_config_validates():
-    with pytest.raises(ValueError, match="failure_threshold"):
-        HealthConfig(failure_threshold=0)
-    with pytest.raises(ValueError, match="success_threshold"):
-        HealthConfig(success_threshold=0)
-    with pytest.raises(ValueError, match="open_backoff_us"):
-        HealthConfig(open_backoff_us=0.0)
-    with pytest.raises(ValueError, match="backoff_factor"):
-        HealthConfig(backoff_factor=0.5)
-    with pytest.raises(ValueError, match="max_backoff_us"):
-        HealthConfig(open_backoff_us=100.0, max_backoff_us=10.0)
-
-
 # ---------------------------------------------------------------- breaker
-def fresh_breaker(clock=None, **cfg):
+def fresh_breaker(clock=None):
     clock = clock or StubClock()
-    config = HealthConfig(**cfg) if cfg else HealthConfig()
-    return CircuitBreaker(clock, (0, 1, 0), config), clock
+    return CircuitBreaker(clock, (0, 1, 0)), clock
+
+
+def open_breaker(br):
+    for _ in range(FAILURE_THRESHOLD):
+        br.record_failure()
 
 
 def test_breaker_opens_after_failure_threshold():
-    br, _ = fresh_breaker(failure_threshold=2)
+    br, _ = fresh_breaker()
     assert br.state == BREAKER_CLOSED and br.allow()
-    br.record_failure()
+    for _ in range(FAILURE_THRESHOLD - 1):
+        br.record_failure()
     assert br.state == BREAKER_CLOSED  # one strike is not an outage
     br.record_failure()
     assert br.state == BREAKER_OPEN
@@ -135,48 +128,48 @@ def test_breaker_opens_after_failure_threshold():
 
 
 def test_breaker_half_open_probe_closes_on_success():
-    br, clock = fresh_breaker(failure_threshold=1, open_backoff_us=100.0)
-    br.record_failure()
+    br, clock = fresh_breaker()
+    open_breaker(br)
     assert br.state == BREAKER_OPEN
-    clock.now = 99.0 * US
+    clock.now = (OPEN_BACKOFF_US - 1.0) * US
     assert not br.allow()  # still inside the open window
-    clock.now = 100.0 * US
+    clock.now = OPEN_BACKOFF_US * US
     assert br.allow()  # the caller's post is the probe
     assert br.state == BREAKER_HALF_OPEN
-    br.record_success()
+    br.record_success()  # one probe success closes it
     assert br.state == BREAKER_CLOSED
     assert br.allow()
 
 
 def test_breaker_failed_probe_reopens_with_grown_backoff():
-    br, clock = fresh_breaker(
-        failure_threshold=1, open_backoff_us=100.0, backoff_factor=2.0,
-        max_backoff_us=300.0,
-    )
-    br.record_failure()
+    br, clock = fresh_breaker()
+    open_breaker(br)
     first_window = br.open_until - clock.now
+    assert first_window / US == pytest.approx(OPEN_BACKOFF_US)
     clock.now = br.open_until
     assert br.allow() and br.state == BREAKER_HALF_OPEN
     br.record_failure()  # probe failed
     assert br.state == BREAKER_OPEN
     assert br.open_until - clock.now == pytest.approx(2.0 * first_window)
-    # growth is capped at max_backoff_us
-    clock.now = br.open_until
-    br.allow()
-    br.record_failure()
-    assert (br.open_until - clock.now) / US == pytest.approx(300.0)
+    # growth is capped at MAX_BACKOFF_US
+    for _ in range(8):
+        clock.now = br.open_until
+        br.allow()
+        br.record_failure()
+    assert (br.open_until - clock.now) / US == pytest.approx(MAX_BACKOFF_US)
 
 
 def test_breaker_success_clears_failure_streak():
-    br, _ = fresh_breaker(failure_threshold=2)
-    br.record_failure()
+    br, _ = fresh_breaker()
+    for _ in range(FAILURE_THRESHOLD - 1):
+        br.record_failure()
     br.record_success()  # streak broken: consecutive failures only
     br.record_failure()
     assert br.state == BREAKER_CLOSED
 
 
 def test_breaker_trip_opens_immediately():
-    br, _ = fresh_breaker(failure_threshold=5)
+    br, _ = fresh_breaker()
     br.trip()
     assert br.state == BREAKER_OPEN
     br.trip()  # idempotent while open
@@ -268,7 +261,7 @@ def test_node_crash_raises_peer_dead_and_drains_cleanly():
     results = {}
     job, unr, _ = make_unr(
         faults=FaultSpec(node_crashes=(NodeCrash(50.0, node=1),)),
-        reliability=ReliabilityConfig(max_retries=2),
+        reliability=True,
         health=True,
         sanitize=True,
     )
@@ -327,7 +320,7 @@ def test_timeout_context_survives_reraise_through_sig_wait():
     job, unr, _ = make_unr(
         nics=1,
         faults=FaultSpec(drop=1.0, seed=1),
-        reliability=ReliabilityConfig(max_retries=2),
+        reliability=True,
     )
     caught = {}
 
@@ -346,7 +339,7 @@ def test_timeout_context_survives_reraise_through_sig_wait():
     assert exc.context is not None
     assert exc.context.kind == "PUT"
     assert exc.context.nbytes == 100_000
-    assert len(exc.context.attempts) == 3  # first post + 2 retransmits
+    assert len(exc.context.attempts) == 1 + MAX_RETRIES  # first post + retransmits
     assert exc.context.sim_time_us > 0.0
     assert "attempts:" in str(exc)
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    ReliabilityConfig,
     Signal,
     Unr,
     UnrTimeoutError,
@@ -21,6 +20,7 @@ from repro.netsim import (
     NodeSpec,
     RailFailure,
 )
+from repro.core.transport import MAX_RETRIES, TIMEOUT_FACTOR, TIMEOUT_US, fragment_timeout
 from repro.netsim.trace import transfer_fingerprint
 from repro.obs import Recorder
 from repro.platforms import make_job
@@ -249,7 +249,7 @@ def test_unreliable_mode_loses_data_under_drop():
     loses messages — the layer is doing real work.  (The receiver would
     wait forever, so only the sender's local view is checked.)"""
     job, unr, inj = make_unr(faults=FaultSpec(drop=1.0, seed=1))
-    assert unr.reliability is None  # off by default
+    assert unr.reliability is False  # off by default
 
     def program(ctx):
         ep = unr.endpoint(ctx.rank)
@@ -279,19 +279,17 @@ def test_unreliable_mode_loses_data_under_drop():
 def test_timeout_raises_instead_of_hanging():
     results = {}
     job, unr, _ = make_unr(
-        faults=FaultSpec(drop=1.0, seed=1),
-        reliability=ReliabilityConfig(max_retries=2),
+        faults=FaultSpec(drop=1.0, seed=1), reliability=True,
     )
-    with pytest.raises(UnrTimeoutError, match="no delivery after 2 retransmits"):
+    with pytest.raises(UnrTimeoutError, match=f"no delivery after {MAX_RETRIES} retransmits"):
         run_job(job, stream_program(unr, results, size=100_000, iters=1))
-    assert unr.stats["retransmits"] == 2
+    assert unr.stats["retransmits"] == MAX_RETRIES
     assert unr.stats["reliability_failures"] >= 1
 
 
 def test_get_timeout_raises():
     job, unr, _ = make_unr(
-        faults=FaultSpec(drop=1.0, seed=4),
-        reliability=ReliabilityConfig(max_retries=1),
+        faults=FaultSpec(drop=1.0, seed=4), reliability=True,
     )
 
     def program(ctx):
@@ -366,11 +364,10 @@ def test_reliable_get_level0_tail_notifies_once_after_delivery():
 
 
 def test_fragment_timeout_scales_with_size():
-    cfg = ReliabilityConfig()
-    small = cfg.fragment_timeout(1e-6)
-    large = cfg.fragment_timeout(100e-6)
-    assert small == cfg.timeout  # floor
-    assert large == pytest.approx(cfg.timeout_factor * 100e-6)
+    small = fragment_timeout(1e-6)
+    large = fragment_timeout(100e-6)
+    assert small == TIMEOUT_US * 1e-6  # floor
+    assert large == pytest.approx(TIMEOUT_FACTOR * 100e-6)
     assert large > small
 
 
@@ -410,7 +407,7 @@ def test_all_rails_dead_times_out():
             RailFailure(time_us=0.0, node=1, rail=0),
             RailFailure(time_us=0.0, node=1, rail=1),
         ), seed=3),
-        reliability=ReliabilityConfig(max_retries=2),
+        reliability=True,
     )
     with pytest.raises(UnrTimeoutError):
         run_job(job, stream_program(unr, results, size=100_000, iters=1))
@@ -418,10 +415,11 @@ def test_all_rails_dead_times_out():
 
 # ---------------------------------------------------------------- defaults
 def test_reliability_true_uses_default_config():
+    """``True`` arms the layer; its policy is the module's constants."""
     _, unr, _ = make_unr(reliability=True)
-    assert isinstance(unr.reliability, ReliabilityConfig)
+    assert unr.reliability is True
     _, unr, _ = make_unr(reliability=False)
-    assert unr.reliability is None
+    assert unr.reliability is False
 
 
 def test_reliable_run_without_faults_is_clean():

@@ -30,7 +30,12 @@ from repro.netsim import (
     NodeSpec,
 )
 from repro.netsim.faults import Partition
-from repro.replication import HEARTBEAT_BYTES, ReplicationConfig, TeamWorld
+from repro.replication import (
+    HEARTBEAT_BYTES,
+    HEARTBEAT_PERIOD_US,
+    SUSPICION_THRESHOLD,
+    TeamWorld,
+)
 from repro.runtime import Job, run_job
 from repro.sim import Environment
 from repro.units import US
@@ -53,7 +58,7 @@ def make_world(n_nodes=4, faults=None, team_size=2, **kw):
     if faults is not None:
         FaultInjector.attach(job.cluster, faults)
     unr = Unr(job, "glex", **{"reliability": True, "health": True, **kw})
-    return unr, TeamWorld(unr, ReplicationConfig(team_size=team_size))
+    return unr, TeamWorld(unr, team_size)
 
 
 def pattern(it, size):
@@ -110,11 +115,7 @@ def crash_schedule(*crashes):
 # ---------------------------------------------------------------- config
 def test_replication_config_validates():
     with pytest.raises(ValueError, match="team_size"):
-        ReplicationConfig(team_size=1)
-    with pytest.raises(ValueError, match="heartbeat_period_us"):
-        ReplicationConfig(heartbeat_period_us=0.0)
-    with pytest.raises(ValueError, match="suspicion_threshold"):
-        ReplicationConfig(suspicion_threshold=0)
+        make_world(team_size=1)
 
 
 def test_replication_requires_divisible_world():
@@ -157,7 +158,7 @@ def test_each_world_sees_a_logical_job():
 
 def test_disarmed_unr_has_no_replication_state():
     """The tier wraps ``Unr`` from outside: a plain library has no trace
-    of it, and ``Unr.__init__`` takes 9 keywords."""
+    of it, and ``Unr.__init__`` takes 8 keywords."""
     job = make_job()
     unr = Unr(job, "glex", reliability=True)
     results = {}
@@ -167,7 +168,10 @@ def test_disarmed_unr_has_no_replication_state():
     assert not hasattr(unr, "replication")
     assert not any(k.startswith("replication") for k in unr.stats)
     params = inspect.signature(Unr.__init__).parameters.values()
-    assert sum(p.kind is p.KEYWORD_ONLY for p in params) == 9
+    assert sum(p.kind is p.KEYWORD_ONLY for p in params) == 8
+
+
+PERIOD = HEARTBEAT_PERIOD_US * US
 
 
 def test_heartbeat_ledger_records_and_counts_missed_periods():
@@ -175,22 +179,23 @@ def test_heartbeat_ledger_records_and_counts_missed_periods():
     env = unr.env
     assert world.heartbeats.get((0, 1)) is None
     # Before any beat: no silence evidence, so never any missed periods.
-    assert world.missed_heartbeats(0, 1, period=25.0 * US) == 0
+    assert world.missed_heartbeats(0, 1, period=PERIOD) == 0
 
     world.record_heartbeat(0, 1)
     assert world.heartbeats[(0, 1)] == env.now
-    assert world.missed_heartbeats(0, 1, period=25.0 * US) == 0
+    assert world.missed_heartbeats(0, 1, period=PERIOD) == 0
     assert unr.stats["heartbeats_seen"] == 1
 
-    env.run(until=env.now + 80.0 * US)  # 3 whole periods of silence
-    assert world.missed_heartbeats(0, 1, period=25.0 * US) == 3
+    # SUSPICION_THRESHOLD whole periods of silence, and a bit
+    env.run(until=env.now + (SUSPICION_THRESHOLD + 0.2) * PERIOD)
+    assert world.missed_heartbeats(0, 1, period=PERIOD) == SUSPICION_THRESHOLD
     # The edge is directed: the reverse direction has no evidence.
     assert world.heartbeats.get((1, 0)) is None
-    assert world.missed_heartbeats(1, 0, period=25.0 * US) == 0
+    assert world.missed_heartbeats(1, 0, period=PERIOD) == 0
 
     # A fresh beat clears the silence count.
     world.record_heartbeat(0, 1)
-    assert world.missed_heartbeats(0, 1, period=25.0 * US) == 0
+    assert world.missed_heartbeats(0, 1, period=PERIOD) == 0
     assert unr.stats["heartbeats_seen"] == 2
 
 
@@ -420,8 +425,8 @@ def test_sender_crash_mid_striped_put_replays_owed_tokens():
     assert unr.stats["fragments"] > 2 * iters  # striped: more than one per PUT
     [rec] = world.failover_log
     assert rec["team"] == 0 and rec["stopped_world"] == 0
-    # Stopped by the contained error, before three silent periods.
-    assert rec["detected_at_us"] < 40.0 + 3 * 25.0
+    # Stopped by the contained error, before the heartbeats could.
+    assert rec["detected_at_us"] < 40.0 + SUSPICION_THRESHOLD * HEARTBEAT_PERIOD_US
     report = unr.finalize()
     assert list(report) == [], [f.detail for f in report]
 
@@ -489,7 +494,7 @@ def test_send_ctl_toward_crashed_primary_lands_after_promotion():
 # ---------------------------------------------------------------- partition
 def test_partition_raises_suspicion_but_never_promotes():
     # Control-plane partition between the two worlds: heartbeats are
-    # lost for 400us (>> suspicion_threshold periods) but the fail-stop
+    # lost for 400us (>> SUSPICION_THRESHOLD periods) but the fail-stop
     # predicate never confirms, so no world is stopped.
     job = make_job()
     inj = FaultInjector.attach(job.cluster, FaultSpec(
@@ -595,3 +600,42 @@ def test_engine_knows_only_its_datapath():
     probe = ast.parse("from ..obs import Recorder\nif TYPE_CHECKING:\n"
                       "    from ..analysis import sanitizer\nfrom .api import Unr\n")
     assert sorted(runtime_imports(probe, "repro.core")) == ["repro.core.api", "repro.obs"]
+
+
+#: options that had one value in every caller, and the errors only the
+#: deleted ``Unr(strict=)`` mode raised
+DELETED_OPTIONS = {
+    "ReliabilityConfig", "HealthConfig", "ReplicationConfig", "_tier_config",
+    "UnrSyncError", "UnrOverflowError", "CqOverflowError",
+}
+
+
+def test_single_valued_options_are_constants():
+    """``Unr`` takes its 8 keywords and ``TeamWorld`` the one value a
+    caller sets; no module under ``src/repro`` defines, imports or
+    exports a deleted option; the constants hold the values every golden
+    was recorded with."""
+    from repro.core import health, transport
+
+    params = inspect.signature(Unr.__init__).parameters.values()
+    assert [p.name for p in params if p.kind is p.KEYWORD_ONLY] == [
+        "polling", "mode2_split", "stripe_threshold", "max_stripe_rails",
+        "reliability", "sanitize", "observe", "health",
+    ]
+    assert list(inspect.signature(TeamWorld.__init__).parameters) == [
+        "self", "unr", "team_size",
+    ]
+    named = []
+    for path in sorted(CORE.parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = {getattr(node, key, None) for key in ("name", "id", "attr", "value")}
+            names.update(getattr(alias, "name", alias) for alias in getattr(node, "names", ()))
+            named += [(path.name, node.lineno) for _ in names & DELETED_OPTIONS]
+    assert named == []
+    assert (transport.TIMEOUT_US, transport.TIMEOUT_FACTOR, transport.MAX_RETRIES,
+            transport.BACKOFF_FACTOR, transport.MAX_BACKOFF_US) == (25.0, 4.0, 10, 2.0, 2000.0)
+    assert (health.FAILURE_THRESHOLD, health.OPEN_BACKOFF_US, health.BACKOFF_FACTOR,
+            health.MAX_BACKOFF_US) == (2, 100.0, 2.0, 5000.0)
+    assert (HEARTBEAT_PERIOD_US, SUSPICION_THRESHOLD) == (25.0, 3)
+    with pytest.raises(ValueError, match="team_size"):
+        TeamWorld(Unr(make_job(), "glex"), team_size=1)

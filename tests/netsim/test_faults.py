@@ -315,6 +315,28 @@ def test_spec_parse_rejects(bad):
         FaultSpec.parse(bad)
 
 
+@pytest.mark.parametrize("bad, match", [
+    # parse time: a time before the run, a stall that never stalls
+    ("rail_fail@t=-5", r"'rail_fail@t=-5': t=-5.0 must be >= 0"),
+    ("node_crash@t=-1", r"'node_crash@t=-1': t=-1.0 must be >= 0"),
+    ("cq_stall@t=5:dur=-1", r"'cq_stall@t=5:dur=-1': cq_stall duration_us=-1.0"),
+    ("cq_stall@t=5:dur=0", r"'cq_stall@t=5:dur=0': cq_stall duration_us=0.0"),
+    # attach time: pins the 2-node, 2-rail cluster does not have
+    ("rail_fail@t=5:node=0:rail=7", r"rail_fail rail=7: the cluster's nodes have 2 rails"),
+    ("rail_fail@t=5:rail=-1", r"rail_fail rail=-1: the cluster's nodes have 2 rails"),
+    ("link_flap@t=5:down=2:rail=2", r"link_flap rail=2: .* 2 rails"),
+    ("node_crash@t=5:node=9", r"node_crash node=9: the cluster has 2 nodes"),
+    ("cq_stall@t=5:dur=3:node=-1", r"cq_stall node=-1: the cluster has 2 nodes"),
+    ("partition@t=1:dur=5:a=0:b=9", r"partition b=9: the cluster has 2 nodes"),
+])
+def test_fault_grammar_rejects_what_it_cannot_mean(bad, match):
+    """No wrapping, clamping or silent no-op: a schedule either means
+    something on this cluster or is a ValueError naming the token."""
+    env, cluster = make_cluster()
+    with pytest.raises(ValueError, match=match):
+        FaultInjector.attach(cluster, FaultSpec.parse(bad))
+
+
 def test_parse_seed_argument_vs_token():
     assert FaultSpec.parse("drop=0.1", seed=42).seed == 42
     # An explicit seed token wins over the argument.

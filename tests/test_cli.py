@@ -216,6 +216,10 @@ def test_chaos_exit_code_covers_the_overhead_cap(tmp_path, capsys, monkeypatch):
     ["trace", "--size", "0"],
     ["trace", "--iters", "0"],
     ["trace", "--iters", "-1"],
+    ["trace", "--limit", "-3"],
+    ["faults", "--kill-duration", "-5"],
+    ["faults", "--kill-at", "-5"],
+    ["faults", "--faults", "cq_stall@t=5:dur=0"],
     ["verify", "--platform", "nope"],
     ["latency", "--platform", "nope"],
     ["chaos", "--platform", "nope"],
@@ -227,6 +231,30 @@ def test_bad_input_exits_two_before_running(argv, capsys):
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
     assert "usage:" in err and f"argument {argv[1]}:" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["faults", "--kill-node", "9"], "endpoint_down node=9: the cluster has 2 nodes"),
+    (["faults", "--faults", "rail_fail@t=5:rail=7"],
+     "rail_fail rail=7: the cluster's nodes have 2 rails"),
+    (["chaos", "--platform", "th-xy", "--faults", "node_crash@t=5:node=9"],
+     "node_crash node=9: the cluster has 2 nodes"),
+    (["trace", "--faults", "partition@t=1:dur=5:a=0:b=9"],
+     "partition b=9: the cluster has 2 nodes"),
+    (["powerllel", "--platform", "th-xy", "--nodes", "4", "--py", "2", "--pz", "2",
+      "--grid", "64,48,64", "--steps", "1", "--faults", "rail_fail@t=1:node=7"],
+     "rail_fail node=7: the cluster has 4 nodes"),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_schedule_the_cluster_rejects_exits_two(argv, message, tmp_path, capsys):
+    """A pin outside the cluster is refused when the schedule is
+    attached, before the simulation runs: the ValueError, exit 2."""
+    if argv[0] in ("chaos", "trace"):
+        argv = argv + [{"chaos": "--out", "trace": "--perfetto"}[argv[0]],
+                       str(tmp_path / "out.json")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"repro {argv[0]}: error: {message}" in captured.err
+    assert not (tmp_path / "out.json").exists()
 
 
 @pytest.mark.parametrize("flag, value", [

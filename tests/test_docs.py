@@ -9,10 +9,12 @@ option of that subcommand.  Every lint or verifier rule id those docs,
 the verify skill notes or the source quote must be a live rule, and
 every sanitizer finding kind they quote must be one the sanitizer
 emits.  Every quoted fault spec with a timed event (``@t=``) in those docs or the
-verify skill notes must parse.  (``perfbench/`` keeps its own README
-and is out of scope.)
+verify skill notes must parse, and every dotted ``repro.*`` name they
+quote in code must import and resolve.  (``perfbench/`` keeps its own
+README and is out of scope.)
 """
 
+import importlib
 import re
 from pathlib import Path
 
@@ -38,6 +40,7 @@ _SPEC = re.compile(r"[\w.=:+@,-]*@t=[^\s\"'`]*")
 _BLOCK = re.compile(r"\n\s*\n")
 _KIND_ROW = re.compile(r"^\| `([a-z-]+)` \|", re.M)
 _HYPHENATED = re.compile(r"`([a-z]+(?:-[a-z]+)+)`")
+_DOTTED = re.compile(r"(?<![\w.])repro(?:\.\w+)+")
 
 
 def _quoted(pattern):
@@ -131,3 +134,27 @@ def test_quoted_fault_specs_parse():
         except ValueError as exc:
             bad.append((doc, spec, str(exc)))
     assert bad == []
+
+
+def _resolves(dotted):
+    """The longest importable module prefix, then attributes."""
+    parts = dotted.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ImportError:
+            continue
+        for attr in parts[i:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def test_quoted_dotted_names_resolve():
+    """``repro.core.api``, ``repro.netsim.node.CpuSet``: a dotted name
+    quoted in code imports, so no doc names a moved or deleted one."""
+    names = _quoted(_DOTTED)
+    assert len(names) > 30, "the pattern stopped matching the docs"
+    assert [(doc, name) for doc, name in names if not _resolves(name)] == []
