@@ -1,10 +1,10 @@
 """Shared helpers for the paper-reproduction benchmarks.
 
-Every benchmark regenerates one table or figure of the paper.  The
-value being measured is *simulated* time (who wins, by what factor);
-``benchmark()`` wraps the simulation run so the harness also tracks
-host-side cost, and the reproduced rows/series are printed and attached
-to ``benchmark.extra_info``.
+The paper's tables and figures are computed once per session by the
+claims ledger (the ``ledger`` fixture, checked by
+``test_paper_claims.py``).  The other benchmarks measure *simulated*
+time too (who wins, by what factor); ``benchmark()`` wraps their run so
+the harness also tracks host-side cost.
 """
 
 import pytest
@@ -20,6 +20,14 @@ def record(benchmark, fn, *args, **kwargs):
 
     benchmark.pedantic(wrapper, rounds=1, iterations=1)
     return box["result"]
+
+
+@pytest.fixture(scope="session")
+def ledger():
+    """Every claim of the paper, computed once for the session."""
+    from repro.bench.paper import compute
+
+    return compute()
 
 
 @pytest.fixture

@@ -1,51 +1,20 @@
 """Table I: UNR support levels — behaviour of each level's implementation.
 
-Regenerates the table's *implementation specifications* by running the
-same notified ping-pong through synthetic NICs whose PUT-remote custom
+Runs the same notified ping-pong through synthetic NICs whose custom
 bits span the whole range (0, 8, 16, 32, 64, 128 bits, and 128 bits +
-hardware atomic add), verifying the level classification, the signal
-budget, multi-channel support, and the polling-thread requirement.
+hardware atomic add), verifying each level's data path, control
+messages and polling-thread requirement.  The table itself (encoding,
+signal budget, multi-channel support) is the ledger's
+(``repro paper --only table1``).
 """
 
 import numpy as np
 import pytest
 
 from conftest import record
-from repro.bench import format_table
-from repro.core import Unr, max_signals, policy_for_channel
-from repro.interconnect import Capability, RmaChannel
-from repro.netsim import Cluster, ClusterSpec, FabricSpec, NicSpec, NodeSpec
-from repro.runtime import Job, run_job
-from repro.sim import Environment
-
-LEVEL_CASES = [
-    # (bits, offload, expected level)
-    (0, False, 0),
-    (8, False, 1),
-    (16, False, 1),
-    (32, False, 2),
-    (64, False, 3),
-    (128, False, 3),
-    (128, True, 4),
-]
-
-
-def make_channel_with_bits(bits: int, offload: bool):
-    cap = Capability(
-        interface=f"Synth{bits}",
-        interconnect="synthetic",
-        systems="-",
-        put_local=bits, put_remote=bits, get_local=bits, get_remote=bits,
-    )
-    cls = type(f"Synth{bits}Channel", (RmaChannel,), {"capability": cap, "name": f"synth{bits}"})
-    env = Environment()
-    spec = ClusterSpec(
-        "t", 2, NodeSpec(cores=4, nics=2),
-        NicSpec(bandwidth_gbps=100, latency_us=1.0, atomic_offload=offload),
-        FabricSpec(routing_jitter=0.2), seed=1,
-    )
-    job = Job(Cluster(env, spec))
-    return job, cls(job)
+from repro.bench.paper import TABLE1_LEVELS, synthetic_channel
+from repro.core import Unr
+from repro.runtime import run_job
 
 
 def notified_pingpong(job, unr, size=65536, iters=4):
@@ -79,10 +48,10 @@ def notified_pingpong(job, unr, size=65536, iters=4):
     return out["data"]
 
 
-@pytest.mark.parametrize("bits,offload,level", LEVEL_CASES)
+@pytest.mark.parametrize("bits,offload,level", TABLE1_LEVELS)
 def test_level_pingpong_correct(benchmark, bits, offload, level):
     """Every support level must deliver correct data + notification."""
-    job, channel = make_channel_with_bits(bits, offload)
+    job, channel = synthetic_channel(bits, offload)
     unr = Unr(job, channel)
     assert unr.level == level
     data = record(benchmark, notified_pingpong, job, unr)
@@ -100,46 +69,10 @@ def test_level_pingpong_correct(benchmark, bits, offload, level):
         assert unr.engines
 
 
-def test_table1_report(benchmark, emit):
-    """Print the reproduced Table I."""
-
-    def build():
-        rows = []
-        for bits, offload, level in LEVEL_CASES:
-            job, channel = make_channel_with_bits(bits, offload)
-            unr = Unr(job, channel)
-            pol = policy_for_channel(channel, "put_remote")
-            rows.append(
-                [
-                    level,
-                    bits,
-                    f"p:{pol.p_bits}b a:{pol.a_bits}b" if level > 0 else "ordered (p,a) msg",
-                    min(max_signals(pol), 1 << 62),
-                    "yes" if pol.multi_channel else "no",
-                    "no" if level == 4 else "yes",
-                ]
-            )
-        return rows
-
-    rows = record(benchmark, build)
-    emit(
-        "Table I: UNR support levels",
-        format_table(
-            ["level", "put-remote bits", "encoding", "max signals", "multi-channel", "polling thread"],
-            rows,
-        ),
-    )
-    # Paper invariants.
-    assert rows[0][0] == 0 and rows[-1][0] == 4
-    assert rows[3][4] == "no"  # level 2 mode 1: no multi-channel
-    assert rows[4][4] == "yes"  # level 3: full MMAS
-    assert rows[-1][5] == "no"  # level 4: no polling thread
-
-
 def test_level2_mode2_enables_striping(benchmark):
     """Table I level 2 mode 2: user-split x bits for p enables limited
     multi-channel aggregation."""
-    job, channel = make_channel_with_bits(32, False)
+    job, channel = synthetic_channel(32, False)
 
     def run():
         unr = Unr(job, channel, mode2_split=16, stripe_threshold=1024)

@@ -1,27 +1,24 @@
 """Table II: the UNR support level of high-performance NICs.
 
-Regenerates the custom-bit matrix and the derived support level for
-every interface adapter, and verifies each adapter actually *enforces*
-its widths on the wire.
+Verifies each interface adapter actually *enforces* its custom-bit
+widths on the wire, and that UNR configures itself from the adapter
+alone; the matrix and levels themselves are the ledger's
+(``repro paper --only table2``).
 """
 
 import pytest
 
 from conftest import record
-from repro.bench import format_table
+from repro.bench.paper import TABLE2_LEVELS
 from repro.core import Unr
 from repro.interconnect import (
     CHANNEL_TYPES,
     ChannelError,
-    TABLE_II,
     make_channel,
-    support_level,
 )
 from repro.netsim import Cluster, ClusterSpec, NicSpec, NodeSpec
 from repro.runtime import Job
 from repro.sim import Environment
-
-PAPER_LEVELS = {"glex": 3, "verbs": 2, "utofu": 1, "ugni": 2, "pami": 2, "portals": 3}
 
 
 def make_job():
@@ -30,35 +27,6 @@ def make_job():
         "t", 2, NodeSpec(cores=2), NicSpec(bandwidth_gbps=100, latency_us=1.0)
     )
     return Job(Cluster(env, spec))
-
-
-def test_table2_report(benchmark, emit):
-    def build():
-        rows = []
-        for name, cap in TABLE_II.items():
-            rows.append(
-                [
-                    cap.interface,
-                    cap.interconnect,
-                    cap.display("put_local"),
-                    cap.display("put_remote"),
-                    cap.display("get_local"),
-                    cap.display("get_remote"),
-                    f"Level-{support_level(cap)}",
-                ]
-            )
-        return rows
-
-    rows = record(benchmark, build)
-    emit(
-        "Table II: UNR support level of high-performance NICs",
-        format_table(
-            ["interface", "interconnect", "PUT local", "PUT remote", "GET local", "GET remote", "level"],
-            rows,
-        ),
-    )
-    got = {r[0].lower(): int(r[6][-1]) for r in rows}
-    assert got == PAPER_LEVELS
 
 
 @pytest.mark.parametrize("name", sorted(CHANNEL_TYPES))
@@ -90,6 +58,6 @@ def test_unr_auto_configures_from_adapter(benchmark, name):
         return unr.level, unr.sid_capacity
 
     level, capacity = record(benchmark, run)
-    assert level == PAPER_LEVELS[name]
+    assert level == TABLE2_LEVELS[name]
     if name == "utofu":
         assert capacity == 256  # 8-bit pointer: "maximum number of signals is limited"

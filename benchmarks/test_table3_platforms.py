@@ -1,27 +1,12 @@
 """Table III: experiment platform specifications.
 
-Prints the platform registry and sanity-checks it against the paper's
-row values (link rates, node counts, interfaces).
+Sanity-checks the platform registry against the paper's row values
+(link rates, node counts, interfaces); the table itself is the ledger's
+(``repro paper --only table3``).
 """
 
 from conftest import record
-from repro.bench import format_table
-from repro.platforms import PLATFORMS, get_platform, table3_rows
-
-
-def test_table3_report(benchmark, emit):
-    rows = record(
-        benchmark,
-        lambda: [
-            [r["system"], r["cpu"], r["nics"], r["used_nodes"], r["channel"]]
-            for r in table3_rows()
-        ],
-    )
-    emit(
-        "Table III: experiment platforms",
-        format_table(["system", "CPU", "NIC(s)", "used nodes", "UNR channel"], rows),
-    )
-    assert len(rows) == 4
+from repro.platforms import PLATFORMS, get_platform
 
 
 def test_platform_values_match_paper(benchmark):

@@ -6,15 +6,16 @@ One logical message is striped over both NICs; the sub-message addends
 receive signal fire exactly when every fragment of every message has
 landed — no matter the arrival order under adaptive routing.
 
-Prints a transfer-time comparison (1 rail vs 2 rails) and the Figure
-5(a) throughput-improvement sweep.
+Prints a transfer-time comparison (1 rail vs 2 rails); the Figure 5
+throughput sweeps are the claims ledger's: ``python -m repro paper
+--only fig5``.
 
 Run:  python examples/multi_nic_aggregation.py
 """
 
 import numpy as np
 
-from repro.bench import aggregation_sweep, format_size
+from repro.bench import format_size
 from repro.core import Unr
 from repro.platforms import make_job
 from repro.runtime import run_job
@@ -55,13 +56,8 @@ def main() -> None:
     print(f"  1 rail : {t1 * 1e6:8.1f} us  ({frags1} fragment)")
     print(f"  2 rails: {t2 * 1e6:8.1f} us  ({frags2} fragments, MMAS-aggregated)")
     print(f"  speedup: {t1 / t2:.2f}x\n")
-
-    print("Figure 5(a) sweep — ping-pong with computation, 2 procs x 2 NICs:")
-    rows = aggregation_sweep("th-xy", sizes=(32768, 262144, 1048576, 4194304), iters=12)
-    for size, imp in zip(rows["sizes"], rows["improvement"]):
-        bar = "#" * int(imp * 100)
-        print(f"  {format_size(size):>6}: {imp * 100:5.1f}% {bar}")
-    print("  (theoretical bound from the paper: +33%)")
+    print("Figure 5, ping-pong with computation on 2 procs x 2 NICs")
+    print("(theoretical bound from the paper: +33%): python -m repro paper --only fig5")
 
 
 if __name__ == "__main__":

@@ -36,6 +36,7 @@ from ..netsim.trace import transfer_fingerprint
 from ..obs import Recorder
 from ..platforms import get_platform, make_job
 from ..runtime import run_job
+from .report import REPO_ROOT
 
 __all__ = [
     "GOLDEN_SCHEMA",
@@ -58,8 +59,8 @@ PLATFORMS: Tuple[str, ...] = ("th-xy", "th-2a", "hpc-ib", "hpc-roce")
 #: schedule name -> runner (registered below)
 SCHEDULES: Tuple[str, ...] = ("latency", "stream", "powerllel", "fault_stress")
 
-#: default location of the committed golden corpus (repo-relative)
-GOLDEN_PATH = "tests/core/fixtures/golden_fingerprints.json"
+#: default location of the committed golden corpus
+GOLDEN_PATH = str(REPO_ROOT / "tests" / "core" / "fixtures" / "golden_fingerprints.json")
 
 #: the PR 1 fault-stress ingredients (tests/obs/test_determinism.py);
 #: the rail failure is only injected on multi-rail platforms — on a

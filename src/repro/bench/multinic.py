@@ -112,12 +112,7 @@ def aggregation_sweep(
     iters: int = 12,
 ) -> Dict[str, List[float]]:
     """Figure 5(a3): throughput improvement of shared NICs vs size."""
-    rows: Dict[str, List[float]] = {"sizes": list(sizes), "improvement": []}
-    for size in sizes:
-        solo = pingpong_with_calc(platform, size, shared=False, iters=iters)
-        both = pingpong_with_calc(platform, size, shared=True, iters=iters)
-        rows["improvement"].append(both / solo - 1.0)
-    return rows
+    return _gain_sweep(platform, sizes, iters=iters)
 
 
 def imbalance_sweep(
@@ -133,15 +128,14 @@ def imbalance_sweep(
     deterministic calc time equal to the one-NIC transfer time, CPUs
     and NICs are saturated and sharing cannot help; the gain measured
     here comes purely from absorbing the computation-time variance."""
+    return _gain_sweep(platform, sizes, iters=iters, calc_sigma_frac=sigma_frac, window=4)
+
+
+def _gain_sweep(platform: str, sizes: Sequence[int], **kwargs) -> Dict[str, List[float]]:
+    """Shared-over-exclusive throughput gain of ``pingpong_with_calc`` per size."""
     rows: Dict[str, List[float]] = {"sizes": list(sizes), "improvement": []}
     for size in sizes:
-        solo = pingpong_with_calc(
-            platform, size, shared=False, iters=iters,
-            calc_sigma_frac=sigma_frac, window=4,
-        )
-        both = pingpong_with_calc(
-            platform, size, shared=True, iters=iters,
-            calc_sigma_frac=sigma_frac, window=4,
-        )
+        solo = pingpong_with_calc(platform, size, shared=False, **kwargs)
+        both = pingpong_with_calc(platform, size, shared=True, **kwargs)
         rows["improvement"].append(both / solo - 1.0)
     return rows

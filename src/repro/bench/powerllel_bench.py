@@ -110,11 +110,7 @@ def powerllel_point(
 
 def fig6_platform(platform: str, steps: int = 2) -> Dict[str, Dict]:
     """Figure 6 bars for one platform: baseline, UNR, UNR-fallback."""
-    grid = FIG6_GRIDS[platform]
-    base = dict(
-        nodes=grid["nodes"], py=grid["py"], pz=grid["pz"],
-        nx=grid["nx"], ny=grid["ny"], nz=grid["nz"], steps=steps,
-    )
+    base = dict(FIG6_GRIDS[platform], steps=steps)
     out = {}
     out["mpi"] = powerllel_point(platform, backend="mpi", **base)
     out["unr"] = powerllel_point(platform, backend="unr", **base)
@@ -134,11 +130,7 @@ def fig6_polling_study(steps: int = 2) -> Dict[str, Dict]:
       16 compute threads (the paper could not use 17);
     * ``interval`` — no reservation, tuned polling interval.
     """
-    grid = FIG6_GRIDS["hpc-ib"]
-    base = dict(
-        nodes=grid["nodes"], py=grid["py"], pz=grid["pz"],
-        nx=grid["nx"], ny=grid["ny"], nz=grid["nz"], steps=steps,
-    )
+    base = dict(FIG6_GRIDS["hpc-ib"], steps=steps)
     out = {}
     out["mpi"] = powerllel_point("hpc-ib", backend="mpi", **base)
     out["18_thread"] = powerllel_point(

@@ -1,10 +1,16 @@
-"""Plain-text table/series formatting for benchmark reports."""
+"""Plain-text table formatting for benchmark reports, and the repo root
+the committed records are found under."""
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import Sequence
 
-__all__ = ["format_table", "format_size", "format_series"]
+__all__ = ["REPO_ROOT", "format_cell", "format_table", "format_size"]
+
+#: the source checkout this package runs from (``src/repro/bench/`` up
+#: three), so committed records resolve from any working directory
+REPO_ROOT = Path(__file__).resolve().parents[3]
 
 
 def format_size(nbytes: int) -> str:
@@ -15,11 +21,14 @@ def format_size(nbytes: int) -> str:
     return f"{nbytes}B"
 
 
+def format_cell(cell) -> str:
+    """One table cell: floats to three decimals."""
+    return f"{cell:.3f}" if isinstance(cell, float) else str(cell)
+
+
 def format_table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
     """Fixed-width text table."""
-    cells = [[str(h) for h in headers]] + [
-        [f"{c:.3f}" if isinstance(c, float) else str(c) for c in row] for row in rows
-    ]
+    cells = [[str(h) for h in headers]] + [[format_cell(c) for c in row] for row in rows]
     widths = [max(len(r[i]) for r in cells) for i in range(len(headers))]
     lines = []
     for idx, row in enumerate(cells):
@@ -28,7 +37,3 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
             lines.append("  ".join("-" * w for w in widths))
     return "\n".join(lines)
 
-
-def format_series(name: str, xs: Sequence, ys: Sequence[float], unit: str = "") -> str:
-    pts = ", ".join(f"{x}:{y:.3g}{unit}" for x, y in zip(xs, ys))
-    return f"{name}: {pts}"

@@ -2,12 +2,10 @@
 
 ::
 
-    python -m repro tables                      # Tables I-III
-    python -m repro latency  --platform th-xy   # Figure 4 curves
-    python -m repro multinic                    # Figure 5 sweeps
+    python -m repro paper                       # Tables I-III, Figs 4-7: the claims ledger
+    python -m repro paper --only fig6           # one table or figure
+    python -m repro latency  --platform th-xy   # Figure 4 curves, any sizes
     python -m repro powerllel --platform th-2a  # one Figure 6 cell
-    python -m repro fig6     --platform th-2a   # full Figure 6 bars
-    python -m repro scaling  --platform th-2a   # Figure 7 series
     python -m repro faults                      # fault-injection demo
     python -m repro faults --kill-node 1        # kill every rail of node 1
     python -m repro chaos                       # resilience soak -> BENCH_resilience.json
@@ -61,6 +59,7 @@ def _fault_spec(text: str) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .bench.paper import FIGURES
     from .platforms import PLATFORMS
 
     platforms = tuple(PLATFORMS)
@@ -71,16 +70,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("tables", help="print Tables I, II and III")
+    p = sub.add_parser(
+        "paper",
+        help="the claims ledger: compute Tables I-III and Figures 4-7, check "
+             "every claim against its bound and the paper's value, and diff "
+             "against the committed benchmarks/claims.json (exit 1 on a NO-GO "
+             "or a difference)",
+    )
+    p.add_argument("--only", choices=tuple(FIGURES), default=None,
+                   help="compute one table or figure (default: all)")
+    p.add_argument("--write", action="store_true",
+                   help="regenerate benchmarks/claims.json and EXPERIMENTS.md's "
+                        "tables instead of diffing against them")
 
     p = sub.add_parser("latency", help="Figure 4: UNR vs MPI-RMA latency")
     p.add_argument("--platform", choices=platforms, default="th-xy")
     p.add_argument("--sizes", type=_sizes, default=[8, 512, 4096, 65536, 1048576])
     p.add_argument("--iters", type=_at_least(1), default=10)
-
-    p = sub.add_parser("multinic", help="Figure 5: multi-NIC aggregation sweeps")
-    p.add_argument("--platform", choices=platforms, default="th-xy")
-    p.add_argument("--iters", type=_at_least(1), default=12)
 
     p = sub.add_parser("powerllel", help="one PowerLLEL run (Figure 6 cell)")
     p.add_argument("--platform", choices=platforms, default="th-2a")
@@ -146,15 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: 2)")
     p.add_argument("--out", default="BENCH_resilience.json", metavar="PATH",
                    help="machine-readable resilience record output")
-
-    p = sub.add_parser("fig6", help="Figure 6: baseline vs UNR vs fallback")
-    p.add_argument("--platform", choices=platforms, default="th-2a")
-    p.add_argument("--steps", type=_at_least(1), default=2)
-
-    p = sub.add_parser("scaling", help="Figure 7: strong-scaling series")
-    p.add_argument("--platform", choices=["th-2a", "th-xy"], default="th-2a")
-    p.add_argument("--steps", type=_at_least(1), default=1)
-    p.add_argument("--max-points", type=_at_least(1), default=None)
 
     p = sub.add_parser(
         "trace",
@@ -225,44 +222,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_tables(args) -> int:
-    from .bench import format_table
-    from .core import max_signals
-    from .interconnect import TABLE_II, support_level
-    from .platforms import table3_rows
+def cmd_paper(args) -> int:
+    from .bench import paper
 
-    print("Table I: UNR support levels")
-    from .core.levels import _policy_from_bits  # noqa: PLC2701 - report only
-
-    rows = []
-    for bits, offload in [(0, False), (8, False), (16, False), (32, False),
-                          (64, False), (128, False), (128, True)]:
-        pol = _policy_from_bits(bits, offload, None)
-        rows.append([
-            pol.level, bits,
-            "ordered (p,a) msg" if pol.level == 0 else f"p:{pol.p_bits}b a:{pol.a_bits}b",
-            min(max_signals(pol), 1 << 62),
-            "yes" if pol.multi_channel else "no",
-            "no" if pol.level == 4 else "yes",
-        ])
-    print(format_table(
-        ["level", "bits", "encoding", "max signals", "multi-chan", "polling"], rows
-    ))
-
-    print("\nTable II: NIC capabilities")
-    rows = [
-        [c.interface, c.display("put_local"), c.display("put_remote"),
-         c.display("get_local"), c.display("get_remote"), f"Level-{support_level(c)}"]
-        for c in TABLE_II.values()
-    ]
-    print(format_table(
-        ["interface", "PUT loc", "PUT rem", "GET loc", "GET rem", "level"], rows
-    ))
-
-    print("\nTable III: platforms")
-    rows = [[r["system"], r["nics"], r["used_nodes"], r["channel"]] for r in table3_rows()]
-    print(format_table(["system", "NIC(s)", "nodes", "channel"], rows))
-    return 0
+    if not args.write and not paper.CLAIMS_PATH.is_file():
+        print(f"paper: no such file: {paper.CLAIMS_PATH}")
+        return 2
+    record = paper.compute(args.only)
+    print(paper.render_text(record))
+    no_go = any(c["verdict"] == paper.NO_GO for c in paper.entries(record))
+    if args.write:
+        paper.write(record)
+        print(f"paper: wrote {paper.CLAIMS_PATH} and the tables of {paper.EXPERIMENTS_PATH}")
+        return 1 if no_go else 0
+    drift = paper.diff(record, paper.load_record())
+    for line in drift:
+        print(f"  differs      {line}")
+    if drift:
+        print("  (an intended change? regenerate with --write)")
+    return 1 if no_go or drift else 0
 
 
 def cmd_latency(args) -> int:
@@ -276,19 +254,6 @@ def cmd_latency(args) -> int:
     ]
     print(f"Figure 4 ({args.platform}): half round-trip latency (us)")
     print(format_table(["size", "UNR", "fence", "PSCW", "lock"], rows))
-    return 0
-
-
-def cmd_multinic(args) -> int:
-    from .bench import aggregation_sweep, format_size, imbalance_sweep
-
-    sizes = (32768, 262144, 1048576, 4194304)
-    agg = aggregation_sweep(args.platform, sizes, args.iters)
-    imb = imbalance_sweep(args.platform, sizes, args.iters)
-    print(f"Figure 5 ({args.platform}): shared-NIC throughput improvement")
-    for i, s in enumerate(sizes):
-        print(f"  {format_size(s):>6}:  balanced {agg['improvement'][i]*100:6.1f}%   "
-              f"N(T,0.3T) {imb['improvement'][i]*100:6.1f}%")
     return 0
 
 
@@ -482,31 +447,6 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def cmd_fig6(args) -> int:
-    from .bench import fig6_platform
-
-    out = fig6_platform(args.platform, args.steps)
-    print(f"Figure 6 ({args.platform}):")
-    for key in ("mpi", "unr", "unr_fallback"):
-        r = out[key]
-        extra = f"  speedup {out['mpi']['time']/r['time']:.3f}x" if key != "mpi" else ""
-        print(f"  {key:12s} {r['time']*1e3:9.3f} ms{extra}")
-    return 0
-
-
-def cmd_scaling(args) -> int:
-    from .bench import fig7_scaling, format_table
-
-    rows = fig7_scaling(args.platform, args.steps, args.max_points)
-    print(f"Figure 7 ({args.platform}): strong scaling")
-    print(format_table(
-        ["nodes", "time (s)", "vel", "ppe", "efficiency"],
-        [[r["nodes"], r["time"], r["vel_update"], r["ppe"],
-          round(r["efficiency"], 3)] for r in rows],
-    ))
-    return 0
-
-
 def cmd_fingerprints(args) -> int:
     from .bench.fingerprints import (
         GOLDEN_PATH,
@@ -606,16 +546,13 @@ def cmd_verify(args) -> int:
 
 
 _COMMANDS = {
-    "tables": cmd_tables,
+    "paper": cmd_paper,
     "latency": cmd_latency,
-    "multinic": cmd_multinic,
     "powerllel": cmd_powerllel,
     "faults": cmd_faults,
     "chaos": cmd_chaos,
     "trace": cmd_trace,
     "fingerprints": cmd_fingerprints,
-    "fig6": cmd_fig6,
-    "scaling": cmd_scaling,
     "lint": cmd_lint,
     "verify": cmd_verify,
 }

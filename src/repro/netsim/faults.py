@@ -12,11 +12,9 @@ subjects unordered RDMA traffic to a *fault schedule*:
   extra delay (adaptive-routing ghost);
 * **delay / reorder** — extra delivery latency, drawn per fragment, so
   fragments overtake one another;
-* **corrupt** — the payload is damaged in flight.  With ``crc=True``
-  (default) the receiving NIC's link-level CRC discards the frame — a
-  corruption behaves like a drop with its own counter.  With
-  ``crc=False`` the garbage is delivered *and notified*, for testing
-  end-to-end detection;
+* **corrupt** — the payload is damaged in flight, and the receiving
+  NIC's link-level CRC discards the frame: a corruption behaves like a
+  drop with its own counter;
 * **rail_fail@t** — at simulated time ``t`` a whole NIC dies: frames
   still in flight to or from it are lost, and later posts on it never
   reach the wire;
@@ -258,9 +256,6 @@ class FaultSpec:
     link_flaps: Tuple[LinkFlap, ...] = ()
     partitions: Tuple[Partition, ...] = ()
     seed: int = DEFAULT_FAULT_SEED
-    #: link-level CRC: corrupted frames are discarded at the receiver
-    #: (like real fabrics) instead of delivering garbage.
-    crc: bool = True
     #: also fault ordered (control-channel / fallback) traffic.
     fault_ordered: bool = False
 
@@ -303,7 +298,7 @@ class FaultSpec:
                 kwargs[key] = float(value)
             elif key == "seed":
                 kwargs[key] = int(value, 0)
-            elif key in ("crc", "fault_ordered"):
+            elif key == "fault_ordered":
                 kwargs[key] = value.strip().lower() in ("1", "true", "yes", "on")
             else:
                 raise ValueError(f"unknown fault key {key!r}")
@@ -321,7 +316,6 @@ class _Fate:
     corrupt: bool = False
     extra: float = 0.0  # seconds of added delivery delay
     dup_gap: float = 0.0  # seconds between the original and the replica
-    corrupt_frac: float = 0.0  # position of the damaged byte
 
 
 class FaultInjector:
@@ -510,7 +504,6 @@ class FaultInjector:
         if u[5] < s.reorder:
             fate.extra += u[6] * 2.0 * s.reorder_us * US
         fate.dup_gap = (0.25 + u[7]) * max(s.delay_us, s.reorder_us, 1.0) * US
-        fate.corrupt_frac = u[4]
         return fate
 
     def _complete(self, tgt: Nic, action, record: Optional[CompletionRecord]) -> None:
@@ -520,15 +513,6 @@ class FaultInjector:
         elif record is not None:
             rec = replace(record, complete_time=self.env.now)
             self.env.process(tgt.cq.push(rec), name="fault-cqe")
-
-    def _mangle(self, data, frac: float):
-        """Flip one byte of a payload copy (``crc=False`` mode)."""
-        if data is None or not hasattr(data, "__len__") or len(data) == 0:
-            return data
-        bad = np.array(data, copy=True)
-        flat = bad.reshape(-1).view(np.uint8)
-        flat[int(frac * (len(flat) - 1))] ^= 0xFF
-        return bad
 
     # -- NIC wrapping ------------------------------------------------------
     def _fated(self, src: Nic, dst: Nic, tgt: Nic, on_deliver, action, record):
@@ -548,11 +532,8 @@ class FaultInjector:
                 stats["killed_in_flight"] += 1
                 return
             if fate.corrupt:
-                if self.spec.crc:
-                    stats["corrupt_discarded"] += 1
-                    return
-                stats["corrupt_delivered"] += 1
-                data = self._mangle(data, fate.corrupt_frac)
+                stats["corrupt_discarded"] += 1
+                return
             if on_deliver is not None:
                 on_deliver(data)
             self._complete(tgt, action, record)

@@ -5,7 +5,6 @@ from .registry import (
     Platform,
     get_platform,
     make_job,
-    table3_rows,
 )
 
-__all__ = ["PLATFORMS", "Platform", "get_platform", "make_job", "table3_rows"]
+__all__ = ["PLATFORMS", "Platform", "get_platform", "make_job"]

@@ -24,7 +24,7 @@ from ..netsim import Cluster, ClusterSpec, FabricSpec, NicSpec, NodeSpec
 from ..runtime import Job
 from ..sim import Environment
 
-__all__ = ["Platform", "PLATFORMS", "get_platform", "make_job", "table3_rows"]
+__all__ = ["Platform", "PLATFORMS", "get_platform", "make_job"]
 
 
 @dataclass(frozen=True)
@@ -212,19 +212,3 @@ def make_job(
     env = Environment()
     cluster = Cluster(env, plat.cluster_spec(n_nodes, offload=offload, seed=seed))
     return Job(cluster, ranks_per_node=ranks_per_node)
-
-
-def table3_rows():
-    """Rows of paper Table III from the registry (for the bench report)."""
-    rows = []
-    for plat in PLATFORMS.values():
-        rows.append(
-            {
-                "system": f"{plat.name} ({plat.abbrev}, {plat.deployed})",
-                "cpu": plat.cpu_desc,
-                "nics": plat.nic_desc,
-                "used_nodes": plat.max_nodes,
-                "channel": plat.channel,
-            }
-        )
-    return rows

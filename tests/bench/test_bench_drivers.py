@@ -3,8 +3,6 @@
 import pytest
 
 from repro.bench import (
-    aggregation_sweep,
-    format_series,
     format_size,
     format_table,
     latency_table,
@@ -13,6 +11,7 @@ from repro.bench import (
     powerllel_point,
     unr_pingpong,
 )
+from repro.bench.multinic import aggregation_sweep
 
 
 # ------------------------------------------------------------- latency
@@ -101,7 +100,3 @@ def test_format_table_alignment():
     assert "2.500" in out
     assert lines[1].startswith("-")
 
-
-def test_format_series():
-    s = format_series("x", ["8B", "1K"], [1.0, 2.0], unit="us")
-    assert "8B:1us" in s and "1K:2us" in s

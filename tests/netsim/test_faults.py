@@ -100,14 +100,13 @@ def test_delivered_puts_carry_posted_bytes(seed):
     faults may lose or replay fragments, never hand over other bytes."""
     schedule = FaultSpec(drop=0.3, duplicate=0.3, reorder=0.6, seed=seed)
     env, cluster = make_cluster()
-    inj = FaultInjector.attach(cluster, schedule)
+    FaultInjector.attach(cluster, schedule)
     got, sent = blast(env, cluster, rng_seed=seed, payloads=True)
     assert got, f"everything dropped for seed={seed} (suspicious schedule)"
     for i, data in got.items():
         np.testing.assert_array_equal(
             data, sent[i], err_msg=f"payload {i} mangled, seed={seed}"
         )
-    assert inj.stats["corrupt_delivered"] == 0  # crc=True discards, never delivers
 
 
 def test_drop_probability_one_drops_everything():
@@ -149,17 +148,15 @@ def test_duplicate_delivers_twice():
     assert inj.stats["duplicated"] == 1
 
 
-def test_corrupt_without_crc_flips_bytes():
+def test_corrupt_frame_is_discarded_by_the_link_crc():
     env, cluster = make_cluster(jitter=0.0)
-    FaultInjector.attach(cluster, FaultSpec(corrupt=1.0, crc=False, seed=2))
-    seen = {}
+    inj = FaultInjector.attach(cluster, FaultSpec(corrupt=1.0, seed=2))
+    hits = []
     a, b = cluster.nodes[0].nics[0], cluster.nodes[1].nics[0]
-    payload = np.zeros(64, dtype=np.uint8)
-    a.post_put(b, 64, payload=payload, on_deliver=lambda d: seen.setdefault("d", d))
+    a.post_put(b, 64, payload=np.zeros(64, dtype=np.uint8), on_deliver=hits.append)
     env.run()
-    assert seen["d"] is not None
-    assert not np.array_equal(seen["d"], payload)  # damaged in flight
-    assert np.array_equal(payload, np.zeros(64, dtype=np.uint8))  # source untouched
+    assert hits == []
+    assert inj.stats["corrupt_discarded"] == 1
 
 
 def test_rail_failure_kills_in_flight_and_later_posts():
@@ -281,13 +278,13 @@ def test_spec_parse_partition_token():
 
 def test_spec_parse_roundtrip():
     spec = FaultSpec.parse(
-        "drop=0.3, dup=0.1, reorder=0.2, reorder_us=4.5, corrupt=0.05, crc=0,"
+        "drop=0.3, dup=0.1, reorder=0.2, reorder_us=4.5, corrupt=0.05,"
         "rail_fail@t=5.0, rail_fail@t=9:node=1:rail=0,"
         "cq_stall@t=3:dur=10:node=0, seed=0xBEEF, ordered=1"
     )
     assert spec.drop == 0.3 and spec.duplicate == 0.1
     assert spec.reorder == 0.2 and spec.reorder_us == 4.5
-    assert spec.corrupt == 0.05 and spec.crc is False
+    assert spec.corrupt == 0.05
     assert spec.fault_ordered is True
     assert spec.seed == 0xBEEF
     assert spec.rail_failures == (
@@ -309,6 +306,7 @@ def test_spec_parse_roundtrip():
     "partition@t=1:dur=5:a=0:b=0",   # overlapping sets
     "partition@t=1:dur=5:a=0:b=1:x=2",  # unknown option
     "link_flap@t=1:down=2:n=0",  # zero flaps, as LinkFlap(n_flaps=0) rejects
+    "corrupt=0.2,crc=0",  # corruption is always a CRC discard
 ])
 def test_spec_parse_rejects(bad):
     with pytest.raises(ValueError):

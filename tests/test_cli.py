@@ -12,11 +12,40 @@ FIXTURES = Path(__file__).resolve().parent / "analysis" / "fixtures"
 
 
 def test_tables(capsys):
-    assert main(["tables"]) == 0
+    assert main(["paper", "--only", "table2"]) == 0
     out = capsys.readouterr().out
-    assert "Table I" in out and "Table II" in out and "Table III" in out
+    assert "Table II" in out and "Table I:" not in out and "Figure" not in out
     assert "Level-3" in out  # glex row
-    assert "Tianhe-Xingyi" in out
+    assert "paper: 7 claims: 7 GO, 0 DEVIATION, 0 NO-GO" in out
+
+
+def test_paper_exits_one_on_a_no_go(capsys, monkeypatch):
+    import repro.bench.paper as paper
+
+    record = paper.load_record()
+    table3 = record["figures"]["table3"]
+    table3["claims"] = [dict(c, verdict=paper.NO_GO) for c in table3["claims"]]
+    record["figures"] = {"table3": table3}
+    monkeypatch.setattr(paper, "compute", lambda only=None: record)
+    assert main(["paper", "--only", "table3"]) == 1
+    assert "0 GO, 0 DEVIATION, 1 NO-GO" in capsys.readouterr().out
+
+
+def test_paper_table1_from_any_directory(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["paper", "--only", "table1"]) == 0
+    out = capsys.readouterr().out
+    assert "Table I:" in out and "ordered (p,a) msg" in out
+    assert "paper: 10 claims: 10 GO, 0 DEVIATION, 0 NO-GO" in out
+
+
+def test_fingerprints_find_their_corpus_from_any_directory(tmp_path, capsys, monkeypatch):
+    import repro.bench.fingerprints as fingerprints
+
+    monkeypatch.setattr(fingerprints, "collect_fingerprints", fingerprints.load_corpus)
+    monkeypatch.chdir(tmp_path)
+    assert main(["fingerprints"]) == 0
+    assert "16 entries match" in capsys.readouterr().out
 
 
 def test_latency(capsys):
@@ -50,13 +79,6 @@ def test_powerllel_fallback_flag(capsys):
         "--grid", "64,64,64", "--steps", "1",
     ]) == 0
     assert "unr+fallback" in capsys.readouterr().out
-
-
-def test_scaling(capsys):
-    assert main(["scaling", "--platform", "th-2a", "--max-points", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "Figure 7 (th-2a)" in out
-    assert "efficiency" in out
 
 
 def test_lint_clean_tree_exits_zero(capsys):
@@ -205,12 +227,9 @@ def test_chaos_exit_code_covers_the_overhead_cap(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv", [
     ["latency", "--iters", "0"],
-    ["multinic", "--iters", "0"],
     ["powerllel", "--steps", "0"],
     ["powerllel", "--py", "0"],
-    ["fig6", "--steps", "0"],
-    ["scaling", "--max-points", "0"],
-    ["scaling", "--steps", "0"],
+    ["paper", "--only", "nope"],
     ["faults", "--iters", "0"],
     ["faults", "--nodes", "1"],
     ["trace", "--size", "0"],
@@ -220,6 +239,7 @@ def test_chaos_exit_code_covers_the_overhead_cap(tmp_path, capsys, monkeypatch):
     ["faults", "--kill-duration", "-5"],
     ["faults", "--kill-at", "-5"],
     ["faults", "--faults", "cq_stall@t=5:dur=0"],
+    ["faults", "--faults", "corrupt=0.2,crc=0"],
     ["verify", "--platform", "nope"],
     ["latency", "--platform", "nope"],
     ["chaos", "--platform", "nope"],

@@ -10,7 +10,9 @@ the verify skill notes or the source quote must be a live rule, and
 every sanitizer finding kind they quote must be one the sanitizer
 emits.  Every quoted fault spec with a timed event (``@t=``) in those docs or the
 verify skill notes must parse, and every dotted ``repro.*`` name they
-quote in code must import and resolve.  (``perfbench/`` keeps its own
+quote in code must import and resolve.  EXPERIMENTS.md's generated
+tables must be a render of the committed claims record, which must hold
+every claim of the ledger and no NO-GO.  (``perfbench/`` keeps its own
 README and is out of scope.)
 """
 
@@ -20,6 +22,14 @@ from pathlib import Path
 
 from repro.analysis import RULES, VERIFY_RULES, UnrSanitizer
 from repro.analysis.unrlint import PARSE_ERROR
+from repro.bench.paper import (
+    CLAIMS,
+    FIGURES,
+    entries,
+    experiments_blocks,
+    load_record,
+    render_markdown,
+)
 from repro.cli import build_parser
 from repro.netsim import FaultSpec
 
@@ -158,3 +168,23 @@ def test_quoted_dotted_names_resolve():
     names = _quoted(_DOTTED)
     assert len(names) > 30, "the pattern stopped matching the docs"
     assert [(doc, name) for doc, name in names if not _resolves(name)] == []
+
+
+def test_experiments_tables_render_the_committed_ledger():
+    """``repro paper --write`` regenerates both; neither drifts alone."""
+    record = load_record()
+    blocks = experiments_blocks((ROOT / "EXPERIMENTS.md").read_text(encoding="utf-8"))
+    assert blocks == {name: render_markdown(record, name)
+                      for name in [*record["figures"], "causes"]}
+
+
+def test_committed_ledger_is_whole_and_holds_no_no_go():
+    """Every claim is recorded, with the verdict its bound gives the
+    recorded value, and none is a NO-GO."""
+    record = load_record()
+    assert list(record["figures"]) == list(FIGURES)
+    assert [c["id"] for c in entries(record)] == [c.id for c in CLAIMS]
+    for claim, entry in zip(CLAIMS, entries(record)):
+        assert (entry["paper"], entry["bound"]) == (claim.paper, list(claim.bound)), claim.id
+        assert entry["verdict"] == claim.verdict(entry["measured"]), claim.id
+    assert [c["id"] for c in entries(record) if c["verdict"] == "NO-GO"] == []

@@ -1,6 +1,9 @@
 """API-surface sanity: every public module imports and exports cleanly."""
 
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -48,6 +51,7 @@ MODULES = [
     "repro.platforms",
     "repro.collectives",
     "repro.bench",
+    "repro.bench.paper",
     "repro.cli",
     "repro.runtime",
 ]
@@ -64,6 +68,15 @@ def test_all_exports_resolve(name):
     mod = importlib.import_module(name)
     for sym in getattr(mod, "__all__", []):
         assert hasattr(mod, sym), f"{name}.__all__ lists missing {sym!r}"
+
+
+def test_import_repro_leaves_the_claims_ledger_unloaded():
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    code = "import sys, repro; assert 'repro.bench.paper' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
 
 
 def test_version():
