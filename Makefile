@@ -8,8 +8,8 @@
 #                      replica-world leg at team sizes 2 and 3) +
 #                      BENCH_resilience.json and BENCH_resilience_t3.json;
 #                      `repro chaos` exits 1 on any failed verdict or budget
-#   make demo-faults - the fault-injection acceptance demo
-#   make trace       - observed trace demo: one Perfetto JSON file
+#   make demo-faults - the fault-injection acceptance demo (repro faults)
+#   make trace       - the observed stream: one Perfetto JSON file
 #   make profile     - unrprof host-time profile of the latency demo
 #                      (flamegraph stacks, exit 1 below 90% coverage),
 #                      then the slow profiler-tax test (<= 10%)
@@ -24,7 +24,9 @@
 #                      pairs won — the numbers a perf PR quotes; with
 #                      COUNTERS=1, one traced run per side and a diff of
 #                      the counters that must repeat exactly instead
-#   make test-golden - the 16-entry golden wire-fingerprint corpus
+#   make test-golden - the golden corpus: the 16 wire schedules plus the
+#                      seven witness entries (faults, chaos and trace
+#                      output, the observed corpus runs' records)
 #   make loc         - line totals of src/repro, per package, of core/engine.py, replication.py and cli.py
 #   make lint        - unrlint determinism rules (+ ruff when installed)
 #   make verify      - unrverify: happens-before trace verifier over the
@@ -60,7 +62,7 @@ test-chaos:
 	$(REPRO) chaos --team-size 3 --out BENCH_resilience_t3.json
 
 demo-faults:
-	PYTHONPATH=src $(PYTHON) -m repro faults
+	$(REPRO) faults
 
 trace:
 	$(REPRO) trace stream --perfetto trace_obs.json
@@ -94,8 +96,10 @@ perf-pairs:
 	$(PYTHON) tools/perf_pairs.py --parent $(PARENT) --workload $(WORKLOAD) \
 		--pairs $(PAIRS) --seed $(SEED) $(if $(COUNTERS),--counters)
 
-# The lockdown gate of every datapath change: all 16 golden wire
-# fingerprints must match the committed corpus.
+# The lockdown gate of every datapath change: the 16 golden wire
+# fingerprints and the seven witness entries (the sha256 of `repro
+# faults`, `repro chaos` and `repro trace stream --faults` output and of
+# the observed corpus runs' records) must match the committed corpus.
 test-golden:
 	$(PYTEST) -q tests/core/test_fingerprints.py
 

@@ -4,7 +4,6 @@
 paper``); it is imported on demand, not from here.
 """
 
-from .faultdemo import DEFAULT_FAULTS, fault_demo
 from .fingerprints import (
     GOLDEN_SCHEMA,
     collect_fingerprints,
@@ -27,7 +26,7 @@ from .resilience import (
     resilience_failures,
     write_resilience_bench,
 )
-from .tracedemo import trace_demo
+from .stream import DEFAULT_FAULTS, fault_demo, run_stream
 
 __all__ = [
     "DEFAULT_CHAOS_FAULTS",
@@ -46,7 +45,7 @@ __all__ = [
     "powerllel_point",
     "resilience_bench",
     "resilience_failures",
-    "trace_demo",
+    "run_stream",
     "unr_get_pull",
     "unr_pingpong",
     "write_corpus",

@@ -16,6 +16,12 @@ canonical schedules on each Table III platform:
   (drop/dup/reorder, plus a rail failure on multi-rail platforms)
   with the reliability layer armed.
 
+Beside the 16 wire entries the corpus pins seven *witnesses*
+(:data:`WITNESSES`): the sha256 of whole CLI runs — the fault demo's
+stdout, the chaos record, the faulted trace's Perfetto file — and of
+everything the observed corpus runs record.  Entries are only ever
+added.
+
 ``repro fingerprints`` recomputes the corpus and diffs it against the
 committed golden file (``tests/core/fixtures/golden_fingerprints.json``);
 ``repro fingerprints --write`` regenerates the golden file after an
@@ -25,23 +31,32 @@ committed golden file (``tests/core/fixtures/golden_fingerprints.json``);
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
+import functools
+import hashlib
+import io
 import json
-from typing import Any, Dict, Generator, Iterable, List, Optional, Tuple
+import os
+import tempfile
+from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from ..core import Unr
-from ..netsim import FaultInjector, FaultSpec
+from ..netsim import FaultSpec
 from ..netsim.trace import transfer_fingerprint
 from ..obs import Recorder
 from ..platforms import get_platform, make_job
 from ..runtime import run_job
 from .report import REPO_ROOT
+from .stream import run_stream
 
 __all__ = [
     "GOLDEN_SCHEMA",
     "PLATFORMS",
     "SCHEDULES",
+    "WITNESSES",
     "GOLDEN_PATH",
     "fault_schedule",
     "run_schedule",
@@ -84,10 +99,6 @@ def fault_schedule(n_rails: int) -> str:
     return FAULTS_BASE
 
 
-def _pattern(size: int, salt: int) -> np.ndarray:
-    return ((np.arange(size) * 13 + salt) % 251).astype(np.uint8)
-
-
 def _pingpong_program(unr: Any) -> Any:
     """Figure 4 shape: two ranks bounce a notified PUT back and forth."""
 
@@ -112,33 +123,6 @@ def _pingpong_program(unr: Any) -> Any:
                 yield from ep.sig_wait(sig)
                 ep.sig_reset(sig)
                 ep.put(send_blk, rmt)
-
-    return program
-
-
-def _stream_program(unr: Any) -> Any:
-    """Credit-flowed PUT stream: rank 0 streams striped buffers to 1."""
-
-    def program(ctx: Any) -> Generator[Any, Any, None]:
-        ep = unr.endpoint(ctx.rank)
-        buf = np.zeros(STREAM_BYTES, dtype=np.uint8)
-        mr = ep.mem_reg(buf)
-        sig = ep.sig_init(1)
-        blk = ep.blk_init(mr, 0, STREAM_BYTES, signal=sig)
-        if ctx.rank == 0:
-            rmt = yield from ep.recv_ctl(1, tag="addr")
-            for it in range(STREAM_ITERS):
-                buf[:] = _pattern(STREAM_BYTES, it)
-                ep.put(blk, rmt)
-                yield from ep.sig_wait(sig)
-                ep.sig_reset(sig)
-                yield from ep.recv_ctl(1, tag="credit")
-        else:
-            yield from ep.send_ctl(0, blk, tag="addr")
-            for _ in range(STREAM_ITERS):
-                yield from ep.sig_wait(sig)
-                ep.sig_reset(sig)
-                yield from ep.send_ctl(0, "go", tag="credit")
 
     return program
 
@@ -170,48 +154,41 @@ def _powerllel_program(unr: Any, n_ranks: int) -> Any:
             blk = ep.blk_init(mr, 0, HALO_BYTES)
             rmt = yield from ep.recv_ctl(0, tag="slab")
             for rnd in range(HALO_ROUNDS):
-                buf[:] = _pattern(HALO_BYTES, ctx.rank * 17 + rnd)
+                buf[:] = (np.arange(HALO_BYTES) * 13 + ctx.rank * 17 + rnd) % 251
                 ep.put(blk, rmt)
                 yield from ep.recv_ctl(0, tag="credit")
 
     return program
 
 
-def _setup_schedule(
-    platform: str, schedule: str, seed: int, *, observe_core: bool
-) -> Tuple[Any, Recorder, Any]:
-    """Shared corpus-run setup; returns ``(job, recorder, program)``.
-
-    ``observe_core`` arms op/protocol emission in the UNR core
-    (``Unr(..., observe=recorder)``) on top of the always-attached wire
-    recorder — the unrverify entry point.  Arming is passive: the
-    fingerprint
-    must be identical either way (checked by ``repro verify``).
-    """
-    plat = get_platform(platform)
-    if schedule == "powerllel":
-        job = make_job(platform, 2, ranks_per_node=2, seed=seed)
-    else:
-        job = make_job(platform, 2, seed=seed)
-    faults: Optional[str] = None
-    if schedule == "fault_stress":
-        faults = fault_schedule(job.cluster.spec.node.nics)
-        FaultInjector.attach(job.cluster, FaultSpec.parse(faults, seed=FAULT_SEED))
-    recorder = Recorder.attach(job.cluster)
-    unr = Unr(
-        job, plat.channel,
-        reliability=faults is not None,
-        observe=recorder if observe_core else None,
-    )
-    if schedule == "latency":
-        program = _pingpong_program(unr)
-    elif schedule in ("stream", "fault_stress"):
-        program = _stream_program(unr)
-    elif schedule == "powerllel":
-        program = _powerllel_program(unr, job.n_ranks)
-    else:
+def _run_schedule(
+    platform: str, schedule: str, seed: int, *, observe: bool,
+    profiler: Optional[Any] = None,
+) -> Tuple[str, Recorder]:
+    """Run one corpus schedule; returns ``(fingerprint, recorder)``.
+    ``stream`` / ``fault_stress`` are :func:`~repro.bench.stream.run_stream`."""
+    if schedule in ("stream", "fault_stress"):
+        faults = None
+        if schedule == "fault_stress":
+            rails = get_platform(platform).node.nics
+            faults = FaultSpec.parse(fault_schedule(rails), seed=FAULT_SEED)
+        result, _, recorder = run_stream(
+            faults, platform=platform, size=STREAM_BYTES, iters=STREAM_ITERS,
+            seed=seed, observe=observe, profiler=profiler,
+        )
+        return result["fingerprint"], recorder
+    if schedule not in ("latency", "powerllel"):
         raise ValueError(f"unknown corpus schedule {schedule!r}")
-    return job, recorder, program
+    job = make_job(platform, 2, ranks_per_node=2 if schedule == "powerllel" else 1, seed=seed)
+    recorder = Recorder.attach(job.cluster)
+    unr = Unr(job, get_platform(platform).channel, observe=observe)
+    if profiler is not None:
+        profiler.attach(job.cluster, profiler)
+    if schedule == "latency":
+        run_job(job, _pingpong_program(unr))
+    else:
+        run_job(job, _powerllel_program(unr, job.n_ranks))
+    return transfer_fingerprint(recorder.transfers), recorder
 
 
 def run_schedule(
@@ -225,37 +202,89 @@ def run_schedule(
     way (that is the profiler's passivity contract, and what
     ``tests/obs/test_profile.py`` checks against the golden corpus).
     """
-    job, recorder, program = _setup_schedule(platform, schedule, seed, observe_core=False)
-    if profiler is not None:
-        profiler.attach(job.cluster, profiler)
-    run_job(job, program)
-    return transfer_fingerprint(recorder.transfers)
+    return _run_schedule(platform, schedule, seed, observe=False, profiler=profiler)[0]
 
 
 def run_schedule_observed(
     platform: str, schedule: str, *, seed: int = 0xC0FFEE
 ) -> Tuple[str, Recorder]:
-    """Run one corpus schedule with unrverify op/protocol streams armed.
+    """Run one corpus schedule with the core's op/protocol streams armed
+    (the unrverify entry point).  Returns ``(fingerprint, recorder)``;
+    arming is passive, so the fingerprint must equal the golden one."""
+    return _run_schedule(platform, schedule, seed, observe=True)
 
-    Returns ``(fingerprint, recorder)`` — the fingerprint must equal the
-    disarmed :func:`run_schedule` result (and hence the golden corpus);
-    the recorder's ``ops``/``protocol`` streams feed
-    :mod:`repro.analysis.verify`.
-    """
-    job, recorder, program = _setup_schedule(platform, schedule, seed, observe_core=True)
-    run_job(job, program)
-    return transfer_fingerprint(recorder.transfers), recorder
+
+def observed_corpus_digest() -> str:
+    """sha256 of everything the 16 :func:`run_schedule_observed` runs
+    record: the op and protocol streams, the instant markers and the
+    snapshot.  A change means observation wrote something different
+    down."""
+    digest = hashlib.sha256()
+    for platform in PLATFORMS:
+        for schedule in SCHEDULES:
+            _, rec = run_schedule_observed(platform, schedule)
+            doc = {
+                "ops": [dataclasses.astuple(r) for r in rec.ops],
+                "protocol": [dataclasses.astuple(e) for e in rec.protocol],
+                "events": [(e.t, e.track, e.name, sorted(e.args.items()))
+                           for e in rec.events],
+                "snapshot": rec.snapshot(),
+            }
+            digest.update(json.dumps(doc, sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+def cli_digest(argv: Tuple[str, ...], artifact: str) -> str:
+    """sha256 of one in-process ``repro`` run, equal to that of a fresh
+    process.  ``artifact`` names what is hashed: ``"stdout"``;
+    ``"stdout+exit"``, stdout then an ``exit N`` line, as ``{ repro
+    ARGV; echo "exit $?"; } | sha256sum``; or ``"file"``, the file the
+    command writes to a temporary path appended to ``argv``."""
+    from ..cli import main
+
+    stdout = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out")
+        with contextlib.redirect_stdout(stdout):
+            status = main(list(argv) + ([path] if artifact == "file" else []))
+        if artifact == "file":
+            with open(path, "rb") as fh:
+                return hashlib.sha256(fh.read()).hexdigest()
+    text = stdout.getvalue()
+    if artifact == "stdout+exit":
+        text += f"exit {status}\n"
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+#: the witness entries beside the wire corpus: key -> digest function.
+#: ``cli/<line>`` hashes the ``repro <line>`` run (see :func:`cli_digest`).
+WITNESSES: Dict[str, Callable[[], str]] = {
+    f"cli/{line}": functools.partial(cli_digest, tuple(line.split()), artifact)
+    for line, artifact in (
+        ("faults", "stdout"),
+        ("faults --kill-node 1", "stdout"),
+        ("faults --kill-node 1 --kill-duration 0", "stdout+exit"),
+        ("chaos --team-size 2 --out", "file"),
+        ("chaos --team-size 3 --out", "file"),
+        ("trace stream --faults drop=0.3,reorder=0.2,rail_fail@t=5.0 --perfetto", "file"),
+    )
+}
+WITNESSES["obs/observed-corpus"] = observed_corpus_digest
 
 
 def collect_fingerprints(
     platforms: Iterable[str] = PLATFORMS,
     schedules: Iterable[str] = SCHEDULES,
+    witnesses: Iterable[str] = tuple(WITNESSES),
 ) -> Dict[str, str]:
-    """Compute the ``"platform/schedule" -> fingerprint`` corpus."""
+    """Compute the corpus: ``"platform/schedule" -> fingerprint`` for
+    the wire entries, then the named witnesses."""
     out: Dict[str, str] = {}
     for plat in platforms:
         for sched in schedules:
             out[f"{plat}/{sched}"] = run_schedule(plat, sched)
+    for key in witnesses:
+        out[key] = WITNESSES[key]()
     return out
 
 

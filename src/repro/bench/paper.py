@@ -238,7 +238,7 @@ TRANSPOSE = Cause(
 POLLING = Cause(
     "polling-dispatch",
     "UNR's polling thread dispatches a completion 0.25 us after it lands (half of "
-    "PollingConfig.poll_cost_us); the authors' verbs polling path likely cost more",
+    "core.polling.POLL_COST_US); the authors' verbs polling path likely cost more",
     "PSCW never beats UNR at 8 B, where the paper saw it close to or ahead of UNR on "
     "IB/RoCE; PSCW is still the closest MPI-RMA scheme", "low")
 PPE = Cause(

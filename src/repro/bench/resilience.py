@@ -2,7 +2,7 @@
 
 ``resilience_bench`` runs the PR 1 producer→consumer stress stream
 under an *endpoint-level* fault schedule — the fabric noise of
-``repro.bench.faultdemo`` plus a window where every rail of the
+``repro.bench.stream``'s fault demo plus a window where every rail of the
 consumer's node is dark — on the four Table III platforms, with the
 reliability layer *and* the health layer armed.  Each platform's
 schedule runs twice and the record keeps the two verdicts that make
@@ -32,7 +32,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from ..core import Unr
 from ..netsim import FaultInjector, FaultSpec, NodeCrash
 from ..platforms import PLATFORMS, get_platform, make_job
-from .faultdemo import _fault_stream, _producer_consumer
+from .stream import _producer_consumer, run_stream
 
 __all__ = [
     "RESILIENCE_SCHEMA",
@@ -79,7 +79,7 @@ def _percentile(sorted_values: Sequence[float], q: float) -> float:
 
 
 def _one_run(spec: FaultSpec, **stream: Any) -> Dict[str, Any]:
-    result, unr, _ = _fault_stream(spec, health=True, **stream)
+    result, unr, _ = run_stream(spec, health=True, **stream)
     recover_us = sorted(w["duration_us"] for w in unr.health.recovery_log)
     result.update(
         {key: int(unr.stats[key]) for key in (
@@ -200,7 +200,6 @@ def resilience_bench(
     platforms: Optional[Sequence[str]] = None,
     *,
     faults: str = DEFAULT_CHAOS_FAULTS,
-    n_nodes: int = 2,
     size: int = 64 * 1024,
     iters: int = 32,
     seed: int = 2024,
@@ -221,8 +220,7 @@ def resilience_bench(
     per_platform: Dict[str, Any] = {}
     for platform in platforms:
         runs = [
-            _one_run(spec, platform=platform, n_nodes=n_nodes,
-                     size=size, iters=iters, seed=seed)
+            _one_run(spec, platform=platform, size=size, iters=iters, seed=seed)
             for _ in range(2)
         ]
         per_platform[platform] = {
@@ -269,7 +267,7 @@ def resilience_bench(
         "schema": RESILIENCE_SCHEMA,
         "name": "resilience_bench",
         "params": {
-            "faults": faults, "n_nodes": n_nodes, "size": size,
+            "faults": faults, "n_nodes": 2, "size": size,
             "iters": iters, "seed": seed, "fault_seed": fault_seed,
             "replication": replication, "team_size": team_size,
         },

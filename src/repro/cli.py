@@ -6,12 +6,12 @@
     python -m repro paper --only fig6           # one table or figure
     python -m repro latency  --platform th-xy   # Figure 4 curves, any sizes
     python -m repro powerllel --platform th-2a  # one Figure 6 cell
-    python -m repro faults                      # fault-injection demo
+    python -m repro faults                      # the producer→consumer stream under faults
     python -m repro faults --kill-node 1        # kill every rail of node 1
     python -m repro chaos                       # resilience soak -> BENCH_resilience.json
-    python -m repro trace stream                # observed demo -> trace_obs.json
+    python -m repro trace stream                # the stream over an RMA plan, observed
     python -m repro trace latency --profile     # + unrprof host-time attribution
-    python -m repro fingerprints                # golden wire-fingerprint diff
+    python -m repro fingerprints                # golden corpus diff: wire + witnesses
     python -m repro lint src/repro examples     # unrlint determinism rules
     python -m repro verify                      # unrverify happens-before checker
 """
@@ -111,7 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--faults", type=_fault_spec, default=None, metavar="SPEC",
                    help="fault schedule (default: drop=0.3,reorder=0.2,rail_fail@t=5.0)")
     p.add_argument("--platform", choices=platforms, default="th-xy")
-    p.add_argument("--nodes", type=_at_least(2), default=2)
     p.add_argument("--size", type=_at_least(1), default=262144)
     p.add_argument("--iters", type=_at_least(1), default=8)
     p.add_argument("--seed", type=int, default=2024)
@@ -185,9 +184,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "fingerprints",
-        help="golden wire-fingerprint corpus: recompute four schedules "
-             "per Table III platform and diff against the committed "
-             "golden file (--write regenerates it)",
+        help="golden corpus: recompute four wire schedules per Table III "
+             "platform and the seven witness entries and diff against the "
+             "committed golden file (--write regenerates it)",
     )
     p.add_argument("--path", default=None, metavar="PATH",
                    help="golden corpus file (default: "
@@ -292,9 +291,8 @@ def cmd_faults(args) -> int:
         spec_text = f"{spec_text},{kill}" if spec_text else kill
     try:
         out = fault_demo(
-            spec_text, platform=args.platform, n_nodes=args.nodes,
-            size=args.size, iters=args.iters, seed=args.seed,
-            fault_seed=args.fault_seed, health=health,
+            spec_text, platform=args.platform, size=args.size, iters=args.iters,
+            seed=args.seed, fault_seed=args.fault_seed, health=health,
         )
     except UnrPeerDeadError as exc:
         print(f"Fault demo on {args.platform}: schedule {spec_text!r} "
@@ -309,7 +307,7 @@ def cmd_faults(args) -> int:
         return 1
     spec = out["spec"]
     r0, r1 = out["runs"]
-    print(f"Fault demo on {args.platform} ({args.nodes} nodes, "
+    print(f"Fault demo on {args.platform} (2 nodes, "
           f"{args.iters} x {args.size} B, fault seed {spec.seed:#x}):")
     print(f"  schedule     {spec_text}")
     print(f"  fabric       {r0['faults']}")
@@ -376,7 +374,8 @@ def cmd_chaos(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    from .bench import trace_demo
+    from .bench import powerllel_point, run_stream, unr_pingpong
+    from .netsim import FaultSpec
     from .obs import HostProfiler, text_timeline, validate_trace_file, write_perfetto
     from .obs.profile import COVERAGE_FLOOR
 
@@ -388,12 +387,22 @@ def cmd_trace(args) -> int:
     if args.profile or args.flame:
         prof = HostProfiler(sample_every=1 if args.flame else 0)
     with prof.window() if prof is not None else nullcontext():
-        out = trace_demo(
-            args.demo, platform=args.platform, size=args.size,
-            iters=args.iters, seed=args.seed, faults=args.faults,
-            fault_seed=args.fault_seed, profiler=prof,
-        )
-    rec = out["recorder"]
+        if args.demo == "stream":  # the stream over a recorded RMA plan
+            faults = (FaultSpec.parse(args.faults, seed=args.fault_seed)
+                      if args.faults else None)
+            _, _, rec = run_stream(
+                faults, platform=args.platform, size=args.size, iters=args.iters,
+                seed=args.seed, observe=True, profiler=prof, plan=True,
+            )
+        elif args.demo == "latency":  # the Figure 4 UNR ping-pong
+            out: dict = {}
+            unr_pingpong(args.platform, args.size, args.iters, out=out, profiler=prof)
+            rec = out["recorder"]
+        else:  # a small PowerLLEL grid on the UNR backend
+            rec = powerllel_point(
+                args.platform, nodes=4, py=2, pz=2, nx=64, ny=64, nz=64,
+                backend="unr", steps=1, seed=args.seed, observe=True, profiler=prof,
+            )["recorder"]
     snap = rec.snapshot()
     print(f"Trace demo '{args.demo}' on {args.platform}: "
           f"t_end={snap['t_end'] * 1e6:.2f} us, "

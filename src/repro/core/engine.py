@@ -49,7 +49,7 @@ from .errors import (
 )
 from .health import scan_rails
 from .levels import LevelPolicy, encode_custom
-from .polling import PollingConfig
+from .polling import SWEEP_BATCH, PollingConfig
 from .signal import submessage_addends
 from .transport import BACKOFF_FACTOR, MAX_BACKOFF_US, MAX_RETRIES, fragment_timeout, plan_stripes
 
@@ -1144,9 +1144,7 @@ class ProgressEngine:
         self.total_delay = 0.0
         #: preallocated sweep buffer — one per engine, reused by every
         #: rail's sweeper (sweepers never interleave mid-drain).
-        self._batch: List[Optional[CompletionRecord]] = (
-            [None] * config.sweep_batch
-        )
+        self._batch: List[Optional[CompletionRecord]] = [None] * SWEEP_BATCH
         if config.mode == "none":
             return
         if config.mode == "reserved":

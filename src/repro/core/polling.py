@@ -2,7 +2,7 @@
 
 In UNR support levels 0–3 a per-node polling thread retrieves events
 from the NICs and executes ``*p += a`` against the node's signal table.
-The thread has a cost, reproduced here with two knobs:
+The thread has a cost, reproduced here with two effects:
 
 * **notification delay** — an event applied ``delay`` after it lands in
   the CQ (half the polling interval on average);
@@ -27,7 +27,19 @@ from dataclasses import dataclass
 
 from ..units import US
 
-__all__ = ["PollingConfig"]
+__all__ = ["PollingConfig", "POLL_COST_US", "BUSY_INTERFERENCE", "SWEEP_BATCH"]
+
+#: CPU cost of one poll sweep, us
+POLL_COST_US = 0.5
+#: core-equivalents an *unreserved* busy-polling thread costs the
+#: application: more than one core, because the spinning thread also
+#: thrashes shared caches and memory bandwidth (the reason the paper's
+#: reserved-core configuration wins on HPC-IB, Fig. 6).
+BUSY_INTERFERENCE = 2.5
+#: max completion records drained per sweep wakeup; the progress engine
+#: reuses one preallocated buffer of this size, so a larger batch costs
+#: memory, not allocations.
+SWEEP_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -44,37 +56,25 @@ class PollingConfig:
     mode: str = "busy"
     interval_us: float = 5.0
     reserved_cores: int = 1
-    poll_cost_us: float = 0.5  # CPU cost of one poll sweep
-    #: core-equivalents an *unreserved* busy-polling thread costs the
-    #: application: more than one core, because the spinning thread
-    #: also thrashes shared caches and memory bandwidth (the reason the
-    #: paper's reserved-core configuration wins on HPC-IB, Fig. 6).
-    busy_interference: float = 2.5
-    #: max completion records drained per sweep wakeup; the progress
-    #: engine reuses one preallocated buffer of this size, so a larger
-    #: batch costs memory, not allocations.
-    sweep_batch: int = 64
 
     def __post_init__(self) -> None:
         if self.mode not in ("busy", "reserved", "interval", "none"):
             raise ValueError(f"unknown polling mode {self.mode!r}")
-        if self.sweep_batch < 1:
-            raise ValueError("sweep_batch must be >= 1")
         if self.mode == "interval":
             if self.interval_us <= 0:
                 raise ValueError("interval_us must be positive")
-            if self.poll_cost_us > self.interval_us:
+            if POLL_COST_US > self.interval_us:
                 # The duty cycle poll_cost/interval would exceed 1: the
                 # thread cannot finish one sweep before the next is due,
                 # so it degenerates into busy polling.  cpu_duty clamps
                 # at the busy-thread interference — say so instead of
                 # silently under-reporting the configured cost.
                 warnings.warn(
-                    f"interval polling with poll_cost_us="
-                    f"{self.poll_cost_us} > interval_us={self.interval_us}: "
+                    f"interval polling with interval_us={self.interval_us} "
+                    f"< POLL_COST_US={POLL_COST_US}: "
                     "the sweep never finishes before the next is due; "
-                    "cpu_duty saturates at busy_interference "
-                    f"({self.busy_interference}) — use mode='busy' (or a "
+                    "cpu_duty saturates at BUSY_INTERFERENCE "
+                    f"({BUSY_INTERFERENCE}) — use mode='busy' (or a "
                     "longer interval) to make the cost explicit",
                     UserWarning,
                     stacklevel=3,
@@ -87,7 +87,7 @@ class PollingConfig:
             return 0.0
         if self.mode == "interval":
             return 0.5 * self.interval_us * US
-        return 0.5 * self.poll_cost_us * US
+        return 0.5 * POLL_COST_US * US
 
     @property
     def cpu_duty(self) -> float:
@@ -95,5 +95,5 @@ class PollingConfig:
         if self.mode in ("none", "reserved"):
             return 0.0
         if self.mode == "busy":
-            return self.busy_interference
-        return min(1.0, self.poll_cost_us / self.interval_us) * self.busy_interference
+            return BUSY_INTERFERENCE
+        return min(1.0, POLL_COST_US / self.interval_us) * BUSY_INTERFERENCE

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import SanitizerReport
-from repro.bench.faultdemo import _producer_consumer
+from repro.bench.stream import _producer_consumer
 from repro.core import Blk, Unr, UnrUsageError
 from repro.interconnect import TABLE_II, ChannelError
 from repro.interconnect.width import fit_custom

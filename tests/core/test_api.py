@@ -11,6 +11,7 @@ from repro.core import (
     UnrSyncWarning,
     UnrUsageError,
 )
+from repro.core.polling import BUSY_INTERFERENCE
 from repro.netsim import Cluster, ClusterSpec, FabricSpec, NicSpec, NodeSpec
 from repro.runtime import Job, run_job
 from repro.sim import Environment
@@ -443,7 +444,7 @@ def test_interval_polling_adds_latency():
 def test_busy_polling_loads_cpu_reserved_does_not():
     cfg = PollingConfig(mode="busy")
     job, unr = make_unr("glex", polling=cfg)
-    assert job.cluster.node(0).cpu.polling_load == cfg.busy_interference
+    assert job.cluster.node(0).cpu.polling_load == BUSY_INTERFERENCE
     job, unr = make_unr(
         "glex", polling=PollingConfig(mode="reserved", reserved_cores=1)
     )

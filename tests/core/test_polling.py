@@ -3,6 +3,7 @@ per-node progress core (`repro.core.engine.ProgressEngine`)."""
 
 import pytest
 
+from repro.core import polling
 from repro.core.engine import ProgressEngine
 from repro.core.polling import PollingConfig
 from repro.netsim import Cluster, ClusterSpec, CompletionRecord, NicSpec, NodeSpec
@@ -25,37 +26,38 @@ def test_config_validation():
         PollingConfig(mode="interval", interval_us=0)
 
 
-def test_interval_overload_warns_instead_of_silently_clamping():
-    """poll_cost_us > interval_us means the duty cycle would exceed 1:
-    cpu_duty saturates, and the config must say so out loud."""
-    with pytest.warns(UserWarning, match="poll_cost_us"):
-        cfg = PollingConfig(mode="interval", interval_us=1.0, poll_cost_us=4.0)
-    assert cfg.cpu_duty == pytest.approx(cfg.busy_interference)
+def test_interval_overload_warns_instead_of_silently_clamping(monkeypatch):
+    """An interval shorter than POLL_COST_US means the duty cycle would
+    exceed 1: cpu_duty saturates, and the config must say so out loud."""
+    monkeypatch.setattr(polling, "POLL_COST_US", 4.0)
+    with pytest.warns(UserWarning, match="POLL_COST_US"):
+        cfg = PollingConfig(mode="interval", interval_us=1.0)
+    assert cfg.cpu_duty == pytest.approx(polling.BUSY_INTERFERENCE)
 
     import warnings
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ok = PollingConfig(mode="interval", interval_us=5.0, poll_cost_us=0.5)
+        ok = PollingConfig(mode="interval", interval_us=5.0)
         # Busy mode with a huge poll cost is explicit, not a misconfig.
-        PollingConfig(mode="busy", poll_cost_us=4.0)
-    assert ok.cpu_duty < ok.busy_interference
+        PollingConfig(mode="busy")
+    assert ok.cpu_duty < polling.BUSY_INTERFERENCE
 
 
 def test_dispatch_delay_by_mode():
     assert PollingConfig(mode="none").dispatch_delay == 0.0
     assert PollingConfig(mode="interval", interval_us=10).dispatch_delay == pytest.approx(5e-6)
-    assert PollingConfig(mode="busy", poll_cost_us=0.5).dispatch_delay == pytest.approx(0.25e-6)
+    assert PollingConfig(mode="busy").dispatch_delay == pytest.approx(0.25e-6)
 
 
 def test_cpu_duty_by_mode():
     assert PollingConfig(mode="none").cpu_duty == 0.0
     assert PollingConfig(mode="reserved").cpu_duty == 0.0
     busy = PollingConfig(mode="busy")
-    assert busy.cpu_duty == busy.busy_interference
+    assert busy.cpu_duty == polling.BUSY_INTERFERENCE
     # Interval polling interferes proportionally to its duty cycle.
-    rare = PollingConfig(mode="interval", interval_us=100.0, poll_cost_us=0.5)
-    often = PollingConfig(mode="interval", interval_us=1.0, poll_cost_us=0.5)
+    rare = PollingConfig(mode="interval", interval_us=100.0)
+    often = PollingConfig(mode="interval", interval_us=1.0)
     assert rare.cpu_duty < often.cpu_duty
 
 

@@ -8,14 +8,15 @@ pin the parked-consumer hand-off at its edges.
 """
 
 import sys
-from dataclasses import replace
 from math import inf
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import repro.core.engine as engine_module
 from repro.bench.fingerprints import PLATFORMS, run_schedule
+from repro.core import polling
 from repro.core.engine import ProgressEngine
 from repro.core.polling import PollingConfig
 from repro.netsim import Cluster, ClusterSpec, CompletionRecord, NicSpec, NodeSpec
@@ -96,12 +97,12 @@ def reference_rail(arrivals, stalls, delay, limit, depth):
     return out, sweeps, high_water, overflows
 
 
-configs = st.builds(
-    lambda config, batch: replace(config, sweep_batch=batch),
+#: ((config, POLL_COST_US), SWEEP_BATCH)
+configs = st.tuples(
     st.sampled_from([
-        PollingConfig(),  # busy, 0.25 us
-        PollingConfig(poll_cost_us=0.0),  # zero dispatch delay
-        PollingConfig(mode="interval", interval_us=3.0),
+        (PollingConfig(), polling.POLL_COST_US),  # busy, 0.25 us
+        (PollingConfig(), 0.0),  # zero dispatch delay
+        (PollingConfig(mode="interval", interval_us=3.0), polling.POLL_COST_US),
     ]),
     st.sampled_from([2, 3, 64]),
 )
@@ -120,11 +121,16 @@ windows = st.lists(
 @given(config=configs, n_rails=st.sampled_from([1, 2]),
        depth=st.sampled_from([4, 64]), bursts=bursts, windows=windows)
 def test_sweeps_match_the_batching_rule(config, n_rails, depth, bursts, windows):
+    (config, poll_cost_us), batch = config
     env, node = make_node(nics=n_rails, cq_depth=depth)
     log = []
-    engine = ProgressEngine(
-        env, node, config, lambda n, rec: log.append((env.now, rec.custom)),
-    )
+    with pytest.MonkeyPatch.context() as mp:  # the engine reads them once
+        mp.setattr(polling, "POLL_COST_US", poll_cost_us)
+        mp.setattr(engine_module, "SWEEP_BATCH", batch)
+        engine = ProgressEngine(
+            env, node, config, lambda n, rec: log.append((env.now, rec.custom)),
+        )
+        delay = config.dispatch_delay
 
     arrivals = [[] for _ in range(n_rails)]
     stalls = [[] for _ in range(n_rails)]
@@ -153,8 +159,7 @@ def test_sweeps_match_the_batching_rule(config, n_rails, depth, bursts, windows)
             rid += 1
 
     expected = [
-        reference_rail(arrivals[r], stalls[r], config.dispatch_delay,
-                       config.sweep_batch, depth)
+        reference_rail(arrivals[r], stalls[r], delay, batch, depth)
         for r in range(n_rails)
     ]
     env.run()  # returns: nothing is left blocked on an empty CQ
@@ -204,8 +209,11 @@ def test_mode_none_parks_nothing():
     assert cq.poll().custom == 1
 
 
-@pytest.mark.parametrize("config", [PollingConfig(), PollingConfig(poll_cost_us=0.0)])
-def test_blocking_push_onto_idle_queue_is_dispatched(config):
+@pytest.mark.parametrize("poll_cost_us", [polling.POLL_COST_US, 0.0],
+                         ids=["delay", "no-delay"])
+def test_blocking_push_onto_idle_queue_is_dispatched(poll_cost_us, monkeypatch):
+    monkeypatch.setattr(polling, "POLL_COST_US", poll_cost_us)
+    config = PollingConfig()
     env, node = make_node()
     order = []
     engine = ProgressEngine(env, node, config,
@@ -226,10 +234,11 @@ def test_blocking_push_onto_idle_queue_is_dispatched(config):
     assert engine.n_dispatched == 1
 
 
-def test_handler_never_runs_inside_the_producers_event():
+def test_handler_never_runs_inside_the_producers_event(monkeypatch):
+    monkeypatch.setattr(polling, "POLL_COST_US", 0.0)
     env, node = make_node()
     seen = []
-    ProgressEngine(env, node, PollingConfig(poll_cost_us=0.0),
+    ProgressEngine(env, node, PollingConfig(),
                    lambda n, rec: seen.append(rec.custom))
     cq = node.nic(0).cq
 
@@ -308,12 +317,14 @@ def test_only_the_engine_consumes_a_completion_queue(monkeypatch):
     assert {module for module, _ in callers} == {"repro.core.engine"}
 
 
-@pytest.mark.parametrize("config", [PollingConfig(), PollingConfig(poll_cost_us=0.0)],
+@pytest.mark.parametrize("poll_cost_us", [polling.POLL_COST_US, 0.0],
                          ids=["delay", "no-delay"])
-def test_stalled_queue_holds_its_record_until_the_window_closes(config):
+def test_stalled_queue_holds_its_record_until_the_window_closes(poll_cost_us, monkeypatch):
     """A record reaching a stalled CQ waits the window out — including
     an extension made while it waits — then the dispatch delay; with no
     delay the fire runs inside the window-closing event itself."""
+    monkeypatch.setattr(polling, "POLL_COST_US", poll_cost_us)
+    config = PollingConfig()
     env, node = make_node()
     log = []
     engine = ProgressEngine(

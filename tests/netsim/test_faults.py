@@ -362,7 +362,7 @@ def test_full_schedule_replays_to_pinned_digest():
     nodes with reliability and health armed, then of a raw GET burst."""
     import hashlib
 
-    from repro.bench.faultdemo import _producer_consumer
+    from repro.bench.stream import _producer_consumer
     from repro.core import Unr
     from repro.netsim import CompletionRecord
     from repro.platforms import get_platform, make_job

@@ -5,15 +5,13 @@ The scenario is the PR 1 fault-stress schedule (drops + duplicates +
 reordering + a mid-run rail failure) with the reliability layer armed —
 the most event-sensitive path in the repo.  The MessageTrace fingerprint
 hashes every fragment's post/deliver time, so any scheduling
-perturbation from the recorder would show up here.
+perturbation from the recorder would show up here.  What the observed
+golden corpus runs record is pinned below, and again in the golden
+corpus as its ``obs/observed-corpus`` entry (``repro fingerprints``).
 """
 
-import dataclasses
-import hashlib
-import json
-
 from repro.bench import fault_demo, unr_pingpong
-from repro.bench.fingerprints import PLATFORMS, SCHEDULES, run_schedule_observed
+from repro.bench.fingerprints import observed_corpus_digest
 
 FAULTS = "drop=0.2,dup=0.1,reorder=0.3,rail_fail@t=40:node=1:rail=0"
 
@@ -37,7 +35,7 @@ def test_observation_keeps_latency_result_identical():
     assert len(out["recorder"].transfers) > 0
 
 
-#: sha256 of everything the 16 observed corpus runs record (see below).
+#: sha256 of everything the 16 observed corpus runs record.
 #: A change here means observation wrote something different down.
 OBSERVED_CORPUS_DIGEST = "86fd0d483a6c936c696050f21ad288469a97817d8ca4f472cf99ad21596b2ac3"
 
@@ -45,16 +43,4 @@ OBSERVED_CORPUS_DIGEST = "86fd0d483a6c936c696050f21ad288469a97817d8ca4f472cf99ad
 def test_observed_corpus_records_are_pinned():
     """The op and protocol streams, the instant markers and the snapshot
     of every ``run_schedule_observed`` run hash to one pinned value."""
-    digest = hashlib.sha256()
-    for platform in PLATFORMS:
-        for schedule in SCHEDULES:
-            _, rec = run_schedule_observed(platform, schedule)
-            doc = {
-                "ops": [dataclasses.astuple(r) for r in rec.ops],
-                "protocol": [dataclasses.astuple(e) for e in rec.protocol],
-                "events": [(e.t, e.track, e.name, sorted(e.args.items()))
-                           for e in rec.events],
-                "snapshot": rec.snapshot(),
-            }
-            digest.update(json.dumps(doc, sort_keys=True).encode())
-    assert digest.hexdigest() == OBSERVED_CORPUS_DIGEST
+    assert observed_corpus_digest() == OBSERVED_CORPUS_DIGEST

@@ -4,13 +4,16 @@ across identical runs."""
 import json
 from pathlib import Path
 
-from repro.bench import trace_demo
+from repro.bench import run_stream
 from repro.netsim.trace import transfer_fingerprint
 from repro.obs import perfetto_json, text_timeline, to_trace_events, validate_trace
 
 
-def run_demo():
-    return trace_demo("stream", iters=3, size=4096)["recorder"]
+def run_demo(profiler=None):
+    """The observed stream over a recorded RMA plan, as ``repro trace
+    stream`` runs it."""
+    return run_stream(platform="th-xy", size=4096, iters=3, seed=2024,
+                      observe=True, profiler=profiler, plan=True)[2]
 
 
 def test_trace_events_validate_and_carry_metadata():
@@ -43,8 +46,7 @@ def test_golden_roundtrip_spans_instants_and_counters(tmp_path):
 
     prof = HostProfiler(counter_every=8)
     with prof.window():
-        out = trace_demo("stream", iters=3, size=4096, profiler=prof)
-    rec = out["recorder"]
+        rec = run_demo(prof)
     rec.event("marker.golden", track="events")
     path = write_perfetto(rec, str(tmp_path / "trace.json"), prof)
     doc = json.loads(Path(path).read_text())

@@ -3,7 +3,7 @@ single-recording guarantee for NIC transfers."""
 
 import pytest
 
-from repro.bench import trace_demo
+from repro.bench import run_stream
 from repro.core import Unr
 from repro.obs import Recorder
 from repro.platforms import make_job
@@ -117,7 +117,8 @@ def test_attach_is_idempotent_and_shared_by_every_observer():
 
 
 def test_demo_records_each_transfer_once_and_counts_sim_events():
-    rec = trace_demo("stream", iters=3, size=4096)["recorder"]
+    _, _, rec = run_stream(platform="th-xy", size=4096, iters=3, seed=2024,
+                           observe=True, plan=True)
     snap = rec.snapshot()
     assert snap["n_transfers"] == len(rec.transfers) > 0
     # One trace record per post: the NIC wrap runs exactly once even

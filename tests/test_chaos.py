@@ -10,7 +10,7 @@ replay bit-identically from its seed.
 import pytest
 
 from repro.bench import resilience_bench, resilience_failures
-from repro.bench.faultdemo import fault_demo
+from repro.bench import fault_demo
 from repro.core import UnrPeerDeadError
 from repro.platforms import PLATFORMS
 

@@ -37,7 +37,7 @@ def test_producer_consumer_soak(platform):
     """Stream 8 x 128 KiB through a faulted fabric, twice: every buffer
     must arrive byte-exact and the two runs must replay identically."""
     res = fault_demo(
-        FAULTS[platform], platform=platform, n_nodes=2,
+        FAULTS[platform], platform=platform,
         size=128 * 1024, iters=8, fault_seed=13,
     )
     assert res["correct"], f"corrupted stream on {platform}: {res['runs']}"
@@ -54,7 +54,7 @@ def test_producer_consumer_seed_sweep(seed):
     """Property loop over fault seeds on the richest platform (multi-NIC
     striping + failover): correctness must hold for every schedule."""
     res = fault_demo(
-        FAULTS["th-xy"], platform="th-xy", n_nodes=2,
+        FAULTS["th-xy"], platform="th-xy",
         size=96 * 1024, iters=6, fault_seed=seed,
     )
     assert res["correct"] and res["identical"], f"failed for fault_seed={seed}"
