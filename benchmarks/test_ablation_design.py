@@ -115,7 +115,6 @@ def test_ablation_level0_overhead(benchmark, emit):
         out = {}
         for bits in (0, 64):
             cap = Capability("X", "x", "-", bits, bits, bits, bits)
-            cls = type("XChan", (RmaChannel,), {"capability": cap, "name": "x"})
             env = Environment()
             # Jitter off: Level-0's ordered data path would otherwise
             # dodge adaptive-routing jitter and mask the extra message.
@@ -125,7 +124,7 @@ def test_ablation_level0_overhead(benchmark, emit):
                 FabricSpec(routing_jitter=0.0), seed=4,
             )
             job = Job(Cluster(env, spec))
-            unr = Unr(job, cls(job))
+            unr = Unr(job, RmaChannel(job, cap))
             t = {}
             burst = 64
 

@@ -1,8 +1,8 @@
 """Table II: the UNR support level of high-performance NICs.
 
-Verifies each interface adapter actually *enforces* its custom-bit
-widths on the wire, and that UNR configures itself from the adapter
-alone; the matrix and levels themselves are the ledger's
+Verifies each interface's channel actually *enforces* its custom-bit
+widths on the wire, and that UNR configures itself from the capability
+record alone; the matrix and levels themselves are the ledger's
 (``repro paper --only table2``).
 """
 
@@ -11,11 +11,7 @@ import pytest
 from conftest import record
 from repro.bench.paper import TABLE2_LEVELS
 from repro.core import Unr
-from repro.interconnect import (
-    CHANNEL_TYPES,
-    ChannelError,
-    make_channel,
-)
+from repro.interconnect import TABLE_II, ChannelError, RmaChannel
 from repro.netsim import Cluster, ClusterSpec, NicSpec, NodeSpec
 from repro.runtime import Job
 from repro.sim import Environment
@@ -29,13 +25,13 @@ def make_job():
     return Job(Cluster(env, spec))
 
 
-@pytest.mark.parametrize("name", sorted(CHANNEL_TYPES))
-def test_adapter_enforces_width(benchmark, name):
-    """Each adapter rejects custom bits wider than its hardware field."""
+@pytest.mark.parametrize("name", sorted(TABLE_II))
+def test_channel_enforces_width(benchmark, name):
+    """Each interface's channel rejects custom bits wider than its hardware field."""
     job = make_job()
 
     def run():
-        ch = make_channel(name, job)
+        ch = RmaChannel(job, TABLE_II[name])
         bits = ch.capability.effective_put_remote
         if bits > 0:
             ch.put(0, 1, 8, remote_custom=(1 << bits) - 1)  # fits
@@ -48,9 +44,9 @@ def test_adapter_enforces_width(benchmark, name):
     assert record(benchmark, run)
 
 
-@pytest.mark.parametrize("name", sorted(CHANNEL_TYPES))
-def test_unr_auto_configures_from_adapter(benchmark, name):
-    """UNR derives its level/encoding purely from the adapter."""
+@pytest.mark.parametrize("name", sorted(TABLE_II))
+def test_unr_auto_configures_from_capability(benchmark, name):
+    """UNR derives its level/encoding purely from the capability record."""
     job = make_job()
 
     def run():

@@ -111,12 +111,11 @@ def synthetic_channel(bits: int, offload: bool) -> Tuple[Job, RmaChannel]:
     ``bits`` wide: Table I's synthetic NIC (``offload``: Level-4 atomic add)."""
     cap = Capability(interface=f"Synth{bits}", interconnect="synthetic", systems="-",
                      put_local=bits, put_remote=bits, get_local=bits, get_remote=bits)
-    cls = type(f"Synth{bits}Channel", (RmaChannel,), {"capability": cap, "name": f"synth{bits}"})
     spec = ClusterSpec("t", 2, NodeSpec(cores=4, nics=2),
                        NicSpec(bandwidth_gbps=100, latency_us=1.0, atomic_offload=offload),
                        FabricSpec(routing_jitter=0.2), seed=1)
     job = Job(Cluster(Environment(), spec))
-    return job, cls(job)
+    return job, RmaChannel(job, cap)
 
 
 def _width(bits: int, hw: bool) -> str:

@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Any, Generator, List, Optional, Set, Union
 
 import numpy as np
 
-from ..interconnect import MpiFallbackChannel, RmaChannel, make_channel
+from ..interconnect import MpiFallbackChannel, RmaChannel, get_capability
 from ..netsim import CompletionRecord
 from ..runtime import Job
 from ..sim import FilterStore
@@ -150,10 +150,8 @@ class Unr:
         self.job = job
         self.env = job.env
         if isinstance(channel, str):
-            if channel.lower() == "mpi":
-                channel = MpiFallbackChannel(job)
-            else:
-                channel = make_channel(channel, job)
+            channel = (MpiFallbackChannel(job) if channel.lower() == "mpi"
+                       else RmaChannel(job, get_capability(channel)))
         self.channel = channel
         #: lazily-built degraded lane (reused when ``channel`` already is one)
         self._fallback_channel: Optional[MpiFallbackChannel] = (
@@ -247,7 +245,7 @@ class Unr:
         if isinstance(polling, str):
             return PollingConfig(mode=polling)
         # Auto: Level 4 and the software-notified fallback need no thread.
-        if getattr(self.channel, "software_notify", False):
+        if self.channel.software_notify:
             return PollingConfig(mode="none")
         if self.put_remote_policy.hw_offload:
             return PollingConfig(mode="none")

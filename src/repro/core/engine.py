@@ -273,7 +273,7 @@ class TransferEngine:
         src_node = src_at.index
         dst_node = dst_at.index
 
-        software = getattr(unr.channel, "software_notify", False)
+        software = unr.channel.software_notify
         rpol = unr.put_remote_policy
         lpol = unr.put_local_policy
         degraded_r = rsid is not None and rsid >= unr.sid_capacity
@@ -412,7 +412,7 @@ class TransferEngine:
         src_node = unr._node_index(src_rank)
         remote_node = unr._node_index(remote_blk.rank)
 
-        software = getattr(unr.channel, "software_notify", False)
+        software = unr.channel.software_notify
         rpol = unr.get_remote_policy
         lpol = unr.get_local_policy
         ctrl_remote = rsid is not None and (

@@ -18,10 +18,10 @@ of MMAS is packed into the custom bits a given interface offers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
-from ..interconnect import Capability, RmaChannel, support_level
+from ..interconnect import RmaChannel, level_for_bits
 from .errors import UnrUsageError
 
 __all__ = [
@@ -114,38 +114,36 @@ def decode_custom(custom: int, policy: LevelPolicy) -> tuple:
 def _policy_from_bits(
     bits: int, hw_offload: bool, mode2_split: Optional[int]
 ) -> LevelPolicy:
-    if hw_offload and bits >= 128:
+    """Table I's (p, a) split and flags for the level ``bits`` reach."""
+    level = level_for_bits(bits, hw_offload)
+    if level == 4:
         return LevelPolicy(
             level=4, p_bits=64, a_bits=64,
             multi_channel=True, uses_polling=False, hw_offload=True,
         )
-    if bits >= 64:
+    if level == 3:
         return LevelPolicy(
             level=3, p_bits=bits // 2, a_bits=bits // 2,
             multi_channel=True, uses_polling=True, hw_offload=False,
         )
-    if bits >= 32:
-        if mode2_split is not None:
-            if not 1 <= mode2_split < bits:
-                raise UnrUsageError(
-                    f"mode-2 split must leave both fields non-empty "
-                    f"(got x={mode2_split} of {bits})"
-                )
-            return LevelPolicy(
-                level=2, p_bits=mode2_split, a_bits=bits - mode2_split,
-                multi_channel=True, uses_polling=True, hw_offload=False,
+    if level == 0:
+        return LevelPolicy(
+            level=0, p_bits=64, a_bits=64,
+            multi_channel=False, uses_polling=True, hw_offload=False,
+        )
+    if level == 2 and mode2_split is not None:
+        if not 1 <= mode2_split < bits:
+            raise UnrUsageError(
+                f"mode-2 split must leave both fields non-empty "
+                f"(got x={mode2_split} of {bits})"
             )
         return LevelPolicy(
-            level=2, p_bits=bits, a_bits=0,
-            multi_channel=False, uses_polling=True, hw_offload=False,
+            level=2, p_bits=mode2_split, a_bits=bits - mode2_split,
+            multi_channel=True, uses_polling=True, hw_offload=False,
         )
-    if bits > 0:
-        return LevelPolicy(
-            level=1, p_bits=bits, a_bits=0,
-            multi_channel=False, uses_polling=True, hw_offload=False,
-        )
+    # Level 1, and Level 2 mode 1: every bit indexes p, a = -1 implied.
     return LevelPolicy(
-        level=0, p_bits=64, a_bits=64,
+        level=level, p_bits=bits, a_bits=0,
         multi_channel=False, uses_polling=True, hw_offload=False,
     )
 
@@ -162,23 +160,9 @@ def policy_for_channel(
     the PUT-at-remote width (paper §IV-C); per-side policies let e.g.
     Verbs use its wider 64-bit local field for send-completion signals.
     """
-    cap: Capability = channel.capability
-    bits = {
-        "put_remote": cap.effective_put_remote,
-        "put_local": cap.effective_put_local,
-        "get_remote": cap.effective_get_remote,
-        "get_local": cap.effective_get_local,
-    }[side]
-    hw = channel.hw_atomic_offload()
-    if getattr(channel, "software_notify", False):
-        # MPI fallback: notification travels with the message itself.
-        return LevelPolicy(
-            level=0, p_bits=64, a_bits=64,
-            multi_channel=False, uses_polling=False, hw_offload=False,
-        )
-    policy = _policy_from_bits(bits, hw, mode2_split)
-    # Sanity: the classified level (Table II) comes from put_remote.
-    if side == "put_remote":
-        classified = support_level(cap, hw)
-        assert policy.level == classified, (policy, classified)
-    return policy
+    if channel.software_notify:
+        # MPI fallback: the Level-0 scheme, but notification travels
+        # with the message itself, so nothing polls.
+        return replace(_policy_from_bits(0, False, None), uses_polling=False)
+    bits = getattr(channel.capability, f"effective_{side}")
+    return _policy_from_bits(bits, channel.hw_atomic_offload, mode2_split)

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-__all__ = ["Capability", "support_level", "TABLE_II", "get_capability"]
+__all__ = ["Capability", "level_for_bits", "support_level", "TABLE_II", "get_capability"]
 
 
 @dataclass(frozen=True)
@@ -82,24 +82,28 @@ class Capability:
         return str(value)
 
 
-def support_level(cap: Capability, hw_atomic_offload: bool = False) -> int:
-    """Classify ``cap`` into a UNR support level (paper Table I).
-
-    The classifier uses the PUT-at-remote width (paper §IV-C: PUT is the
-    primitive that matters for optimizing two-sided hotspots, and its
-    remote width is never larger than the other widths in practice).
-    Level 4 additionally requires the NIC to execute ``*p += a`` itself.
-    """
-    bits = cap.effective_put_remote
+def level_for_bits(bits: int, hw_atomic_offload: bool = False) -> int:
+    """Table I's thresholds: the support level ``bits`` custom bits
+    reach.  Level 4 additionally requires the NIC to execute ``*p += a``
+    itself.  The one copy of the rule: both :func:`support_level` and
+    the wire encodings of :mod:`repro.core.levels` read it."""
     if hw_atomic_offload and bits >= 128:
         return 4
     if bits >= 64:
         return 3
     if bits >= 32:
         return 2
-    if bits > 0:
-        return 1
-    return 0
+    return 1 if bits > 0 else 0
+
+
+def support_level(cap: Capability, hw_atomic_offload: bool = False) -> int:
+    """Classify ``cap`` into a UNR support level (paper Table I).
+
+    The classifier uses the PUT-at-remote width (paper §IV-C: PUT is the
+    primitive that matters for optimizing two-sided hotspots, and its
+    remote width is never larger than the other widths in practice).
+    """
+    return level_for_bits(cap.effective_put_remote, hw_atomic_offload)
 
 
 #: Paper Table II, verbatim.

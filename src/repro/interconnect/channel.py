@@ -33,52 +33,73 @@ _SIDE_LABELS = {
 
 
 class RmaChannel:
-    """Notifiable RMA over one interface for all ranks of a job."""
+    """Notifiable RMA over one interface for all ranks of a job.
 
-    #: overridden by subclasses
-    capability: Capability = None  # type: ignore[assignment]
-    name: str = "abstract"
+    The interface is its :class:`Capability` (one Table II row): the
+    six native interfaces differ in nothing but their custom-bit widths,
+    so ``RmaChannel(job, get_capability("verbs"))`` is the Verbs channel.
+    """
+
     #: True when notification is delivered by the channel software itself
     #: (MPI fallback) rather than via CQ entries + polling.
     software_notify: bool = False
 
-    def __init__(self, job: Job):
-        if self.capability is None:
-            raise TypeError("RmaChannel subclasses must define a capability")
+    def __init__(self, job: Job, capability: Capability):
         self.job = job
         self.env = job.env
+        self.capability = capability
+        self.name = capability.interface.lower()
         # Per-post constants, resolved once: the capability and the
         # cluster spec are both fixed for the life of the channel.
-        cap = self.capability
-        self._width_bits = {
-            side: getattr(cap, f"effective_{side}") for side in _SIDE_LABELS
+        self._width = {
+            side: (getattr(capability, f"effective_{side}"), label)
+            for side, label in _SIDE_LABELS.items()
         }
-        self._hw_atomic_offload = bool(job.cluster.spec.nic.atomic_offload)
-
-    def check_payload_width(self, value: Optional[int], side: str) -> int:
-        """Validate a custom-bit payload against one completion side.
-
-        ``side`` is ``put_remote``/``put_local``/``get_remote``/
-        ``get_local``; the effective Table II width of this interface is
-        the budget.  All adapters route their payloads through here.
-        """
-        return fit_custom(
-            value, self._width_bits[side], _SIDE_LABELS[side],
-            self.capability.interface,
-        )
-
-    # ------------------------------------------------------------------
-    @property
-    def n_rails(self) -> int:
-        return self.job.cluster.spec.node.nics
-
-    def hw_atomic_offload(self) -> bool:
-        """True when the simulated NICs implement Level-4 atomic add."""
-        return self._hw_atomic_offload
+        #: True when the simulated NICs implement Level-4 atomic add
+        self.hw_atomic_offload = bool(job.cluster.spec.nic.atomic_offload)
 
     def level(self) -> int:
         """UNR support level of this channel on this cluster."""
-        return support_level(self.capability, self.hw_atomic_offload())
+        return support_level(self.capability, self.hw_atomic_offload)
+
+    def _prepare(
+        self, remote_side, local_side, src_rank, dst_rank, nbytes, rail,
+        remote_custom, local_custom, remote_action, local_action,
+        remote_token, local_token,
+    ):
+        """The front half of :meth:`put` and :meth:`get`: width-check
+        both custom payloads against this interface's Table II budget,
+        then resolve the two NICs and allocate the remote and the local
+        CQ record.  The sides (``put_remote`` …) are the width keys and
+        the record kinds.  Returns ``(src_nic, dst_nic, remote_record,
+        local_record)``."""
+        # Only a payload that exists is width-checked, and a Level-4
+        # action the NIC applies itself carries no custom bits.
+        offload = self.hw_atomic_offload
+        if remote_custom is not None and (remote_action is None or not offload):
+            fit_custom(remote_custom, *self._width[remote_side], self.capability.interface)
+        if local_custom is not None and (local_action is None or not offload):
+            fit_custom(local_custom, *self._width[local_side], self.capability.interface)
+        nic_of = self.job.nic_of
+        src_nic = nic_of(src_rank, rail)
+        dst_nic = nic_of(dst_rank, rail)
+        remote_record = local_record = None
+        if remote_custom is not None or local_custom is not None:
+            src_node, dst_node = src_nic.node.index, dst_nic.node.index
+            now = self.env.now
+            # alloc_record(kind, custom, nbytes, src_node, dst_node, tag,
+            #              payload, post_time, complete_time, token)
+            if remote_custom is not None:
+                remote_record = alloc_record(
+                    remote_side, remote_custom, nbytes, src_node, dst_node,
+                    None, None, now, 0.0, remote_token,
+                )
+            if local_custom is not None:
+                local_record = alloc_record(
+                    local_side, local_custom, nbytes, src_node, dst_node,
+                    None, None, now, 0.0, local_token,
+                )
+        return src_nic, dst_nic, remote_record, local_record
 
     # ------------------------------------------------------------------
     def put(
@@ -109,32 +130,10 @@ class RmaChannel:
         ``remote_token``/``local_token`` tag the CQ entries for
         duplicate suppression when the reliability layer retransmits.
         """
-        # fit_custom(None, ...) is 0 before any check: only a payload
-        # that exists is width-checked.
-        offload = self._hw_atomic_offload
-        if remote_custom is not None and (remote_action is None or not offload):
-            self.check_payload_width(remote_custom, "put_remote")
-        if local_custom is not None and (local_action is None or not offload):
-            self.check_payload_width(local_custom, "put_local")
-        nic_of = self.job.nic_of
-        src_nic = nic_of(src_rank, rail)
-        dst_nic = nic_of(dst_rank, rail)
-        remote_record = local_record = None
-        if remote_custom is not None or local_custom is not None:
-            src_node, dst_node = src_nic.node.index, dst_nic.node.index
-            now = self.env.now
-            # alloc_record(kind, custom, nbytes, src_node, dst_node, tag,
-            #              payload, post_time, complete_time, token)
-            if remote_custom is not None:
-                remote_record = alloc_record(
-                    "put_remote", remote_custom, nbytes, src_node, dst_node,
-                    None, None, now, 0.0, remote_token,
-                )
-            if local_custom is not None:
-                local_record = alloc_record(
-                    "put_local", local_custom, nbytes, src_node, dst_node,
-                    None, None, now, 0.0, local_token,
-                )
+        src_nic, dst_nic, remote_record, local_record = self._prepare(
+            "put_remote", "put_local", src_rank, dst_rank, nbytes, rail, remote_custom,
+            local_custom, remote_action, local_action, remote_token, local_token,
+        )
         return src_nic.post_put(
             dst_nic,
             nbytes,
@@ -169,32 +168,10 @@ class RmaChannel:
         """Notifiable GET from ``dst_rank``'s memory into ``src_rank``'s;
         returns the local-completion event, or ``None`` with
         ``done=False``."""
-        # fit_custom(None, ...) is 0 before any check: only a payload
-        # that exists is width-checked.
-        offload = self._hw_atomic_offload
-        if remote_custom is not None and (remote_action is None or not offload):
-            self.check_payload_width(remote_custom, "get_remote")
-        if local_custom is not None and (local_action is None or not offload):
-            self.check_payload_width(local_custom, "get_local")
-        nic_of = self.job.nic_of
-        src_nic = nic_of(src_rank, rail)
-        dst_nic = nic_of(dst_rank, rail)
-        remote_record = local_record = None
-        if remote_custom is not None or local_custom is not None:
-            src_node, dst_node = src_nic.node.index, dst_nic.node.index
-            now = self.env.now
-            # alloc_record(kind, custom, nbytes, src_node, dst_node, tag,
-            #              payload, post_time, complete_time, token)
-            if remote_custom is not None:
-                remote_record = alloc_record(
-                    "get_remote", remote_custom, nbytes, src_node, dst_node,
-                    None, None, now, 0.0, remote_token,
-                )
-            if local_custom is not None:
-                local_record = alloc_record(
-                    "get_local", local_custom, nbytes, src_node, dst_node,
-                    None, None, now, 0.0, local_token,
-                )
+        src_nic, dst_nic, remote_record, local_record = self._prepare(
+            "get_remote", "get_local", src_rank, dst_rank, nbytes, rail, remote_custom,
+            local_custom, remote_action, local_action, remote_token, local_token,
+        )
         return src_nic.post_get(
             dst_nic,
             nbytes,
@@ -208,4 +185,4 @@ class RmaChannel:
         )
 
     def __repr__(self) -> str:
-        return f"<{type(self).__name__} level={self.level()}>"
+        return f"<{type(self).__name__} {self.name} level={self.level()}>"

@@ -52,18 +52,12 @@ _FALLBACK_CAP = Capability(
 class MpiFallbackChannel(RmaChannel):
     """UNR transport channel over two-sided MPI messages."""
 
-    capability = _FALLBACK_CAP
-    name = "mpi"
     #: notifications are delivered by MPI progress, not by CQ polling
     software_notify = True
 
     def __init__(self, job: Job, config: Optional[MpiFallbackConfig] = None):
-        super().__init__(job)
+        super().__init__(job, _FALLBACK_CAP)
         self.config = config or MpiFallbackConfig()
-
-    def level(self) -> int:
-        """The fallback is the Level-0 scheme: correctness, no guarantees."""
-        return 0
 
     def put(
         self,

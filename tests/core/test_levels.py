@@ -12,13 +12,7 @@ from repro.core.levels import (
     policy_for_channel,
 )
 from repro.core.errors import UnrUsageError
-from repro.interconnect import (
-    GlexChannel,
-    MpiFallbackChannel,
-    PortalsChannel,
-    UtofuChannel,
-    VerbsChannel,
-)
+from repro.interconnect import TABLE_II, MpiFallbackChannel, RmaChannel
 from repro.netsim import Cluster, ClusterSpec, NicSpec, NodeSpec
 from repro.runtime import Job
 from repro.sim import Environment
@@ -36,20 +30,20 @@ def make_job(offload=False):
 
 
 def test_glex_level3_policy():
-    pol = policy_for_channel(GlexChannel(make_job()), "put_remote")
+    pol = policy_for_channel(RmaChannel(make_job(), TABLE_II["glex"]), "put_remote")
     assert pol.level == 3
     assert pol.p_bits == 64 and pol.a_bits == 64
     assert pol.multi_channel and pol.uses_polling and not pol.hw_offload
 
 
 def test_glex_level4_policy_with_offload():
-    pol = policy_for_channel(GlexChannel(make_job(offload=True)), "put_remote")
+    pol = policy_for_channel(RmaChannel(make_job(offload=True), TABLE_II["glex"]), "put_remote")
     assert pol.level == 4
     assert not pol.uses_polling and pol.hw_offload
 
 
 def test_verbs_mode1_policy():
-    pol = policy_for_channel(VerbsChannel(make_job()), "put_remote")
+    pol = policy_for_channel(RmaChannel(make_job(), TABLE_II["verbs"]), "put_remote")
     assert pol.level == 2
     assert pol.p_bits == 32 and pol.a_bits == 0
     assert not pol.multi_channel
@@ -57,7 +51,7 @@ def test_verbs_mode1_policy():
 
 
 def test_verbs_mode2_policy():
-    pol = policy_for_channel(VerbsChannel(make_job()), "put_remote", mode2_split=20)
+    pol = policy_for_channel(RmaChannel(make_job(), TABLE_II["verbs"]), "put_remote", mode2_split=20)
     assert pol.level == 2
     assert pol.p_bits == 20 and pol.a_bits == 12
     assert pol.multi_channel
@@ -67,13 +61,13 @@ def test_verbs_mode2_policy():
 def test_mode2_split_validation():
     job = make_job()
     with pytest.raises(UnrUsageError):
-        policy_for_channel(VerbsChannel(job), "put_remote", mode2_split=32)
+        policy_for_channel(RmaChannel(job, TABLE_II["verbs"]), "put_remote", mode2_split=32)
     with pytest.raises(UnrUsageError):
-        policy_for_channel(VerbsChannel(job), "put_remote", mode2_split=0)
+        policy_for_channel(RmaChannel(job, TABLE_II["verbs"]), "put_remote", mode2_split=0)
 
 
 def test_utofu_level1_policy():
-    pol = policy_for_channel(UtofuChannel(make_job()), "put_remote")
+    pol = policy_for_channel(RmaChannel(make_job(), TABLE_II["utofu"]), "put_remote")
     assert pol.level == 1
     assert pol.p_bits == 8 and pol.a_bits == 0
     assert max_signals(pol) == 256
@@ -81,7 +75,7 @@ def test_utofu_level1_policy():
 
 def test_verbs_local_side_richer_than_remote():
     job = make_job()
-    ch = VerbsChannel(job)
+    ch = RmaChannel(job, TABLE_II["verbs"])
     local = policy_for_channel(ch, "put_local")
     remote = policy_for_channel(ch, "put_remote")
     assert local.a_bits > 0  # 64 local bits → 32/32 split
@@ -89,12 +83,12 @@ def test_verbs_local_side_richer_than_remote():
 
 
 def test_verbs_get_remote_is_level0():
-    pol = policy_for_channel(VerbsChannel(make_job()), "get_remote")
+    pol = policy_for_channel(RmaChannel(make_job(), TABLE_II["verbs"]), "get_remote")
     assert pol.level == 0
 
 
 def test_portals_local_hash_policy():
-    pol = policy_for_channel(PortalsChannel(make_job()), "put_local")
+    pol = policy_for_channel(RmaChannel(make_job(), TABLE_II["portals"]), "put_local")
     assert pol.level == 3  # 64-bit hash context
 
 

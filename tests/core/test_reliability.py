@@ -442,17 +442,13 @@ def test_retransmit_repeats_the_first_attempt_exactly(monkeypatch, kind):
     once, on delivery."""
     from repro.interconnect import Capability, RmaChannel
 
-    class NoLocalBits(RmaChannel):
-        """Remote PUT custom bits only: the local notification is
-        applied when the send or read completes
-        (``StripePlan.local_done_add``), a GET's remote one by a
-        Level-0 tail."""
-
-        capability = Capability(
-            interface="T", interconnect="t", systems="t",
-            put_local=0, put_remote=64, get_local=0, get_remote=0,
-        )
-        name = "nolocal"
+    # Remote PUT custom bits only: the local notification is applied
+    # when the send or read completes (``StripePlan.local_done_add``),
+    # a GET's remote one by a Level-0 tail.
+    no_local_bits = Capability(
+        interface="T", interconnect="t", systems="t",
+        put_local=0, put_remote=64, get_local=0, get_remote=0,
+    )
 
     env = Environment()
     spec = ClusterSpec(
@@ -462,7 +458,7 @@ def test_retransmit_repeats_the_first_attempt_exactly(monkeypatch, kind):
     )
     job = Job(Cluster(env, spec), ranks_per_node=1)
     inj = FaultInjector.attach(job.cluster, FaultSpec(drop=0.5, seed=3))
-    unr = Unr(job, NoLocalBits(job), reliability=True)
+    unr = Unr(job, RmaChannel(job, no_local_bits), reliability=True)
     engine = unr.engine
 
     attempts = {}  # fragment (by its tokens) -> [call, ...]

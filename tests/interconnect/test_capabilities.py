@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.interconnect import TABLE_II, Capability, get_capability, support_level
+from repro.core.levels import policy_for_channel
+from repro.interconnect import TABLE_II, Capability, RmaChannel, get_capability, support_level
+from repro.netsim import Cluster, ClusterSpec, NicSpec, NodeSpec
+from repro.runtime import Job
+from repro.sim import Environment
 
 
 # Paper Table II final column.
@@ -61,10 +65,24 @@ def test_level0_for_zero_bits():
     assert support_level(cap) == 0
 
 
-@pytest.mark.parametrize("bits,level", [(8, 1), (16, 1), (32, 2), (64, 3), (128, 3)])
-def test_level_thresholds(bits, level):
+#: Table I at and around each threshold: custom bits -> (level, level
+#: with hardware atomic add).  Only 128 bits or more with the add reach 4.
+TABLE_I_LEVELS = {0: (0, 0), 1: (1, 1), 8: (1, 1), 16: (1, 1), 31: (1, 1), 32: (2, 2),
+                  63: (2, 2), 64: (3, 3), 127: (3, 3), 128: (3, 4), 129: (3, 4)}
+
+
+@pytest.mark.parametrize("bits,offload,level,split", [
+    pytest.param(bits, offload, levels[offload], None,
+                 id=f"{bits}-{levels[offload]}" + ("-offload" if offload else ""))
+    for bits, levels in TABLE_I_LEVELS.items() for offload in (False, True)
+] + [pytest.param(32, False, 2, 16, id="32-2-split16")])
+def test_level_thresholds(bits, offload, level, split):
     cap = Capability("X", "x", "x", bits, bits, bits, bits)
-    assert support_level(cap) == level
+    job = Job(Cluster(Environment(), ClusterSpec(
+        "t", 2, NodeSpec(cores=2),
+        NicSpec(bandwidth_gbps=100, latency_us=1.0, atomic_offload=offload))))
+    assert support_level(cap, offload) == level
+    assert policy_for_channel(RmaChannel(job, cap), mode2_split=split).level == level
 
 
 def test_table2_paper_widths_verbatim():

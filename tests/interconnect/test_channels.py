@@ -1,16 +1,15 @@
-"""Tests for interconnect channel adapters and width enforcement."""
+"""Tests for interconnect channels and width enforcement."""
 
 import numpy as np
 import pytest
 
+from repro.core import Unr
 from repro.interconnect import (
+    TABLE_II,
     ChannelError,
-    GlexChannel,
     MpiFallbackChannel,
     MpiFallbackConfig,
-    UtofuChannel,
-    VerbsChannel,
-    make_channel,
+    RmaChannel,
 )
 from repro.netsim import Cluster, ClusterSpec, FabricSpec, NicSpec, NodeSpec
 from repro.runtime import Job
@@ -30,25 +29,28 @@ def make_job(n_nodes=2, nics=1, ppn=1, offload=False, jitter=0.0):
     return env, Job(Cluster(env, spec), ranks_per_node=ppn)
 
 
-def test_make_channel_registry():
+def test_interface_names_resolve_to_their_capability():
     env, job = make_job()
-    ch = make_channel("glex", job)
-    assert isinstance(ch, GlexChannel)
-    with pytest.raises(KeyError):
-        make_channel("nope", job)
+    unr = Unr(job, "GLEX")
+    assert type(unr.channel) is RmaChannel
+    assert unr.channel.capability is TABLE_II["glex"]
+    assert unr.channel.name == "glex"
+    assert Unr(job, "mpi").channel.name == "mpi"
+    with pytest.raises(KeyError, match="unknown interface 'nope'"):
+        Unr(job, "nope")
 
 
 def test_channel_level_reflects_cluster_offload():
     env, job = make_job(offload=True)
-    assert GlexChannel(job).level() == 4
-    assert VerbsChannel(job).level() == 2
+    assert RmaChannel(job, TABLE_II["glex"]).level() == 4
+    assert RmaChannel(job, TABLE_II["verbs"]).level() == 2
     env, job = make_job(offload=False)
-    assert GlexChannel(job).level() == 3
+    assert RmaChannel(job, TABLE_II["glex"]).level() == 3
 
 
 def test_put_delivers_payload_and_remote_custom():
     env, job = make_job()
-    ch = VerbsChannel(job)
+    ch = RmaChannel(job, TABLE_II["verbs"])
     landed = {}
 
     def run(env):
@@ -69,7 +71,7 @@ def test_put_delivers_payload_and_remote_custom():
 
 def test_put_remote_custom_width_enforced():
     env, job = make_job()
-    ch = VerbsChannel(job)  # 32 remote bits
+    ch = RmaChannel(job, TABLE_II["verbs"])  # 32 remote bits
     with pytest.raises(ChannelError, match="32"):
         ch.put(0, 1, 8, remote_custom=1 << 32)
     # 32 bits exactly fits.
@@ -78,7 +80,7 @@ def test_put_remote_custom_width_enforced():
 
 def test_utofu_8bit_limit():
     env, job = make_job()
-    ch = UtofuChannel(job)
+    ch = RmaChannel(job, TABLE_II["utofu"])
     with pytest.raises(ChannelError):
         ch.put(0, 1, 8, remote_custom=256)
     ch.put(0, 1, 8, remote_custom=255)
@@ -86,21 +88,21 @@ def test_utofu_8bit_limit():
 
 def test_negative_custom_rejected():
     env, job = make_job()
-    ch = GlexChannel(job)
+    ch = RmaChannel(job, TABLE_II["glex"])
     with pytest.raises(ChannelError, match="unsigned"):
         ch.put(0, 1, 8, remote_custom=-1)
 
 
 def test_verbs_get_remote_notification_impossible():
     env, job = make_job()
-    ch = VerbsChannel(job)
+    ch = RmaChannel(job, TABLE_II["verbs"])
     with pytest.raises(ChannelError, match="no custom bits"):
         ch.get(0, 1, 8, remote_custom=1)
 
 
 def test_glex_get_remote_notification_works():
     env, job = make_job()
-    ch = GlexChannel(job)
+    ch = RmaChannel(job, TABLE_II["glex"])
 
     def run(env):
         yield ch.get(0, 1, 64, fetch=lambda: b"x", remote_custom=42)
@@ -114,7 +116,7 @@ def test_glex_get_remote_notification_works():
 
 def test_local_custom_lands_in_source_cq():
     env, job = make_job()
-    ch = GlexChannel(job)
+    ch = RmaChannel(job, TABLE_II["glex"])
 
     def run(env):
         yield ch.put(0, 1, 64, local_custom=7)
@@ -128,7 +130,7 @@ def test_local_custom_lands_in_source_cq():
 
 def test_level4_action_bypasses_cq():
     env, job = make_job(offload=True)
-    ch = GlexChannel(job)
+    ch = RmaChannel(job, TABLE_II["glex"])
     hits = []
 
     def run(env):
@@ -151,7 +153,7 @@ def test_multi_rail_ranks_map_to_distinct_nics():
 
 def test_striping_uses_both_rails():
     env, job = make_job(nics=2)
-    ch = GlexChannel(job)
+    ch = RmaChannel(job, TABLE_II["glex"])
 
     def run(env):
         e0 = ch.put(0, 1, 1 << 20, rail=0)
@@ -256,7 +258,7 @@ def test_fallback_preserves_order():
 
 def test_channel_put_get_without_done_still_notify():
     env, job = make_job()
-    ch = GlexChannel(job)
+    ch = RmaChannel(job, TABLE_II["glex"])
     landed = []
     assert ch.put(0, 1, 64, payload=b"p", on_deliver=landed.append,
                   remote_custom=3, local_custom=4, done=False) is None
