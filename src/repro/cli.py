@@ -29,9 +29,34 @@ __all__ = ["main", "build_parser"]
 
 def _sizes(text: str) -> List[int]:
     try:
-        return [int(s) for s in text.split(",") if s]
+        sizes = [int(s) for s in text.split(",") if s]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad size list {text!r}") from None
+        sizes = []
+    if not sizes or min(sizes) < 1:
+        raise argparse.ArgumentTypeError(f"bad size list {text!r}: want positive integers")
+    return sizes
+
+
+def _grid(text: str) -> List[int]:
+    grid = _sizes(text)
+    if len(grid) != 3:
+        raise argparse.ArgumentTypeError(f"bad grid {text!r}: want three sizes NX,NY,NZ")
+    return grid
+
+
+def _check_powerllel(args) -> None:
+    """What argparse cannot check one argument at a time: exit 2 before
+    any simulation on a layout the run would refuse later."""
+    from .platforms import get_platform
+
+    max_nodes = get_platform(args.platform).max_nodes
+    if args.nodes != args.py * args.pz or args.nodes > max_nodes:
+        args.error(f"argument --nodes: want --py x --pz = {args.py * args.pz} nodes, "
+                   f"{args.platform} has {max_nodes}; got {args.nodes}")
+    for flag in ("faults", "fallback"):
+        if getattr(args, flag) and args.backend != "unr":
+            args.error(f"argument --{flag}: needs --backend unr (the MPI baseline "
+                       "has neither the reliability layer nor the fallback channel)")
 
 
 def _at_least(low: float, kind: type = int):
@@ -95,13 +120,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", type=_at_least(1), default=12)
     p.add_argument("--py", type=_at_least(1), default=4)
     p.add_argument("--pz", type=_at_least(1), default=3)
-    p.add_argument("--grid", type=_sizes, default=[384, 384, 288],
-                   metavar="NX,NY,NZ")
+    p.add_argument("--grid", type=_grid, default=[384, 384, 288], metavar="NX,NY,NZ")
     p.add_argument("--steps", type=_at_least(1), default=2)
     p.add_argument("--faults", type=_fault_spec, default=None, metavar="SPEC",
                    help="fault schedule, e.g. 'drop=0.3,reorder=0.2,rail_fail@t=5.0' "
                         "(arms the UNR reliability layer)")
     p.add_argument("--fault-seed", type=int, default=None)
+    p.set_defaults(error=p.error)
 
     p = sub.add_parser(
         "faults",
@@ -571,6 +596,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     from .netsim.faults import FaultScheduleError
 
     args = build_parser().parse_args(argv)
+    if args.command == "powerllel":
+        _check_powerllel(args)
     try:
         return _COMMANDS[args.command](args)
     except FaultScheduleError as exc:  # raised when the schedule is attached

@@ -243,6 +243,16 @@ def test_chaos_exit_code_covers_the_overhead_cap(tmp_path, capsys, monkeypatch):
     ["verify", "--platform", "nope"],
     ["latency", "--platform", "nope"],
     ["chaos", "--platform", "nope"],
+    ["latency", "--sizes", "0,-8"],
+    ["latency", "--sizes", ","],
+    ["powerllel", "--grid", "64,64"],
+    ["powerllel", "--grid", "0,64,64", "--nodes", "4", "--py", "2", "--pz", "2"],
+    # Cross-argument checks: the offending argument leads each row.
+    ["powerllel", "--nodes", "5", "--py", "2", "--pz", "2", "--grid", "64,64,64"],
+    ["powerllel", "--nodes", "16", "--platform", "hpc-roce", "--py", "4", "--pz", "4"],
+    ["powerllel", "--faults", "drop=0.3", "--backend", "mpi", "--nodes", "4",
+     "--py", "2", "--pz", "2", "--grid", "64,64,64"],
+    ["powerllel", "--fallback", "--backend", "mpi"],
 ], ids=lambda argv: f"{argv[0]}{argv[1]}={argv[2]}")
 def test_bad_input_exits_two_before_running(argv, capsys):
     # argparse rejects the value, so no command body ever runs.
