@@ -59,6 +59,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 from ..sim.core import Deferred as _Deferred, InFlight as _InFlight
 
 __all__ = [
+    "COUNTER_EVERY",
     "COVERAGE_FLOOR",
     "HostProfiler",
     "host_clock_ns",
@@ -68,6 +69,10 @@ __all__ = [
 #: chain is broken and the profile is not worth reading
 #: (``repro trace --profile`` exits 1)
 COVERAGE_FLOOR = 0.9
+
+#: a Perfetto counter-track sample (cumulative per-layer host ms keyed
+#: by the *simulated* timestamp) is taken every this many sim events
+COUNTER_EVERY = 256
 
 _clock_ns = time.perf_counter_ns
 
@@ -172,10 +177,8 @@ class HostProfiler:
         weighted by ``self_ns * N`` (an unbiased estimate of the kind's
         self time at 1/N the bookkeeping cost).  ``1`` samples every
         event exactly.
-    counter_every:
-        Append a Perfetto counter-track sample (cumulative per-layer
-        host ms keyed by the *simulated* timestamp) every N dispatched
-        events.  ``0`` disables the timeline.
+
+    The counter timeline samples every :data:`COUNTER_EVERY` events.
     """
 
     # Slotted, and the per-event work is a clock read plus one list
@@ -187,7 +190,7 @@ class HostProfiler:
     # the attribution is worth while the workload is running.
     __slots__ = (
         "env", "events", "dispatch", "wall_ns",
-        "_sample_every", "_counter_every", "_counter_left", "_samples",
+        "_sample_every", "_counter_left", "_samples",
         "counter_timeline", "_buf", "_append", "_pending", "_pending_t0",
         "_child_ns", "_window_t0", "_fn_memo", "_code_memo",
         "per_event_overhead_ns",
@@ -199,16 +202,15 @@ class HostProfiler:
     #: buffers ~80 B/event until the next flush point instead.
     _DRAIN_CAP = 32768
 
-    def __init__(self, *, sample_every: int = 0, counter_every: int = 256) -> None:
+    def __init__(self, *, sample_every: int = 0) -> None:
         self.env: Optional[Any] = None
         self.events: Dict[str, _Stat] = {}
         self.dispatch: Dict[str, _Stat] = {}
         self.wall_ns = 0
         self._sample_every = int(sample_every)
-        self._counter_every = int(counter_every)
-        #: countdown to the next counter-track sample (-1 = disabled);
-        #: decremented per event at replay time, never on the hot path.
-        self._counter_left = self._counter_every or -1
+        #: countdown to the next counter-track sample; decremented per
+        #: event at replay time, never on the hot path.
+        self._counter_left = COUNTER_EVERY
         self._samples: Dict[str, int] = {}
         #: (simulated seconds, {layer: cumulative total_ns}) timeline.
         self.counter_timeline: List[Tuple[float, Dict[str, int]]] = []
@@ -431,7 +433,7 @@ class HostProfiler:
                 # at dispatch.
                 cleft -= 1
                 if not cleft:
-                    cleft = self._counter_every
+                    cleft = COUNTER_EVERY
                     self.counter_timeline.append(
                         (sim, {k: s.total_ns
                                for k, s in self._layer_totals().items()})

@@ -38,13 +38,14 @@ def test_perfetto_json_is_byte_stable_across_identical_runs():
     assert doc["otherData"]["transfer_fingerprint"] == transfer_fingerprint(rec.transfers)
 
 
-def test_golden_roundtrip_spans_instants_and_counters(tmp_path):
+def test_golden_roundtrip_spans_instants_and_counters(tmp_path, monkeypatch):
     """Full wire-format roundtrip: a profiled demo run serialized to
     disk, re-parsed, schema-validated, with every phase kind present
     and its tracks resolvable back to names."""
-    from repro.obs import HostProfiler, write_perfetto
+    from repro.obs import HostProfiler, profile, write_perfetto
 
-    prof = HostProfiler(counter_every=8)
+    monkeypatch.setattr(profile, "COUNTER_EVERY", 8)
+    prof = HostProfiler()
     with prof.window():
         rec = run_demo(prof)
     rec.event("marker.golden", track="events")

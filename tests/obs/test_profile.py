@@ -16,7 +16,7 @@ import pytest
 from repro.bench import unr_get_pull, unr_pingpong
 from repro.bench.fingerprints import load_corpus, run_schedule
 from repro.core import Unr
-from repro.obs import HostProfiler, Recorder, host_clock_ns, perfetto_json, validate_trace
+from repro.obs import HostProfiler, Recorder, host_clock_ns, perfetto_json, profile, validate_trace
 from repro.platforms import get_platform, make_job
 from repro.runtime import run_job
 from repro.sim import InFlight
@@ -163,8 +163,9 @@ def test_collapsed_stacks_exact_and_sampled():
     assert any(";dispatch:" in line for line in slines)
 
 
-def test_counter_tracks_merge_into_valid_perfetto(tmp_path):
-    prof = HostProfiler(counter_every=8)
+def test_counter_tracks_merge_into_valid_perfetto(tmp_path, monkeypatch):
+    monkeypatch.setattr(profile, "COUNTER_EVERY", 8)
+    prof = HostProfiler()
     out = {}
     with prof.window():
         unr_pingpong("th-xy", 4096, 6, out=out, profiler=prof)
@@ -194,13 +195,14 @@ def test_report_names_layers_and_kinds():
     assert "netsim" in text
 
 
-def test_profiled_run_keeps_golden_fingerprint_identical():
+def test_profiled_run_keeps_golden_fingerprint_identical(monkeypatch):
     """The profiler's passivity contract, against the committed corpus:
     arming the host profiler must not move a single wire fragment."""
+    monkeypatch.setattr(profile, "COUNTER_EVERY", 16)
     golden = load_corpus(str(GOLDEN))
     for key in ("th-xy/latency", "hpc-ib/stream"):
         platform, schedule = key.split("/")
-        prof = HostProfiler(sample_every=1, counter_every=16)
+        prof = HostProfiler(sample_every=1)
         with prof.window():
             fp = run_schedule(platform, schedule, profiler=prof)
         assert prof.n_events > 0, "profiler saw no events — hook not armed"
