@@ -5,8 +5,8 @@ Package map (DESIGN.md has the full inventory):
 * :mod:`repro.sim` — deterministic discrete-event simulation kernel.
 * :mod:`repro.netsim` — simulated cluster: nodes, multi-rail NICs with
   completion queues and custom bits, fabric timing, CPU cores.
-* :mod:`repro.interconnect` — Notifiable RMA Primitives adapters
-  (GLEX/Verbs/uTofu/uGNI/PAMI/Portals + MPI fallback), Table II.
+* :mod:`repro.interconnect` — Notifiable RMA Primitives: one channel
+  class, configured by a Table II capability record, + MPI fallback.
 * :mod:`repro.core` — **UNR itself**: MMAS signals, BLK handles,
   support levels, polling engine, notified PUT/GET, plans, converters.
 * :mod:`repro.replication` — replica worlds: a node crash stops one

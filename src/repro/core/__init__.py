@@ -1,7 +1,7 @@
 """UNR: the Unified Notifiable RMA library (the paper's contribution).
 
 Layered as in the paper (§IV-A): the *UNR Transport Layer* abstracts
-Notifiable RMA Primitives (:mod:`repro.interconnect` adapters +
+Notifiable RMA Primitives (:mod:`repro.interconnect` channels +
 :mod:`repro.core.levels` encodings + the unified transfer engine in
 :mod:`repro.core.engine` — one ``post_op`` pipeline and a per-node
 ``ProgressEngine``), and the *UNR Interface Module* exposes signals,

@@ -1,6 +1,6 @@
 """Custom-bit width validation: the single truncation chokepoint.
 
-Every adapter routes its custom-bit payloads through :func:`fit_custom`
+Every channel routes its custom-bit payloads through :func:`fit_custom`
 before they reach the wire.  A payload wider than the interface's
 Table II budget is *never* silently truncated: the helper raises
 :class:`ChannelError` — the loud-failure discipline of the paper's

@@ -4,8 +4,8 @@ The NIC is where the paper's *Notifiable RMA Primitives* live: a PUT or
 GET posted here produces completion records on the local and/or remote
 completion queue (CQ), each carrying an opaque ``custom`` integer — the
 "custom bits" whose width varies by interconnect (paper Table II).  The
-interconnect adapters in :mod:`repro.interconnect` mask ``custom`` to
-their platform's width; this module is width-agnostic.
+channels in :mod:`repro.interconnect` check ``custom`` against their
+interface's width; this module is width-agnostic.
 
 Timing model (cut-through, busy-until bookkeeping):
 
