@@ -50,9 +50,10 @@ class RmaChannel:
         self.capability = capability
         self.name = capability.interface.lower()
         # Per-post constants, resolved once: the capability and the
-        # cluster spec are both fixed for the life of the channel.
+        # cluster spec are both fixed for the life of the channel.  Each
+        # side's fit_custom arguments are unpacked per post, not star-called.
         self._width = {
-            side: (getattr(capability, f"effective_{side}"), label)
+            side: (getattr(capability, f"effective_{side}"), label, capability.interface)
             for side, label in _SIDE_LABELS.items()
         }
         #: True when the simulated NICs implement Level-4 atomic add
@@ -67,19 +68,18 @@ class RmaChannel:
         remote_custom, local_custom, remote_action, local_action,
         remote_token, local_token,
     ):
-        """The front half of :meth:`put` and :meth:`get`: width-check
-        both custom payloads against this interface's Table II budget,
-        then resolve the two NICs and allocate the remote and the local
-        CQ record.  The sides (``put_remote`` …) are the width keys and
-        the record kinds.  Returns ``(src_nic, dst_nic, remote_record,
-        local_record)``."""
+        """The front half of :meth:`put` and :meth:`get`: width-check both
+        custom payloads, resolve the two NICs, then allocate the remote and
+        the local CQ record, whose kinds are ``remote_side``/``local_side``."""
         # Only a payload that exists is width-checked, and a Level-4
         # action the NIC applies itself carries no custom bits.
         offload = self.hw_atomic_offload
         if remote_custom is not None and (remote_action is None or not offload):
-            fit_custom(remote_custom, *self._width[remote_side], self.capability.interface)
+            bits, label, interface = self._width[remote_side]
+            fit_custom(remote_custom, bits, label, interface)
         if local_custom is not None and (local_action is None or not offload):
-            fit_custom(local_custom, *self._width[local_side], self.capability.interface)
+            bits, label, interface = self._width[local_side]
+            fit_custom(local_custom, bits, label, interface)
         nic_of = self.job.nic_of
         src_nic = nic_of(src_rank, rail)
         dst_nic = nic_of(dst_rank, rail)
