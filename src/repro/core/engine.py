@@ -31,7 +31,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    Generator,
     List,
     Optional,
     Set,
@@ -195,20 +194,31 @@ class TransferOp:
 class _Fragment:
     """One reliable fragment, from its post until delivery or cancel.
 
-    Held by its watchdog and, while in flight, by
-    ``TransferEngine._inflight``.  ``payload`` and ``deliver`` are what
-    every attempt posts again; ``cancelled`` is what a watchdog that
-    wakes after :meth:`TransferEngine.drain` reads to stand down.
+    Held by its current attempt's :class:`_FragmentTimer` and, while in
+    flight, by ``TransferEngine._inflight``.  ``payload`` and
+    ``deliver`` are what every attempt posts again, released at the
+    first delivery (or a cancel) so the stale timer pins no snapshot and
+    the callback, which holds the fragment, leaves no cycle behind.
+    ``done`` is the event a reliable GET's tails hang on (``None`` when
+    it has none, and for a PUT).  ``target``, ``timeout`` and ``cap``
+    are the ladder's state: the current attempt's rail (or
+    :data:`FALLBACK_RAIL`), its timeout and the backoff ceiling;
+    ``attempts`` holds ``(target, post time)`` per attempt.
     """
 
     fid: int
     op: TransferOp
     sp: StripePlan
-    delivered: Any
+    done: Any
     payload: Any
     deliver: Optional[Callable[[Any], None]]
     rtok: Optional[int]
     ltok: Optional[int]
+    target: int
+    attempts: List[Tuple[int, float]]
+    timeout: float = 0.0
+    cap: float = 0.0
+    delivered: bool = False
     cancelled: bool = False
 
 
@@ -539,30 +549,39 @@ class TransferEngine:
         # put() returns, and a retransmit must resend the bytes as they
         # were then.
         payload = None if src is None else src[sp.offset : sp.offset + sp.size].copy()
-        view = sp.view
-        delivered = None
-        deliver: Optional[Callable[[Any], None]]
-        if reliable:
-            delivered = self.env.event()
-            deliver = self._first_delivery(view, delivered)
-            first = self._route(op, sp)
-        else:
+        if not reliable:
+            view = sp.view
             deliver = None if view is None else self._write_view(view)
             first = sp.rail if unr.health is None else self._gate_unreliable(op, sp)
-        if self.on_post is not None:
-            deliver = self.on_post(op, sp, first, 0, rtok, ltok, deliver)
-        if delivered is None:
+            if self.on_post is not None:
+                deliver = self.on_post(op, sp, first, 0, rtok, ltok, deliver)
             done = self._attempt(op, sp, payload, deliver, rtok, ltok, first)
             if op.kind == "get":
                 self._hang_get_tails(op, sp, ltok, done)
             return
-        if op.kind == "get":
-            self._hang_get_tails(op, sp, ltok, delivered)
+        first = self._route(op, sp)
+        # A GET's tails hang on its first delivery, however many
+        # attempts that takes; nothing else listens for it.
+        tails = op.kind == "get" and (sp.local_done_add is not None or op.ctrl_remote)
         self._n_fids += 1
-        frag = _Fragment(self._n_fids, op, sp, delivered, payload, deliver, rtok, ltok)
+        frag = _Fragment(
+            self._n_fids, op, sp, self.env.event() if tails else None, payload,
+            None, rtok, ltok, first, [(first, self.env.now)],
+        )
+        deliver = self._delivery(frag)
+        if self.on_post is not None:
+            deliver = self.on_post(op, sp, first, 0, rtok, ltok, deliver)
+        frag.deliver = deliver
+        if tails:
+            self._hang_get_tails(op, sp, ltok, frag.done)
         self._inflight[frag.fid] = frag
         self._attempt(op, sp, payload, deliver, rtok, ltok, first)
-        self.env.process(self._watchdog(frag, first), name=f"unr-watchdog-{op.kind}")
+        base = self._fragment_timeout(op, sp.size)
+        timeout, frag.cap = base, max(MAX_BACKOFF_US * US, base)
+        if first == FALLBACK_RAIL:
+            fb_base = self._fragment_timeout(op, sp.size, fallback=True)
+            timeout, frag.cap = max(timeout, fb_base), max(frag.cap, fb_base)
+        self._arm(frag, timeout)
 
     def _hang_get_tails(
         self, op: TransferOp, sp: StripePlan, ltok: Optional[int], evt: Any
@@ -695,18 +714,40 @@ class TransferEngine:
         return deliver
 
     # -- delivery / add closures -----------------------------------------
-    def _first_delivery(self, view: Any, evt: Any) -> Callable[[Any], None]:
-        """First delivery wins; replicas and retransmit races must
-        neither rewrite the (possibly reused) buffer nor re-arm
-        anything."""
-        env = self.env
+    def _delivery(self, frag: _Fragment) -> Callable[[Any], None]:
+        """The delivery callback every attempt of ``frag`` posts with.
 
-        def deliver(data: Any, view: Any = view, evt: Any = evt) -> None:
-            if evt.triggered:
+        The first delivery wins: it writes the destination, releases a
+        GET's tails and retires the fragment — off ``_inflight``, its
+        path proved to the health layer, a recovery counted when it took
+        a retransmit.  Replicas and retransmit races must neither
+        rewrite the (possibly reused) buffer nor re-arm anything.  A
+        fragment drained meanwhile was retired by its cancel.
+        """
+        env = self.env
+        health = self.unr.health
+        stats = self.unr.stats
+        inflight = self._inflight
+
+        def deliver(data: Any, frag: _Fragment = frag) -> None:
+            if frag.delivered:
                 return
+            frag.delivered = True
+            view = frag.sp.view
             if view is not None and data is not None:
                 view[:] = data
-            evt.succeed(env.now)
+            frag.payload = frag.deliver = None
+            if frag.done is not None:
+                frag.done.succeed(env.now)
+            if frag.cancelled:
+                return
+            target = frag.target
+            if health is not None and target != FALLBACK_RAIL:
+                op = frag.op
+                health.on_success(op.src_rank, op.dst_rank, target)
+            del inflight[frag.fid]
+            if len(frag.attempts) > 1:
+                stats["recovered_ops"] += 1
 
         return deliver
 
@@ -838,9 +879,6 @@ class TransferEngine:
             op = frag.op
             if peer_rank is not None and op.dst_rank != peer_rank:
                 continue
-            if frag.delivered.triggered:
-                self._inflight.pop(frag.fid)
-                continue
             if health is None or not health.fallback_dead(op.src_rank, op.dst_rank):
                 continue
             self._cancel_fragment(frag)
@@ -857,6 +895,7 @@ class TransferEngine:
         that way: their ``(node, sid)`` joins :attr:`undischarged`."""
         unr = self.unr
         frag.cancelled = True
+        frag.payload = frag.deliver = None  # no attempt follows
         op, sp = frag.op, frag.sp
         if sp.local_sig is not None:
             node, sid, addend = sp.local_sig
@@ -881,15 +920,14 @@ class TransferEngine:
             self.n_failovers += 1
         return rail
 
-    def _fragment_timeout(self, frag: _Fragment, fallback: bool = False) -> float:
-        """The watchdog timeout of one attempt of ``frag``: the
-        reliability policy's scaling of its no-contention delivery time,
-        so a large stripe is not declared lost while still serializing
-        onto the wire.  Over the MPI fallback lane (``fallback``) the
-        software lane adds per-message overhead and, for large payloads,
-        a rendezvous round trip: a degraded attempt must not be declared
-        lost on an RMA-sized timeout."""
-        op, nbytes = frag.op, frag.sp.size
+    def _fragment_timeout(self, op: TransferOp, nbytes: int, fallback: bool = False) -> float:
+        """The watchdog timeout of one attempt of an ``nbytes`` fragment
+        of ``op``: the reliability policy's scaling of its no-contention
+        delivery time, so a large stripe is not declared lost while
+        still serializing onto the wire.  Over the MPI fallback lane
+        (``fallback``) the software lane adds per-message overhead and,
+        for large payloads, a rendezvous round trip: a degraded attempt
+        must not be declared lost on an RMA-sized timeout."""
         # Every NIC of a cluster shares one spec; the source's stands in.
         nic = self.job.nic_of(op.src_rank)
         est = nic.msg_overhead + nic.latency + nbytes / nic.bandwidth + nic.rx_overhead
@@ -905,10 +943,17 @@ class TransferEngine:
                 )
         return fragment_timeout(est)
 
-    def _watchdog(self, frag: _Fragment, first_rail: int) -> Generator[Any, Any, None]:
-        """Guard one posted reliable fragment: retransmit it (with
-        exponential backoff, moving to the next live target each
-        attempt) until it is delivered, else raise
+    def _arm(self, frag: _Fragment, timeout: float) -> None:
+        """Start the watchdog of ``frag``'s current attempt."""
+        frag.timeout = timeout
+        timer = _FragmentTimer(self.env, timeout)
+        timer.engine = self
+        timer.frag = frag
+
+    def _on_timeout(self, frag: _Fragment) -> None:
+        """The watchdog of one posted reliable fragment: its current
+        attempt timed out.  Retransmit it (with exponential backoff,
+        moving to the next live target each attempt), else raise
         :class:`UnrTimeoutError`.
 
         With the health layer armed every timeout/delivery feeds the
@@ -919,63 +964,55 @@ class TransferEngine:
         dead too.  The full attempt history rides along in the raised
         error's :class:`~repro.core.errors.OpContext`.
         """
+        if frag.delivered or frag.cancelled:
+            return  # delivered, or drained against a dead peer
         unr = self.unr
         health = unr.health
-        env = self.env
-        op, sp, delivered = frag.op, frag.sp, frag.delivered
+        op, sp, target = frag.op, frag.sp, frag.target
+        if health is not None and target != FALLBACK_RAIL:
+            health.on_timeout(op.src_rank, op.dst_rank, target)
+        retries = len(frag.attempts) - 1
+        nxt = None
+        if retries < MAX_RETRIES:
+            nxt = self._next_rail(
+                op, 0 if target == FALLBACK_RAIL else target + 1,
+                degrade=target != FALLBACK_RAIL,
+            )
+        if nxt is None:
+            self._give_up(frag)  # ladder exhausted (fail-stop)
+            return
+        timeout = frag.timeout
+        if nxt == FALLBACK_RAIL:
+            fb_base = self._fragment_timeout(op, sp.size, fallback=True)
+            timeout, frag.cap = max(timeout, fb_base), max(frag.cap, fb_base)
+        frag.target = nxt
+        unr.stats["retransmits"] += 1
+        if self.on_post is not None:
+            self.on_post(op, sp, nxt, retries + 1, frag.rtok, frag.ltok, frag.deliver)
+        frag.attempts.append((nxt, self.env.now))
+        self._attempt(op, sp, frag.payload, frag.deliver, frag.rtok, frag.ltok, nxt)
+        self._arm(frag, min(timeout * BACKOFF_FACTOR, frag.cap))
+
+    def _give_up(self, frag: _Fragment) -> None:
+        """Raise the error of a fragment whose ladder is exhausted."""
+        unr = self.unr
+        health = unr.health
+        op = frag.op
         src_rank, dst_rank = op.src_rank, op.dst_rank
-        what, nbytes = op.kind.upper(), sp.size
-        base = self._fragment_timeout(frag)
-        target, t, fb_base = first_rail, base, 0.0
-        if target == FALLBACK_RAIL:
-            fb_base = self._fragment_timeout(frag, fallback=True)
-            t = max(t, fb_base)
-        attempts = [(_target_label(target), env.now / US)]
-        attempt = 0
-        while True:
-            yield env.any_of([delivered, env.timeout(t)])
-            if frag.cancelled:
-                return  # drained: the op was quiesced against a dead peer
-            if delivered.triggered:
-                if health is not None and target != FALLBACK_RAIL:
-                    health.on_success(src_rank, dst_rank, target)
-                self._inflight.pop(frag.fid, None)
-                if attempt:
-                    unr.stats["recovered_ops"] += 1
-                return
-            if health is not None and target != FALLBACK_RAIL:
-                health.on_timeout(src_rank, dst_rank, target)
-            nxt = None
-            if attempt < MAX_RETRIES:
-                nxt = self._next_rail(
-                    op, 0 if target == FALLBACK_RAIL else target + 1,
-                    degrade=target != FALLBACK_RAIL,
-                )
-            if nxt is None:
-                break  # ladder exhausted (fail-stop)
-            target = nxt
-            if target == FALLBACK_RAIL:
-                fb_base = self._fragment_timeout(frag, fallback=True)
-                t = max(t, fb_base)
-            unr.stats["retransmits"] += 1
-            if self.on_post is not None:
-                self.on_post(op, sp, target, attempt + 1, frag.rtok, frag.ltok, frag.deliver)
-            attempts.append((_target_label(target), env.now / US))
-            self._attempt(op, sp, frag.payload, frag.deliver, frag.rtok, frag.ltok, target)
-            t = min(t * BACKOFF_FACTOR, max(MAX_BACKOFF_US * US, base, fb_base))
-            attempt += 1
+        what, nbytes = op.kind.upper(), frag.sp.size
         unr.stats["reliability_failures"] += 1
         # NB: the fragment stays in ``_inflight`` — a later drain()
         # discharges its notification tokens against the dead peer.
         context = OpContext(
             kind=what, src_rank=src_rank, dst_rank=dst_rank, nbytes=nbytes,
-            sim_time_us=env.now / US, attempts=tuple(attempts),
-            degraded=any(lbl == "fallback" for lbl, _ in attempts),
+            sim_time_us=self.env.now / US,
+            attempts=tuple((_target_label(rail), at / US) for rail, at in frag.attempts),
+            degraded=any(rail == FALLBACK_RAIL for rail, _ in frag.attempts),
         )
         message = (
             f"{what} of {nbytes}B from rank {src_rank} to rank {dst_rank}: "
             f"no delivery after {MAX_RETRIES} retransmits "
-            f"(last timeout {t / US:.1f} us)"
+            f"(last timeout {frag.timeout / US:.1f} us)"
         )
         if health is not None and health.fallback_dead(src_rank, dst_rank):
             err: UnrTimeoutError = UnrPeerDeadError(message, context=context)
@@ -984,7 +1021,7 @@ class TransferEngine:
         # Prefer surfacing in the application frame blocked in sig_wait
         # on this op's signal — the context rides along and the app may
         # handle the dead peer; without a waiter the error propagates
-        # through the kernel as before.
+        # through the kernel.
         if self._fail_op_waiter(frag, err):
             return
         raise err
@@ -994,8 +1031,6 @@ class TransferEngine:
         the fragment's signals.  The remote notification is the one the
         lost fragment actually owes (local completion usually fired when
         the data left the source NIC), so its waiter is tried first."""
-        if frag.fid not in self._inflight:
-            return False  # already retired: nothing left to discharge
         sp = frag.sp
         for spec in (sp.remote_sig, sp.local_sig):
             if spec is None:
@@ -1014,6 +1049,19 @@ class TransferEngine:
         if budget <= 0:
             return 1
         return min(1 << budget, 1 << 16)
+
+
+def _fragment_timer(ev: "_FragmentTimer") -> None:
+    ev.engine._on_timeout(ev.frag)
+
+
+class _FragmentTimer(InFlight):
+    """One attempt's watchdog: ``frag`` was posted a timeout ago.  It
+    fires whether or not the attempt was delivered; a delivered or
+    drained fragment makes it a no-op."""
+
+    __slots__ = ("engine", "frag")
+    handlers = (_fragment_timer,)
 
 
 def _sweep_fire(ev: "_SweepFire") -> None:

@@ -56,7 +56,7 @@ subject it to the schedule as well.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
 from typing import Any, Callable, Optional, Set, Tuple
 
 import numpy as np
@@ -441,7 +441,7 @@ class FaultInjector:
         return picked.nics[rail]
 
     def _at(self, delay: float, fn: Callable[..., None], *args: Any, **kw: Any) -> None:
-        self.env.timeout(delay).callbacks.append(lambda _e: fn(*args, **kw))
+        self.env.defer(delay, lambda _v: fn(*args, **kw))
 
     def _mark(self, stat: str, marker: str, *, rails=(), each=None, **args: Any) -> None:
         """Count ``stat``, apply ``each`` to ``rails``, then emit the
@@ -511,8 +511,17 @@ class FaultInjector:
         if action is not None and tgt.spec.atomic_offload:
             action()
         elif record is not None:
-            rec = replace(record, complete_time=self.env.now)
-            self.env.process(tgt.cq.push(rec), name="fault-cqe")
+            # A fresh copy per delivery, re-stamped: a duplicate lands
+            # the same record twice, and each is recycled on dispatch.
+            rec = CompletionRecord(
+                record.kind, record.custom, record.nbytes, record.src_node,
+                record.dst_node, record.tag, record.payload, record.post_time,
+                self.env.now, record.token,
+            )
+            # Synchronous enqueue; a full CQ falls back to the blocking
+            # push for backpressure, as the NIC's own delivery does.
+            if not tgt.cq.try_push(rec):
+                self.env.process(tgt.cq.push(rec), name="fault-cqe")
 
     # -- NIC wrapping ------------------------------------------------------
     def _fated(self, src: Nic, dst: Nic, tgt: Nic, on_deliver, action, record):
@@ -544,12 +553,12 @@ class FaultInjector:
                 return
             if fate.extra > 0.0:
                 stats["delayed"] += 1
-                self._at(fate.extra, fire, data)
+                self.env.defer(fate.extra, fire, data)
             else:
                 fire(data)
             if fate.duplicate:
                 stats["duplicated"] += 1
-                self._at(fate.extra + fate.dup_gap, fire, data)
+                self.env.defer(fate.extra + fate.dup_gap, fire, data)
 
         return fate, hook
 

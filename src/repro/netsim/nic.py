@@ -60,9 +60,9 @@ class CompletionRecord:
     its registered handler.
 
     Hot-path records come off a free list (:func:`alloc_record`) and go
-    back to it (:func:`recycle_record`) once dispatched;
-    ``dataclasses.replace`` copies (the fault injector's re-stamped
-    deliveries) come out un-pooled and are left to the garbage collector.
+    back to it (:func:`recycle_record`) once dispatched; records built
+    with the constructor (the fault injector's re-stamped copy per
+    delivery) are un-pooled and left to reference counting.
     """
 
     kind: str
@@ -78,8 +78,8 @@ class CompletionRecord:
     #: record, and the signal path dedups on this (None = never dedup).
     token: Any = None
     #: free-list bookkeeping: True only for live records handed out by
-    #: ``alloc_record`` (``init=False`` so ``dataclasses.replace`` copies
-    #: never claim pool membership and can't be double-recycled).
+    #: ``alloc_record`` (``init=False`` so a constructed copy never
+    #: claims pool membership and can't be double-recycled).
     _pooled: bool = field(init=False, default=False, repr=False, compare=False)
 
 

@@ -18,18 +18,21 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
 from repro.bench import FIG7_SERIES, unr_get_pull, unr_pingpong
 from repro.core import Signal, Unr
 from repro.core.engine import CTRL_BYTES
+from repro.netsim import FaultInjector, FaultSpec
 from repro.netsim.trace import transfer_fingerprint
+from repro.obs import Recorder
 from repro.platforms import get_platform, make_job
 from repro.powerllel.backend_unr import _UnrTranspose
 from repro.powerllel.state import PowerLLELConfig, RankData
 from repro.runtime import RankContext, run_job
-from repro.sim import Event
+from repro.sim import Event, Process
 from repro.units import US
 
 SIZE, ITERS = 65536, 6
@@ -129,6 +132,73 @@ def test_full_machine_costs_its_active_set_not_its_nodes():
     assert small_job.env.now == job.env.now
     assert small_unr.stats["puts"] == unr.stats["puts"]
     assert small_job.cluster.total_traffic() == traffic
+
+
+# -- what the reliability tier adds per message --------------------------------
+
+PING_ITERS = 100
+
+#: kernel events a fault-free reliable 8 B PUT may cost above the same
+#: PUT unreliable: its one watchdog timer.  5.0 measured (8.06 against
+#: 3.06 per PUT) while every reliable fragment ran a generator process:
+#: Initialize, AnyOf, a ``delivered`` event, the exit and a Timeout.
+MAX_RELIABLE_EXTRA_EVENTS_PER_PUT = 1.0
+
+
+def _ping_pong_8b(faults=None, **tiers):
+    """A notified 8 B PUT ping-pong on th-xy (glex) with the optional
+    tiers ``tiers`` armed; returns ``(unr, fault injector, kernel
+    events)``."""
+    job = make_job("th-xy", 2, seed=2024)
+    inj = None
+    if faults is not None:
+        inj = FaultInjector.attach(job.cluster, FaultSpec.parse(faults, seed=11))
+    recorder = Recorder.attach(job.cluster)
+    unr = Unr(job, "glex", **tiers)
+
+    def program(ctx):
+        ep = unr.endpoint(ctx.rank)
+        sig = ep.sig_init(1)
+        blk = ep.blk_init(ep.mem_reg(np.zeros(8, dtype=np.uint8)), 0, 8, signal=sig)
+        rmt = yield from ep.exchange_blk(1 - ctx.rank, blk)
+        for _ in range(PING_ITERS):
+            if ctx.rank == 0:
+                ep.put(blk, rmt, local_signal=None)
+            yield from ep.sig_wait(sig)
+            ep.sig_reset(sig)
+            if ctx.rank == 1:
+                ep.put(blk, rmt, local_signal=None)
+
+    run_job(job, program)
+    assert unr.stats["puts"] == 2 * PING_ITERS
+    return unr, inj, int(recorder.snapshot()["counters"]["sim.events"])
+
+
+def test_reliable_put_costs_one_event_more():
+    plain, _, plain_events = _ping_pong_8b()
+    armed, _, armed_events = _ping_pong_8b(reliability=True)
+    assert "retransmits" not in armed.stats  # fault-free: pure overhead
+    extra = (armed_events - plain_events) / armed.stats["puts"]
+    assert extra <= MAX_RELIABLE_EXTRA_EVENTS_PER_PUT
+
+
+def test_faulted_armed_run_spawns_no_process_per_fragment(monkeypatch):
+    """Watchdogs and faulted deliveries into a roomy CQ are timers and
+    synchronous pushes: the only processes are the two rank programs."""
+    spawned = []
+    real_init = Process.__init__
+
+    def init(self, env, generator, name=""):
+        real_init(self, env, generator, name)
+        spawned.append(self.name)
+
+    monkeypatch.setattr(Process, "__init__", init)
+    unr, inj, _ = _ping_pong_8b(
+        faults="drop=0.1,dup=0.1,reorder=0.3",
+        reliability=True, health=True, sanitize=True,
+    )
+    assert unr.stats["retransmits"] and inj.stats["duplicated"] and inj.stats["delayed"]
+    assert spawned == ["rank0", "rank1"]
 
 
 # -- what a posted message leaves in flight ------------------------------------

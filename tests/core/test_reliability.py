@@ -17,6 +17,7 @@ from repro.netsim import (
     FaultInjector,
     FaultSpec,
     NicSpec,
+    NodeCrash,
     NodeSpec,
     RailFailure,
 )
@@ -26,6 +27,7 @@ from repro.obs import Recorder
 from repro.platforms import make_job
 from repro.runtime import Job, run_job
 from repro.sim import Environment
+from repro.units import US
 
 
 def make_unr(channel="glex", n_nodes=2, nics=1, faults=None, **kw):
@@ -544,3 +546,132 @@ def test_same_seed_replay_is_identical(faults):
     fingerprint, adds = _observed_stream(faults)
     assert adds and all(token is not None for *_spec, token in adds)
     assert _observed_stream(faults) == (fingerprint, adds)
+
+
+# ------------------------------------------------------------------ watchdog
+def _shared_blk_program(unr, blks, body):
+    """Both ranks register a 4 KiB block with a signal and publish it in
+    ``blks`` (no control-lane handshake); then ``body(ctx, ep, sig)``."""
+
+    def program(ctx):
+        ep = unr.endpoint(ctx.rank)
+        sig = ep.sig_init(1)
+        blks[ctx.rank] = ep.blk_init(
+            ep.mem_reg(np.zeros(4096, dtype=np.uint8)), 0, 4096, signal=sig
+        )
+        yield from body(ctx, ep, sig)
+
+    return program
+
+
+def test_delivered_fragment_retires_at_its_delivery_instant():
+    """The first delivery of a fragment retires it on the spot: it is
+    in ``_inflight`` as the callback starts and gone as it returns.
+    Duplicates and late retransmits find it retired."""
+    job, unr, inj = make_unr(
+        nics=2, faults=FaultSpec(drop=0.2, duplicate=0.1, reorder=0.3, seed=8),
+        reliability=True, health=True,
+    )
+    engine = unr.engine
+    calls = []  # per delivery callback: (in flight before, in flight after)
+
+    def in_flight(rtok, ltok):
+        return any((f.rtok, f.ltok) == (rtok, ltok) for f in engine._inflight.values())
+
+    def on_post(op, sp, rail, attempt, rtok, ltok, deliver):
+        if sp is None or attempt:
+            return deliver
+
+        def spy(data):
+            before = in_flight(rtok, ltok)
+            deliver(data)
+            calls.append((before, in_flight(rtok, ltok)))
+
+        return spy
+
+    engine.on_post = on_post
+    results = {}
+    run_job(job, stream_program(unr, results, size=200_000, iters=4))
+    assert all(results.values()) and len(results) == 4
+    assert inj.stats["dropped"] and inj.stats["duplicated"] and unr.stats["retransmits"]
+    assert calls.count((True, False)) == unr.stats["fragments"]
+    assert len(calls) > unr.stats["fragments"]  # replicas did arrive
+    assert all(not after for _, after in calls)
+    assert not engine._inflight
+
+
+def test_drained_fragment_timer_stands_down():
+    """A fragment lost to a crashed peer and cancelled by ``drain()``
+    before its timeout: the timer still fires, and stands down — no
+    timeout fed to the breakers, no retransmit, no error."""
+    job, unr, inj = make_unr(
+        faults=FaultSpec(duplicate=0.1, reorder=0.3, seed=5,
+                         node_crashes=(NodeCrash(20.5, node=1),)),
+        reliability=True, health=True,
+    )
+    blks, drained = {}, []
+
+    def body(ctx, ep, sig):
+        if ctx.rank == 0:
+            yield ctx.env.timeout(20.0 * US)
+            ep.put(blks[0], blks[1], local_signal=None)  # lands after the crash
+            yield ctx.env.timeout(20.0 * US)  # crashed, not yet timed out
+            drained.append(unr.drain(1))
+            yield ctx.env.timeout(500.0 * US)
+
+    run_job(job, _shared_blk_program(unr, blks, body))
+    assert drained == [1]
+    assert inj.stats["killed_in_flight"] == 1
+    assert unr.stats["drained_fragments"] == 1
+    assert unr.stats.get("retransmits", 0) == 0
+    assert unr.stats.get("health_timeouts", 0) == 0
+    assert unr.stats.get("reliability_failures", 0) == 0
+    assert not unr.engine._inflight
+
+
+#: the ladder of one 4 KiB PUT on one rail with health armed when every
+#: lane, the ordered one too, drops everything — recorded while each
+#: watchdog was a generator process.
+EXHAUSTED_ATTEMPTS = (
+    ("rail0", 1.0), ("rail0", 26.0), ("fallback", 76.0), ("rail0", 176.0),
+    ("fallback", 376.0), ("rail0", 776.0), ("fallback", 1576.0), ("rail0", 3176.0),
+    ("fallback", 5176.0), ("rail0", 7176.0), ("fallback", 9176.0),
+)
+EXHAUSTED_MESSAGE = (
+    "PUT of 4096B from rank 0 to rank 1: no delivery after 10 retransmits "
+    "(last timeout 2000.0 us)\n  op=PUT rank0->rank1 4096B | attempts: "
+    "rail0@1.0us -> rail0@26.0us -> fallback@76.0us -> rail0@176.0us -> "
+    "fallback@376.0us -> rail0@776.0us -> fallback@1576.0us -> rail0@3176.0us -> "
+    "fallback@5176.0us -> rail0@7176.0us -> fallback@9176.0us | "
+    "degraded (fallback lane reached) | declared dead at t=11176.0us"
+)
+
+
+def test_exhausted_ladder_matches_the_recorded_one():
+    """MAX_RETRIES retransmits over the rail and the fallback lane, then
+    the error in the receiver's ``sig_wait`` with the whole ladder."""
+    job, unr, inj = make_unr(
+        faults=FaultSpec(drop=1.0, duplicate=0.1, reorder=0.3, fault_ordered=True, seed=7),
+        reliability=True, health=True,
+    )
+    blks, caught = {}, []
+
+    def body(ctx, ep, sig):
+        if ctx.rank == 0:
+            yield ctx.env.timeout(1.0 * US)
+            ep.put(blks[0], blks[1], local_signal=None)
+        else:
+            try:
+                yield from ep.sig_wait(sig)
+            except UnrTimeoutError as exc:
+                caught.append(exc)
+
+    run_job(job, _shared_blk_program(unr, blks, body))
+    (exc,) = caught
+    assert type(exc) is UnrTimeoutError  # the fallback lane is alive: not PeerDead
+    assert exc.context.attempts == EXHAUSTED_ATTEMPTS
+    assert exc.context.degraded
+    assert str(exc) == EXHAUSTED_MESSAGE
+    assert unr.stats["retransmits"] == MAX_RETRIES
+    assert unr.stats["reliability_failures"] == 1
+    assert inj.stats["dropped"] == MAX_RETRIES + 1

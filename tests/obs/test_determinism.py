@@ -11,7 +11,7 @@ corpus as its ``obs/observed-corpus`` entry (``repro fingerprints``).
 """
 
 from repro.bench import fault_demo, unr_pingpong
-from repro.bench.fingerprints import observed_corpus_digest
+from repro.bench.fingerprints import PLATFORMS, observed_corpus_digest, run_schedule_observed
 
 FAULTS = "drop=0.2,dup=0.1,reorder=0.3,rail_fail@t=40:node=1:rail=0"
 
@@ -37,10 +37,25 @@ def test_observation_keeps_latency_result_identical():
 
 #: sha256 of everything the 16 observed corpus runs record.
 #: A change here means observation wrote something different down.
-OBSERVED_CORPUS_DIGEST = "86fd0d483a6c936c696050f21ad288469a97817d8ca4f472cf99ad21596b2ac3"
+OBSERVED_CORPUS_DIGEST = "a7b7132c9c3eb4e2e3be3bdd749eda4295154abb1adad21eff52d69b262d698c"
+
+#: the kernel's event count, which the digest above embeds, of the four
+#: observed ``fault_stress`` runs (69 / 69 / 69 / 121 while each reliable
+#: fragment's watchdog and each faulted CQ push was a process).  When the
+#: digest drifts, these say whether the count moved or a record did.
+FAULT_STRESS_SIM_EVENTS = {"th-xy": 75, "th-2a": 47, "hpc-ib": 47, "hpc-roce": 47}
 
 
 def test_observed_corpus_records_are_pinned():
     """The op and protocol streams, the instant markers and the snapshot
     of every ``run_schedule_observed`` run hash to one pinned value."""
     assert observed_corpus_digest() == OBSERVED_CORPUS_DIGEST
+
+
+def test_observed_fault_stress_event_counts_are_pinned():
+    counts = {
+        platform: run_schedule_observed(platform, "fault_stress")[1]
+        .snapshot()["counters"]["sim.events"]
+        for platform in PLATFORMS
+    }
+    assert counts == FAULT_STRESS_SIM_EVENTS
