@@ -511,8 +511,8 @@ class FaultInjector:
         if action is not None and tgt.spec.atomic_offload:
             action()
         elif record is not None:
-            # A fresh copy per delivery, re-stamped: a duplicate lands
-            # the same record twice, and each is recycled on dispatch.
+            # An un-pooled copy per landing, re-stamped: a duplicate lands
+            # the record twice, and dispatch recycles a pool-owned one.
             rec = CompletionRecord(
                 record.kind, record.custom, record.nbytes, record.src_node,
                 record.dst_node, record.tag, record.payload, record.post_time,
