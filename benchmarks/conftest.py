@@ -2,9 +2,10 @@
 
 The paper's tables and figures are computed once per session by the
 claims ledger (the ``ledger`` fixture, checked by
-``test_paper_claims.py``).  The other benchmarks measure *simulated*
-time too (who wins, by what factor); ``benchmark()`` wraps their run so
-the harness also tracks host-side cost.
+``test_paper_claims.py``) from one store of points (``points``).  The
+other benchmarks measure *simulated* time too (who wins, by what
+factor); ``benchmark()`` wraps their run so the harness also tracks
+host-side cost.
 """
 
 import pytest
@@ -23,11 +24,19 @@ def record(benchmark, fn, *args, **kwargs):
 
 
 @pytest.fixture(scope="session")
-def ledger():
+def points():
+    """The session's one point store: each point runs once, on first read."""
+    from repro.bench.paper import Points
+
+    return Points()
+
+
+@pytest.fixture(scope="session")
+def ledger(points):
     """Every claim of the paper, computed once for the session."""
     from repro.bench.paper import compute
 
-    return compute()
+    return compute(points=points)
 
 
 @pytest.fixture

@@ -1,17 +1,22 @@
 """The claims ledger: every table and figure of the paper's evaluation,
 computed once and checked.
 
-A :class:`Claim` is one number the evaluation states or implies: how to
-read it from its figure's points, the one bound it must meet, the
-paper's value where the paper gives one, and, where the reproduction
-knowingly departs from that value, a :class:`Cause`.  :func:`compute`
-runs each figure's driver once and returns the record that ``repro
-paper`` prints and diffs against the committed ``benchmarks/claims.json``
-(``--write`` regenerates it and EXPERIMENTS.md's tables).  A claim is
-NO-GO when its bound fails; DEVIATION(cause) when the bound holds, the
-value lies more than :data:`TOLERANCE` from the paper's and the claim
-names a cause (NO-GO when it names none); GO otherwise.  Every measured
-value is a simulated quantity; host times stay out.
+The evaluation is a flat table of runs, :data:`POINTS`, each a
+:class:`Point` addressed by an id such as ``fig6.hpc-ib.mpi`` or
+``fig7.th-xy.1152``.  A :class:`Claim` is one number the evaluation
+states or implies: how to read it from the points, the one bound it
+must meet, the paper's value where the paper gives one, and, where the
+reproduction knowingly departs from that value, a :class:`Cause`.  A
+:class:`Figure` is a table whose rows read the points.  Claims and rows
+read from one :class:`Points` store, which runs a point on its first
+read and never again, so :func:`compute` runs only what it reads and
+returns the record that ``repro paper`` prints and diffs against the
+committed ``benchmarks/claims.json`` (``--write`` regenerates it and
+EXPERIMENTS.md's tables).  A claim is NO-GO when its bound fails;
+DEVIATION(cause) when the bound holds, the value lies more than
+:data:`TOLERANCE` from the paper's and the claim names a cause (NO-GO
+when it names none); GO otherwise.  Every measured value is a simulated
+quantity; host times stay out.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import re
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from ..core import max_signals, policy_for_channel
+from ..core import PollingConfig, max_signals, policy_for_channel
 from ..interconnect import TABLE_II, Capability, RmaChannel, support_level
 from ..netsim import Cluster, ClusterSpec, FabricSpec, NicSpec, NodeSpec
 from ..platforms import PLATFORMS as REGISTRY
@@ -30,13 +35,13 @@ from ..runtime import Job
 from ..sim import Environment
 from .latency import latency_table, unr_pingpong
 from .multinic import aggregation_sweep, imbalance_sweep, pingpong_with_calc
-from .powerllel_bench import fig6_platform, fig6_polling_study, fig7_scaling
+from .powerllel_bench import FIG6_GRIDS, FIG7_SERIES, powerllel_point
 from .report import REPO_ROOT, format_cell, format_size, format_table
 
-__all__ = ["CLAIMS", "CLAIMS_PATH", "EXPERIMENTS_PATH", "FIGURES", "TABLE1_LEVELS",
-           "TABLE2_LEVELS", "TOLERANCE", "Cause", "Claim", "compute", "diff", "entries",
-           "experiments_blocks", "load_record", "render_markdown", "render_text",
-           "synthetic_channel", "write"]
+__all__ = ["CLAIMS", "CLAIMS_PATH", "EXPERIMENTS_PATH", "FIGURES", "POINTS", "TABLE1_LEVELS",
+           "TABLE2_LEVELS", "TOLERANCE", "Cause", "Claim", "Point", "Points", "compute", "diff",
+           "efficiency", "entries", "experiments_blocks", "load_record", "render_markdown",
+           "render_text", "synthetic_channel", "write"]
 
 SCHEMA = "repro.bench.paper/1"
 CLAIMS_PATH = REPO_ROOT / "benchmarks" / "claims.json"
@@ -66,12 +71,12 @@ class Cause:
 
 @dataclass(frozen=True)
 class Claim:
-    """One checked number; ``paper`` is None where the paper states only
-    the ordering the bound checks."""
+    """One checked number, read from the points; ``paper`` is None where
+    the paper states only the ordering the bound checks."""
 
     id: str
     paper: Optional[float]
-    measure: Callable[[Any], float]
+    measure: Callable[["Points"], float]
     bound: Tuple[str, float]
     cause: Optional[Cause] = None
 
@@ -88,14 +93,21 @@ class Claim:
         return f"DEVIATION({self.cause.name})" if self.cause else NO_GO
 
 
+class Point(NamedTuple):
+    """One run of the evaluation, ``driver(**kwargs)``, addressed by ``id``."""
+
+    id: str
+    driver: Callable[..., Any]
+    kwargs: Dict[str, Any]
+
+
 class Figure(NamedTuple):
     title: str
     headers: Tuple[str, ...]
-    run: Callable[[], Any]  # the figure's points, computed once
-    rows: Callable[[Any], List[list]]
+    rows: Callable[["Points"], List[list]]
 
 
-# -- the figures ---------------------------------------------------------
+# -- the points ----------------------------------------------------------
 
 #: Table I's synthetic NICs: (custom bits, atomic add, the paper's level)
 TABLE1_LEVELS = ((0, False, 0), (8, False, 1), (16, False, 1), (32, False, 2), (64, False, 3),
@@ -104,6 +116,23 @@ TABLE1_LEVELS = ((0, False, 0), (8, False, 1), (16, False, 1), (32, False, 2), (
 TABLE2_LEVELS = {"glex": 3, "verbs": 2, "utofu": 1, "ugni": 2, "pami": 2, "portals": 3}
 FIG4_SIZES = (8, 512, 4096, 65536, 1048576)
 FIG5_SIZES = (32768, 262144, 1048576, 4194304)
+#: Figure 6's legs: every platform's three, then HPC-IB's polling study: 2 cores
+#: reserved, 16 compute threads (the paper could not use 17), or a tuned interval
+FIG6_LEGS = {"mpi": dict(backend="mpi"), "unr": dict(backend="unr"),
+             "unr_fallback": dict(backend="unr", fallback=True),
+             "16_thread": dict(backend="unr", threads=16,
+                               polling=PollingConfig(mode="reserved", reserved_cores=2)),
+             "interval": dict(backend="unr", threads=18,
+                              polling=PollingConfig(mode="interval", interval_us=20.0))}
+#: Figure 6's bars as (platform, label, leg).  The polling study's
+#: 18-thread busy-polling bar is HPC-IB's default, its ``unr`` leg.
+FIG6_BARS = ([(q, leg, leg) for q in PLATFORMS for leg in ("mpi", "unr", "unr_fallback")]
+             + [("hpc-ib", "18_thread", "unr"), ("hpc-ib", "16_thread", "16_thread"),
+                ("hpc-ib", "interval", "interval")])
+#: Figure 7's rows.  TH-XY stops at 1152 nodes: its 1728-node point costs
+#: more host time than the rest of the ledger, and
+#: benchmarks/test_paper_claims.py reads it on request.
+FIG7_ROWS = {"th-2a": (12, 24, 48, 96, 192), "th-xy": (288, 576, 1152)}
 
 
 def synthetic_channel(bits: int, offload: bool) -> Tuple[Job, RmaChannel]:
@@ -118,9 +147,57 @@ def synthetic_channel(bits: int, offload: bool) -> Tuple[Job, RmaChannel]:
     return job, RmaChannel(job, cap)
 
 
+def _policy(bits: int, offload: bool):
+    return policy_for_channel(synthetic_channel(bits, offload)[1])
+
+
+def _powerllel(platform: str, **kwargs) -> Dict[str, float]:
+    """One PowerLLEL run's total and per-phase times (s), not its ranks' state."""
+    res = powerllel_point(platform, **kwargs)
+    return {"time": res["time"], **res["phases"]}
+
+
 def _width(bits: int, hw: bool) -> str:
     return f"{bits}+hw" if hw else str(bits)
 
+
+def _points() -> List[Point]:
+    table = [Point(f"table1.{_width(b, hw)}", _policy, dict(bits=b, offload=hw))
+             for b, hw, _ in TABLE1_LEVELS]
+    table += [Point("table2", TABLE_II.copy, {}), Point("table3", REGISTRY.copy, {})]
+    table += [Point(f"fig4.{q}", latency_table, dict(platform=q, sizes=FIG4_SIZES, iters=10))
+              for q in PLATFORMS]
+    table.append(Point("fig4.th-xy.level4", unr_pingpong,
+                       dict(platform="th-xy", size=8, iters=10, offload=True)))
+    table += [Point("fig5.a3", aggregation_sweep, dict(platform="th-xy", sizes=FIG5_SIZES)),
+              Point("fig5.b2", imbalance_sweep, dict(platform="th-xy", sizes=FIG5_SIZES))]
+    table += [Point(f"fig5.b1.{key}", pingpong_with_calc,
+                    dict(platform="th-xy", size=1 << 20, shared=shared, iters=24, window=4))
+              for key, shared in (("solo", False), ("shared", True))]
+    table += [Point(f"fig6.{q}.{leg}", _powerllel,
+                    dict(FIG6_GRIDS[q], platform=q, steps=2, **FIG6_LEGS[leg]))
+              for q, label, leg in FIG6_BARS if label == leg]  # not the 18-thread bar again
+    table += [Point(f"fig7.{q}.{pt['nodes']}", _powerllel,
+                    dict(series["grid"], **pt, platform=q, backend="unr", steps=1,
+                         pipeline_slabs=2))
+              for q, series in FIG7_SERIES.items() for pt in series["points"]]
+    return table
+
+
+#: the evaluation, every run by id (Figure 7 out to 1728 TH-XY nodes)
+POINTS = {point.id: point for point in _points()}
+
+
+class Points(dict):
+    """Results by point id: a point runs on its first read, never again."""
+
+    def __missing__(self, pid: str) -> Any:
+        _, driver, kwargs = POINTS[pid]  # an unknown id: KeyError(pid)
+        value = self[pid] = driver(**kwargs)
+        return value
+
+
+# -- the figures ---------------------------------------------------------
 
 def _yes(flag: bool) -> str:
     return "yes" if flag else "no"
@@ -130,96 +207,77 @@ def _ms(seconds: float) -> float:
     return round(seconds * 1e3, 3)
 
 
-def _fig4() -> Dict[str, Any]:
-    points: Dict[str, Any] = {plat: latency_table(plat, FIG4_SIZES, 10) for plat in PLATFORMS}
-    points["th-xy+hw"] = unr_pingpong("th-xy", 8, iters=10, offload=True) * 1e6
-    return points
+def _gain(p: Points, sweep: str) -> List[float]:
+    """Figure 5: the ``a3`` or ``b2`` sweep's throughput gain per size."""
+    return p[f"fig5.{sweep}"]["improvement"]
 
 
-def _fig5() -> Dict[str, Any]:
-    solo, shared = (pingpong_with_calc("th-xy", 1 << 20, shared=s, iters=24, window=4)
-                    for s in (False, True))
-    return {"a3": aggregation_sweep("th-xy", FIG5_SIZES, 12)["improvement"],
-            "b2": imbalance_sweep("th-xy", FIG5_SIZES, 12, 0.3)["improvement"],
-            "b1": shared / solo - 1.0}
+def _speedup(p: Points, plat: str, leg: str = "unr") -> float:
+    """Figure 6: ``leg``'s speedup over ``plat``'s MPI baseline."""
+    return p[f"fig6.{plat}.mpi"]["time"] / p[f"fig6.{plat}.{leg}"]["time"]
 
 
-def _fig6() -> Dict[str, Any]:
-    points = {plat: fig6_platform(plat, steps=2) for plat in PLATFORMS}
-    points["polling"] = fig6_polling_study(steps=2)  # on hpc-ib
-    return points
-
-
-def _fig6_rows(p: Dict[str, Any]) -> List[list]:
-    return [["hpc-ib" if group == "polling" else group, key, _ms(r["time"]),
-             _ms(r["phases"]["vel_update"]), _ms(r["phases"]["ppe"]),
-             round(out["mpi"]["time"] / r["time"], 3)]
-            for group, out in p.items() for key, r in out.items()
-            if (group, key) != ("polling", "mpi")]  # the hpc-ib baseline again
-
-
-def _fig7() -> Dict[str, Any]:
-    # The fourth TH-XY point (1728 nodes) costs more host time than the
-    # rest of the ledger; benchmarks/test_paper_claims.py runs it on request.
-    return {"th-2a": fig7_scaling("th-2a", steps=1),
-            "th-xy": fig7_scaling("th-xy", steps=1, max_points=3)}
+def efficiency(p: Points, plat: str, nodes: int, key: str = "time") -> float:
+    """Figure 7: the strong-scaling efficiency of ``plat``'s ``nodes``-node
+    point against its first, ``(t_first / t_n) * (n_first / n)``, of the
+    total time or of one phase (``key``)."""
+    first = FIG7_ROWS[plat][0]
+    return (p[f"fig7.{plat}.{first}"][key] / p[f"fig7.{plat}.{nodes}"][key]) * (first / nodes)
 
 
 FIGURES: Dict[str, Figure] = {
     "table1": Figure(
         "Table I: UNR support levels",
         ("level", "put-remote bits", "encoding", "max signals", "multi-channel", "polling"),
-        lambda: {_width(b, hw): policy_for_channel(synthetic_channel(b, hw)[1])
-                 for b, hw, _ in TABLE1_LEVELS},
         lambda p: [[pol.level, key,
                     "ordered (p,a) msg" if pol.level == 0 else f"p:{pol.p_bits}b a:{pol.a_bits}b",
                     min(max_signals(pol), 1 << 62), _yes(pol.multi_channel),
-                    _yes(pol.uses_polling)] for key, pol in p.items()],
+                    _yes(pol.uses_polling)]
+                   for key in (_width(b, hw) for b, hw, _ in TABLE1_LEVELS)
+                   for pol in [p[f"table1.{key}"]]],
     ),
     "table2": Figure(
         "Table II: UNR support level of high-performance NICs",
         ("interface", "interconnect", "PUT local", "PUT remote", "GET local", "GET remote",
          "level"),
-        lambda: TABLE_II,
         lambda p: [[cap.interface, cap.interconnect]
                    + [cap.display(f) for f in ("put_local", "put_remote", "get_local",
                                                "get_remote")]
-                   + [f"Level-{support_level(cap)}"] for cap in p.values()],
+                   + [f"Level-{support_level(cap)}"] for cap in p["table2"].values()],
     ),
     "table3": Figure(
         "Table III: experiment platforms",
         ("system", "CPU", "NIC(s)", "used nodes", "UNR channel"),
-        lambda: REGISTRY,
         lambda p: [[f"{q.name} ({q.abbrev}, {q.deployed})", q.cpu_desc, q.nic_desc, q.max_nodes,
-                    q.channel] for q in p.values()],
+                    q.channel] for q in p["table3"].values()],
     ),
     "fig4": Figure(
         "Figure 4: half round-trip latency (us), UNR vs MPI-RMA, 10 iterations",
         ("platform", "size", "UNR", "fence", "PSCW", "lock"),
-        _fig4,
         lambda p: [[plat, format_size(size)]
-                   + [round(p[plat][k][i], 3) for k in ("unr", "fence", "pscw", "lock")]
+                   + [round(p[f"fig4.{plat}"][k][i], 3) for k in ("unr", "fence", "pscw", "lock")]
                    for plat in PLATFORMS for i, size in enumerate(FIG4_SIZES)],
     ),
     "fig5": Figure(
         "Figure 5: shared-NIC throughput gain on TH-XY (%), 2 procs x 2 NICs",
         ("size", "(a3) balanced", "(b2) calc ~ N(T, 0.3T)"),
-        _fig5,
         lambda p: [[format_size(s), round(100 * a, 3), round(100 * b, 3)]
-                   for s, a, b in zip(FIG5_SIZES, p["a3"], p["b2"])],
+                   for s, a, b in zip(FIG5_SIZES, _gain(p, "a3"), _gain(p, "b2"))],
     ),
     "fig6": Figure(
         "Figure 6: PowerLLEL (simulated ms) and speedup over the MPI baseline, 2 steps",
         ("platform", "variant", "total", "vel_update", "ppe", "speedup"),
-        _fig6,
-        _fig6_rows,
+        lambda p: [[q, label, _ms(r["time"]), _ms(r["vel_update"]), _ms(r["ppe"]),
+                    round(_speedup(p, q, leg), 3)]
+                   for q, label, leg in FIG6_BARS for r in [p[f"fig6.{q}.{leg}"]]],
     ),
     "fig7": Figure(
         "Figure 7: PowerLLEL strong scaling (simulated ms), UNR, 1 step",
         ("platform", "nodes", "total", "vel_update", "ppe", "efficiency"),
-        _fig7,
-        lambda p: [[plat, r["nodes"], _ms(r["time"]), _ms(r["vel_update"]), _ms(r["ppe"]),
-                    round(r["efficiency"], 3)] for plat, rows in p.items() for r in rows],
+        lambda p: [[q, n, _ms(r["time"]), _ms(r["vel_update"]), _ms(r["ppe"]),
+                    round(efficiency(p, q, n), 3)]
+                   for q, nodes in FIG7_ROWS.items() for n in nodes
+                   for r in [p[f"fig7.{q}.{n}"]]],
     ),
 }
 
@@ -265,17 +323,8 @@ def _min_ratio(table: Dict[str, List[float]], num: str, den: str) -> float:
     return min(a / b for a, b in zip(table[num], table[den]))
 
 
-def _pscw_over_unr(p: Dict[str, Any], plat: str) -> float:
-    return p[plat]["pscw"][0] / p[plat]["unr"][0]
-
-
-def _speedup(plat: str, variant: str = "unr") -> Callable[[Any], float]:
-    return lambda p: p[plat][variant]["speedup"]
-
-
-def _phase_efficiency(rows: List[Dict], phase: str) -> float:
-    first, last = rows[0], rows[-1]
-    return (first[phase] / last[phase]) * (first["nodes"] / last["nodes"])
+def _pscw_over_unr(p: Points, plat: str) -> float:
+    return p[f"fig4.{plat}"]["pscw"][0] / p[f"fig4.{plat}"]["unr"][0]
 
 
 def _claims() -> Tuple[Claim, ...]:
@@ -284,79 +333,84 @@ def _claims() -> Tuple[Claim, ...]:
     # Table I: the level each width classifies to, and what it implies.
     for bits, hw, level in TABLE1_LEVELS:
         key = _width(bits, hw)
-        add(Claim(f"table1.bits-{key}.level", level, lambda p, k=key: p[k].level, ("==", level)))
-    add(Claim("table1.level-2.multi-channel", 0, lambda p: p["32"].multi_channel, ("==", 0)))
-    add(Claim("table1.level-3.multi-channel", 1, lambda p: p["64"].multi_channel, ("==", 1)))
-    add(Claim("table1.level-4.polling", 0, lambda p: p["128+hw"].uses_polling, ("==", 0)))
+        add(Claim(f"table1.bits-{key}.level", level, lambda p, k=key: p[f"table1.{k}"].level,
+                  ("==", level)))
+    add(Claim("table1.level-2.multi-channel", 0, lambda p: p["table1.32"].multi_channel, ("==", 0)))
+    add(Claim("table1.level-3.multi-channel", 1, lambda p: p["table1.64"].multi_channel, ("==", 1)))
+    add(Claim("table1.level-4.polling", 0, lambda p: p["table1.128+hw"].uses_polling, ("==", 0)))
     # Table II: every interface's level, and no other interface.
     for name, level in TABLE2_LEVELS.items():
-        add(Claim(f"table2.{name}.level", level, lambda p, n=name: support_level(p[n]),
+        add(Claim(f"table2.{name}.level", level, lambda p, n=name: support_level(p["table2"][n]),
                   ("==", level)))
-    add(Claim("table2.interfaces", len(TABLE2_LEVELS), len, ("==", len(TABLE2_LEVELS))))
-    add(Claim("table3.systems", 4, len, ("==", 4)))
+    add(Claim("table2.interfaces", len(TABLE2_LEVELS), lambda p: len(p["table2"]),
+              ("==", len(TABLE2_LEVELS))))
+    add(Claim("table3.systems", 4, lambda p: len(p["table3"]), ("==", 4)))
     # Figure 4: UNR beats fence and lock at every size; PSCW is the best
     # MPI-RMA scheme at 8 B; at 1 MiB only TH-XY's second rail keeps UNR ahead.
     for q in PLATFORMS:
         add(Claim(f"fig4.{q}.fence-over-unr", None,
-                  lambda p, q=q: _min_ratio(p[q], "fence", "unr"), (">", 1.0)))
+                  lambda p, q=q: _min_ratio(p[f"fig4.{q}"], "fence", "unr"), (">", 1.0)))
         add(Claim(f"fig4.{q}.lock-over-unr", None,
-                  lambda p, q=q: _min_ratio(p[q], "lock", "unr"), (">", 1.0)))
+                  lambda p, q=q: _min_ratio(p[f"fig4.{q}"], "lock", "unr"), (">", 1.0)))
         add(Claim(f"fig4.{q}.fence-over-pscw-8b", None,
-                  lambda p, q=q: p[q]["fence"][0] / p[q]["pscw"][0], (">=", 1.0)))
+                  lambda p, q=q: p[f"fig4.{q}"]["fence"][0] / p[f"fig4.{q}"]["pscw"][0],
+                  (">=", 1.0)))
         add(Claim(f"fig4.{q}.fence-over-unr-1m", None,
-                  lambda p, q=q: p[q]["fence"][-1] / p[q]["unr"][-1],
+                  lambda p, q=q: p[f"fig4.{q}"]["fence"][-1] / p[f"fig4.{q}"]["unr"][-1],
                   (">", 1.5) if q == "th-xy" else ("<", 2.0)))
     add(Claim("fig4.hpc-ib.pscw-over-unr-8b", 1.0, lambda p: _pscw_over_unr(p, "hpc-ib"),
               ("<", 3.0), POLLING))
     add(Claim("fig4.pscw-gap.hpc-ib-over-th-2a", None,
               lambda p: _pscw_over_unr(p, "hpc-ib") / _pscw_over_unr(p, "th-2a"), ("<", 1.0)))
     add(Claim("fig4.th-xy.level4-over-polled-8b", None,
-              lambda p: p["th-xy+hw"] / p["th-xy"]["unr"][0], ("<=", 1.0)))
+              lambda p: p["fig4.th-xy.level4"] * 1e6 / p["fig4.th-xy"]["unr"][0], ("<=", 1.0)))
     # Figure 5: (a3) the gain grows with size toward the 1/3 bound; (b1)
     # a saturated pipeline gains nothing; (b2) sharing absorbs imbalance.
-    add(Claim("fig5.a3.min-gain", None, lambda p: min(p["a3"]), (">", -0.02)))
-    add(Claim("fig5.a3.gain-4m", 0.333, lambda p: p["a3"][-1], (">", 0.10)))
-    add(Claim("fig5.a3.max-gain", None, lambda p: max(p["a3"]), ("<", 0.40)))
-    add(Claim("fig5.a3.growth", None, lambda p: p["a3"][-1] - p["a3"][0], (">=", 0.0)))
-    add(Claim("fig5.b1.gain-1m", None, lambda p: abs(p["b1"]), ("<", 0.10)))
-    add(Claim("fig5.b2.gain-4m", 0.10, lambda p: p["b2"][-1], (">", 0.03), IMBALANCE))
-    add(Claim("fig5.b2.gain-4m-cap", None, lambda p: p["b2"][-1], ("<", 0.45)))
+    add(Claim("fig5.a3.min-gain", None, lambda p: min(_gain(p, "a3")), (">", -0.02)))
+    add(Claim("fig5.a3.gain-4m", 0.333, lambda p: _gain(p, "a3")[-1], (">", 0.10)))
+    add(Claim("fig5.a3.max-gain", None, lambda p: max(_gain(p, "a3")), ("<", 0.40)))
+    add(Claim("fig5.a3.growth", None, lambda p: _gain(p, "a3")[-1] - _gain(p, "a3")[0],
+              (">=", 0.0)))
+    add(Claim("fig5.b1.gain-1m", None,
+              lambda p: abs(p["fig5.b1.shared"] / p["fig5.b1.solo"] - 1.0), ("<", 0.10)))
+    add(Claim("fig5.b2.gain-4m", 0.10, lambda p: _gain(p, "b2")[-1], (">", 0.03), IMBALANCE))
+    add(Claim("fig5.b2.gain-4m-cap", None, lambda p: _gain(p, "b2")[-1], ("<", 0.45)))
     # Figure 6: UNR speeds PowerLLEL up everywhere, most on TH-XY; the
     # fallback helps TH-XY and hurts TH-2A; reserved cores beat busy polling.
     for q, paper in (("th-xy", 1.36), ("th-2a", 1.29), ("hpc-ib", 1.20), ("hpc-roce", 1.29)):
         cause = TRANSPOSE if q in ("th-2a", "hpc-ib") else None
-        add(Claim(f"fig6.{q}.unr", paper, _speedup(q), (">", 1.0), cause))
-        add(Claim(f"fig6.{q}.unr-cap", None, _speedup(q), ("<", 1.8)))
-    add(Claim("fig6.th-xy.fallback", 1.20, _speedup("th-xy", "unr_fallback"), (">", 1.1)))
-    add(Claim("fig6.th-2a.fallback", 0.39, _speedup("th-2a", "unr_fallback"), ("<", 0.85),
-              FALLBACK))
+        add(Claim(f"fig6.{q}.unr", paper, lambda p, q=q: _speedup(p, q), (">", 1.0), cause))
+        add(Claim(f"fig6.{q}.unr-cap", None, lambda p, q=q: _speedup(p, q), ("<", 1.8)))
+    add(Claim("fig6.th-xy.fallback", 1.20, lambda p: _speedup(p, "th-xy", "unr_fallback"),
+              (">", 1.1)))
+    add(Claim("fig6.th-2a.fallback", 0.39, lambda p: _speedup(p, "th-2a", "unr_fallback"),
+              ("<", 0.85), FALLBACK))
     add(Claim("fig6.th-xy.largest-gain", None,
-              lambda p: p["th-xy"]["unr"]["speedup"]
-              / max(p[q]["unr"]["speedup"] for q in PLATFORMS[1:]), (">=", 1.0)))
-    for key, name, paper in (("18_thread", "busy-18", 1.20), ("16_thread", "reserved-16", 1.31),
-                             ("interval", "interval", None)):
-        add(Claim(f"fig6.hpc-ib.{name}", paper, _speedup("polling", key), (">", 1.0),
-                  TRANSPOSE if paper else None))
-    add(Claim("fig6.hpc-ib.reserved-over-busy", round(1.31 / 1.20, 3),
-              lambda p: _speedup("polling", "16_thread")(p) / _speedup("polling", "18_thread")(p),
+              lambda p: _speedup(p, "th-xy") / max(_speedup(p, q) for q in PLATFORMS[1:]),
               (">=", 1.0)))
+    for leg, name, paper in (("unr", "busy-18", 1.20), ("16_thread", "reserved-16", 1.31),
+                             ("interval", "interval", None)):
+        add(Claim(f"fig6.hpc-ib.{name}", paper, lambda p, leg=leg: _speedup(p, "hpc-ib", leg),
+                  (">", 1.0), TRANSPOSE if paper else None))
+    add(Claim("fig6.hpc-ib.reserved-over-busy", round(1.31 / 1.20, 3),
+              lambda p: _speedup(p, "hpc-ib", "16_thread") / _speedup(p, "hpc-ib"), (">=", 1.0)))
     # Figure 7: high efficiency over the node range, decaying; the
     # velocity update scales near-linearly and the PPE is the bottleneck.
-    add(Claim("fig7.th-2a.first-nodes", 12, lambda p: p["th-2a"][0]["nodes"], ("==", 12)))
-    add(Claim("fig7.th-2a.last-nodes", 192, lambda p: p["th-2a"][-1]["nodes"], ("==", 192)))
-    add(Claim("fig7.th-2a.efficiency", 0.95, lambda p: p["th-2a"][-1]["efficiency"],
+    first, last = FIG7_ROWS["th-2a"][0], FIG7_ROWS["th-2a"][-1]
+    add(Claim("fig7.th-2a.first-nodes", 12, lambda p: first, ("==", 12)))
+    add(Claim("fig7.th-2a.last-nodes", 192, lambda p: last, ("==", 192)))
+    add(Claim("fig7.th-2a.efficiency", 0.95, lambda p: efficiency(p, "th-2a", last),
               (">", 0.75), PPE))
     add(Claim("fig7.th-2a.efficiency-decay", None,
-              lambda p: p["th-2a"][-1]["efficiency"] - p["th-2a"][0]["efficiency"],
+              lambda p: efficiency(p, "th-2a", last) - efficiency(p, "th-2a", first),
               ("<=", 1e-9)))
     add(Claim("fig7.th-2a.vel-over-ppe", None,
-              lambda p: _phase_efficiency(p["th-2a"], "vel_update")
-              / _phase_efficiency(p["th-2a"], "ppe"), (">", 1.0)))
+              lambda p: efficiency(p, "th-2a", last, "vel_update")
+              / efficiency(p, "th-2a", last, "ppe"), (">", 1.0)))
     add(Claim("fig7.th-2a.vel-efficiency", None,
-              lambda p: _phase_efficiency(p["th-2a"], "vel_update"), (">", 0.8)))
-    add(Claim("fig7.th-xy.first-nodes", 288, lambda p: p["th-xy"][0]["nodes"], ("==", 288)))
-    add(Claim("fig7.th-xy.efficiency", 0.85, lambda p: p["th-xy"][-1]["efficiency"],
-              (">", 0.70)))
+              lambda p: efficiency(p, "th-2a", last, "vel_update"), (">", 0.8)))
+    add(Claim("fig7.th-xy.first-nodes", 288, lambda p: FIG7_ROWS["th-xy"][0], ("==", 288)))
+    add(Claim("fig7.th-xy.efficiency", 0.85, lambda p: efficiency(p, "th-xy", 1152), (">", 0.70)))
     return tuple(claims)
 
 
@@ -365,22 +419,25 @@ CLAIMS = _claims()
 
 # -- the record ----------------------------------------------------------
 
-def compute(only: Optional[str] = None) -> Dict[str, Any]:
-    """Run each figure's driver once (only ``only``'s when given) and
-    return the record: per figure its table, and every claim with its
-    measured value and verdict."""
-    figures = {}
+def compute(only: Optional[str] = None, points: Optional[Points] = None) -> Dict[str, Any]:
+    """The record: per figure its table, and every claim with its
+    measured value and verdict, read from ``points`` (a fresh store by
+    default).  ``only`` keeps one figure, or one claim id, whose figure
+    then holds that claim and no table."""
+    p = Points() if points is None else points
+    figures: Dict[str, Any] = {}
     for name, fig in FIGURES.items():
-        if only not in (None, name):
+        picked = [c for c in CLAIMS if c.figure == name and only in (None, name, c.id)]
+        if not picked:
             continue
-        points = fig.run()
-        claims = []
-        for claim in (c for c in CLAIMS if c.figure == name):
-            value = float(claim.measure(points))
-            claims.append({"id": claim.id, "paper": claim.paper, "measured": value,
-                           "bound": list(claim.bound), "verdict": claim.verdict(value)})
-        figures[name] = {"title": fig.title, "headers": list(fig.headers),
-                         "rows": fig.rows(points), "claims": claims}
+        entry = figures[name] = {"title": fig.title}
+        if only in (None, name):
+            entry.update(headers=list(fig.headers), rows=fig.rows(p))
+        entry["claims"] = []
+        for claim in picked:
+            value = float(claim.measure(p))
+            entry["claims"].append({"id": claim.id, "paper": claim.paper, "measured": value,
+                                    "bound": list(claim.bound), "verdict": claim.verdict(value)})
     record = {"schema": SCHEMA, "tolerance": TOLERANCE,
               "causes": {c.name: {"assumption": c.assumption, "risk": c.risk,
                                   "severity": c.severity} for c in CAUSES},
@@ -408,16 +465,18 @@ def _outcome(entry: Optional[Dict]) -> str:
 
 def diff(record: Dict[str, Any], committed: Dict[str, Any]) -> List[str]:
     """What in ``record`` differs from ``committed``, over the figures
-    ``record`` covers (empty: the record reproduces)."""
+    ``record`` covers, or the one claim it holds (empty: the record
+    reproduces)."""
     problems = [f"{key}: differs from the committed record"
                 for key in ("tolerance", "causes") if record[key] != committed.get(key)]
     for name, fig in record["figures"].items():
         old = committed["figures"].get(name, {"claims": []})
-        if any(old.get(key) != fig[key] for key in ("title", "headers", "rows")):
+        if any(old.get(key) != fig[key] for key in ("title", "headers", "rows") if key in fig):
             problems.append(f"{name}: table differs from the committed one")
         was = {c["id"]: c for c in old["claims"]}
         now = {c["id"]: c for c in fig["claims"]}
-        for cid in [*now, *sorted(was.keys() - now.keys())]:
+        gone = sorted(was.keys() - now.keys()) if "rows" in fig else []  # not one claim's run
+        for cid in [*now, *gone]:
             if now.get(cid) != was.get(cid):
                 problems.append(f"{cid}: measured {_outcome(now.get(cid))}, "
                                 f"committed {_outcome(was.get(cid))}")
@@ -432,7 +491,9 @@ def render_text(record: Dict[str, Any]) -> str:
     """The tables and verdicts ``repro paper`` prints."""
     out = []
     for fig in record["figures"].values():
-        out += [fig["title"], format_table(fig["headers"], fig["rows"])]
+        out.append(fig["title"])
+        if "rows" in fig:
+            out.append(format_table(fig["headers"], fig["rows"]))
         for c in fig["claims"]:
             paper = "" if c["paper"] is None else f"paper {c['paper']:g}"
             out.append(f"  {c['id']:34s} {c['measured']:>9.4g} {_bound(c):9s} {paper:11s} "

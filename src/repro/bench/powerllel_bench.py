@@ -12,19 +12,14 @@ what a real run of that grid would see on the simulated hardware.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..core import PollingConfig, Unr
 from ..interconnect import MpiFallbackChannel
 from ..platforms import get_platform, make_job
 from ..powerllel import PowerLLELConfig, run_powerllel
 
-__all__ = [
-    "FIG6_GRIDS",
-    "powerllel_point",
-    "fig6_platform",
-    "fig7_scaling",
-]
+__all__ = ["FIG6_GRIDS", "FIG7_SERIES", "powerllel_point"]
 
 #: Per-platform grids "tailored to fit within the memory constraints of
 #: each system" (paper §VI-C), scaled to our node counts.
@@ -108,48 +103,6 @@ def powerllel_point(
     return res
 
 
-def fig6_platform(platform: str, steps: int = 2) -> Dict[str, Dict]:
-    """Figure 6 bars for one platform: baseline, UNR, UNR-fallback."""
-    base = dict(FIG6_GRIDS[platform], steps=steps)
-    out = {}
-    out["mpi"] = powerllel_point(platform, backend="mpi", **base)
-    out["unr"] = powerllel_point(platform, backend="unr", **base)
-    out["unr_fallback"] = powerllel_point(
-        platform, backend="unr", fallback=True, **base
-    )
-    for key in ("unr", "unr_fallback"):
-        out[key]["speedup"] = out["mpi"]["time"] / out[key]["time"]
-    return out
-
-
-def fig6_polling_study(steps: int = 2) -> Dict[str, Dict]:
-    """Figure 6 HPC-IB polling-thread study.
-
-    * ``18_thread`` — 18 OpenMP threads, busy polling shares the cores;
-    * ``16_thread`` — 2 cores reserved for the polling thread,
-      16 compute threads (the paper could not use 17);
-    * ``interval`` — no reservation, tuned polling interval.
-    """
-    base = dict(FIG6_GRIDS["hpc-ib"], steps=steps)
-    out = {}
-    out["mpi"] = powerllel_point("hpc-ib", backend="mpi", **base)
-    out["18_thread"] = powerllel_point(
-        "hpc-ib", backend="unr",
-        polling=PollingConfig(mode="busy"), threads=18, **base,
-    )
-    out["16_thread"] = powerllel_point(
-        "hpc-ib", backend="unr",
-        polling=PollingConfig(mode="reserved", reserved_cores=2), threads=16, **base,
-    )
-    out["interval"] = powerllel_point(
-        "hpc-ib", backend="unr",
-        polling=PollingConfig(mode="interval", interval_us=20.0), threads=18, **base,
-    )
-    for key in ("18_thread", "16_thread", "interval"):
-        out[key]["speedup"] = out["mpi"]["time"] / out[key]["time"]
-    return out
-
-
 #: Strong-scaling series (node counts scaled to keep run times sane:
 #: same 16x ratio as the paper's 12→192 and 6x ratio for 288→1728).
 FIG7_SERIES = {
@@ -173,31 +126,3 @@ FIG7_SERIES = {
         ],
     },
 }
-
-
-def fig7_scaling(platform: str, steps: int = 1, max_points: Optional[int] = None) -> List[Dict]:
-    """Strong-scaling sweep; returns one row per node count."""
-    series = FIG7_SERIES[platform]
-    grid = series["grid"]
-    points = series["points"][:max_points]
-    rows = []
-    base_nodes = points[0]["nodes"]
-    base_time = None
-    for pt in points:
-        res = powerllel_point(
-            platform, backend="unr", steps=steps, pipeline_slabs=2,
-            nx=grid["nx"], ny=grid["ny"], nz=grid["nz"], **pt,
-        )
-        if base_time is None:
-            base_time = res["time"]
-        efficiency = (base_time / res["time"]) * (base_nodes / pt["nodes"])
-        rows.append(
-            {
-                "nodes": pt["nodes"],
-                "time": res["time"],
-                "vel_update": res["phases"]["vel_update"],
-                "ppe": res["phases"]["ppe"],
-                "efficiency": efficiency,
-            }
-        )
-    return rows

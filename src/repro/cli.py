@@ -4,6 +4,7 @@
 
     python -m repro paper                       # Tables I-III, Figs 4-7: the claims ledger
     python -m repro paper --only fig6           # one table or figure
+    python -m repro paper --only fig6.th-xy.unr # one claim: only the points it reads
     python -m repro latency  --platform th-xy   # Figure 4 curves, any sizes
     python -m repro powerllel --platform th-2a  # one Figure 6 cell
     python -m repro faults                      # the producer→consumer stream under faults
@@ -42,6 +43,16 @@ def _grid(text: str) -> List[int]:
     if len(grid) != 3:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}: want three sizes NX,NY,NZ")
     return grid
+
+
+def _only(text: str) -> str:
+    """``paper --only``: a figure name or a claim id."""
+    from .bench.paper import CLAIMS, FIGURES
+
+    if text in FIGURES or any(c.id == text for c in CLAIMS):
+        return text
+    raise argparse.ArgumentTypeError(f"want a figure ({', '.join(FIGURES)}) or a claim id, "
+                                     f"got {text!r}")
 
 
 def _check_powerllel(args) -> None:
@@ -84,7 +95,6 @@ def _fault_spec(text: str) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .bench.paper import FIGURES
     from .platforms import PLATFORMS
 
     platforms = tuple(PLATFORMS)
@@ -102,11 +112,12 @@ def build_parser() -> argparse.ArgumentParser:
              "against the committed benchmarks/claims.json (exit 1 on a NO-GO "
              "or a difference)",
     )
-    p.add_argument("--only", choices=tuple(FIGURES), default=None,
-                   help="compute one table or figure (default: all)")
+    p.add_argument("--only", type=_only, default=None, metavar="FIGURE|CLAIM",
+                   help="one table or figure, or the points one claim reads (default: all)")
     p.add_argument("--write", action="store_true",
                    help="regenerate benchmarks/claims.json and EXPERIMENTS.md's "
                         "tables instead of diffing against them")
+    p.set_defaults(error=p.error)
 
     p = sub.add_parser("latency", help="Figure 4: UNR vs MPI-RMA latency")
     p.add_argument("--platform", choices=platforms, default="th-xy")
@@ -249,6 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_paper(args) -> int:
     from .bench import paper
 
+    if args.write and args.only not in (None, *paper.FIGURES):
+        args.error(f"argument --only: --write takes a whole figure, not the claim {args.only!r}")
     if not args.write and not paper.CLAIMS_PATH.is_file():
         print(f"paper: no such file: {paper.CLAIMS_PATH}")
         return 2

@@ -56,7 +56,7 @@ subject it to the schedule as well.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from typing import Any, Callable, Optional, Set, Tuple
 
 import numpy as np
@@ -316,6 +316,7 @@ class _Fate:
     corrupt: bool = False
     extra: float = 0.0  # seconds of added delivery delay
     dup_gap: float = 0.0  # seconds between the original and the replica
+    landings: int = 0  # deliveries fired so far (the duplicate's is last)
 
 
 class FaultInjector:
@@ -506,22 +507,20 @@ class FaultInjector:
         fate.dup_gap = (0.25 + u[7]) * max(s.delay_us, s.reorder_us, 1.0) * US
         return fate
 
-    def _complete(self, tgt: Nic, action, record: Optional[CompletionRecord]) -> None:
-        """The target NIC's Level-4 action, else its CQ record."""
+    def _complete(self, tgt: Nic, action, record: Optional[CompletionRecord],
+                  last: bool = True) -> None:
+        """The target NIC's Level-4 action, else its CQ record, re-stamped:
+        a fragment's ``last`` landing lands the record itself (dispatch
+        recycles a pooled one), an earlier one an un-pooled copy."""
         if action is not None and tgt.spec.atomic_offload:
             action()
         elif record is not None:
-            # An un-pooled copy per landing, re-stamped: a duplicate lands
-            # the record twice, and dispatch recycles a pool-owned one.
-            rec = CompletionRecord(
-                record.kind, record.custom, record.nbytes, record.src_node,
-                record.dst_node, record.tag, record.payload, record.post_time,
-                self.env.now, record.token,
-            )
+            record = record if last else replace(record)
+            record.complete_time = self.env.now
             # Synchronous enqueue; a full CQ falls back to the blocking
             # push for backpressure, as the NIC's own delivery does.
-            if not tgt.cq.try_push(rec):
-                self.env.process(tgt.cq.push(rec), name="fault-cqe")
+            if not tgt.cq.try_push(record):
+                self.env.process(tgt.cq.push(record), name="fault-cqe")
 
     # -- NIC wrapping ------------------------------------------------------
     def _fated(self, src: Nic, dst: Nic, tgt: Nic, on_deliver, action, record):
@@ -537,6 +536,7 @@ class FaultInjector:
             fate.drop = True
 
         def fire(data):
+            fate.landings += 1
             if src.failed or dst.failed:
                 stats["killed_in_flight"] += 1
                 return
@@ -545,7 +545,7 @@ class FaultInjector:
                 return
             if on_deliver is not None:
                 on_deliver(data)
-            self._complete(tgt, action, record)
+            self._complete(tgt, action, record, fate.landings > fate.duplicate)
 
         def hook(data):
             if fate.drop:

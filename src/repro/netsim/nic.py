@@ -60,9 +60,9 @@ class CompletionRecord:
     its registered handler.
 
     Hot-path records come off a free list (:func:`alloc_record`) and go
-    back to it (:func:`recycle_record`) once dispatched; records built
-    with the constructor (the fault injector's re-stamped copy per
-    delivery) are un-pooled and left to reference counting.
+    back to it (:func:`recycle_record`) once dispatched; copies (the fault
+    injector's for a duplicate's first landing) are un-pooled and left
+    to reference counting.
     """
 
     kind: str

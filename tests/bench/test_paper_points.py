@@ -1,0 +1,66 @@
+"""The claims ledger's point table (:mod:`repro.bench.paper`): every run
+has one id, no run is listed twice, and a claim computes only the points
+it reads.  No PowerLLEL point of the ledger runs here."""
+
+from itertools import combinations
+
+import pytest
+
+import repro.bench.paper as paper
+from repro.bench import powerllel_point
+from repro.bench.paper import CLAIMS, FIGURES, POINTS, Points, compute, entries
+from repro.core import PollingConfig
+
+
+def test_point_ids_are_unique():
+    ids = [point.id for point in paper._points()]
+    assert len(ids) == len(set(ids)) == len(POINTS)
+
+
+def test_no_two_points_are_the_same_run():
+    assert [(a.id, b.id) for a, b in combinations(POINTS.values(), 2)
+            if (a.driver, a.kwargs) == (b.driver, b.kwargs)] == []
+
+
+def test_every_claim_reads_a_figure_of_the_table():
+    figures = {pid.split(".", 1)[0] for pid in POINTS}
+    assert figures == set(FIGURES)
+    assert {claim.figure for claim in CLAIMS} == figures
+
+
+def test_unknown_point_raises_a_key_error_naming_it():
+    store = Points()
+    with pytest.raises(KeyError, match="fig7.th-xy.1729"):
+        store["fig7.th-xy.1729"]
+    assert not store
+
+
+def test_a_claim_computes_only_the_points_it_reads(monkeypatch):
+    """``repro paper --only fig7.th-xy.efficiency`` runs the series'
+    first point and the 1152-node one, and no table."""
+    runs = []
+
+    def fake_point(platform, **kwargs):
+        runs.append((platform, kwargs["nodes"]))
+        return {"time": 1.0 / kwargs["nodes"], "phases": {"vel_update": 0.0, "ppe": 0.0}}
+
+    monkeypatch.setattr(paper, "powerllel_point", fake_point)
+    store = Points()
+    record = compute("fig7.th-xy.efficiency", store)
+    assert list(store) == ["fig7.th-xy.288", "fig7.th-xy.1152"]
+    assert runs == [("th-xy", 288), ("th-xy", 1152)]
+    assert [c["id"] for c in entries(record)] == ["fig7.th-xy.efficiency"]
+    assert list(record["figures"]) == ["fig7"] and "rows" not in record["figures"]["fig7"]
+
+
+def test_hpc_ib_default_polling_is_the_busy_18_thread_leg():
+    """Figure 6's 18-thread busy-polling bar reads the ``fig6.hpc-ib.unr``
+    point: on HPC-IB the two configurations are one run (toy grid)."""
+    grid = dict(nodes=4, py=2, pz=2, nx=64, ny=64, nz=64, steps=1)
+    default = powerllel_point("hpc-ib", backend="unr", **grid)
+    busy = powerllel_point("hpc-ib", backend="unr", polling=PollingConfig(mode="busy"),
+                           threads=18, **grid)
+    reserved = powerllel_point("hpc-ib", backend="unr", threads=16,
+                               polling=PollingConfig(mode="reserved", reserved_cores=2), **grid)
+    assert (busy["time"], busy["phases"]) == (default["time"], default["phases"])
+    assert reserved["time"] != default["time"]

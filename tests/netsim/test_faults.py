@@ -8,6 +8,7 @@ from the seed printed in the assertion message.
 import numpy as np
 import pytest
 
+from repro.core import Unr
 from repro.netsim import (
     Cluster,
     ClusterSpec,
@@ -19,10 +20,13 @@ from repro.netsim import (
     NodeSpec,
     RailFailure,
     US,
+    record_pool_stats,
 )
 from repro.netsim.faults import Partition
 from repro.netsim.trace import transfer_fingerprint, transfer_summary
 from repro.obs import Recorder
+from repro.platforms import make_job
+from repro.runtime import run_job
 from repro.sim import Environment
 
 
@@ -401,3 +405,59 @@ def test_cluster_inject_faults_convenience():
     inj = cluster.inject_faults("drop=0.5,seed=3")
     assert isinstance(inj, FaultInjector)
     assert inj.spec.drop == 0.5
+
+
+def _reliable_pingpong(faults, iters=50, landed=None):
+    """An 8 B notified PUT ping-pong with reliability armed, under
+    ``faults`` (None: no injector); ``landed`` collects each remote
+    record's fields as the progress engine dispatches it.  Returns the
+    record pool's accounting."""
+    job = make_job("th-xy", 2, seed=3)
+    if faults is not None:
+        FaultInjector.attach(job.cluster, FaultSpec.parse(faults, seed=5))
+    unr = Unr(job, "glex", reliability=True)
+    if landed is not None:
+        for eng in unr.engines:
+            def spy(node, rec, _handle=eng.handlers["put_remote"]):
+                landed.append((rec.kind, rec.custom, rec.payload, rec.token))
+                _handle(node, rec)
+            eng.register("put_remote", spy)
+
+    def program(ctx):
+        ep = unr.endpoint(ctx.rank)
+        sig = ep.sig_init(1)
+        blk = ep.blk_init(ep.mem_reg(np.zeros(8, dtype=np.uint8)), 0, 8, signal=sig)
+        rmt = yield from ep.exchange_blk(1 - ctx.rank, blk)
+        for _ in range(iters):
+            if ctx.rank == 0:
+                ep.put(blk, rmt, local_signal=None)
+            yield from ep.sig_wait(sig)
+            ep.sig_reset(sig)
+            if ctx.rank == 1:
+                ep.put(blk, rmt, local_signal=None)
+
+    run_job(job, program)
+    return record_pool_stats()
+
+
+def test_attached_injector_leaves_the_record_pool_recycling():
+    """A fault-free schedule lands each pool-owned remote record itself,
+    so dispatch recycles it exactly as without an injector."""
+    clean = _reliable_pingpong(None)
+    assert clean["recycled"] == 100 and clean["misses"] == 1
+    assert _reliable_pingpong("drop=0,dup=0") == clean
+
+
+def test_duplicated_record_lands_whole_both_times():
+    """Under dup=1.0 the first landing is a copy and the last the
+    original, so neither reads a record dispatch already recycled."""
+    landed = []
+    _reliable_pingpong("dup=1.0", landed=landed)
+    assert len(landed) == 200
+    by_token = {}
+    for kind, custom, payload, token in landed:
+        assert token is not None
+        by_token.setdefault(token, []).append((kind, custom, payload))
+    assert len(by_token) == 100
+    assert all(len(pair) == 2 and pair[0] == pair[1] and pair[0][0] == "put_remote"
+               for pair in by_token.values())

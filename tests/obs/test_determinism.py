@@ -37,7 +37,7 @@ def test_observation_keeps_latency_result_identical():
 
 #: sha256 of everything the 16 observed corpus runs record.
 #: A change here means observation wrote something different down.
-OBSERVED_CORPUS_DIGEST = "a7b7132c9c3eb4e2e3be3bdd749eda4295154abb1adad21eff52d69b262d698c"
+OBSERVED_CORPUS_DIGEST = "a694ff4c407c1a4004d00c6d2e9dcf92c7c44cf37fcf984a8841905138bd2aa4"
 
 #: the kernel's event count, which the digest above embeds, of the four
 #: observed ``fault_stress`` runs (69 / 69 / 69 / 121 while each reliable

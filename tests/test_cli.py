@@ -39,6 +39,26 @@ def test_paper_table1_from_any_directory(tmp_path, capsys, monkeypatch):
     assert "paper: 10 claims: 10 GO, 0 DEVIATION, 0 NO-GO" in out
 
 
+def test_paper_one_claim_runs_only_its_points(capsys, monkeypatch):
+    import repro.bench.paper as paper
+
+    def no_powerllel(*args, **kwargs):
+        raise AssertionError("a PowerLLEL point ran")
+
+    monkeypatch.setattr(paper, "powerllel_point", no_powerllel)
+    assert main(["paper", "--only", "table2.glex.level"]) == 0
+    out = capsys.readouterr().out
+    assert "Table II" in out and "Level-3" not in out  # the claim, not the table
+    assert "paper: 1 claims: 1 GO, 0 DEVIATION, 0 NO-GO" in out
+
+
+def test_paper_only_lists_the_figures(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["paper", "--only", "nope"])
+    assert excinfo.value.code == 2
+    assert "table1, table2, table3, fig4, fig5, fig6, fig7" in capsys.readouterr().err
+
+
 def test_fingerprints_find_their_corpus_from_any_directory(tmp_path, capsys, monkeypatch):
     import repro.bench.fingerprints as fingerprints
 
@@ -230,6 +250,7 @@ def test_chaos_exit_code_covers_the_overhead_cap(tmp_path, capsys, monkeypatch):
     ["powerllel", "--steps", "0"],
     ["powerllel", "--py", "0"],
     ["paper", "--only", "nope"],
+    ["paper", "--only", "table2.glex.level", "--write"],  # a claim is not a whole figure
     ["faults", "--iters", "0"],
     ["faults", "--nodes", "3"],
     ["trace", "--size", "0"],
