@@ -4,23 +4,10 @@ The paper's tables and figures are computed once per session by the
 claims ledger (the ``ledger`` fixture, checked by
 ``test_paper_claims.py``) from one store of points (``points``).  The
 other benchmarks measure *simulated* time too (who wins, by what
-factor); ``benchmark()`` wraps their run so the harness also tracks
-host-side cost.
+factor); host time is ``perfbench``'s to measure.
 """
 
 import pytest
-
-
-def record(benchmark, fn, *args, **kwargs):
-    """Run ``fn`` once under pytest-benchmark and return its result."""
-    box = {}
-
-    def wrapper():
-        box["result"] = fn(*args, **kwargs)
-        return box["result"]
-
-    benchmark.pedantic(wrapper, rounds=1, iterations=1)
-    return box["result"]
 
 
 @pytest.fixture(scope="session")

@@ -8,14 +8,13 @@ Not a paper figure — these isolate the contribution of each mechanism:
 * Level-0 ordered-message scheme overhead vs custom bits.
 """
 
-from conftest import record
 from repro.bench import format_table, powerllel_point, unr_pingpong
 from repro.core import PollingConfig, Unr
 from repro.platforms import get_platform, make_job
 from repro.powerllel import PowerLLELConfig, run_powerllel
 
 
-def test_ablation_striping(benchmark, emit):
+def test_ablation_striping(emit):
     """Multi-NIC striping halves large-message latency on TH-XY."""
 
     def run():
@@ -47,7 +46,7 @@ def test_ablation_striping(benchmark, emit):
             out[rails] = t["x"]
         return out
 
-    out = record(benchmark, run)
+    out = run()
     emit(
         "Ablation: MMAS striping (4 MiB PUT on TH-XY)",
         f"1 rail: {out[1]*1e6:.1f} us   2 rails: {out[2]*1e6:.1f} us   "
@@ -56,7 +55,7 @@ def test_ablation_striping(benchmark, emit):
     assert 1.6 < out[1] / out[2] < 2.2  # ~2x from two rails
 
 
-def test_ablation_pipeline_depth(benchmark, emit):
+def test_ablation_pipeline_depth(emit):
     """Slab pipelining: deeper pipelines hide more transpose time."""
 
     def run():
@@ -66,16 +65,15 @@ def test_ablation_pipeline_depth(benchmark, emit):
             for s in (1, 4, 8)
         }
 
-    times = record(benchmark, run)
+    times = run()
     emit(
         "Ablation: transpose pipeline depth (HPC-RoCE PowerLLEL)",
         format_table(["slabs", "time (s)"], [[s, t] for s, t in times.items()]),
     )
     assert times[4] < times[1]  # pipelining helps
-    benchmark.extra_info["times"] = {str(k): v for k, v in times.items()}
 
 
-def test_ablation_level4_offload_app(benchmark, emit):
+def test_ablation_level4_offload_app(emit):
     """Level-4 NIC atomic add removes the polling thread: the freed CPU
     shows up as application speedup (the co-design's payoff)."""
 
@@ -91,7 +89,7 @@ def test_ablation_level4_offload_app(benchmark, emit):
             out[offload] = run_powerllel(job, cfg, backend="unr", unr=unr)["time"]
         return out
 
-    out = record(benchmark, run)
+    out = run()
     emit(
         "Ablation: Level-4 hardware offload (TH-XY PowerLLEL)",
         f"polled: {out[False]*1e3:.2f} ms   hw atomic add: {out[True]*1e3:.2f} ms   "
@@ -100,7 +98,7 @@ def test_ablation_level4_offload_app(benchmark, emit):
     assert out[True] <= out[False]  # never worse without the polling thread
 
 
-def test_ablation_level0_overhead(benchmark, emit):
+def test_ablation_level0_overhead(emit):
     """The Level-0 ordered-message scheme pays extra latency per PUT
     versus hardware custom bits (Table I: 'correctness only')."""
 
@@ -151,7 +149,7 @@ def test_ablation_level0_overhead(benchmark, emit):
             out[bits] = t["x"]
         return out
 
-    out = record(benchmark, run)
+    out = run()
     emit(
         "Ablation: Level-0 ordered-message notification vs custom bits "
         "(64 x 4 KiB burst)",

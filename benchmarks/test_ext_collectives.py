@@ -10,7 +10,6 @@ rendezvous handshakes.
 import numpy as np
 import pytest
 
-from conftest import record
 from repro.bench import format_table
 from repro.collectives import UnrCollectives
 from repro.core import Unr
@@ -75,7 +74,7 @@ def time_mpi(op, platform, n, chunk, iters=8):
 OPS = ["barrier", "bcast", "allgather", "alltoall"]
 
 
-def test_ext_collectives_report(benchmark, emit):
+def test_ext_collectives_report(emit):
     def run():
         rows = []
         for op in OPS:
@@ -85,7 +84,7 @@ def test_ext_collectives_report(benchmark, emit):
             rows.append([op, mpi_t * 1e6, unr_t * 1e6, mpi_t / unr_t])
         return rows
 
-    rows = record(benchmark, run)
+    rows = run()
     emit(
         "Extension: UNR-based collectives vs MPI (TH-2A, 8 ranks, 8 KiB)",
         format_table(["op", "MPI (us)", "UNR (us)", "speedup"], rows),
@@ -97,11 +96,11 @@ def test_ext_collectives_report(benchmark, emit):
 
 
 @pytest.mark.parametrize("op", OPS)
-def test_ext_collectives_correct_under_timing(benchmark, op):
+def test_ext_collectives_correct_under_timing(op):
     """Each collective completes and is reusable at realistic scale."""
 
     def run():
         return time_unr(op, "hpc-ib", 6, 4096, iters=4)
 
-    t = record(benchmark, run)
+    t = run()
     assert t > 0

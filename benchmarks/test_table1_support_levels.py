@@ -11,7 +11,6 @@ signal budget, multi-channel support) is the ledger's
 import numpy as np
 import pytest
 
-from conftest import record
 from repro.bench.paper import TABLE1_LEVELS, synthetic_channel
 from repro.core import Unr
 from repro.runtime import run_job
@@ -49,15 +48,13 @@ def notified_pingpong(job, unr, size=65536, iters=4):
 
 
 @pytest.mark.parametrize("bits,offload,level", TABLE1_LEVELS)
-def test_level_pingpong_correct(benchmark, bits, offload, level):
+def test_level_pingpong_correct(bits, offload, level):
     """Every support level must deliver correct data + notification."""
     job, channel = synthetic_channel(bits, offload)
     unr = Unr(job, channel)
     assert unr.level == level
-    data = record(benchmark, notified_pingpong, job, unr)
+    data = notified_pingpong(job, unr)
     np.testing.assert_array_equal(data, np.arange(65536, dtype=np.uint8))
-    benchmark.extra_info["level"] = level
-    benchmark.extra_info["ctrl_msgs"] = unr.stats.get("ctrl_msgs", 0)
     if level == 0:
         # Level 0 uses the extra order-preserving (p, a) message.
         assert unr.stats["ctrl_msgs"] >= 4
@@ -69,7 +66,7 @@ def test_level_pingpong_correct(benchmark, bits, offload, level):
         assert unr.engines
 
 
-def test_level2_mode2_enables_striping(benchmark):
+def test_level2_mode2_enables_striping():
     """Table I level 2 mode 2: user-split x bits for p enables limited
     multi-channel aggregation."""
     job, channel = synthetic_channel(32, False)
@@ -79,6 +76,6 @@ def test_level2_mode2_enables_striping(benchmark):
         data = notified_pingpong(job, unr, size=1 << 18, iters=2)
         return unr, data
 
-    unr, data = record(benchmark, run)
+    unr, data = run()
     np.testing.assert_array_equal(data, np.arange(1 << 18, dtype=np.uint8))
     assert unr.stats["fragments"] > unr.stats["puts"]

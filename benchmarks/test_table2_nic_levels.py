@@ -8,7 +8,6 @@ record alone; the matrix and levels themselves are the ledger's
 
 import pytest
 
-from conftest import record
 from repro.bench.paper import TABLE2_LEVELS
 from repro.core import Unr
 from repro.interconnect import TABLE_II, ChannelError, RmaChannel
@@ -26,7 +25,7 @@ def make_job():
 
 
 @pytest.mark.parametrize("name", sorted(TABLE_II))
-def test_channel_enforces_width(benchmark, name):
+def test_channel_enforces_width(name):
     """Each interface's channel rejects custom bits wider than its hardware field."""
     job = make_job()
 
@@ -41,11 +40,11 @@ def test_channel_enforces_width(benchmark, name):
         except ChannelError:
             return True
 
-    assert record(benchmark, run)
+    assert run()
 
 
 @pytest.mark.parametrize("name", sorted(TABLE_II))
-def test_unr_auto_configures_from_capability(benchmark, name):
+def test_unr_auto_configures_from_capability(name):
     """UNR derives its level/encoding purely from the capability record."""
     job = make_job()
 
@@ -53,7 +52,7 @@ def test_unr_auto_configures_from_capability(benchmark, name):
         unr = Unr(job, name)
         return unr.level, unr.sid_capacity
 
-    level, capacity = record(benchmark, run)
+    level, capacity = run()
     assert level == TABLE2_LEVELS[name]
     if name == "utofu":
         assert capacity == 256  # 8-bit pointer: "maximum number of signals is limited"

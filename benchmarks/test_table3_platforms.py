@@ -5,11 +5,10 @@ Sanity-checks the platform registry against the paper's row values
 (``repro paper --only table3``).
 """
 
-from conftest import record
 from repro.platforms import PLATFORMS, get_platform
 
 
-def test_platform_values_match_paper(benchmark):
+def test_platform_values_match_paper():
     def check():
         th_xy = get_platform("th-xy")
         assert th_xy.nic.bandwidth_gbps == 200.0 and th_xy.node.nics == 2
@@ -24,10 +23,10 @@ def test_platform_values_match_paper(benchmark):
         assert roce.nic.bandwidth_gbps == 25.0 and roce.max_nodes == 12
         return True
 
-    assert record(benchmark, check)
+    assert check()
 
 
-def test_every_platform_builds_a_cluster(benchmark):
+def test_every_platform_builds_a_cluster():
     from repro.sim import Environment
 
     def build():
@@ -37,6 +36,6 @@ def test_every_platform_builds_a_cluster(benchmark):
             sizes[name] = (cluster.n_nodes, cluster.node(0).n_rails)
         return sizes
 
-    sizes = record(benchmark, build)
+    sizes = build()
     assert sizes["th-xy"] == (4, 2)
     assert sizes["hpc-ib"] == (4, 1)

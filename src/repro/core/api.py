@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import warnings
 from collections import Counter
-from typing import TYPE_CHECKING, Any, Generator, List, Optional, Set, Union
+from typing import TYPE_CHECKING, Any, Generator, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -63,6 +63,21 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["Unr", "UnrEndpoint"]
 
 _UNSET = object()
+
+
+def notified_sids(
+    local_blk: Blk, remote_blk: Blk, remote_sid: Any = _UNSET, local_signal: Any = _UNSET
+) -> Tuple[Optional[int], Optional[int]]:
+    """``(rsid, lsid)``: the signals a post notifies.  Its blocks' own,
+    unless the call overrides one — ``remote_sid`` a target-side signal
+    id, ``local_signal`` a local :class:`Signal`, either ``None`` for
+    no notification on that side."""
+    rsid = remote_blk.signal_sid if remote_sid is _UNSET else remote_sid
+    if local_signal is _UNSET:
+        lsid = local_blk.signal_sid
+    else:
+        lsid = None if local_signal is None else local_signal.sid
+    return rsid, lsid
 
 
 class Unr:
@@ -123,9 +138,11 @@ class Unr:
         :class:`~repro.core.errors.UnrPeerDeadError` only when the
         fallback lane is dead too (fail-stop node crash).  ``True``
         arms it (the breaker constants live in
-        :mod:`repro.core.health`); off by default.  Healthy armed runs
-        are trace-fingerprint-identical to disarmed ones (the breakers
-        are passive until something fails).
+        :mod:`repro.core.health`) and needs ``reliability=True``: the
+        degradation rests on the watchdog's idempotence tokens, so
+        ``health=True`` alone raises :class:`UnrUsageError`; off by
+        default.  Healthy armed runs are trace-fingerprint-identical to
+        disarmed ones (the breakers are passive until something fails).
 
     A synchronization error found by ``sig_reset`` or an event overflow
     found by ``sig_wait`` counts its stat and warns
@@ -157,6 +174,11 @@ class Unr:
         self._fallback_channel: Optional[MpiFallbackChannel] = (
             channel if isinstance(channel, MpiFallbackChannel) else None
         )
+        if health and not reliability:
+            raise UnrUsageError(
+                "health=True needs reliability=True: degrading to the fallback "
+                "lane rests on the watchdog's idempotence tokens"
+            )
         if stripe_threshold < 0:
             raise UnrUsageError("stripe_threshold must be >= 0")
         if max_stripe_rails is not None and max_stripe_rails < 1:
@@ -642,11 +664,7 @@ class UnrEndpoint:
         when the source buffer is reusable.  Either can be overridden
         per-call (``remote_sid`` — the target-side signal id;
         ``local_signal`` — a local :class:`Signal`)."""
-        rsid = dst_blk.signal_sid if remote_sid is _UNSET else remote_sid
-        if local_signal is _UNSET:
-            lsid = src_blk.signal_sid
-        else:
-            lsid = None if local_signal is None else local_signal.sid
+        rsid, lsid = notified_sids(src_blk, dst_blk, remote_sid, local_signal)
         engine = self.unr.engine
         engine.post_op(engine.prepare_put(self.rank, src_blk, dst_blk, rsid, lsid))
 
@@ -665,11 +683,7 @@ class UnrEndpoint:
         signal bound to ``remote_blk`` fires at the target when the read
         completes (where the interface supports GET-remote custom bits —
         elsewhere UNR sends a Level-0 control message after arrival)."""
-        rsid = remote_blk.signal_sid if remote_sid is _UNSET else remote_sid
-        if local_signal is _UNSET:
-            lsid = local_blk.signal_sid
-        else:
-            lsid = None if local_signal is None else local_signal.sid
+        rsid, lsid = notified_sids(local_blk, remote_blk, remote_sid, local_signal)
         engine = self.unr.engine
         engine.post_op(engine.prepare_get(self.rank, local_blk, remote_blk, rsid, lsid))
 

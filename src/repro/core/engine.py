@@ -84,6 +84,7 @@ def _target_label(rail: int) -> str:
 AddSpec = Tuple[int, int, int]
 
 
+@dataclass(slots=True, eq=False)
 class StripePlan:
     """One pre-validated fragment of a :class:`TransferOp`.
 
@@ -92,12 +93,11 @@ class StripePlan:
     applied in software.  Only the payload snapshot and the idempotence
     tokens are per-post.
 
-    A plain slotted class filled positionally — one is built per
-    fragment per PUT, and a frozen dataclass pays an
-    ``object.__setattr__`` per field.  Immutable by convention: only
-    ``prepare_put`` / ``prepare_get`` construct one, nothing writes a
-    field afterwards, and a retransmit reads the very object its first
-    attempt read.
+    Immutable by convention: only :meth:`TransferEngine._carriage`
+    constructs one, nothing writes a field afterwards, and a retransmit
+    reads the very object its first attempt read (not ``frozen``: a
+    frozen dataclass pays an ``object.__setattr__`` per field, and one
+    is built per fragment per PUT).
 
     ``view`` is the destination byte view written on delivery (``None``
     when either side of the transfer is a virtual region — geometry
@@ -112,40 +112,18 @@ class StripePlan:
     and the drain protocol discharges them for cancelled fragments.
     """
 
-    __slots__ = (
-        "index", "rail", "offset", "size", "view",
-        "remote_custom", "local_custom",
-        "remote_add", "local_action_add", "local_done_add",
-        "remote_sig", "local_sig",
-    )
-
-    def __init__(
-        self,
-        index: int,
-        rail: int,
-        offset: int,
-        size: int,
-        view: Any = None,
-        remote_custom: Optional[int] = None,
-        local_custom: Optional[int] = None,
-        remote_add: Optional[AddSpec] = None,
-        local_action_add: Optional[AddSpec] = None,
-        local_done_add: Optional[AddSpec] = None,
-        remote_sig: Optional[AddSpec] = None,
-        local_sig: Optional[AddSpec] = None,
-    ) -> None:
-        self.index = index
-        self.rail = rail
-        self.offset = offset
-        self.size = size
-        self.view = view
-        self.remote_custom = remote_custom
-        self.local_custom = local_custom
-        self.remote_add = remote_add
-        self.local_action_add = local_action_add
-        self.local_done_add = local_done_add
-        self.remote_sig = remote_sig
-        self.local_sig = local_sig
+    index: int
+    rail: int
+    offset: int
+    size: int
+    view: Any = None
+    remote_custom: Optional[int] = None
+    local_custom: Optional[int] = None
+    remote_add: Optional[AddSpec] = None
+    local_action_add: Optional[AddSpec] = None
+    local_done_add: Optional[AddSpec] = None
+    remote_sig: Optional[AddSpec] = None
+    local_sig: Optional[AddSpec] = None
 
     def __repr__(self) -> str:
         return (
@@ -183,6 +161,9 @@ class TransferOp:
     src_bytes: Any = None
     #: GET only: remote-side fetch closure (``None`` for virtual runs).
     fetch: Optional[Callable[[], Any]] = None
+    #: GET only: a local done-add or a Level-0 tail waits for the read
+    #: to complete (see :meth:`TransferEngine._hang_get_tails`).
+    tails: bool = False
     #: ctrl only: out-of-band payload + delivery callback…
     payload: Any = None
     on_deliver: Optional[Callable[[Any], None]] = None
@@ -244,7 +225,7 @@ class TransferEngine:
         #: message), and each watchdog retransmit — and returns the
         #: delivery callback a first post goes out with.  ``None``: off.
         self.on_post: Optional[Callable[..., Any]] = None
-        #: rail failovers taken by :meth:`_live_rail`
+        #: rail failovers :meth:`_next_rail` took with health disarmed
         self.n_failovers = 0
         #: (node, sid) a drained fragment owed a tokenless Level-0
         #: notification: a shortfall there is accounted for, not leaked.
@@ -286,8 +267,7 @@ class TransferEngine:
         software = unr.channel.software_notify
         rpol = unr.put_remote_policy
         lpol = unr.put_local_policy
-        degraded_r = rsid is not None and rsid >= unr.sid_capacity
-        ctrl_remote = rsid is not None and (rpol.level == 0 or degraded_r) and not software
+        ctrl_remote = self._ctrl_remote(rsid, rpol, software)
         # Striping requires hardware addend bits on every side that
         # carries a signal, and non-degraded signal ids.
         multi_ok = (
@@ -308,43 +288,12 @@ class TransferEngine:
         dst_bytes = dst_mr.slice(dst_blk.offset, size)
         if src_bytes is None or dst_bytes is None:
             src_bytes = dst_bytes = None  # virtual on either side: geometry only
-        # The ordered Level-0 lane and the MPI fallback are already
-        # reliable (exactly-once, in order); only unordered RDMA
-        # fragments need the watchdog.
-        reliable = unr.reliability and not software and not ctrl_remote
-
-        notify_remote = rsid is not None and not ctrl_remote
-        remote_in_action = software or rpol.hw_offload
-        plans: List[StripePlan] = []
-        for index, rail, offset, nbytes, addend in shape:
-            remote_custom = local_custom = None
-            remote_add = local_action_add = local_done_add = None
-            remote_sig = local_sig = None
-            if notify_remote:
-                remote_sig = (dst_node, rsid, addend)
-                if remote_in_action:
-                    remote_add = remote_sig
-                else:
-                    remote_custom = encode_custom(rsid, addend, rpol)
-            if lsid is not None:
-                local_sig = (src_node, lsid, addend)
-                if software:
-                    local_action_add = local_sig
-                elif lpol.level == 0:
-                    local_done_add = local_sig
-                elif lpol.hw_offload:
-                    local_action_add = local_sig
-                else:
-                    local_custom = encode_custom(lsid, addend, lpol)
-            plans.append(
-                StripePlan(
-                    index, rail, offset, nbytes,
-                    None if dst_bytes is None else dst_bytes[offset : offset + nbytes],
-                    remote_custom, local_custom,
-                    remote_add, local_action_add, local_done_add,
-                    remote_sig, local_sig,
-                )
-            )
+        wire_rsid = None if ctrl_remote else rsid
+        stripes = tuple([
+            self._carriage(row, dst_bytes, software,
+                           wire_rsid, dst_node, rpol, lsid, src_node, lpol)
+            for row in shape
+        ])
         return TransferOp(
             kind="put",
             src_rank=src_rank, dst_rank=dst_rank,
@@ -352,8 +301,12 @@ class TransferEngine:
             nbytes=size,
             local_blk=src_blk, remote_blk=dst_blk,
             rsid=rsid, lsid=lsid,
-            software=software, ctrl_remote=ctrl_remote, reliable=reliable,
-            stripes=tuple(plans),
+            software=software, ctrl_remote=ctrl_remote,
+            # The ordered Level-0 lane and the MPI fallback are already
+            # reliable (exactly-once, in order); only unordered RDMA
+            # fragments need the watchdog.
+            reliable=unr.reliability and not software and not ctrl_remote,
+            stripes=stripes,
             src_bytes=src_bytes,
         )
 
@@ -424,52 +377,87 @@ class TransferEngine:
 
         software = unr.channel.software_notify
         rpol = unr.get_remote_policy
-        lpol = unr.get_local_policy
-        ctrl_remote = rsid is not None and (
-            rpol.level == 0 or rsid >= unr.sid_capacity
-        ) and not software
-
-        remote_view = remote_mr.slice(remote_blk.offset, remote_blk.size)
-        local_view = local_mr.slice(local_blk.offset, local_blk.size)
+        ctrl_remote = self._ctrl_remote(rsid, rpol, software)
+        size = local_blk.size
+        remote_view = remote_mr.slice(remote_blk.offset, size)
+        local_view = local_mr.slice(local_blk.offset, size)
         virtual = remote_view is None or local_view is None
-        reliable = unr.reliability and not software
-
-        remote_custom = local_custom = None
-        remote_add = local_action_add = local_done_add = None
-        if rsid is not None and not ctrl_remote:
-            if software or rpol.hw_offload:
-                remote_add = (remote_node, rsid, -1)
-            else:
-                remote_custom = encode_custom(rsid, -1, rpol)
-        if lsid is not None:
-            add = (src_node, lsid, -1)
-            if software or lpol.hw_offload:
-                local_action_add = add
-            elif lpol.level == 0:
-                # No local custom bits: apply the add when the read
-                # completes (post-completion callback).
-                local_done_add = add
-            else:
-                local_custom = encode_custom(lsid, -1, lpol)
-        stripe = StripePlan(
-            0, 0, 0, local_blk.size,
-            None if virtual else local_view,
-            remote_custom, local_custom,
-            remote_add, local_action_add, local_done_add,
-            (remote_node, rsid, -1)
-            if (rsid is not None and not ctrl_remote) else None,
-            (src_node, lsid, -1) if lsid is not None else None,
+        sp = self._carriage(
+            (0, 0, 0, size, -1), None if virtual else local_view, software,
+            None if ctrl_remote else rsid, remote_node, rpol,
+            lsid, src_node, unr.get_local_policy,
         )
         return TransferOp(
             kind="get",
             src_rank=src_rank, dst_rank=remote_blk.rank,
             src_node=src_node, dst_node=remote_node,
-            nbytes=local_blk.size,
+            nbytes=size,
             local_blk=local_blk, remote_blk=remote_blk,
             rsid=rsid, lsid=lsid,
-            software=software, ctrl_remote=ctrl_remote, reliable=reliable,
-            stripes=(stripe,),
+            software=software, ctrl_remote=ctrl_remote,
+            reliable=unr.reliability and not software,
+            stripes=(sp,),
             fetch=None if virtual else (lambda: remote_view.copy()),
+            tails=sp.local_done_add is not None or ctrl_remote,
+        )
+
+    # -- carriage: how each side's notification travels (Table I) ---------
+    def _ctrl_remote(self, rsid: Optional[int], rpol: LevelPolicy, software: bool) -> bool:
+        """Does the remote notification travel as a trailing Level-0
+        ordered message?  At a Level-0 remote side, or for a signal id
+        past what the pointer bits address — unless the channel
+        notifies in software anyway."""
+        return rsid is not None and not software and (
+            rpol.level == 0 or rsid >= self.unr.sid_capacity
+        )
+
+    @staticmethod
+    def _carriage(
+        row: Tuple[int, int, int, int, int],
+        dst_bytes: Any,
+        software: bool,
+        rsid: Optional[int],
+        remote_node: int,
+        rpol: LevelPolicy,
+        lsid: Optional[int],
+        local_node: int,
+        lpol: LevelPolicy,
+    ) -> StripePlan:
+        """The :class:`StripePlan` of one fragment ``row`` = ``(index,
+        rail, offset, size, addend)``, landing in its slice of
+        ``dst_bytes`` (``None``: geometry only).
+
+        Each side's ``(node, sid, addend)`` travels one way: as an add in
+        the channel's action (software notify, or Level-4 offload at that
+        side), as a Level-0 local side's add when the send completes (no
+        custom bits to carry it), or as the side's encoded custom bits.
+        ``rsid`` is ``None`` when the remote side carries nothing: no
+        signal, or a :meth:`_ctrl_remote` tail.  Level 0 never offloads,
+        so the local side's test order is immaterial."""
+        index, rail, offset, size, addend = row
+        remote_custom = local_custom = None
+        remote_add = local_action_add = local_done_add = None
+        remote_sig = local_sig = None
+        if rsid is not None:
+            remote_sig = (remote_node, rsid, addend)
+            if software or rpol.hw_offload:
+                remote_add = remote_sig
+            else:
+                remote_custom = encode_custom(rsid, addend, rpol)
+        if lsid is not None:
+            local_sig = (local_node, lsid, addend)
+            if software or lpol.hw_offload:
+                local_action_add = local_sig
+            elif lpol.level == 0:
+                local_done_add = local_sig
+            else:
+                local_custom = encode_custom(lsid, addend, lpol)
+        return StripePlan(
+            index, rail, offset, size,
+            None if dst_bytes is None else dst_bytes[offset : offset + size],
+            remote_custom, local_custom,
+            remote_add, local_action_add, local_done_add,
+            remote_sig, local_sig,
         )
 
     def prepare_ctrl(
@@ -536,8 +524,8 @@ class TransferEngine:
         payload capture, rail choice, :attr:`on_post`, first attempt
         and — for a reliable op — the fragment's watchdog.
 
-        The optional tiers are entered only when armed: the health gate
-        with ``unr.health``, the watchdog with a reliable op.
+        The optional tiers are entered only when armed: the peer-alive
+        check with ``unr.health``, the watchdog with a reliable op.
         """
         unr = self.unr
         reliable = op.reliable
@@ -550,29 +538,37 @@ class TransferEngine:
         # were then.
         payload = None if src is None else src[sp.offset : sp.offset + sp.size].copy()
         if not reliable:
+            # Health needs reliability, so an unreliable post under it is
+            # a single fragment on the software or an ordered lane:
+            # it dies only with the peer.
+            if unr.health is not None:
+                self._check_peer_alive(op)
             view = sp.view
             deliver = None if view is None else self._write_view(view)
-            first = sp.rail if unr.health is None else self._gate_unreliable(op, sp)
             if self.on_post is not None:
-                deliver = self.on_post(op, sp, first, 0, rtok, ltok, deliver)
-            done = self._attempt(op, sp, payload, deliver, rtok, ltok, first)
-            if op.kind == "get":
+                deliver = self.on_post(op, sp, sp.rail, 0, rtok, ltok, deliver)
+            done = self._attempt(op, sp, payload, deliver, rtok, ltok, sp.rail)
+            if op.tails:
                 self._hang_get_tails(op, sp, ltok, done)
             return
-        first = self._route(op, sp)
+        first = self._next_rail(op, sp.rail)
+        if first is None:
+            raise self._peer_dead(
+                op, sp.size,
+                "peer is dead (no live RMA rail and the fallback lane is down)",
+            )
         # A GET's tails hang on its first delivery, however many
         # attempts that takes; nothing else listens for it.
-        tails = op.kind == "get" and (sp.local_done_add is not None or op.ctrl_remote)
         self._n_fids += 1
         frag = _Fragment(
-            self._n_fids, op, sp, self.env.event() if tails else None, payload,
+            self._n_fids, op, sp, self.env.event() if op.tails else None, payload,
             None, rtok, ltok, first, [(first, self.env.now)],
         )
         deliver = self._delivery(frag)
         if self.on_post is not None:
             deliver = self.on_post(op, sp, first, 0, rtok, ltok, deliver)
         frag.deliver = deliver
-        if tails:
+        if op.tails:
             self._hang_get_tails(op, sp, ltok, frag.done)
         self._inflight[frag.fid] = frag
         self._attempt(op, sp, payload, deliver, rtok, ltok, first)
@@ -611,70 +607,56 @@ class TransferEngine:
 
         The first post and every watchdog retransmit come through here
         with the same plan, payload snapshot, delivery callback and
-        idempotence tokens; only the rail moves.  The completion event
-        is asked for only where it is listened to: a PUT's
-        send-completion add, or the tails of an unreliable GET (a
-        reliable GET hangs them on its first delivery instead).
+        idempotence tokens; only the rail moves.  The fallback lane
+        takes rail 0 and applies both notifications in software from the
+        raw specs, with the same tokens.  The completion event is asked
+        for only where it is listened to: a PUT's send-completion add,
+        or the tails of an unreliable GET (a reliable GET hangs them on
+        its first delivery instead).
         """
         unr = self.unr
-        is_get = op.kind == "get"
-        local_done_add = sp.local_done_add
-        get_tails = is_get and not op.reliable and (
-            local_done_add is not None or op.ctrl_remote
-        )
-        if rail == FALLBACK_RAIL:
-            # Degraded attempt over the MPI lane: the notifications are
-            # applied in software from the raw specs, with the same tokens.
+        if rail != FALLBACK_RAIL:
+            channel = unr.channel
+            remote_custom, local_custom = sp.remote_custom, sp.local_custom
+            remote_add, local_add = sp.remote_add, sp.local_action_add
+            done_add = sp.local_done_add
+        else:
             unr.stats["fallback_posts"] += 1
-            remote_action = self._add_action(sp.remote_sig, rtok)
-            local_action = self._add_action(sp.local_sig, ltok)
-            if is_get:  # emulated: request out, data back
-                return unr._fallback().get(
-                    op.src_rank, op.dst_rank, sp.size,
-                    fetch=op.fetch, on_deliver=deliver,
-                    remote_action=remote_action, local_action=local_action,
-                    remote_token=rtok, local_token=ltok, done=get_tails,
-                )
-            # The local add rides in local_action: nothing hangs on done.
-            return unr._fallback().put(
-                op.src_rank, op.dst_rank, sp.size,
-                payload=payload, on_deliver=deliver,
-                remote_action=remote_action, local_action=local_action,
-                remote_token=rtok, local_token=ltok, done=False,
-            )
-        remote_add = sp.remote_add
-        local_add = sp.local_action_add
+            channel, rail = unr._fallback(), 0
+            remote_custom = local_custom = done_add = None
+            remote_add, local_add = sp.remote_sig, sp.local_sig
         remote_action = None if remote_add is None else self._add_action(remote_add, rtok)
         local_action = None if local_add is None else self._add_action(local_add, ltok)
-        if is_get:
-            return unr.channel.get(
+        if op.kind == "get":
+            return channel.get(
                 op.src_rank, op.dst_rank, sp.size,
                 fetch=op.fetch, on_deliver=deliver,
-                remote_custom=sp.remote_custom, local_custom=sp.local_custom,
+                remote_custom=remote_custom, local_custom=local_custom,
                 remote_action=remote_action, local_action=local_action,
-                rail=rail, remote_token=rtok, local_token=ltok, done=get_tails,
+                rail=rail, remote_token=rtok, local_token=ltok,
+                done=op.tails and not op.reliable,
             )
-        done = unr.channel.put(
+        done = channel.put(
             op.src_rank, op.dst_rank, sp.size,
             payload=payload, on_deliver=deliver,
-            remote_custom=sp.remote_custom, local_custom=sp.local_custom,
+            remote_custom=remote_custom, local_custom=local_custom,
             remote_action=remote_action, local_action=local_action,
             rail=rail,
             ordered=op.ctrl_remote,  # Level-0 data must stay ordered
-            remote_token=rtok, local_token=ltok, done=local_done_add is not None,
+            remote_token=rtok, local_token=ltok, done=done_add is not None,
         )
-        if local_done_add is not None:
+        if done_add is not None:
             # A PUT's send-completion add is armed once per attempt;
             # under retransmits the idempotence token keeps it single.
             assert done is not None
-            done.callbacks.append(self._add_callback(local_done_add, ltok))
+            done.callbacks.append(self._add_callback(done_add, ltok))
         return done
 
     def _post_ctrl(self, op: TransferOp) -> None:
         """Post one control message on the ordered lane: an out-of-band
         payload, or the Level-0 ``(p, a)`` of a signal notification."""
         unr = self.unr
-        self._check_ctrl_lane(op)
+        self._check_peer_alive(op)
         on_del = op.on_deliver
         if op.ctrl_sid is not None:
             unr.stats["ctrl_msgs"] += 1
@@ -758,11 +740,7 @@ class TransferEngine:
 
         return deliver
 
-    def _add_action(
-        self, spec: Optional[AddSpec], token: Optional[int]
-    ) -> Optional[Callable[[], None]]:
-        if spec is None:
-            return None
+    def _add_action(self, spec: AddSpec, token: Optional[int]) -> Callable[[], None]:
         unr = self.unr
         node, sid, addend = spec
         return lambda: unr._apply_add(node, sid, addend, token=token)
@@ -778,9 +756,10 @@ class TransferEngine:
         return lambda _e: self.post_op(self._ctrl_tail(op))
 
     # -- health / degradation routing -------------------------------------
-    def _check_ctrl_lane(self, op: TransferOp) -> None:
-        """The ordered lane is the last rung of the degradation ladder:
-        it only dies with the peer (fail-stop node crash)."""
+    def _check_peer_alive(self, op: TransferOp) -> None:
+        """The ordered and software lanes are the last rung of the
+        degradation ladder: they only die with the peer (fail-stop node
+        crash)."""
         health = self.unr.health
         if health is not None and health.fallback_dead(op.src_rank, op.dst_rank):
             raise self._peer_dead(op, op.nbytes, "peer is dead (ordered/fallback lane down)")
@@ -800,20 +779,25 @@ class TransferEngine:
     def _next_rail(
         self, op: TransferOp, preferred: int, *, degrade: bool = True
     ) -> Optional[int]:
-        """The rail-choice step of a *reliable* fragment, for its first
-        post and every re-post.
+        """The one rail chooser of a *reliable* fragment, for its first
+        post and every re-post: the first rail at or after ``preferred``
+        whose NICs are alive on both ends and, with health armed, whose
+        breaker admits traffic (:func:`~repro.core.health.scan_rails`).
 
-        Health disarmed: plain rail failover (:meth:`_live_rail`).
-        Health armed: the breaker-gated :meth:`HealthMonitor.live_rail`;
-        when it leaves no rail the fragment degrades to
+        When no rail qualifies: health disarmed, ``preferred`` itself
+        (the watchdog will then raise); armed, the fragment degrades to
         :data:`FALLBACK_RAIL` (counted by ``on_degraded`` when
         ``degrade``), and ``None`` means the fallback lane is dead too.
         """
         health = self.unr.health
         src_rank, dst_rank = op.src_rank, op.dst_rank
+        rail, hops = scan_rails(self.job, src_rank, dst_rank, preferred, health)
         if health is None:
-            return self._live_rail(src_rank, dst_rank, preferred)
-        rail = health.live_rail(src_rank, dst_rank, preferred)
+            if rail is None:
+                return preferred % hops  # all ``hops`` rails scanned were dead
+            if hops:
+                self.n_failovers += 1
+            return rail
         if rail is not None:
             return rail
         if health.fallback_dead(src_rank, dst_rank):
@@ -821,45 +805,6 @@ class TransferEngine:
         if degrade:
             health.on_degraded(src_rank, dst_rank, op.kind.upper())
         return FALLBACK_RAIL
-
-    def _route(self, op: TransferOp, sp: StripePlan) -> int:
-        """The target of a *reliable* fragment's first post;
-        :class:`UnrPeerDeadError` only when the RMA plane and the
-        fallback lane are both dead."""
-        rail = self._next_rail(op, sp.rail)
-        if rail is not None:
-            return rail
-        raise self._peer_dead(
-            op, sp.size,
-            "peer is dead (no live RMA rail and the fallback lane is down)",
-        )
-
-    def _gate_unreliable(self, op: TransferOp, sp: StripePlan) -> int:
-        """Health gate for *unreliable* posts (reliability disarmed, or
-        lanes that are reliable by construction).
-
-        Without the watchdog's idempotence tokens there is no token-safe
-        degradation, so a dark RMA plane is fail-fast: the post is
-        rejected with :class:`UnrPeerDeadError` carrying the op context
-        (``attempts`` empty — rejected before any transmission).
-        Software-notify and Level-0 ordered lanes are unaffected by rail
-        death and only fail with the peer.
-        """
-        health = self.unr.health
-        if health is None:
-            return sp.rail
-        if health.fallback_dead(op.src_rank, op.dst_rank):
-            raise self._peer_dead(op, sp.size, "peer is dead (fallback lane down)")
-        if op.software or op.ctrl_remote:
-            return sp.rail
-        rail = health.live_rail(op.src_rank, op.dst_rank, sp.rail)
-        if rail is None:
-            raise self._peer_dead(
-                op, sp.size,
-                "no live RMA rail and reliability is disarmed "
-                "(no token-safe degradation path)",
-            )
-        return rail
 
     # -- drain / quiesce protocol -----------------------------------------
     def drain(self, peer_rank: Optional[int] = None) -> int:
@@ -909,17 +854,6 @@ class TransferEngine:
         unr.stats["drained_fragments"] += 1
 
     # -- reliability layer ------------------------------------------------
-    def _live_rail(self, src_rank: int, dst_rank: int, preferred: int) -> int:
-        """First rail at or after ``preferred`` whose NICs are alive on
-        both ends (rail failover).  Falls back to ``preferred`` when
-        every rail is dead — the watchdog will then raise."""
-        rail, hops = scan_rails(self.job, src_rank, dst_rank, preferred)
-        if rail is None:
-            return preferred % hops  # all ``hops`` rails scanned were dead
-        if hops:
-            self.n_failovers += 1
-        return rail
-
     def _fragment_timeout(self, op: TransferOp, nbytes: int, fallback: bool = False) -> float:
         """The watchdog timeout of one attempt of an ``nbytes`` fragment
         of ``op``: the reliability policy's scaling of its no-contention
@@ -933,8 +867,8 @@ class TransferEngine:
         est = nic.msg_overhead + nic.latency + nbytes / nic.bandwidth + nic.rx_overhead
         if op.kind == "get":  # a round trip: the request goes out first
             est += nic.msg_overhead + nic.latency
-        cfg = getattr(self.unr._fallback(), "config", None) if fallback else None
-        if cfg is not None:
+        if fallback:
+            cfg = self.unr._fallback().config
             est += 2.0 * cfg.sw_overhead_us * US
             if nbytes > cfg.eager_threshold:
                 est += cfg.rendezvous_rtts * 2.0 * (nic.latency + nic.msg_overhead)

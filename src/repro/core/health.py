@@ -24,10 +24,10 @@ disarmed one):
   the two places failures are *observed*: watchdog timeouts/deliveries
   in :class:`~repro.core.engine.TransferEngine` and completion records
   swept by :class:`~repro.core.engine.ProgressEngine` (a record that
-  crossed the wire proves its path).  :meth:`HealthMonitor.live_rail`
-  is the breaker-gated rail selector the engine routes every post
-  through; when it returns ``None`` the engine degrades the op to the
-  fallback channel, and :class:`~repro.core.errors.UnrPeerDeadError`
+  crossed the wire proves its path).  Its breakers gate
+  :func:`scan_rails`, the rail scan behind the engine's one rail
+  chooser; when the scan leaves no rail the engine degrades the op to
+  the fallback channel, and :class:`~repro.core.errors.UnrPeerDeadError`
   is raised only when the fallback lane is dead too (node crash).
 
 The degradation ladder, in full::
@@ -36,8 +36,9 @@ The degradation ladder, in full::
       -> MPI fallback channel (same notification-token semantics)
         -> UnrPeerDeadError (fail-stop peer, op context attached)
 
-Armed with ``Unr(health=True)``; disarmed, the engine behaves exactly
-as before this module existed.
+Armed with ``Unr(reliability=True, health=True)`` (the degradation
+rests on the watchdog's idempotence tokens); disarmed, the engine
+behaves exactly as before this module existed.
 """
 
 from __future__ import annotations
@@ -88,7 +89,9 @@ def scan_rails(
     there is none.
 
     With a ``monitor`` the rail's breaker also has to admit traffic,
-    and a rail with an observably dead NIC trips its breaker.
+    and a rail with an observably dead NIC trips its breaker at once
+    (no vote needed): its recovery then always passes through a
+    half-open probe, never silently.
     """
     n_rails = min(job.node_of(src_rank).n_rails, job.node_of(dst_rank).n_rails)
     if monitor is not None:
@@ -231,21 +234,6 @@ class HealthMonitor:
             self.job.node_of(src_rank).index,
             self.job.node_of(dst_rank).index,
         )
-
-    # -- rail selection (the gate in the engine's post path) -----------
-    def live_rail(
-        self, src_rank: int, dst_rank: int, preferred: int
-    ) -> Optional[int]:
-        """Breaker-gated rail failover: the first rail at or after
-        ``preferred`` whose NICs are alive on both ends *and* whose
-        breaker admits traffic.  ``None`` means the RMA plane to this
-        peer is fully dark — time to degrade.
-
-        A rail whose NIC is observably dead trips its breaker
-        immediately (no vote needed); recovery then always passes
-        through a half-open probe, never silently.
-        """
-        return scan_rails(self.job, src_rank, dst_rank, preferred, self)[0]
 
     # -- dead checks ----------------------------------------------------
     def fallback_dead(self, src_rank: int, dst_rank: int) -> bool:

@@ -17,8 +17,9 @@ freed between iterations is still caught."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Any, List, Optional
 
+from .api import _UNSET, notified_sids
 from .errors import UnrUsageError
 from .memory import Blk
 
@@ -31,13 +32,14 @@ __all__ = ["RmaPlan", "PlannedOp"]
 
 @dataclass(frozen=True)
 class PlannedOp:
-    """One recorded operation."""
+    """One recorded operation.  ``remote_sid`` is ``put``'s: a
+    target-side signal id, ``None`` for no remote notification, or
+    unset for the remote block's own signal."""
 
     kind: str  # 'put' | 'get'
     src: Blk
     dst: Blk
-    remote_sid: Optional[int]
-    has_remote_override: bool
+    remote_sid: Any
 
 
 class RmaPlan:
@@ -54,17 +56,15 @@ class RmaPlan:
     def __len__(self) -> int:
         return len(self._ops)
 
-    def record_put(self, src_blk: Blk, dst_blk: Blk, *, remote_sid: Optional[int] = None,
-                   override: bool = False) -> "RmaPlan":
-        """Record a PUT (chainable)."""
-        self._ops.append(PlannedOp("put", src_blk, dst_blk, remote_sid, override))
+    def record_put(self, src_blk: Blk, dst_blk: Blk, *, remote_sid: Any = _UNSET) -> "RmaPlan":
+        """Record a PUT (chainable); ``remote_sid`` as for ``put``."""
+        self._ops.append(PlannedOp("put", src_blk, dst_blk, remote_sid))
         self._prepared = None
         return self
 
-    def record_get(self, local_blk: Blk, remote_blk: Blk, *, remote_sid: Optional[int] = None,
-                   override: bool = False) -> "RmaPlan":
-        """Record a GET (chainable)."""
-        self._ops.append(PlannedOp("get", local_blk, remote_blk, remote_sid, override))
+    def record_get(self, local_blk: Blk, remote_blk: Blk, *, remote_sid: Any = _UNSET) -> "RmaPlan":
+        """Record a GET (chainable); ``remote_sid`` as for ``get``."""
+        self._ops.append(PlannedOp("get", local_blk, remote_blk, remote_sid))
         self._prepared = None
         return self
 
@@ -118,8 +118,7 @@ class RmaPlan:
             # planning stay off the per-iteration critical path.
             built: List["TransferOp"] = []
             for op in self._ops:
-                rsid = op.remote_sid if op.has_remote_override else op.dst.signal_sid
-                lsid = op.src.signal_sid
+                rsid, lsid = notified_sids(op.src, op.dst, op.remote_sid)
                 if op.kind == "put":
                     built.append(engine.prepare_put(ep.rank, op.src, op.dst, rsid, lsid))
                 else:

@@ -143,10 +143,6 @@ class Signal:
         return self._counter & ((1 << self.n_bits) - 1)
 
     @property
-    def remaining_submessages(self) -> int:
-        return self._counter >> (self.n_bits + 1)
-
-    @property
     def overflow_bit(self) -> int:
         """The event-overflow detect bit (bit N)."""
         return (self._counter >> self.n_bits) & 1

@@ -25,7 +25,7 @@ from .numerics import (
     interior,
     momentum_rhs,
 )
-from .state import PowerLLELConfig, RankData
+from .state import PowerLLELConfig, RankData, opposite
 from .tridiag import pdd_boundary, pdd_correct, pdd_local_factor, thomas
 
 __all__ = ["powerllel_mpi_rank"]
@@ -50,7 +50,7 @@ def _halo_exchange(rd: RankData, comm, fields: List[np.ndarray], tag: str):
     if dec.z_next is not None:
         pairs.append(("z_next", dec.z_next))
     for direction, peer in pairs:
-        recvs.append((direction, comm.irecv(peer, tag=(tag, _opp(direction)))))
+        recvs.append((direction, comm.irecv(peer, tag=(tag, opposite(direction)))))
     # Sends: pack + ship the boundary planes.
     for direction, peer in pairs:
         buf = rd.pack_halo(fields, direction) if rd.real else None
@@ -65,15 +65,6 @@ def _halo_exchange(rd: RankData, comm, fields: List[np.ndarray], tag: str):
     for req in reqs:
         yield req.event
     rd.reflect_wall_ghosts(fields)
-
-
-def _opp(direction: str) -> str:
-    return {
-        "y_prev": "y_next",
-        "y_next": "y_prev",
-        "z_prev": "z_next",
-        "z_next": "z_prev",
-    }[direction]
 
 
 def _transpose(rd: RankData, row_comm, forward: bool):

@@ -31,19 +31,10 @@ from .numerics import (
     interior,
     momentum_rhs,
 )
-from .state import PowerLLELConfig, RankData
+from .state import PowerLLELConfig, RankData, opposite
 from .tridiag import pdd_boundary, pdd_correct, pdd_local_factor, thomas
 
 __all__ = ["powerllel_unr_rank"]
-
-
-def _opp(direction: str) -> str:
-    return {
-        "y_prev": "y_next",
-        "y_next": "y_prev",
-        "z_prev": "z_next",
-        "z_next": "z_prev",
-    }[direction]
 
 
 class _UnrHalo:
@@ -97,7 +88,7 @@ class _UnrHalo:
         for d, peer in self.pairs:
             yield from self.ep.send_ctl(peer, self.recv_blk[d], tag=(self.tag, d))
         for d, peer in self.pairs:
-            self.peer_blk[d] = yield from self.ep.recv_ctl(peer, tag=(self.tag, _opp(d)))
+            self.peer_blk[d] = yield from self.ep.recv_ctl(peer, tag=(self.tag, opposite(d)))
 
     def exchange(self, fields: List[Optional[np.ndarray]]):
         """Generator: sync-free halo exchange for this phase."""

@@ -24,11 +24,21 @@ from .numerics import (
     z_tridiag_coeffs,
 )
 
-__all__ = ["PowerLLELConfig", "PhaseTimes", "RankData", "shared_spectra"]
+__all__ = ["PowerLLELConfig", "PhaseTimes", "RankData", "opposite", "shared_spectra"]
 
 COMPLEX = np.complex128
 ITEM = 16  # bytes per complex mode
 REAL_ITEM = 8
+
+
+def opposite(direction: str) -> str:
+    """The halo direction a neighbour names the same exchange by."""
+    return {
+        "y_prev": "y_next",
+        "y_next": "y_prev",
+        "z_prev": "z_next",
+        "z_next": "z_prev",
+    }[direction]
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ Public surface:
 * :class:`~repro.sim.core.Event`, :class:`~repro.sim.core.Timeout`,
   :class:`~repro.sim.core.InFlight`, :class:`~repro.sim.core.Deferred`,
   :class:`~repro.sim.core.Process`, :class:`~repro.sim.core.AllOf`,
-  :class:`~repro.sim.core.AnyOf`, :class:`~repro.sim.core.Interrupt`.
+  :class:`~repro.sim.core.Interrupt`.
 * :class:`~repro.sim.scheduler.Scheduler` — pluggable event queue:
   :class:`~repro.sim.scheduler.CalendarScheduler` (default) and the
   reference :class:`~repro.sim.scheduler.HeapScheduler`.
@@ -15,7 +15,6 @@ Public surface:
 
 from .core import (
     AllOf,
-    AnyOf,
     Condition,
     Deferred,
     Environment,
@@ -32,7 +31,6 @@ from .scheduler import CalendarScheduler, HeapScheduler, Scheduler
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "CalendarScheduler",
     "Condition",
     "Deferred",

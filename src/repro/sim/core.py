@@ -47,7 +47,6 @@ __all__ = [
     "Process",
     "Condition",
     "AllOf",
-    "AnyOf",
     "Interrupt",
     "SimulationError",
     "StopProcess",
@@ -473,15 +472,6 @@ class AllOf(Condition):
         super().__init__(env, lambda total, done: done == total, events)
 
 
-class AnyOf(Condition):
-    """Condition satisfied when *any one* event has triggered."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env, lambda total, done: done >= 1, events)
-
-
 class Environment:
     """The simulation environment: clock plus pending-event scheduler."""
 
@@ -538,9 +528,6 @@ class Environment:
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     # -- scheduling ---------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0, priority: bool = False) -> None:

@@ -17,6 +17,7 @@ from repro.core import (
     Unr,
     UnrPeerDeadError,
     UnrTimeoutError,
+    UnrUsageError,
 )
 from repro.core.health import (
     BREAKER_CLOSED,
@@ -26,6 +27,7 @@ from repro.core.health import (
     MAX_BACKOFF_US,
     OPEN_BACKOFF_US,
     CircuitBreaker,
+    scan_rails,
 )
 from repro.core.transport import MAX_RETRIES
 from repro.netsim import (
@@ -178,15 +180,19 @@ def test_breaker_trip_opens_immediately():
 
 # ---------------------------------------------------------------- monitor
 def test_live_rail_skips_tripped_breakers_and_reports_dark_plane():
-    job, unr, _ = make_unr(health=True)
+    job, unr, _ = make_unr(reliability=True, health=True)
     health = unr.health
     assert isinstance(health, HealthMonitor)
-    assert health.live_rail(0, 1, 0) == 0
+    op = unr.engine.prepare_ctrl(0, 1)
+    assert scan_rails(job, 0, 1, 0, health)[0] == 0
     health.breaker(0, 1, 0).trip()
-    assert health.live_rail(0, 1, 0) == 1  # failover to the other rail
+    assert scan_rails(job, 0, 1, 0, health)[0] == 1  # failover to the other rail
+    assert unr.engine._next_rail(op, 0) == 1
     health.breaker(0, 1, 1).trip()
-    assert health.live_rail(0, 1, 0) is None  # RMA plane fully dark
+    assert scan_rails(job, 0, 1, 0, health)[0] is None  # RMA plane fully dark
     assert not health.fallback_dead(0, 1)  # ordered lane still up
+    assert unr.engine._next_rail(op, 0, degrade=False) == FALLBACK_RAIL
+    assert unr.stats["degraded_ops"] == 0
     snap = health.snapshot()
     assert snap["breakers"]["0->1/rail0"]["state"] == BREAKER_OPEN
 
@@ -281,11 +287,22 @@ def test_node_crash_raises_peer_dead_and_drains_cleanly():
     assert report.ok, report.format()
 
 
-def test_disarmed_reliability_fails_fast_with_post_time_context():
-    """Without retransmission there is no token-safe degradation path:
-    the post itself must raise, with an empty attempt ladder."""
+def test_health_without_reliability_is_refused():
+    """Degrading to the fallback lane rests on the watchdog's
+    idempotence tokens, so health alone is not a configuration."""
+    job, _, _ = make_unr(reliability=True)
+    with pytest.raises(UnrUsageError) as excinfo:
+        Unr(job, "glex", health=True)
+    assert "health=True" in str(excinfo.value)
+    assert "reliability=True" in str(excinfo.value)
+
+
+def test_post_to_a_crashed_peer_fails_fast_with_post_time_context():
+    """With every lane to the peer dead the post itself raises, with an
+    empty attempt ladder."""
     job, unr, _ = make_unr(
         faults=FaultSpec(node_crashes=(NodeCrash(50.0, node=1),)),
+        reliability=True,
         health=True,
     )
     size = 100_000

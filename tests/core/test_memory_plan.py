@@ -188,7 +188,7 @@ def test_plan_start_uses_remote_override():
             mr = ep.mem_reg(np.ones(64, dtype=np.uint8))
             blk = ep.blk_init(mr, 0, 64)
             rmt, alt_sid = yield from ep.recv_ctl(1, tag="b")
-            plan = ep.plan().record_put(blk, rmt, remote_sid=alt_sid, override=True)
+            plan = ep.plan().record_put(blk, rmt, remote_sid=alt_sid)
             plan.start()
             yield ctx.env.timeout(1e-4)
         else:

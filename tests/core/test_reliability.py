@@ -394,11 +394,13 @@ def test_rail_failover_mid_flight():
 def test_live_rail_skips_failed():
     job, unr, _ = make_unr(nics=2, reliability=True)
     engine = unr.engine
-    assert engine._live_rail(0, 1, 0) == 0
+    op = engine.prepare_ctrl(0, 1)
+    assert engine._next_rail(op, 0) == 0
     job.nic_of(1, 0).failed = True
-    assert engine._live_rail(0, 1, 0) == 1
+    assert engine._next_rail(op, 0) == 1
+    assert engine.n_failovers == 1
     job.nic_of(0, 1).failed = True  # rail 1 dead on *our* end too
-    assert engine._live_rail(0, 1, 0) == 0  # nothing alive: fall back, watchdog raises
+    assert engine._next_rail(op, 0) == 0  # nothing alive: fall back, watchdog raises
 
 
 def test_all_rails_dead_times_out():

@@ -4,7 +4,6 @@ import pytest
 
 from repro.sim import (
     AllOf,
-    AnyOf,
     Environment,
     Event,
     Interrupt,
@@ -176,18 +175,6 @@ def test_all_of_waits_for_every_event():
         return (env.now, sorted(results.values()))
 
     assert env.run_process(proc(env)) == (5, ["a", "b"])
-
-
-def test_any_of_returns_on_first():
-    env = Environment()
-
-    def proc(env):
-        t1 = env.timeout(2, value="fast")
-        t2 = env.timeout(9, value="slow")
-        results = yield AnyOf(env, [t1, t2])
-        return (env.now, list(results.values()))
-
-    assert env.run_process(proc(env)) == (2, ["fast"])
 
 
 def test_all_of_empty_is_immediate():
