@@ -105,7 +105,7 @@ test-golden:
 
 # What a simplicity PR quotes in CHANGES.md.
 loc:
-	@for d in src/repro/*/ src/repro/core/engine.py src/repro/replication.py src/repro/cli.py src/repro; do \
+	@for d in src/repro/*/ src/repro/core/engine.py src/repro/core/reliability.py src/repro/replication.py src/repro/cli.py src/repro; do \
 		printf '%6d  %s\n' "$$(find $$d -name '*.py' | xargs cat | wc -l)" "$$d"; \
 	done
 

@@ -8,9 +8,9 @@ Not a paper figure — these isolate the contribution of each mechanism:
 * Level-0 ordered-message scheme overhead vs custom bits.
 """
 
-from repro.bench import format_table, powerllel_point, unr_pingpong
-from repro.core import PollingConfig, Unr
-from repro.platforms import get_platform, make_job
+from repro.bench import format_table, powerllel_point
+from repro.core import Unr
+from repro.platforms import make_job
 from repro.powerllel import PowerLLELConfig, run_powerllel
 
 

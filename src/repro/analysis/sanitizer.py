@@ -16,7 +16,7 @@ and on a double ``sig_free`` (the interface is the first checker, paper
 * at :meth:`~repro.core.api.Unr.finalize`, leaked notifications —
   signals whose counters are mid-count, overflowed signals and stray
   completions — are reported.  A shortfall the drain protocol could not
-  discharge (the engine's ``undischarged`` set) is not a leak.
+  discharge (the reliability ladder's ``undischarged`` set) is not a leak.
 
 All checks are passive: they post no events and never touch the
 simulated clock, so an armed run is fingerprint-identical to a
@@ -197,6 +197,7 @@ class UnrSanitizer:
     def finalize(self) -> SanitizerReport:
         """End-of-job scan: leaked notifications, overflows, strays."""
         unr = self.unr
+        ladder = unr.engine.reliable
         for node, table in enumerate(unr._sig_tables):
             for sid, sig in table.items():
                 if sig.overflow_bit:
@@ -208,7 +209,7 @@ class UnrSanitizer:
                         time=self._now(),
                     )
                 elif sig.mid_count:
-                    if (node, sid) in unr.engine.undischarged:
+                    if ladder is not None and (node, sid) in ladder.undischarged:
                         continue  # shortfall accounted by the drain protocol
                     self.report.add(
                         "leaked-notification",

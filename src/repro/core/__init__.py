@@ -3,9 +3,11 @@
 Layered as in the paper (§IV-A): the *UNR Transport Layer* abstracts
 Notifiable RMA Primitives (:mod:`repro.interconnect` channels +
 :mod:`repro.core.levels` encodings + the unified transfer engine in
-:mod:`repro.core.engine` — one ``post_op`` pipeline and a per-node
-``ProgressEngine``), and the *UNR Interface Module* exposes signals,
-BLKs, PUT/GET and plans (:mod:`repro.core.api`).
+:mod:`repro.core.engine` — one ``post_op`` pipeline — with the
+watchdog ladder of :mod:`repro.core.reliability` above it and the
+per-node ``ProgressEngine`` of :mod:`repro.core.polling` beside it), and
+the *UNR Interface Module* exposes signals, BLKs, PUT/GET and plans
+(:mod:`repro.core.api`).
 """
 
 from .api import Unr, UnrEndpoint
@@ -13,7 +15,6 @@ from .convert import alltoallv_convert, irecv_convert, isend_convert, sendrecv_c
 from .engine import (
     CTRL_BYTES,
     FALLBACK_RAIL,
-    ProgressEngine,
     StripePlan,
     TransferEngine,
     TransferOp,
@@ -31,7 +32,7 @@ from .health import CircuitBreaker, HealthMonitor
 from .levels import LevelPolicy, decode_custom, encode_custom, max_signals, policy_for_channel
 from .memory import Blk, MemoryRegion
 from .plan import PlannedOp, RmaPlan
-from .polling import PollingConfig
+from .polling import PollingConfig, ProgressEngine
 from .signal import DEFAULT_N_BITS, MASK64, Signal, submessage_addends
 from .transport import (
     DEFAULT_STRIPE_THRESHOLD,

@@ -22,11 +22,11 @@ signals, never through return values (that is the point of the paper).
 
 This module is a thin facade: ``put``/``get``/``send_ctl`` only resolve
 per-call signal overrides and hand a descriptor to the unified
-:class:`~repro.core.engine.TransferEngine`, where stripe planning,
-reliability and posting live once for every datapath.  Completion
-records come back through the per-node
-:class:`~repro.core.engine.ProgressEngine` into the ``_handle_*``
-handlers registered below.  The passive tiers — observation and the
+:class:`~repro.core.engine.TransferEngine`, where stripe planning and
+posting live once for every datapath (the armed watchdog ladder is
+:mod:`repro.core.reliability`).  Completion records come back through
+the per-node :class:`~repro.core.polling.ProgressEngine` into the
+``_handle_*`` handlers registered below.  The passive tiers — observation and the
 sanitizer — are imported only when ``Unr`` arms them.
 """
 
@@ -43,7 +43,7 @@ from ..netsim import CompletionRecord
 from ..runtime import Job
 from ..sim import FilterStore
 from ..units import US
-from .engine import CTRL_BYTES, ProgressEngine, TransferEngine
+from .engine import CTRL_BYTES, TransferEngine
 from .health import HealthMonitor
 from .errors import (
     UnrDegradeWarning,
@@ -52,7 +52,7 @@ from .errors import (
 )
 from .levels import LevelPolicy, max_signals, policy_for_channel
 from .memory import Blk, MemoryRegion
-from .polling import PollingConfig
+from .polling import PollingConfig, ProgressEngine
 from .signal import DEFAULT_N_BITS, Signal
 from .transport import DEFAULT_STRIPE_THRESHOLD
 
@@ -107,8 +107,8 @@ class Unr:
         ``False`` (default) — trust the fabric, the happy path.
         ``True`` arms the reliability layer: every unordered PUT/GET
         fragment gets a delivery watchdog with timeout +
-        exponential-backoff retransmit and rail failover (the policy
-        constants live in :mod:`repro.core.transport`), and all
+        exponential-backoff retransmit and rail failover (the ladder and
+        its policy constants live in :mod:`repro.core.reliability`), and all
         notifications carry idempotence tokens so re-deliveries never
         double-count (required when a
         :class:`~repro.netsim.faults.FaultInjector` is attached).
@@ -446,7 +446,8 @@ class Unr:
         Called automatically by :meth:`finalize`.  Returns the number of
         fragments cancelled.
         """
-        cancelled = self.engine.drain(peer_rank)
+        ladder = self.engine.reliable
+        cancelled = 0 if ladder is None else ladder.drain(peer_rank)
         if cancelled:
             self.stats["drains"] += 1
             if self.obs is not None:

@@ -13,49 +13,35 @@ This module is that chokepoint for the reproduction:
   :class:`~repro.core.plan.RmaPlan` replay cheap.
 * :class:`TransferEngine` — the single :meth:`~TransferEngine.post_op`
   pipeline that PUT, GET, control messages and the MPI fallback channel
-  all route through: payload capture, idempotence-token minting, rail
-  failover, the watchdog retransmit loop and the trailing Level-0
-  notification attach here once instead of per-call-site.  Passive
-  tools attach at its one seam, :attr:`TransferEngine.on_post`.
-* :class:`ProgressEngine` — the per-node progress core (the paper's
-  polling thread): drains all of a node's NIC completion queues in
-  batched sweeps and dispatches each record to the handler registered
-  for its kind (MMAS signal adds, ctrl-message applies, …).
+  all route through: payload capture, idempotence-token minting, the
+  one wire call per attempt (:meth:`~TransferEngine._attempt`) and the
+  trailing Level-0 notification attach here once instead of
+  per-call-site.  Passive tools attach at its one seam,
+  :attr:`TransferEngine.on_post`.
+
+The datapath trusts the fabric.  A reliable fragment is handed, after
+its tokens and payload snapshot, to the watchdog ladder of
+:mod:`repro.core.reliability` (``TransferEngine.reliable``), which posts
+each attempt back through :meth:`~TransferEngine._attempt`.  The
+per-node polling thread that drains the completion queues is
+:class:`~repro.core.polling.ProgressEngine`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Set,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
-from ..netsim import CompletionRecord, Node, alloc_record, recycle_record
-from ..sim import Environment, InFlight
-from ..units import US
-from .errors import (
-    OpContext,
-    UnrPeerDeadError,
-    UnrTimeoutError,
-    UnrUsageError,
-)
-from .health import scan_rails
+from ..netsim import alloc_record
+from .errors import UnrUsageError
 from .levels import LevelPolicy, encode_custom
-from .polling import SWEEP_BATCH, PollingConfig
 from .signal import submessage_addends
-from .transport import BACKOFF_FACTOR, MAX_BACKOFF_US, MAX_RETRIES, fragment_timeout, plan_stripes
+from .transport import plan_stripes
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .api import Unr
-    from .health import HealthMonitor
     from .memory import Blk
+    from .reliability import ReliableDelivery
 
 __all__ = [
     "CTRL_BYTES",
@@ -63,21 +49,16 @@ __all__ = [
     "StripePlan",
     "TransferOp",
     "TransferEngine",
-    "ProgressEngine",
 ]
 
 CTRL_BYTES = 24  # wire size of a (p, a) control message
 
-#: sentinel "rail" meaning the degraded MPI fallback lane (health layer)
+#: sentinel "rail" meaning the degraded MPI fallback lane
 FALLBACK_RAIL = -1
 
 #: distinct PUT shapes remembered per engine before the memo starts over
 #: (an application uses a handful; a size sweep must not grow it forever)
 _SHAPE_MEMO_LIMIT = 4096
-
-
-def _target_label(rail: int) -> str:
-    return "fallback" if rail == FALLBACK_RAIL else f"rail{rail}"
 
 
 #: (node index, signal id, addend) — a software MMAS add to apply.
@@ -171,38 +152,6 @@ class TransferOp:
     ctrl_sid: Optional[int] = None
 
 
-@dataclass(slots=True)
-class _Fragment:
-    """One reliable fragment, from its post until delivery or cancel.
-
-    Held by its current attempt's :class:`_FragmentTimer` and, while in
-    flight, by ``TransferEngine._inflight``.  ``payload`` and
-    ``deliver`` are what every attempt posts again, released at the
-    first delivery (or a cancel) so the stale timer pins no snapshot and
-    the callback, which holds the fragment, leaves no cycle behind.
-    ``done`` is the event a reliable GET's tails hang on (``None`` when
-    it has none, and for a PUT).  ``target``, ``timeout`` and ``cap``
-    are the ladder's state: the current attempt's rail (or
-    :data:`FALLBACK_RAIL`), its timeout and the backoff ceiling;
-    ``attempts`` holds ``(target, post time)`` per attempt.
-    """
-
-    fid: int
-    op: TransferOp
-    sp: StripePlan
-    done: Any
-    payload: Any
-    deliver: Optional[Callable[[Any], None]]
-    rtok: Optional[int]
-    ltok: Optional[int]
-    target: int
-    attempts: List[Tuple[int, float]]
-    timeout: float = 0.0
-    cap: float = 0.0
-    delivered: bool = False
-    cancelled: bool = False
-
-
 class TransferEngine:
     """The one posting pipeline behind ``put``/``get``/ctrl/fallback."""
 
@@ -210,13 +159,6 @@ class TransferEngine:
         self.unr = unr
         self.env = unr.env
         self.job = unr.job
-        #: reliable fragments still in flight, by fid in post order,
-        #: each with its notification specs and tokens.  Retired on
-        #: delivery, cancelled by :meth:`drain` against dead peers.
-        #: Fids count up from 1 and are never reused; ``_n_fids`` is
-        #: the last one handed out.
-        self._inflight: Dict[int, _Fragment] = {}
-        self._n_fids = 0
         #: fragment geometry per distinct PUT shape, see _stripe_shape
         self._shapes: Dict[tuple, Tuple[Tuple[int, int, int, int, int], ...]] = {}
         #: The engine's one seam: ``on_post(op, sp, rail, attempt, rtok,
@@ -225,11 +167,13 @@ class TransferEngine:
         #: message), and each watchdog retransmit — and returns the
         #: delivery callback a first post goes out with.  ``None``: off.
         self.on_post: Optional[Callable[..., Any]] = None
-        #: rail failovers :meth:`_next_rail` took with health disarmed
-        self.n_failovers = 0
-        #: (node, sid) a drained fragment owed a tokenless Level-0
-        #: notification: a shortfall there is accounted for, not leaked.
-        self.undischarged: Set[Tuple[int, int]] = set()
+        #: the watchdog ladder every reliable fragment is handed to;
+        #: ``None`` unless ``Unr(reliability=True)``
+        self.reliable: Optional["ReliableDelivery"] = None
+        if unr.reliability:
+            from .reliability import ReliableDelivery
+
+            self.reliable = ReliableDelivery(self)
 
     # -- prepare: descriptors --------------------------------------------
     def prepare_put(
@@ -520,13 +464,10 @@ class TransferEngine:
             raise UnrUsageError(f"unknown transfer kind {op.kind!r}")
 
     def _post_fragment(self, op: TransferOp, sp: StripePlan) -> None:
-        """Post one fragment of a PUT, or a GET: idempotence tokens,
-        payload capture, rail choice, :attr:`on_post`, first attempt
-        and — for a reliable op — the fragment's watchdog.
-
-        The optional tiers are entered only when armed: the peer-alive
-        check with ``unr.health``, the watchdog with a reliable op.
-        """
+        """Post one fragment of a PUT, or a GET: idempotence tokens and
+        payload capture, then either :attr:`on_post` and the one attempt
+        on the plan's rail, or — for a reliable op — the hand-off to
+        :attr:`reliable`, which owns the fragment from there on."""
         unr = self.unr
         reliable = op.reliable
         # Idempotence tokens, remote then local, in plan order.
@@ -537,47 +478,22 @@ class TransferEngine:
         # put() returns, and a retransmit must resend the bytes as they
         # were then.
         payload = None if src is None else src[sp.offset : sp.offset + sp.size].copy()
-        if not reliable:
-            # Health needs reliability, so an unreliable post under it is
-            # a single fragment on the software or an ordered lane:
-            # it dies only with the peer.
-            if unr.health is not None:
-                self._check_peer_alive(op)
-            view = sp.view
-            deliver = None if view is None else self._write_view(view)
-            if self.on_post is not None:
-                deliver = self.on_post(op, sp, sp.rail, 0, rtok, ltok, deliver)
-            done = self._attempt(op, sp, payload, deliver, rtok, ltok, sp.rail)
-            if op.tails:
-                self._hang_get_tails(op, sp, ltok, done)
+        ladder = self.reliable
+        if reliable:
+            assert ladder is not None
+            ladder.post(op, sp, payload, rtok, ltok)
             return
-        first = self._next_rail(op, sp.rail)
-        if first is None:
-            raise self._peer_dead(
-                op, sp.size,
-                "peer is dead (no live RMA rail and the fallback lane is down)",
-            )
-        # A GET's tails hang on its first delivery, however many
-        # attempts that takes; nothing else listens for it.
-        self._n_fids += 1
-        frag = _Fragment(
-            self._n_fids, op, sp, self.env.event() if op.tails else None, payload,
-            None, rtok, ltok, first, [(first, self.env.now)],
-        )
-        deliver = self._delivery(frag)
+        if ladder is not None:
+            # An unreliable post under the ladder is a single fragment
+            # on the software or an ordered lane: it dies only with the peer.
+            ladder._check_peer_alive(op)
+        view = sp.view
+        deliver = None if view is None else self._write_view(view)
         if self.on_post is not None:
-            deliver = self.on_post(op, sp, first, 0, rtok, ltok, deliver)
-        frag.deliver = deliver
+            deliver = self.on_post(op, sp, sp.rail, 0, rtok, ltok, deliver)
+        done = self._attempt(op, sp, payload, deliver, rtok, ltok, sp.rail)
         if op.tails:
-            self._hang_get_tails(op, sp, ltok, frag.done)
-        self._inflight[frag.fid] = frag
-        self._attempt(op, sp, payload, deliver, rtok, ltok, first)
-        base = self._fragment_timeout(op, sp.size)
-        timeout, frag.cap = base, max(MAX_BACKOFF_US * US, base)
-        if first == FALLBACK_RAIL:
-            fb_base = self._fragment_timeout(op, sp.size, fallback=True)
-            timeout, frag.cap = max(timeout, fb_base), max(frag.cap, fb_base)
-        self._arm(frag, timeout)
+            self._hang_get_tails(op, sp, ltok, done)
 
     def _hang_get_tails(
         self, op: TransferOp, sp: StripePlan, ltok: Optional[int], evt: Any
@@ -656,7 +572,8 @@ class TransferEngine:
         """Post one control message on the ordered lane: an out-of-band
         payload, or the Level-0 ``(p, a)`` of a signal notification."""
         unr = self.unr
-        self._check_peer_alive(op)
+        if self.reliable is not None:
+            self.reliable._check_peer_alive(op)
         on_del = op.on_deliver
         if op.ctrl_sid is not None:
             unr.stats["ctrl_msgs"] += 1
@@ -696,43 +613,6 @@ class TransferEngine:
         return deliver
 
     # -- delivery / add closures -----------------------------------------
-    def _delivery(self, frag: _Fragment) -> Callable[[Any], None]:
-        """The delivery callback every attempt of ``frag`` posts with.
-
-        The first delivery wins: it writes the destination, releases a
-        GET's tails and retires the fragment — off ``_inflight``, its
-        path proved to the health layer, a recovery counted when it took
-        a retransmit.  Replicas and retransmit races must neither
-        rewrite the (possibly reused) buffer nor re-arm anything.  A
-        fragment drained meanwhile was retired by its cancel.
-        """
-        env = self.env
-        health = self.unr.health
-        stats = self.unr.stats
-        inflight = self._inflight
-
-        def deliver(data: Any, frag: _Fragment = frag) -> None:
-            if frag.delivered:
-                return
-            frag.delivered = True
-            view = frag.sp.view
-            if view is not None and data is not None:
-                view[:] = data
-            frag.payload = frag.deliver = None
-            if frag.done is not None:
-                frag.done.succeed(env.now)
-            if frag.cancelled:
-                return
-            target = frag.target
-            if health is not None and target != FALLBACK_RAIL:
-                op = frag.op
-                health.on_success(op.src_rank, op.dst_rank, target)
-            del inflight[frag.fid]
-            if len(frag.attempts) > 1:
-                stats["recovered_ops"] += 1
-
-        return deliver
-
     @staticmethod
     def _write_view(view: Any) -> Callable[[Any], None]:
         def deliver(data: Any, view: Any = view) -> None:
@@ -755,226 +635,6 @@ class TransferEngine:
     def _ctrl_callback(self, op: TransferOp) -> Callable[[Any], None]:
         return lambda _e: self.post_op(self._ctrl_tail(op))
 
-    # -- health / degradation routing -------------------------------------
-    def _check_peer_alive(self, op: TransferOp) -> None:
-        """The ordered and software lanes are the last rung of the
-        degradation ladder: they only die with the peer (fail-stop node
-        crash)."""
-        health = self.unr.health
-        if health is not None and health.fallback_dead(op.src_rank, op.dst_rank):
-            raise self._peer_dead(op, op.nbytes, "peer is dead (ordered/fallback lane down)")
-
-    def _peer_dead(self, op: TransferOp, nbytes: int, why: str) -> UnrPeerDeadError:
-        """The error of a post rejected before any transmission."""
-        what = op.kind.upper()
-        return UnrPeerDeadError(
-            f"{what} of {nbytes}B from rank {op.src_rank} to rank "
-            f"{op.dst_rank}: {why}",
-            context=OpContext(
-                kind=what, src_rank=op.src_rank, dst_rank=op.dst_rank,
-                nbytes=nbytes, sim_time_us=self.env.now / US,
-            ),
-        )
-
-    def _next_rail(
-        self, op: TransferOp, preferred: int, *, degrade: bool = True
-    ) -> Optional[int]:
-        """The one rail chooser of a *reliable* fragment, for its first
-        post and every re-post: the first rail at or after ``preferred``
-        whose NICs are alive on both ends and, with health armed, whose
-        breaker admits traffic (:func:`~repro.core.health.scan_rails`).
-
-        When no rail qualifies: health disarmed, ``preferred`` itself
-        (the watchdog will then raise); armed, the fragment degrades to
-        :data:`FALLBACK_RAIL` (counted by ``on_degraded`` when
-        ``degrade``), and ``None`` means the fallback lane is dead too.
-        """
-        health = self.unr.health
-        src_rank, dst_rank = op.src_rank, op.dst_rank
-        rail, hops = scan_rails(self.job, src_rank, dst_rank, preferred, health)
-        if health is None:
-            if rail is None:
-                return preferred % hops  # all ``hops`` rails scanned were dead
-            if hops:
-                self.n_failovers += 1
-            return rail
-        if rail is not None:
-            return rail
-        if health.fallback_dead(src_rank, dst_rank):
-            return None
-        if degrade:
-            health.on_degraded(src_rank, dst_rank, op.kind.upper())
-        return FALLBACK_RAIL
-
-    # -- drain / quiesce protocol -----------------------------------------
-    def drain(self, peer_rank: Optional[int] = None) -> int:
-        """Quiesce in-flight reliable fragments (``Unr.drain``).
-
-        Fragments to live peers are left to their watchdogs.  Fragments
-        to a *dead* peer (fail-stop crash: even the fallback lane is
-        down) are cancelled: their pending notifications are discharged
-        in software through the normal idempotent-add path, so no
-        signal token leaks and ``UnrSanitizer`` stays clean.  Purely
-        passive — no simulator events are scheduled.  Returns the
-        number of fragments cancelled.
-        """
-        health = self.unr.health
-        cancelled = 0
-        for frag in list(self._inflight.values()):
-            op = frag.op
-            if peer_rank is not None and op.dst_rank != peer_rank:
-                continue
-            if health is None or not health.fallback_dead(op.src_rank, op.dst_rank):
-                continue
-            self._cancel_fragment(frag)
-            cancelled += 1
-        return cancelled
-
-    def _cancel_fragment(self, frag: _Fragment) -> None:
-        """Discharge one cancelled fragment's notifications.
-
-        The adds go through ``_apply_add`` with the fragment's original
-        idempotence tokens: if a raced wire delivery already applied (or
-        later applies) the same notification, the token dedup keeps the
-        count single.  Tokenless Level-0 ctrl tails can't be discharged
-        that way: their ``(node, sid)`` joins :attr:`undischarged`."""
-        unr = self.unr
-        frag.cancelled = True
-        frag.payload = frag.deliver = None  # no attempt follows
-        op, sp = frag.op, frag.sp
-        if sp.local_sig is not None:
-            node, sid, addend = sp.local_sig
-            unr._apply_add(node, sid, addend, token=frag.ltok)
-        if sp.remote_sig is not None:
-            node, sid, addend = sp.remote_sig
-            unr._apply_add(node, sid, addend, token=frag.rtok)
-        if op.ctrl_remote and op.rsid is not None:
-            self.undischarged.add((op.dst_node, op.rsid))
-        self._inflight.pop(frag.fid, None)
-        unr.stats["drained_fragments"] += 1
-
-    # -- reliability layer ------------------------------------------------
-    def _fragment_timeout(self, op: TransferOp, nbytes: int, fallback: bool = False) -> float:
-        """The watchdog timeout of one attempt of an ``nbytes`` fragment
-        of ``op``: the reliability policy's scaling of its no-contention
-        delivery time, so a large stripe is not declared lost while
-        still serializing onto the wire.  Over the MPI fallback lane
-        (``fallback``) the software lane adds per-message overhead and,
-        for large payloads, a rendezvous round trip: a degraded attempt
-        must not be declared lost on an RMA-sized timeout."""
-        # Every NIC of a cluster shares one spec; the source's stands in.
-        nic = self.job.nic_of(op.src_rank)
-        est = nic.msg_overhead + nic.latency + nbytes / nic.bandwidth + nic.rx_overhead
-        if op.kind == "get":  # a round trip: the request goes out first
-            est += nic.msg_overhead + nic.latency
-        if fallback:
-            cfg = self.unr._fallback().config
-            est += 2.0 * cfg.sw_overhead_us * US
-            if nbytes > cfg.eager_threshold:
-                est += cfg.rendezvous_rtts * 2.0 * (nic.latency + nic.msg_overhead)
-                est += (nbytes / nic.bandwidth) * max(
-                    cfg.rendezvous_bw_penalty - 1.0, 0.0
-                )
-        return fragment_timeout(est)
-
-    def _arm(self, frag: _Fragment, timeout: float) -> None:
-        """Start the watchdog of ``frag``'s current attempt."""
-        frag.timeout = timeout
-        timer = _FragmentTimer(self.env, timeout)
-        timer.engine = self
-        timer.frag = frag
-
-    def _on_timeout(self, frag: _Fragment) -> None:
-        """The watchdog of one posted reliable fragment: its current
-        attempt timed out.  Retransmit it (with exponential backoff,
-        moving to the next live target each attempt), else raise
-        :class:`UnrTimeoutError`.
-
-        With the health layer armed every timeout/delivery feeds the
-        per-path circuit breakers, and when the breakers leave no live
-        RMA rail the retransmit ladder steps down to the fallback lane
-        (:data:`FALLBACK_RAIL`) instead of hammering dead rails —
-        raising :class:`UnrPeerDeadError` only when the fallback lane is
-        dead too.  The full attempt history rides along in the raised
-        error's :class:`~repro.core.errors.OpContext`.
-        """
-        if frag.delivered or frag.cancelled:
-            return  # delivered, or drained against a dead peer
-        unr = self.unr
-        health = unr.health
-        op, sp, target = frag.op, frag.sp, frag.target
-        if health is not None and target != FALLBACK_RAIL:
-            health.on_timeout(op.src_rank, op.dst_rank, target)
-        retries = len(frag.attempts) - 1
-        nxt = None
-        if retries < MAX_RETRIES:
-            nxt = self._next_rail(
-                op, 0 if target == FALLBACK_RAIL else target + 1,
-                degrade=target != FALLBACK_RAIL,
-            )
-        if nxt is None:
-            self._give_up(frag)  # ladder exhausted (fail-stop)
-            return
-        timeout = frag.timeout
-        if nxt == FALLBACK_RAIL:
-            fb_base = self._fragment_timeout(op, sp.size, fallback=True)
-            timeout, frag.cap = max(timeout, fb_base), max(frag.cap, fb_base)
-        frag.target = nxt
-        unr.stats["retransmits"] += 1
-        if self.on_post is not None:
-            self.on_post(op, sp, nxt, retries + 1, frag.rtok, frag.ltok, frag.deliver)
-        frag.attempts.append((nxt, self.env.now))
-        self._attempt(op, sp, frag.payload, frag.deliver, frag.rtok, frag.ltok, nxt)
-        self._arm(frag, min(timeout * BACKOFF_FACTOR, frag.cap))
-
-    def _give_up(self, frag: _Fragment) -> None:
-        """Raise the error of a fragment whose ladder is exhausted."""
-        unr = self.unr
-        health = unr.health
-        op = frag.op
-        src_rank, dst_rank = op.src_rank, op.dst_rank
-        what, nbytes = op.kind.upper(), frag.sp.size
-        unr.stats["reliability_failures"] += 1
-        # NB: the fragment stays in ``_inflight`` — a later drain()
-        # discharges its notification tokens against the dead peer.
-        context = OpContext(
-            kind=what, src_rank=src_rank, dst_rank=dst_rank, nbytes=nbytes,
-            sim_time_us=self.env.now / US,
-            attempts=tuple((_target_label(rail), at / US) for rail, at in frag.attempts),
-            degraded=any(rail == FALLBACK_RAIL for rail, _ in frag.attempts),
-        )
-        message = (
-            f"{what} of {nbytes}B from rank {src_rank} to rank {dst_rank}: "
-            f"no delivery after {MAX_RETRIES} retransmits "
-            f"(last timeout {frag.timeout / US:.1f} us)"
-        )
-        if health is not None and health.fallback_dead(src_rank, dst_rank):
-            err: UnrTimeoutError = UnrPeerDeadError(message, context=context)
-        else:
-            err = UnrTimeoutError(message, context=context)
-        # Prefer surfacing in the application frame blocked in sig_wait
-        # on this op's signal — the context rides along and the app may
-        # handle the dead peer; without a waiter the error propagates
-        # through the kernel.
-        if self._fail_op_waiter(frag, err):
-            return
-        raise err
-
-    def _fail_op_waiter(self, frag: _Fragment, err: BaseException) -> bool:
-        """Throw ``err`` into a frame blocked in ``sig_wait`` on one of
-        the fragment's signals.  The remote notification is the one the
-        lost fragment actually owes (local completion usually fired when
-        the data left the source NIC), so its waiter is tried first."""
-        sp = frag.sp
-        for spec in (sp.remote_sig, sp.local_sig):
-            if spec is None:
-                continue
-            node, sid, _ = spec
-            sig = self.unr._signal_at(node, sid)
-            if sig is not None and sig.fail_waiters(err):
-                return True
-        return False
-
     def _max_stripe_k(self, policy: LevelPolicy) -> int:
         """Largest stripe count whose addends fit the policy's bits."""
         if policy.a_bits == 0:
@@ -983,186 +643,3 @@ class TransferEngine:
         if budget <= 0:
             return 1
         return min(1 << budget, 1 << 16)
-
-
-def _fragment_timer(ev: "_FragmentTimer") -> None:
-    ev.engine._on_timeout(ev.frag)
-
-
-class _FragmentTimer(InFlight):
-    """One attempt's watchdog: ``frag`` was posted a timeout ago.  It
-    fires whether or not the attempt was delivered; a delivered or
-    drained fragment makes it a no-op."""
-
-    __slots__ = ("engine", "frag")
-    handlers = (_fragment_timer,)
-
-
-def _sweep_fire(ev: "_SweepFire") -> None:
-    ev.sweeper._fire(ev.record)
-
-
-class _SweepFire(InFlight):
-    """One sweep's fire: ``record`` reached ``sweeper`` a dispatch delay ago."""
-
-    __slots__ = ("sweeper", "record")
-    handlers = (_sweep_fire,)
-
-
-class _Sweeper:
-    """One rail's share of the polling thread, as callbacks.
-
-    Parked on the rail's CQ between sweeps; the push that finds it there
-    calls :meth:`on_record`, which only schedules.  ``_fire`` — always
-    its own kernel event, ``dispatch_delay`` after the record arrived —
-    runs the handlers and parks again.
-    """
-
-    __slots__ = ("engine", "nic", "cq", "delay", "_on_record")
-
-    def __init__(self, engine: "ProgressEngine", nic: Any) -> None:
-        self.engine = engine
-        self.nic = nic
-        self.cq = nic.cq
-        self.delay = engine.config.dispatch_delay
-        #: the parked consumer, bound once rather than per park
-        self._on_record = self.on_record
-        self._park()
-
-    def _park(self) -> None:
-        # A record already queued (a backlog beyond the batch limit) is
-        # taken now but starts its sweep from a zero-delay event, the
-        # way a get() on a non-empty queue is served.
-        record = self.cq.park(self._on_record)
-        if record is not None:
-            self.engine.env.defer(0.0, self._on_record, record)
-
-    def on_record(self, record: CompletionRecord) -> None:
-        """A sweep begins.  Runs inside the producer's kernel event."""
-        engine = self.engine
-        engine.n_sweeps += 1
-        # A stalled CQ (fault injection) holds its records back: the
-        # progress engine is wedged until the stall window passes.
-        if self.cq.is_stalled:
-            self._stall_over(record)
-        else:
-            fire = _SweepFire(engine.env, self.delay)
-            fire.sweeper = self
-            fire.record = record
-
-    def _stall_over(self, record: CompletionRecord) -> None:
-        cq = self.cq
-        env = self.engine.env
-        if cq.is_stalled:  # still, or again: the window can be extended
-            env.defer(cq.stalled_until - env.now, self._stall_over, record)
-        elif self.delay > 0:
-            env.defer(self.delay, self._fire, record)
-        else:
-            self._fire(record)  # already in a kernel event of our own
-
-    def _fire(self, record: CompletionRecord) -> None:
-        engine = self.engine
-        nic = self.nic
-        cq = self.cq
-        engine._dispatch(nic, record)
-        backlog = cq.park(self._on_record)
-        if backlog is None:
-            return  # the usual case: nothing else arrived, parked again
-        if cq.is_stalled:  # holds its records back: the next sweep waits it out
-            engine.env.defer(0.0, self._on_record, backlog)
-            return
-        # Drain whatever else arrived during the delay in one batched
-        # sweep — no extra simulator events per record, no allocations
-        # (records land in the preallocated buffer; ``backlog`` is the
-        # first of them, already off the queue).  Anything beyond the
-        # batch limit starts the next sweep from _park.
-        batch = engine._batch
-        n = cq.poll_batch_into(batch, len(batch) - 1)
-        engine._dispatch(nic, backlog)
-        for i in range(n):
-            extra = batch[i]
-            batch[i] = None
-            engine._dispatch(nic, extra)
-        self._park()
-
-
-class ProgressEngine:
-    """One node's progress core: batched CQ sweeps, handler dispatch.
-
-    The paper's per-node polling thread (§IV-C), modelled without a
-    simulated process: one :class:`_Sweeper` per NIC is *parked* on that
-    rail's completion queue, and the NIC delivery that pushes a record
-    hands it over directly.  The record is applied after the configured
-    dispatch delay, in a kernel event of its own even when the delay is
-    zero (a handler never runs inside the NIC's delivery callback); the
-    same event then drains whatever else accumulated in one batched
-    sweep (a real polling thread processes the CQ in batches) and parks
-    the sweeper again.  Records dispatch to the handler registered for
-    their ``kind`` — the library registers MMAS custom-bit decoding for
-    RMA completions and the (p, a) apply for Level-0 ctrl messages —
-    with ``default_handler`` as the catch-all.
-    """
-
-    def __init__(
-        self,
-        env: Environment,
-        node: Node,
-        config: PollingConfig,
-        default_handler: Optional[Callable[[int, CompletionRecord], None]] = None,
-        *,
-        health: Optional["HealthMonitor"] = None,
-    ) -> None:
-        self.env = env
-        self.node = node
-        self.config = config
-        self.default_handler = default_handler
-        self.handlers: Dict[str, Callable[[int, CompletionRecord], None]] = {}
-        #: health monitor fed with every swept record: a completion that
-        #: crossed the wire proves its (src, dst, rail) path, which is
-        #: what closes half-open breakers without extra probe traffic.
-        self.health = health
-        self.n_sweeps = 0
-        self.n_dispatched = 0
-        self.total_delay = 0.0
-        #: preallocated sweep buffer — one per engine, reused by every
-        #: rail's sweeper (sweepers never interleave mid-drain).
-        self._batch: List[Optional[CompletionRecord]] = [None] * SWEEP_BATCH
-        if config.mode == "none":
-            return
-        if config.mode == "reserved":
-            node.cpu.reserve(config.reserved_cores)
-        elif config.cpu_duty > 0:
-            node.cpu.add_polling_load(config.cpu_duty)
-        for nic in node.nics:
-            _Sweeper(self, nic)  # kept alive by the queue it parks on
-
-    def register(
-        self, kind: str, handler: Callable[[int, CompletionRecord], None]
-    ) -> None:
-        """Dispatch records of ``kind`` to ``handler(node_index, record)``."""
-        self.handlers[kind] = handler
-
-    def _dispatch(self, nic: Any, record: CompletionRecord) -> None:
-        self.n_dispatched += 1
-        delay = self.env.now - record.complete_time
-        self.total_delay += delay
-        kind = record.kind
-        handler = self.handlers.get(kind, self.default_handler)
-        if handler is not None:
-            # Read through env each dispatch (not cached at construction)
-            # so profilers attached after engine creation are still seen.
-            prof = self.env.profile
-            if prof is not None:
-                t0 = prof.dispatch_begin()
-                handler(self.node.index, record)
-                prof.dispatch_end(kind, t0)
-            else:
-                handler(self.node.index, record)
-        if self.health is not None:
-            self.health.on_cq_record(nic.index, record)
-        # Pooled records go back to the free list the moment
-        # they are dispatched (no-op for un-pooled records): handlers
-        # consume record fields synchronously and must not retain the
-        # record object itself.
-        recycle_record(record)
-

@@ -1,12 +1,13 @@
 """Fault-domain health monitoring: circuit breakers and degradation.
 
-PR 1's reliability layer survives *fragment*-level faults (drops,
-reordering, a single rail dying) by retransmitting with rail failover.
-This module adds the *endpoint*-level failure story the paper's
-fallback column (Table II) implies and TeaMPI-style resilience work
-demands: when every RMA rail to a peer is dark, the library must keep
-the application correct by degrading to the MPI fallback channel — and
-un-degrade when the endpoint comes back.
+The reliability layer (:mod:`repro.core.reliability`) survives
+*fragment*-level faults (drops, reordering, a single rail dying) by
+retransmitting with rail failover.  This module adds the
+*endpoint*-level failure story the paper's fallback column (Table II)
+implies and TeaMPI-style resilience work demands: when every RMA rail to
+a peer is dark, the library must keep the application correct by
+degrading to the MPI fallback channel — and un-degrade when the endpoint
+comes back.
 
 Three pieces, all passive (no simulator events, no RNG, ``env.now``
 only — an armed healthy run is trace-fingerprint-identical to a
@@ -22,11 +23,11 @@ disarmed one):
   fails;
 * :class:`HealthMonitor` — the per-``Unr`` scoreboard.  It is fed from
   the two places failures are *observed*: watchdog timeouts/deliveries
-  in :class:`~repro.core.engine.TransferEngine` and completion records
-  swept by :class:`~repro.core.engine.ProgressEngine` (a record that
-  crossed the wire proves its path).  Its breakers gate
-  :func:`scan_rails`, the rail scan behind the engine's one rail
-  chooser; when the scan leaves no rail the engine degrades the op to
+  in :class:`~repro.core.reliability.ReliableDelivery` and completion
+  records swept by :class:`~repro.core.polling.ProgressEngine` (a record
+  that crossed the wire proves its path).  Its breakers gate
+  :func:`scan_rails`, the rail scan behind the ladder's one rail
+  chooser; when the scan leaves no rail the ladder degrades the op to
   the fallback channel, and :class:`~repro.core.errors.UnrPeerDeadError`
   is raised only when the fallback lane is dead too (node crash).
 
@@ -37,7 +38,7 @@ The degradation ladder, in full::
         -> UnrPeerDeadError (fail-stop peer, op context attached)
 
 Armed with ``Unr(reliability=True, health=True)`` (the degradation
-rests on the watchdog's idempotence tokens); disarmed, the engine
+rests on the watchdog's idempotence tokens); disarmed, the ladder
 behaves exactly as before this module existed.
 """
 
@@ -271,7 +272,7 @@ class HealthMonitor:
 
     # -- degradation bookkeeping ----------------------------------------
     def on_degraded(self, src_rank: int, dst_rank: int, what: str) -> None:
-        """The engine routed an op to the fallback lane."""
+        """The ladder routed an op to the fallback lane."""
         unr = self.unr
         unr.stats["degraded_ops"] += 1
         src_node, dst_node = self._nodes(src_rank, dst_rank)

@@ -1,4 +1,4 @@
-"""Polling-thread configuration (paper §IV-C).
+"""The polling thread and its knobs (paper §IV-C).
 
 In UNR support levels 0–3 a per-node polling thread retrieves events
 from the NICs and executes ``*p += a`` against the node's signal table.
@@ -15,19 +15,26 @@ fewer compute cores); ``mode='none'`` runs no thread at all — only
 correct for Level-4 hardware offload or the software-notified MPI
 fallback.
 
-The thread itself is :class:`repro.core.engine.ProgressEngine`, the
-per-node progress core of the unified transfer engine; this module only
-defines its knobs.
+The thread itself is :class:`ProgressEngine`, the per-node progress
+core: it drains all of a node's NIC completion queues in batched sweeps
+and dispatches each record to the handler registered for its kind (MMAS
+signal adds, ctrl-message applies, …).
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
+from ..netsim import CompletionRecord, Node, recycle_record
+from ..sim import Environment, InFlight
 from ..units import US
 
-__all__ = ["PollingConfig", "POLL_COST_US", "BUSY_INTERFERENCE", "SWEEP_BATCH"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .health import HealthMonitor
+
+__all__ = ["PollingConfig", "ProgressEngine", "POLL_COST_US", "BUSY_INTERFERENCE", "SWEEP_BATCH"]
 
 #: CPU cost of one poll sweep, us
 POLL_COST_US = 0.5
@@ -97,3 +104,173 @@ class PollingConfig:
         if self.mode == "busy":
             return BUSY_INTERFERENCE
         return min(1.0, POLL_COST_US / self.interval_us) * BUSY_INTERFERENCE
+
+
+def _sweep_fire(ev: "_SweepFire") -> None:
+    ev.sweeper._fire(ev.record)
+
+
+class _SweepFire(InFlight):
+    """One sweep's fire: ``record`` reached ``sweeper`` a dispatch delay ago."""
+
+    __slots__ = ("sweeper", "record")
+    handlers = (_sweep_fire,)
+
+
+class _Sweeper:
+    """One rail's share of the polling thread, as callbacks.
+
+    Parked on the rail's CQ between sweeps; the push that finds it there
+    calls :meth:`on_record`, which only schedules.  ``_fire`` — always
+    its own kernel event, ``dispatch_delay`` after the record arrived —
+    runs the handlers and parks again.
+    """
+
+    __slots__ = ("engine", "nic", "cq", "delay", "_on_record")
+
+    def __init__(self, engine: "ProgressEngine", nic: Any) -> None:
+        self.engine = engine
+        self.nic = nic
+        self.cq = nic.cq
+        self.delay = engine.config.dispatch_delay
+        #: the parked consumer, bound once rather than per park
+        self._on_record = self.on_record
+        self._park()
+
+    def _park(self) -> None:
+        # A record already queued (a backlog beyond the batch limit) is
+        # taken now but starts its sweep from a zero-delay event, the
+        # way a get() on a non-empty queue is served.
+        record = self.cq.park(self._on_record)
+        if record is not None:
+            self.engine.env.defer(0.0, self._on_record, record)
+
+    def on_record(self, record: CompletionRecord) -> None:
+        """A sweep begins.  Runs inside the producer's kernel event."""
+        engine = self.engine
+        engine.n_sweeps += 1
+        # A stalled CQ (fault injection) holds its records back: the
+        # progress engine is wedged until the stall window passes.
+        if self.cq.is_stalled:
+            self._stall_over(record)
+        else:
+            fire = _SweepFire(engine.env, self.delay)
+            fire.sweeper = self
+            fire.record = record
+
+    def _stall_over(self, record: CompletionRecord) -> None:
+        cq = self.cq
+        env = self.engine.env
+        if cq.is_stalled:  # still, or again: the window can be extended
+            env.defer(cq.stalled_until - env.now, self._stall_over, record)
+        elif self.delay > 0:
+            env.defer(self.delay, self._fire, record)
+        else:
+            self._fire(record)  # already in a kernel event of our own
+
+    def _fire(self, record: CompletionRecord) -> None:
+        engine = self.engine
+        nic = self.nic
+        cq = self.cq
+        engine._dispatch(nic, record)
+        backlog = cq.park(self._on_record)
+        if backlog is None:
+            return  # the usual case: nothing else arrived, parked again
+        if cq.is_stalled:  # holds its records back: the next sweep waits it out
+            engine.env.defer(0.0, self._on_record, backlog)
+            return
+        # Drain whatever else arrived during the delay in one batched
+        # sweep — no extra simulator events per record, no allocations
+        # (records land in the preallocated buffer; ``backlog`` is the
+        # first of them, already off the queue).  Anything beyond the
+        # batch limit starts the next sweep from _park.
+        batch = engine._batch
+        n = cq.poll_batch_into(batch, len(batch) - 1)
+        engine._dispatch(nic, backlog)
+        for i in range(n):
+            extra = batch[i]
+            batch[i] = None
+            engine._dispatch(nic, extra)
+        self._park()
+
+
+class ProgressEngine:
+    """One node's progress core: batched CQ sweeps, handler dispatch.
+
+    The paper's per-node polling thread (§IV-C), modelled without a
+    simulated process: one :class:`_Sweeper` per NIC is *parked* on that
+    rail's completion queue, and the NIC delivery that pushes a record
+    hands it over directly.  The record is applied after the configured
+    dispatch delay, in a kernel event of its own even when the delay is
+    zero (a handler never runs inside the NIC's delivery callback); the
+    same event then drains whatever else accumulated in one batched
+    sweep (a real polling thread processes the CQ in batches) and parks
+    the sweeper again.  Records dispatch to the handler registered for
+    their ``kind`` — the library registers MMAS custom-bit decoding for
+    RMA completions and the (p, a) apply for Level-0 ctrl messages —
+    with ``default_handler`` as the catch-all.
+    """
+
+    def __init__(
+        self,
+        env: Environment,
+        node: Node,
+        config: PollingConfig,
+        default_handler: Optional[Callable[[int, CompletionRecord], None]] = None,
+        *,
+        health: Optional["HealthMonitor"] = None,
+    ) -> None:
+        self.env = env
+        self.node = node
+        self.config = config
+        self.default_handler = default_handler
+        self.handlers: Dict[str, Callable[[int, CompletionRecord], None]] = {}
+        #: health monitor fed with every swept record: a completion that
+        #: crossed the wire proves its (src, dst, rail) path, which is
+        #: what closes half-open breakers without extra probe traffic.
+        self.health = health
+        self.n_sweeps = 0
+        self.n_dispatched = 0
+        self.total_delay = 0.0
+        #: preallocated sweep buffer — one per engine, reused by every
+        #: rail's sweeper (sweepers never interleave mid-drain).
+        self._batch: List[Optional[CompletionRecord]] = [None] * SWEEP_BATCH
+        if config.mode == "none":
+            return
+        if config.mode == "reserved":
+            node.cpu.reserve(config.reserved_cores)
+        elif config.cpu_duty > 0:
+            node.cpu.add_polling_load(config.cpu_duty)
+        for nic in node.nics:
+            _Sweeper(self, nic)  # kept alive by the queue it parks on
+
+    def register(
+        self, kind: str, handler: Callable[[int, CompletionRecord], None]
+    ) -> None:
+        """Dispatch records of ``kind`` to ``handler(node_index, record)``."""
+        self.handlers[kind] = handler
+
+    def _dispatch(self, nic: Any, record: CompletionRecord) -> None:
+        self.n_dispatched += 1
+        delay = self.env.now - record.complete_time
+        self.total_delay += delay
+        kind = record.kind
+        handler = self.handlers.get(kind, self.default_handler)
+        if handler is not None:
+            # Read through env each dispatch (not cached at construction)
+            # so profilers attached after engine creation are still seen.
+            prof = self.env.profile
+            if prof is not None:
+                t0 = prof.dispatch_begin()
+                handler(self.node.index, record)
+                prof.dispatch_end(kind, t0)
+            else:
+                handler(self.node.index, record)
+        if self.health is not None:
+            self.health.on_cq_record(nic.index, record)
+        # Pooled records go back to the free list the moment
+        # they are dispatched (no-op for un-pooled records): handlers
+        # consume record fields synchronously and must not retain the
+        # record object itself.
+        recycle_record(record)
+

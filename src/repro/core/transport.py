@@ -1,12 +1,12 @@
-"""UNR transport-layer helpers: multi-rail striping plans and the
-reliability layer's timeout policy.
+"""UNR transport-layer helper: multi-rail striping plans.
 
 The UNR Interface Module schedules one logical message across multiple
 UNR Transport Channels (rails).  :func:`plan_stripes` decides how a
 message of ``size`` bytes is fragmented, subject to the level policy
 (striping requires addend bits), the rail count, and a minimum fragment
 size (tiny fragments waste per-message overhead — the paper only
-stripes large messages).
+stripes large messages).  The watchdog's timeout policy lives with the
+watchdog, in :mod:`repro.core.reliability`.
 """
 
 from __future__ import annotations
@@ -14,42 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from ..units import US
-
 __all__ = [
     "Stripe",
     "plan_stripes",
-    "fragment_timeout",
     "DEFAULT_STRIPE_THRESHOLD",
     "MIN_FRAGMENT",
 ]
 
 DEFAULT_STRIPE_THRESHOLD = 64 * 1024
 MIN_FRAGMENT = 8 * 1024
-
-
-# The reliability layer's policy: a reliably posted fragment whose
-# delivery is not confirmed within its timeout is retransmitted (rail
-# failover, exponential backoff) up to MAX_RETRIES times, then
-# UnrTimeoutError is raised.
-#: floor of a fragment's watchdog timeout (simulated microseconds)
-TIMEOUT_US = 25.0
-#: a fragment's timeout is at least this many no-contention delivery times
-TIMEOUT_FACTOR = 4.0
-#: retransmits before a fragment is declared lost
-MAX_RETRIES = 10
-#: timeout growth per retransmit
-BACKOFF_FACTOR = 2.0
-#: backoff ceiling (simulated microseconds)
-MAX_BACKOFF_US = 2000.0
-
-
-def fragment_timeout(estimate: float) -> float:
-    """Timeout in seconds for a fragment whose no-contention delivery
-    time is ``estimate`` seconds: at least ``TIMEOUT_US`` and at least
-    ``TIMEOUT_FACTOR`` delivery times, so 1 MiB stripes are not declared
-    lost while still serializing onto the wire."""
-    return max(TIMEOUT_US * US, TIMEOUT_FACTOR * estimate)
 
 
 @dataclass(frozen=True)

@@ -56,7 +56,7 @@ class CompletionRecord:
     ``(sid, addend)`` payload) or ``msg`` (plain two-sided style delivery
     used by the MPI fallback channel).  ``custom`` is the raw custom-bits
     payload.  Records are drained by the per-node
-    :class:`~repro.core.engine.ProgressEngine`, which routes each kind to
+    :class:`~repro.core.polling.ProgressEngine`, which routes each kind to
     its registered handler.
 
     Hot-path records come off a free list (:func:`alloc_record`) and go
@@ -189,7 +189,7 @@ class CompletionQueue:
     ``Store`` traffic and no getter event.  A queue nobody parked on is
     an ordinary ``Store``-backed FIFO.  Consuming (``park`` / ``get`` /
     ``poll`` / ``poll_batch`` / ``poll_batch_into``) is reserved to
-    :class:`~repro.core.engine.ProgressEngine`; a test runs the golden
+    :class:`~repro.core.polling.ProgressEngine`; a test runs the golden
     fault-stress schedule and fails on any other caller.
 
     Accounting, all readable attributes: ``n_pushed`` records accepted,

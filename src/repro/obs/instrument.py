@@ -206,7 +206,8 @@ def observe_unr(unr: "Unr", observe: Any) -> Recorder:
         for key, value in (
             ("core.poll_sweeps", sum(e.n_sweeps for e in unr.engines)),
             ("core.poll_dispatches", sum(e.n_dispatched for e in unr.engines)),
-            ("reliability.rail_failovers", engine.n_failovers),
+            ("reliability.rail_failovers",
+             0 if engine.reliable is None else engine.reliable.n_failovers),
         ):
             if value:
                 out[key] = value

@@ -26,7 +26,7 @@ from the Recorder:
   measured window lands on some event kind, including the profiler's
   own bookkeeping (the accounting identity ``sum(total_ns) ≈ wall_ns``
   holds by construction; coverage is typically >97%).
-* **Self vs total.**  :class:`~repro.core.engine.ProgressEngine` wraps
+* **Self vs total.**  :class:`~repro.core.polling.ProgressEngine` wraps
   handler dispatch in :meth:`dispatch_begin`/:meth:`dispatch_end`;
   nested dispatch time is subtracted from the enclosing event's
   ``self_ns`` and attributed per completion-record kind.
@@ -87,9 +87,10 @@ def host_clock_ns() -> int:
     return _clock_ns()
 
 
-#: package component -> attribution layer.  ``core`` is the transfer/
-#: progress engine, ``obs`` the observability layer itself; workload
-#: components (apps, benches, examples) fold into one bucket.
+#: package component -> attribution layer.  ``core`` is the transfer
+#: engine, its reliability ladder and the progress engine, ``obs`` the
+#: observability layer itself; workload components (apps, benches,
+#: examples) fold into one bucket.
 _LAYER_BY_COMPONENT = {
     "sim": "sim",
     "netsim": "netsim",

@@ -48,8 +48,8 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, List, Optional
 from .core.api import UnrEndpoint
 from .core.engine import CTRL_BYTES
 from .core.errors import UnrTimeoutError, UnrUsageError
-from .runtime import RankContext
-from .sim import Process, SimulationError
+from .runtime import RankContext, raise_unfinished
+from .sim import Process
 from .units import US
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -191,14 +191,7 @@ class TeamWorld:
             except UnrTimeoutError as err:
                 if not self._contain(err):
                     raise
-        blocked = [
-            proc.name for world in sorted(self.live)
-            for proc in self._procs[world] if not proc.triggered
-        ]
-        if blocked:
-            raise SimulationError(
-                f"{', '.join(blocked)} did not finish (deadlock?) at t={env.now}"
-            )
+        raise_unfinished(env, (proc for world in sorted(self.live) for proc in self._procs[world]))
         return [proc.value for proc in self._procs[min(self.live)]]
 
     def _contain(self, err: UnrTimeoutError) -> bool:

@@ -10,7 +10,7 @@ process per rank and returns their values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .netsim import Cluster, Nic, Node
 from .sim import Environment, Process, SimulationError
@@ -133,14 +133,18 @@ def run_job(
         ctx = RankContext(job=job, rank=rank, services=shared)
         procs.append(env.process(fn(ctx, *args), name=f"rank{rank}"))
     env.run(until=until)
-    blocked = [proc.name for proc in procs if not proc.triggered]
-    if blocked:
-        raise SimulationError(
-            f"{', '.join(blocked)} did not finish (deadlock?) at t={env.now}"
-        )
+    raise_unfinished(env, procs)
     results = []
     for proc in procs:
         if not proc.ok:
             raise proc.value
         results.append(proc.value)
     return results
+
+
+def raise_unfinished(env: Environment, procs: Iterable[Process]) -> None:
+    """Raise :class:`SimulationError` naming every process of ``procs``
+    that has not finished, with the time the run stopped at."""
+    blocked = [proc.name for proc in procs if not proc.triggered]
+    if blocked:
+        raise SimulationError(f"{', '.join(blocked)} did not finish (deadlock?) at t={env.now}")

@@ -193,9 +193,11 @@ CLEAN = {
     "sim/core.py": FIXTURES / "bad_unr004.py",  # heapq in the kernel
     "sim/scheduler.py": FIXTURES / "bad_unr004.py",
     "obs/profile.py": FIXTURES / "bad_unr002.py",  # the one sanctioned wall-clock user
-    # the live CQ consumer with its retransmit watchdog, and a hot-path
-    # module: both lint clean with no suppression comment
+    # the transfer engine, the live CQ consumer, the retransmit watchdog
+    # and a hot-path module: all lint clean with no suppression comment
     "core/engine.py": SRC / "core/engine.py",
+    "core/polling.py": SRC / "core/polling.py",
+    "core/reliability.py": SRC / "core/reliability.py",
     "netsim/node.py": SRC / "netsim/node.py",
 }
 

@@ -334,7 +334,7 @@ def _classes(path):
 @pytest.mark.parametrize("path, cls, method", [
     ("netsim/nic.py", "Nic", "post_put"),
     ("netsim/nic.py", "Nic", "post_get"),
-    ("core/engine.py", "_Sweeper", "on_record"),
+    ("core/polling.py", "_Sweeper", "on_record"),
 ])
 def test_per_message_paths_build_no_callables(path, cls, method):
     """A closure or lambda per message is an object (plus its cells) in

@@ -29,7 +29,7 @@ from repro.core.health import (
     CircuitBreaker,
     scan_rails,
 )
-from repro.core.transport import MAX_RETRIES
+from repro.core.reliability import MAX_RETRIES
 from repro.netsim import (
     Cluster,
     ClusterSpec,
@@ -187,11 +187,11 @@ def test_live_rail_skips_tripped_breakers_and_reports_dark_plane():
     assert scan_rails(job, 0, 1, 0, health)[0] == 0
     health.breaker(0, 1, 0).trip()
     assert scan_rails(job, 0, 1, 0, health)[0] == 1  # failover to the other rail
-    assert unr.engine._next_rail(op, 0) == 1
+    assert unr.engine.reliable._next_rail(op, 0) == 1
     health.breaker(0, 1, 1).trip()
     assert scan_rails(job, 0, 1, 0, health)[0] is None  # RMA plane fully dark
     assert not health.fallback_dead(0, 1)  # ordered lane still up
-    assert unr.engine._next_rail(op, 0, degrade=False) == FALLBACK_RAIL
+    assert unr.engine.reliable._next_rail(op, 0, degrade=False) == FALLBACK_RAIL
     assert unr.stats["degraded_ops"] == 0
     snap = health.snapshot()
     assert snap["breakers"]["0->1/rail0"]["state"] == BREAKER_OPEN

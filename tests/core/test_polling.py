@@ -1,10 +1,10 @@
 """Unit tests for the polling config (`repro.core.polling`) and the
-per-node progress core (`repro.core.engine.ProgressEngine`)."""
+per-node progress core (`repro.core.polling.ProgressEngine`)."""
 
 import pytest
 
 from repro.core import polling
-from repro.core.engine import ProgressEngine
+from repro.core.polling import ProgressEngine
 from repro.core.polling import PollingConfig
 from repro.netsim import Cluster, ClusterSpec, CompletionRecord, NicSpec, NodeSpec
 from repro.sim import Environment

@@ -14,11 +14,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import repro.core.engine as engine_module
 from repro.bench.fingerprints import PLATFORMS, run_schedule
 from repro.core import polling
-from repro.core.engine import ProgressEngine
-from repro.core.polling import PollingConfig
+from repro.core.polling import PollingConfig, ProgressEngine
 from repro.netsim import Cluster, ClusterSpec, CompletionRecord, NicSpec, NodeSpec
 from repro.netsim.nic import CompletionQueue
 from repro.sim import Environment
@@ -126,7 +124,7 @@ def test_sweeps_match_the_batching_rule(config, n_rails, depth, bursts, windows)
     log = []
     with pytest.MonkeyPatch.context() as mp:  # the engine reads them once
         mp.setattr(polling, "POLL_COST_US", poll_cost_us)
-        mp.setattr(engine_module, "SWEEP_BATCH", batch)
+        mp.setattr(polling, "SWEEP_BATCH", batch)
         engine = ProgressEngine(
             env, node, config, lambda n, rec: log.append((env.now, rec.custom)),
         )
@@ -307,14 +305,15 @@ def record_cq_consumers(monkeypatch):
 
 def test_only_the_engine_consumes_a_completion_queue(monkeypatch):
     """A second consumer steals the sweepers' records and reorders
-    dispatch, so every park or drain of a CQ comes from the engine —
-    checked on the golden fault-stress schedule, which exercises the
-    reliability layer's retransmits and duplicates on every platform."""
+    dispatch, so every park or drain of a CQ comes from the progress
+    engine's module — checked on the golden fault-stress schedule, which
+    exercises the reliability layer's retransmits and duplicates on
+    every platform."""
     callers = record_cq_consumers(monkeypatch)
     for platform in PLATFORMS:
         run_schedule(platform, "fault_stress")
-    assert ("repro.core.engine", "park") in callers
-    assert {module for module, _ in callers} == {"repro.core.engine"}
+    assert ("repro.core.polling", "park") in callers
+    assert {module for module, _ in callers} == {"repro.core.polling"}
 
 
 @pytest.mark.parametrize("poll_cost_us", [polling.POLL_COST_US, 0.0],

@@ -21,7 +21,7 @@ from repro.netsim import (
     NodeSpec,
     RailFailure,
 )
-from repro.core.transport import MAX_RETRIES, TIMEOUT_FACTOR, TIMEOUT_US, fragment_timeout
+from repro.core.reliability import MAX_RETRIES, TIMEOUT_FACTOR, TIMEOUT_US, fragment_timeout
 from repro.netsim.trace import transfer_fingerprint
 from repro.obs import Recorder
 from repro.platforms import make_job
@@ -393,14 +393,14 @@ def test_rail_failover_mid_flight():
 
 def test_live_rail_skips_failed():
     job, unr, _ = make_unr(nics=2, reliability=True)
-    engine = unr.engine
-    op = engine.prepare_ctrl(0, 1)
-    assert engine._next_rail(op, 0) == 0
+    ladder = unr.engine.reliable
+    op = unr.engine.prepare_ctrl(0, 1)
+    assert ladder._next_rail(op, 0) == 0
     job.nic_of(1, 0).failed = True
-    assert engine._next_rail(op, 0) == 1
-    assert engine.n_failovers == 1
+    assert ladder._next_rail(op, 0) == 1
+    assert ladder.n_failovers == 1
     job.nic_of(0, 1).failed = True  # rail 1 dead on *our* end too
-    assert engine._next_rail(op, 0) == 0  # nothing alive: fall back, watchdog raises
+    assert ladder._next_rail(op, 0) == 0  # nothing alive: fall back, watchdog raises
 
 
 def test_all_rails_dead_times_out():
@@ -538,7 +538,7 @@ def _observed_stream(faults):
     assert all(results.values()) and len(results) == 3
     assert report is not None and report.ok
     assert unr.stats["fragments"] == 2 * unr.stats["puts"] == 6
-    assert not unr.engine._inflight  # every fragment delivered and retired
+    assert not unr.engine.reliable._inflight  # every fragment delivered and retired
     return transfer_fingerprint(recorder.transfers), adds
 
 
@@ -578,7 +578,7 @@ def test_delivered_fragment_retires_at_its_delivery_instant():
     calls = []  # per delivery callback: (in flight before, in flight after)
 
     def in_flight(rtok, ltok):
-        return any((f.rtok, f.ltok) == (rtok, ltok) for f in engine._inflight.values())
+        return any((f.rtok, f.ltok) == (rtok, ltok) for f in engine.reliable._inflight)
 
     def on_post(op, sp, rail, attempt, rtok, ltok, deliver):
         if sp is None or attempt:
@@ -599,7 +599,7 @@ def test_delivered_fragment_retires_at_its_delivery_instant():
     assert calls.count((True, False)) == unr.stats["fragments"]
     assert len(calls) > unr.stats["fragments"]  # replicas did arrive
     assert all(not after for _, after in calls)
-    assert not engine._inflight
+    assert not engine.reliable._inflight
 
 
 def test_drained_fragment_timer_stands_down():
@@ -628,7 +628,7 @@ def test_drained_fragment_timer_stands_down():
     assert unr.stats.get("retransmits", 0) == 0
     assert unr.stats.get("health_timeouts", 0) == 0
     assert unr.stats.get("reliability_failures", 0) == 0
-    assert not unr.engine._inflight
+    assert not unr.engine.reliable._inflight
 
 
 #: the ladder of one 4 KiB PUT on one rail with health armed when every

@@ -18,7 +18,8 @@ import pytest
 
 import repro.core
 from repro.core import Unr, UnrTimeoutError, UnrUsageError
-from repro.core.engine import ProgressEngine, TransferOp
+from repro.core.engine import TransferOp
+from repro.core.polling import ProgressEngine
 from repro.netsim import (
     Cluster,
     ClusterSpec,
@@ -353,7 +354,7 @@ def test_drain_and_finalize_during_inflight_failover():
 
     def mid_failover_drain():
         yield env.timeout(140.0 * US)
-        unr.engine.drain(1)
+        unr.engine.reliable.drain(1)
 
     env.process(mid_failover_drain(), name="mid-drain")
     world.run(stream_program(results, size=4096, iters=iters))
@@ -580,12 +581,14 @@ def runtime_imports(tree, package):
 
 
 def test_engine_knows_only_its_datapath():
-    """Observation and the sanitizer attach at the library's boundary:
-    no engine code line names them, the progress engine takes no
-    recorder, a descriptor counts no posts, and no ``core`` module
-    imports ``repro.obs`` or ``repro.analysis`` when it is imported."""
+    """Observation and the sanitizer attach at the library's boundary,
+    and the health layer and the in-flight table live in the reliability
+    ladder: no engine code line names any of them, the progress engine
+    takes no recorder, a descriptor counts no posts, and no ``core``
+    module imports ``repro.obs`` or ``repro.analysis`` when it is
+    imported."""
     source = (CORE / "engine.py").read_text()
-    pattern = re.compile(r"\bobs\b|sanitizer|Recorder|record_op|check_rma")
+    pattern = re.compile(r"\bobs\b|sanitizer|Recorder|record_op|check_rma|health|_inflight")
     named = [n for n, line in code_lines(ast.parse(source), source) if pattern.search(line)]
     assert named == []
     assert "obs" not in inspect.signature(ProgressEngine).parameters
@@ -615,7 +618,7 @@ def test_single_valued_options_are_constants():
     caller sets; no module under ``src/repro`` defines, imports or
     exports a deleted option; the constants hold the values every golden
     was recorded with."""
-    from repro.core import health, transport
+    from repro.core import health, reliability
 
     params = inspect.signature(Unr.__init__).parameters.values()
     assert [p.name for p in params if p.kind is p.KEYWORD_ONLY] == [
@@ -632,8 +635,8 @@ def test_single_valued_options_are_constants():
             names.update(getattr(alias, "name", alias) for alias in getattr(node, "names", ()))
             named += [(path.name, node.lineno) for _ in names & DELETED_OPTIONS]
     assert named == []
-    assert (transport.TIMEOUT_US, transport.TIMEOUT_FACTOR, transport.MAX_RETRIES,
-            transport.BACKOFF_FACTOR, transport.MAX_BACKOFF_US) == (25.0, 4.0, 10, 2.0, 2000.0)
+    assert (reliability.TIMEOUT_US, reliability.TIMEOUT_FACTOR, reliability.MAX_RETRIES,
+            reliability.BACKOFF_FACTOR, reliability.MAX_BACKOFF_US) == (25.0, 4.0, 10, 2.0, 2000.0)
     assert (health.FAILURE_THRESHOLD, health.OPEN_BACKOFF_US, health.BACKOFF_FACTOR,
             health.MAX_BACKOFF_US) == (2, 100.0, 2.0, 5000.0)
     assert (HEARTBEAT_PERIOD_US, SUSPICION_THRESHOLD) == (25.0, 3)
