@@ -7,7 +7,7 @@
 #   make test-chaos  - fault-domain resilience soak (degradation + the
 #                      replica-world leg at team sizes 2 and 3) +
 #                      BENCH_resilience.json and BENCH_resilience_t3.json;
-#                      `repro chaos` exits 1 on any failed verdict or budget
+#                      `repro chaos` exits 1 on a NO-GO resilience claim
 #   make demo-faults - the fault-injection acceptance demo (repro faults)
 #   make trace       - the observed stream: one Perfetto JSON file
 #   make profile     - unrprof host-time profile of the latency demo
@@ -54,8 +54,8 @@ test-slow:
 # The chaos soak: node-kill schedules on all four Table III platforms,
 # then the CLI runs that write the BENCH_resilience.json record (two
 # replica worlds) and BENCH_resilience_t3.json (three) and exit 1 on a
-# failed verdict or a blown replication budget (the rules and their
-# constants live in src/repro/bench/resilience.py).
+# NO-GO among the ledger's ext.resilience.* claims, which it applies to
+# the record it wrote (src/repro/bench/paper.py).
 test-chaos:
 	$(PYTEST) -q -m chaos
 	$(REPRO) chaos --out BENCH_resilience.json
@@ -114,7 +114,7 @@ loc:
 lint:
 	$(REPRO) lint src/repro examples
 	@if command -v ruff >/dev/null 2>&1; then \
-		ruff check src tests; \
+		ruff check src tests benchmarks tools; \
 	else \
 		echo "ruff not installed; skipping (CI runs it)"; \
 	fi

@@ -1,10 +1,8 @@
-"""Shared helpers for the paper-reproduction benchmarks.
-
-The paper's tables and figures are computed once per session by the
-claims ledger (the ``ledger`` fixture, checked by
-``test_paper_claims.py``) from one store of points (``points``).  The
-other benchmarks measure *simulated* time too (who wins, by what
-factor); host time is ``perfbench``'s to measure.
+"""The claims ledger's session: the paper's tables and figures, the
+design's ablations, the collectives built on UNR and the chaos soak,
+each point computed once (``points``) and every claim read from that
+one store (``ledger``), checked by ``test_paper_claims.py``.  Every
+value is simulated time; host time is ``perfbench``'s to measure.
 """
 
 import pytest
@@ -20,19 +18,7 @@ def points():
 
 @pytest.fixture(scope="session")
 def ledger(points):
-    """Every claim of the paper, computed once for the session."""
+    """Every claim of the ledger, computed once for the session."""
     from repro.bench.paper import compute
 
     return compute(points=points)
-
-
-@pytest.fixture
-def emit(capsys):
-    """Print a report block that survives pytest's capture (-s not needed)."""
-
-    def _emit(title: str, body: str):
-        with capsys.disabled():
-            print(f"\n=== {title} ===")
-            print(body)
-
-    return _emit

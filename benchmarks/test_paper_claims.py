@@ -1,8 +1,8 @@
-"""The paper's claims (Tables I-III, Figures 4-7), checked through the
-ledger: one session-scoped computation of every point
-(:func:`repro.bench.paper.compute`), one test per claim, and the
-committed record it must reproduce (``repro paper`` is the same check
-from a shell)."""
+"""The ledger's claims (Tables I-III, Figures 4-7, the ablations, the
+collectives and the chaos soak), checked through one session-scoped
+computation of every point (:func:`repro.bench.paper.compute`): one test
+per claim, and the committed record it must reproduce (``repro paper``
+is the same check from a shell)."""
 
 import os
 

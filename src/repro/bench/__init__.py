@@ -23,7 +23,6 @@ from .resilience import (
     DEFAULT_CHAOS_FAULTS,
     RESILIENCE_SCHEMA,
     resilience_bench,
-    resilience_failures,
     write_resilience_bench,
 )
 from .stream import DEFAULT_FAULTS, fault_demo, run_stream
@@ -44,7 +43,6 @@ __all__ = [
     "pingpong_with_calc",
     "powerllel_point",
     "resilience_bench",
-    "resilience_failures",
     "run_stream",
     "unr_get_pull",
     "unr_pingpong",

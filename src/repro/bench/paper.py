@@ -1,5 +1,6 @@
 """The claims ledger: every table and figure of the paper's evaluation,
-computed once and checked.
+computed once and checked, with the design's ablations, the collectives
+built on UNR and the chaos soak beside them.
 
 The evaluation is a flat table of runs, :data:`POINTS`, each a
 :class:`Point` addressed by an id such as ``fig6.hpc-ib.mpi`` or
@@ -12,10 +13,11 @@ read from one :class:`Points` store, which runs a point on its first
 read and never again, so :func:`compute` runs only what it reads and
 returns the record that ``repro paper`` prints and diffs against the
 committed ``benchmarks/claims.json`` (``--write`` regenerates it and
-EXPERIMENTS.md's tables).  A claim is NO-GO when its bound fails;
-DEVIATION(cause) when the bound holds, the value lies more than
-:data:`TOLERANCE` from the paper's and the claim names a cause (NO-GO
-when it names none); GO otherwise.  Every measured value is a simulated
+EXPERIMENTS.md's tables); ``repro chaos`` applies the resilience
+claims to the record it writes (:func:`chaos_entries`).  A claim is
+NO-GO when its bound fails; DEVIATION(cause) when the bound holds, the
+value lies more than :data:`TOLERANCE` from the paper's and the claim
+names a cause (NO-GO when it names none); GO otherwise.  Every measured value is a simulated
 quantity; host times stay out.
 """
 
@@ -37,11 +39,13 @@ from .latency import latency_table, unr_pingpong
 from .multinic import aggregation_sweep, imbalance_sweep, pingpong_with_calc
 from .powerllel_bench import FIG6_GRIDS, FIG7_SERIES, powerllel_point
 from .report import REPO_ROOT, format_cell, format_size, format_table
+from .resilience import resilience_bench
+from .studies import collective_time, ordered_burst, striped_put
 
 __all__ = ["CLAIMS", "CLAIMS_PATH", "EXPERIMENTS_PATH", "FIGURES", "POINTS", "TABLE1_LEVELS",
-           "TABLE2_LEVELS", "TOLERANCE", "Cause", "Claim", "Point", "Points", "compute", "diff",
-           "efficiency", "entries", "experiments_blocks", "load_record", "render_markdown",
-           "render_text", "synthetic_channel", "write"]
+           "TABLE2_LEVELS", "TOLERANCE", "Cause", "Claim", "Point", "Points", "chaos_entries",
+           "compute", "diff", "efficiency", "entries", "experiments_blocks", "figure_of",
+           "load_record", "render_markdown", "render_text", "synthetic_channel", "write"]
 
 SCHEMA = "repro.bench.paper/1"
 CLAIMS_PATH = REPO_ROOT / "benchmarks" / "claims.json"
@@ -82,7 +86,7 @@ class Claim:
 
     @property
     def figure(self) -> str:
-        return self.id.split(".", 1)[0]
+        return figure_of(self.id)
 
     def verdict(self, value: float) -> str:
         op, limit = self.bound
@@ -105,6 +109,13 @@ class Figure(NamedTuple):
     title: str
     headers: Tuple[str, ...]
     rows: Callable[["Points"], List[list]]
+
+
+def figure_of(id: str) -> str:
+    """The figure a point or claim id belongs to: the name in
+    :data:`FIGURES` that the id starts with (``ext.collectives`` for
+    ``ext.collectives.bcast``)."""
+    return next(name for name in FIGURES if f"{id}.".startswith(f"{name}."))
 
 
 # -- the points ----------------------------------------------------------
@@ -133,6 +144,25 @@ FIG6_BARS = ([(q, leg, leg) for q in PLATFORMS for leg in ("mpi", "unr", "unr_fa
 #: more host time than the rest of the ledger, and
 #: benchmarks/test_paper_claims.py reads it on request.
 FIG7_ROWS = {"th-2a": (12, 24, 48, 96, 192), "th-xy": (288, 576, 1152)}
+#: the ablations' legs as (study, variant, point id).  The pipeline's
+#: 4-slab leg is Figure 6's HPC-RoCE UNR run; the offload study is TH-XY
+#: on HPC-IB's Figure 6 grid.
+ABLATION_LEGS = (
+    ("striping: one 4 MiB PUT, TH-XY", "1 rail", "ablation.striping.1"),
+    ("striping: one 4 MiB PUT, TH-XY", "2 rails", "ablation.striping.2"),
+    ("pipeline: PowerLLEL, HPC-RoCE", "1 slab", "ablation.pipeline.1"),
+    ("pipeline: PowerLLEL, HPC-RoCE", "4 slabs", "fig6.hpc-roce.unr"),
+    ("pipeline: PowerLLEL, HPC-RoCE", "8 slabs", "ablation.pipeline.8"),
+    ("offload: PowerLLEL, TH-XY, 24 nodes", "polled (Level 3)", "ablation.offload.polled"),
+    ("offload: PowerLLEL, TH-XY, 24 nodes", "atomic add (Level 4)", "ablation.offload.hw"),
+    ("notification: 64 x 4 KiB PUTs", "ordered msg (Level 0)", "ablation.level0"),
+    ("notification: 64 x 4 KiB PUTs", "custom bits (Level 3)", "ablation.level3"),
+)
+#: the collectives compared on TH-2A with 8 ranks, 8 KiB per rank (a
+#: barrier moves one byte)
+COLLECTIVES = ("barrier", "bcast", "allgather", "alltoall")
+#: the chaos soak's replica team sizes
+TEAM_SIZES = (2, 3)
 
 
 def synthetic_channel(bits: int, offload: bool) -> Tuple[Job, RmaChannel]:
@@ -147,8 +177,13 @@ def synthetic_channel(bits: int, offload: bool) -> Tuple[Job, RmaChannel]:
     return job, RmaChannel(job, cap)
 
 
-def _policy(bits: int, offload: bool):
-    return policy_for_channel(synthetic_channel(bits, offload)[1])
+def _policy(bits: int = 0, offload: bool = False, interface: Optional[str] = None):
+    """The policy UNR derives for Table I's synthetic NIC, or for a
+    Table II ``interface`` on the same two nodes."""
+    job, channel = synthetic_channel(bits, offload)
+    if interface is not None:
+        channel = RmaChannel(job, TABLE_II[interface])
+    return policy_for_channel(channel)
 
 
 def _powerllel(platform: str, **kwargs) -> Dict[str, float]:
@@ -164,7 +199,9 @@ def _width(bits: int, hw: bool) -> str:
 def _points() -> List[Point]:
     table = [Point(f"table1.{_width(b, hw)}", _policy, dict(bits=b, offload=hw))
              for b, hw, _ in TABLE1_LEVELS]
-    table += [Point("table2", TABLE_II.copy, {}), Point("table3", REGISTRY.copy, {})]
+    table += [Point("table2", TABLE_II.copy, {}),
+              Point("table2.utofu", _policy, dict(interface="utofu")),
+              Point("table3", REGISTRY.copy, {})]
     table += [Point(f"fig4.{q}", latency_table, dict(platform=q, sizes=FIG4_SIZES, iters=10))
               for q in PLATFORMS]
     table.append(Point("fig4.th-xy.level4", unr_pingpong,
@@ -181,6 +218,22 @@ def _points() -> List[Point]:
                     dict(series["grid"], **pt, platform=q, backend="unr", steps=1,
                          pipeline_slabs=2))
               for q, series in FIG7_SERIES.items() for pt in series["points"]]
+    unr_run = dict(backend="unr", steps=2)
+    table += [Point(f"ablation.striping.{n}", striped_put, dict(rails=n)) for n in (1, 2)]
+    table += [Point(f"ablation.pipeline.{n}", _powerllel,
+                    dict(FIG6_GRIDS["hpc-roce"], platform="hpc-roce", pipeline_slabs=n, **unr_run))
+              for n in (1, 8)]
+    table += [Point(f"ablation.offload.{leg}", _powerllel,
+                    dict(FIG6_GRIDS["hpc-ib"], platform="th-xy", offload=hw, **unr_run))
+              for leg, hw in (("polled", False), ("hw", True))]
+    table += [Point(f"ablation.level{level}", ordered_burst, dict(bits=bits))
+              for level, bits in ((0, 0), (3, 64))]
+    table += [Point(f"ext.collectives.{op}.{lib}", collective_time,
+                    dict(lib=lib, op=op, platform="th-2a", ranks=8,
+                         chunk=1 if op == "barrier" else 8192))
+              for op in COLLECTIVES for lib in ("mpi", "unr")]
+    table += [Point(f"ext.resilience.t{n}", resilience_bench, dict(team_size=n))
+              for n in TEAM_SIZES]
     return table
 
 
@@ -223,6 +276,39 @@ def efficiency(p: Points, plat: str, nodes: int, key: str = "time") -> float:
     total time or of one phase (``key``)."""
     first = FIG7_ROWS[plat][0]
     return (p[f"fig7.{plat}.{first}"][key] / p[f"fig7.{plat}.{nodes}"][key]) * (first / nodes)
+
+
+def _time(p: Points, pid: str) -> float:
+    """An ablation leg's simulated time (s): a PowerLLEL run's total, or
+    a burst of PUTs'."""
+    value = p[pid]
+    return value["time"] if isinstance(value, dict) else value
+
+
+def _ratio(p: Points, leg: str, design: str) -> float:
+    """How much longer an ablation leg takes than the design's choice."""
+    return _time(p, leg) / _time(p, design)
+
+
+def _collective(p: Points, op: str, lib: str) -> float:
+    return p[f"ext.collectives.{op}.{lib}"]
+
+
+def _us(seconds: float) -> float:
+    return round(seconds * 1e6, 3)
+
+
+def _soak_rows(p: Points, team: int) -> List[list]:
+    """The chaos soak at one team size: per platform, the degraded
+    stream's first run, then the replication leg."""
+    record = p[f"ext.resilience.t{team}"]
+    rows = []
+    for q, block in record["platforms"].items():
+        run, rep = block["runs"][0], record["replication"]["platforms"][q]
+        rows.append([team, q, run["degraded_ops"], run["repromotions"],
+                     round(run["time_to_recover_us"]["p50"], 3), round(rep["overhead_ratio"], 3),
+                     rep["crash"]["failovers"], round(rep["crash"]["ttr_us"]["p95"], 3)])
+    return rows
 
 
 FIGURES: Dict[str, Figure] = {
@@ -279,6 +365,24 @@ FIGURES: Dict[str, Figure] = {
                    for q, nodes in FIG7_ROWS.items() for n in nodes
                    for r in [p[f"fig7.{q}.{n}"]]],
     ),
+    "ablation": Figure(
+        "Ablations: each design choice against its alternative (simulated us)",
+        ("study", "variant", "time"),
+        lambda p: [[study, variant, _us(_time(p, pid))] for study, variant, pid in ABLATION_LEGS],
+    ),
+    "ext.collectives": Figure(
+        "Extension: UNR collectives vs MPI's (TH-2A, 8 ranks, 8 KiB; simulated us per call)",
+        ("op", "MPI", "UNR", "speedup"),
+        lambda p: [[op, _us(_collective(p, op, "mpi")), _us(_collective(p, op, "unr")),
+                    round(_collective(p, op, "mpi") / _collective(p, op, "unr"), 3)]
+                   for op in COLLECTIVES],
+    ),
+    "ext.resilience": Figure(
+        "Extension: chaos soak, endpoint down then a replica's node crash (repro chaos)",
+        ("team", "platform", "degraded ops", "re-promotions", "recovery p50 us",
+         "replication overhead", "failovers", "failover p95 us"),
+        lambda p: [row for team in TEAM_SIZES for row in _soak_rows(p, team)],
+    ),
 }
 
 
@@ -327,6 +431,51 @@ def _pscw_over_unr(p: Points, plat: str) -> float:
     return p[f"fig4.{plat}"]["pscw"][0] / p[f"fig4.{plat}"]["unr"][0]
 
 
+#: Table III's row values: (link Gbps, rails per node, nodes used)
+TABLE3_ROWS = {"th-xy": (200, 2, 1728), "th-2a": (114, 1, 192), "hpc-ib": (100, 1, 24),
+               "hpc-roce": (25, 1, 12)}
+
+
+def _rails(platform) -> int:
+    """Rails per node of a two-node cluster built from ``platform``'s row."""
+    return platform.make_cluster(Environment(), n_nodes=2).node(0).n_rails
+
+
+def _resilience_claims(team: int, replication: bool = True) -> List[Claim]:
+    """The chaos soak's verdicts at one replica team size, read from its
+    record (point ``ext.resilience.t<team>``): every message intact and
+    every replay identical, on every platform the endpoint-down window
+    forced the fallback lane, and (``replication``) the replication leg's
+    crash stopped a world on every platform, cheaply and quickly."""
+    pid = f"ext.resilience.t{team}"
+
+    def rep(p: Points) -> Dict[str, Any]:
+        return p[pid]["replication"]
+
+    claims = [
+        Claim(f"{pid}.correct", None, lambda p: p[pid]["correct"], ("==", 1)),
+        Claim(f"{pid}.identical", None, lambda p: p[pid]["identical"], ("==", 1)),
+        Claim(f"{pid}.degraded", None,
+              lambda p: all(b["degraded"] for b in p[pid]["platforms"].values()), ("==", 1)),
+    ]
+    if replication:
+        # The failover bound is 5x the slowest platform's p95 (heartbeats
+        # stop a world at ~95-98 us on th-xy and hpc-roce, a contained
+        # peer-dead error at ~39-43 us on th-2a and hpc-ib): only a stop
+        # stalled for whole extra heartbeat rounds breaks it.  Replica
+        # worlds share only the heartbeats (1.000-1.003x; shadowing every
+        # op from the primaries read up to 3.698x).
+        claims += [
+            Claim(f"{pid}.failovers", None,
+                  lambda p: min(b["crash"]["failovers"] for b in rep(p)["platforms"].values()),
+                  (">=", 1)),
+            Claim(f"{pid}.overhead", None, lambda p: rep(p)["overhead_ratio"], ("<=", 1.5)),
+            Claim(f"{pid}.ttr-p95-us", None, lambda p: rep(p)["p95_failover_ttr_us"],
+                  ("<=", 500.0)),
+        ]
+    return claims
+
+
 def _claims() -> Tuple[Claim, ...]:
     claims: List[Claim] = []
     add = claims.append
@@ -344,7 +493,17 @@ def _claims() -> Tuple[Claim, ...]:
                   ("==", level)))
     add(Claim("table2.interfaces", len(TABLE2_LEVELS), lambda p: len(p["table2"]),
               ("==", len(TABLE2_LEVELS))))
+    add(Claim("table2.utofu.max-signals", 256, lambda p: max_signals(p["table2.utofu"]),
+              ("==", 256)))
     add(Claim("table3.systems", 4, lambda p: len(p["table3"]), ("==", 4)))
+    for q, (gbps, rails, nodes) in TABLE3_ROWS.items():
+        add(Claim(f"table3.{q}.link-gbps", gbps, lambda p, q=q: p["table3"][q].nic.bandwidth_gbps,
+                  ("==", gbps)))
+        add(Claim(f"table3.{q}.rails", rails, lambda p, q=q: _rails(p["table3"][q]),
+                  ("==", rails)))
+        add(Claim(f"table3.{q}.nodes", nodes, lambda p, q=q: p["table3"][q].max_nodes,
+                  ("==", nodes)))
+    add(Claim("table3.hpc-ib.cores", 18, lambda p: p["table3"]["hpc-ib"].node.cores, ("==", 18)))
     # Figure 4: UNR beats fence and lock at every size; PSCW is the best
     # MPI-RMA scheme at 8 B; at 1 MiB only TH-XY's second rail keeps UNR ahead.
     for q in PLATFORMS:
@@ -411,6 +570,28 @@ def _claims() -> Tuple[Claim, ...]:
               lambda p: efficiency(p, "th-2a", last, "vel_update"), (">", 0.8)))
     add(Claim("fig7.th-xy.first-nodes", 288, lambda p: FIG7_ROWS["th-xy"][0], ("==", 288)))
     add(Claim("fig7.th-xy.efficiency", 0.85, lambda p: efficiency(p, "th-xy", 1152), (">", 0.70)))
+    # Ablations: two rails halve a large PUT; pipelining hides transpose
+    # time; the NIC's atomic add frees the polling core; Level 0's extra
+    # ordered message per PUT slows a burst.
+    add(Claim("ablation.striping.2-rails", None,
+              lambda p: _ratio(p, "ablation.striping.1", "ablation.striping.2"), (">", 1.6)))
+    add(Claim("ablation.striping.2-rails-cap", None,
+              lambda p: _ratio(p, "ablation.striping.1", "ablation.striping.2"), ("<", 2.2)))
+    add(Claim("ablation.pipeline.1-over-4-slabs", None,
+              lambda p: _ratio(p, "ablation.pipeline.1", "fig6.hpc-roce.unr"), (">", 1.0)))
+    add(Claim("ablation.pipeline.8-over-4-slabs", None,
+              lambda p: _ratio(p, "ablation.pipeline.8", "fig6.hpc-roce.unr"), ("<=", 1.0)))
+    add(Claim("ablation.offload.polled-over-hw", None,
+              lambda p: _ratio(p, "ablation.offload.polled", "ablation.offload.hw"), (">=", 1.0)))
+    add(Claim("ablation.level0-over-level3", None,
+              lambda p: _ratio(p, "ablation.level0", "ablation.level3"), (">", 1.2)))
+    # Collectives on notified PUTs beat MPI's: no matching, no rendezvous.
+    for op in COLLECTIVES:
+        add(Claim(f"ext.collectives.{op}", None,
+                  lambda p, op=op: _collective(p, op, "mpi") / _collective(p, op, "unr"),
+                  (">", 1.2)))
+    for team in TEAM_SIZES:
+        claims += _resilience_claims(team)
     return tuple(claims)
 
 
@@ -418,6 +599,12 @@ CLAIMS = _claims()
 
 
 # -- the record ----------------------------------------------------------
+
+def _entry(claim: Claim, p: Points) -> Dict[str, Any]:
+    value = float(claim.measure(p))
+    return {"id": claim.id, "paper": claim.paper, "measured": value,
+            "bound": list(claim.bound), "verdict": claim.verdict(value)}
+
 
 def compute(only: Optional[str] = None, points: Optional[Points] = None) -> Dict[str, Any]:
     """The record: per figure its table, and every claim with its
@@ -433,16 +620,21 @@ def compute(only: Optional[str] = None, points: Optional[Points] = None) -> Dict
         entry = figures[name] = {"title": fig.title}
         if only in (None, name):
             entry.update(headers=list(fig.headers), rows=fig.rows(p))
-        entry["claims"] = []
-        for claim in picked:
-            value = float(claim.measure(p))
-            entry["claims"].append({"id": claim.id, "paper": claim.paper, "measured": value,
-                                    "bound": list(claim.bound), "verdict": claim.verdict(value)})
+        entry["claims"] = [_entry(claim, p) for claim in picked]
     record = {"schema": SCHEMA, "tolerance": TOLERANCE,
               "causes": {c.name: {"assumption": c.assumption, "risk": c.risk,
                                   "severity": c.severity} for c in CAUSES},
               "figures": figures}
     return json.loads(json.dumps(record))  # exactly what claims.json holds
+
+
+def chaos_entries(record: Dict[str, Any]) -> List[Dict[str, Any]]:
+    """The resilience claims applied to one ``repro chaos`` record, each
+    with its measured value and verdict; a record without the
+    replication leg answers only the claims that do not read it."""
+    team = record["params"]["team_size"]
+    p = Points({f"ext.resilience.t{team}": record})
+    return [_entry(c, p) for c in _resilience_claims(team, record["replication"] is not None)]
 
 
 def entries(record: Dict[str, Any]) -> List[Dict[str, Any]]:
@@ -529,7 +721,7 @@ def render_markdown(record: Dict[str, Any], block: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-_BLOCK = re.compile(r"(<!-- paper:([\w-]+) -->\n)(.*?)(<!-- /paper:\2 -->)", re.S)
+_BLOCK = re.compile(r"(<!-- paper:([\w.-]+) -->\n)(.*?)(<!-- /paper:\2 -->)", re.S)
 
 
 def experiments_blocks(text: str) -> Dict[str, str]:

@@ -46,6 +46,7 @@ def powerllel_point(
     threads: Optional[int] = None,
     steps: int = 2,
     pipeline_slabs: int = 4,
+    offload: bool = False,
     seed: int = 0xC0FFEE,
     faults: Optional[str] = None,
     fault_seed: Optional[int] = None,
@@ -60,10 +61,11 @@ def powerllel_point(
     ``observe=True`` traces the run through :mod:`repro.obs` (passively;
     the reported times are unchanged) and adds a ``"recorder"`` key to
     the result.  ``profiler`` (a :class:`repro.obs.HostProfiler`) arms
-    host-time attribution — also passive on the wire.
+    host-time attribution — also passive on the wire.  ``offload``
+    gives the NICs the hardware atomic add (Level 4: no polling thread).
     """
     plat = get_platform(platform)
-    job = make_job(platform, nodes, seed=seed)
+    job = make_job(platform, nodes, offload=offload, seed=seed)
     fault_spec = None
     if faults:
         from ..netsim import FaultInjector, FaultSpec

@@ -20,48 +20,29 @@ recovered ops, breaker transitions, re-promotions) and nearest-rank
 percentiles of the time-to-recover distribution from
 :attr:`~repro.core.health.HealthMonitor.recovery_log`.  The result is
 the machine-readable ``BENCH_resilience.json`` record (schema
-``repro.bench.resilience/3``).  :func:`resilience_failures` is the
-soak's verdict over that record — the rules ``repro chaos`` exits on.
+``repro.bench.resilience/3``).  The soak's verdict over that record,
+the one ``repro chaos`` exits on, is the claims ledger's
+``ext.resilience.*`` claims (:func:`repro.bench.paper.chaos_entries`).
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Iterable, Optional, Sequence
 
 from ..core import Unr
 from ..netsim import FaultInjector, FaultSpec, NodeCrash
 from ..platforms import PLATFORMS, get_platform, make_job
 from .stream import _producer_consumer, run_stream
 
-__all__ = [
-    "RESILIENCE_SCHEMA",
-    "DEFAULT_CHAOS_FAULTS",
-    "resilience_bench",
-    "resilience_failures",
-    "write_resilience_bench",
-]
+__all__ = ["RESILIENCE_SCHEMA", "DEFAULT_CHAOS_FAULTS", "resilience_bench",
+           "write_resilience_bench"]
 
 RESILIENCE_SCHEMA = "repro.bench.resilience/3"
 
 #: simulated time at which the replication leg kills world 0's
 #: consumer node (mid-stream on every Table III platform).
 REPLICATION_CRASH_US = 120.0
-
-#: budget on the p95 failover time-to-recover (last heartbeat heard from
-#: the dead member -> its world stopped), simulated us.  Heartbeats stop
-#: the world at ~95-98 us on th-xy and hpc-roce (floor:
-#: ``SUSPICION_THRESHOLD x HEARTBEAT_PERIOD_US`` = 75 us); on th-2a and
-#: hpc-ib a contained peer-dead error stops it first, at ~39-43 us.  5x
-#: the slowest, so only a stop that stalls for whole extra heartbeat
-#: rounds trips it.
-MAX_FAILOVER_TTR_US = 500.0
-
-#: cap on the healthy replicated/unreplicated time ratio, the max over
-#: the four platforms.  Replica worlds run on disjoint nodes and share
-#: only the heartbeats: 1.000-1.003x at team sizes 2 and 3 (shadowing
-#: every op from the primaries read up to 1.321x and 3.698x there).
-MAX_REPLICATION_OVERHEAD = 1.5
 
 #: the PR 1 stress noise plus an endpoint-down window on the consumer:
 #: every rail of node 1 goes dark at t=40us and recovers at t=290us (the
@@ -78,34 +59,26 @@ def _percentile(sorted_values: Sequence[float], q: float) -> float:
     return float(sorted_values[min(rank, len(sorted_values) - 1)])
 
 
+def _summary(values: Iterable[float], *qs: float) -> Dict[str, Any]:
+    """Nearest-rank percentiles ``p<100q>`` of ``values``, their max and
+    their count (0 when empty)."""
+    ordered = sorted(values)
+    out: Dict[str, Any] = {f"p{round(q * 100)}": _percentile(ordered, q) for q in qs}
+    return dict(out, max=ordered[-1] if ordered else 0.0, n=len(ordered))
+
+
 def _one_run(spec: FaultSpec, **stream: Any) -> Dict[str, Any]:
     result, unr, _ = run_stream(spec, health=True, **stream)
-    recover_us = sorted(w["duration_us"] for w in unr.health.recovery_log)
-    result.update(
-        {key: int(unr.stats[key]) for key in (
-            "retransmits", "recovered_ops", "degraded_ops", "degradations",
-            "repromotions", "breaker_opens", "breaker_closes", "fallback_posts",
-        )},
-        time_to_recover_us={
-            "p50": _percentile(recover_us, 0.50),
-            "p90": _percentile(recover_us, 0.90),
-            "p99": _percentile(recover_us, 0.99),
-            "max": recover_us[-1] if recover_us else 0.0,
-            "n": len(recover_us),
-        },
-    )
+    result.update({key: int(unr.stats[key]) for key in (
+        "retransmits", "recovered_ops", "degraded_ops", "degradations", "repromotions",
+        "breaker_opens", "breaker_closes", "fallback_posts")})
+    result["time_to_recover_us"] = _summary(
+        (w["duration_us"] for w in unr.health.recovery_log), 0.50, 0.90, 0.99)
     return result
 
 
-def _one_replicated_run(
-    *,
-    platform: str,
-    team_size: int,
-    size: int,
-    iters: int,
-    seed: int,
-    crash_us: Optional[float],
-) -> Dict[str, Any]:
+def _one_replicated_run(platform: str, team_size: int, size: int, iters: int, seed: int,
+                        crash_us: Optional[float]) -> Dict[str, Any]:
     """One producer→consumer stream in each of ``team_size`` replica
     worlds of a 2x``team_size``-node job; ``crash_us`` kills world 0's
     consumer node mid-stream."""
@@ -115,10 +88,7 @@ def _one_replicated_run(
     plat = get_platform(platform)
     job = make_job(platform, 2 * team_size, seed=seed)
     if crash_us is not None:
-        FaultInjector.attach(
-            job.cluster,
-            FaultSpec(node_crashes=(NodeCrash(crash_us, node=1),)),
-        )
+        FaultInjector.attach(job.cluster, FaultSpec(node_crashes=(NodeCrash(crash_us, node=1),)))
     unr = Unr(job, plat.channel, reliability=True, health=True)
     world = TeamWorld(unr, team_size)
     result = _producer_consumer(unr, job, size=size, iters=iters, world=world)
@@ -136,15 +106,8 @@ def _intact(run: Dict[str, Any], iters: int) -> bool:
     return all(run["correct"][w] == iters for w in run["live_worlds"])
 
 
-def _replication_block(
-    platform: str,
-    *,
-    team_size: int,
-    size: int,
-    iters: int,
-    seed: int,
-    crash_us: float,
-) -> Dict[str, Any]:
+def _replication_block(platform: str, *, team_size: int, size: int, iters: int, seed: int,
+                       crash_us: float) -> Dict[str, Any]:
     """Replication overhead + failover metrics for one platform.
 
     The overhead ratio compares the replicated healthy stream against
@@ -157,26 +120,14 @@ def _replication_block(
     plat = get_platform(platform)
     base_job = make_job(platform, 2 * team_size, seed=seed)
     base_unr = Unr(base_job, plat.channel, reliability=True, health=True)
-    baseline = _producer_consumer(base_unr, base_job, size=size, iters=iters,
-                                  ranks=[0, 1])
-    healthy = _one_replicated_run(
-        platform=platform, team_size=team_size, size=size, iters=iters,
-        seed=seed, crash_us=None,
-    )
-    crash_runs = [
-        _one_replicated_run(
-            platform=platform, team_size=team_size, size=size, iters=iters,
-            seed=seed, crash_us=crash_us,
-        )
-        for _ in range(2)
-    ]
-    ttrs = sorted(rec["ttr_us"] for rec in crash_runs[0]["failover_log"])
+    baseline = _producer_consumer(base_unr, base_job, size=size, iters=iters, ranks=[0, 1])
+    stream = dict(platform=platform, team_size=team_size, size=size, iters=iters, seed=seed)
+    healthy = _one_replicated_run(**stream, crash_us=None)
+    crash_runs = [_one_replicated_run(**stream, crash_us=crash_us) for _ in range(2)]
     return {
         "baseline_time_us": baseline["time"] * 1e6,
         "replicated_time_us": healthy["time"] * 1e6,
-        "overhead_ratio": (
-            healthy["time"] / baseline["time"] if baseline["time"] > 0 else 0.0
-        ),
+        "overhead_ratio": healthy["time"] / baseline["time"] if baseline["time"] > 0 else 0.0,
         "healthy": {
             "correct": _intact(healthy, iters) and healthy["failovers"] == 0,
             "heartbeats": healthy["heartbeats"],
@@ -186,12 +137,8 @@ def _replication_block(
             "correct": all(_intact(r, iters) for r in crash_runs),
             "identical": crash_runs[0]["failover_log"] == crash_runs[1]["failover_log"],
             "failovers": crash_runs[0]["failovers"],
-            "ttr_us": {
-                "p50": _percentile(ttrs, 0.50),
-                "p95": _percentile(ttrs, 0.95),
-                "max": ttrs[-1] if ttrs else 0.0,
-                "n": len(ttrs),
-            },
+            "ttr_us": _summary((rec["ttr_us"] for rec in crash_runs[0]["failover_log"]),
+                               0.50, 0.95),
         },
     }
 
@@ -219,50 +166,32 @@ def resilience_bench(
     spec = FaultSpec.parse(faults, seed=fault_seed)
     per_platform: Dict[str, Any] = {}
     for platform in platforms:
-        runs = [
-            _one_run(spec, platform=platform, size=size, iters=iters, seed=seed)
-            for _ in range(2)
-        ]
+        runs = [_one_run(spec, platform=platform, size=size, iters=iters, seed=seed)
+                for _ in range(2)]
         per_platform[platform] = {
             "runs": runs,
             "identical": runs[0]["fingerprint"] == runs[1]["fingerprint"],
             "correct": all(r["correct"] == iters for r in runs),
             "degraded": all(r["degraded_ops"] > 0 for r in runs),
         }
+    legs = list(per_platform.values())
     rep_block: Optional[Dict[str, Any]] = None
     if replication:
-        rep_platforms = {
-            platform: _replication_block(
-                platform, team_size=team_size, size=size, iters=iters,
-                seed=seed, crash_us=REPLICATION_CRASH_US,
-            )
-            for platform in platforms
-        }
+        reps = {platform: _replication_block(platform, team_size=team_size, size=size,
+                                             iters=iters, seed=seed,
+                                             crash_us=REPLICATION_CRASH_US)
+                for platform in platforms}
         rep_block = {
             "team_size": team_size,
             "crash_us": REPLICATION_CRASH_US,
-            "platforms": rep_platforms,
-            "overhead_ratio": max(
-                b["overhead_ratio"] for b in rep_platforms.values()
-            ),
-            "p95_failover_ttr_us": max(
-                b["crash"]["ttr_us"]["p95"] for b in rep_platforms.values()
-            ),
-            "correct": all(
-                b["healthy"]["correct"] and b["crash"]["correct"]
-                for b in rep_platforms.values()
-            ),
-            "identical": all(
-                b["crash"]["identical"] for b in rep_platforms.values()
-            ),
+            "platforms": reps,
+            "overhead_ratio": max(b["overhead_ratio"] for b in reps.values()),
+            "p95_failover_ttr_us": max(b["crash"]["ttr_us"]["p95"] for b in reps.values()),
+            "correct": all(b["healthy"]["correct"] and b["crash"]["correct"]
+                           for b in reps.values()),
+            "identical": all(b["crash"]["identical"] for b in reps.values()),
         }
-    verdicts = {
-        "correct": all(p["correct"] for p in per_platform.values()),
-        "identical": all(p["identical"] for p in per_platform.values()),
-    }
-    if rep_block is not None:
-        verdicts["correct"] = verdicts["correct"] and rep_block["correct"]
-        verdicts["identical"] = verdicts["identical"] and rep_block["identical"]
+        legs.append(rep_block)
     return {
         "schema": RESILIENCE_SCHEMA,
         "name": "resilience_bench",
@@ -273,38 +202,9 @@ def resilience_bench(
         },
         "platforms": per_platform,
         "replication": rep_block,
-        **verdicts,
+        "correct": all(leg["correct"] for leg in legs),
+        "identical": all(leg["identical"] for leg in legs),
     }
-
-
-def resilience_failures(record: Dict[str, Any]) -> List[str]:
-    """The soak's verdict over a record: one string per broken rule.
-
-    ``correct`` and ``identical`` cover every leg; the replication leg
-    (absent when ``replication`` is ``None``) adds one failover per
-    platform's crash leg (the schedule must actually stop a world) and
-    the two budgets above.
-    """
-    failures = [
-        f"verdict {name!r} is False"
-        for name in ("correct", "identical") if not record[name]
-    ]
-    rep = record["replication"]
-    if rep is not None:
-        failures.extend(
-            f"{name}: crash leg performed no failover"
-            for name, block in rep["platforms"].items()
-            if block["crash"]["failovers"] < 1
-        )
-        ttr = rep["p95_failover_ttr_us"]
-        if ttr > MAX_FAILOVER_TTR_US:
-            failures.append(f"p95 failover TTR {ttr:.1f}us exceeds budget "
-                            f"{MAX_FAILOVER_TTR_US:.1f}us")
-        overhead = rep["overhead_ratio"]
-        if overhead > MAX_REPLICATION_OVERHEAD:
-            failures.append(f"replication overhead {overhead:.3f}x exceeds "
-                            f"cap {MAX_REPLICATION_OVERHEAD:.3f}x")
-    return failures
 
 
 def write_resilience_bench(record: Dict[str, Any], path: str) -> str:

@@ -166,8 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos",
         help="resilience soak: endpoint-kill schedules on the Table III "
              "platforms, degradation + recovery metrics -> "
-             "BENCH_resilience.json; exits 1 on a failed verdict or a "
-             "blown replication budget",
+             "BENCH_resilience.json; exits 1 on a NO-GO resilience "
+             "claim (ext.resilience.*)",
     )
     p.add_argument("--platform", action="append", dest="platforms",
                    choices=platforms, default=None,
@@ -366,12 +366,8 @@ def cmd_faults(args) -> int:
 
 
 def cmd_chaos(args) -> int:
-    from .bench import (
-        DEFAULT_CHAOS_FAULTS,
-        resilience_bench,
-        resilience_failures,
-        write_resilience_bench,
-    )
+    from .bench import DEFAULT_CHAOS_FAULTS, resilience_bench, write_resilience_bench
+    from .bench.paper import chaos_entries
 
     faults = args.faults or DEFAULT_CHAOS_FAULTS
     record = resilience_bench(
@@ -404,11 +400,12 @@ def cmd_chaos(args) -> int:
                   f"ttr_p95={block['crash']['ttr_us']['p95']:.1f}us")
     write_resilience_bench(record, args.out)
     print(f"  -> {args.out}")
-    failures = resilience_failures(record)
-    for failure in failures:
-        print(f"  FAILED       {failure}")
-    print("  verdict      " + ("FAILED" if failures else "OK"))
-    return 1 if failures else 0
+    failed = [c for c in chaos_entries(record) if c["verdict"] == "NO-GO"]
+    for c in failed:
+        print(f"  FAILED       {c['id']}: measured {c['measured']:g}, "
+              f"bound {c['bound'][0]} {c['bound'][1]:g}")
+    print("  verdict      " + ("FAILED" if failed else "OK"))
+    return 1 if failed else 0
 
 
 def cmd_trace(args) -> int:

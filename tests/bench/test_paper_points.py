@@ -23,7 +23,7 @@ def test_no_two_points_are_the_same_run():
 
 
 def test_every_claim_reads_a_figure_of_the_table():
-    figures = {pid.split(".", 1)[0] for pid in POINTS}
+    figures = {paper.figure_of(pid) for pid in POINTS}
     assert figures == set(FIGURES)
     assert {claim.figure for claim in CLAIMS} == figures
 

@@ -2,20 +2,21 @@
 
 The full four-platform soak lives in ``tests/test_chaos.py`` behind the
 ``chaos``/``slow`` markers; this module keeps a single-platform run in
-tier-1 so the degradation verdicts and ``resilience_failures`` are gated
-on every push.
+tier-1 so the degradation verdicts and the ``ext.resilience.*`` claims
+that ``repro chaos`` exits on are gated on every push.
 """
 
 import json
 
 import pytest
 
-from repro.bench import (
-    RESILIENCE_SCHEMA,
-    resilience_bench,
-    resilience_failures,
-    write_resilience_bench,
-)
+from repro.bench import RESILIENCE_SCHEMA, resilience_bench, write_resilience_bench
+from repro.bench.paper import chaos_entries
+
+
+def no_go(record):
+    """The ids of the resilience claims ``record`` breaks."""
+    return [c["id"] for c in chaos_entries(record) if c["verdict"] == "NO-GO"]
 
 
 @pytest.fixture(scope="module")
@@ -25,7 +26,7 @@ def record():
 
 def test_record_validates_clean(record):
     assert record["schema"] == RESILIENCE_SCHEMA
-    assert resilience_failures(record) == []
+    assert [c["verdict"] for c in chaos_entries(record)] == ["GO"] * 6
 
 
 def test_verdicts_hold_on_one_platform(record):
@@ -45,7 +46,7 @@ def test_write_and_validate_file(tmp_path, record):
     with open(path) as fh:
         loaded = json.load(fh)
     assert loaded == json.loads(json.dumps(record))
-    assert resilience_failures(loaded) == []
+    assert no_go(loaded) == []
 
 
 def test_replication_block_shape_and_verdicts(record):
@@ -74,28 +75,28 @@ def test_replication_block_shape_and_verdicts(record):
 def test_replication_skip_records_null():
     rec = resilience_bench(["th-xy"], iters=4, replication=False)
     assert rec["replication"] is None
-    assert resilience_failures(rec) == []
+    assert [c["id"] for c in chaos_entries(rec)] == [
+        f"ext.resilience.t2.{name}" for name in ("correct", "identical", "degraded")]
+    assert no_go(rec) == []
 
 
-@pytest.mark.parametrize("patch, where, named", [
-    ({"p95_failover_ttr_us": 501}, ("replication",), "failover TTR 501.0us"),
-    ({"overhead_ratio": 1.51}, ("replication",), "overhead 1.510x"),
-    ({"failovers": 0}, ("replication", "platforms", "th-xy", "crash"),
-     "th-xy: crash leg performed no failover"),
-    ({"correct": False}, (), "'correct'"),
+@pytest.mark.parametrize("patch, where, claim", [
+    ({"p95_failover_ttr_us": 501}, ("replication",), "ttr-p95-us"),
+    ({"overhead_ratio": 1.51}, ("replication",), "overhead"),
+    ({"failovers": 0}, ("replication", "platforms", "th-xy", "crash"), "failovers"),
+    ({"correct": False}, (), "correct"),
 ], ids=["ttr", "overhead", "failover", "correct"])
-def test_each_verdict_rule_fails_alone(record, patch, where, named):
-    """`repro chaos` exits on `resilience_failures`: every rule must
-    fire on its own mutation and stay quiet on the real record."""
-    assert resilience_failures(record) == []
+def test_each_verdict_rule_fails_alone(record, patch, where, claim):
+    """`repro chaos` exits on the resilience claims: each must turn
+    NO-GO on its own mutation, alone, and stay GO on the real record."""
+    assert no_go(record) == []
     bad = json.loads(json.dumps(record))
     target = bad
     for key in where:
         target = target[key]
     target.update(patch)
-    failures = resilience_failures(bad)
-    assert len(failures) == 1 and named in failures[0], failures
-    # The budgets and the failover rule belong to the replication leg:
-    # a record that skipped it cannot trip them.
+    assert no_go(bad) == [f"ext.resilience.t2.{claim}"]
+    # The bounds and the failover claim belong to the replication leg:
+    # a record that skipped it cannot break them.
     skipped = dict(bad, replication=None)
-    assert resilience_failures(skipped) == ([] if where else failures)
+    assert no_go(skipped) == ([] if where else no_go(bad))

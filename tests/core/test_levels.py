@@ -1,9 +1,15 @@
-"""Tests for level policies and custom-bit encodings (`repro.core.levels`)."""
+"""Tests for level policies and custom-bit encodings (`repro.core.levels`),
+and Table I's levels end to end: the paper's Code 2 ping-pong at every
+width."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.paper import TABLE1_LEVELS, synthetic_channel
+from repro.core import Unr
+from repro.core.errors import UnrUsageError
 from repro.core.levels import (
     LevelPolicy,
     decode_custom,
@@ -11,11 +17,12 @@ from repro.core.levels import (
     max_signals,
     policy_for_channel,
 )
-from repro.core.errors import UnrUsageError
 from repro.interconnect import TABLE_II, MpiFallbackChannel, RmaChannel
 from repro.netsim import Cluster, ClusterSpec, NicSpec, NodeSpec
 from repro.runtime import Job
 from repro.sim import Environment
+
+from .test_api import code2_pingpong
 
 
 def make_job(offload=False):
@@ -175,3 +182,32 @@ def test_encode_decode_roundtrip_property(p_bits, a_bits, data):
     assert custom >= 0
     assert custom.bit_length() <= p_bits + a_bits
     assert decode_custom(custom, pol) == (sid, addend)
+
+
+# ------------------------------------------------------ Table I end to end
+
+
+@pytest.mark.parametrize("bits,offload,level", TABLE1_LEVELS)
+def test_every_level_delivers_data_and_notification(bits, offload, level):
+    """Level 0 pays its order-preserving (p, a) control message per PUT
+    and no higher level sends one; Level 4 needs no polling thread."""
+    job, channel = synthetic_channel(bits, offload)
+    unr = Unr(job, channel)
+    assert unr.level == level
+    results, _ = code2_pingpong(unr, job, size=65536, iters=4)
+    np.testing.assert_array_equal(results["data"], np.arange(65536, dtype=np.uint8))
+    if level == 0:
+        assert unr.stats["ctrl_msgs"] >= 4
+    else:
+        assert unr.stats.get("ctrl_msgs", 0) == 0
+    assert bool(unr.engines) == (level != 4)
+
+
+def test_level2_mode2_enables_striping():
+    """Table I level 2 mode 2: user-split x bits for p enables limited
+    multi-channel aggregation."""
+    job, channel = synthetic_channel(32, False)
+    unr = Unr(job, channel, mode2_split=16, stripe_threshold=1024)
+    results, _ = code2_pingpong(unr, job, size=1 << 18, iters=2)
+    np.testing.assert_array_equal(results["data"], np.arange(1 << 18, dtype=np.uint8))
+    assert unr.stats["fragments"] > unr.stats["puts"]

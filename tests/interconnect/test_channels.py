@@ -10,6 +10,7 @@ from repro.interconnect import (
     MpiFallbackChannel,
     MpiFallbackConfig,
     RmaChannel,
+    support_level,
 )
 from repro.netsim import Cluster, ClusterSpec, FabricSpec, NicSpec, NodeSpec
 from repro.runtime import Job
@@ -68,21 +69,22 @@ def test_put_delivers_payload_and_remote_custom():
     assert rec.custom == 0xABCD
 
 
-def test_put_remote_custom_width_enforced():
-    env, job = make_job()
-    ch = RmaChannel(job, TABLE_II["verbs"])  # 32 remote bits
-    with pytest.raises(ChannelError, match="32"):
-        ch.put(0, 1, 8, remote_custom=1 << 32)
-    # 32 bits exactly fits.
-    ch.put(0, 1, 8, remote_custom=(1 << 32) - 1)
-
-
-def test_utofu_8bit_limit():
-    env, job = make_job()
-    ch = RmaChannel(job, TABLE_II["utofu"])
-    with pytest.raises(ChannelError):
-        ch.put(0, 1, 8, remote_custom=256)
-    ch.put(0, 1, 8, remote_custom=255)
+@pytest.mark.parametrize("name", sorted(TABLE_II))
+def test_each_interface_enforces_its_width_and_configures_unr(name):
+    """Each interface's channel takes custom bits exactly as wide as its
+    hardware field (uTofu 8, verbs 32, ...) and rejects one bit more, and
+    UNR takes its level from the capability record alone (the paper's
+    levels are the ledger's ``table2.*`` claims)."""
+    cap = TABLE_II[name]
+    ch = RmaChannel(make_job()[1], cap)
+    bits = cap.effective_put_remote
+    ch.put(0, 1, 8, remote_custom=(1 << bits) - 1)
+    with pytest.raises(ChannelError, match=f"provides {bits}$"):
+        ch.put(0, 1, 8, remote_custom=1 << bits)
+    unr = Unr(make_job()[1], name)
+    assert unr.level == support_level(cap)
+    if name == "utofu":
+        assert unr.sid_capacity == 256  # 8-bit pointer: a limited signal table
 
 
 def test_negative_custom_rejected():

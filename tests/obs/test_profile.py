@@ -16,7 +16,7 @@ import pytest
 from repro.bench import unr_get_pull, unr_pingpong
 from repro.bench.fingerprints import load_corpus, run_schedule
 from repro.core import Unr
-from repro.obs import HostProfiler, Recorder, host_clock_ns, perfetto_json, profile, validate_trace
+from repro.obs import HostProfiler, host_clock_ns, perfetto_json, profile, validate_trace
 from repro.platforms import get_platform, make_job
 from repro.runtime import run_job
 from repro.sim import InFlight

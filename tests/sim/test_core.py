@@ -5,7 +5,6 @@ import pytest
 from repro.sim import (
     AllOf,
     Environment,
-    Event,
     Interrupt,
     SimulationError,
     StopProcess,

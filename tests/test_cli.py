@@ -16,7 +16,7 @@ def test_tables(capsys):
     out = capsys.readouterr().out
     assert "Table II" in out and "Table I:" not in out and "Figure" not in out
     assert "Level-3" in out  # glex row
-    assert "paper: 7 claims: 7 GO, 0 DEVIATION, 0 NO-GO" in out
+    assert "paper: 8 claims: 8 GO, 0 DEVIATION, 0 NO-GO" in out
 
 
 def test_paper_exits_one_on_a_no_go(capsys, monkeypatch):
@@ -28,7 +28,7 @@ def test_paper_exits_one_on_a_no_go(capsys, monkeypatch):
     record["figures"] = {"table3": table3}
     monkeypatch.setattr(paper, "compute", lambda only=None: record)
     assert main(["paper", "--only", "table3"]) == 1
-    assert "0 GO, 0 DEVIATION, 1 NO-GO" in capsys.readouterr().out
+    assert "0 GO, 0 DEVIATION, 14 NO-GO" in capsys.readouterr().out
 
 
 def test_paper_table1_from_any_directory(tmp_path, capsys, monkeypatch):
@@ -241,7 +241,8 @@ def test_chaos_exit_code_covers_the_overhead_cap(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(repro.bench, "resilience_bench", lambda *a, **kw: record)
     assert main(argv) == 1
     text = capsys.readouterr().out
-    assert "overhead=1.600x" in text and "exceeds cap 1.500x" in text
+    assert "overhead=1.600x" in text
+    assert "FAILED       ext.resilience.t2.overhead: measured 1.6, bound <= 1.5" in text
     assert "verdict      FAILED" in text
 
 
