@@ -1,14 +1,16 @@
 """The ledger's claims (Tables I-III, Figures 4-7, the ablations, the
 collectives and the chaos soak), checked through one session-scoped
 computation of every point (:func:`repro.bench.paper.compute`): one test
-per claim, and the committed record it must reproduce (``repro paper``
-is the same check from a shell)."""
+per claim, the committed record it must reproduce (``repro paper`` is
+the same check from a shell), and no claim that repeats another."""
 
 import os
+from collections import defaultdict
+from itertools import combinations
 
 import pytest
 
-from repro.bench.paper import CLAIMS, POINTS, diff, efficiency, entries, load_record
+from repro.bench.paper import CLAIMS, POINTS, Points, diff, efficiency, entries, load_record
 
 
 @pytest.mark.parametrize("claim", [c.id for c in CLAIMS])
@@ -28,6 +30,26 @@ def test_ledger_runs_each_point_once(ledger, points):
     assert len([pid for pid in points if pid.startswith("fig6.")]) == 14
     runs = [(POINTS[pid].driver, POINTS[pid].kwargs) for pid in points]
     assert all(runs.count(run) == 1 for run in runs)
+
+
+def test_no_claim_repeats_another(points):
+    """No claim checks a number another one already checks: the same
+    points read, the same paper value and measured value, and a bound
+    whose pairs all belong to the other's.  An integral value is exempt:
+    one table point answers several questions with the same integer
+    (three platforms have 1 rail, three interfaces are Level 2)."""
+    groups = defaultdict(list)
+    for claim in CLAIMS:
+        reads = Points(source=points)
+        value = float(claim.measure(reads))
+        if not value.is_integer():
+            groups[(tuple(sorted(reads)), claim.paper, value)].append(claim)
+
+    def pairs(claim):
+        return set(zip(claim.bound[::2], claim.bound[1::2]))
+
+    assert [(a.id, b.id) for group in groups.values() for a, b in combinations(group, 2)
+            if pairs(a) <= pairs(b) or pairs(b) <= pairs(a)] == []
 
 
 @pytest.mark.skipif(not os.environ.get("REPRO_FULL_SCALE"),

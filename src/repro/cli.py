@@ -367,7 +367,7 @@ def cmd_faults(args) -> int:
 
 def cmd_chaos(args) -> int:
     from .bench import DEFAULT_CHAOS_FAULTS, resilience_bench, write_resilience_bench
-    from .bench.paper import chaos_entries
+    from .bench.paper import chaos_entries, format_bound
 
     faults = args.faults or DEFAULT_CHAOS_FAULTS
     record = resilience_bench(
@@ -402,8 +402,7 @@ def cmd_chaos(args) -> int:
     print(f"  -> {args.out}")
     failed = [c for c in chaos_entries(record) if c["verdict"] == "NO-GO"]
     for c in failed:
-        print(f"  FAILED       {c['id']}: measured {c['measured']:g}, "
-              f"bound {c['bound'][0]} {c['bound'][1]:g}")
+        print(f"  FAILED       {c['id']}: measured {c['measured']:g}, bound {format_bound(c)}")
     print("  verdict      " + ("FAILED" if failed else "OK"))
     return 1 if failed else 0
 

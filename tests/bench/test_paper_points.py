@@ -1,6 +1,7 @@
 """The claims ledger's point table (:mod:`repro.bench.paper`): every run
-has one id, no run is listed twice, and a claim computes only the points
-it reads.  No PowerLLEL point of the ledger runs here."""
+has one id, no run is listed twice, a claim computes only the points it
+reads, and a claim that reads none cannot pass.  No PowerLLEL point of
+the ledger runs here."""
 
 from itertools import combinations
 
@@ -8,7 +9,7 @@ import pytest
 
 import repro.bench.paper as paper
 from repro.bench import powerllel_point
-from repro.bench.paper import CLAIMS, FIGURES, POINTS, Points, compute, entries
+from repro.bench.paper import CLAIMS, FIGURES, POINTS, Claim, Points, compute, entries
 from repro.core import PollingConfig
 
 
@@ -64,3 +65,34 @@ def test_hpc_ib_default_polling_is_the_busy_18_thread_leg():
                                polling=PollingConfig(mode="reserved", reserved_cores=2), **grid)
     assert (busy["time"], busy["phases"]) == (default["time"], default["phases"])
     assert reserved["time"] != default["time"]
+
+
+TWO_SIDED = (">", 1.0, "<", 1.8)
+
+
+@pytest.mark.parametrize("value, verdict", [(0.5, "NO-GO"), (1.0, "NO-GO"), (1.4, "GO"),
+                                            (1.8, "NO-GO"), (2.5, "NO-GO")])
+def test_a_two_sided_bound_holds_only_between_its_open_edges(value, verdict):
+    assert Claim("t.two-sided", None, lambda p: value, TWO_SIDED).verdict(value) == verdict
+
+
+def test_a_claim_that_reads_no_point_is_no_go():
+    """A measure that returns a constant cannot fail, so its claim is
+    NO-GO inside its bound; the same bound over a computed point holds."""
+    store = Points()
+    constant = paper._entry(Claim("t.constant", None, lambda p: 1.4, TWO_SIDED), store)
+    assert constant["verdict"] == "NO-GO" and not store
+    computed = paper._entry(
+        Claim("t.computed", None, lambda p: 1.4 + p["table1.0"].level, TWO_SIDED), store)
+    assert (computed["measured"], computed["verdict"]) == (1.4, "GO")
+    assert list(store) == ["table1.0"]
+    assert computed["bound"] == [">", 1.0, "<", 1.8]
+    assert paper.format_bound(computed) == "> 1, < 1.8"
+
+
+def test_one_constant_claim_run_alone_is_no_go(monkeypatch):
+    """``repro paper --only <claim>`` applies the same rule."""
+    monkeypatch.setattr(paper, "CLAIMS", (*CLAIMS, Claim("table1.constant", 0, lambda p: 0,
+                                                         ("==", 0))))
+    record = compute("table1.constant", Points())
+    assert [(c["id"], c["verdict"]) for c in entries(record)] == [("table1.constant", "NO-GO")]
