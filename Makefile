@@ -96,8 +96,8 @@ perf-pairs:
 	$(PYTHON) tools/perf_pairs.py --parent $(PARENT) --workload $(WORKLOAD) \
 		--pairs $(PAIRS) --seed $(SEED) $(if $(COUNTERS),--counters)
 
-# The lockdown gate of every datapath change: the 16 golden wire
-# fingerprints and the seven witness entries (the sha256 of `repro
+# The lockdown gate of every datapath change: the 20 golden wire
+# fingerprints (16 UNR, 4 MPI) and the seven witness entries (the sha256 of `repro
 # faults`, `repro chaos` and `repro trace stream --faults` output and of
 # the observed corpus runs' records) must match the committed corpus.
 test-golden:

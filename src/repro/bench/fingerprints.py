@@ -16,7 +16,14 @@ canonical schedules on each Table III platform:
   (drop/dup/reorder, plus a rail failure on multi-rail platforms)
   with the reliability layer armed.
 
-Beside the 16 wire entries the corpus pins seven *witnesses*
+A fifth entry per platform, ``mpi`` (:data:`MPI_SCHEDULE`), pins the
+simulated MPI lane: eager and rendezvous point-to-point, an
+``ANY_SOURCE`` receive, two collectives, one epoch of each MPI-RMA
+synchronization scheme and a UNR PUT and GET over the MPI fallback
+channel.  It is not in :data:`SCHEDULES`, which drives the UNR-only
+observed corpus and unrverify.
+
+Beside the 20 wire entries the corpus pins seven *witnesses*
 (:data:`WITNESSES`): the sha256 of whole CLI runs — the fault demo's
 stdout, the chaos record, the faulted trace's Perfetto file — and of
 everything the observed corpus runs record.  Entries are only ever
@@ -44,6 +51,8 @@ from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Tup
 import numpy as np
 
 from ..core import Unr
+from ..interconnect import MpiFallbackChannel
+from ..mpi import MpiWorld, Win
 from ..netsim import FaultSpec
 from ..netsim.trace import transfer_fingerprint
 from ..obs import Recorder
@@ -56,6 +65,7 @@ __all__ = [
     "GOLDEN_SCHEMA",
     "PLATFORMS",
     "SCHEDULES",
+    "MPI_SCHEDULE",
     "WITNESSES",
     "GOLDEN_PATH",
     "fault_schedule",
@@ -74,6 +84,9 @@ PLATFORMS: Tuple[str, ...] = ("th-xy", "th-2a", "hpc-ib", "hpc-roce")
 #: schedule name -> runner (registered below)
 SCHEDULES: Tuple[str, ...] = ("latency", "stream", "powerllel", "fault_stress")
 
+#: the MPI lane's wire entry per platform, beside :data:`SCHEDULES`
+MPI_SCHEDULE = "mpi"
+
 #: default location of the committed golden corpus
 GOLDEN_PATH = str(REPO_ROOT / "tests" / "core" / "fixtures" / "golden_fingerprints.json")
 
@@ -90,6 +103,8 @@ STREAM_BYTES = 65536  # == stripe threshold: striped on multi-rail nodes
 STREAM_ITERS = 3
 HALO_BYTES = 8192
 HALO_ROUNDS = 2
+MPI_EAGER_BYTES = 1024
+MPI_RNDV_BYTES = 256 * 1024  # above every platform's eager threshold
 
 
 def fault_schedule(n_rails: int) -> str:
@@ -161,6 +176,92 @@ def _powerllel_program(unr: Any, n_ranks: int) -> Any:
     return program
 
 
+def _mpi_ring_program(world: MpiWorld) -> Any:
+    """Two-sided traffic on every rank: an eager and a rendezvous
+    ``sendrecv`` ring, ``ANY_SOURCE`` receives at rank 0, ``alltoall``
+    and ``allreduce``."""
+
+    def program(ctx: Any) -> Generator[Any, Any, None]:
+        comm = world.comm_world(ctx.rank)
+        me, n = comm.rank, comm.size
+        for nbytes in (MPI_EAGER_BYTES, MPI_RNDV_BYTES):
+            data = np.full(nbytes, me, dtype=np.uint8)
+            yield from comm.sendrecv((me + 1) % n, data, (me - 1) % n, tag=nbytes)
+        if me == 0:
+            for _ in range(n - 1):
+                yield from comm.recv(None, tag="any")
+        else:
+            yield from comm.send(0, me, tag="any")
+        yield from comm.alltoall([np.full(64, me * n + j, dtype=np.uint8) for j in range(n)])
+        yield from comm.allreduce(me)
+
+    return program
+
+
+def _mpi_rma_program(world: MpiWorld) -> Any:
+    """One fence, one PSCW and one lock epoch: rank 0 writes rank 1."""
+
+    def program(ctx: Any) -> Generator[Any, Any, None]:
+        comm = world.comm(ctx.rank, (0, 1))
+        win = Win.create(comm, np.zeros(PING_BYTES, dtype=np.uint8))
+        yield from comm.barrier()
+        data = np.full(PING_BYTES, 7, dtype=np.uint8)
+        origin = comm.rank == 0
+        if origin:
+            win.put(1, data)
+        yield from win.fence()
+        if origin:
+            yield from win.start([1])
+            win.put(1, data)
+            yield from win.complete([1])
+            yield from win.lock(1)
+            win.put(1, data)
+            yield from win.unlock(1)
+        else:
+            yield from win.post([0])
+            yield from win.wait([0])
+
+    return program
+
+
+def _fallback_program(unr: Any) -> Any:
+    """A UNR PUT (rendezvous-sized) and GET over the MPI fallback lane."""
+
+    def program(ctx: Any) -> Generator[Any, Any, None]:
+        ep = unr.endpoint(ctx.rank)
+        buf = np.zeros(STREAM_BYTES + PING_BYTES, dtype=np.uint8)
+        mr = ep.mem_reg(buf)
+        sig = ep.sig_init(1)
+        if ctx.rank == 1:
+            buf[STREAM_BYTES:] = 5
+            put_in = ep.blk_init(mr, 0, STREAM_BYTES, signal=sig)
+            get_src = ep.blk_init(mr, STREAM_BYTES, PING_BYTES)
+            yield from ep.send_ctl(0, (put_in, get_src), tag="addr")
+        else:
+            put_src = ep.blk_init(mr, 0, STREAM_BYTES)
+            get_in = ep.blk_init(mr, STREAM_BYTES, PING_BYTES, signal=sig)
+            put_in, get_src = yield from ep.recv_ctl(1, tag="addr")
+            ep.put(put_src, put_in)
+            ep.get(get_in, get_src)
+        yield from ep.sig_wait(sig)
+
+    return program
+
+
+def _run_mpi(platform: str, seed: int) -> Tuple[str, Recorder]:
+    """The ``mpi`` entry: four ranks on two nodes run the ring program,
+    then ranks 0 and 1 the MPI-RMA epochs and the fallback PUT/GET."""
+    plat = get_platform(platform)
+    job = make_job(platform, 2, ranks_per_node=2, seed=seed)
+    recorder = Recorder.attach(job.cluster)
+    world = MpiWorld(job, plat.mpi)
+    run_job(job, _mpi_ring_program(world))
+    run_job(job, _mpi_rma_program(world), ranks=(0, 1))
+    unr = Unr(job, MpiFallbackChannel(job, plat.fallback))
+    run_job(job, _fallback_program(unr), ranks=(0, 1))
+    return transfer_fingerprint(recorder.transfers), recorder
+
+
 def _run_schedule(
     platform: str, schedule: str, seed: int, *, observe: bool,
     profiler: Optional[Any] = None,
@@ -177,6 +278,8 @@ def _run_schedule(
             seed=seed, observe=observe, profiler=profiler,
         )
         return result["fingerprint"], recorder
+    if schedule == MPI_SCHEDULE:
+        return _run_mpi(platform, seed)
     if schedule not in ("latency", "powerllel"):
         raise ValueError(f"unknown corpus schedule {schedule!r}")
     job = make_job(platform, 2, ranks_per_node=2 if schedule == "powerllel" else 1, seed=seed)
@@ -274,7 +377,7 @@ WITNESSES["obs/observed-corpus"] = observed_corpus_digest
 
 def collect_fingerprints(
     platforms: Iterable[str] = PLATFORMS,
-    schedules: Iterable[str] = SCHEDULES,
+    schedules: Iterable[str] = SCHEDULES + (MPI_SCHEDULE,),
     witnesses: Iterable[str] = tuple(WITNESSES),
 ) -> Dict[str, str]:
     """Compute the corpus: ``"platform/schedule" -> fingerprint`` for

@@ -2,7 +2,8 @@
 
 Every datapath optimization must be wire-equivalent; this test recomputes
 the whole corpus (four schedules x four Table III platforms, healthy and
-fault-stressed, plus the seven witness entries) and diffs it against the
+fault-stressed, the MPI lane on each platform, plus the seven witness
+entries) and diffs it against the
 committed golden file.  An *intentional* change regenerates the file
 with::
 
@@ -17,6 +18,7 @@ from repro.bench import run_stream
 from repro.bench.fingerprints import (
     FAULT_SEED,
     GOLDEN_SCHEMA,
+    MPI_SCHEDULE,
     PLATFORMS,
     SCHEDULES,
     STREAM_BYTES,
@@ -47,7 +49,7 @@ def test_corpus_covers_all_platforms_and_schedules():
     }
     assert set(WITNESSES) == witnesses
     assert set(entries) == {
-        f"{p}/{s}" for p in PLATFORMS for s in SCHEDULES
+        f"{p}/{s}" for p in PLATFORMS for s in (*SCHEDULES, MPI_SCHEDULE)
     } | witnesses
     assert all(len(fp) == 64 for fp in entries.values())
 

@@ -242,7 +242,7 @@ def test_environment_run_identical_under_both_schedulers(program, until):
 # -- corpus-level identity ----------------------------------------------------
 
 def test_golden_corpus_identical_under_reference_heap(monkeypatch):
-    """The strongest end-to-end pin: running the 16 golden wire schedules
+    """The strongest end-to-end pin: running the 20 golden wire schedules
     with the kernel forced back onto the reference heap must reproduce
     every recorded fingerprint — i.e. the calendar queue changed
     nothing.  (The witness entries, whole CLI runs, are checked once,

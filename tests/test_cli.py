@@ -65,7 +65,7 @@ def test_fingerprints_find_their_corpus_from_any_directory(tmp_path, capsys, mon
     monkeypatch.setattr(fingerprints, "collect_fingerprints", fingerprints.load_corpus)
     monkeypatch.chdir(tmp_path)
     assert main(["fingerprints"]) == 0
-    assert "23 entries match" in capsys.readouterr().out
+    assert "27 entries match" in capsys.readouterr().out
 
 
 def test_latency(capsys):
