@@ -99,16 +99,20 @@ class MpiFallbackChannel(RmaChannel):
             if remote_action is not None:
                 remote_action()
 
-        def transfer():
+        # One queue entry per step, as in ``MpiWorld``: start, the
+        # software overhead, the handshake round trip(s), the injection.
+        def start(_: Any) -> None:
             # Per-message MPI software overhead on the sender.
-            yield env.timeout(cfg.sw_overhead_us * US)
-            if nbytes > cfg.eager_threshold:
-                # Rendezvous: RTS/CTS handshake round trip(s) first.
-                rtt = 2.0 * src_nic.latency + 2.0 * cfg.sw_overhead_us * US
-                yield env.timeout(cfg.rendezvous_rtts * rtt)
-                eff_bytes = int(nbytes * cfg.rendezvous_bw_penalty)
-            else:
-                eff_bytes = nbytes
+            env.defer(cfg.sw_overhead_us * US,
+                      handshake if nbytes > cfg.eager_threshold else inject, nbytes)
+
+        def handshake(_: Any) -> None:
+            # Rendezvous: RTS/CTS handshake round trip(s) first.
+            rtt = 2.0 * src_nic.latency + 2.0 * cfg.sw_overhead_us * US
+            env.defer(cfg.rendezvous_rtts * rtt, inject,
+                      int(nbytes * cfg.rendezvous_bw_penalty))
+
+        def inject(eff_bytes: int) -> None:
             inj = src_nic.post_put(
                 dst_nic,
                 eff_bytes,
@@ -116,13 +120,16 @@ class MpiFallbackChannel(RmaChannel):
                 on_deliver=deliver,
                 ordered=True,  # MPI p2p is ordered per (src, dst)
             )
-            yield inj
+            assert inj is not None
+            inj.callbacks.append(injected)
+
+        def injected(_: Any) -> None:
             if local_action is not None:
                 local_action()
             if done_evt is not None:
                 done_evt.resolve(env.now)
 
-        env.process(transfer(), name="mpi-fallback-put")
+        env.defer(0.0, start)
         return done_evt
 
     def get(
@@ -152,30 +159,36 @@ class MpiFallbackChannel(RmaChannel):
         if rec is not None:
             rec.count("fallback.gets")
 
-        def transfer():
+        # Steps as in put: start, overhead, request landed, overhead,
+        # response landed.
+        def start(_: Any) -> None:
             # Request leg (small message, sender overhead).
-            yield env.timeout(cfg.sw_overhead_us * US)
-            req_done = env.event()
+            env.defer(cfg.sw_overhead_us * US, request)
+
+        def request(_: Any) -> None:
             src_nic.post_put(
-                dst_nic, 64, on_deliver=lambda _: req_done.succeed(), ordered=True,
+                dst_nic, 64, on_deliver=lambda _: env.defer(0.0, serve), ordered=True,
                 done=False,
             )
-            yield req_done
+
+        def serve(_: Any) -> None:
             data = fetch() if fetch is not None else None
             if remote_action is not None:
                 remote_action()
             # Response leg with the data.
-            yield env.timeout(cfg.sw_overhead_us * US)
-            resp_done = env.event()
+            env.defer(cfg.sw_overhead_us * US, respond, data)
+
+        def respond(data: Any) -> None:
             dst_nic.post_put(
                 src_nic,
                 nbytes,
                 payload=data,
-                on_deliver=lambda d: resp_done.succeed(d),
+                on_deliver=lambda d: env.defer(0.0, land, d),
                 ordered=True,
                 done=False,
             )
-            got = yield resp_done
+
+        def land(got: Any) -> None:
             if on_deliver is not None:
                 on_deliver(got)
             if local_action is not None:
@@ -183,5 +196,5 @@ class MpiFallbackChannel(RmaChannel):
             if done_evt is not None:
                 done_evt.resolve(env.now)
 
-        env.process(transfer(), name="mpi-fallback-get")
+        env.defer(0.0, start)
         return done_evt

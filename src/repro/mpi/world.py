@@ -9,20 +9,30 @@ Two-sided semantics follow Figure 1a/1b of the paper:
   envelope; the data only moves after the receiver matches and returns
   a CTS (the handshake whose cost one-sided communication avoids).
 
-All operations are generators driven inside rank programs; nonblocking
-variants return :class:`Request` objects (waitable events).
+Blocking operations are generators driven inside rank programs;
+nonblocking variants return :class:`Request` objects (waitable events).
+Behind a request no process runs: ``isend`` and ``irecv`` each start a
+chain of :meth:`~repro.sim.Environment.defer` callbacks, one queue entry
+per step (start, software overhead, match hop, CTS hop, data hop) plus
+the wire's own.
+
+Matching follows MPI's non-overtaking rule: a new envelope goes to the
+earliest posted receive that matches it, and a new receive takes the
+earliest arrived envelope that matches it; ``src=None`` is
+``ANY_SOURCE`` and ``tag=None`` is ``ANY_TAG``.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import count
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..units import US
 from ..runtime import Job
-from ..sim import AllOf, Environment, Event, FilterStore
+from ..sim import AllOf, Environment, Event
 from .config import MpiConfig
 
 __all__ = ["MpiWorld", "Comm", "Request", "MpiError"]
@@ -84,16 +94,24 @@ def _snapshot(data: Any) -> Any:
 
 
 class MpiWorld:
-    """All MPI state for one job."""
+    """All MPI state for one job.
+
+    Matching state is per destination rank: the receives posted and not
+    yet matched (oldest first, each ``(src, tag, continuation)``) and
+    the envelopes that arrived before any receive took them (in arrival
+    order).  A rendezvous in flight is one entry of ``_rndv``: its msgid
+    maps to what the CTS runs on the sender until the receiver matches
+    the RTS, then to what the data runs on the receiver.
+    """
 
     def __init__(self, job: Job, config: Optional[MpiConfig] = None):
         self.job = job
         self.env: Environment = job.env
         self.config = config or MpiConfig()
-        self._boxes: List[FilterStore] = [
-            FilterStore(self.env) for _ in range(job.n_ranks)
-        ]
-        self._cts: Dict[int, Event] = {}
+        self._posted: List[List[tuple]] = [[] for _ in range(job.n_ranks)]
+        self._unexpected: List[List[tuple]] = [[] for _ in range(job.n_ranks)]
+        self._arrivals = [partial(self._arrive, r) for r in range(job.n_ranks)]
+        self._rndv: Dict[int, Callable[[Any], None]] = {}
         self._msgid = count()
         self._comms: Dict[tuple, "Comm"] = {}
         self.stats = {"eager": 0, "rendezvous": 0, "messages": 0, "bytes": 0}
@@ -114,97 +132,131 @@ class MpiWorld:
             self._comms[key] = Comm(self, rank, tuple(ranks))
         return self._comms[key]
 
+    # -- matching -----------------------------------------------------------
+    def _arrive(self, dst_g: int, msg: tuple) -> None:
+        """An envelope lands at ``dst_g``: the earliest posted receive
+        that matches it takes it (one queue entry, the match hop), or it
+        waits as unexpected."""
+        posted = self._posted[dst_g]
+        for i, (src_g, tag, matched) in enumerate(posted):
+            if (src_g is None or msg[1] == src_g) and (tag is None or msg[2] == tag):
+                del posted[i]
+                self.env.defer(0.0, matched, msg)
+                return
+        self._unexpected[dst_g].append(msg)
+
+    def _on_data(self, item: tuple) -> None:
+        """Rendezvous data lands: hop to its receiver.  A second copy
+        (a duplicating fabric) finds no receiver and is dropped."""
+        then = self._rndv.pop(item[0], None)
+        if then is not None:
+            self.env.defer(0.0, then, item[1])
+
     # -- wire helpers -----------------------------------------------------
     def _post(
-        self, src_g: int, dst_g: int, nbytes: int, item: tuple,
-        ordered: bool = True, done: bool = True,
+        self, src_g: int, dst_g: int, nbytes: int, item: Any,
+        on_deliver: Callable[[Any], None], ordered: bool = True, done: bool = True,
     ) -> Optional[Event]:
-        """Ship ``item`` to dst's matching box; returns local completion
-        (``None`` with ``done=False``)."""
-        src_nic = self.job.nic_of(src_g)
-        dst_nic = self.job.nic_of(dst_g)
-        box = self._boxes[dst_g]
-        return src_nic.post_put(
-            dst_nic,
+        """Ship ``item`` to ``dst_g``; returns local completion (``None``
+        with ``done=False``)."""
+        return self.job.nic_of(src_g).post_put(
+            self.job.nic_of(dst_g),
             nbytes,
             payload=item,
-            on_deliver=lambda m: box.put(m),
+            on_deliver=on_deliver,
             ordered=ordered,
             done=done,
         )
 
-    def _send_proc(self, src_g: int, dst_g: int, data: Any, tag: Any, done: Event):
-        cfg = self.config
+    # -- the two protocols, as callback chains ------------------------------
+    # Each step is one queue entry, minted at the moment and with the
+    # delay the protocol waits.  Adding, merging or moving a step changes
+    # the ``(time, phase, seq)`` order of same-time events, and with it
+    # the golden ``<platform>/mpi`` fingerprints.
+
+    def _send(self, src_g: int, dst_g: int, data: Any, tag: Any, done: Event) -> None:
         env = self.env
+        cfg = self.config
+        overhead = cfg.sw_overhead_us * US
         nbytes = _nbytes(data)
-        self.stats["messages"] += 1
-        self.stats["bytes"] += nbytes
-        # Looked up per send: the recorder may be attached to the
-        # cluster after this world was built.
-        rec = getattr(self.job.cluster, "obs", None)
-        if rec is not None:
-            rec.count("mpi.messages")
-            rec.count("mpi.bytes", nbytes)
-        yield env.timeout(cfg.sw_overhead_us * US)
-        if nbytes <= cfg.eager_threshold:
+
+        def start(_: Any) -> None:
+            self.stats["messages"] += 1
+            self.stats["bytes"] += nbytes
+            # Looked up per send: the recorder may be attached to the
+            # cluster after this world was built.
+            rec = getattr(self.job.cluster, "obs", None)
+            if rec is not None:
+                rec.count("mpi.messages")
+                rec.count("mpi.bytes", nbytes)
+            env.defer(overhead, eager if nbytes <= cfg.eager_threshold else rts, rec)
+
+        def eager(rec: Any) -> None:
             self.stats["eager"] += 1
             if rec is not None:
                 rec.count("mpi.eager")
             inj = self._post(
                 src_g, dst_g, nbytes,
                 ("eager", src_g, tag, _snapshot(data), nbytes),
+                self._arrivals[dst_g],
             )
-            yield inj  # eager send completes once the data is injected
-            done.succeed()
-        else:
+            assert inj is not None
+            inj.callbacks.append(complete)  # eager send completes at injection
+
+        def rts(rec: Any) -> None:
             self.stats["rendezvous"] += 1
             if rec is not None:
                 rec.count("mpi.rendezvous")
             msgid = next(self._msgid)
-            cts = self.env.event()
-            self._cts[msgid] = cts
-            self._post(src_g, dst_g, 64, ("rts", src_g, tag, msgid, nbytes), done=False)
-            yield cts  # wait for the receiver's clear-to-send
-            del self._cts[msgid]
-            yield env.timeout(cfg.sw_overhead_us * US)
-            inj = self._post(
-                src_g, dst_g, nbytes,
-                ("data", msgid, _snapshot(data)),
-                ordered=False,
+            self._rndv[msgid] = cleared  # wait for the receiver's clear-to-send
+            self._post(
+                src_g, dst_g, 64, ("rts", src_g, tag, msgid, nbytes),
+                self._arrivals[dst_g], done=False,
             )
-            yield inj
+
+        def cleared(msgid: int) -> None:
+            env.defer(overhead, ship, msgid)
+
+        def ship(msgid: int) -> None:
+            inj = self._post(
+                src_g, dst_g, nbytes, (msgid, _snapshot(data)),
+                self._on_data, ordered=False,
+            )
+            assert inj is not None
+            inj.callbacks.append(complete)
+
+        def complete(_: Event) -> None:
             done.succeed()
 
-    def _recv_proc(self, me_g: int, src_g: Optional[int], tag: Any, done: Event):
+        env.defer(0.0, start)
+
+    def _recv(self, me_g: int, src_g: Optional[int], tag: Any, done: Event) -> None:
         env = self.env
-        cfg = self.config
 
-        def envelope_match(m):
-            if m[0] not in ("eager", "rts"):
-                return False
-            if src_g is not None and m[1] != src_g:
-                return False
-            return tag is None or m[2] == tag
+        def start(_: Any) -> None:
+            box = self._unexpected[me_g]
+            for i, msg in enumerate(box):
+                if (src_g is None or msg[1] == src_g) and (tag is None or msg[2] == tag):
+                    del box[i]
+                    env.defer(0.0, matched, msg)
+                    return
+            self._posted[me_g].append((src_g, tag, matched))
 
-        msg = yield self._boxes[me_g].get(envelope_match)
-        yield env.timeout(cfg.sw_overhead_us * US)
-        if msg[0] == "eager":
-            done.succeed(msg[3])
-            return
-        # Rendezvous: grant CTS back to the sender, then take the data.
-        _kind, sender_g, _tag, msgid, _nbytes = msg
-        cts_evt = self._cts[msgid]
-        self.job.nic_of(me_g).post_put(
-            self.job.nic_of(sender_g),
-            64,
-            on_deliver=lambda _m: cts_evt.succeed(),
-            ordered=True,
-            done=False,
-        )
-        data_msg = yield self._boxes[me_g].get(
-            lambda m: m[0] == "data" and m[1] == msgid
-        )
-        done.succeed(data_msg[2])
+        def matched(msg: tuple) -> None:
+            env.defer(self.config.sw_overhead_us * US, accept, msg)
+
+        def accept(msg: tuple) -> None:
+            if msg[0] == "eager":
+                done.succeed(msg[3])
+                return
+            # Rendezvous: grant CTS back to the sender, then take the data.
+            sender_g, msgid = msg[1], msg[3]
+            cleared = self._rndv[msgid]
+            self._rndv[msgid] = done.succeed
+            self._post(me_g, sender_g, 64, None,
+                       lambda _m: env.defer(0.0, cleared, msgid), done=False)
+
+        env.defer(0.0, start)
 
 
 class Comm:
@@ -233,19 +285,13 @@ class Comm:
     # -- point to point ------------------------------------------------------
     def isend(self, dst: int, data: Any, tag: Any = 0) -> Request:
         done = self.env.event()
-        self.env.process(
-            self.world._send_proc(self.me_global, self.translate(dst), data, tag, done),
-            name=f"isend{self.me_global}->{dst}",
-        )
+        self.world._send(self.me_global, self.translate(dst), data, tag, done)
         return Request(done)
 
     def irecv(self, src: Optional[int] = None, tag: Any = 0) -> Request:
         done = self.env.event()
         src_g = None if src is None else self.translate(src)
-        self.env.process(
-            self.world._recv_proc(self.me_global, src_g, tag, done),
-            name=f"irecv{self.me_global}<-{src}",
-        )
+        self.world._recv(self.me_global, src_g, tag, done)
         return Request(done)
 
     def send(self, dst: int, data: Any, tag: Any = 0):

@@ -5,8 +5,8 @@ layers:
 
 * :class:`Store` — a FIFO buffer of items with optional capacity; ``get``
   and ``put`` return events (back-pressure falls out naturally).
-* :class:`FilterStore` — ``get`` takes a predicate (used for MPI tag
-  matching).
+* :class:`FilterStore` — ``get`` takes a predicate (used by the UNR
+  control inbox, which matches on ``(source, tag)``).
 """
 
 from __future__ import annotations
@@ -131,7 +131,8 @@ class FilterStoreGet(StoreGet):
 class FilterStore(Store):
     """Store whose ``get`` accepts a predicate; first matching item wins.
 
-    Used for MPI receive matching on ``(source, tag)``.
+    Used by the UNR control inbox (``Endpoint.recv_ctl``) to match on
+    ``(source, tag)``.
     """
 
     __slots__ = ()

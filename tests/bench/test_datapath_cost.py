@@ -4,7 +4,8 @@ The 64 KiB x 6 notified PUT ping-pong and GET pull on th-xy are
 deterministic, so what the engine schedules per operation is an
 integer: every extra coroutine, timeout or deferred per post shows up
 in ``sim.events``.  The halo ring on the 1728-node machine pins the
-other cost that must not grow: nodes built per rank that runs.  The
+other cost that must not grow: nodes built per rank that runs.  An
+MPI message is pinned the same way, in queue entries per send/recv.  The
 last groups pin what one posted message keeps in flight, what a rank's
 transposers hold before the first PUT, and how many frames a
 completion takes — structure, not host time.
@@ -25,6 +26,8 @@ import repro
 from repro.bench import FIG7_SERIES, unr_get_pull, unr_pingpong
 from repro.core import Signal, Unr
 from repro.core.engine import CTRL_BYTES
+from repro.interconnect import MpiFallbackChannel
+from repro.mpi import MpiWorld
 from repro.netsim import FaultInjector, FaultSpec
 from repro.netsim.trace import transfer_fingerprint
 from repro.obs import Recorder
@@ -198,6 +201,77 @@ def test_faulted_armed_run_spawns_no_process_per_fragment(monkeypatch):
         reliability=True, health=True, sanitize=True,
     )
     assert unr.stats["retransmits"] and inj.stats["duplicated"] and inj.stats["delayed"]
+    assert spawned == ["rank0", "rank1"]
+
+
+# -- what one MPI message costs ------------------------------------------------
+
+#: queue entries of a 2-rank hpc-ib send/recv, the two rank processes
+#: included.  Eager: each side's start, software overhead and request
+#: completion, the match hop and the wire's two sides.  Rendezvous adds
+#: the RTS, the CTS and its hop, and the data's hop.  17 / 23 while
+#: every isend and irecv ran a process and every delivery made a
+#: StorePut event.
+MPI_MESSAGE_EVENTS = {1024: 14, 256 * 1024: 19}
+
+
+def _mpi_message(nbytes):
+    job = make_job("hpc-ib", 2)
+    recorder = Recorder.attach(job.cluster)
+    world = MpiWorld(job, get_platform("hpc-ib").mpi)
+    data = np.arange(nbytes, dtype=np.uint8)
+    got = {}
+
+    def program(ctx):
+        comm = world.comm_world(ctx.rank)
+        if ctx.rank == 0:
+            yield from comm.send(1, data)
+        else:
+            got["data"] = yield from comm.recv(0)
+
+    run_job(job, program)
+    np.testing.assert_array_equal(got["data"], data)
+    return world, int(recorder.snapshot()["counters"]["sim.events"])
+
+
+@pytest.mark.parametrize("nbytes", sorted(MPI_MESSAGE_EVENTS), ids=["eager", "rendezvous"])
+def test_mpi_message_cost(nbytes):
+    world, events = _mpi_message(nbytes)
+    assert world.stats["rendezvous"] == (nbytes > world.config.eager_threshold)
+    assert events == MPI_MESSAGE_EVENTS[nbytes]
+
+
+def test_mpi_and_fallback_messages_spawn_no_process(monkeypatch):
+    """isend, irecv and the fallback lane's put and get are callback
+    chains: the only processes are the rank programs."""
+    spawned = []
+    real_init = Process.__init__
+
+    def init(self, env, generator, name=""):
+        real_init(self, env, generator, name)
+        spawned.append(self.name)
+
+    monkeypatch.setattr(Process, "__init__", init)
+    for nbytes in MPI_MESSAGE_EVENTS:
+        _mpi_message(nbytes)
+    assert spawned == ["rank0", "rank1"] * 2
+
+    spawned.clear()
+    plat = get_platform("hpc-ib")
+    job = make_job("hpc-ib", 2)
+    lane = MpiFallbackChannel(job, plat.fallback)
+    landed = []
+
+    def program(ctx):
+        if ctx.rank == 0:
+            for nbytes in (1024, 4 * plat.fallback.eager_threshold):
+                yield lane.put(0, 1, nbytes, payload=nbytes, on_deliver=landed.append)
+            got = yield lane.get(0, 1, 4096, fetch=lambda: "fetched",
+                                 on_deliver=landed.append)
+            assert got == ctx.env.now
+
+    run_job(job, program)
+    assert landed == [1024, 4 * plat.fallback.eager_threshold, "fetched"]
     assert spawned == ["rank0", "rank1"]
 
 

@@ -6,7 +6,7 @@ import pytest
 from repro.mpi import MpiConfig, MpiWorld, Phantom
 from repro.netsim import Cluster, ClusterSpec, NicSpec, NodeSpec
 from repro.runtime import Job, run_job
-from repro.sim import Environment
+from repro.sim import Environment, SimulationError
 
 
 def make_world(n_nodes=2, ppn=1, **cfg):
@@ -173,3 +173,100 @@ def test_barrier_then_traffic_no_cross_talk():
 
     run_job(job, program)
     assert got["data"] == b"payload"
+
+
+# -- matching: which receive takes which envelope ---------------------------------
+
+
+def test_any_tag_takes_the_earliest_arrival():
+    job, world = make_world()
+    got = []
+
+    def program(ctx):
+        comm = world.comm_world(ctx.rank)
+        if ctx.rank == 0:
+            yield from comm.send(1, b"first", tag=3)
+            yield from comm.send(1, b"second", tag=1)
+        else:
+            yield ctx.env.timeout(1.0)  # both envelopes are unexpected by now
+            got.append((yield from comm.recv(0, tag=None)))
+            got.append((yield from comm.recv(0, tag=None)))
+
+    run_job(job, program)
+    assert got == [b"first", b"second"]
+
+
+def test_any_source_takes_the_earliest_arrival_across_senders():
+    job, world = make_world(n_nodes=3)
+    got = []
+
+    def program(ctx):
+        comm = world.comm_world(ctx.rank)
+        if ctx.rank == 0:
+            yield ctx.env.timeout(1.0)
+            got.append((yield from comm.recv(None, tag=0)))
+            got.append((yield from comm.recv(None, tag=0)))
+        else:
+            # rank 2 sends first although rank 1 has the lower rank
+            yield ctx.env.timeout(1e-3 if ctx.rank == 1 else 0.0)
+            yield from comm.send(0, ctx.rank, tag=0)
+
+    run_job(job, program)
+    assert got == [2, 1]
+
+
+def test_rendezvous_rts_before_the_receive_is_posted():
+    job, world = make_world(eager_threshold=1024)
+    times = {}
+
+    def program(ctx):
+        comm = world.comm_world(ctx.rank)
+        if ctx.rank == 0:
+            yield from comm.send(1, np.arange(4096, dtype=np.int32), tag=4)
+            times["send_done"] = ctx.env.now
+        else:
+            yield ctx.env.timeout(1.0)  # the RTS waits as unexpected
+            times["data"] = yield from comm.recv(0, tag=4)
+
+    run_job(job, program)
+    np.testing.assert_array_equal(times["data"], np.arange(4096, dtype=np.int32))
+    assert world.stats["rendezvous"] == 1
+    assert times["send_done"] > 1.0  # the CTS waited for the receive
+
+
+@pytest.mark.parametrize("first, second", [
+    ((0, None), (0, 5)),
+    ((None, 5), (0, None)),
+    ((None, None), (0, 5)),
+], ids=["any-tag-first", "any-source-first", "wildcards-first"])
+def test_receives_that_match_one_envelope_are_served_fifo(first, second):
+    job, world = make_world()
+    got = {}
+
+    def program(ctx):
+        comm = world.comm_world(ctx.rank)
+        if ctx.rank == 0:
+            yield ctx.env.timeout(1.0)  # both receives are posted by now
+            yield from comm.send(1, b"a", tag=5)
+            yield from comm.send(1, b"b", tag=5)
+        else:
+            reqs = [comm.irecv(*first), comm.irecv(*second)]
+            got["values"] = yield from comm.waitall(reqs)
+
+    run_job(job, program)
+    assert got["values"] == [b"a", b"b"]
+
+
+def test_receive_that_never_matches_names_its_rank():
+    job, world = make_world()
+
+    def program(ctx):
+        comm = world.comm_world(ctx.rank)
+        if ctx.rank == 0:
+            yield from comm.send(1, b"x", tag=1)
+        else:
+            yield from comm.recv(0, tag=2)
+
+    with pytest.raises(SimulationError, match=r"^rank1 did not finish"):
+        run_job(job, program)
+    assert len(world._unexpected[1]) == 1 and len(world._posted[1]) == 1
