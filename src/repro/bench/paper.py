@@ -655,6 +655,15 @@ def _outcome(entry: Optional[Dict]) -> str:
     return "nothing" if entry is None else f"{entry['measured']!r} {entry['verdict']}"
 
 
+def _drift(cid: str, now: Optional[Dict], was: Optional[Dict]) -> List[str]:
+    """One line per field of claim ``cid`` that differs, or one line
+    when a side lacks the claim."""
+    if now is None or was is None:
+        return [f"{cid}: measured {_outcome(now)}, committed {_outcome(was)}"]
+    return [f"{cid}: {key} {now.get(key)!r} != committed {was.get(key)!r}"
+            for key in dict.fromkeys([*now, *was]) if now.get(key) != was.get(key)]
+
+
 def diff(record: Dict[str, Any], committed: Dict[str, Any]) -> List[str]:
     """What in ``record`` differs from ``committed``, over the figures
     ``record`` covers, or the one claim it holds (empty: the record
@@ -670,8 +679,7 @@ def diff(record: Dict[str, Any], committed: Dict[str, Any]) -> List[str]:
         gone = sorted(was.keys() - now.keys()) if "rows" in fig else []  # not one claim's run
         for cid in [*now, *gone]:
             if now.get(cid) != was.get(cid):
-                problems.append(f"{cid}: measured {_outcome(now.get(cid))}, "
-                                f"committed {_outcome(was.get(cid))}")
+                problems += _drift(cid, now.get(cid), was.get(cid))
     return problems
 
 

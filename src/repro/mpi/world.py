@@ -87,6 +87,12 @@ def _nbytes(data: Any) -> int:
     return 64  # python-object envelope
 
 
+def _matches(src_g: Optional[int], tag: Any, msg: tuple) -> bool:
+    """Does envelope ``msg`` satisfy a receive of ``(src_g, tag)``?
+    ``None`` is the wildcard for either."""
+    return (src_g is None or msg[1] == src_g) and (tag is None or msg[2] == tag)
+
+
 def _snapshot(data: Any) -> Any:
     if isinstance(data, np.ndarray):
         return data.copy()
@@ -139,7 +145,7 @@ class MpiWorld:
         waits as unexpected."""
         posted = self._posted[dst_g]
         for i, (src_g, tag, matched) in enumerate(posted):
-            if (src_g is None or msg[1] == src_g) and (tag is None or msg[2] == tag):
+            if _matches(src_g, tag, msg):
                 del posted[i]
                 self.env.defer(0.0, matched, msg)
                 return
@@ -236,7 +242,7 @@ class MpiWorld:
         def start(_: Any) -> None:
             box = self._unexpected[me_g]
             for i, msg in enumerate(box):
-                if (src_g is None or msg[1] == src_g) and (tag is None or msg[2] == tag):
+                if _matches(src_g, tag, msg):
                     del box[i]
                     env.defer(0.0, matched, msg)
                     return

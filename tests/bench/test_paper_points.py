@@ -3,6 +3,7 @@ has one id, no run is listed twice, a claim computes only the points it
 reads, and a claim that reads none cannot pass.  No PowerLLEL point of
 the ledger runs here."""
 
+import copy
 from itertools import combinations
 
 import pytest
@@ -96,3 +97,20 @@ def test_one_constant_claim_run_alone_is_no_go(monkeypatch):
                                                          ("==", 0))))
     record = compute("table1.constant", Points())
     assert [(c["id"], c["verdict"]) for c in entries(record)] == [("table1.constant", "NO-GO")]
+
+
+def test_diff_names_each_field_of_a_claim_that_drifts():
+    """A bound or paper value that moves alone is named, not hidden
+    behind two identical "measured ... verdict" halves; built from the
+    committed record, so no point runs."""
+    committed = paper.load_record()
+    record = copy.deepcopy(committed)
+    claim = next(c for c in record["figures"]["fig5"]["claims"] if c["id"] == "fig5.b2.gain-4m")
+    paper_was, bound_was = claim["paper"], claim["bound"]
+    claim["paper"], claim["bound"] = 0.5, bound_was[:2]
+    gone = record["figures"]["fig6"]["claims"].pop(0)
+    assert paper.diff(record, committed) == [
+        f"fig5.b2.gain-4m: paper 0.5 != committed {paper_was!r}",
+        f"fig5.b2.gain-4m: bound {bound_was[:2]!r} != committed {bound_was!r}",
+        f"{gone['id']}: measured nothing, committed {gone['measured']!r} {gone['verdict']}",
+    ]

@@ -90,10 +90,13 @@ PARENT_LINE = json.dumps({"correct": True, "attempted": 576, "failed": 0, "metri
     "sim.events": {"value": 368097}, "netsim.posts": {"value": 84084},
     "netsim.bytes": {"value": 328261842432}, "netsim.cq_high_water": {"value": 1},
     "netsim.pool_hit_ratio": {"value": 0.4371394820814924},
+    "interconnect.fallback_posts": {"value": 0},
     "core.puts": {"value": 32592}, "core.fragments": {"value": 65184},
     "core.poll_sweeps": {"value": 129441},
     "core.events_per_op": {"value": 11.29409057437408},
     "core.dispatch_per_sweep": {"value": 1.0071615639557792},
+    "mpi.messages": {"value": 0}, "mpi.eager": {"value": 0},
+    "mpi.rendezvous": {"value": 0}, "mpi.bytes": {"value": 0},
     "powerllel.sim_time_ms": {"value": 105.09736143371875},
     "trace.digest_match": {"value": 1.0},
     "sim.ns_per_event": {"value": 7776.1},  # host time: not an exact counter
@@ -120,7 +123,17 @@ def test_counter_diff_is_empty_only_when_every_exact_counter_repeats(perf_pairs)
     assert [line.split()[0] for line in lines if line.endswith("DIFFERENT")] == [
         "sim.events", "powerllel.sim_time_ms",
     ]
-    assert "105.09736143371875" in lines[10] and "105.09736143371876" in lines[10]
+    (sim_time,) = [line for line in lines if line.startswith("powerllel.sim_time_ms")]
+    assert "105.09736143371875" in sim_time and "105.09736143371876" in sim_time
+
+    # The MPI lane's counts are exact too: one message that changes
+    # protocol, and one fallback post more.
+    lane = dict(parent, **{"mpi.eager": 1.0, "mpi.rendezvous": -1.0,
+                           "interconnect.fallback_posts": 1.0})
+    lines, n_diff = perf_pairs.diff_counters(parent, lane)
+    assert [line.split()[0] for line in lines if line.endswith("DIFFERENT")] == [
+        "interconnect.fallback_posts", "mpi.eager", "mpi.rendezvous",
+    ]
 
     # A side that gave no result, or not that counter, is a difference.
     assert perf_pairs.diff_counters(parent, None)[1] == len(perf_pairs.EXACT_COUNTERS)

@@ -45,9 +45,10 @@ SIDES = ("parent", "change")
 #: (no host time in them): equal on both sides or the schedule moved
 EXACT_COUNTERS = (
     "sim.events", "netsim.posts", "netsim.bytes", "netsim.cq_high_water",
-    "netsim.pool_hit_ratio", "core.puts", "core.fragments", "core.poll_sweeps",
-    "core.events_per_op", "core.dispatch_per_sweep", "powerllel.sim_time_ms",
-    "trace.digest_match",
+    "netsim.pool_hit_ratio", "interconnect.fallback_posts", "core.puts",
+    "core.fragments", "core.poll_sweeps", "core.events_per_op",
+    "core.dispatch_per_sweep", "mpi.messages", "mpi.eager", "mpi.rendezvous",
+    "mpi.bytes", "powerllel.sim_time_ms", "trace.digest_match",
 )
 #: one planned run: (pair index, side, working directory, argv)
 Step = Tuple[int, str, str, List[str]]
