@@ -10,7 +10,8 @@ This module is that chokepoint for the reproduction:
   Argument validation, signal-id resolution and stripe planning happen
   once, at :meth:`TransferEngine.prepare_put` /
   :meth:`TransferEngine.prepare_get` time — which is what makes
-  :class:`~repro.core.plan.RmaPlan` replay cheap.
+  :class:`~repro.core.plan.RmaPlan` replay cheap — and a request that
+  repeats gets its first descriptor back from the engine's memo.
 * :class:`TransferEngine` — the single :meth:`~TransferEngine.post_op`
   pipeline that PUT, GET, control messages and the MPI fallback channel
   all route through: payload capture, idempotence-token minting, the
@@ -59,6 +60,12 @@ FALLBACK_RAIL = -1
 #: distinct PUT shapes remembered per engine before the memo starts over
 #: (an application uses a handful; a size sweep must not grow it forever)
 _SHAPE_MEMO_LIMIT = 4096
+
+#: prepared PUT/GET descriptors remembered per engine before the memo
+#: starts over.  A halo or ping-pong repeats a few BLK pairs; a transpose
+#: that posts every pair once only misses, so a full memo must stay
+#: small beside a large run's footprint (about 1 KiB an entry).
+_OP_MEMO_LIMIT = 512
 
 
 #: (node index, signal id, addend) — a software MMAS add to apply.
@@ -113,13 +120,17 @@ class StripePlan:
         )
 
 
-@dataclass
+@dataclass(slots=True, eq=False)
 class TransferOp:
     """A prepared transfer descriptor, replayable via :meth:`TransferEngine.post_op`.
 
     ``kind`` is ``'put'``, ``'get'`` or ``'ctrl'``.  For RMA kinds the
     blocks are kept so a tool at the ``post_op`` boundary can read what
-    each post touches.
+    each post touches.  Immutable by convention, like
+    :class:`StripePlan`: a PUT/GET descriptor is shared by every post
+    of the same request (the engine's memo, plan replay), so nothing
+    writes a field after construction.  Built positionally on the
+    post path; the field order is part of that contract.
     """
 
     kind: str
@@ -161,6 +172,8 @@ class TransferEngine:
         self.job = unr.job
         #: fragment geometry per distinct PUT shape, see _stripe_shape
         self._shapes: Dict[tuple, Tuple[Tuple[int, int, int, int, int], ...]] = {}
+        #: prepared PUT/GET descriptor per distinct request, see _remember
+        self._ops: Dict[tuple, TransferOp] = {}
         #: The engine's one seam: ``on_post(op, sp, rail, attempt, rtok,
         #: ltok, deliver)`` runs at every wire post — each fragment's
         #: first (``attempt`` 0; ``sp`` is ``None`` for a control
@@ -186,13 +199,21 @@ class TransferEngine:
     ) -> TransferOp:
         """Validate and plan one PUT; returns a replayable descriptor.
 
-        Per PUT: argument checks, the two region lookups
-        and placements, one bounds-checked slice of each block.  Per
-        fragment: the destination sub-view, the custom-bit encoding and
-        one :class:`StripePlan`.  The fragment geometry itself comes
-        from :meth:`_stripe_shape`, computed once per distinct shape.
+        A request seen before returns the descriptor that passed every
+        check then (see :meth:`_remember`).  Otherwise, per PUT:
+        argument checks, the two region lookups and placements, one
+        bounds-checked slice of each block.  Per fragment: the
+        destination sub-view, the custom-bit encoding and one
+        :class:`StripePlan`.  The fragment geometry itself comes from
+        :meth:`_stripe_shape`, computed once per distinct shape.
         """
         unr = self.unr
+        # The striping knobs are read live, as _stripe_shape does.
+        key = (id(src_blk), id(dst_blk), src_rank, rsid, lsid,
+               unr.stripe_threshold, unr.max_stripe_rails, unr.n_bits)
+        op = self._ops.get(key)
+        if op is not None:
+            return op
         size = src_blk.size
         if src_blk.rank != src_rank:
             raise UnrUsageError(f"put source BLK belongs to rank {src_blk.rank}")
@@ -238,21 +259,15 @@ class TransferEngine:
                            wire_rsid, dst_node, rpol, lsid, src_node, lpol)
             for row in shape
         ])
-        return TransferOp(
-            kind="put",
-            src_rank=src_rank, dst_rank=dst_rank,
-            src_node=src_node, dst_node=dst_node,
-            nbytes=size,
-            local_blk=src_blk, remote_blk=dst_blk,
-            rsid=rsid, lsid=lsid,
-            software=software, ctrl_remote=ctrl_remote,
+        return self._remember(key, TransferOp(
+            "put", src_rank, dst_rank, src_node, dst_node, size,
+            src_blk, dst_blk, rsid, lsid, software, ctrl_remote,
             # The ordered Level-0 lane and the MPI fallback are already
             # reliable (exactly-once, in order); only unordered RDMA
             # fragments need the watchdog.
-            reliable=unr.reliability and not software and not ctrl_remote,
-            stripes=stripes,
-            src_bytes=src_bytes,
-        )
+            unr.reliability and not software and not ctrl_remote,
+            stripes, src_bytes,
+        ))
 
     def _stripe_shape(
         self, size: int, n_rails: int, multi_ok: bool, policy: LevelPolicy
@@ -306,7 +321,13 @@ class TransferEngine:
         rsid: Optional[int],
         lsid: Optional[int],
     ) -> TransferOp:
-        """Validate and plan one GET; returns a replayable descriptor."""
+        """Validate and plan one GET; returns a replayable descriptor,
+        the remembered one for a request seen before (:meth:`_remember`)."""
+        # No striping knob: a GET is one fragment whatever they say.
+        key = (id(local_blk), id(remote_blk), src_rank, rsid, lsid)
+        op = self._ops.get(key)
+        if op is not None:
+            return op
         unr = self.unr
         if local_blk.rank != src_rank:
             raise UnrUsageError(f"get local BLK belongs to rank {local_blk.rank}")
@@ -331,19 +352,36 @@ class TransferEngine:
             None if ctrl_remote else rsid, remote_node, rpol,
             lsid, src_node, unr.get_local_policy,
         )
-        return TransferOp(
-            kind="get",
-            src_rank=src_rank, dst_rank=remote_blk.rank,
-            src_node=src_node, dst_node=remote_node,
-            nbytes=size,
-            local_blk=local_blk, remote_blk=remote_blk,
-            rsid=rsid, lsid=lsid,
-            software=software, ctrl_remote=ctrl_remote,
-            reliable=unr.reliability and not software,
-            stripes=(sp,),
-            fetch=None if virtual else (lambda: remote_view.copy()),
-            tails=sp.local_done_add is not None or ctrl_remote,
-        )
+        return self._remember(key, TransferOp(
+            "get", src_rank, remote_blk.rank, src_node, remote_node, size,
+            local_blk, remote_blk, rsid, lsid, software, ctrl_remote,
+            unr.reliability and not software,
+            (sp,), None,  # no src_bytes: the data comes back in fetch
+            None if virtual else (lambda: remote_view.copy()),
+            sp.local_done_add is not None or ctrl_remote,
+        ))
+
+    def _remember(self, key: tuple, op: TransferOp) -> TransferOp:
+        """Store ``op``, which passed every check of its prepare, as the
+        answer to every later request with the same ``key``.
+
+        The key holds everything a prepare reads that can differ between
+        calls: the identity of both BLKs (frozen, and kept alive by the
+        stored op, so an id cannot be reused while its entry lives), the
+        posting rank, both signal ids and — for a PUT — the live
+        striping knobs.  The rest (channel, level policies, reliability,
+        node placement, registered regions) is fixed for the life of the
+        ``Unr``.  A PUT key is longer than a GET key, so the kinds never
+        share an entry.  Posting a shared descriptor is what plan
+        replay does, so a hit schedules exactly what a fresh prepare
+        would.  Bounded like the shape memo: at the limit it starts
+        over.
+        """
+        ops = self._ops
+        if len(ops) >= _OP_MEMO_LIMIT:
+            ops.clear()
+        ops[key] = op
+        return op
 
     # -- carriage: how each side's notification travels (Table I) ---------
     def _ctrl_remote(self, rsid: Optional[int], rpol: LevelPolicy, software: bool) -> bool:

@@ -37,7 +37,7 @@ from typing import List, Optional
 
 from ..sim import Environment, Event
 
-__all__ = ["Signal", "submessage_addends", "MASK64", "DEFAULT_N_BITS"]
+__all__ = ["Signal", "SignalWait", "submessage_addends", "MASK64", "DEFAULT_N_BITS"]
 
 MASK64 = (1 << 64) - 1
 DEFAULT_N_BITS = 32
@@ -67,6 +67,25 @@ def submessage_addends(k: int, n_bits: int) -> List[int]:
     first = -1 + ((k - 1) << (n_bits + 1))
     rest = -(1 << (n_bits + 1))
     return [first] + [rest] * (k - 1)
+
+
+class SignalWait(Event):
+    """What ``sig_wait`` blocks on: the signal's wait event, which names
+    the signal in its repr, so a run that stops with a rank still
+    waiting says on what (:func:`repro.runtime.raise_unfinished`)."""
+
+    __slots__ = ("signal",)
+
+    def __init__(self, env: Environment, signal: "Signal") -> None:
+        super().__init__(env)
+        self.signal = signal
+
+    def __repr__(self) -> str:
+        sig = self.signal
+        return (
+            f"<sig_wait sid={sig.sid} num_event={sig.num_event} "
+            f"counter={sig.counter}>"
+        )
 
 
 class Signal:
@@ -226,7 +245,7 @@ class Signal:
         If the counter is already zero the event is pre-triggered.
         """
         if self._wait_event is None or self._wait_event.triggered:
-            evt = Event(self.env)
+            evt = SignalWait(self.env, self)
             if self._counter == 0 or self.overflow_bit:
                 evt.succeed(self)
                 return evt

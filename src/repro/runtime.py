@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .netsim import Cluster, Nic, Node
-from .sim import Environment, Process, SimulationError
+from .sim import Environment, Event, Process, SimulationError
 
 __all__ = ["Job", "RankContext", "run_job"]
 
@@ -144,7 +144,23 @@ def run_job(
 
 def raise_unfinished(env: Environment, procs: Iterable[Process]) -> None:
     """Raise :class:`SimulationError` naming every process of ``procs``
-    that has not finished, with the time the run stopped at."""
-    blocked = [proc.name for proc in procs if not proc.triggered]
+    that has not finished, with the time the run stopped at and what
+    each one waits on: an event that describes itself (a ``sig_wait``
+    names its signal's sid, ``num_event`` and counter) by its repr,
+    any other by its type."""
+    blocked = [proc for proc in procs if not proc.triggered]
     if blocked:
-        raise SimulationError(f"{', '.join(blocked)} did not finish (deadlock?) at t={env.now}")
+        waits = "; ".join(f"{proc.name} waits on {_waiting_on(proc)}" for proc in blocked)
+        raise SimulationError(
+            f"{', '.join(proc.name for proc in blocked)} did not finish "
+            f"(deadlock?) at t={env.now}: {waits}"
+        )
+
+
+def _waiting_on(proc: Process) -> str:
+    target = proc.target
+    if target is None:
+        return "nothing (never started)"
+    # Event's own repr carries an address, which would make the message
+    # differ between identical runs.
+    return repr(target) if type(target).__repr__ is not Event.__repr__ else type(target).__name__

@@ -310,6 +310,12 @@ class Process(Event):
     def is_alive(self) -> bool:
         return self._value is _PENDING
 
+    @property
+    def target(self) -> Optional[Event]:
+        """The event this process is blocked on (``None`` while it runs,
+        before it starts, and once it is done)."""
+        return self._target
+
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current yield."""
         if not self.is_alive:

@@ -25,7 +25,7 @@ import pytest
 import repro
 from repro.bench import FIG7_SERIES, unr_get_pull, unr_pingpong
 from repro.core import Signal, Unr
-from repro.core.engine import CTRL_BYTES
+from repro.core.engine import CTRL_BYTES, StripePlan, TransferOp
 from repro.interconnect import MpiFallbackChannel
 from repro.mpi import MpiWorld
 from repro.netsim import FaultInjector, FaultSpec
@@ -462,8 +462,11 @@ def test_every_in_flight_event_class_is_slotted():
     classes = {c for c in events(Event) if c.__module__.startswith("repro.")}
     for name in HOT_PATH_MODULES:
         classes.update(hot_path_classes(importlib.import_module(f"repro.{name}")))
+    # The descriptors the engine builds per PUT/GET and per fragment,
+    # and keeps in its memo.
+    classes.update({StripePlan, TransferOp})
     names = {f"{c.__module__}.{c.__qualname__}" for c in classes}
     assert DICT_EXEMPT <= names, "drop the exemption of a class that is gone"
     assert with_dict(classes) == DICT_EXEMPT
     assert {"_LocalSide", "_PutRemote", "_GetRemote", "_SweepFire", "Scheduler",
-            "CompletionRecord", "Node"} <= {c.__name__ for c in classes}
+            "CompletionRecord", "Node", "SignalWait"} <= {c.__name__ for c in classes}

@@ -91,7 +91,8 @@ PARENT_LINE = json.dumps({"correct": True, "attempted": 576, "failed": 0, "metri
     "netsim.bytes": {"value": 328261842432}, "netsim.cq_high_water": {"value": 1},
     "netsim.pool_hit_ratio": {"value": 0.4371394820814924},
     "interconnect.fallback_posts": {"value": 0},
-    "core.puts": {"value": 32592}, "core.fragments": {"value": 65184},
+    "core.puts": {"value": 32592}, "core.gets": {"value": 0},
+    "core.fragments": {"value": 65184},
     "core.poll_sweeps": {"value": 129441},
     "core.events_per_op": {"value": 11.29409057437408},
     "core.dispatch_per_sweep": {"value": 1.0071615639557792},
@@ -134,6 +135,10 @@ def test_counter_diff_is_empty_only_when_every_exact_counter_repeats(perf_pairs)
     assert [line.split()[0] for line in lines if line.endswith("DIFFERENT")] == [
         "interconnect.fallback_posts", "mpi.eager", "mpi.rendezvous",
     ]
+
+    # The GET side counts too: one GET more.
+    lines, n_diff = perf_pairs.diff_counters(parent, dict(parent, **{"core.gets": 1.0}))
+    assert n_diff == 1 and "core.gets" in next(ln for ln in lines if ln.endswith("DIFFERENT"))
 
     # A side that gave no result, or not that counter, is a difference.
     assert perf_pairs.diff_counters(parent, None)[1] == len(perf_pairs.EXACT_COUNTERS)

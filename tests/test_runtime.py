@@ -1,7 +1,9 @@
 """Tests for the Job/rank runtime (`repro.runtime`)."""
 
+import numpy as np
 import pytest
 
+from repro.core import Unr
 from repro.netsim import Cluster, ClusterSpec, NicSpec, NodeSpec
 from repro.runtime import Job, run_job
 from repro.sim import Environment, SimulationError
@@ -93,6 +95,33 @@ def test_run_job_reports_deadlock():
     assert "rank1, rank3 did not finish" in message
     assert "rank0" not in message and "rank2" not in message
     assert "t=1.5" in message
+    # A plain event's repr holds its address: only its type is named.
+    assert message.endswith("rank1 waits on Event; rank3 waits on Event")
+
+
+def test_a_rank_blocked_in_sig_wait_names_its_signal():
+    """The receiver arms two events and gets one PUT: the error names
+    the signal's sid, its num_event and the counter left."""
+    job = Job(make_cluster(2))
+    unr = Unr(job, "glex")
+
+    def program(ctx):
+        ep = unr.endpoint(ctx.rank)
+        mr = ep.mem_reg(np.zeros(8, np.uint8))
+        if ctx.rank == 1:
+            ep.sig_init(1)  # so the armed signal's sid is not 0
+            sig = ep.sig_init(2)
+            yield from ep.send_ctl(0, ep.blk_init(mr, 0, 8, sig))
+            yield from ep.sig_wait(sig)
+        else:
+            dst = yield from ep.recv_ctl(1)
+            ep.put(ep.blk_init(mr, 0, 8), dst)
+
+    with pytest.raises(SimulationError, match=r"^rank1 did not finish") as err:
+        run_job(job, program)
+    assert str(err.value).endswith(
+        "rank1 waits on <sig_wait sid=1 num_event=2 counter=1>"
+    )
 
 
 def test_run_job_propagates_rank_exception():

@@ -46,7 +46,7 @@ SIDES = ("parent", "change")
 EXACT_COUNTERS = (
     "sim.events", "netsim.posts", "netsim.bytes", "netsim.cq_high_water",
     "netsim.pool_hit_ratio", "interconnect.fallback_posts", "core.puts",
-    "core.fragments", "core.poll_sweeps", "core.events_per_op",
+    "core.gets", "core.fragments", "core.poll_sweeps", "core.events_per_op",
     "core.dispatch_per_sweep", "mpi.messages", "mpi.eager", "mpi.rendezvous",
     "mpi.bytes", "powerllel.sim_time_ms", "trace.digest_match",
 )
