@@ -458,8 +458,8 @@ class Unr:
         return cancelled
 
     def finalize(self) -> Optional["SanitizerReport"]:
-        """End-of-job hook: drain dead-peer fragments, then collect the
-        sanitizer report (if armed).
+        """End-of-job hook: drain dead-peer fragments, empty the engine's
+        payload pool, then collect the sanitizer report (if armed).
 
         The drain runs first so notifications owed by cancelled
         fragments are discharged before the leak scan.  The scan covers
@@ -468,6 +468,7 @@ class Unr:
         ``None`` when the sanitizer is disarmed; idempotent otherwise.
         """
         self.drain()
+        self.engine.payloads.clear()
         if self.sanitizer is None:
             return None
         if not self.sanitizer.report.finalized:

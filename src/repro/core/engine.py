@@ -19,6 +19,8 @@ This module is that chokepoint for the reproduction:
   trailing Level-0 notification attach here once instead of
   per-call-site.  Passive tools attach at its one seam,
   :attr:`TransferEngine.on_post`.
+* :class:`PayloadPool` — where a large payload snapshot is taken: into
+  a pooled buffer that nothing holds any more, when there is one.
 
 The datapath trusts the fabric.  A reliable fragment is handed, after
 its tokens and payload snapshot, to the watchdog ladder of
@@ -31,7 +33,11 @@ per-node polling thread that drains the completion queues is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
+from functools import partial
+from sys import getrefcount
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from ..netsim import alloc_record
 from .errors import UnrUsageError
@@ -47,6 +53,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "CTRL_BYTES",
     "FALLBACK_RAIL",
+    "POOL_FLOOR",
+    "PayloadPool",
     "StripePlan",
     "TransferOp",
     "TransferEngine",
@@ -66,6 +74,30 @@ _SHAPE_MEMO_LIMIT = 4096
 #: that posts every pair once only misses, so a full memo must stay
 #: small beside a large run's footprint (about 1 KiB an entry).
 _OP_MEMO_LIMIT = 512
+
+#: smallest payload snapshot, in bytes, that :class:`PayloadPool` serves
+#: from a dead pooled buffer; a smaller one is a fresh ``.copy()``, which
+#: costs less than the pool's scan there (docs/performance.md, "A payload
+#: snapshot reuses a dead buffer", has the crossover)
+POOL_FLOOR = 64 * 1024
+
+
+def _dead_reading() -> int:
+    """What ``getrefcount`` reads for a buffer only a list holds, read
+    the way :meth:`PayloadPool.snapshot` reads it: loop variable, then
+    the call."""
+    reading = 0
+    for buf in [np.empty(0, np.uint8)]:
+        reading = getrefcount(buf)
+    return reading
+
+
+#: ``getrefcount`` of a pooled buffer nothing else holds: the list, the
+#: loop variable and the call's argument, 3 on CPython 3.11.  Read at
+#: import rather than written down: an interpreter that borrows the
+#: argument's reference reads fewer, and a constant there would hand out
+#: a buffer that one holder still uses.
+_DEAD = _dead_reading()
 
 
 #: (node index, signal id, addend) — a software MMAS add to apply.
@@ -87,14 +119,15 @@ class StripePlan:
     frozen dataclass pays an ``object.__setattr__`` per field, and one
     is built per fragment per PUT).
 
-    ``view`` is the destination byte view written on delivery (``None``
-    when either side of the transfer is a virtual region — geometry
-    only).  ``remote_add`` / ``local_action_add`` are applied by the
-    channel's remote / local action (software notify, or Level-4
-    hardware offload at that side); ``local_done_add`` when the post's
-    send completes (no local custom bits: the sender knows its own
-    posts).  ``remote_sig`` / ``local_sig`` are the raw ``(node, sid,
-    addend)`` of the two notifications, independent of the custom-bit
+    ``view`` is the destination byte view written on delivery by
+    ``deliver`` (both ``None`` when either side of the transfer is a
+    virtual region — geometry only).  ``remote_add`` /
+    ``local_action_add`` are applied by the channel's remote / local
+    action (software notify, or Level-4 hardware offload at that side);
+    ``local_done_add`` when the post's send completes (no local custom
+    bits: the sender knows its own posts).  ``remote_sig`` /
+    ``local_sig`` are the raw ``(node, sid, addend)`` of the two
+    notifications, independent of the custom-bit
     encoding chosen above — the degraded fallback path synthesizes the
     same notifications from these (with the same idempotence tokens),
     and the drain protocol discharges them for cancelled fragments.
@@ -112,6 +145,9 @@ class StripePlan:
     local_done_add: Optional[AddSpec] = None
     remote_sig: Optional[AddSpec] = None
     local_sig: Optional[AddSpec] = None
+    #: the callback that writes ``view`` on delivery, built once here
+    #: rather than per post (``None`` with ``view``)
+    deliver: Optional[Callable[[Any], None]] = None
 
     def __repr__(self) -> str:
         return (
@@ -163,6 +199,57 @@ class TransferOp:
     ctrl_sid: Optional[int] = None
 
 
+class PayloadPool:
+    """Payload snapshots that reuse a buffer nothing holds any more.
+
+    The put/get contract (paper §IV-D) lets a caller reuse its source as
+    soon as ``put()`` returns, so every real-memory PUT fragment is
+    copied at post and every GET at fetch.  A snapshot of at least
+    :data:`POOL_FLOOR` bytes is written into a pooled buffer of its size
+    whose only reference is the pool's own list; without one it is a
+    fresh copy, which the pool keeps, after first releasing the dead
+    buffers of other sizes (so a run that moves to another size does not
+    hold the old ones).  A size therefore never holds more buffers than
+    were alive at once.
+
+    Reference counting is the whole bookkeeping: whatever still holds a
+    snapshot — the NIC event carrying it, a fault injector's pending
+    duplicate, a reliable fragment awaiting retransmit, the fallback
+    lane's steps, a delivery callback that kept it — keeps that buffer
+    out of reuse.  :meth:`clear` (``Unr.finalize()``) drops them all.
+    """
+
+    __slots__ = ("_bufs",)
+
+    def __init__(self) -> None:
+        #: every pooled buffer, held or dead, by size in bytes
+        self._bufs: Dict[int, List[np.ndarray]] = {}
+
+    def snapshot(self, view: np.ndarray) -> np.ndarray:
+        """A private copy of the byte view ``view``."""
+        size = len(view)
+        if size < POOL_FLOOR:
+            return view.copy()
+        bufs = self._bufs.get(size)
+        if bufs is None:
+            bufs = self._bufs[size] = []
+        else:
+            for buf in bufs:
+                if getrefcount(buf) == _DEAD:
+                    buf[:] = view
+                    return buf
+        for other, held in self._bufs.items():
+            if other != size:
+                held[:] = [buf for buf in held if getrefcount(buf) > _DEAD]
+        buf = view.copy()
+        bufs.append(buf)
+        return buf
+
+    def clear(self) -> None:
+        """Drop every pooled buffer (held ones stay with their holders)."""
+        self._bufs.clear()
+
+
 class TransferEngine:
     """The one posting pipeline behind ``put``/``get``/ctrl/fallback."""
 
@@ -180,6 +267,8 @@ class TransferEngine:
         #: message), and each watchdog retransmit — and returns the
         #: delivery callback a first post goes out with.  ``None``: off.
         self.on_post: Optional[Callable[..., Any]] = None
+        #: payload snapshots of PUT fragments and GET fetches
+        self.payloads = PayloadPool()
         #: the watchdog ladder every reliable fragment is handed to;
         #: ``None`` unless ``Unr(reliability=True)``
         self.reliable: Optional["ReliableDelivery"] = None
@@ -357,7 +446,7 @@ class TransferEngine:
             local_blk, remote_blk, rsid, lsid, software, ctrl_remote,
             unr.reliability and not software,
             (sp,), None,  # no src_bytes: the data comes back in fetch
-            None if virtual else (lambda: remote_view.copy()),
+            None if virtual else partial(self.payloads.snapshot, remote_view),
             sp.local_done_add is not None or ctrl_remote,
         ))
 
@@ -434,12 +523,13 @@ class TransferEngine:
                 local_done_add = local_sig
             else:
                 local_custom = encode_custom(lsid, addend, lpol)
+        view = None if dst_bytes is None else dst_bytes[offset : offset + size]
         return StripePlan(
-            index, rail, offset, size,
-            None if dst_bytes is None else dst_bytes[offset : offset + size],
+            index, rail, offset, size, view,
             remote_custom, local_custom,
             remote_add, local_action_add, local_done_add,
             remote_sig, local_sig,
+            None if view is None else TransferEngine._write_view(view),
         )
 
     def prepare_ctrl(
@@ -515,7 +605,8 @@ class TransferEngine:
         # Snapshot at post: the caller may reuse the source as soon as
         # put() returns, and a retransmit must resend the bytes as they
         # were then.
-        payload = None if src is None else src[sp.offset : sp.offset + sp.size].copy()
+        payload = (None if src is None
+                   else self.payloads.snapshot(src[sp.offset : sp.offset + sp.size]))
         ladder = self.reliable
         if reliable:
             assert ladder is not None
@@ -525,8 +616,7 @@ class TransferEngine:
             # An unreliable post under the ladder is a single fragment
             # on the software or an ordered lane: it dies only with the peer.
             ladder._check_peer_alive(op)
-        view = sp.view
-        deliver = None if view is None else self._write_view(view)
+        deliver = sp.deliver
         if self.on_post is not None:
             deliver = self.on_post(op, sp, sp.rail, 0, rtok, ltok, deliver)
         done = self._attempt(op, sp, payload, deliver, rtok, ltok, sp.rail)

@@ -409,6 +409,7 @@ def _classes(path):
     ("netsim/nic.py", "Nic", "post_put"),
     ("netsim/nic.py", "Nic", "post_get"),
     ("core/polling.py", "_Sweeper", "on_record"),
+    ("core/engine.py", "TransferEngine", "_post_fragment"),
 ])
 def test_per_message_paths_build_no_callables(path, cls, method):
     """A closure or lambda per message is an object (plus its cells) in

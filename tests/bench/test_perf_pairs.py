@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import sys
 
 import pytest
 
@@ -154,3 +155,39 @@ def test_counters_dry_run_is_one_traced_run_per_side(perf_pairs, tmp_path, capsy
     lines = capsys.readouterr().out.strip().splitlines()
     assert code == 0 and len(lines) == 2
     assert all(line.endswith("--seed 2024 --seconds 12 --trace 1") for line in lines)
+
+
+def test_a_step_reports_its_page_faults_and_system_cpu_per_child(perf_pairs, tmp_path):
+    """The host cost of a step is its ``RUSAGE_CHILDREN`` delta divided by
+    the children the driver says it ran; it never enters a verdict."""
+    step = (
+        "import json\n"
+        "touched = b'x' * (48 << 20)  # 12 288 pages written\n"
+        "print('# unr_bulk: 2 untraced repeat(s) + 1 traced, seed 1, fail_share 0')\n"
+        "print(json.dumps({'failed': 0, 'metrics': {'wall_s': {'value': 1.5}}}))\n"
+    )
+    values, failed, host = perf_pairs.run_step(str(tmp_path), [sys.executable, "-c", step])
+    assert values == {"wall_s": 1.5} and failed == 0
+    assert (48 << 20) / 4096 / 3 < host["minflt"] < 2 * (48 << 20) / 4096
+    assert host["stime_s"] >= 0.0
+
+    # One child when the driver printed no count; the cost of a run that
+    # gave no result is still reported.
+    values, _, host = perf_pairs.run_step(
+        str(tmp_path), [sys.executable, "-c", "touched = b'x' * (48 << 20)"])
+    assert values is None and host["minflt"] > (48 << 20) / 4096
+
+    lines = perf_pairs.summarise_host({
+        "parent": [{"minflt": 235_000.0, "stime_s": 0.5},
+                   {"minflt": 236_000.0, "stime_s": 0.4},
+                   {"minflt": 240_000.0, "stime_s": 0.7}],
+        "change": [{"minflt": 20_000.0, "stime_s": 0.05},
+                   {"minflt": 19_000.0, "stime_s": 0.07}],
+    })
+    assert lines == [
+        "minor page faults per child run (median, informational): "
+        "parent 236000 -> change 19500",
+        "system CPU s per child run (median, informational): parent 0.500 -> change 0.060",
+    ]
+    assert perf_pairs.summarise_host({"parent": [], "change": []})[0].endswith(
+        "parent n/a -> change n/a")

@@ -22,6 +22,12 @@ measured where it is edited reads a few percent off in ``setup_s``.
 
 ``--dry-run`` prints the commands in the order they would run.
 
+Beside the gated metrics, each run's minor page faults and system CPU
+per benchmark child are read from ``getrusage(RUSAGE_CHILDREN)`` before
+and after it, and each side's medians are printed: what a change to
+allocation or copying does to the kernel's share.  Informational only;
+no verdict reads them.
+
 ``--counters`` answers a different question — did the change move the
 *schedule*? — with one ``--trace 1`` run per side at ``--seed``: the
 counters in :data:`EXACT_COUNTERS` are counts the program makes of its
@@ -35,6 +41,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
+import resource
 import statistics
 import subprocess
 import sys
@@ -54,6 +62,9 @@ EXACT_COUNTERS = (
 Step = Tuple[int, str, str, List[str]]
 #: per side, per pair: metric name -> value (None: the run gave no result)
 Results = Dict[str, List[Optional[Dict[str, float]]]]
+#: the driver's count of the children it ran, from its "# W: N untraced
+#: repeat(s) + 1 traced" line
+CHILDREN_LINE = re.compile(r"^# \S+: (\d+) untraced repeat\(s\)( \+ 1 traced)?", re.M)
 
 
 def load_benchmark(tree: str) -> Dict[str, Any]:
@@ -76,16 +87,27 @@ def plan(parent: str, change: str, spec: Dict[str, Any], workload: str,
     return steps
 
 
-def run_step(cwd: str, argv: Sequence[str]) -> Tuple[Optional[Dict[str, float]], int]:
-    """Run one side once; returns (metric values, failed ops)."""
+def run_step(cwd: str, argv: Sequence[str]
+             ) -> Tuple[Optional[Dict[str, float]], int, Dict[str, float]]:
+    """Run one side once; returns (metric values, failed ops, host cost).
+
+    The host cost is the ``RUSAGE_CHILDREN`` delta over the run, per
+    benchmark child it reports (the driver's own share rides along):
+    ``minflt`` minor page faults and ``stime_s`` system CPU seconds."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(argv, cwd=cwd, env=env, stdout=subprocess.PIPE, text=True)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    found = CHILDREN_LINE.search(proc.stdout)
+    children = int(found.group(1)) + bool(found.group(2)) if found else 1
+    host = {"minflt": (after.ru_minflt - before.ru_minflt) / children,
+            "stime_s": (after.ru_stime - before.ru_stime) / children}
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
-        return None, 0
+        return None, 0, host
     result = json.loads(lines[-1])
     values = {name: float(m["value"]) for name, m in result["metrics"].items()}
-    return values, int(result.get("failed", 0))
+    return values, int(result.get("failed", 0)), host
 
 
 def quartiles(values: Sequence[float]) -> Tuple[float, float, float]:
@@ -126,6 +148,27 @@ def summarise(results: Results, metrics: Sequence[Dict[str, Any]]) -> List[str]:
             f"parent IQR {p3 - p1:.4g} -> {'GAIN' if claim else 'no claim'}"
         )
     return lines
+
+
+def summarise_host(host: Dict[str, List[Dict[str, float]]]) -> List[str]:
+    """Each side's median minor page faults and system CPU per benchmark
+    child, over its runs: informational, never a verdict."""
+    medians = {
+        side: {key: statistics.median(h[key] for h in runs) if runs else None
+               for key in ("minflt", "stime_s")}
+        for side, runs in host.items()
+    }
+
+    def shown(side: str, key: str, fmt: str) -> str:
+        value = medians[side][key]
+        return "n/a" if value is None else format(value, fmt)
+
+    return [
+        f"{label} per child run (median, informational): parent "
+        f"{shown('parent', key, fmt)} -> change {shown('change', key, fmt)}"
+        for label, key, fmt in (("minor page faults", "minflt", ".0f"),
+                                ("system CPU s", "stime_s", ".3f"))
+    ]
 
 
 def diff_counters(parent: Optional[Dict[str, float]],
@@ -176,20 +219,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     results: Results = {side: [None] * args.pairs for side in SIDES}
     failed = {side: 0 for side in SIDES}
+    host: Dict[str, List[Dict[str, float]]] = {side: [] for side in SIDES}
     names = [m["name"] for m in spec["end_to_end"]]
     for i, side, cwd, cmd in steps:
-        values, n_failed = run_step(cwd, cmd)
+        values, n_failed, cost = run_step(cwd, cmd)
         results[side][i] = values
         failed[side] += n_failed
+        host[side].append(cost)
         shown = "no result" if values is None else "  ".join(
             f"{n}={values[n]:.4g}" for n in names
         )
-        print(f"pair {i} seed {args.seed + i} {side:6s} {shown}  failed={n_failed}",
-              flush=True)
+        print(f"pair {i} seed {args.seed + i} {side:6s} {shown}  failed={n_failed}  "
+              f"minflt={cost['minflt']:.0f} sys={cost['stime_s']:.3f}", flush=True)
 
     print(f"\n{args.workload}: {args.pairs} pairs, seeds "
           f"{args.seed}-{args.seed + args.pairs - 1}")
-    for line in summarise(results, spec["end_to_end"]):
+    for line in summarise(results, spec["end_to_end"]) + summarise_host(host):
         print(line)
     broken = sum(v is None for side in SIDES for v in results[side])
     for side in SIDES:
